@@ -28,6 +28,7 @@ from .dual import (
     upper_bounds,
 )
 from .errors import (
+    ConstructionError,
     DegenerateInputError,
     InfeasibleBranchError,
     ModelFormatError,

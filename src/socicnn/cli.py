@@ -19,8 +19,7 @@ import numpy as np
 
 from . import experiments, model
 from .errors import SocIcnnError
-from .inference import InferenceConfig
-from .model import ArchSpec, DegeneracySpec
+from .model import ArchSpec
 
 _PRESETS = {
     "exp1": ArchSpec(20, (64, 64, 64, 64), (20, 20), (20, 20)),
@@ -33,6 +32,14 @@ _EXPERIMENTS = {
     "exp2": (experiments.Exp2Config, experiments.run_exp2),
     "exp3": (experiments.Exp3Config, experiments.run_exp3),
     "exp4": (experiments.Exp4Config, experiments.run_exp4),
+}
+
+# Per-experiment count flags; each overrides the config field of its name.
+_EXTRA_FLAGS = {
+    "exp1": ("samples",),
+    "exp2": ("points", "trials"),
+    "exp3": ("directions", "branches", "probes"),
+    "exp4": ("queries",),
 }
 
 
@@ -100,16 +107,16 @@ def _load_config(cls, path: str | None, overrides: dict):
     unknown = set(values) - names
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    if "widths" in values:
-        values["widths"] = tuple(values["widths"])
-    for key in ("quad_dims", "cone_dims", "radii"):
-        if key in values:
-            values[key] = tuple(values[key])
-    if "degeneracy" in values and isinstance(values["degeneracy"], dict):
-        values["degeneracy"] = DegeneracySpec(**values["degeneracy"])
-    if "solver" in values and isinstance(values["solver"], dict):
-        values["solver"] = InferenceConfig(**values["solver"])
     try:
+        # JSON arrays become the tuples and JSON objects the nested configs
+        # that the field defaults hold.
+        defaults = cls()
+        for key, value in values.items():
+            default = getattr(defaults, key)
+            if isinstance(default, tuple):
+                values[key] = tuple(value)
+            elif dataclasses.is_dataclass(default):
+                values[key] = type(default)(**value)
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config value: {exc}") from exc
@@ -163,12 +170,7 @@ def _cmd_model_info(args) -> int:
 
 def _cmd_exp(args, name: str) -> int:
     cls, runner = _EXPERIMENTS[name]
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("seed", "samples", "points", "trials", "directions",
-                    "branches", "probes", "queries")
-        if hasattr(args, key)
-    }
+    overrides = {key: getattr(args, key) for key in ("seed",) + _EXTRA_FLAGS[name]}
     cfg = _load_config(cls, args.config, overrides)
     out = runner(cfg)
     for table in out.tables:
@@ -219,12 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = model_sub.add_parser("info", help="validate and summarize a model file")
     p_info.add_argument("path")
 
-    extra_flags = {
-        "exp1": ("samples",),
-        "exp2": ("points", "trials"),
-        "exp3": ("directions", "branches", "probes"),
-        "exp4": ("queries",),
-    }
     help_text = {
         "exp1": "gradient readout agreement on random inputs",
         "exp2": "Hessian formula and quadratic-model accuracy",
@@ -238,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="directory for result tables")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--check", action="store_true", help="evaluate pass/fail criteria")
-        for flag in extra_flags[name]:
+        for flag in _EXTRA_FLAGS[name]:
             p.add_argument(f"--{flag}", type=int, default=None)
     return parser
 
@@ -252,10 +248,7 @@ def main(argv=None) -> int:
                 return _cmd_model_gen(args)
             return _cmd_model_info(args)
         return _cmd_exp(args, args.command)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SocIcnnError, OSError) as exc:
+    except (CliError, SocIcnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

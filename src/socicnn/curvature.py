@@ -18,6 +18,7 @@ import numpy as np
 from . import dual
 from .errors import DegenerateInputError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, degeneracy_report, forward
+from .model import _gaussian_nonzero, _require_nondegenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +84,7 @@ def hessian(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> CurvatureMode
     eigensolver after a defensive symmetrization.
     """
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
-    if not report.is_nondegenerate:
-        raise DegenerateInputError("Hessian requested on a kink")
+    _require_nondegenerate(trace, tol, "Hessian")
     H = curvature_matrix(params, trace, tol)
     Hs = 0.5 * (H + H.T)
     grad = dual.readout(params, dual.canonical(params, trace, tol))
@@ -107,9 +106,11 @@ def local_affine_constants(params: SocIcnnParams, x, tol: float = DEFAULT_TAU):
     part of the gradient; it agrees with the canonical readout to rounding.
     """
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
-    if not report.is_nondegenerate:
-        raise DegenerateInputError("affine constants requested on a kink")
+    _require_nondegenerate(trace, tol, "affine constants")
+    return _affine_constants(params, trace, tol)
+
+
+def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     d0 = params.input_dim
     M = np.zeros((0, d0))
     m = np.zeros(0)
@@ -126,15 +127,9 @@ def local_gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.nda
     """Gradient assembled from the affine-composition route plus the smooth
     module slopes; an arithmetic path independent of the multiplier readout."""
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
-    if not report.is_nondegenerate:
-        raise DegenerateInputError("gradient requested on a kink")
-    slope, _ = local_affine_constants(params, x, tol)
-    g = slope.copy()
-    for al, B, qh in zip(params.alpha, params.B, trace.q):
-        g += al * (B.T @ qh)
-    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        g += (lg / un) * (A.T @ ug)
+    _require_nondegenerate(trace, tol, "gradient")
+    g, _ = _affine_constants(params, trace, tol)
+    dual._add_smooth_slope(g, params, trace, tol)
     return g
 
 
@@ -165,11 +160,7 @@ def quadratic_model_residual(
     kept = 0
     residuals = 0.0
     for _ in range(trials):
-        step = rng.standard_normal(anchor.size)
-        nrm = np.linalg.norm(step)
-        while nrm == 0.0:
-            step = rng.standard_normal(anchor.size)
-            nrm = np.linalg.norm(step)
+        step, nrm = _gaussian_nonzero(rng, anchor.size)
         x = anchor + (radius / nrm) * step
         trace = forward(params, x)
         if not degeneracy_report(trace, tol).is_nondegenerate:

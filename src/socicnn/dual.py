@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBranchError, TooManyDegeneraciesError
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams
+from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _gaussian_nonzero, degeneracy_report
 
 FORCED_ZERO = 0
 FORCED_UPPER = 1
@@ -71,16 +71,13 @@ class ReluBranchBox:
 def branch_box(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> ReluBranchBox:
     """Classify every ReLU coordinate of the optimal set at this trace."""
     status = []
-    free = []
-    for l, a in enumerate(trace.a):
+    for a in trace.a:
         s = np.full(a.shape, FORCED_ZERO, dtype=np.int8)
         s[a > tol] = FORCED_UPPER
-        on_kink = np.abs(a) <= tol
-        s[on_kink] = FREE_INTERVAL
+        s[np.abs(a) <= tol] = FREE_INTERVAL
         status.append(s)
-        for i in np.flatnonzero(on_kink):
-            free.append((l, int(i)))
-    return ReluBranchBox(status=tuple(status), free_coords=tuple(free))
+    free = degeneracy_report(trace, tol).relu_zero_coords
+    return ReluBranchBox(status=tuple(status), free_coords=free)
 
 
 def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
@@ -98,6 +95,29 @@ def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
     return ub
 
 
+def _box_recursion(params: SocIcnnParams, upper, free, pick) -> tuple:
+    """Backward recursion through the ReLU box, top layer first.
+
+    Coordinates in ``upper[l]`` take their bound, coordinates in ``free[l]``
+    (skipped when ``free`` is None) take ``pick(l, i, bound_i)``, the rest
+    zero.  The last layer is bounded by ``c`` and layer ``l - 1`` by
+    ``U[l].T`` times the multipliers just chosen, so every result is feasible
+    whenever each pick lies in ``[0, bound_i]``.
+    """
+    L = params.n_layers
+    relu = [None] * L
+    bound = params.c
+    for l in range(L - 1, -1, -1):
+        nu = np.where(upper[l], bound, 0.0)
+        if free is not None:
+            for i in np.flatnonzero(free[l]):
+                nu[i] = pick(l, i, bound[i])
+        relu[l] = nu
+        if l > 0:
+            bound = params.U[l].T @ nu
+    return tuple(relu)
+
+
 def masked_relu_multipliers(params: SocIcnnParams, masks) -> tuple:
     """Backward recursion pinning each coordinate to its bound or to zero.
 
@@ -105,14 +125,32 @@ def masked_relu_multipliers(params: SocIcnnParams, masks) -> tuple:
     False takes zero.  This is the closed form of the optimal multipliers
     for a frozen activation pattern.
     """
-    L = params.n_layers
-    relu = [None] * L
-    bound = params.c
-    for l in range(L - 1, -1, -1):
-        relu[l] = np.where(masks[l], bound, 0.0)
-        if l > 0:
-            bound = params.U[l].T @ relu[l]
-    return tuple(relu)
+    return _box_recursion(params, masks, None, None)
+
+
+def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
+    """Quadratic multipliers ``alpha_h * q_h`` and conic multipliers of length
+    ``lam_g`` along the residual, None for each module at its cone tip."""
+    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
+    cone = tuple(
+        (lg / un) * ug if un > tol else None
+        for lg, ug, un in zip(params.lam, trace.u, trace.u_norms)
+    )
+    return quad, cone
+
+
+def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
+    """Add the quadratic and off-tip conic slopes to ``g`` in place and return
+    ``(lam_g, A_g)`` for every module at its cone tip."""
+    for al, B, qh in zip(params.alpha, params.B, trace.q):
+        g += al * (B.T @ qh)
+    tips = []
+    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
+        if un > tol:
+            g += (lg / un) * (A.T @ ug)
+        else:
+            tips.append((lg, A))
+    return tips
 
 
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
@@ -125,14 +163,9 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     """
     masks = tuple(a > tol for a in trace.a)
     relu = masked_relu_multipliers(params, masks)
-    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
-    cone = []
-    for lg, ug, un in zip(params.lam, trace.u, trace.u_norms):
-        if un > tol:
-            cone.append((lg / un) * ug)
-        else:
-            cone.append(np.zeros_like(ug))
-    return DualBranch(relu=relu, quad=quad, cone=tuple(cone), source="canonical")
+    quad, cone = _smooth_multipliers(params, trace, tol)
+    cone = tuple(np.zeros_like(ug) if r is None else r for r, ug in zip(cone, trace.u))
+    return DualBranch(relu=relu, quad=quad, cone=cone, source="canonical")
 
 
 def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float:
@@ -200,7 +233,7 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
 def _check_optimal(params, trace, branch) -> DualBranch:
     value = dual_value(params, trace.x, branch, check_feasible=False)
     if abs(value - trace.value) > 1e-10 * (1.0 + abs(trace.value)):
-        raise RuntimeError(
+        raise ConstructionError(
             f"constructed branch is not optimal: minorant {value!r} vs value {trace.value!r}"
         )
     return branch
@@ -209,11 +242,7 @@ def _check_optimal(params, trace, branch) -> DualBranch:
 def _ball_point(rng, radius: float, dim: int) -> np.ndarray:
     if radius == 0.0 or dim == 0:
         return np.zeros(dim)
-    direction = rng.standard_normal(dim)
-    nrm = np.linalg.norm(direction)
-    while nrm == 0.0:
-        direction = rng.standard_normal(dim)
-        nrm = np.linalg.norm(direction)
+    direction, nrm = _gaussian_nonzero(rng, dim)
     return (radius * rng.uniform() ** (1.0 / dim) / nrm) * direction
 
 
@@ -234,31 +263,18 @@ def sample_optimal_branches(
     attain the model value at the trace point.
     """
     box = branch_box(params, trace, tol)
-    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
-    smooth_cone = []
-    for lg, ug, un in zip(params.lam, trace.u, trace.u_norms):
-        smooth_cone.append((lg / un) * ug if un > tol else None)
-    L = params.n_layers
+    upper = tuple(st == FORCED_UPPER for st in box.status)
+    free = tuple(st == FREE_INTERVAL for st in box.status)
+    quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     out = []
     for k in range(n):
         rng = np.random.default_rng([seed, k])
-        relu = [None] * L
-        bound = params.c
-        for l in range(L - 1, -1, -1):
-            st = box.status[l]
-            nu = np.where(st == FORCED_UPPER, bound, 0.0)
-            for i in np.flatnonzero(st == FREE_INTERVAL):
-                nu[i] = rng.uniform(0.0, bound[i])
-            relu[l] = nu
-            if l > 0:
-                bound = params.U[l].T @ nu
-        cone = []
-        for g, fixed in enumerate(smooth_cone):
-            if fixed is not None:
-                cone.append(fixed)
-            else:
-                cone.append(_ball_point(rng, params.lam[g], params.A[g].shape[0]))
-        branch = DualBranch(relu=tuple(relu), quad=quad, cone=tuple(cone), source="sampled")
+        relu = _box_recursion(params, upper, free, lambda l, i, ub: rng.uniform(0.0, ub))
+        cone = tuple(
+            _ball_point(rng, lg, A.shape[0]) if r is None else r
+            for r, lg, A in zip(smooth_cone, params.lam, params.A)
+        )
+        branch = DualBranch(relu=relu, quad=quad, cone=cone, source="sampled")
         out.append(_check_optimal(params, trace, branch))
     return out
 
@@ -274,11 +290,7 @@ def _sphere_directions(dim: int, count: int, rng) -> list:
         return [np.array([np.cos(t), np.sin(t)]) for t in angles]
     dirs = []
     for _ in range(count):
-        vec = rng.standard_normal(dim)
-        nrm = np.linalg.norm(vec)
-        while nrm == 0.0:
-            vec = rng.standard_normal(dim)
-            nrm = np.linalg.norm(vec)
+        vec, nrm = _gaussian_nonzero(rng, dim)
         dirs.append(vec / nrm)
     return dirs
 
@@ -296,21 +308,13 @@ def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
         raise TooManyDegeneraciesError(
             f"{len(free)} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
         )
-    L = params.n_layers
+    upper = tuple(st == FORCED_UPPER for st in box.status)
+    on_kink = tuple(st == FREE_INTERVAL for st in box.status)
     for bits in itertools.product((False, True), repeat=len(free)):
         choice = dict(zip(free, bits))
-        relu = [None] * L
-        bound = params.c
-        for l in range(L - 1, -1, -1):
-            st = box.status[l]
-            nu = np.where(st == FORCED_UPPER, bound, 0.0)
-            for i in np.flatnonzero(st == FREE_INTERVAL):
-                if choice[(l, int(i))]:
-                    nu[i] = bound[i]
-            relu[l] = nu
-            if l > 0:
-                bound = params.U[l].T @ nu
-        yield tuple(relu)
+        yield _box_recursion(
+            params, upper, on_kink, lambda l, i, ub: ub if choice[(l, int(i))] else 0.0
+        )
 
 
 def extreme_branches(
@@ -336,12 +340,7 @@ def extreme_branches(
         base = canonical(params, trace, tol)
         return [DualBranch(relu=base.relu, quad=base.quad, cone=base.cone, source="extreme")]
     rng = np.random.default_rng(seed)
-    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
-    smooth_cone = {
-        g: (params.lam[g] / un) * trace.u[g]
-        for g, un in enumerate(trace.u_norms)
-        if un > tol
-    }
+    quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     tip_choices = []
     for g in tip_modules:
         dim = params.A[g].shape[0]
@@ -358,10 +357,8 @@ def extreme_branches(
     out = []
     for relu in corners:
         for combo in itertools.product(*tip_choices):
-            cone = []
             pick = dict(zip(tip_modules, combo))
-            for g in range(params.n_cone):
-                cone.append(pick[g] if g in pick else smooth_cone[g])
-            branch = DualBranch(relu=relu, quad=quad, cone=tuple(cone), source="extreme")
+            cone = tuple(pick.get(g, r) for g, r in enumerate(smooth_cone))
+            branch = DualBranch(relu=relu, quad=quad, cone=cone, source="extreme")
             out.append(_check_optimal(params, trace, branch))
     return out

@@ -40,3 +40,8 @@ class TooManyDegeneraciesError(SocIcnnError, ValueError):
 
 class SolveFailureError(SocIcnnError, RuntimeError):
     """A damped second-order system unexpectedly failed to factor."""
+
+
+class ConstructionError(SocIcnnError, RuntimeError):
+    """A routine could not build what it promises: an optimal branch, or
+    enough margin-gated sample points."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dual, geometry, inference
 from .curvature import hessian, local_gradient, quadratic_model_residual
+from .errors import ConstructionError, DegenerateInputError
 from .model import (
     ArchSpec,
     DEFAULT_TAU,
@@ -111,46 +112,29 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
         fd_dual_sum += float(np.linalg.norm(g_dual - g_fd))
         fd_local_sum += float(np.linalg.norm(g_local - g_fd))
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
-    if cfg.samples == 0:
-        rows = ()
-        checks = (_check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),)
-        return ExperimentOutput(
-            "exp1",
-            (Table(
-                "gradient_check",
-                ("trials", "retained_rate", "grad_l2_err", "grad_rel_err",
-                 "cosine_sim", "fd_dual_l2_err", "fd_local_l2_err", "runtime_ms"),
-                rows,
-            ),),
-            checks,
+    rows, checks = (), ()
+    if cfg.samples:
+        rate = retained / cfg.samples
+        n = max(retained, 1)
+        rows = ((cfg.samples, rate, l2_sum / n, rel_sum / n, cos_sum / n,
+                 fd_dual_sum / n, fd_local_sum / n, runtime_ms),)
+        checks = (
+            _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
+            _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
+            _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
+            _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
+            _check(
+                "exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"
+            ),
         )
-    rate = retained / cfg.samples
-    n = max(retained, 1)
-    row = (
-        cfg.samples,
-        rate,
-        l2_sum / n,
-        rel_sum / n,
-        cos_sum / n,
-        fd_dual_sum / n,
-        fd_local_sum / n,
-        runtime_ms,
-    )
-    checks = (
-        _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
-        _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
-        _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
-        _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
-        _check("exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"),
-        _check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),
-    )
+    checks += (_check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),)
     return ExperimentOutput(
         "exp1",
         (Table(
             "gradient_check",
             ("trials", "retained_rate", "grad_l2_err", "grad_rel_err",
              "cosine_sim", "fd_dual_l2_err", "fd_local_l2_err", "runtime_ms"),
-            (row,),
+            rows,
         ),),
         checks,
     )
@@ -208,7 +192,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         ) >= cfg.anchor_conic_margin:
             anchor = x
     if len(points) < cfg.points or anchor is None:
-        raise RuntimeError("could not collect enough margin-gated points")
+        raise ConstructionError("could not collect enough margin-gated points")
 
     def grad_field(z):
         tr = forward(params, z)
@@ -435,7 +419,7 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
             diag = inference.readout_diagnostics(
                 params, reports["whitebox-newton"].x, solver_cfg.tol
             )
-        except Exception:
+        except DegenerateInputError:
             continue
         diag_sums += (
             diag.grad_err,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import DegenerateInputError, TooManyDegeneraciesError
-from .model import DEFAULT_TAU, SocIcnnParams, degeneracy_report, forward
+from .errors import TooManyDegeneraciesError
+from .model import DEFAULT_TAU, SocIcnnParams, _gaussian_nonzero, _require_nondegenerate, forward
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ class DirectionalDerivativeResult:
 def gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.ndarray:
     """Gradient at a nondegenerate point, via the canonical branch readout."""
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
-    if not report.is_nondegenerate:
-        raise DegenerateInputError(
-            f"input lies on {len(report.relu_zero_coords)} ReLU and "
-            f"{len(report.conic_zero_modules)} conic kinks at tolerance {tol:g}"
-        )
+    _require_nondegenerate(trace, tol, "gradient")
     return dual.readout(params, dual.canonical(params, trace, tol))
 
 
@@ -102,16 +97,7 @@ class _SupportEvaluator:
 
     def __init__(self, params: SocIcnnParams, trace, box, tol: float):
         smooth = params.v.copy()
-        for al, B, qh in zip(params.alpha, params.B, trace.q):
-            smooth += al * (B.T @ qh)
-        tips = []
-        for g, (lg, A, ug, un) in enumerate(
-            zip(params.lam, params.A, trace.u, trace.u_norms)
-        ):
-            if un > tol:
-                smooth += (lg / un) * (A.T @ ug)
-            else:
-                tips.append((lg, A))
+        self.tips = dual._add_smooth_slope(smooth, params, trace, tol)
         rows = []
         for relu in dual.relu_corner_assignments(params, box):
             row = smooth.copy()
@@ -119,7 +105,6 @@ class _SupportEvaluator:
                 row += W.T @ nu
             rows.append(row)
         self.corner_readouts = np.vstack(rows)
-        self.tips = tips
 
     @property
     def n_corners(self) -> int:
@@ -200,11 +185,7 @@ def canonical_gap_fraction(
     canon_vec = dual.readout(params, dual.canonical(params, trace, tol))
     count = 0
     for _ in range(n_directions):
-        vec = rng.standard_normal(params.input_dim)
-        nrm = np.linalg.norm(vec)
-        while nrm == 0.0:
-            vec = rng.standard_normal(params.input_dim)
-            nrm = np.linalg.norm(vec)
+        vec, nrm = _gaussian_nonzero(rng, params.input_dim)
         unit = vec / nrm
         if support(unit) - float(canon_vec @ unit) > 1e-9:
             count += 1

@@ -20,8 +20,8 @@ import scipy.linalg
 
 from . import dual, oracle
 from .curvature import curvature_matrix, local_gradient
-from .errors import DegenerateInputError, SolveFailureError
-from .model import DEFAULT_TAU, SocIcnnParams, degeneracy_report, forward, relu_margin
+from .errors import SolveFailureError
+from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, forward, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -177,12 +177,25 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     )
 
 
-def whitebox_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
-    """First-order descent with the canonical-readout gradient."""
-
+def _readout_grad(params, y, config):
     def grad_fn(x):
         return objective(params, y, config.beta, x, config.tol)[1]
 
+    return grad_fn
+
+
+def _fd_grad(params, y, config):
+    def grad_fn(x):
+        return fd_gradient(
+            lambda z: _objective_value(params, y, config.beta, z), x, config.fd_grad_step
+        )
+
+    return grad_fn
+
+
+def whitebox_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
+    """First-order descent with the canonical-readout gradient."""
+    grad_fn = _readout_grad(params, y, config)
     return _descent(params, y, config, "whitebox-gd", grad_fn, None, GD_MAX_ITERS)
 
 
@@ -193,9 +206,7 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
     iterate land exactly on one, drop out of the curvature (their
     subdifferential term is already in the gradient).
     """
-
-    def grad_fn(x):
-        return objective(params, y, config.beta, x, config.tol)[1]
+    grad_fn = _readout_grad(params, y, config)
 
     def direction_fn(x, g):
         trace = forward(params, x)
@@ -213,12 +224,7 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
 def baseline_fd_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order twin that only sees objective values: central-difference
     gradients at step ``fd_grad_step``."""
-
-    def grad_fn(x):
-        return fd_gradient(
-            lambda z: _objective_value(params, y, config.beta, z), x, config.fd_grad_step
-        )
-
+    grad_fn = _fd_grad(params, y, config)
     return _descent(params, y, config, "fd-gd", grad_fn, None, GD_MAX_ITERS)
 
 
@@ -231,11 +237,7 @@ def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Inf
     solving.  The floor uses only the declared strong-convexity constant of
     the objective, no analytic model structure.
     """
-
-    def grad_fn(x):
-        return fd_gradient(
-            lambda z: _objective_value(params, y, config.beta, z), x, config.fd_grad_step
-        )
+    grad_fn = _fd_grad(params, y, config)
 
     def direction_fn(x, g):
         H = fd_hessian(grad_fn, x, config.fd_hess_step)
@@ -270,9 +272,7 @@ def readout_diagnostics(
     """
     x = np.asarray(x, dtype=np.float64)
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
-    if not report.is_nondegenerate:
-        raise DegenerateInputError("diagnostics requested on a kink")
+    _require_nondegenerate(trace, tol, "diagnostics")
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
     g_local = local_gradient(params, x, tol)
     grad_err = float(np.linalg.norm(g_dual - g_local))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelFormatError, NonFiniteError, ValidationError
+from .errors import DegenerateInputError, ModelFormatError, NonFiniteError, ValidationError
 
 DEFAULT_TAU = 1e-9
 
@@ -269,6 +269,25 @@ def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> Degenera
         tol=float(tol),
         is_nondegenerate=not relu and not conic,
     )
+
+
+def _require_nondegenerate(trace: ForwardTrace, tol: float, what: str) -> None:
+    report = degeneracy_report(trace, tol)
+    if not report.is_nondegenerate:
+        raise DegenerateInputError(
+            f"{what} requested on a kink: {len(report.relu_zero_coords)} ReLU and "
+            f"{len(report.conic_zero_modules)} conic kinks at tolerance {tol:g}"
+        )
+
+
+def _gaussian_nonzero(rng, dim: int):
+    """A standard Gaussian vector redrawn until nonzero, with its norm."""
+    vec = rng.standard_normal(dim)
+    nrm = np.linalg.norm(vec)
+    while nrm == 0.0:
+        vec = rng.standard_normal(dim)
+        nrm = np.linalg.norm(vec)
+    return vec, nrm
 
 
 def relu_margin(trace: ForwardTrace) -> float:

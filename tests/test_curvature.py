@@ -141,6 +141,21 @@ class TestLocalAffine:
             g_local = local_gradient(medium_model, x)
             assert np.linalg.norm(g_dual - g_local) <= 1e-12 * (1 + np.linalg.norm(g_dual))
 
+    def test_local_gradient_runs_forward_once(self, medium_model, monkeypatch):
+        from socicnn import curvature
+
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(1)
+            return forward(params, x)
+
+        monkeypatch.setattr(curvature, "forward", counting_forward)
+        x = gaussian_points(96, 1, medium_model.input_dim)[0]
+        g = local_gradient(medium_model, x)
+        assert len(calls) == 1
+        assert np.array_equal(g, local_gradient(medium_model, x))
+
 
 class TestSignature:
     def test_stable_within_branch(self, medium_model):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    ConstructionError,
     DualBranch,
     InfeasibleBranchError,
     SocIcnnParams,
@@ -19,7 +20,13 @@ from socicnn import (
     sample_optimal_branches,
     upper_bounds,
 )
-from socicnn.dual import FORCED_UPPER, FORCED_ZERO, FREE_INTERVAL, relu_corner_assignments
+from socicnn.dual import (
+    FORCED_UPPER,
+    FORCED_ZERO,
+    FREE_INTERVAL,
+    _check_optimal,
+    relu_corner_assignments,
+)
 
 from conftest import cone_only_params, gaussian_points, quad_only_params
 
@@ -355,3 +362,15 @@ class TestMixing:
         ub = upper_bounds(medium_model, br.relu)
         assert np.array_equal(ub[-1], medium_model.c)
         assert np.array_equal(ub[0], medium_model.U[1].T @ br.relu[1])
+
+    def test_non_optimal_branch_raises_typed_error(self, degenerate_model):
+        """A feasible branch off the optimal set fails the optimality check
+        with a package error that is still a RuntimeError."""
+        params, x0 = degenerate_model
+        tr = forward(params, x0)
+        base = canonical(params, tr)
+        zero_relu = tuple(np.zeros_like(nu) for nu in base.relu)
+        off = DualBranch(relu=zero_relu, quad=base.quad, cone=base.cone)
+        with pytest.raises(ConstructionError, match="not optimal") as info:
+            _check_optimal(params, tr, off)
+        assert isinstance(info.value, RuntimeError)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from socicnn import inference
 from socicnn.cli import main
 from socicnn.experiments import (
     Exp1Config,
@@ -124,6 +125,17 @@ class TestExp4:
         for check in exp4_small.checks:
             assert check.passed, f"{check.name}: {check.detail}"
 
+    def test_diagnostics_propagate_non_degeneracy_errors(self, monkeypatch):
+        """Only a kink skips a query's diagnostics; any other failure surfaces."""
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("diagnostics failed")
+
+        monkeypatch.setattr(inference, "readout_diagnostics", failing)
+        cfg = Exp4Config(queries=1, input_dim=3, widths=(4,), quad_dims=(2,), cone_dims=(2,))
+        with pytest.raises(RuntimeError, match="diagnostics failed"):
+            run_exp4(cfg)
+
     def test_newton_beats_gd(self, exp4_small):
         by_method = {row[0]: row for row in exp4_small.tables[0].rows}
         cols = exp4_small.tables[0].columns
@@ -184,6 +196,25 @@ class TestCli:
         cfg.write_text(json.dumps({"sample": 10}))
         assert main(["exp1", "--config", str(cfg)]) == 2
         assert "sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("exp1", {"widths": 5}),
+            ("exp3", {"degeneracy": {"bogus": 1}}),
+            ("exp4", {"solver": [1, 2]}),
+            ("exp2", {"max_draws": 1}),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
+        """Uncoercible values and a point search that runs out of draws are
+        reported on stderr with exit 2, never as an escaping traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_missing_config_file_rejected(self, capsys):
         assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2
