@@ -21,12 +21,6 @@ from . import experiments, model
 from .errors import SocIcnnError
 from .model import ArchSpec
 
-_PRESETS = {
-    "exp1": ArchSpec(20, (64, 64, 64, 64), (20, 20), (20, 20)),
-    "exp2": ArchSpec(10, (32, 32, 32), (10, 10), (10, 10)),
-    "exp4": ArchSpec(10, (32, 32, 32), (8,), (8, 8)),
-}
-
 _EXPERIMENTS = {
     "exp1": (experiments.Exp1Config, experiments.run_exp1),
     "exp2": (experiments.Exp2Config, experiments.run_exp2),
@@ -47,24 +41,8 @@ class CliError(Exception):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(table: experiments.Table, path: Path) -> None:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _jsonable(value):
+def _plain(value):
+    """A table cell as a plain Python value; its ``str`` is the CSV cell."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -74,20 +52,57 @@ def _jsonable(value):
     return value
 
 
-def _write_json(table: experiments.Table, path: Path) -> None:
-    obj = {
-        "name": table.name,
-        "columns": list(table.columns),
-        "rows": [[_jsonable(v) for v in row] for row in table.rows],
-    }
-    path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
+def _csv_lines(table: experiments.Table) -> list:
+    return [",".join(table.columns)] + [
+        ",".join(str(_plain(v)) for v in row) for row in table.rows
+    ]
 
 
-def _print_table(table: experiments.Table) -> None:
-    print(f"[{table.name}]")
-    print(",".join(table.columns))
-    for row in table.rows:
-        print(",".join(_fmt_cell(v) for v in row))
+def _table_text(table: experiments.Table, fmt: str) -> str:
+    if fmt == "csv":
+        return "\n".join(_csv_lines(table)) + "\n"
+    rows = [[_plain(v) for v in row] for row in table.rows]
+    obj = {"name": table.name, "columns": list(table.columns), "rows": rows}
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def _coerce(key: str, default, value):
+    """``value`` from JSON as the type of the field default ``default``: a
+    nested config from an object, a tuple from an array (each element typed
+    like the default's first), a non-negative integer (or null where the
+    default is None), or a float from a number."""
+    if dataclasses.is_dataclass(default):
+        if not isinstance(value, dict):
+            raise CliError(f"{key} takes a JSON object, got {value!r}")
+        return _build_config(type(default), value)
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise CliError(f"{key} takes a JSON array, got {value!r}")
+        return tuple(_coerce(key, default[0], v) for v in value)
+    if default is None and value is None:
+        return None
+    if isinstance(default, int) or default is None:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise CliError(f"{key} takes a non-negative integer, got {value!r}")
+        return value
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CliError(f"{key} takes a number, got {value!r}")
+        return float(value)
+    return value
+
+
+def _build_config(cls, values: dict):
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(values) - names
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    defaults = cls()
+    values = {k: _coerce(k, getattr(defaults, k), v) for k, v in values.items()}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad config value: {exc}") from exc
 
 
 def _load_config(cls, path: str | None, overrides: dict):
@@ -103,23 +118,7 @@ def _load_config(cls, path: str | None, overrides: dict):
         if not isinstance(values, dict):
             raise CliError("config file must hold a JSON object")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - names
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        # JSON arrays become the tuples and JSON objects the nested configs
-        # that the field defaults hold.
-        defaults = cls()
-        for key, value in values.items():
-            default = getattr(defaults, key)
-            if isinstance(default, tuple):
-                values[key] = tuple(value)
-            elif dataclasses.is_dataclass(default):
-                values[key] = type(default)(**value)
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config value: {exc}") from exc
+    return _build_config(cls, values)
 
 
 def _parse_dims(text: str) -> tuple:
@@ -135,16 +134,15 @@ def _parse_dims(text: str) -> tuple:
 def _cmd_model_gen(args) -> int:
     if args.preset == "degenerate-2d":
         params, _ = model.build_degenerate_2d()
+    elif args.preset is not None:
+        params = experiments._random_model(_EXPERIMENTS[args.preset][0](seed=args.seed))
     else:
-        if args.preset is not None:
-            arch = _PRESETS[args.preset]
-        else:
-            arch = ArchSpec(
-                args.input_dim,
-                (args.width,) * args.depth,
-                _parse_dims(args.quad_dims),
-                _parse_dims(args.cone_dims),
-            )
+        arch = ArchSpec(
+            args.input_dim,
+            (args.width,) * args.depth,
+            _parse_dims(args.quad_dims),
+            _parse_dims(args.cone_dims),
+        )
         params = model.build_random(args.seed, arch)
     model.save_model(params, args.out)
     print(f"wrote {args.out}")
@@ -174,14 +172,14 @@ def _cmd_exp(args, name: str) -> int:
     cfg = _load_config(cls, args.config, overrides)
     out = runner(cfg)
     for table in out.tables:
-        _print_table(table)
+        print(f"[{table.name}]")
+        print("\n".join(_csv_lines(table)))
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        writer = _write_csv if args.format == "csv" else _write_json
         for table in out.tables:
             path = out_dir / f"{name}_{table.name}.{args.format}"
-            writer(table, path)
+            path.write_text(_table_text(table, args.format), encoding="utf-8")
             print(f"wrote {path}")
     if args.check:
         failed = 0
@@ -210,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
         "--preset",
-        choices=sorted(_PRESETS) + ["degenerate-2d"],
+        choices=("exp1", "exp2", "exp4", "degenerate-2d"),
         help="named architecture; degenerate-2d ignores --seed",
     )
     p_gen.add_argument("--input-dim", type=int, default=20)

@@ -80,20 +80,19 @@ def hessian(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> CurvatureMode
     """Closed-form local model at a nondegenerate point.
 
     The gradient is the canonical readout; the Hessian is the module
-    curvature sum above.  ``min_eigenvalue`` comes from the symmetric
-    eigensolver after a defensive symmetrization.
+    curvature sum above, symmetric to the bit by construction, and
+    ``min_eigenvalue`` comes from the symmetric eigensolver.
     """
     trace = forward(params, x)
     _require_nondegenerate(trace, tol, "Hessian")
     H = curvature_matrix(params, trace, tol)
-    Hs = 0.5 * (H + H.T)
     grad = dual.readout(params, dual.canonical(params, trace, tol))
     return CurvatureModel(
         anchor=trace.x,
         grad=grad,
-        hess=Hs,
+        hess=H,
         signature=branch_signature(trace, tol),
-        min_eigenvalue=float(np.linalg.eigvalsh(Hs)[0]),
+        min_eigenvalue=float(np.linalg.eigvalsh(H)[0]),
     )
 
 

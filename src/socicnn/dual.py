@@ -22,10 +22,6 @@ import numpy as np
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _gaussian_nonzero, degeneracy_report
 
-FORCED_ZERO = 0
-FORCED_UPPER = 1
-FREE_INTERVAL = 2
-
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
 MAX_FREE_COORDS = 16
@@ -36,14 +32,12 @@ class DualBranch:
     """One multiplier triple.
 
     ``relu`` holds one nonnegative vector per layer, ``quad`` one vector per
-    quadratic module, ``cone`` one vector per conic module.  ``source``
-    records provenance: ``canonical``, ``sampled``, or ``extreme``.
+    quadratic module, ``cone`` one vector per conic module.
     """
 
     relu: tuple
     quad: tuple
     cone: tuple
-    source: str = "sampled"
 
     def norm(self) -> float:
         """Euclidean norm of the stacked multiplier vector."""
@@ -58,26 +52,26 @@ class DualBranch:
 class ReluBranchBox:
     """Per-coordinate classification of the optimal ReLU multiplier set.
 
-    ``status`` holds one int8 array per layer with values ``FORCED_ZERO``
-    (preactivation below ``-tol``), ``FORCED_UPPER`` (above ``tol``), or
-    ``FREE_INTERVAL`` (within ``tol`` of the kink).  ``free_coords`` lists
-    the interval coordinates as ``(layer, index)`` pairs.
+    ``upper`` and ``free`` hold one boolean mask per layer: coordinates whose
+    preactivation lies above ``tol`` (multiplier pinned to its bound) and
+    within ``tol`` of the kink (multiplier free on its interval); the rest
+    are pinned to zero.  ``free_coords`` lists the interval coordinates as
+    ``(layer, index)`` pairs.
     """
 
-    status: tuple
+    upper: tuple
+    free: tuple
     free_coords: tuple
 
 
-def branch_box(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> ReluBranchBox:
+def branch_box(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> ReluBranchBox:
     """Classify every ReLU coordinate of the optimal set at this trace."""
-    status = []
-    for a in trace.a:
-        s = np.full(a.shape, FORCED_ZERO, dtype=np.int8)
-        s[a > tol] = FORCED_UPPER
-        s[np.abs(a) <= tol] = FREE_INTERVAL
-        status.append(s)
-    free = degeneracy_report(trace, tol).relu_zero_coords
-    return ReluBranchBox(status=tuple(status), free_coords=free)
+    free_coords = degeneracy_report(trace, tol).relu_zero_coords
+    return ReluBranchBox(
+        upper=tuple(a > tol for a in trace.a),
+        free=tuple(np.abs(a) <= tol for a in trace.a),
+        free_coords=free_coords,
+    )
 
 
 def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
@@ -165,7 +159,7 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     relu = masked_relu_multipliers(params, masks)
     quad, cone = _smooth_multipliers(params, trace, tol)
     cone = tuple(np.zeros_like(ug) if r is None else r for r, ug in zip(cone, trace.u))
-    return DualBranch(relu=relu, quad=quad, cone=cone, source="canonical")
+    return DualBranch(relu=relu, quad=quad, cone=cone)
 
 
 def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float:
@@ -262,20 +256,17 @@ def sample_optimal_branches(
     of the list is reproducible.  Every returned branch is verified to
     attain the model value at the trace point.
     """
-    box = branch_box(params, trace, tol)
-    upper = tuple(st == FORCED_UPPER for st in box.status)
-    free = tuple(st == FREE_INTERVAL for st in box.status)
+    box = branch_box(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     out = []
     for k in range(n):
         rng = np.random.default_rng([seed, k])
-        relu = _box_recursion(params, upper, free, lambda l, i, ub: rng.uniform(0.0, ub))
+        relu = _box_recursion(params, box.upper, box.free, lambda l, i, ub: rng.uniform(0.0, ub))
         cone = tuple(
             _ball_point(rng, lg, A.shape[0]) if r is None else r
             for r, lg, A in zip(smooth_cone, params.lam, params.A)
         )
-        branch = DualBranch(relu=relu, quad=quad, cone=cone, source="sampled")
-        out.append(_check_optimal(params, trace, branch))
+        out.append(_check_optimal(params, trace, DualBranch(relu=relu, quad=quad, cone=cone)))
     return out
 
 
@@ -308,12 +299,10 @@ def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
         raise TooManyDegeneraciesError(
             f"{len(free)} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
         )
-    upper = tuple(st == FORCED_UPPER for st in box.status)
-    on_kink = tuple(st == FREE_INTERVAL for st in box.status)
     for bits in itertools.product((False, True), repeat=len(free)):
         choice = dict(zip(free, bits))
         yield _box_recursion(
-            params, upper, on_kink, lambda l, i, ub: ub if choice[(l, int(i))] else 0.0
+            params, box.upper, box.free, lambda l, i, ub: ub if choice[(l, int(i))] else 0.0
         )
 
 
@@ -323,35 +312,24 @@ def extreme_branches(
     tol: float = DEFAULT_TAU,
     sphere_samples: int = 64,
     seed: int = 0,
-    extra_cone_dirs: dict | None = None,
 ) -> list:
     """Extreme points of the optimal set, up to sphere discretization.
 
     ReLU corners are enumerated exactly.  Each cone-tip module contributes
     multipliers of full length ``lam_g`` along a direction spread
     (``sphere_samples`` of them, exact in one and two dimensions up to the
-    fan density), optionally augmented with caller-supplied directions and
-    their negations via ``extra_cone_dirs[g]``.  With no degeneracy the
-    result is the single canonical branch.
+    fan density).  With no degeneracy the result is the single canonical
+    branch.
     """
-    box = branch_box(params, trace, tol)
+    box = branch_box(trace, tol)
     tip_modules = [g for g, un in enumerate(trace.u_norms) if un <= tol]
     if not box.free_coords and not tip_modules:
-        base = canonical(params, trace, tol)
-        return [DualBranch(relu=base.relu, quad=base.quad, cone=base.cone, source="extreme")]
+        return [canonical(params, trace, tol)]
     rng = np.random.default_rng(seed)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     tip_choices = []
     for g in tip_modules:
-        dim = params.A[g].shape[0]
-        dirs = _sphere_directions(dim, sphere_samples, rng)
-        if extra_cone_dirs and g in extra_cone_dirs:
-            for vec in extra_cone_dirs[g]:
-                vec = np.asarray(vec, dtype=np.float64)
-                nrm = np.linalg.norm(vec)
-                if nrm > 0.0:
-                    dirs.append(vec / nrm)
-                    dirs.append(-vec / nrm)
+        dirs = _sphere_directions(params.A[g].shape[0], sphere_samples, rng)
         tip_choices.append([params.lam[g] * u for u in dirs])
     corners = list(relu_corner_assignments(params, box))
     out = []
@@ -359,6 +337,5 @@ def extreme_branches(
         for combo in itertools.product(*tip_choices):
             pick = dict(zip(tip_modules, combo))
             cone = tuple(pick.get(g, r) for g, r in enumerate(smooth_cone))
-            branch = DualBranch(relu=relu, quad=quad, cone=cone, source="extreme")
-            out.append(_check_optimal(params, trace, branch))
+            out.append(_check_optimal(params, trace, DualBranch(relu=relu, quad=quad, cone=cone)))
     return out

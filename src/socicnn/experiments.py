@@ -10,7 +10,7 @@ values; the CLI handles formatting and exit codes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,13 @@ def _unit_rows(rng, n, dim):
     return rows / norms[:, None]
 
 
+def _random_model(cfg) -> SocIcnnParams:
+    """The random model of an experiment config's seed and architecture."""
+    return build_random(
+        cfg.seed, ArchSpec(cfg.input_dim, cfg.widths, cfg.quad_dims, cfg.cone_dims)
+    )
+
+
 @dataclass(frozen=True)
 class Exp1Config:
     """Gradient agreement on random nondegenerate inputs."""
@@ -87,9 +94,7 @@ class Exp1Config:
 def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
     """Compare the multiplier readout, the affine-composition route, and a
     central-difference oracle at Gaussian inputs."""
-    params = build_random(
-        cfg.seed, ArchSpec(cfg.input_dim, cfg.widths, cfg.quad_dims, cfg.cone_dims)
-    )
+    params = _random_model(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     t0 = time.perf_counter()
     retained = 0
@@ -170,9 +175,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     differencing stencils stay on one branch; the quadratic-model anchor
     uses wider margins so the largest radius cannot flip the branch either.
     """
-    params = build_random(
-        cfg.seed, ArchSpec(cfg.input_dim, cfg.widths, cfg.quad_dims, cfg.cone_dims)
-    )
+    params = _random_model(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     t0 = time.perf_counter()
     points = []
@@ -212,7 +215,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         fro_sum += fro
         rel_sum += fro / float(np.linalg.norm(cm.hess, "fro"))
         eig_formula_sum += cm.min_eigenvalue
-        eig_fd_sum += float(np.linalg.eigvalsh(0.5 * (H_fd + H_fd.T))[0])
+        eig_fd_sum += float(np.linalg.eigvalsh(H_fd)[0])
         eig_worst = min(eig_worst, cm.min_eigenvalue)
     n = len(points)
     deriv_runtime_ms = 1000.0 * (time.perf_counter() - t0)
@@ -370,10 +373,7 @@ class Exp4Config:
     widths: tuple = (32, 32, 32)
     quad_dims: tuple = (8,)
     cone_dims: tuple = (8, 8)
-    beta: float = 10.0
-    solver: inference.InferenceConfig = field(
-        default_factory=lambda: inference.InferenceConfig(beta=10.0)
-    )
+    solver: inference.InferenceConfig = field(default_factory=inference.InferenceConfig)
 
 
 METHOD_ORDER = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
@@ -381,12 +381,7 @@ METHOD_ORDER = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
 
 def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
     """Run all four solvers on each query and compare their outcomes."""
-    solver_cfg = (
-        replace(cfg.solver, beta=cfg.beta) if cfg.solver.beta != cfg.beta else cfg.solver
-    )
-    params = build_random(
-        cfg.seed, ArchSpec(cfg.input_dim, cfg.widths, cfg.quad_dims, cfg.cone_dims)
-    )
+    params = _random_model(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     t0 = time.perf_counter()
     runners = {
@@ -402,7 +397,7 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
     pair_diff = 0.0
     for qid in range(cfg.queries):
         y = rng.standard_normal(cfg.input_dim)
-        reports = {m: runners[m](params, y, solver_cfg) for m in METHOD_ORDER}
+        reports = {m: runners[m](params, y, cfg.solver) for m in METHOD_ORDER}
         best = min(r.objective for r in reports.values())
         for m in METHOD_ORDER:
             r = inference.with_gap(reports[m], best)
@@ -417,7 +412,7 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
         )
         try:
             diag = inference.readout_diagnostics(
-                params, reports["whitebox-newton"].x, solver_cfg.tol
+                params, reports["whitebox-newton"].x, cfg.solver.tol
             )
         except DegenerateInputError:
             continue

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import TooManyDegeneraciesError
 from .model import DEFAULT_TAU, SocIcnnParams, _gaussian_nonzero, _require_nondegenerate, forward
 
 
@@ -106,10 +105,6 @@ class _SupportEvaluator:
             rows.append(row)
         self.corner_readouts = np.vstack(rows)
 
-    @property
-    def n_corners(self) -> int:
-        return self.corner_readouts.shape[0]
-
     def __call__(self, unit) -> float:
         best = float(np.max(self.corner_readouts @ unit))
         for lg, A in self.tips:
@@ -122,18 +117,14 @@ def directional_derivative(
     x,
     direction,
     tol: float = DEFAULT_TAU,
-    branch_budget: int = 4096,
-    seed: int = 0,
-    sampled_oracle: bool = False,
 ) -> DirectionalDerivativeResult:
     """Exact one-sided derivative along ``direction``, by two routes.
 
     The direction is normalized internally and the returned fields are
     rescaled by its norm, so the result is positively homogeneous in the
-    argument.  ``branch_budget`` caps the exact ReLU corner enumeration.
-    With ``sampled_oracle`` the dual route instead maximizes over
-    ``branch_budget`` randomly sampled optimal branches (seeded), which
-    lower-bounds the exact value; useful only as a cross-check.
+    argument.  The ReLU corner enumeration behind the dual route raises
+    ``TooManyDegeneraciesError`` beyond ``dual.MAX_FREE_COORDS`` interval
+    coordinates.
     """
     direction = np.asarray(direction, dtype=np.float64)
     scale = float(np.linalg.norm(direction))
@@ -141,19 +132,9 @@ def directional_derivative(
         raise ValueError("direction must be nonzero")
     unit = direction / scale
     trace = forward(params, x)
-    box = dual.branch_box(params, trace, tol)
-    if 2 ** len(box.free_coords) > branch_budget:
-        raise TooManyDegeneraciesError(
-            f"{2 ** len(box.free_coords)} ReLU corners exceed branch budget {branch_budget}"
-        )
+    box = dual.branch_box(trace, tol)
     primal = _one_sided_primal(params, trace, unit, tol)
-    if sampled_oracle:
-        branches = dual.sample_optimal_branches(
-            params, trace, tol, n=branch_budget, seed=seed
-        )
-        dual_max = max(float(dual.readout(params, br) @ unit) for br in branches)
-    else:
-        dual_max = _SupportEvaluator(params, trace, box, tol)(unit)
+    dual_max = _SupportEvaluator(params, trace, box, tol)(unit)
     canon = float(dual.readout(params, dual.canonical(params, trace, tol)) @ unit)
     return DirectionalDerivativeResult(
         direction=unit,
@@ -180,7 +161,7 @@ def canonical_gap_fraction(
         raise ValueError("n_directions must be positive")
     rng = np.random.default_rng(seed)
     trace = forward(params, x)
-    box = dual.branch_box(params, trace, tol)
+    box = dual.branch_box(trace, tol)
     support = _SupportEvaluator(params, trace, box, tol)
     canon_vec = dual.readout(params, dual.canonical(params, trace, tol))
     count = 0

@@ -21,7 +21,8 @@ import scipy.linalg
 from . import dual, oracle
 from .curvature import curvature_matrix, local_gradient
 from .errors import SolveFailureError
-from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, forward, relu_margin
+from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, conic_margin, forward
+from .model import relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -291,7 +292,7 @@ def readout_diagnostics(
         hess_err=hess_err,
         hess_rel_err=hess_rel,
         min_relu_margin=relu_margin(trace),
-        min_conic_residual=min(trace.u_norms, default=float("inf")),
+        min_conic_residual=conic_margin(trace),
     )
 
 

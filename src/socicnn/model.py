@@ -124,7 +124,6 @@ class DegeneracyReport:
 
     relu_zero_coords: tuple
     conic_zero_modules: tuple
-    tol: float
     is_nondegenerate: bool
 
 
@@ -266,7 +265,6 @@ def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> Degenera
     return DegeneracyReport(
         relu_zero_coords=tuple(relu),
         conic_zero_modules=conic,
-        tol=float(tol),
         is_nondegenerate=not relu and not conic,
     )
 
@@ -481,12 +479,12 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
             d=[m["d"] for m in obj["cone"]],
             seed=obj.get("seed"),
         )
+        if list(params.widths) != list(dims["widths"]):
+            raise ModelFormatError("declared widths do not match layer arrays")
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
-    if list(params.widths) != list(dims["widths"]):
-        raise ModelFormatError("declared widths do not match layer arrays")
     validate(params)
     return params
 

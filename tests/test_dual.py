@@ -20,13 +20,7 @@ from socicnn import (
     sample_optimal_branches,
     upper_bounds,
 )
-from socicnn.dual import (
-    FORCED_UPPER,
-    FORCED_ZERO,
-    FREE_INTERVAL,
-    _check_optimal,
-    relu_corner_assignments,
-)
+from socicnn.dual import _check_optimal, relu_corner_assignments
 
 from conftest import cone_only_params, gaussian_points, quad_only_params
 
@@ -73,7 +67,6 @@ class TestCanonical:
         tr = forward(params, [0.0, 0.0])
         br = canonical(params, tr)
         assert np.array_equal(br.relu[0], params.c)
-        assert br.source == "canonical"
 
     def test_all_inactive_layer_takes_zero(self):
         params = single_layer_params(-5.0)
@@ -194,36 +187,37 @@ class TestFeasibility:
 class TestBranchBox:
     def test_nondegenerate_has_no_free_coords(self, medium_model):
         x = gaussian_points(8, 1, medium_model.input_dim)[0]
-        box = branch_box(medium_model, forward(medium_model, x))
+        box = branch_box(forward(medium_model, x))
         assert box.free_coords == ()
-        for st in box.status:
-            assert np.all((st == FORCED_ZERO) | (st == FORCED_UPPER))
+        for free in box.free:
+            assert not np.any(free)
 
     def test_degenerate_flags_exactly_one_interval(self, degenerate_model):
         params, x0 = degenerate_model
-        box = branch_box(params, forward(params, x0))
+        box = branch_box(forward(params, x0))
         assert box.free_coords == ((1, 0),)
-        assert box.status[1][0] == FREE_INTERVAL
+        assert box.free[1][0] and not box.upper[1][0]
+        assert sum(int(np.sum(free)) for free in box.free) == 1
 
     def test_status_matches_preactivation_signs(self, medium_model):
         x = gaussian_points(12, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
-        box = branch_box(medium_model, tr)
-        for a, st in zip(tr.a, box.status):
-            assert np.array_equal(st == FORCED_UPPER, a > 1e-9)
-            assert np.array_equal(st == FORCED_ZERO, a < -1e-9)
+        box = branch_box(tr)
+        for a, upper, free in zip(tr.a, box.upper, box.free):
+            assert np.array_equal(upper, a > 1e-9)
+            assert np.array_equal(~upper & ~free, a < -1e-9)
 
     def test_canonical_sits_on_box_faces(self, degenerate_model):
         """Forced-upper coordinates take the recomputed bound; forced-zero
         and interval coordinates take zero."""
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        box = branch_box(params, tr)
+        box = branch_box(tr)
         br = canonical(params, tr)
         ub = upper_bounds(params, br.relu)
-        for nu, bound, st in zip(br.relu, ub, box.status):
-            assert np.array_equal(nu[st == FORCED_UPPER], bound[st == FORCED_UPPER])
-            assert np.all(nu[st != FORCED_UPPER] == 0.0)
+        for nu, bound, upper in zip(br.relu, ub, box.upper):
+            assert np.array_equal(nu[upper], bound[upper])
+            assert np.all(nu[~upper] == 0.0)
 
 
 class TestSampling:
@@ -277,7 +271,6 @@ class TestCornersAndExtremes:
         tr = forward(medium_model, x)
         branches = extreme_branches(medium_model, tr)
         assert len(branches) == 1
-        assert branches[0].source == "extreme"
         base = canonical(medium_model, tr)
         for a, b in zip(branches[0].relu, base.relu):
             assert np.array_equal(a, b)
@@ -313,7 +306,7 @@ class TestCornersAndExtremes:
     def test_corner_enumeration_guard(self):
         params = wide_zero_net(17)
         tr = forward(params, [0.0])
-        box = branch_box(params, tr)
+        box = branch_box(tr)
         assert len(box.free_coords) == 17
         with pytest.raises(TooManyDegeneraciesError):
             list(relu_corner_assignments(params, box))
@@ -323,7 +316,7 @@ class TestCornersAndExtremes:
     def test_sixteen_free_coords_still_enumerable(self):
         params = wide_zero_net(16)
         tr = forward(params, [0.0])
-        corners = list(relu_corner_assignments(params, branch_box(params, tr)))
+        corners = list(relu_corner_assignments(params, branch_box(tr)))
         assert len(corners) == 2 ** 16
 
 

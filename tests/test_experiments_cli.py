@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from socicnn import inference
+from socicnn import inference, load_model
 from socicnn.cli import main
 from socicnn.experiments import (
     Exp1Config,
@@ -13,6 +13,7 @@ from socicnn.experiments import (
     Exp3Config,
     Exp4Config,
     METHOD_ORDER,
+    _random_model,
     run_exp1,
     run_exp2,
     run_exp3,
@@ -166,6 +167,33 @@ class TestCli:
         assert main(["model", "info", str(path)]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_model_info_rejects_missing_widths(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
+        obj = json.loads(path.read_text())
+        del obj["dims"]["widths"]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["model", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "preset, config", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp4", Exp4Config)]
+    )
+    def test_model_gen_preset_is_experiment_model(self, tmp_path, preset, config):
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--preset", preset, "--seed", "3"]) == 0
+        loaded, expected = load_model(path), _random_model(config(seed=3))
+        assert loaded.seed == expected.seed == 3
+        for name in ("W", "U", "b", "c", "v", "b0", "alpha", "B", "e", "lam", "A", "d"):
+            got, want = getattr(loaded, name), getattr(expected, name)
+            if not isinstance(want, tuple):
+                got, want = (got,), (want,)
+            bits = [[(np.shape(a), np.asarray(a).tobytes()) for a in arrs] for arrs in (got, want)]
+            assert bits[0] == bits[1], name
+
     def test_exp1_check_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -204,6 +232,11 @@ class TestCli:
             ("exp3", {"degeneracy": {"bogus": 1}}),
             ("exp4", {"solver": [1, 2]}),
             ("exp2", {"max_draws": 1}),
+            ("exp4", {"beta": 5.0}),
+            ("exp1", {"samples": "x"}),
+            ("exp1", {"widths": "ab"}),
+            ("exp3", {"degeneracy": {"relu_layer": "x"}}),
+            ("exp1", {"seed": -1}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

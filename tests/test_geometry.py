@@ -5,6 +5,7 @@ import pytest
 
 from socicnn import (
     DegenerateInputError,
+    SocIcnnParams,
     TooManyDegeneraciesError,
     canonical_gap_fraction,
     directional_derivative,
@@ -12,6 +13,8 @@ from socicnn import (
     fd_gradient,
     forward,
     gradient,
+    readout,
+    sample_optimal_branches,
     subdifferential_sample,
 )
 
@@ -142,14 +145,16 @@ class TestDirectionalDerivative:
             assert res.canonical_value <= res.dual_max + 1e-10
 
     def test_sampled_oracle_lower_bounds_exact(self, degenerate_model):
+        """The maximum over sampled optimal branches lies between the
+        canonical slope and the exact support value."""
         params, x0 = degenerate_model
+        branches = sample_optimal_branches(params, forward(params, x0), n=256, seed=5)
+        readouts = np.vstack([readout(params, br) for br in branches])
         for d in gaussian_points(74, 6, 2):
             exact = directional_derivative(params, x0, d)
-            approx = directional_derivative(
-                params, x0, d, branch_budget=256, seed=5, sampled_oracle=True
-            )
-            assert approx.dual_max <= exact.dual_max + 1e-9
-            assert approx.dual_max >= exact.canonical_value - 1e-9
+            approx = float(np.max(readouts @ d))
+            assert approx <= exact.dual_max + 1e-9
+            assert approx >= exact.canonical_value - 1e-9
 
     def test_zero_direction_rejected(self, medium_model):
         with pytest.raises(ValueError):
@@ -161,6 +166,21 @@ class TestDirectionalDerivative:
         params = wide_zero_net(17)
         with pytest.raises(TooManyDegeneraciesError):
             directional_derivative(params, [0.0], [1.0])
+
+    def test_thirteen_free_coords_enumerate_exactly(self):
+        """The one corner cap is 16 interval coordinates, so 13 enumerate:
+        f(x) = sum_k relu(k x / 4) for k = -6..6, all 13 kinks at x = 0."""
+        params = SocIcnnParams(
+            W=(np.arange(-6, 7)[:, None] / 4.0,),
+            U=(np.zeros((13, 0)),),
+            b=(np.zeros(13),),
+            c=np.ones(13),
+            v=np.array([0.0]),
+            b0=0.0,
+        )
+        for d in (1.0, -1.0):
+            res = directional_derivative(params, [0.0], [d])
+            assert res.dual_max == res.primal == 5.25
 
 
 class TestCanonicalGapFraction:

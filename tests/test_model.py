@@ -292,13 +292,15 @@ class TestSerialization:
             load_model(path)
 
     def test_missing_key_raises(self, tmp_path, small_model):
+        """A layer without its bias, or dims without its widths."""
         path = tmp_path / "model.json"
-        save_model(small_model, path)
-        obj = json.loads(path.read_text())
-        del obj["layers"][0]["b"]
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        for drop in (lambda obj: obj["layers"][0].pop("b"), lambda obj: obj["dims"].pop("widths")):
+            save_model(small_model, path)
+            obj = json.loads(path.read_text())
+            drop(obj)
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
 
     def test_unknown_format_version_raises(self, tmp_path, small_model):
         path = tmp_path / "model.json"
