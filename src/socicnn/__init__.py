@@ -68,6 +68,7 @@ from .model import (
     conic_margin,
     degeneracy_report,
     forward,
+    forward_values,
     load_model,
     relu_margin,
     save_model,

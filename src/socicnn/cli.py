@@ -132,6 +132,8 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _cmd_model_gen(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed takes a non-negative integer, got {args.seed}")
     if args.preset == "degenerate-2d":
         params, _ = model.build_degenerate_2d()
     elif args.preset is not None:

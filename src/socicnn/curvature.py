@@ -127,6 +127,10 @@ def local_gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.nda
     module slopes; an arithmetic path independent of the multiplier readout."""
     trace = forward(params, x)
     _require_nondegenerate(trace, tol, "gradient")
+    return _trace_gradient(params, trace, tol)
+
+
+def _trace_gradient(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> np.ndarray:
     g, _ = _affine_constants(params, trace, tol)
     dual._add_smooth_slope(g, params, trace, tol)
     return g

@@ -10,7 +10,7 @@ class ValidationError(SocIcnnError, ValueError):
 
     The ``code`` attribute carries a stable machine-readable tag, one of:
     ``dimension-mismatch``, ``negativity``, ``nonpositive-alpha``,
-    ``negative-lambda``, ``invalid-descriptor``.
+    ``negative-lambda``, ``invalid-descriptor``, ``non-finite``.
     """
 
     def __init__(self, code: str, message: str):

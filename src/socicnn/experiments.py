@@ -27,6 +27,7 @@ from .model import (
     conic_margin,
     degeneracy_report,
     forward,
+    forward_values,
     relu_margin,
 )
 from .oracle import fd_directional, fd_gradient, fd_hessian
@@ -113,7 +114,7 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
         cos_sum += float(
             g_dual @ g_local / (np.linalg.norm(g_dual) * np.linalg.norm(g_local))
         )
-        g_fd = fd_gradient(lambda z: forward(params, z).value, x, cfg.fd_step)
+        g_fd = fd_gradient(lambda Z: forward_values(params, Z), x, cfg.fd_step)
         fd_dual_sum += float(np.linalg.norm(g_dual - g_fd))
         fd_local_sum += float(np.linalg.norm(g_local - g_fd))
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
@@ -197,9 +198,10 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     if len(points) < cfg.points or anchor is None:
         raise ConstructionError("could not collect enough margin-gated points")
 
-    def grad_field(z):
-        tr = forward(params, z)
-        return dual.readout(params, dual.canonical(params, tr, cfg.tol))
+    def grad_field(Z):
+        return np.array(
+            [dual.readout(params, dual.canonical(params, forward(params, z), cfg.tol)) for z in Z]
+        )
 
     grad_sum = grad_fd_sum = fro_sum = rel_sum = 0.0
     eig_formula_sum = eig_fd_sum = 0.0
@@ -208,7 +210,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         cm = hessian(params, x, cfg.tol)
         g_local = local_gradient(params, x, cfg.tol)
         grad_sum += float(np.linalg.norm(cm.grad - g_local))
-        g_fd = fd_gradient(lambda z: forward(params, z).value, x, cfg.fd_grad_step)
+        g_fd = fd_gradient(lambda Z: forward_values(params, Z), x, cfg.fd_grad_step)
         grad_fd_sum += float(np.linalg.norm(cm.grad - g_fd))
         H_fd = fd_hessian(grad_field, x, cfg.fd_hess_step)
         fro = float(np.linalg.norm(cm.hess - H_fd, "fro"))
@@ -295,7 +297,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     for j in range(cfg.directions):
         unit = dirs[j]
         res = geometry.directional_derivative(params, x0, unit, cfg.tol)
-        fd = fd_directional(lambda z: forward(params, z).value, x0, unit, cfg.fd_step)
+        fd = fd_directional(lambda Z: forward_values(params, Z), x0, unit, cfg.fd_step)
         fd_errs[j] = abs(fd - res.dual_max)
         primal_errs[j] = abs(res.primal - res.dual_max)
         dual_maxima[j] = res.dual_max

@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from . import dual, oracle
-from .curvature import curvature_matrix, local_gradient
+from . import curvature, dual, oracle
+from .curvature import curvature_matrix
 from .errors import SolveFailureError
 from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, conic_margin, forward
-from .model import relu_margin
+from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -186,10 +186,15 @@ def _readout_grad(params, y, config):
 
 
 def _fd_grad(params, y, config):
+    """Central-difference gradient field of the objective, built from value
+    queries alone; takes one point or a stack of points."""
+
+    def values(Z):
+        diff = Z - y
+        return forward_values(params, Z) + 0.5 * config.beta * np.einsum("ij,ij->i", diff, diff)
+
     def grad_fn(x):
-        return fd_gradient(
-            lambda z: _objective_value(params, y, config.beta, z), x, config.fd_grad_step
-        )
+        return fd_gradient(values, x, config.fd_grad_step)
 
     return grad_fn
 
@@ -236,7 +241,8 @@ def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Inf
     That estimate goes indefinite whenever a stencil leg crosses a kink, so
     its eigenvalues are clamped from below at ``beta + damping`` before
     solving.  The floor uses only the declared strong-convexity constant of
-    the objective, no analytic model structure.
+    the objective, no analytic model structure.  The matrix comes from one
+    value query over its whole ``4 n^2``-point stencil.
     """
     grad_fn = _fd_grad(params, y, config)
 
@@ -275,12 +281,14 @@ def readout_diagnostics(
     trace = forward(params, x)
     _require_nondegenerate(trace, tol, "diagnostics")
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    g_local = local_gradient(params, x, tol)
+    g_local = curvature._trace_gradient(params, trace, tol)
     grad_err = float(np.linalg.norm(g_dual - g_local))
     grad_rel = grad_err / max(float(np.linalg.norm(g_dual)), 1e-300)
     H = curvature_matrix(params, trace, tol)
     H_fd = oracle.fd_hessian(
-        lambda z: dual.readout(params, dual.canonical(params, forward(params, z), tol)),
+        lambda Z: np.array(
+            [dual.readout(params, dual.canonical(params, forward(params, z), tol)) for z in Z]
+        ),
         x,
         fd_hess_step,
     )

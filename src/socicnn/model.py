@@ -13,6 +13,8 @@ A model is a scalar convex function of ``x`` built from three blocks:
 Layers are indexed 0-based throughout the package.  ``forward`` records the
 full trace (preactivations, activations, module residuals) because almost
 every downstream quantity is a function of that trace, not of ``x`` alone.
+``forward_values`` is the value-only kernel for many points at once, for
+callers such as the finite-difference oracles that need nothing else.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ def validate(params: SocIcnnParams) -> None:
     """Raise ``ValidationError`` on the first violated structural rule.
 
     Checks, in order: array shape consistency across layers and modules,
+    finiteness of every array entry, ``b0``, ``alpha`` and ``lam``,
     nonnegativity of skip weights ``U`` (layers beyond the first) and of the
     readout ``c``, strict positivity of every ``alpha``, and nonnegativity
     of every ``lam``.
@@ -205,6 +208,14 @@ def validate(params: SocIcnnParams) -> None:
             raise ValidationError(
                 "dimension-mismatch", f"conic module {g}: inconsistent A/d shapes"
             )
+    fields = {
+        "W": params.W, "U": params.U, "b": params.b, "c": (params.c,), "v": (params.v,),
+        "b0": (params.b0,), "alpha": params.alpha, "B": params.B, "e": params.e,
+        "lam": params.lam, "A": params.A, "d": params.d,
+    }
+    for name, entries in fields.items():
+        if not all(np.all(np.isfinite(a)) for a in entries):
+            raise ValidationError("non-finite", f"{name} has NaN or infinite entries")
     for l in range(1, L):
         if np.any(params.U[l] < 0):
             raise ValidationError("negativity", f"layer {l}: U has negative entries")
@@ -223,7 +234,8 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
 
     The preactivation is computed as ``W @ x + U @ z + b`` in exactly this
     association; the degenerate builder relies on that expression to land
-    bitwise on zero.
+    bitwise on zero.  A non-finite input or output value raises
+    ``NonFiniteError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
@@ -248,9 +260,43 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
         value += 0.5 * al * float(qh @ qh)
     for lg, un in zip(params.lam, u_norms):
         value += lg * un
+    if not np.isfinite(value):
+        raise NonFiniteError("output value is NaN or infinite")
     return ForwardTrace(
         x=_frozen(x), a=tuple(a_list), z=tuple(z_list), q=q, u=u, u_norms=u_norms, value=value
     )
+
+
+def forward_values(params: SocIcnnParams, X) -> np.ndarray:
+    """Model values at the rows of an ``(m, d)`` array, without traces.
+
+    Each layer and module is evaluated for all ``m`` rows at once, by
+    matrix products whose summation order differs from ``forward``'s: values
+    agree with ``forward(params, x).value`` to rounding, not bitwise, and
+    the bitwise kinks of ``build_degenerate_2d`` hold only in ``forward``.
+    Input shape and finiteness are checked as in ``forward``, and a
+    non-finite output value raises ``NonFiniteError`` naming its row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ValidationError(
+            "dimension-mismatch", f"input has shape {X.shape}, expected (m, {params.input_dim})"
+        )
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteError("input contains NaN or infinity")
+    Z = np.zeros((X.shape[0], 0))
+    for W, U, b in zip(params.W, params.U, params.b):
+        Z = np.maximum(X @ W.T + Z @ U.T + b, 0.0)
+    values = Z @ params.c + X @ params.v + params.b0
+    for al, B, e in zip(params.alpha, params.B, params.e):
+        Q = X @ B.T + e
+        values += 0.5 * al * np.einsum("ij,ij->i", Q, Q)
+    for lg, A, d in zip(params.lam, params.A, params.d):
+        values += lg * np.linalg.norm(X @ A.T + d, axis=1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteError(f"output value of row {bad[0]} is NaN or infinite")
+    return values
 
 
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:

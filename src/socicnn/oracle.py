@@ -4,6 +4,11 @@ These deliberately know nothing about the package's own derivative formulas;
 they only evaluate caller-supplied callables.  Every analytic quantity in the
 library is cross-checked against one of these routes somewhere in the test
 suite, so keep them boring and independent.
+
+Callables are row-batched: a value field ``f`` maps an ``(m, d)`` array of
+points to their ``(m,)`` values, and a gradient field maps ``(m, d)`` points
+to ``(m, d)`` gradients.  Each routine builds its whole stencil first and
+evaluates it with a single call.
 """
 
 from __future__ import annotations
@@ -13,23 +18,49 @@ import numpy as np
 from .errors import NonFiniteError
 
 
+def _evaluate(fn, points, shape, what):
+    """``fn`` at the rows of ``points``, checked to have ``shape``."""
+    out = np.asarray(fn(points), dtype=np.float64)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape} for {len(points)} rows, "
+                         f"expected {shape}")
+    return out
+
+
+def _central_stencil(x, step):
+    """Points ``x +- step e_i`` with shape ``x.shape[:-1] + (2, n, n)``:
+    index ``[..., 0, i, :]`` is the plus leg of coordinate ``i``, ``[..., 1,
+    i, :]`` its minus leg."""
+    n = x.shape[-1]
+    legs = np.repeat(x[..., None, None, :], n, axis=-2)
+    legs = np.repeat(legs, 2, axis=-3)
+    diag = np.arange(n)
+    legs[..., 0, diag, diag] += step
+    legs[..., 1, diag, diag] -= step
+    return legs
+
+
 def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar field ``f`` at ``x``."""
+    """Central-difference gradient of a scalar field ``f`` at ``x``.
+
+    ``x`` is one point of shape ``(n,)`` or a stack of points of shape
+    ``(m, n)``; the result has the shape of ``x``.  All ``2 n`` (or
+    ``2 m n``) stencil points go to ``f`` in one call.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        fp = f(xp)
-        fm = f(xm)
-        if not np.isfinite(fp) or not np.isfinite(fm):
-            raise NonFiniteError(f"non-finite evaluation near coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * step)
-    return g
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be one point or a stack of points")
+    n = x.shape[-1]
+    legs = _central_stencil(x, step)
+    vals = _evaluate(f, legs.reshape(-1, n), (legs.size // n,), "f")
+    vals = vals.reshape(legs.shape[:-1])
+    bad = np.argwhere(~np.all(np.isfinite(vals), axis=-2))
+    if bad.size:
+        where = f"coordinate {bad[0][-1]}" + (f" of point {bad[0][0]}" if x.ndim == 2 else "")
+        raise NonFiniteError(f"non-finite evaluation near {where}")
+    return (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * step)
 
 
 def fd_directional(f, x, d, step: float = 1e-7) -> float:
@@ -45,8 +76,7 @@ def fd_directional(f, x, d, step: float = 1e-7) -> float:
     d = np.asarray(d, dtype=np.float64)
     if not np.isclose(np.linalg.norm(d), 1.0, rtol=1e-8, atol=0.0):
         raise ValueError("direction must be unit length")
-    f0 = f(x)
-    f1 = f(x + step * d)
+    f0, f1 = _evaluate(f, np.stack([x, x + step * d]), (2,), "f")
     if not np.isfinite(f0) or not np.isfinite(f1):
         raise NonFiniteError("non-finite evaluation in directional quotient")
     return float((f1 - f0) / step)
@@ -55,25 +85,21 @@ def fd_directional(f, x, d, step: float = 1e-7) -> float:
 def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
     """Central differences of a gradient field, symmetrized.
 
-    ``grad`` maps a point to a gradient vector; it may itself be analytic or
-    a finite-difference composition.  The raw column estimate is averaged
-    with its transpose before returning.
+    ``grad`` maps points to gradient vectors; it may itself be analytic or
+    a finite-difference composition such as ``lambda P: fd_gradient(f, P)``.
+    All ``2 n`` stencil points go to ``grad`` in one call.  The raw column
+    estimate is averaged with its transpose before returning.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    H = np.empty((n, n))
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        gp = np.asarray(grad(xp), dtype=np.float64)
-        gm = np.asarray(grad(xm), dtype=np.float64)
-        if not np.all(np.isfinite(gp)) or not np.all(np.isfinite(gm)):
-            raise NonFiniteError(f"non-finite gradient evaluation near coordinate {i}")
-        H[:, i] = (gp - gm) / (2.0 * step)
+    legs = _central_stencil(x, step)
+    grads = _evaluate(grad, legs.reshape(2 * n, n), (2 * n, n), "grad").reshape(2, n, n)
+    bad = np.flatnonzero(~np.all(np.isfinite(grads), axis=(0, 2)))
+    if bad.size:
+        raise NonFiniteError(f"non-finite gradient evaluation near coordinate {bad[0]}")
+    H = ((grads[0] - grads[1]) / (2.0 * step)).T
     return 0.5 * (H + H.T)
 
 
@@ -85,17 +111,25 @@ def convexity_probe(
     Samples ``(x, y, t)`` with Gaussian endpoints of the given scale and
     uniform ``t``, and returns ``max(0, max_t f(t x + (1-t) y)
     - t f(x) - (1-t) f(y))``.  A convex ``f`` yields a value at rounding
-    level; a clearly positive value certifies nonconvexity.
+    level; a clearly positive value certifies nonconvexity.  The triples are
+    drawn one at a time, ``x``, ``y``, then ``t``, and all ``3 n_triples``
+    points go to ``f`` in one call.
     """
     if n_triples <= 0:
         raise ValueError("n_triples must be positive")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_triples):
-        x = scale * rng.standard_normal(dim)
-        y = scale * rng.standard_normal(dim)
-        t = rng.uniform()
-        viol = f(t * x + (1.0 - t) * y) - (t * f(x) + (1.0 - t) * f(y))
-        if viol > worst:
-            worst = float(viol)
-    return worst
+    X = np.empty((n_triples, dim))
+    Y = np.empty((n_triples, dim))
+    T = np.empty(n_triples)
+    for k in range(n_triples):
+        X[k] = scale * rng.standard_normal(dim)
+        Y[k] = scale * rng.standard_normal(dim)
+        T[k] = rng.uniform()
+    t = T[:, None]
+    points = np.concatenate([t * X + (1.0 - t) * Y, X, Y])
+    vals = _evaluate(f, points, (3 * n_triples,), "f").reshape(3, n_triples)
+    bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=0))
+    if bad.size:
+        raise NonFiniteError(f"non-finite evaluation in triple {bad[0]}")
+    fm, fx, fy = vals
+    return max(0.0, float(np.max(fm - (T * fx + (1.0 - T) * fy))))

@@ -20,6 +20,7 @@ from socicnn import (
     dual_value,
     extreme_branches,
     forward,
+    forward_values,
     readout,
     sample_optimal_branches,
 )
@@ -239,7 +240,7 @@ def test_criterion_10_property_suite():
     worst_probe = 0.0
     for seed, arch in enumerate(PROPERTY_ARCHES):
         params = build_random(seed, arch)
-        f = lambda x: forward(params, x).value
+        f = lambda X: forward_values(params, X)
         worst_probe = max(
             worst_probe, convexity_probe(f, arch.input_dim, n_triples=1000, seed=seed)
         )

@@ -10,6 +10,7 @@ from socicnn import (
     fd_gradient,
     fd_hessian,
     forward,
+    forward_values,
     gradient,
     hessian,
     local_affine_constants,
@@ -62,7 +63,7 @@ class TestHessianFormula:
         assert np.allclose(cm.hess, expect, atol=1e-15)
 
     def test_matches_fd_of_analytic_gradient(self, medium_model):
-        g = lambda y: gradient(medium_model, y)
+        g = lambda Y: np.array([gradient(medium_model, y) for y in Y])
         for x in gaussian_points(90, 4, medium_model.input_dim):
             cm = hessian(medium_model, x)
             err = np.linalg.norm(cm.hess - fd_hessian(g, x), ord="fro")
@@ -225,7 +226,7 @@ class TestQuadraticModel:
             quadratic_model_residual(medium_model, anchor, radius=1e-3, trials=0)
 
     def test_fd_gradient_cross_check(self, medium_model):
-        f = lambda y: forward(medium_model, y).value
+        f = lambda Y: forward_values(medium_model, Y)
         x = gaussian_points(99, 1, medium_model.input_dim)[0]
         cm = hessian(medium_model, x)
         assert np.linalg.norm(cm.grad - fd_gradient(f, x)) <= 1e-6

@@ -179,6 +179,29 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_model_info_rejects_non_finite_weights(self, tmp_path, capsys):
+        """JSON ``NaN`` literals load as floats; validation must refuse them."""
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
+        obj = json.loads(path.read_text())
+        obj["layers"][0]["W"][0][0] = float("nan")
+        path.write_text(json.dumps(obj))
+        assert "NaN" in path.read_text()
+        capsys.readouterr()
+        assert main(["model", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("preset", [[], ["--preset", "exp1"]])
+    def test_model_gen_negative_seed_exits_2(self, tmp_path, capsys, preset):
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--seed", "-1"] + preset) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "preset, config", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp4", Exp4Config)]
     )

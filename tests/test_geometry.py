@@ -12,6 +12,7 @@ from socicnn import (
     fd_directional,
     fd_gradient,
     forward,
+    forward_values,
     gradient,
     readout,
     sample_optimal_branches,
@@ -32,7 +33,7 @@ class TestGradient:
         assert np.array_equal(gradient(params, [0.3, 9.0]), params.v)
 
     def test_matches_fd_oracle(self, medium_model):
-        f = lambda y: forward(medium_model, y).value
+        f = lambda Y: forward_values(medium_model, Y)
         for x in gaussian_points(60, 5, medium_model.input_dim):
             g = gradient(medium_model, x)
             assert np.linalg.norm(g - fd_gradient(f, x)) <= 1e-6
@@ -124,7 +125,7 @@ class TestDirectionalDerivative:
 
     def test_matches_fd_oracle_at_kink(self, degenerate_model):
         params, x0 = degenerate_model
-        f = lambda y: forward(params, y).value
+        f = lambda Y: forward_values(params, Y)
         for d in gaussian_points(72, 10, 2):
             unit = d / np.linalg.norm(d)
             res = directional_derivative(params, x0, unit)

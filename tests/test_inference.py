@@ -14,6 +14,7 @@ from socicnn import (
     whitebox_gd,
     whitebox_newton,
 )
+from socicnn import curvature, inference
 from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, with_gap
 
 from conftest import gaussian_points, quad_only_params
@@ -96,6 +97,20 @@ class TestQuadraticToy:
         n = min(len(wb.trace), len(fd.trace))
         for (v1, _), (v2, _) in zip(wb.trace[:n], fd.trace[:n]):
             assert v1 == pytest.approx(v2, abs=1e-5)
+
+    def test_fd_twins_use_no_analytic_route(self, monkeypatch):
+        class Forbidden:
+            def __getattr__(self, name):
+                raise AssertionError(f"analytic route used: {name}")
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("analytic route used: curvature_matrix")
+
+        monkeypatch.setattr(inference, "dual", Forbidden())
+        monkeypatch.setattr(inference, "curvature", Forbidden())
+        monkeypatch.setattr(inference, "curvature_matrix", Forbidden())
+        for solver in (baseline_fd_gd, baseline_fd_newton):
+            assert np.linalg.norm(solver(self.params, self.y, self.cfg).x - self.target) <= 1e-5
 
     def test_fd_newton_converges(self):
         rep = baseline_fd_newton(self.params, self.y, self.cfg)
@@ -211,3 +226,18 @@ class TestDiagnostics:
         params, x0 = degenerate_model
         with pytest.raises(DegenerateInputError):
             readout_diagnostics(params, x0)
+
+    def test_runs_forward_once_plus_the_stencil(self, medium_model, monkeypatch):
+        """One trace at the point serves both gradient routes; only the
+        ``2 n`` legs of the Hessian stencil add forward passes."""
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(1)
+            return forward(params, x)
+
+        monkeypatch.setattr(inference, "forward", counting_forward)
+        monkeypatch.setattr(curvature, "forward", counting_forward)
+        x = gaussian_points(105, 1, medium_model.input_dim)[0]
+        readout_diagnostics(medium_model, x)
+        assert len(calls) == 1 + 2 * medium_model.input_dim

@@ -1,5 +1,6 @@
 """Model construction, validation, forward traces, and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,13 +18,16 @@ from socicnn import (
     conic_margin,
     degeneracy_report,
     forward,
+    forward_values,
     load_model,
     relu_margin,
     save_model,
     validate,
 )
 
-from conftest import constant_params, inert_backbone, quad_only_params
+from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
+
+from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
 
 
 class TestForward:
@@ -68,6 +72,44 @@ class TestForward:
         v1 = forward(medium_model, x).value
         v2 = forward(medium_model, x).value
         assert v1 == v2
+
+    def test_overflow_raises(self, small_model):
+        with pytest.raises(NonFiniteError):
+            forward(small_model, np.full(small_model.input_dim, 1e200))
+
+
+class TestForwardValues:
+    @pytest.mark.parametrize("config", [Exp1Config, Exp2Config, Exp4Config])
+    def test_matches_forward_at_experiment_architectures(self, config):
+        params = _random_model(config())
+        X = gaussian_points(6, 40, params.input_dim)
+        expect = np.array([forward(params, x).value for x in X])
+        assert np.all(np.abs(forward_values(params, X) - expect) <= 1e-12 * np.abs(expect))
+
+    def test_matches_forward_at_and_near_the_built_kink(self, degenerate_model):
+        params, x0 = degenerate_model
+        X = x0 + np.vstack([np.zeros(2), gaussian_points(8, 20, 2, scale=1e-7),
+                            gaussian_points(9, 20, 2, scale=1e-2)])
+        expect = np.array([forward(params, x).value for x in X])
+        assert np.all(np.abs(forward_values(params, X) - expect) <= 1e-12 * np.abs(expect))
+
+    def test_rejects_wrong_shape(self, small_model):
+        with pytest.raises(ValidationError):
+            forward_values(small_model, np.zeros(small_model.input_dim))
+        with pytest.raises(ValidationError):
+            forward_values(small_model, np.zeros((3, small_model.input_dim + 1)))
+
+    def test_rejects_non_finite_input(self, small_model):
+        X = np.zeros((3, small_model.input_dim))
+        X[1, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            forward_values(small_model, X)
+
+    def test_overflow_names_the_row(self, small_model):
+        X = np.zeros((3, small_model.input_dim))
+        X[2] = 1e200
+        with pytest.raises(NonFiniteError, match="row 2"):
+            forward_values(small_model, X)
 
 
 class TestValidate:
@@ -117,6 +159,20 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(bad)
         assert err.value.code == "negative-lambda"
+
+    def test_non_finite_entries(self):
+        """JSON ``NaN`` literals load as floats, so finiteness is checked
+        like any other structural rule."""
+        p = self._valid()
+        W0 = np.array(p.W[0])
+        W0[0, 0] = np.nan
+        v = np.array(p.v)
+        v[1] = np.inf
+        for change in ({"W": (W0,) + p.W[1:]}, {"v": v}, {"b0": np.nan},
+                       {"alpha": (np.inf,)}, {"lam": (np.nan,)}):
+            with pytest.raises(ValidationError) as err:
+                validate(dataclasses.replace(p, **change))
+            assert err.value.code == "non-finite", change
 
     def test_shape_mismatch_reported_first(self):
         """Shape checks run before sign checks, so a model that is wrong in

@@ -11,13 +11,127 @@ from socicnn import (
     fd_gradient,
     fd_hessian,
     forward,
+    forward_values,
 )
 
-from conftest import inert_backbone
+from conftest import gaussian_points, inert_backbone
 
 
-def sq(x):
-    return float(x @ x)
+def sq(X):
+    """Row-wise sum of squares."""
+    return np.einsum("ij,ij->i", X, X)
+
+
+def per_row(f1):
+    """Row-batched form of a one-point field that evaluates each row alone,
+    so batched stencils do exactly the arithmetic of the coordinate loops."""
+    return lambda X: np.array([f1(x) for x in X])
+
+
+class RowCounter:
+    """Row-batched callable that records how many rows each call gets."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def __call__(self, X):
+        self.rows.append(len(X))
+        return self.fn(X)
+
+
+def loop_fd_gradient(f1, x, step):
+    """Reference: one coordinate at a time, two one-point calls each."""
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        g[i] = (f1(xp) - f1(xm)) / (2.0 * step)
+    return g
+
+
+def loop_fd_hessian(grad1, x, step):
+    """Reference: one column at a time, two one-point gradient calls each."""
+    n = x.size
+    H = np.empty((n, n))
+    for i in range(n):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        H[:, i] = (grad1(xp) - grad1(xm)) / (2.0 * step)
+    return 0.5 * (H + H.T)
+
+
+def loop_convexity_probe(f1, dim, n_triples, seed):
+    """Reference: one triple at a time, in the draw order x, y, t."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_triples):
+        x = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
+        t = rng.uniform()
+        viol = f1(t * x + (1.0 - t) * y) - (t * f1(x) + (1.0 - t) * f1(y))
+        worst = max(worst, float(viol))
+    return worst
+
+
+class TestBatchedStencils:
+    def test_fd_gradient_is_one_call_of_2n_rows(self, medium_model):
+        f = RowCounter(lambda X: forward_values(medium_model, X))
+        fd_gradient(f, np.zeros(medium_model.input_dim))
+        assert f.rows == [2 * medium_model.input_dim]
+
+    def test_fd_newton_hessian_is_one_call_of_4n2_rows(self, medium_model):
+        n = medium_model.input_dim
+        f = RowCounter(lambda X: forward_values(medium_model, X))
+        fd_hessian(lambda P: fd_gradient(f, P), np.zeros(n))
+        assert f.rows == [4 * n * n]
+
+    def test_stencils_match_coordinate_loops(self, medium_model):
+        f1 = lambda x: forward(medium_model, x).value
+        for x in gaussian_points(30, 3, medium_model.input_dim):
+            assert np.array_equal(fd_gradient(per_row(f1), x), loop_fd_gradient(f1, x, 1e-6))
+            fd_grad1 = lambda z: loop_fd_gradient(f1, z, 1e-6)
+            assert np.array_equal(
+                fd_hessian(lambda P: fd_gradient(per_row(f1), P), x),
+                loop_fd_hessian(fd_grad1, x, 1e-5),
+            )
+
+    def test_stacked_points_give_one_gradient_per_row(self, medium_model):
+        f1 = lambda x: forward(medium_model, x).value
+        P = gaussian_points(31, 4, medium_model.input_dim)
+        G = fd_gradient(per_row(f1), P)
+        assert G.shape == P.shape
+        for p, g in zip(P, G):
+            assert np.array_equal(g, fd_gradient(per_row(f1), p))
+
+    def test_convexity_probe_keeps_its_random_stream(self, medium_model):
+        f1 = lambda x: forward(medium_model, x).value
+        assert convexity_probe(per_row(f1), medium_model.input_dim, n_triples=50, seed=4) == (
+            loop_convexity_probe(f1, medium_model.input_dim, 50, 4)
+        )
+
+    def test_non_finite_names_the_first_bad_coordinate(self):
+        def f(X):
+            return np.where(X[:, 2] > 0.5, np.inf, 0.0)
+
+        with pytest.raises(NonFiniteError, match="coordinate 2$"):
+            fd_gradient(f, np.full(4, 0.5))
+        with pytest.raises(NonFiniteError, match="coordinate 2 of point 1"):
+            fd_gradient(f, np.array([np.zeros(4), np.full(4, 0.5)]))
+        with pytest.raises(NonFiniteError, match="coordinate 2$"):
+            fd_hessian(lambda X: np.where(X[:, [2]] > 0.5, np.nan, X), np.full(4, 0.5))
+        with pytest.raises(NonFiniteError):
+            convexity_probe(lambda X: np.full(len(X), np.nan), 2, n_triples=5)
+
+    def test_callable_must_return_one_value_per_row(self):
+        with pytest.raises(ValueError):
+            fd_gradient(lambda X: X, np.zeros(3))
+        with pytest.raises(ValueError):
+            fd_hessian(sq, np.zeros(3))
 
 
 class TestFdGradient:
@@ -28,8 +142,8 @@ class TestFdGradient:
     def test_affine_is_exact_to_rounding(self):
         w = np.array([0.3, -1.2, 2.0])
 
-        def f(x):
-            return float(w @ x + 0.7)
+        def f(X):
+            return X @ w + 0.7
 
         g = fd_gradient(f, np.zeros(3))
         assert np.max(np.abs(g - w)) <= 1e-10
@@ -41,8 +155,8 @@ class TestFdGradient:
             fd_gradient(sq, np.zeros(2), step=-1e-6)
 
     def test_non_finite_value_raises(self):
-        def f(x):
-            return float("nan")
+        def f(X):
+            return np.full(len(X), np.nan)
 
         with pytest.raises(NonFiniteError):
             fd_gradient(f, np.zeros(2))
@@ -51,7 +165,7 @@ class TestFdGradient:
 class TestFdDirectional:
     def test_norm_at_origin(self):
         """One-sided difference of ||x|| at 0 along any unit direction is 1."""
-        f = lambda x: float(np.linalg.norm(x))
+        f = lambda X: np.linalg.norm(X, axis=1)
         for d in ([1.0, 0.0], [0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
             val = fd_directional(f, np.zeros(2), np.array(d))
             assert val == pytest.approx(1.0, abs=1e-7)
@@ -73,13 +187,13 @@ class TestFdDirectional:
 
 class TestFdHessian:
     def test_quadratic_hessian(self):
-        grad = lambda x: 2.0 * x
+        grad = lambda X: 2.0 * X
         H = fd_hessian(grad, np.array([0.3, -0.7]))
         assert np.max(np.abs(H - 2.0 * np.eye(2))) <= 1e-8
 
     def test_output_is_symmetric(self):
-        def grad(x):
-            return np.array([2 * x[0] + x[1] ** 2, 3 * x[1]])
+        def grad(X):
+            return np.column_stack([2 * X[:, 0] + X[:, 1] ** 2, 3 * X[:, 1]])
 
         H = fd_hessian(grad, np.array([0.5, 0.5]))
         assert np.array_equal(H, H.T)
@@ -91,13 +205,13 @@ class TestFdHessian:
 
 class TestConvexityProbe:
     def test_affine_function_probe_is_zero(self):
-        def f(x):
-            return float(x[0] - 2 * x[1] + 3)
+        def f(X):
+            return X[:, 0] - 2 * X[:, 1] + 3
 
         assert convexity_probe(f, 2, n_triples=200, seed=0) <= 1e-12
 
     def test_valid_model_passes(self, medium_model):
-        f = lambda x: forward(medium_model, x).value
+        f = lambda X: forward_values(medium_model, X)
         assert convexity_probe(f, medium_model.input_dim, n_triples=300, seed=1) <= 1e-10
 
     def test_detects_concave_composition(self):
@@ -112,7 +226,7 @@ class TestConvexityProbe:
             v=base["v"],
             b0=0.0,
         )
-        f = lambda x: forward(params, x).value
+        f = lambda X: forward_values(params, X)
         assert convexity_probe(f, 1, n_triples=500, seed=0) > 1e-3
 
     def test_argument_validation(self):
