@@ -180,6 +180,24 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float:
     return worst
 
 
+def _minorant_values(params: SocIcnnParams, x, branches) -> np.ndarray:
+    """Values at ``x`` of the affine minorants of a list of branches, with
+    one stacked product per layer and module."""
+    x = np.asarray(x, dtype=np.float64)
+    k = len(branches)
+    total = np.full(k, float(params.v @ x) + params.b0)
+    for l, (W, b) in enumerate(zip(params.W, params.b)):
+        NU = np.reshape([br.relu[l] for br in branches], (k, W.shape[0]))
+        total += NU @ (W @ x + b)
+    for h, (al, B, e) in enumerate(zip(params.alpha, params.B, params.e)):
+        P = np.reshape([br.quad[h] for br in branches], (k, B.shape[0]))
+        total += P @ (B @ x + e) - np.einsum("ij,ij->i", P, P) / (2.0 * al)
+    for g, (A, d) in enumerate(zip(params.A, params.d)):
+        R = np.reshape([br.cone[g] for br in branches], (k, A.shape[0]))
+        total += R @ (A @ x + d)
+    return total
+
+
 def dual_value(
     params: SocIcnnParams,
     x,
@@ -196,16 +214,7 @@ def dual_value(
         viol = feasibility_violation(params, branch)
         if viol > feas_tol:
             raise InfeasibleBranchError(f"branch violates constraints by {viol:.3e}")
-    x = np.asarray(x, dtype=np.float64)
-    total = float(params.v @ x) + params.b0
-    for W, b, nu in zip(params.W, params.b, branch.relu):
-        total += float(nu @ (W @ x + b))
-    for al, B, e, p in zip(params.alpha, params.B, params.e, branch.quad):
-        q = B @ x + e
-        total += float(p @ q) - float(p @ p) / (2.0 * al)
-    for A, d, r in zip(params.A, params.d, branch.cone):
-        total += float(r @ (A @ x + d))
-    return total
+    return float(_minorant_values(params, x, [branch])[0])
 
 
 def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
@@ -224,13 +233,18 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     return g
 
 
-def _check_optimal(params, trace, branch) -> DualBranch:
-    value = dual_value(params, trace.x, branch, check_feasible=False)
-    if abs(value - trace.value) > 1e-10 * (1.0 + abs(trace.value)):
+def _check_optimal(params, trace, branches) -> list:
+    """Return ``branches`` once every one attains the model value at the
+    trace point; raise ``ConstructionError`` naming the first that does not."""
+    values = _minorant_values(params, trace.x, branches)
+    bad = np.flatnonzero(np.abs(values - trace.value) > 1e-10 * (1.0 + abs(trace.value)))
+    if bad.size:
+        k = bad[0]
         raise ConstructionError(
-            f"constructed branch is not optimal: minorant {value!r} vs value {trace.value!r}"
+            f"constructed branch {k} is not optimal: minorant {values[k]!r} "
+            f"vs value {trace.value!r}"
         )
-    return branch
+    return branches
 
 
 def _ball_point(rng, radius: float, dim: int) -> np.ndarray:
@@ -266,8 +280,8 @@ def sample_optimal_branches(
             _ball_point(rng, lg, A.shape[0]) if r is None else r
             for r, lg, A in zip(smooth_cone, params.lam, params.A)
         )
-        out.append(_check_optimal(params, trace, DualBranch(relu=relu, quad=quad, cone=cone)))
-    return out
+        out.append(DualBranch(relu=relu, quad=quad, cone=cone))
+    return _check_optimal(params, trace, out)
 
 
 def _sphere_directions(dim: int, count: int, rng) -> list:
@@ -337,5 +351,5 @@ def extreme_branches(
         for combo in itertools.product(*tip_choices):
             pick = dict(zip(tip_modules, combo))
             cone = tuple(pick.get(g, r) for g, r in enumerate(smooth_cone))
-            out.append(_check_optimal(params, trace, DualBranch(relu=relu, quad=quad, cone=cone)))
-    return out
+            out.append(DualBranch(relu=relu, quad=quad, cone=cone))
+    return _check_optimal(params, trace, out)

@@ -71,6 +71,13 @@ def _unit_rows(rng, n, dim):
     return rows / norms[:, None]
 
 
+def _require_counts(cfg, *names) -> None:
+    """Reject a config whose named count fields are below one."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+
+
 def _random_model(cfg) -> SocIcnnParams:
     """The random model of an experiment config's seed and architecture."""
     return build_random(
@@ -165,6 +172,9 @@ class Exp2Config:
     fd_grad_step: float = 1e-6
     fd_hess_step: float = 1e-5
     max_draws: int = 100000
+
+    def __post_init__(self):
+        _require_counts(self, "points", "trials")
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
@@ -280,6 +290,9 @@ class Exp3Config:
     tol: float = DEFAULT_TAU
     degeneracy: DegeneracySpec = field(default_factory=DegeneracySpec)
 
+    def __post_init__(self):
+        _require_counts(self, "directions", "branches", "probes")
+
 
 def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     """Directional derivatives, dual maxima, sampled branches, and support
@@ -290,19 +303,12 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     t0 = time.perf_counter()
     rng_dirs = np.random.default_rng([cfg.seed, 1])
     dirs = _unit_rows(rng_dirs, cfg.directions, params.input_dim)
-    fd_errs = np.empty(cfg.directions)
-    primal_errs = np.empty(cfg.directions)
-    dual_maxima = np.empty(cfg.directions)
-    gap_count = 0
-    for j in range(cfg.directions):
-        unit = dirs[j]
-        res = geometry.directional_derivative(params, x0, unit, cfg.tol)
-        fd = fd_directional(lambda Z: forward_values(params, Z), x0, unit, cfg.fd_step)
-        fd_errs[j] = abs(fd - res.dual_max)
-        primal_errs[j] = abs(res.primal - res.dual_max)
-        dual_maxima[j] = res.dual_max
-        if res.dual_max - res.canonical_value > 1e-9:
-            gap_count += 1
+    res = geometry.directional_derivative(params, x0, dirs, cfg.tol)
+    fd = fd_directional(lambda Z: forward_values(params, Z), x0, dirs, cfg.fd_step)
+    dual_maxima = res.dual_max
+    fd_errs = np.abs(fd - dual_maxima)
+    primal_errs = np.abs(res.primal - dual_maxima)
+    gap_count = int(np.count_nonzero(dual_maxima - res.canonical_value > 1e-9))
     branches = dual.sample_optimal_branches(
         params, trace0, cfg.tol, n=cfg.branches, seed=cfg.seed + 3
     )
@@ -313,11 +319,9 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     min_norm_gap = float(min(br.norm() for br in branches) - canon_norm)
     rng_probes = np.random.default_rng([cfg.seed, 2])
     g_can = dual.readout(params, canon)
-    min_margin = np.inf
-    for _ in range(cfg.probes):
-        ydelta = rng_probes.standard_normal(params.input_dim)
-        margin = forward(params, x0 + ydelta).value - f0 - float(g_can @ ydelta)
-        min_margin = min(min_margin, margin)
+    ydeltas = rng_probes.standard_normal((cfg.probes, params.input_dim))
+    margins = forward_values(params, x0 + ydeltas) - f0 - ydeltas @ g_can
+    min_margin = float(np.min(margins))
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     gap_frac = gap_count / cfg.directions
     row = (
@@ -331,7 +335,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
         gap_frac,
         max(violation, 0.0),
         min_norm_gap,
-        float(min_margin),
+        min_margin,
         runtime_ms,
     )
     checks = (
@@ -376,6 +380,9 @@ class Exp4Config:
     quad_dims: tuple = (8,)
     cone_dims: tuple = (8, 8)
     solver: inference.InferenceConfig = field(default_factory=inference.InferenceConfig)
+
+    def __post_init__(self):
+        _require_counts(self, "queries")
 
 
 METHOD_ORDER = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
@@ -468,7 +475,8 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
         _check(
             "exp4-conic-residual",
             diag_count > 0 and diag_sums[5] / nd > 0.1,
-            f"mean min conic residual {diag_sums[5] / nd:.3e}",
+            f"mean min conic residual {diag_sums[5] / nd:.3e}, "
+            f"{nq - diag_count} of {nq} queries skipped as degenerate",
         ),
     )
     return ExperimentOutput("exp4", (methods, queries, diagnostics), checks)

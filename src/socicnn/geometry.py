@@ -20,19 +20,20 @@ from .model import DEFAULT_TAU, SocIcnnParams, _gaussian_nonzero, _require_nonde
 
 @dataclass(frozen=True)
 class DirectionalDerivativeResult:
-    """One-sided derivative of the model along a ray.
+    """One-sided derivative of the model along a ray, or along each of a stack.
 
-    ``direction`` is the unit vector actually evaluated; ``dual_max`` is the
-    support-function route, ``primal`` the one-sided chain rule route, and
-    ``canonical_value`` the (possibly strictly smaller) slope of the
-    minimum-norm branch.  All three scale with the norm of the direction as
-    passed in.
+    ``direction`` is the unit vector (or ``(m, d)`` stack of them) actually
+    evaluated; ``dual_max`` is the support-function route, ``primal`` the
+    one-sided chain rule route, and ``canonical_value`` the (possibly
+    strictly smaller) slope of the minimum-norm branch.  All three scale with
+    the norm of the direction as passed in, and are floats for one direction
+    and ``(m,)`` arrays for a stack.
     """
 
     direction: np.ndarray
-    dual_max: float
-    primal: float
-    canonical_value: float
+    dual_max: float | np.ndarray
+    primal: float | np.ndarray
+    canonical_value: float | np.ndarray
 
 
 def gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.ndarray:
@@ -64,23 +65,23 @@ def subdifferential_sample(
     return [dual.readout(params, br) for br in branches]
 
 
-def _one_sided_primal(params: SocIcnnParams, trace, unit, tol: float) -> float:
-    """Exact one-sided chain rule along ``unit``: ReLU kinks pass the positive
-    part of their incoming slope, cone tips contribute the full residual
-    speed, smooth parts differentiate as usual."""
-    dz = np.zeros(0)
+def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.ndarray:
+    """Exact one-sided chain rule along each row of ``units``: ReLU kinks pass
+    the positive part of their incoming slope, cone tips contribute the full
+    residual speed, smooth parts differentiate as usual."""
+    dZ = np.zeros((units.shape[0], 0))
     for a, W, U in zip(trace.a, params.W, params.U):
-        da = W @ unit + U @ dz
-        dz = np.where(a > tol, da, np.where(a < -tol, 0.0, np.maximum(da, 0.0)))
-    total = float(params.v @ unit) + float(params.c @ dz)
+        dA = units @ W.T + dZ @ U.T
+        dZ = np.where(a > tol, dA, np.where(a < -tol, 0.0, np.maximum(dA, 0.0)))
+    total = units @ params.v + dZ @ params.c
     for al, B, qh in zip(params.alpha, params.B, trace.q):
-        total += al * float(qh @ (B @ unit))
+        total += al * ((units @ B.T) @ qh)
     for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        Ad = A @ unit
+        Ad = units @ A.T
         if un > tol:
-            total += lg * float(ug @ Ad) / un
+            total += lg * (Ad @ ug) / un
         else:
-            total += lg * float(np.linalg.norm(Ad))
+            total += lg * np.linalg.norm(Ad, axis=1)
     return total
 
 
@@ -88,10 +89,11 @@ class _SupportEvaluator:
     """Support function of the optimal set at a fixed trace.
 
     Precomputes the readout of every ReLU corner with the smooth module
-    slopes folded in; a call maximizes those rows against the direction and
-    adds ``lam_g * ||A_g @ unit||`` for each cone-tip module, which is the
-    exact ball contribution (the maximum a sphere fan augmented with the
-    per-direction maximizer would attain).
+    slopes folded in; a call maximizes those rows against each row of an
+    ``(m, d)`` array of unit directions and adds ``lam_g * ||A_g @ unit||``
+    for each cone-tip module, which is the exact ball contribution (the
+    maximum a sphere fan augmented with the per-direction maximizer would
+    attain).
     """
 
     def __init__(self, params: SocIcnnParams, trace, box, tol: float):
@@ -105,10 +107,10 @@ class _SupportEvaluator:
             rows.append(row)
         self.corner_readouts = np.vstack(rows)
 
-    def __call__(self, unit) -> float:
-        best = float(np.max(self.corner_readouts @ unit))
+    def __call__(self, units) -> np.ndarray:
+        best = np.max(units @ self.corner_readouts.T, axis=1)
         for lg, A in self.tips:
-            best += lg * float(np.linalg.norm(A @ unit))
+            best += lg * np.linalg.norm(units @ A.T, axis=1)
         return best
 
 
@@ -120,27 +122,40 @@ def directional_derivative(
 ) -> DirectionalDerivativeResult:
     """Exact one-sided derivative along ``direction``, by two routes.
 
-    The direction is normalized internally and the returned fields are
-    rescaled by its norm, so the result is positively homogeneous in the
-    argument.  The ReLU corner enumeration behind the dual route raises
-    ``TooManyDegeneraciesError`` beyond ``dual.MAX_FREE_COORDS`` interval
-    coordinates.
+    ``direction`` is one vector of shape ``(d,)`` or a stack of shape
+    ``(m, d)``.  A stack shares one trace, branch box, support evaluator and
+    canonical readout, and its result fields are ``(m,)`` arrays; a single
+    vector is evaluated as a stack of one and gives floats.  Each direction
+    is normalized internally and its fields are rescaled by its norm, so the
+    result is positively homogeneous in the argument.  The ReLU corner
+    enumeration behind the dual route raises ``TooManyDegeneraciesError``
+    beyond ``dual.MAX_FREE_COORDS`` interval coordinates.
     """
     direction = np.asarray(direction, dtype=np.float64)
-    scale = float(np.linalg.norm(direction))
-    if scale == 0.0:
+    if direction.ndim not in (1, 2) or direction.shape[-1] != params.input_dim:
+        raise ValueError(
+            f"direction has shape {direction.shape}, expected ({params.input_dim},) "
+            f"or (m, {params.input_dim})"
+        )
+    rows = np.atleast_2d(direction)
+    scale = np.linalg.norm(rows, axis=1)
+    if np.any(scale == 0.0):
         raise ValueError("direction must be nonzero")
-    unit = direction / scale
+    units = rows / scale[:, None]
     trace = forward(params, x)
     box = dual.branch_box(trace, tol)
-    primal = _one_sided_primal(params, trace, unit, tol)
-    dual_max = _SupportEvaluator(params, trace, box, tol)(unit)
-    canon = float(dual.readout(params, dual.canonical(params, trace, tol)) @ unit)
+    primal = scale * _one_sided_primal(params, trace, units, tol)
+    dual_max = scale * _SupportEvaluator(params, trace, box, tol)(units)
+    canon = scale * (units @ dual.readout(params, dual.canonical(params, trace, tol)))
+    if direction.ndim == 1:
+        return DirectionalDerivativeResult(
+            direction=units[0],
+            dual_max=float(dual_max[0]),
+            primal=float(primal[0]),
+            canonical_value=float(canon[0]),
+        )
     return DirectionalDerivativeResult(
-        direction=unit,
-        dual_max=scale * dual_max,
-        primal=scale * primal,
-        canonical_value=scale * canon,
+        direction=units, dual_max=dual_max, primal=primal, canonical_value=canon
     )
 
 
@@ -164,10 +179,9 @@ def canonical_gap_fraction(
     box = dual.branch_box(trace, tol)
     support = _SupportEvaluator(params, trace, box, tol)
     canon_vec = dual.readout(params, dual.canonical(params, trace, tol))
-    count = 0
-    for _ in range(n_directions):
+    units = np.empty((n_directions, params.input_dim))
+    for k in range(n_directions):
         vec, nrm = _gaussian_nonzero(rng, params.input_dim)
-        unit = vec / nrm
-        if support(unit) - float(canon_vec @ unit) > 1e-9:
-            count += 1
-    return count / n_directions
+        units[k] = vec / nrm
+    gaps = support(units) - units @ canon_vec
+    return int(np.count_nonzero(gaps > 1e-9)) / n_directions

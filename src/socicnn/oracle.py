@@ -63,23 +63,32 @@ def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     return (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * step)
 
 
-def fd_directional(f, x, d, step: float = 1e-7) -> float:
+def fd_directional(f, x, d, step: float = 1e-7):
     """One-sided difference quotient ``(f(x + step d) - f(x)) / step``.
 
-    The direction must be unit length; one-sided quotients are the only
-    consistent estimate at a kink, where the two-sided ones average the
-    branches away.
+    ``d`` is one unit direction of shape ``(n,)``, giving a float, or a stack
+    of unit directions of shape ``(m, n)``, giving ``(m,)`` quotients; the
+    base point and all ``m`` steps go to ``f`` in one call of ``m + 1`` rows.
+    One-sided quotients are the only consistent estimate at a kink, where
+    the two-sided ones average the branches away.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    if not np.isclose(np.linalg.norm(d), 1.0, rtol=1e-8, atol=0.0):
+    if d.ndim not in (1, 2):
+        raise ValueError("d must be one direction or a stack of directions")
+    dirs = np.atleast_2d(d)
+    if not np.all(np.isclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-8, atol=0.0)):
         raise ValueError("direction must be unit length")
-    f0, f1 = _evaluate(f, np.stack([x, x + step * d]), (2,), "f")
-    if not np.isfinite(f0) or not np.isfinite(f1):
-        raise NonFiniteError("non-finite evaluation in directional quotient")
-    return float((f1 - f0) / step)
+    m = len(dirs)
+    vals = _evaluate(f, np.vstack([x, x + step * dirs]), (m + 1,), "f")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        where = "at the base point" if bad[0] == 0 else f"along direction {bad[0] - 1}"
+        raise NonFiniteError(f"non-finite evaluation in directional quotient {where}")
+    quotients = (vals[1:] - vals[0]) / step
+    return float(quotients[0]) if d.ndim == 1 else quotients
 
 
 def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:

@@ -365,5 +365,19 @@ class TestMixing:
         zero_relu = tuple(np.zeros_like(nu) for nu in base.relu)
         off = DualBranch(relu=zero_relu, quad=base.quad, cone=base.cone)
         with pytest.raises(ConstructionError, match="not optimal") as info:
-            _check_optimal(params, tr, off)
+            _check_optimal(params, tr, [off])
         assert isinstance(info.value, RuntimeError)
+
+    def test_check_names_the_first_non_optimal_branch(self, degenerate_model):
+        """One stacked check covers a whole list and names its first bad
+        entry; an all-optimal list comes back unchanged."""
+        params, x0 = degenerate_model
+        tr = forward(params, x0)
+        good = sample_optimal_branches(params, tr, n=3, seed=1)
+        assert _check_optimal(params, tr, good) is good
+        base = canonical(params, tr)
+        off = DualBranch(
+            relu=tuple(np.zeros_like(nu) for nu in base.relu), quad=base.quad, cone=base.cone
+        )
+        with pytest.raises(ConstructionError, match="branch 2 is not optimal"):
+            _check_optimal(params, tr, good[:2] + [off, good[2], off])

@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from socicnn import inference, load_model
+from socicnn import (
+    DegenerateInputError,
+    build_degenerate_2d,
+    canonical,
+    experiments,
+    forward,
+    geometry,
+    inference,
+    load_model,
+    readout,
+)
 from socicnn.cli import main
 from socicnn.experiments import (
     Exp1Config,
@@ -108,6 +118,36 @@ class TestExp3:
         again = run_exp3(SMALL3)
         assert rows_without_time(exp3_small.tables[0]) == rows_without_time(again.tables[0])
 
+    def test_runs_forward_twice(self, monkeypatch):
+        """One trace at the anchor for the branches and one inside the
+        stacked directional derivative; every other value is batched."""
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(1)
+            return forward(params, x)
+
+        monkeypatch.setattr(experiments, "forward", counting_forward)
+        monkeypatch.setattr(geometry, "forward", counting_forward)
+        out = run_exp3(Exp3Config(directions=20, branches=30, probes=40))
+        assert out.all_passed()
+        assert len(calls) == 2
+
+    def test_probe_margin_matches_per_probe_forward(self, exp3_small):
+        """The batched probe margin equals a per-probe ``forward`` loop that
+        draws the probes one at a time from the same stream."""
+        params, x0 = build_degenerate_2d(SMALL3.degeneracy)
+        tr = forward(params, x0)
+        g_can = readout(params, canonical(params, tr, SMALL3.tol))
+        rng = np.random.default_rng([SMALL3.seed, 2])
+        ref = np.inf
+        for _ in range(SMALL3.probes):
+            ydelta = rng.standard_normal(params.input_dim)
+            ref = min(ref, forward(params, x0 + ydelta).value - tr.value - float(g_can @ ydelta))
+        table = exp3_small.tables[0]
+        row = dict(zip(table.columns, table.rows[0]))
+        assert abs(row["min_support_margin"] - ref) <= 1e-12
+
 
 @pytest.fixture(scope="module")
 def exp4_small():
@@ -136,6 +176,19 @@ class TestExp4:
         cfg = Exp4Config(queries=1, input_dim=3, widths=(4,), quad_dims=(2,), cone_dims=(2,))
         with pytest.raises(RuntimeError, match="diagnostics failed"):
             run_exp4(cfg)
+
+    def test_conic_detail_counts_skipped_queries(self, exp4_small, monkeypatch):
+        detail = {c.name: c.detail for c in exp4_small.checks}["exp4-conic-residual"]
+        assert f"0 of {SMALL4.queries} queries skipped as degenerate" in detail
+
+        def on_a_kink(*args, **kwargs):
+            raise DegenerateInputError("on a kink")
+
+        monkeypatch.setattr(inference, "readout_diagnostics", on_a_kink)
+        cfg = Exp4Config(queries=2, input_dim=3, widths=(4,), quad_dims=(2,), cone_dims=(2,))
+        checks = {c.name: c for c in run_exp4(cfg).checks}
+        assert "2 of 2 queries skipped as degenerate" in checks["exp4-conic-residual"].detail
+        assert not checks["exp4-conic-residual"].passed
 
     def test_newton_beats_gd(self, exp4_small):
         by_method = {row[0]: row for row in exp4_small.tables[0].rows}
@@ -260,6 +313,12 @@ class TestCli:
             ("exp1", {"widths": "ab"}),
             ("exp3", {"degeneracy": {"relu_layer": "x"}}),
             ("exp1", {"seed": -1}),
+            ("exp2", {"points": 0}),
+            ("exp2", {"trials": 0}),
+            ("exp3", {"directions": 0}),
+            ("exp3", {"branches": 0}),
+            ("exp3", {"probes": 0}),
+            ("exp4", {"queries": 0}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

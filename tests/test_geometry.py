@@ -184,6 +184,60 @@ class TestDirectionalDerivative:
             assert res.dual_max == res.primal == 5.25
 
 
+class TestStackedDirections:
+    """An ``(m, d)`` stack of directions shares one trace and gives, row by
+    row, what the one-vector calls give."""
+
+    @pytest.mark.parametrize("where", ["degenerate", "cone-tip", "medium"])
+    def test_matches_per_row_calls(self, where, degenerate_model, medium_model):
+        if where == "degenerate":
+            params, x = degenerate_model
+        elif where == "cone-tip":
+            params, x = cone_only_params(lam=0.8, A=[[0.7, 0.2], [-0.1, 0.6]]), np.zeros(2)
+        else:
+            params = medium_model
+            x = gaussian_points(75, 1, params.input_dim)[0]
+        D = 3.0 * gaussian_points(76, 25, params.input_dim)
+        stacked = directional_derivative(params, x, D)
+        assert stacked.direction.shape == D.shape
+        for name in ("dual_max", "primal", "canonical_value"):
+            col = getattr(stacked, name)
+            assert col.shape == (len(D),)
+            ref = np.array([getattr(directional_derivative(params, x, d), name) for d in D])
+            assert np.allclose(col, ref, rtol=1e-13, atol=0.0), name
+
+    def test_single_vector_gives_floats(self, degenerate_model):
+        params, x0 = degenerate_model
+        res = directional_derivative(params, x0, [0.6, -0.8])
+        assert res.direction.shape == (2,)
+        for value in (res.dual_max, res.primal, res.canonical_value):
+            assert type(value) is float
+
+    def test_one_trace_for_the_stack(self, degenerate_model, monkeypatch):
+        import socicnn.geometry as geometry
+
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(1)
+            return forward(params, x)
+
+        monkeypatch.setattr(geometry, "forward", counting_forward)
+        params, x0 = degenerate_model
+        directional_derivative(params, x0, gaussian_points(77, 40, 2))
+        assert len(calls) == 1
+
+    def test_zero_row_rejected(self, degenerate_model):
+        params, x0 = degenerate_model
+        with pytest.raises(ValueError, match="nonzero"):
+            directional_derivative(params, x0, [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_wrong_width_rejected(self, degenerate_model):
+        params, x0 = degenerate_model
+        with pytest.raises(ValueError, match="shape"):
+            directional_derivative(params, x0, np.ones((3, 3)))
+
+
 class TestCanonicalGapFraction:
     def test_smooth_point_has_no_gap(self, medium_model):
         x = gaussian_points(80, 1, medium_model.input_dim)[0]

@@ -185,6 +185,35 @@ class TestFdDirectional:
             fd_directional(sq, np.zeros(2), np.array([1.0, 0.0]), step=0.0)
 
 
+class TestFdDirectionalStack:
+    """A ``(m, n)`` stack of unit directions is one call of ``m + 1`` rows."""
+
+    def test_one_call_of_m_plus_one_rows(self):
+        calls = []
+
+        def f(X):
+            calls.append(X.shape)
+            return sq(X)
+
+        x = np.array([0.4, -0.2, 1.1])
+        D = gaussian_points(31, 7, 3)
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        out = fd_directional(f, x, D)
+        assert calls == [(8, 3)]
+        assert out.shape == (7,)
+        assert np.array_equal(out, [fd_directional(sq, x, d) for d in D])
+
+    def test_non_unit_row_rejected(self):
+        with pytest.raises(ValueError, match="unit length"):
+            fd_directional(sq, np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_non_finite_names_the_direction(self):
+        f = lambda X: np.where(X[:, 0] > 0.0, np.inf, sq(X))
+        D = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NonFiniteError, match="direction 2"):
+            fd_directional(f, np.zeros(2), D)
+
+
 class TestFdHessian:
     def test_quadratic_hessian(self):
         grad = lambda X: 2.0 * X
