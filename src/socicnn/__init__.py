@@ -15,6 +15,7 @@ from .curvature import (
     quadratic_model_residual,
 )
 from .dual import (
+    BranchStack,
     DualBranch,
     ReluBranchBox,
     branch_box,
@@ -24,6 +25,7 @@ from .dual import (
     feasibility_violation,
     masked_relu_multipliers,
     readout,
+    readout_stack,
     sample_optimal_branches,
     upper_bounds,
 )

@@ -15,6 +15,7 @@ enumerating or sampling the rest.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,28 @@ from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _gaussian_nonzero, 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
 MAX_FREE_COORDS = 16
+
+
+def _matvec(M, X):
+    """``M @ x`` for ``X`` itself when 1-D, else for every row of ``X``.
+
+    A stack runs one BLAS matrix-vector product per row (not one
+    matrix-matrix product), so every row is bitwise what the single-vector
+    call gives.
+    """
+    if X.ndim == 1:
+        return M @ X
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _norm(relu, quad, cone):
+    """Euclidean norm of the stacked multiplier vector, or of each row of a
+    stack, summed group by group in a fixed order."""
+    total = 0.0
+    for group in (relu, quad, cone):
+        for vec in group:
+            total = total + (vec[..., None, :] @ vec[..., :, None])[..., 0, 0]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +64,57 @@ class DualBranch:
 
     def norm(self) -> float:
         """Euclidean norm of the stacked multiplier vector."""
-        total = 0.0
-        for group in (self.relu, self.quad, self.cone):
-            for vec in group:
-                total += float(vec @ vec)
-        return float(np.sqrt(total))
+        return float(_norm(self.relu, self.quad, self.cone))
+
+
+@dataclass(frozen=True, eq=False)
+class BranchStack(Sequence):
+    """``n`` multiplier triples held as one ``(n, width)`` array per layer
+    and module, in the field layout of ``DualBranch``.
+
+    As a sequence it holds ``DualBranch`` row views: ``stack[k]`` shares
+    memory with the stacks, a slice is a list of row views, and ``+`` with
+    another sequence of branches gives a list.
+    """
+
+    relu: tuple
+    quad: tuple
+    cone: tuple
+
+    @classmethod
+    def of(cls, params: SocIcnnParams, branches) -> BranchStack:
+        """Stack a sequence of branches; a ``BranchStack`` comes back as is."""
+        if isinstance(branches, cls):
+            return branches
+        k = len(branches)
+
+        def stack(field, j, width):
+            return np.reshape([getattr(br, field)[j] for br in branches], (k, width))
+
+        return cls(
+            relu=tuple(stack("relu", l, w) for l, w in enumerate(params.widths)),
+            quad=tuple(stack("quad", h, B.shape[0]) for h, B in enumerate(params.B)),
+            cone=tuple(stack("cone", g, A.shape[0]) for g, A in enumerate(params.A)),
+        )
+
+    def __len__(self) -> int:
+        return self.relu[0].shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return DualBranch(
+            relu=tuple(a[k] for a in self.relu),
+            quad=tuple(a[k] for a in self.quad),
+            cone=tuple(a[k] for a in self.cone),
+        )
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def norms(self) -> np.ndarray:
+        """Per-row ``DualBranch.norm``, bitwise, as one ``(n,)`` array."""
+        return _norm(self.relu, self.quad, self.cone)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,26 +158,33 @@ def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
     return ub
 
 
-def _box_recursion(params: SocIcnnParams, upper, free, pick) -> tuple:
+def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple:
     """Backward recursion through the ReLU box, top layer first.
 
-    Coordinates in ``upper[l]`` take their bound, coordinates in ``free[l]``
-    (skipped when ``free`` is None) take ``pick(l, i, bound_i)``, the rest
-    zero.  The last layer is bounded by ``c`` and layer ``l - 1`` by
-    ``U[l].T`` times the multipliers just chosen, so every result is feasible
-    whenever each pick lies in ``[0, bound_i]``.
+    Coordinates in ``upper[l]`` take their bound, the rest zero.  The last
+    layer is bounded by ``c`` and layer ``l - 1`` by ``U[l].T`` times the
+    multipliers just chosen, so every result is feasible.  With ``draws``, an
+    ``(n, n_free)`` array of numbers in ``[0, 1]``, the result is a stack of
+    ``n`` branches (one ``(n, width)`` array per layer) in which the
+    coordinates in ``free[l]`` take their bound times the next columns of
+    ``draws``: top layer first, ascending index within a layer.  Each row is
+    bitwise what a one-row ``draws`` gives.
     """
     L = params.n_layers
     relu = [None] * L
     bound = params.c
+    if draws is not None:
+        bound = np.broadcast_to(bound, (draws.shape[0], bound.shape[0]))
+    col = 0
     for l in range(L - 1, -1, -1):
         nu = np.where(upper[l], bound, 0.0)
-        if free is not None:
-            for i in np.flatnonzero(free[l]):
-                nu[i] = pick(l, i, bound[i])
+        if draws is not None:
+            cols = np.flatnonzero(free[l])
+            nu[:, cols] = bound[:, cols] * draws[:, col:col + cols.size]
+            col += cols.size
         relu[l] = nu
         if l > 0:
-            bound = params.U[l].T @ nu
+            bound = _matvec(params.U[l].T, nu)
     return tuple(relu)
 
 
@@ -119,7 +195,7 @@ def masked_relu_multipliers(params: SocIcnnParams, masks) -> tuple:
     False takes zero.  This is the closed form of the optimal multipliers
     for a frozen activation pattern.
     """
-    return _box_recursion(params, masks, None, None)
+    return _box_recursion(params, masks)
 
 
 def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
@@ -180,20 +256,16 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float:
     return worst
 
 
-def _minorant_values(params: SocIcnnParams, x, branches) -> np.ndarray:
-    """Values at ``x`` of the affine minorants of a list of branches, with
-    one stacked product per layer and module."""
+def _minorant_values(params: SocIcnnParams, x, stack: BranchStack) -> np.ndarray:
+    """Values at ``x`` of the affine minorants of a stack of branches, with
+    one product per layer and module."""
     x = np.asarray(x, dtype=np.float64)
-    k = len(branches)
-    total = np.full(k, float(params.v @ x) + params.b0)
-    for l, (W, b) in enumerate(zip(params.W, params.b)):
-        NU = np.reshape([br.relu[l] for br in branches], (k, W.shape[0]))
+    total = np.full(len(stack), float(params.v @ x) + params.b0)
+    for NU, W, b in zip(stack.relu, params.W, params.b):
         total += NU @ (W @ x + b)
-    for h, (al, B, e) in enumerate(zip(params.alpha, params.B, params.e)):
-        P = np.reshape([br.quad[h] for br in branches], (k, B.shape[0]))
+    for P, al, B, e in zip(stack.quad, params.alpha, params.B, params.e):
         total += P @ (B @ x + e) - np.einsum("ij,ij->i", P, P) / (2.0 * al)
-    for g, (A, d) in enumerate(zip(params.A, params.d)):
-        R = np.reshape([br.cone[g] for br in branches], (k, A.shape[0]))
+    for R, A, d in zip(stack.cone, params.A, params.d):
         total += R @ (A @ x + d)
     return total
 
@@ -214,7 +286,14 @@ def dual_value(
         viol = feasibility_violation(params, branch)
         if viol > feas_tol:
             raise InfeasibleBranchError(f"branch violates constraints by {viol:.3e}")
-    return float(_minorant_values(params, x, [branch])[0])
+    return float(_minorant_values(params, x, BranchStack.of(params, [branch]))[0])
+
+
+def _readout(params: SocIcnnParams, relu, quad, cone) -> np.ndarray:
+    g = params.v
+    for M, vec in zip(params.W + params.B + params.A, relu + quad + cone):
+        g = g + _matvec(M.T, vec)
+    return g
 
 
 def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
@@ -223,20 +302,22 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     ``v + sum_l W_l.T nu_l + sum_h B_h.T p_h + sum_g A_g.T r_g``; on the
     optimal set this enumerates exactly the subgradients of the model.
     """
-    g = params.v.copy()
-    for W, nu in zip(params.W, branch.relu):
-        g += W.T @ nu
-    for B, p in zip(params.B, branch.quad):
-        g += B.T @ p
-    for A, r in zip(params.A, branch.cone):
-        g += A.T @ r
-    return g
+    return _readout(params, branch.relu, branch.quad, branch.cone)
 
 
-def _check_optimal(params, trace, branches) -> list:
-    """Return ``branches`` once every one attains the model value at the
-    trace point; raise ``ConstructionError`` naming the first that does not."""
-    values = _minorant_values(params, trace.x, branches)
+def readout_stack(params: SocIcnnParams, branches) -> np.ndarray:
+    """Readouts of a ``BranchStack`` (or a sequence of branches) as the rows
+    of an ``(n, d)`` array, ``v + sum_l NU_l @ W_l + sum_h P_h @ B_h +
+    sum_g R_g @ A_g``; row ``k`` is bitwise ``readout`` of branch ``k``."""
+    stack = BranchStack.of(params, branches)
+    return _readout(params, stack.relu, stack.quad, stack.cone)
+
+
+def _check_optimal(params, trace, branches):
+    """Return ``branches`` (a ``BranchStack`` or a list) once every one
+    attains the model value at the trace point; raise ``ConstructionError``
+    naming the first that does not."""
+    values = _minorant_values(params, trace.x, BranchStack.of(params, branches))
     bad = np.flatnonzero(np.abs(values - trace.value) > 1e-10 * (1.0 + abs(trace.value)))
     if bad.size:
         k = bad[0]
@@ -260,28 +341,40 @@ def sample_optimal_branches(
     tol: float = DEFAULT_TAU,
     n: int = 1,
     seed: int = 0,
-) -> list:
+) -> BranchStack:
     """Draw ``n`` optimal branches at this trace, canonical included as a case.
 
     Free interval coordinates are resampled uniformly on ``[0, bound]``
     top-down (the bound of a lower layer is recomputed from the draws above
     it), and each cone-tip module draws uniformly from its ball.  Sample
     ``k`` uses the child generator ``default_rng([seed, k])`` so any prefix
-    of the list is reproducible.  Every returned branch is verified to
+    of the result is reproducible.  The stream is that of drawing each
+    branch on its own: ``rng.random(n_free)`` for the free coordinates (top
+    layer first, ``bound * u`` equals ``rng.uniform(0, bound)`` bitwise),
+    then the ball draws of each cone tip.  The draws of all branches then go
+    through one stacked box recursion.  The result is a ``BranchStack``
+    whose items are ``DualBranch`` row views; every branch is verified to
     attain the model value at the trace point.
     """
     box = branch_box(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    out = []
+    draws = np.empty((n, len(box.free_coords)))
+    cone = tuple(
+        np.empty((n, A.shape[0])) if r is None else np.broadcast_to(r, (n, r.shape[0]))
+        for r, A in zip(smooth_cone, params.A)
+    )
+    tips = [(rows, lg) for rows, r, lg in zip(cone, smooth_cone, params.lam) if r is None]
     for k in range(n):
         rng = np.random.default_rng([seed, k])
-        relu = _box_recursion(params, box.upper, box.free, lambda l, i, ub: rng.uniform(0.0, ub))
-        cone = tuple(
-            _ball_point(rng, lg, A.shape[0]) if r is None else r
-            for r, lg, A in zip(smooth_cone, params.lam, params.A)
-        )
-        out.append(DualBranch(relu=relu, quad=quad, cone=cone))
-    return _check_optimal(params, trace, out)
+        draws[k] = rng.random(draws.shape[1])
+        for rows, lg in tips:
+            rows[k] = _ball_point(rng, lg, rows.shape[1])
+    stack = BranchStack(
+        relu=_box_recursion(params, box.upper, box.free, draws),
+        quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
+        cone=cone,
+    )
+    return _check_optimal(params, trace, stack)
 
 
 def _sphere_directions(dim: int, count: int, rng) -> list:
@@ -314,10 +407,10 @@ def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
             f"{len(free)} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
         )
     for bits in itertools.product((False, True), repeat=len(free)):
-        choice = dict(zip(free, bits))
-        yield _box_recursion(
-            params, box.upper, box.free, lambda l, i, ub: ub if choice[(l, int(i))] else 0.0
-        )
+        masks = [upper.copy() for upper in box.upper]
+        for (l, i), bit in zip(free, bits):
+            masks[l][i] = bit
+        yield _box_recursion(params, masks)
 
 
 def extreme_branches(

@@ -50,19 +50,19 @@ def subdifferential_sample(
     n: int = 64,
     seed: int = 0,
     sphere_samples: int = 64,
-) -> list:
+) -> np.ndarray:
     """Subgradients read out from sampled plus extreme optimal branches.
 
-    At a nondegenerate point every entry equals the gradient.  The extreme
+    Returns an ``(n + n_extreme, d)`` array: the ``n`` sampled readouts, then
+    those of the extreme branches, each read out with one stacked product.
+    At a nondegenerate point every row equals the gradient.  The extreme
     branches pin the hull's corners (up to the conic sphere fan); the
     sampled branches fill the interior.
     """
     trace = forward(params, x)
-    branches = dual.sample_optimal_branches(params, trace, tol, n=n, seed=seed)
-    branches += dual.extreme_branches(
-        params, trace, tol, sphere_samples=sphere_samples, seed=seed
-    )
-    return [dual.readout(params, br) for br in branches]
+    sampled = dual.sample_optimal_branches(params, trace, tol, n=n, seed=seed)
+    extreme = dual.extreme_branches(params, trace, tol, sphere_samples=sphere_samples, seed=seed)
+    return np.vstack([dual.readout_stack(params, sampled), dual.readout_stack(params, extreme)])
 
 
 def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.ndarray:

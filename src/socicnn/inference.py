@@ -106,8 +106,10 @@ def _objective_value(params, y, beta, x):
 def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     """Armijo-backtracked descent shared by all four solvers.
 
-    ``grad_fn`` returns the objective gradient at a point; ``direction_fn``
-    maps ``(x, g)`` to a step direction (None for steepest descent).  Stops
+    ``grad_fn`` returns the objective gradient at a point together with the
+    model trace it evaluated there (None for the value-only twins);
+    ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None for
+    steepest descent), so a white-box step reuses the gradient's trace.  Stops
     on gradient norm, on per-step progress, on iteration budget, or on a
     line-search failure, whichever comes first.
     """
@@ -118,7 +120,7 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     deriv_time = 0.0
     f_val = _objective_value(params, y, config.beta, x)
     td = time.perf_counter()
-    g = grad_fn(x)
+    g, point_trace = grad_fn(x)
     deriv_time += time.perf_counter() - td
     trace = [(f_val, float(np.linalg.norm(g)))]
     iterations = 0
@@ -134,7 +136,7 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
             slope = -grad_norm * grad_norm
         else:
             td = time.perf_counter()
-            p = direction_fn(x, g)
+            p = direction_fn(x, g, point_trace)
             deriv_time += time.perf_counter() - td
             slope = float(g @ p)
         eta = 1.0
@@ -154,7 +156,7 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
         x = x_new
         f_val = f_new
         td = time.perf_counter()
-        g = grad_fn(x)
+        g, point_trace = grad_fn(x)
         deriv_time += time.perf_counter() - td
         iterations += 1
         trace.append((f_val, float(np.linalg.norm(g))))
@@ -179,8 +181,13 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
 
 
 def _readout_grad(params, y, config):
+    """Canonical-readout gradient of the objective, with the trace behind it."""
+    y = np.asarray(y, dtype=np.float64)
+
     def grad_fn(x):
-        return objective(params, y, config.beta, x, config.tol)[1]
+        trace = forward(params, x)
+        g = dual.readout(params, dual.canonical(params, trace, config.tol))
+        return g + config.beta * (x - y), trace
 
     return grad_fn
 
@@ -214,8 +221,7 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
     """
     grad_fn = _readout_grad(params, y, config)
 
-    def direction_fn(x, g):
-        trace = forward(params, x)
+    def direction_fn(x, g, trace):
         H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
         H[np.diag_indices_from(H)] += config.beta + config.damping
         try:
@@ -230,8 +236,8 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
 def baseline_fd_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order twin that only sees objective values: central-difference
     gradients at step ``fd_grad_step``."""
-    grad_fn = _fd_grad(params, y, config)
-    return _descent(params, y, config, "fd-gd", grad_fn, None, GD_MAX_ITERS)
+    field = _fd_grad(params, y, config)
+    return _descent(params, y, config, "fd-gd", lambda x: (field(x), None), None, GD_MAX_ITERS)
 
 
 def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
@@ -244,15 +250,17 @@ def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Inf
     the objective, no analytic model structure.  The matrix comes from one
     value query over its whole ``4 n^2``-point stencil.
     """
-    grad_fn = _fd_grad(params, y, config)
+    field = _fd_grad(params, y, config)
 
-    def direction_fn(x, g):
-        H = fd_hessian(grad_fn, x, config.fd_hess_step)
+    def direction_fn(x, g, _):
+        H = fd_hessian(field, x, config.fd_hess_step)
         w, V = scipy.linalg.eigh(H, check_finite=False)
         w = np.maximum(w, config.beta + config.damping)
         return -(V @ ((V.T @ g) / w))
 
-    return _descent(params, y, config, "fd-newton", grad_fn, direction_fn, NEWTON_MAX_ITERS)
+    return _descent(
+        params, y, config, "fd-newton", lambda x: (field(x), None), direction_fn, NEWTON_MAX_ITERS
+    )
 
 
 @dataclass(frozen=True)

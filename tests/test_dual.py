@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    BranchStack,
     ConstructionError,
+    DegeneracySpec,
     DualBranch,
     InfeasibleBranchError,
     SocIcnnParams,
     TooManyDegeneraciesError,
     branch_box,
+    build_degenerate_2d,
     canonical,
     dual_value,
     extreme_branches,
@@ -17,6 +20,7 @@ from socicnn import (
     forward,
     masked_relu_multipliers,
     readout,
+    readout_stack,
     sample_optimal_branches,
     upper_bounds,
 )
@@ -381,3 +385,177 @@ class TestMixing:
         )
         with pytest.raises(ConstructionError, match="branch 2 is not optimal"):
             _check_optimal(params, tr, good[:2] + [off, good[2], off])
+
+
+def two_layer_kinks():
+    """Two layers with seven zero preactivations at every input: layer 0
+    has four free, four active and two inactive units, layer 1 three free,
+    three active and three inactive ones; layer 0's free unit 1 has a zero
+    bound column in ``U[1]``.  Plus a 3-D conic module at its tip at the
+    returned point."""
+    rng = np.random.default_rng(7)
+    x = np.array([0.3, -0.2, 0.1])
+    W0 = np.zeros((10, 3))
+    b0 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.5, 0.5, 2.0, -1.0, -0.5])
+    U1 = np.abs(rng.standard_normal((9, 10)))
+    U1[:, 1] = 0.0
+    z0 = np.maximum(b0, 0.0)
+    s1 = U1 @ z0
+    targets = np.array([0.0, 0.0, 0.0, 1.0, 0.7, 2.0, -1.0, -0.3, -2.0])
+    A = rng.standard_normal((3, 3))
+    params = SocIcnnParams(
+        W=(W0, np.zeros((9, 3))),
+        U=(np.zeros((10, 0)), U1),
+        b=(b0, targets - s1),
+        c=np.abs(rng.standard_normal(9)),
+        v=rng.standard_normal(3),
+        b0=0.5,
+        alpha=(1.5,),
+        B=(rng.standard_normal((4, 3)),),
+        e=(rng.standard_normal(4),),
+        lam=(0.7,),
+        A=(A,),
+        d=(-(A @ x),),
+    )
+    return params, x
+
+
+def zero_bound_pair():
+    """|x| through two kinked units whose first has readout weight 0, so its
+    multiplier interval is [0, 0]."""
+    return SocIcnnParams(
+        W=(np.array([[1.0], [-1.0]]),),
+        U=(np.zeros((2, 0)),),
+        b=(np.zeros(2),),
+        c=np.array([0.0, 1.0]),
+        v=np.array([0.0]),
+        b0=0.0,
+    )
+
+
+def reference_samples(params, trace, n, seed, tol=1e-9):
+    """The sampler as one generator, one box recursion and one readout per
+    branch: each free coordinate draws ``rng.uniform(0, bound)`` top layer
+    first, then each cone tip draws its ball point.  Returns the per-branch
+    multipliers, readouts and norms."""
+    box = branch_box(trace, tol)
+    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
+    out = []
+    for k in range(n):
+        rng = np.random.default_rng([seed, k])
+        relu = [None] * params.n_layers
+        bound = params.c
+        for l in range(params.n_layers - 1, -1, -1):
+            nu = np.where(box.upper[l], bound, 0.0)
+            for i in np.flatnonzero(box.free[l]):
+                nu[i] = rng.uniform(0.0, bound[i])
+            relu[l] = nu
+            if l > 0:
+                bound = params.U[l].T @ nu
+        cone = []
+        for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
+            dim = A.shape[0]
+            if un > tol:
+                cone.append((lg / un) * ug)
+            elif lg == 0.0:
+                cone.append(np.zeros(dim))
+            else:
+                vec = rng.standard_normal(dim)
+                nrm = np.linalg.norm(vec)
+                cone.append((lg * rng.uniform() ** (1.0 / dim) / nrm) * vec)
+        g = params.v.copy()
+        for M, vec in zip(params.W + params.B + params.A, relu + list(quad) + cone):
+            g += M.T @ vec
+        norm = float(np.sqrt(sum(float(vec @ vec) for vec in relu + list(quad) + cone)))
+        out.append((relu, quad, cone, g, norm))
+    return out
+
+
+STACK_POINTS = {
+    "deg-last-layer": lambda: build_degenerate_2d(DegeneracySpec()),
+    "deg-first-layer": lambda: build_degenerate_2d(
+        DegeneracySpec(relu_layer=0, relu_coord=2, conic_module=1)
+    ),
+    "cone-only": lambda: (cone_only_params(lam=0.8, A=np.eye(3), dim=3), np.zeros(3)),
+    "two-layer-kinks": two_layer_kinks,
+    "zero-bound": lambda: (zero_bound_pair(), np.array([0.0])),
+}
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("name", sorted(STACK_POINTS))
+    def test_matches_per_branch_loop_bitwise(self, name):
+        """Multipliers, readouts and norms of the stacked sampler equal a
+        one-branch-at-a-time loop on the same generators, bit for bit."""
+        params, x = STACK_POINTS[name]()
+        tr = forward(params, x)
+        stack = sample_optimal_branches(params, tr, n=40, seed=5)
+        ref = reference_samples(params, tr, 40, 5)
+        readouts = readout_stack(params, stack)
+        norms = stack.norms()
+        assert len(stack) == 40
+        for k, (relu, quad, cone, g, norm) in enumerate(ref):
+            br = stack[k]
+            for got, want in zip(br.relu + br.quad + br.cone, relu + list(quad) + cone):
+                assert np.array_equal(got, want)
+            assert np.array_equal(readouts[k], g)
+            assert np.array_equal(readout(params, br), g)
+            assert norms[k] == norm and br.norm() == norm
+
+    def test_kink_counts_of_the_test_points(self):
+        params, x = STACK_POINTS["two-layer-kinks"]()
+        tr = forward(params, x)
+        box = branch_box(tr)
+        assert [int(np.sum(f)) for f in box.free] == [4, 3]
+        assert tr.u_norms[0] == 0.0
+        ub = upper_bounds(params, canonical(params, tr).relu)
+        assert ub[0][1] == 0.0 and box.free[0][1]
+        params, x = STACK_POINTS["zero-bound"]()
+        assert branch_box(forward(params, x)).free_coords == ((0, 0), (0, 1))
+
+    def test_free_coordinate_with_zero_bound_stays_zero(self):
+        params, x = STACK_POINTS["zero-bound"]()
+        stack = sample_optimal_branches(params, forward(params, x), n=20, seed=2)
+        assert np.all(stack.relu[0][:, 0] == 0.0)
+        assert np.all(stack.relu[0][:, 1] > 0.0)
+
+    def test_rows_are_views_of_the_stack(self, degenerate_model):
+        params, x0 = degenerate_model
+        stack = sample_optimal_branches(params, forward(params, x0), n=6, seed=3)
+        assert isinstance(stack, BranchStack)
+        row = stack[4]
+        assert isinstance(row, DualBranch)
+        assert np.shares_memory(row.relu[1], stack.relu[1])
+        assert np.array_equal(stack[-1].cone[0], stack.cone[0][5])
+        head = stack[:2]
+        assert isinstance(head, list) and len(head) == 2
+        joined = stack + [canonical(params, forward(params, x0))]
+        assert isinstance(joined, list) and len(joined) == 7
+        with pytest.raises(IndexError):
+            stack[6]
+
+    def test_stack_of_a_list_reads_out_each_branch(self, medium_model):
+        """Stacked readout of canonical branches at several points equals
+        the one-branch readouts bitwise on layers wider than a BLAS block."""
+        branches = [
+            canonical(medium_model, forward(medium_model, x))
+            for x in gaussian_points(23, 7, medium_model.input_dim)
+        ]
+        stack = BranchStack.of(medium_model, branches)
+        assert BranchStack.of(medium_model, stack) is stack
+        got = readout_stack(medium_model, branches)
+        assert got.shape == (7, medium_model.input_dim)
+        for row, br in zip(got, branches):
+            assert np.array_equal(row, readout(medium_model, br))
+        assert np.array_equal(stack.norms(), [br.norm() for br in branches])
+
+    def test_stack_check_names_the_first_non_optimal_row(self, degenerate_model):
+        params, x0 = degenerate_model
+        tr = forward(params, x0)
+        good = sample_optimal_branches(params, tr, n=5, seed=1)
+        relu = tuple(nu.copy() for nu in good.relu)
+        relu[1][3] = 0.0
+        relu[1][4] = 0.0
+        bad = BranchStack(relu=relu, quad=good.quad, cone=good.cone)
+        with pytest.raises(ConstructionError, match="branch 3 is not optimal"):
+            _check_optimal(params, tr, bad)

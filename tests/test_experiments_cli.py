@@ -1,14 +1,17 @@
 """Experiment drivers at reduced scale, and the command-line front end."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from socicnn import (
     DegenerateInputError,
+    DualBranch,
     build_degenerate_2d,
     canonical,
+    dual,
     experiments,
     forward,
     geometry,
@@ -132,6 +135,42 @@ class TestExp3:
         out = run_exp3(Exp3Config(directions=20, branches=30, probes=40))
         assert out.all_passed()
         assert len(calls) == 2
+
+    def test_default_run_stays_small(self):
+        """The 5000 sampled branches stay stacked and the violation maximum
+        is taken block by block, so no branches-by-directions array exists
+        (that array alone is 40 MB)."""
+        tracemalloc.start()
+        try:
+            out = run_exp3(Exp3Config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.all_passed()
+        assert peak < 20e6, peak
+
+    def test_reads_out_the_branches_in_one_stack(self, monkeypatch):
+        """Two single readouts (the canonical slope in the directional
+        derivative and for the probes) and one canonical norm; the sampled
+        branches go through ``readout_stack`` and ``BranchStack.norms``."""
+        counts = {"readout": 0, "readout_stack": 0, "norm": 0}
+        readout_fn, stack_fn, norm_fn = dual.readout, dual.readout_stack, DualBranch.norm
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(dual, "readout", counted("readout", readout_fn))
+        monkeypatch.setattr(dual, "readout_stack", counted("readout_stack", stack_fn))
+        monkeypatch.setattr(DualBranch, "norm", counted("norm", norm_fn))
+        out = run_exp3(Exp3Config())
+        assert out.all_passed()
+        assert counts["readout"] <= 2
+        assert counts["readout_stack"] == 1
+        assert counts["norm"] <= 1
 
     def test_probe_margin_matches_per_probe_forward(self, exp3_small):
         """The batched probe margin equals a per-probe ``forward`` loop that

@@ -9,6 +9,7 @@ from socicnn import (
     TooManyDegeneraciesError,
     canonical_gap_fraction,
     directional_derivative,
+    extreme_branches,
     fd_directional,
     fd_gradient,
     forward,
@@ -82,6 +83,23 @@ class TestSubdifferentialSample:
         mid = 0.5 * (sample[0] + sample[-1])
         for y in x0 + gaussian_points(16, 30, 2):
             assert forward(params, y).value >= f0 + mid @ (y - x0) - 1e-10
+
+
+    @pytest.mark.parametrize("where", ["smooth", "kink"])
+    def test_equals_per_branch_readouts(self, medium_model, degenerate_model, where):
+        """The stacked readout gives, row for row and bit for bit, the
+        readouts of the sampled branches followed by the extreme ones."""
+        if where == "smooth":
+            params, x = medium_model, gaussian_points(62, 1, medium_model.input_dim)[0]
+        else:
+            params, x = degenerate_model
+        sample = subdifferential_sample(params, x, n=15, seed=4, sphere_samples=6)
+        tr = forward(params, x)
+        branches = list(sample_optimal_branches(params, tr, n=15, seed=4))
+        branches += extreme_branches(params, tr, sphere_samples=6, seed=4)
+        assert sample.shape == (len(branches), params.input_dim)
+        for row, br in zip(sample, branches):
+            assert np.array_equal(row, readout(params, br))
 
 
 class TestDirectionalDerivative:

@@ -213,6 +213,26 @@ class TestOnRandomModel:
         assert annotated.gap_to_best >= 0.0
 
 
+class TestTraceReuse:
+    @pytest.mark.parametrize("solver", [whitebox_newton, whitebox_gd])
+    def test_one_forward_per_gradient_and_trial_point(self, medium_model, monkeypatch, solver):
+        """Each accepted point is traced once for its gradient, and the
+        Newton matrix reuses that trace; only the line search's trial points
+        add passes.  So a run makes ``2 + 2 iterations + backtracks``."""
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(1)
+            return forward(params, x)
+
+        monkeypatch.setattr(inference, "forward", counting_forward)
+        y = gaussian_points(104, 1, medium_model.input_dim)[0]
+        rep = solver(medium_model, y, InferenceConfig(beta=10.0))
+        assert rep.stop_reason == "grad-tol"
+        assert rep.iterations >= 2
+        assert len(calls) == 2 + 2 * rep.iterations + rep.backtracks
+
+
 class TestDiagnostics:
     def test_agreement_at_smooth_point(self, medium_model):
         x = gaussian_points(105, 1, medium_model.input_dim)[0]
