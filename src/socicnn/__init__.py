@@ -15,7 +15,6 @@ from .curvature import (
     quadratic_model_residual,
 )
 from .dual import (
-    BranchStack,
     DualBranch,
     ReluBranchBox,
     branch_box,
@@ -23,9 +22,7 @@ from .dual import (
     dual_value,
     extreme_branches,
     feasibility_violation,
-    masked_relu_multipliers,
     readout,
-    readout_stack,
     sample_optimal_branches,
     upper_bounds,
 )

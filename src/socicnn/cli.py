@@ -70,7 +70,7 @@ def _coerce(key: str, default, value):
     """``value`` from JSON as the type of the field default ``default``: a
     nested config from an object, a tuple from an array (each element typed
     like the default's first), a non-negative integer (or null where the
-    default is None), or a float from a number."""
+    default is None), or a float from a finite non-negative number."""
     if dataclasses.is_dataclass(default):
         if not isinstance(value, dict):
             raise CliError(f"{key} takes a JSON object, got {value!r}")
@@ -86,8 +86,9 @@ def _coerce(key: str, default, value):
             raise CliError(f"{key} takes a non-negative integer, got {value!r}")
         return value
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError(f"{key} takes a number, got {value!r}")
+        finite = isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max
+        if isinstance(value, bool) or not finite:
+            raise CliError(f"{key} takes a finite non-negative number, got {value!r}")
         return float(value)
     return value
 

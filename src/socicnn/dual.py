@@ -15,7 +15,6 @@ enumerating or sampling the rest.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,81 +39,39 @@ def _matvec(M, X):
     return (M @ X[:, :, None])[:, :, 0]
 
 
-def _norm(relu, quad, cone):
-    """Euclidean norm of the stacked multiplier vector, or of each row of a
-    stack, summed group by group in a fixed order."""
-    total = 0.0
-    for group in (relu, quad, cone):
-        for vec in group:
-            total = total + (vec[..., None, :] @ vec[..., :, None])[..., 0, 0]
-    return np.sqrt(total)
+def _dot(X, Y):
+    """``x @ y`` for 1-D operands, else row by row after broadcasting, each
+    row bitwise what the single-vector call gives."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def _per_branch(value):
+    """A float for one branch, the ``(n,)`` array for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True, eq=False)
 class DualBranch:
-    """One multiplier triple.
+    """One multiplier triple, or a stack of ``n`` of them.
 
     ``relu`` holds one nonnegative vector per layer, ``quad`` one vector per
-    quadratic module, ``cone`` one vector per conic module.
+    quadratic module, ``cone`` one vector per conic module.  A stack holds
+    an ``(n, width)`` array in each place instead, row ``k`` being branch
+    ``k``.  Every function here that takes a branch takes a stack as well
+    and gives one result per row, bitwise what that row alone gives.
     """
 
     relu: tuple
     quad: tuple
     cone: tuple
 
-    def norm(self) -> float:
-        """Euclidean norm of the stacked multiplier vector."""
-        return float(_norm(self.relu, self.quad, self.cone))
-
-
-@dataclass(frozen=True, eq=False)
-class BranchStack(Sequence):
-    """``n`` multiplier triples held as one ``(n, width)`` array per layer
-    and module, in the field layout of ``DualBranch``.
-
-    As a sequence it holds ``DualBranch`` row views: ``stack[k]`` shares
-    memory with the stacks, a slice is a list of row views, and ``+`` with
-    another sequence of branches gives a list.
-    """
-
-    relu: tuple
-    quad: tuple
-    cone: tuple
-
-    @classmethod
-    def of(cls, params: SocIcnnParams, branches) -> BranchStack:
-        """Stack a sequence of branches; a ``BranchStack`` comes back as is."""
-        if isinstance(branches, cls):
-            return branches
-        k = len(branches)
-
-        def stack(field, j, width):
-            return np.reshape([getattr(br, field)[j] for br in branches], (k, width))
-
-        return cls(
-            relu=tuple(stack("relu", l, w) for l, w in enumerate(params.widths)),
-            quad=tuple(stack("quad", h, B.shape[0]) for h, B in enumerate(params.B)),
-            cone=tuple(stack("cone", g, A.shape[0]) for g, A in enumerate(params.A)),
-        )
-
-    def __len__(self) -> int:
-        return self.relu[0].shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return DualBranch(
-            relu=tuple(a[k] for a in self.relu),
-            quad=tuple(a[k] for a in self.quad),
-            cone=tuple(a[k] for a in self.cone),
-        )
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
-
-    def norms(self) -> np.ndarray:
-        """Per-row ``DualBranch.norm``, bitwise, as one ``(n,)`` array."""
-        return _norm(self.relu, self.quad, self.cone)
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm of the stacked multiplier vector, summed group by
+        group in a fixed order; an ``(n,)`` array for a stack."""
+        total = 0.0
+        for vec in self.relu + self.quad + self.cone:
+            total = total + _dot(vec, vec)
+        return _per_branch(np.sqrt(total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +104,14 @@ def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
     """Box upper bounds per layer implied by the multipliers one layer up.
 
     The last layer is bounded by ``c``; layer ``l`` is bounded by
-    ``U[l+1].T @ relu[l+1]``.  Nonnegativity of ``U`` and ``c`` keeps every
-    bound nonnegative.
+    ``U[l+1].T @ relu[l+1]``, row by row for a stack.  Nonnegativity of
+    ``U`` and ``c`` keeps every bound nonnegative.
     """
     L = params.n_layers
     ub = [None] * L
     ub[L - 1] = params.c
     for l in range(L - 2, -1, -1):
-        ub[l] = params.U[l + 1].T @ relu[l + 1]
+        ub[l] = _matvec(params.U[l + 1].T, relu[l + 1])
     return ub
 
 
@@ -186,16 +143,6 @@ def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple
         if l > 0:
             bound = _matvec(params.U[l].T, nu)
     return tuple(relu)
-
-
-def masked_relu_multipliers(params: SocIcnnParams, masks) -> tuple:
-    """Backward recursion pinning each coordinate to its bound or to zero.
-
-    ``masks[l]`` is boolean per coordinate; True takes the upper bound,
-    False takes zero.  This is the closed form of the optimal multipliers
-    for a frozen activation pattern.
-    """
-    return _box_recursion(params, masks)
 
 
 def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
@@ -231,42 +178,39 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ``alpha_h * q_h``; conic multipliers point along the residual with
     length ``lam_g``, or vanish at the cone tip.
     """
-    masks = tuple(a > tol for a in trace.a)
-    relu = masked_relu_multipliers(params, masks)
+    relu = _box_recursion(params, tuple(a > tol for a in trace.a))
     quad, cone = _smooth_multipliers(params, trace, tol)
     cone = tuple(np.zeros_like(ug) if r is None else r for r, ug in zip(cone, trace.u))
     return DualBranch(relu=relu, quad=quad, cone=cone)
 
 
-def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float:
+def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | np.ndarray:
     """Largest constraint violation of the branch; nonpositive means feasible.
 
     Covers the box constraints on every ReLU layer and the ball constraints
-    on every conic module.  Quadratic multipliers are unconstrained.
+    on every conic module.  Quadratic multipliers are unconstrained.  A
+    stack gives each row's violation as an ``(n,)`` array.
     """
-    worst = -np.inf
-    ub = upper_bounds(params, branch.relu)
-    for nu, bound in zip(branch.relu, ub):
-        if nu.size:
-            worst = max(worst, float(np.max(-nu)), float(np.max(nu - bound)))
+    worst = np.full(np.shape(branch.relu[0])[:-1], -np.inf)
+    for nu, bound in zip(branch.relu, upper_bounds(params, branch.relu)):
+        if nu.shape[-1]:
+            worst = np.maximum(worst, np.max(-nu, axis=-1))
+            worst = np.maximum(worst, np.max(nu - bound, axis=-1))
     for lg, r in zip(params.lam, branch.cone):
-        worst = max(worst, float(np.linalg.norm(r)) - lg)
-    if worst == -np.inf:
-        worst = 0.0
-    return worst
+        worst = np.maximum(worst, np.sqrt(_dot(r, r)) - lg)
+    return _per_branch(np.where(worst == -np.inf, 0.0, worst))
 
 
-def _minorant_values(params: SocIcnnParams, x, stack: BranchStack) -> np.ndarray:
-    """Values at ``x`` of the affine minorants of a stack of branches, with
-    one product per layer and module."""
+def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
+    """Value at ``x`` of the branch's affine minorant, or of every row's."""
     x = np.asarray(x, dtype=np.float64)
-    total = np.full(len(stack), float(params.v @ x) + params.b0)
-    for NU, W, b in zip(stack.relu, params.W, params.b):
-        total += NU @ (W @ x + b)
-    for P, al, B, e in zip(stack.quad, params.alpha, params.B, params.e):
-        total += P @ (B @ x + e) - np.einsum("ij,ij->i", P, P) / (2.0 * al)
-    for R, A, d in zip(stack.cone, params.A, params.d):
-        total += R @ (A @ x + d)
+    total = float(params.v @ x) + params.b0
+    for nu, W, b in zip(branch.relu, params.W, params.b):
+        total = total + _dot(nu, W @ x + b)
+    for p, al, B, e in zip(branch.quad, params.alpha, params.B, params.e):
+        total = total + (_dot(p, B @ x + e) - _dot(p, p) / (2.0 * al))
+    for r, A, d in zip(branch.cone, params.A, params.d):
+        total = total + _dot(r, A @ x + d)
     return total
 
 
@@ -276,48 +220,42 @@ def dual_value(
     branch: DualBranch,
     check_feasible: bool = True,
     feas_tol: float = 1e-9,
-) -> float:
-    """Value of the affine minorant indexed by ``branch`` at the point ``x``.
+) -> float | np.ndarray:
+    """Value of the affine minorant indexed by ``branch`` at the point ``x``,
+    or of each row's as an ``(n,)`` array for a stack.
 
     For any feasible branch this lower-bounds the model value everywhere,
-    with equality exactly on the optimal set of ``x``.
+    with equality exactly on the optimal set of ``x``.  The feasibility
+    check names the first infeasible row of a stack.
     """
     if check_feasible:
-        viol = feasibility_violation(params, branch)
-        if viol > feas_tol:
-            raise InfeasibleBranchError(f"branch violates constraints by {viol:.3e}")
-    return float(_minorant_values(params, x, BranchStack.of(params, [branch]))[0])
-
-
-def _readout(params: SocIcnnParams, relu, quad, cone) -> np.ndarray:
-    g = params.v
-    for M, vec in zip(params.W + params.B + params.A, relu + quad + cone):
-        g = g + _matvec(M.T, vec)
-    return g
+        viol = np.reshape(feasibility_violation(params, branch), -1)
+        bad = np.flatnonzero(viol > feas_tol)
+        if bad.size:
+            k = bad[0]
+            raise InfeasibleBranchError(f"branch {k} violates constraints by {viol[k]:.3e}")
+    return _per_branch(_minorant_values(params, x, branch))
 
 
 def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     """Input slope of the branch's affine minorant.
 
     ``v + sum_l W_l.T nu_l + sum_h B_h.T p_h + sum_g A_g.T r_g``; on the
-    optimal set this enumerates exactly the subgradients of the model.
+    optimal set this enumerates exactly the subgradients of the model.  A
+    stack gives an ``(n, d)`` array whose row ``k`` is bitwise the readout
+    of branch ``k``.
     """
-    return _readout(params, branch.relu, branch.quad, branch.cone)
+    g = params.v
+    for M, vec in zip(params.W + params.B + params.A, branch.relu + branch.quad + branch.cone):
+        g = g + _matvec(M.T, vec)
+    return g
 
 
-def readout_stack(params: SocIcnnParams, branches) -> np.ndarray:
-    """Readouts of a ``BranchStack`` (or a sequence of branches) as the rows
-    of an ``(n, d)`` array, ``v + sum_l NU_l @ W_l + sum_h P_h @ B_h +
-    sum_g R_g @ A_g``; row ``k`` is bitwise ``readout`` of branch ``k``."""
-    stack = BranchStack.of(params, branches)
-    return _readout(params, stack.relu, stack.quad, stack.cone)
-
-
-def _check_optimal(params, trace, branches):
-    """Return ``branches`` (a ``BranchStack`` or a list) once every one
-    attains the model value at the trace point; raise ``ConstructionError``
-    naming the first that does not."""
-    values = _minorant_values(params, trace.x, BranchStack.of(params, branches))
+def _check_optimal(params, trace, branch: DualBranch) -> DualBranch:
+    """Return ``branch`` (one or a stack) once every row attains the model
+    value at the trace point; raise ``ConstructionError`` naming the first
+    row that does not."""
+    values = np.reshape(_minorant_values(params, trace.x, branch), -1)
     bad = np.flatnonzero(np.abs(values - trace.value) > 1e-10 * (1.0 + abs(trace.value)))
     if bad.size:
         k = bad[0]
@@ -325,7 +263,7 @@ def _check_optimal(params, trace, branches):
             f"constructed branch {k} is not optimal: minorant {values[k]!r} "
             f"vs value {trace.value!r}"
         )
-    return branches
+    return branch
 
 
 def _ball_point(rng, radius: float, dim: int) -> np.ndarray:
@@ -341,7 +279,7 @@ def sample_optimal_branches(
     tol: float = DEFAULT_TAU,
     n: int = 1,
     seed: int = 0,
-) -> BranchStack:
+) -> DualBranch:
     """Draw ``n`` optimal branches at this trace, canonical included as a case.
 
     Free interval coordinates are resampled uniformly on ``[0, bound]``
@@ -352,9 +290,9 @@ def sample_optimal_branches(
     branch on its own: ``rng.random(n_free)`` for the free coordinates (top
     layer first, ``bound * u`` equals ``rng.uniform(0, bound)`` bitwise),
     then the ball draws of each cone tip.  The draws of all branches then go
-    through one stacked box recursion.  The result is a ``BranchStack``
-    whose items are ``DualBranch`` row views; every branch is verified to
-    attain the model value at the trace point.
+    through one stacked box recursion.  The result is a stacked
+    ``DualBranch``; every row is verified to attain the model value at the
+    trace point.
     """
     box = branch_box(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
@@ -369,7 +307,7 @@ def sample_optimal_branches(
         draws[k] = rng.random(draws.shape[1])
         for rows, lg in tips:
             rows[k] = _ball_point(rng, lg, rows.shape[1])
-    stack = BranchStack(
+    stack = DualBranch(
         relu=_box_recursion(params, box.upper, box.free, draws),
         quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
         cone=cone,
@@ -419,30 +357,34 @@ def extreme_branches(
     tol: float = DEFAULT_TAU,
     sphere_samples: int = 64,
     seed: int = 0,
-) -> list:
-    """Extreme points of the optimal set, up to sphere discretization.
+) -> DualBranch:
+    """Extreme points of the optimal set, up to sphere discretization, as a
+    stacked ``DualBranch``.
 
     ReLU corners are enumerated exactly.  Each cone-tip module contributes
     multipliers of full length ``lam_g`` along a direction spread
     (``sphere_samples`` of them, exact in one and two dimensions up to the
-    fan density).  With no degeneracy the result is the single canonical
-    branch.
+    fan density).  Rows run corner-major, then over the ``itertools.product``
+    of the tip directions.  With no degeneracy the result is the canonical
+    branch as a one-row stack.
     """
     box = branch_box(trace, tol)
-    tip_modules = [g for g, un in enumerate(trace.u_norms) if un <= tol]
-    if not box.free_coords and not tip_modules:
-        return [canonical(params, trace, tol)]
     rng = np.random.default_rng(seed)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    tip_choices = []
-    for g in tip_modules:
-        dirs = _sphere_directions(params.A[g].shape[0], sphere_samples, rng)
-        tip_choices.append([params.lam[g] * u for u in dirs])
-    corners = list(relu_corner_assignments(params, box))
-    out = []
-    for relu in corners:
+    tip_modules = [g for g, r in enumerate(smooth_cone) if r is None]
+    tip_choices = [
+        [params.lam[g] * u for u in _sphere_directions(params.A[g].shape[0], sphere_samples, rng)]
+        for g in tip_modules
+    ]
+    relu_rows, cone_rows = [], []
+    for relu in relu_corner_assignments(params, box):
         for combo in itertools.product(*tip_choices):
             pick = dict(zip(tip_modules, combo))
-            cone = tuple(pick.get(g, r) for g, r in enumerate(smooth_cone))
-            out.append(DualBranch(relu=relu, quad=quad, cone=cone))
-    return _check_optimal(params, trace, out)
+            relu_rows.append(relu)
+            cone_rows.append(tuple(pick.get(g, r) for g, r in enumerate(smooth_cone)))
+    stack = DualBranch(
+        relu=tuple(np.array(rows) for rows in zip(*relu_rows)),
+        quad=tuple(np.broadcast_to(p, (len(relu_rows), p.shape[0])) for p in quad),
+        cone=tuple(np.array(rows) for rows in zip(*cone_rows)),
+    )
+    return _check_optimal(params, trace, stack)

@@ -71,11 +71,13 @@ def _unit_rows(rng, n, dim):
     return rows / norms[:, None]
 
 
-def _require_counts(cfg, *names) -> None:
-    """Reject a config whose named count fields are below one."""
+def _require_positive(cfg, *names) -> None:
+    """Reject a config whose named fields (counts, steps, or a nonempty
+    tuple of steps) are not all above zero."""
     for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+        values = np.atleast_1d(getattr(cfg, name))
+        if values.size == 0 or not np.all(values > 0):
+            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
 
 
 def _random_model(cfg) -> SocIcnnParams:
@@ -97,6 +99,9 @@ class Exp1Config:
     cone_dims: tuple = (20, 20)
     tol: float = DEFAULT_TAU
     fd_step: float = 1e-6
+
+    def __post_init__(self):
+        _require_positive(self, "fd_step")
 
 
 def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
@@ -174,7 +179,7 @@ class Exp2Config:
     max_draws: int = 100000
 
     def __post_init__(self):
-        _require_counts(self, "points", "trials")
+        _require_positive(self, "points", "trials", "radii", "fd_grad_step", "fd_hess_step")
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
@@ -192,7 +197,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     points = []
     anchor = None
     draws = 0
-    while len(points) < cfg.points and draws < cfg.max_draws:
+    while (len(points) < cfg.points or anchor is None) and draws < cfg.max_draws:
         x = rng.standard_normal(cfg.input_dim)
         draws += 1
         trace = forward(params, x)
@@ -207,6 +212,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
             anchor = x
     if len(points) < cfg.points or anchor is None:
         raise ConstructionError("could not collect enough margin-gated points")
+    points = points[:cfg.points]
 
     def grad_field(Z):
         return np.array(
@@ -296,7 +302,7 @@ class Exp3Config:
     degeneracy: DegeneracySpec = field(default_factory=DegeneracySpec)
 
     def __post_init__(self):
-        _require_counts(self, "directions", "branches", "probes")
+        _require_positive(self, "directions", "branches", "probes", "fd_step")
 
 
 def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
@@ -318,7 +324,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
         params, trace0, cfg.tol, n=cfg.branches, seed=cfg.seed + 3
     )
     canon = dual.canonical(params, trace0, cfg.tol)
-    readouts = dual.readout_stack(params, branches)
+    readouts = dual.readout(params, branches)
     # max_ij (r_i . d_j - dual_max_j) is max_j (max_i r_i . d_j - dual_max_j)
     # bitwise; chunks of branches keep the product small.
     col_max = np.full(cfg.directions, -np.inf)
@@ -326,7 +332,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
         chunk = readouts[start:start + EXP3_CHUNK] @ dirs.T
         np.maximum(col_max, np.max(chunk, axis=0), out=col_max)
     violation = float(np.max(col_max - dual_maxima))
-    min_norm_gap = float(np.min(branches.norms()) - canon.norm())
+    min_norm_gap = float(np.min(branches.norm()) - canon.norm())
     rng_probes = np.random.default_rng([cfg.seed, 2])
     g_can = dual.readout(params, canon)
     ydeltas = rng_probes.standard_normal((cfg.probes, params.input_dim))
@@ -392,7 +398,7 @@ class Exp4Config:
     solver: inference.InferenceConfig = field(default_factory=inference.InferenceConfig)
 
     def __post_init__(self):
-        _require_counts(self, "queries")
+        _require_positive(self, "queries")
 
 
 METHOD_ORDER = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")

@@ -62,7 +62,7 @@ def subdifferential_sample(
     trace = forward(params, x)
     sampled = dual.sample_optimal_branches(params, trace, tol, n=n, seed=seed)
     extreme = dual.extreme_branches(params, trace, tol, sphere_samples=sphere_samples, seed=seed)
-    return np.vstack([dual.readout_stack(params, sampled), dual.readout_stack(params, extreme)])
+    return np.vstack([dual.readout(params, sampled), dual.readout(params, extreme)])
 
 
 def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.ndarray:

@@ -61,6 +61,8 @@ class InferenceConfig:
             raise ValueError("armijo must lie in (0, 1)")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be nonnegative")
+        if not (self.fd_grad_step > 0 and self.fd_hess_step > 0):
+            raise ValueError("fd_grad_step and fd_hess_step must be positive")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from socicnn import ArchSpec, SocIcnnParams, build_degenerate_2d, build_random
+from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
 
 
 def inert_backbone(input_dim):
@@ -75,3 +75,20 @@ def medium_model():
 def gaussian_points(seed, n, dim, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((n, dim))
+
+
+def branch_row(stack, k):
+    """Row ``k`` of a stacked ``DualBranch`` as a one-branch ``DualBranch``."""
+    groups = (stack.relu, stack.quad, stack.cone)
+    return DualBranch(*(tuple(a[k] for a in group) for group in groups))
+
+
+def stack_branches(branches):
+    """One stacked ``DualBranch`` holding the rows of every given branch or
+    stack, in order."""
+
+    def join(field):
+        groups = zip(*(getattr(br, field) for br in branches))
+        return tuple(np.concatenate([np.atleast_2d(a) for a in arrays]) for arrays in groups)
+
+    return DualBranch(join("relu"), join("quad"), join("cone"))

@@ -35,6 +35,8 @@ from socicnn.experiments import (
     run_exp4,
 )
 
+from conftest import branch_row, stack_branches
+
 
 def timed(runner, cfg):
     start = time.perf_counter()
@@ -249,26 +251,31 @@ def test_criterion_10_property_suite():
     params, x0 = build_degenerate_2d()
     trace0 = forward(params, x0)
     f0 = trace0.value
-    emitted = sample_optimal_branches(params, trace0, n=64, seed=0)
-    emitted += extreme_branches(params, trace0, sphere_samples=64, seed=0)
+    emitted = stack_branches(
+        [
+            sample_optimal_branches(params, trace0, n=64, seed=0),
+            extreme_branches(params, trace0, sphere_samples=64, seed=0),
+        ]
+    )
+    n_emitted = emitted.relu[0].shape[0]
+    assert n_emitted == 64 + 2 * 64
     probe_rng = np.random.default_rng(10)
     min_margin = np.inf
-    for br in emitted:
-        probes = x0 + probe_rng.standard_normal((100, 2))
-        for y in probes:
+    for k in range(n_emitted):
+        br = branch_row(emitted, k)
+        for y in x0 + probe_rng.standard_normal((100, 2)):
             margin = forward(params, y).value - dual_value(params, y, br)
             min_margin = min(min_margin, margin)
     assert min_margin >= -1e-10, min_margin
 
-    mix_worst = 0.0
     pair_rng = np.random.default_rng(11)
-    for _ in range(50):
-        i, j = pair_rng.integers(0, len(emitted), size=2)
-        mixed = DualBranch(
-            relu=emitted[i].relu, quad=emitted[i].quad, cone=emitted[j].cone
-        )
-        err = abs(dual_value(params, x0, mixed) - f0) / (1 + abs(f0))
-        mix_worst = max(mix_worst, err)
+    i, j = np.array([pair_rng.integers(0, n_emitted, size=2) for _ in range(50)]).T
+    mixed = DualBranch(
+        relu=tuple(nu[i] for nu in emitted.relu),
+        quad=tuple(p[i] for p in emitted.quad),
+        cone=tuple(r[j] for r in emitted.cone),
+    )
+    mix_worst = float(np.max(np.abs(dual_value(params, x0, mixed) - f0) / (1 + abs(f0))))
     assert mix_worst <= 1e-10, mix_worst
 
     tight_worst = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from socicnn import (
-    BranchStack,
     ConstructionError,
     DegeneracySpec,
     DualBranch,
@@ -18,15 +17,19 @@ from socicnn import (
     extreme_branches,
     feasibility_violation,
     forward,
-    masked_relu_multipliers,
     readout,
-    readout_stack,
     sample_optimal_branches,
     upper_bounds,
 )
 from socicnn.dual import _check_optimal, relu_corner_assignments
 
-from conftest import cone_only_params, gaussian_points, quad_only_params
+from conftest import (
+    branch_row,
+    cone_only_params,
+    gaussian_points,
+    quad_only_params,
+    stack_branches,
+)
 
 
 def single_layer_params(b_value):
@@ -137,8 +140,7 @@ class TestDualValue:
         branches = sample_optimal_branches(params, tr, n=20, seed=4)
         for y in x0 + gaussian_points(5, 25, 2):
             fy = forward(params, y).value
-            for br in branches:
-                assert dual_value(params, y, br) <= fy + 1e-10
+            assert np.all(dual_value(params, y, branches) <= fy + 1e-10)
 
     def test_infeasible_relu_branch_rejected(self):
         params = single_layer_params(5.0)
@@ -184,8 +186,9 @@ class TestFeasibility:
     def test_sampled_branches_feasible(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        for br in sample_optimal_branches(params, tr, n=50, seed=0):
-            assert feasibility_violation(params, br) <= 1e-12
+        viol = feasibility_violation(params, sample_optimal_branches(params, tr, n=50, seed=0))
+        assert viol.shape == (50,)
+        assert np.all(viol <= 1e-12)
 
 
 class TestBranchBox:
@@ -229,55 +232,57 @@ class TestSampling:
         x = gaussian_points(30, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
         base = canonical(medium_model, tr)
-        for br in sample_optimal_branches(medium_model, tr, n=6, seed=9):
-            for a, b in zip(br.relu, base.relu):
-                assert np.array_equal(a, b)
-            for a, b in zip(br.cone, base.cone):
-                assert np.array_equal(a, b)
+        stack = sample_optimal_branches(medium_model, tr, n=6, seed=9)
+        for a, b in zip(stack.relu + stack.cone, base.relu + base.cone):
+            assert a.shape == (6, b.shape[0])
+            assert np.array_equal(a, np.broadcast_to(b, a.shape))
 
     def test_samples_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        for br in sample_optimal_branches(params, tr, n=100, seed=1):
-            psi = dual_value(params, x0, br)
-            assert abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value))
+        psi = dual_value(params, x0, sample_optimal_branches(params, tr, n=100, seed=1))
+        assert psi.shape == (100,)
+        assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
 
     def test_canonical_is_strictly_shortest(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
         base_norm = canonical(params, tr).norm()
-        for br in sample_optimal_branches(params, tr, n=100, seed=2):
-            assert br.norm() > base_norm
+        norms = sample_optimal_branches(params, tr, n=100, seed=2).norm()
+        assert norms.shape == (100,)
+        assert np.all(norms > base_norm)
 
     def test_prefix_reproducibility(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
         first = sample_optimal_branches(params, tr, n=4, seed=11)
         longer = sample_optimal_branches(params, tr, n=9, seed=11)
-        for a, b in zip(first, longer):
-            assert a.norm() == b.norm()
-            assert np.array_equal(a.relu[1], b.relu[1])
-            assert np.array_equal(a.cone[0], b.cone[0])
+        assert np.array_equal(first.norm(), longer.norm()[:4])
+        assert np.array_equal(first.relu[1], longer.relu[1][:4])
+        assert np.array_equal(first.cone[0], longer.cone[0][:4])
 
     def test_sampled_readouts_are_subgradients(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        gs = [readout(params, br) for br in sample_optimal_branches(params, tr, n=30, seed=3)]
-        probes = x0 + gaussian_points(14, 40, 2)
-        for g in gs:
-            for y in probes:
-                assert forward(params, y).value >= tr.value + g @ (y - x0) - 1e-10
+        gs = readout(params, sample_optimal_branches(params, tr, n=30, seed=3))
+        assert gs.shape == (30, 2)
+        for y in x0 + gaussian_points(14, 40, 2):
+            assert np.all(forward(params, y).value >= tr.value + gs @ (y - x0) - 1e-10)
 
 
 class TestCornersAndExtremes:
     def test_nondegenerate_single_extreme(self, medium_model):
+        """With no degeneracy the extremes are the canonical branch, bitwise,
+        as a one-row stack."""
         x = gaussian_points(40, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
         branches = extreme_branches(medium_model, tr)
-        assert len(branches) == 1
         base = canonical(medium_model, tr)
-        for a, b in zip(branches[0].relu, base.relu):
-            assert np.array_equal(a, b)
+        for a, b in zip(
+            branches.relu + branches.quad + branches.cone, base.relu + base.quad + base.cone
+        ):
+            assert a.shape == (1, b.shape[0])
+            assert np.array_equal(a[0], b)
 
     def test_corner_and_sphere_counts(self, degenerate_model):
         """One interval coordinate and one 2D tip module with an 8-point fan
@@ -285,26 +290,26 @@ class TestCornersAndExtremes:
         params, x0 = degenerate_model
         tr = forward(params, x0)
         branches = extreme_branches(params, tr, sphere_samples=8)
-        assert len(branches) == 16
-        free_vals = sorted({float(br.relu[1][0]) for br in branches})
+        assert branches.relu[1].shape[0] == 16
+        free_vals = sorted(set(branches.relu[1][:, 0]))
         assert free_vals[0] == 0.0 and free_vals[1] > 0.0
-        for br in branches:
-            assert np.linalg.norm(br.cone[0]) == pytest.approx(params.lam[0], rel=1e-12)
+        cone_norms = np.linalg.norm(branches.cone[0], axis=1)
+        assert cone_norms == pytest.approx(np.full(16, params.lam[0]), rel=1e-12)
 
     def test_extremes_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        for br in extreme_branches(params, tr, sphere_samples=16):
-            psi = dual_value(params, x0, br)
-            assert abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value))
+        psi = dual_value(params, x0, extreme_branches(params, tr, sphere_samples=16))
+        assert psi.shape == (32,)
+        assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
 
     def test_absolute_value_corners(self):
         """relu(x) + relu(-x) at 0 has corner readouts {-1, 0, 0, 1}."""
         params = zero_preact_pair()
         tr = forward(params, [0.0])
-        branches = extreme_branches(params, tr)
-        assert len(branches) == 4
-        outs = sorted(float(readout(params, br)[0]) for br in branches)
+        outs = readout(params, extreme_branches(params, tr))
+        assert outs.shape == (4, 1)
+        outs = sorted(outs[:, 0])
         assert outs == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=0)
 
     def test_corner_enumeration_guard(self):
@@ -331,24 +336,15 @@ class TestMixing:
         params, x0 = degenerate_model
         tr = forward(params, x0)
         branches = sample_optimal_branches(params, tr, n=12, seed=6)
-        for i in range(0, 12, 3):
-            for j in range(1, 12, 4):
-                mixed = DualBranch(
-                    relu=branches[i].relu,
-                    quad=branches[i].quad,
-                    cone=branches[j].cone,
-                )
-                psi = dual_value(params, x0, mixed)
-                assert abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value))
-
-    def test_masked_multipliers_reproduce_canonical(self, medium_model):
-        x = gaussian_points(50, 1, medium_model.input_dim)[0]
-        tr = forward(medium_model, x)
-        masks = tuple(a > 1e-9 for a in tr.a)
-        relu = masked_relu_multipliers(medium_model, masks)
-        base = canonical(medium_model, tr)
-        for a, b in zip(relu, base.relu):
-            assert np.array_equal(a, b)
+        i, j = (a.ravel() for a in np.meshgrid(range(0, 12, 3), range(1, 12, 4)))
+        mixed = DualBranch(
+            relu=tuple(nu[i] for nu in branches.relu),
+            quad=tuple(p[i] for p in branches.quad),
+            cone=tuple(r[j] for r in branches.cone),
+        )
+        psi = dual_value(params, x0, mixed)
+        assert psi.shape == (12,)
+        assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
 
     def test_upper_bounds_chain(self, medium_model):
         """The last bound is the readout weight; earlier bounds flow through
@@ -369,12 +365,12 @@ class TestMixing:
         zero_relu = tuple(np.zeros_like(nu) for nu in base.relu)
         off = DualBranch(relu=zero_relu, quad=base.quad, cone=base.cone)
         with pytest.raises(ConstructionError, match="not optimal") as info:
-            _check_optimal(params, tr, [off])
+            _check_optimal(params, tr, off)
         assert isinstance(info.value, RuntimeError)
 
     def test_check_names_the_first_non_optimal_branch(self, degenerate_model):
-        """One stacked check covers a whole list and names its first bad
-        entry; an all-optimal list comes back unchanged."""
+        """One stacked check covers every row and names the first bad one;
+        an all-optimal stack comes back unchanged."""
         params, x0 = degenerate_model
         tr = forward(params, x0)
         good = sample_optimal_branches(params, tr, n=3, seed=1)
@@ -384,7 +380,13 @@ class TestMixing:
             relu=tuple(np.zeros_like(nu) for nu in base.relu), quad=base.quad, cone=base.cone
         )
         with pytest.raises(ConstructionError, match="branch 2 is not optimal"):
-            _check_optimal(params, tr, good[:2] + [off, good[2], off])
+            _check_optimal(
+                params,
+                tr,
+                stack_branches(
+                    [branch_row(good, 0), branch_row(good, 1), off, branch_row(good, 2), off]
+                ),
+            )
 
 
 def two_layer_kinks():
@@ -486,21 +488,38 @@ class TestStackedSampler:
     @pytest.mark.parametrize("name", sorted(STACK_POINTS))
     def test_matches_per_branch_loop_bitwise(self, name):
         """Multipliers, readouts and norms of the stacked sampler equal a
-        one-branch-at-a-time loop on the same generators, bit for bit."""
+        one-branch-at-a-time loop on the same generators, bit for bit, and
+        every stacked call equals the one-branch call on each row."""
         params, x = STACK_POINTS[name]()
         tr = forward(params, x)
         stack = sample_optimal_branches(params, tr, n=40, seed=5)
         ref = reference_samples(params, tr, 40, 5)
-        readouts = readout_stack(params, stack)
-        norms = stack.norms()
-        assert len(stack) == 40
+        y = x + 0.5
+        readouts = readout(params, stack)
+        norms = stack.norm()
+        values = dual_value(params, y, stack)
+        viols = feasibility_violation(params, stack)
+        assert readouts.shape == (40, params.input_dim)
+        assert norms.shape == values.shape == viols.shape == (40,)
         for k, (relu, quad, cone, g, norm) in enumerate(ref):
-            br = stack[k]
+            br = branch_row(stack, k)
             for got, want in zip(br.relu + br.quad + br.cone, relu + list(quad) + cone):
                 assert np.array_equal(got, want)
             assert np.array_equal(readouts[k], g)
             assert np.array_equal(readout(params, br), g)
             assert norms[k] == norm and br.norm() == norm
+            assert values[k] == dual_value(params, y, br)
+            assert viols[k] == feasibility_violation(params, br)
+
+    def test_dual_value_names_the_first_infeasible_row(self, degenerate_model):
+        params, x0 = degenerate_model
+        good = sample_optimal_branches(params, forward(params, x0), n=5, seed=1)
+        relu = tuple(nu.copy() for nu in good.relu)
+        relu[1][3] = -0.5
+        bad = DualBranch(relu=relu, quad=good.quad, cone=good.cone)
+        assert np.flatnonzero(feasibility_violation(params, bad) > 0.0).tolist() == [3]
+        with pytest.raises(InfeasibleBranchError, match="branch 3 violates"):
+            dual_value(params, x0, bad)
 
     def test_kink_counts_of_the_test_points(self):
         params, x = STACK_POINTS["two-layer-kinks"]()
@@ -519,21 +538,6 @@ class TestStackedSampler:
         assert np.all(stack.relu[0][:, 0] == 0.0)
         assert np.all(stack.relu[0][:, 1] > 0.0)
 
-    def test_rows_are_views_of_the_stack(self, degenerate_model):
-        params, x0 = degenerate_model
-        stack = sample_optimal_branches(params, forward(params, x0), n=6, seed=3)
-        assert isinstance(stack, BranchStack)
-        row = stack[4]
-        assert isinstance(row, DualBranch)
-        assert np.shares_memory(row.relu[1], stack.relu[1])
-        assert np.array_equal(stack[-1].cone[0], stack.cone[0][5])
-        head = stack[:2]
-        assert isinstance(head, list) and len(head) == 2
-        joined = stack + [canonical(params, forward(params, x0))]
-        assert isinstance(joined, list) and len(joined) == 7
-        with pytest.raises(IndexError):
-            stack[6]
-
     def test_stack_of_a_list_reads_out_each_branch(self, medium_model):
         """Stacked readout of canonical branches at several points equals
         the one-branch readouts bitwise on layers wider than a BLAS block."""
@@ -541,13 +545,12 @@ class TestStackedSampler:
             canonical(medium_model, forward(medium_model, x))
             for x in gaussian_points(23, 7, medium_model.input_dim)
         ]
-        stack = BranchStack.of(medium_model, branches)
-        assert BranchStack.of(medium_model, stack) is stack
-        got = readout_stack(medium_model, branches)
+        stack = stack_branches(branches)
+        got = readout(medium_model, stack)
         assert got.shape == (7, medium_model.input_dim)
         for row, br in zip(got, branches):
             assert np.array_equal(row, readout(medium_model, br))
-        assert np.array_equal(stack.norms(), [br.norm() for br in branches])
+        assert np.array_equal(stack.norm(), [br.norm() for br in branches])
 
     def test_stack_check_names_the_first_non_optimal_row(self, degenerate_model):
         params, x0 = degenerate_model
@@ -556,6 +559,6 @@ class TestStackedSampler:
         relu = tuple(nu.copy() for nu in good.relu)
         relu[1][3] = 0.0
         relu[1][4] = 0.0
-        bad = BranchStack(relu=relu, quad=good.quad, cone=good.cone)
+        bad = DualBranch(relu=relu, quad=good.quad, cone=good.cone)
         with pytest.raises(ConstructionError, match="branch 3 is not optimal"):
             _check_optimal(params, tr, bad)

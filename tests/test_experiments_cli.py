@@ -95,6 +95,15 @@ class TestExp2:
         resid = [row[2] for row in exp2_small.tables[1].rows]
         assert resid[0] < resid[1] < resid[2]
 
+    def test_keeps_drawing_until_the_anchor_is_found(self, capsys):
+        """At seed 0 the anchor is the third margin-gated point, so one
+        point is not enough to stop the search; the table keeps one point."""
+        assert main(["exp2", "--points", "1", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("[derivative_check]")
+        assert lines[header + 1].startswith("points,")
+        assert lines[header + 2].startswith("1,")
+
 
 @pytest.fixture(scope="module")
 def exp3_small():
@@ -152,25 +161,27 @@ class TestExp3:
     def test_reads_out_the_branches_in_one_stack(self, monkeypatch):
         """Two single readouts (the canonical slope in the directional
         derivative and for the probes) and one canonical norm; the sampled
-        branches go through ``readout_stack`` and ``BranchStack.norms``."""
-        counts = {"readout": 0, "readout_stack": 0, "norm": 0}
-        readout_fn, stack_fn, norm_fn = dual.readout, dual.readout_stack, DualBranch.norm
+        branches go through one stacked ``readout`` and one stacked
+        ``norm``."""
+        counts = {"readout": 0, "stack readout": 0, "norm": 0, "stack norm": 0}
+        readout_fn, norm_fn = dual.readout, DualBranch.norm
 
-        def counted(key, fn):
+        def counted(name, fn, branch_arg):
             def wrapper(*args):
-                counts[key] += 1
+                stacked = np.ndim(args[branch_arg].relu[0]) == 2
+                counts[f"stack {name}" if stacked else name] += 1
                 return fn(*args)
 
             return wrapper
 
-        monkeypatch.setattr(dual, "readout", counted("readout", readout_fn))
-        monkeypatch.setattr(dual, "readout_stack", counted("readout_stack", stack_fn))
-        monkeypatch.setattr(DualBranch, "norm", counted("norm", norm_fn))
+        monkeypatch.setattr(dual, "readout", counted("readout", readout_fn, 1))
+        monkeypatch.setattr(DualBranch, "norm", counted("norm", norm_fn, 0))
         out = run_exp3(Exp3Config())
         assert out.all_passed()
         assert counts["readout"] <= 2
-        assert counts["readout_stack"] == 1
+        assert counts["stack readout"] == 1
         assert counts["norm"] <= 1
+        assert counts["stack norm"] == 1
 
     def test_probe_margin_matches_per_probe_forward(self, exp3_small):
         """The batched probe margin equals a per-probe ``forward`` loop that
@@ -358,6 +369,18 @@ class TestCli:
             ("exp3", {"branches": 0}),
             ("exp3", {"probes": 0}),
             ("exp4", {"queries": 0}),
+            ("exp1", {"tol": -1.0}),
+            ("exp1", {"fd_step": 0.0}),
+            ("exp1", {"tol": float("nan")}),
+            ("exp1", {"fd_step": float("inf")}),
+            ("exp2", {"radii": [1e-4, 0.0]}),
+            ("exp2", {"radii": []}),
+            ("exp2", {"fd_hess_step": 0.0}),
+            ("exp3", {"tol": -1.0}),
+            ("exp3", {"fd_step": 0.0}),
+            ("exp4", {"solver": {"fd_grad_step": 0.0}}),
+            ("exp4", {"solver": {"fd_hess_step": 0.0}}),
+            ("exp4", {"solver": {"tol": -1.0}}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

@@ -20,7 +20,13 @@ from socicnn import (
     subdifferential_sample,
 )
 
-from conftest import cone_only_params, constant_params, gaussian_points, quad_only_params
+from conftest import (
+    branch_row,
+    cone_only_params,
+    constant_params,
+    gaussian_points,
+    quad_only_params,
+)
 from test_dual import wide_zero_net, zero_preact_pair
 
 
@@ -95,8 +101,11 @@ class TestSubdifferentialSample:
             params, x = degenerate_model
         sample = subdifferential_sample(params, x, n=15, seed=4, sphere_samples=6)
         tr = forward(params, x)
-        branches = list(sample_optimal_branches(params, tr, n=15, seed=4))
-        branches += extreme_branches(params, tr, sphere_samples=6, seed=4)
+        stacks = (
+            sample_optimal_branches(params, tr, n=15, seed=4),
+            extreme_branches(params, tr, sphere_samples=6, seed=4),
+        )
+        branches = [branch_row(s, k) for s in stacks for k in range(s.relu[0].shape[0])]
         assert sample.shape == (len(branches), params.input_dim)
         for row, br in zip(sample, branches):
             assert np.array_equal(row, readout(params, br))
@@ -168,7 +177,8 @@ class TestDirectionalDerivative:
         canonical slope and the exact support value."""
         params, x0 = degenerate_model
         branches = sample_optimal_branches(params, forward(params, x0), n=256, seed=5)
-        readouts = np.vstack([readout(params, br) for br in branches])
+        readouts = readout(params, branches)
+        assert readouts.shape == (256, 2)
         for d in gaussian_points(74, 6, 2):
             exact = directional_derivative(params, x0, d)
             approx = float(np.max(readouts @ d))
