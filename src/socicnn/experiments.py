@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dual, geometry, inference
-from .curvature import hessian, local_gradient, quadratic_model_residual
+from . import curvature, dual, geometry, inference
+from .curvature import hessian, quadratic_model_residual
 from .errors import ConstructionError, DegenerateInputError
 from .model import (
     ArchSpec,
@@ -119,7 +119,7 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
             continue
         retained += 1
         g_dual = dual.readout(params, dual.canonical(params, trace, cfg.tol))
-        g_local = local_gradient(params, x, cfg.tol)
+        g_local = curvature._trace_gradient(params, trace, cfg.tol)
         diff = float(np.linalg.norm(g_dual - g_local))
         l2_sum += diff
         rel_sum += diff / float(np.linalg.norm(g_dual))
@@ -205,7 +205,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
             continue
         if relu_margin(trace) < cfg.margin_gate or conic_margin(trace) < cfg.margin_gate:
             continue
-        points.append(x)
+        points.append((x, trace))
         if anchor is None and relu_margin(trace) >= cfg.anchor_relu_margin and conic_margin(
             trace
         ) >= cfg.anchor_conic_margin:
@@ -214,17 +214,13 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         raise ConstructionError("could not collect enough margin-gated points")
     points = points[:cfg.points]
 
-    def grad_field(Z):
-        return np.array(
-            [dual.readout(params, dual.canonical(params, forward(params, z), cfg.tol)) for z in Z]
-        )
-
+    grad_field = inference._readout_field(params, cfg.tol)
     grad_sum = grad_fd_sum = fro_sum = rel_sum = 0.0
     eig_formula_sum = eig_fd_sum = 0.0
     eig_worst = np.inf
-    for x in points:
+    for x, trace in points:
         cm = hessian(params, x, cfg.tol)
-        g_local = local_gradient(params, x, cfg.tol)
+        g_local = curvature._trace_gradient(params, trace, cfg.tol)
         grad_sum += float(np.linalg.norm(cm.grad - g_local))
         g_fd = fd_gradient(lambda Z: forward_values(params, Z), x, cfg.fd_grad_step)
         grad_fd_sum += float(np.linalg.norm(cm.grad - g_fd))

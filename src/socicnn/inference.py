@@ -90,48 +90,51 @@ class InferenceReport:
 
 
 def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU):
-    """Value and canonical-readout gradient of the regularized objective."""
+    """Value and canonical-readout gradient of the objective, by the solvers' own code."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    value, trace = _value(params, y, beta, x)
+    return value, _readout_grad(params, y, beta, tol)(x, trace)
+
+
+def _value(params, y, beta, x):
+    """Objective value at ``x`` together with the model trace behind it."""
     trace = forward(params, x)
     diff = x - y
-    value = trace.value + 0.5 * beta * float(diff @ diff)
-    grad = dual.readout(params, dual.canonical(params, trace, tol)) + beta * diff
-    return value, grad
-
-
-def _objective_value(params, y, beta, x):
-    diff = x - y
-    return forward(params, x).value + 0.5 * beta * float(diff @ diff)
+    return trace.value + 0.5 * beta * float(diff @ diff), trace
 
 
 def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     """Armijo-backtracked descent shared by all four solvers.
 
-    ``grad_fn`` returns the objective gradient at a point together with the
-    model trace it evaluated there (None for the value-only twins);
-    ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None for
-    steepest descent), so a white-box step reuses the gradient's trace.  Stops
-    on gradient norm, on per-step progress, on iteration budget, or on a
-    line-search failure, whichever comes first.
+    Each point is traced once, by its value query.  ``grad_fn`` maps ``(x,
+    trace)`` to the objective gradient (the value-only twins ignore the
+    trace); ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None
+    for steepest descent).  Stops on per-step progress, on gradient norm, on
+    iteration budget, or on a line-search failure, whichever comes first.
     """
     y = np.asarray(y, dtype=np.float64)
     x = y.copy()
     max_iters = config.max_iters if config.max_iters is not None else default_iters
     t0 = time.perf_counter()
     deriv_time = 0.0
-    f_val = _objective_value(params, y, config.beta, x)
-    td = time.perf_counter()
-    g, point_trace = grad_fn(x)
-    deriv_time += time.perf_counter() - td
-    trace = [(f_val, float(np.linalg.norm(g)))]
+    f_val, point_trace = _value(params, y, config.beta, x)
+    trace = []
     iterations = 0
     total_backtracks = 0
-    stop = "max-iters"
-    for _ in range(max_iters):
+    while True:
+        td = time.perf_counter()
+        g = grad_fn(x, point_trace)
+        deriv_time += time.perf_counter() - td
         grad_norm = float(np.linalg.norm(g))
+        trace.append((f_val, grad_norm))
+        if iterations and progress <= config.progress_tol:
+            stop = "progress"
+            break
         if grad_norm <= config.grad_tol:
             stop = "grad-tol"
+            break
+        if iterations >= max_iters:
+            stop = "max-iters"
             break
         if direction_fn is None:
             p = -g
@@ -145,7 +148,7 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
         accepted = False
         for bt in range(config.max_backtracks + 1):
             x_new = x + eta * p
-            f_new = _objective_value(params, y, config.beta, x_new)
+            f_new, new_trace = _value(params, y, config.beta, x_new)
             if f_new <= f_val + config.armijo * eta * slope:
                 accepted = True
                 break
@@ -155,19 +158,8 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
             stop = "line-search-failure"
             break
         progress = f_val - f_new
-        x = x_new
-        f_val = f_new
-        td = time.perf_counter()
-        g, point_trace = grad_fn(x)
-        deriv_time += time.perf_counter() - td
+        x, f_val, point_trace = x_new, f_new, new_trace
         iterations += 1
-        trace.append((f_val, float(np.linalg.norm(g))))
-        if progress <= config.progress_tol:
-            stop = "progress"
-            break
-    grad_norm = float(np.linalg.norm(g))
-    if stop == "max-iters" and grad_norm <= config.grad_tol:
-        stop = "grad-tol"
     return InferenceReport(
         method=method,
         x=x,
@@ -182,27 +174,31 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     )
 
 
-def _readout_grad(params, y, config):
-    """Canonical-readout gradient of the objective, with the trace behind it."""
-    y = np.asarray(y, dtype=np.float64)
+def _readout_grad(params, y, beta, tol):
+    """Canonical-readout gradient of the objective, read from the point's trace."""
 
-    def grad_fn(x):
-        trace = forward(params, x)
-        g = dual.readout(params, dual.canonical(params, trace, config.tol))
-        return g + config.beta * (x - y), trace
+    def grad_fn(x, trace):
+        return dual.readout(params, dual.canonical(params, trace, tol)) + beta * (x - y)
 
     return grad_fn
 
 
+def _readout_field(params, tol):
+    """Canonical-readout model gradient at each row of ``Z``, one trace per row."""
+    return lambda Z: np.array(
+        [dual.readout(params, dual.canonical(params, forward(params, z), tol)) for z in Z]
+    )
+
+
 def _fd_grad(params, y, config):
     """Central-difference gradient field of the objective, built from value
-    queries alone; takes one point or a stack of points."""
+    queries alone; takes one point or a stack of points, and no trace."""
 
     def values(Z):
         diff = Z - y
         return forward_values(params, Z) + 0.5 * config.beta * np.einsum("ij,ij->i", diff, diff)
 
-    def grad_fn(x):
+    def grad_fn(x, _trace=None):
         return fd_gradient(values, x, config.fd_grad_step)
 
     return grad_fn
@@ -210,7 +206,7 @@ def _fd_grad(params, y, config):
 
 def whitebox_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order descent with the canonical-readout gradient."""
-    grad_fn = _readout_grad(params, y, config)
+    grad_fn = _readout_grad(params, y, config.beta, config.tol)
     return _descent(params, y, config, "whitebox-gd", grad_fn, None, GD_MAX_ITERS)
 
 
@@ -221,7 +217,7 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
     iterate land exactly on one, drop out of the curvature (their
     subdifferential term is already in the gradient).
     """
-    grad_fn = _readout_grad(params, y, config)
+    grad_fn = _readout_grad(params, y, config.beta, config.tol)
 
     def direction_fn(x, g, trace):
         H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
@@ -238,8 +234,8 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
 def baseline_fd_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order twin that only sees objective values: central-difference
     gradients at step ``fd_grad_step``."""
-    field = _fd_grad(params, y, config)
-    return _descent(params, y, config, "fd-gd", lambda x: (field(x), None), None, GD_MAX_ITERS)
+    grad_fn = _fd_grad(params, y, config)
+    return _descent(params, y, config, "fd-gd", grad_fn, None, GD_MAX_ITERS)
 
 
 def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
@@ -260,9 +256,7 @@ def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Inf
         w = np.maximum(w, config.beta + config.damping)
         return -(V @ ((V.T @ g) / w))
 
-    return _descent(
-        params, y, config, "fd-newton", lambda x: (field(x), None), direction_fn, NEWTON_MAX_ITERS
-    )
+    return _descent(params, y, config, "fd-newton", field, direction_fn, NEWTON_MAX_ITERS)
 
 
 @dataclass(frozen=True)
@@ -295,13 +289,7 @@ def readout_diagnostics(
     grad_err = float(np.linalg.norm(g_dual - g_local))
     grad_rel = grad_err / max(float(np.linalg.norm(g_dual)), 1e-300)
     H = curvature_matrix(params, trace, tol)
-    H_fd = oracle.fd_hessian(
-        lambda Z: np.array(
-            [dual.readout(params, dual.canonical(params, forward(params, z), tol)) for z in Z]
-        ),
-        x,
-        fd_hess_step,
-    )
+    H_fd = oracle.fd_hessian(_readout_field(params, tol), x, fd_hess_step)
     hess_err = float(np.linalg.norm(H - H_fd, "fro"))
     hess_rel = hess_err / max(float(np.linalg.norm(H, "fro")), 1e-300)
     return ReadoutDiagnostics(

@@ -259,12 +259,14 @@ def test_criterion_10_property_suite():
     )
     n_emitted = emitted.relu[0].shape[0]
     assert n_emitted == 64 + 2 * 64
+    dual_value(params, x0, emitted)  # one stacked feasibility check of every row
     probe_rng = np.random.default_rng(10)
     min_margin = np.inf
     for k in range(n_emitted):
         br = branch_row(emitted, k)
-        for y in x0 + probe_rng.standard_normal((100, 2)):
-            margin = forward(params, y).value - dual_value(params, y, br)
+        probes = x0 + probe_rng.standard_normal((100, 2))
+        for y, value in zip(probes, forward_values(params, probes)):
+            margin = value - dual_value(params, y, br, check_feasible=False)
             min_margin = min(min_margin, margin)
     assert min_margin >= -1e-10, min_margin
 

@@ -1,7 +1,11 @@
 """Proximal-objective descent: white-box routes against value-query twins."""
 
+import time
+from dataclasses import fields
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from socicnn import (
     DegenerateInputError,
@@ -14,8 +18,12 @@ from socicnn import (
     whitebox_gd,
     whitebox_newton,
 )
-from socicnn import curvature, inference
-from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, with_gap
+from socicnn import curvature, dual, inference
+from socicnn.curvature import curvature_matrix
+from socicnn.errors import SolveFailureError
+from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, InferenceReport, with_gap
+from socicnn.model import forward_values
+from socicnn.oracle import fd_gradient, fd_hessian
 
 from conftest import gaussian_points, quad_only_params
 
@@ -214,11 +222,14 @@ class TestOnRandomModel:
 
 
 class TestTraceReuse:
-    @pytest.mark.parametrize("solver", [whitebox_newton, whitebox_gd])
+    @pytest.mark.parametrize(
+        "solver", [whitebox_newton, whitebox_gd, baseline_fd_gd, baseline_fd_newton]
+    )
     def test_one_forward_per_gradient_and_trial_point(self, medium_model, monkeypatch, solver):
-        """Each accepted point is traced once for its gradient, and the
-        Newton matrix reuses that trace; only the line search's trial points
-        add passes.  So a run makes ``2 + 2 iterations + backtracks``."""
+        """Each point the line search tries is traced once, and an accepted
+        point's gradient and Newton matrix reuse that trace (the FD twins
+        difference ``forward_values`` instead).  So a run makes
+        ``1 + iterations + backtracks`` forward passes."""
         calls = []
 
         def counting_forward(params, x):
@@ -230,7 +241,219 @@ class TestTraceReuse:
         rep = solver(medium_model, y, InferenceConfig(beta=10.0))
         assert rep.stop_reason == "grad-tol"
         assert rep.iterations >= 2
-        assert len(calls) == 2 + 2 * rep.iterations + rep.backtracks
+        assert len(calls) == 1 + rep.iterations + rep.backtracks
+
+
+# The descent loop as it stood before each accepted point was traced once:
+# it traced every accepted point again for its gradient and took gradients
+# as ``(g, trace)`` tuples.  Kept verbatim as the reference that the shared
+# loop must reproduce field for field.
+
+
+def _objective_value(params, y, beta, x):
+    diff = x - y
+    return forward(params, x).value + 0.5 * beta * float(diff @ diff)
+
+
+def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
+    """Armijo-backtracked descent shared by all four solvers.
+
+    ``grad_fn`` returns the objective gradient at a point together with the
+    model trace it evaluated there (None for the value-only twins);
+    ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None for
+    steepest descent), so a white-box step reuses the gradient's trace.  Stops
+    on gradient norm, on per-step progress, on iteration budget, or on a
+    line-search failure, whichever comes first.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    x = y.copy()
+    max_iters = config.max_iters if config.max_iters is not None else default_iters
+    t0 = time.perf_counter()
+    deriv_time = 0.0
+    f_val = _objective_value(params, y, config.beta, x)
+    td = time.perf_counter()
+    g, point_trace = grad_fn(x)
+    deriv_time += time.perf_counter() - td
+    trace = [(f_val, float(np.linalg.norm(g)))]
+    iterations = 0
+    total_backtracks = 0
+    stop = "max-iters"
+    for _ in range(max_iters):
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= config.grad_tol:
+            stop = "grad-tol"
+            break
+        if direction_fn is None:
+            p = -g
+            slope = -grad_norm * grad_norm
+        else:
+            td = time.perf_counter()
+            p = direction_fn(x, g, point_trace)
+            deriv_time += time.perf_counter() - td
+            slope = float(g @ p)
+        eta = 1.0
+        accepted = False
+        for bt in range(config.max_backtracks + 1):
+            x_new = x + eta * p
+            f_new = _objective_value(params, y, config.beta, x_new)
+            if f_new <= f_val + config.armijo * eta * slope:
+                accepted = True
+                break
+            eta *= config.shrink
+        total_backtracks += bt
+        if not accepted:
+            stop = "line-search-failure"
+            break
+        progress = f_val - f_new
+        x = x_new
+        f_val = f_new
+        td = time.perf_counter()
+        g, point_trace = grad_fn(x)
+        deriv_time += time.perf_counter() - td
+        iterations += 1
+        trace.append((f_val, float(np.linalg.norm(g))))
+        if progress <= config.progress_tol:
+            stop = "progress"
+            break
+    grad_norm = float(np.linalg.norm(g))
+    if stop == "max-iters" and grad_norm <= config.grad_tol:
+        stop = "grad-tol"
+    return InferenceReport(
+        method=method,
+        x=x,
+        objective=f_val,
+        grad_norm=grad_norm,
+        iterations=iterations,
+        backtracks=total_backtracks,
+        time_ms=1000.0 * (time.perf_counter() - t0),
+        deriv_time_ms=1000.0 * deriv_time,
+        trace=tuple(trace),
+        stop_reason=stop,
+    )
+
+
+def _readout_grad(params, y, config):
+    """Canonical-readout gradient of the objective, with the trace behind it."""
+    y = np.asarray(y, dtype=np.float64)
+
+    def grad_fn(x):
+        trace = forward(params, x)
+        g = dual.readout(params, dual.canonical(params, trace, config.tol))
+        return g + config.beta * (x - y), trace
+
+    return grad_fn
+
+
+def _fd_grad(params, y, config):
+    """Central-difference gradient field of the objective, built from value
+    queries alone; takes one point or a stack of points."""
+
+    def values(Z):
+        diff = Z - y
+        return forward_values(params, Z) + 0.5 * config.beta * np.einsum("ij,ij->i", diff, diff)
+
+    def grad_fn(x):
+        return fd_gradient(values, x, config.fd_grad_step)
+
+    return grad_fn
+
+
+def reference_whitebox_gd(params, y, config):
+    grad_fn = _readout_grad(params, y, config)
+    return _descent(params, y, config, "whitebox-gd", grad_fn, None, GD_MAX_ITERS)
+
+
+def reference_whitebox_newton(params, y, config):
+    grad_fn = _readout_grad(params, y, config)
+
+    def direction_fn(x, g, trace):
+        H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
+        H[np.diag_indices_from(H)] += config.beta + config.damping
+        try:
+            factor = scipy.linalg.cho_factor(H, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
+        return -scipy.linalg.cho_solve(factor, g, check_finite=False)
+
+    return _descent(params, y, config, "whitebox-newton", grad_fn, direction_fn, NEWTON_MAX_ITERS)
+
+
+def reference_fd_gd(params, y, config):
+    field = _fd_grad(params, y, config)
+    return _descent(params, y, config, "fd-gd", lambda x: (field(x), None), None, GD_MAX_ITERS)
+
+
+def reference_fd_newton(params, y, config):
+    field = _fd_grad(params, y, config)
+
+    def direction_fn(x, g, _):
+        H = fd_hessian(field, x, config.fd_hess_step)
+        w, V = scipy.linalg.eigh(H, check_finite=False)
+        w = np.maximum(w, config.beta + config.damping)
+        return -(V @ ((V.T @ g) / w))
+
+    return _descent(
+        params, y, config, "fd-newton", lambda x: (field(x), None), direction_fn, NEWTON_MAX_ITERS
+    )
+
+
+SOLVER_PAIRS = [
+    (whitebox_gd, reference_whitebox_gd),
+    (whitebox_newton, reference_whitebox_newton),
+    (baseline_fd_gd, reference_fd_gd),
+    (baseline_fd_newton, reference_fd_newton),
+]
+EDGE_CONFIGS = {
+    "defaults": InferenceConfig(beta=10.0),
+    "no-iterations": InferenceConfig(beta=10.0, max_iters=0),
+    "one-iteration": InferenceConfig(beta=10.0, max_iters=1, grad_tol=1e-14),
+    "no-backtracks": InferenceConfig(beta=10.0, max_backtracks=0),
+    "coarse-progress": InferenceConfig(beta=10.0, progress_tol=1e-2),
+    "budget-spent-at-tol": InferenceConfig(beta=10.0, max_iters=2),
+}
+UNTIMED_FIELDS = [f.name for f in fields(InferenceReport) if f.name not in ("time_ms", "deriv_time_ms")]
+
+
+class TestReferenceLoop:
+    """The shared loop reproduces the reference loop bit for bit, apart from
+    the two timing fields, for every solver, query and edge config."""
+
+    @pytest.mark.parametrize("solver, reference", SOLVER_PAIRS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    def test_reports_match_reference(self, medium_model, solver, reference, config):
+        for y in gaussian_points(106, 3, medium_model.input_dim):
+            got = solver(medium_model, y, config)
+            want = reference(medium_model, y, config)
+            for name in UNTIMED_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                if name == "x":
+                    assert np.array_equal(a, b)
+                elif name == "gap_to_best":
+                    assert np.isnan(a) and np.isnan(b)
+                else:
+                    assert a == b, name
+
+    @pytest.mark.parametrize("name, reason", [
+        ("no-iterations", "max-iters"),
+        ("one-iteration", "max-iters"),
+        ("no-backtracks", "line-search-failure"),
+        ("coarse-progress", "progress"),
+        ("budget-spent-at-tol", "grad-tol"),
+    ])
+    def test_edge_configs_reach_their_stop_reason(self, medium_model, name, reason):
+        """Each edge config stops for the reason it is named for on at least
+        one solver and query (a capped one with its budget spent), so the
+        comparison above covers that branch of the loop."""
+        config = EDGE_CONFIGS[name]
+        assert any(
+            rep.stop_reason == reason
+            and (config.max_iters is None or rep.iterations == config.max_iters)
+            for rep in (
+                solver(medium_model, y, config)
+                for solver, _ in SOLVER_PAIRS
+                for y in gaussian_points(106, 3, medium_model.input_dim)
+            )
+        )
 
 
 class TestDiagnostics:

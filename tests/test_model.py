@@ -73,6 +73,10 @@ class TestForward:
         v2 = forward(medium_model, x).value
         assert v1 == v2
 
+    # NumPy warns about the overflow before NonFiniteError is raised; that
+    # stray stderr output is an open defect (CHANGES.md FOUND on overflow
+    # warnings), so only this overflow warning is forgiven here.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, small_model):
         with pytest.raises(NonFiniteError):
             forward(small_model, np.full(small_model.input_dim, 1e200))
@@ -105,6 +109,10 @@ class TestForwardValues:
         with pytest.raises(NonFiniteError):
             forward_values(small_model, X)
 
+    # NumPy warns about the overflow before NonFiniteError is raised; that
+    # stray stderr output is an open defect (CHANGES.md FOUND on overflow
+    # warnings), so only this overflow warning is forgiven here.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_names_the_row(self, small_model):
         X = np.zeros((3, small_model.input_dim))
         X[2] = 1e200
