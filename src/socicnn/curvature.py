@@ -17,8 +17,8 @@ import numpy as np
 
 from . import dual
 from .errors import DegenerateInputError
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, degeneracy_report, forward
-from .model import _gaussian_nonzero, _require_nondegenerate
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
+from .model import _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +35,13 @@ class CurvatureModel:
     signature: tuple
     min_eigenvalue: float
 
-    def predict(self, x) -> float:
+    def predict(self, x) -> float | np.ndarray:
         """Value of the quadratic model at ``x`` given the anchor value is
-        added by the caller: returns the first- plus second-order part."""
+        added by the caller: returns the first- plus second-order part.  A
+        stack of points gives an ``(n,)`` array, row by row bitwise."""
         delta = np.asarray(x, dtype=np.float64) - self.anchor
-        return float(self.grad @ delta) + 0.5 * float(delta @ (self.hess @ delta))
+        pred = _dot(self.grad, delta) + 0.5 * _dot(delta, _matvec(self.hess, delta))
+        return float(pred) if delta.ndim == 1 else pred
 
 
 def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
@@ -83,7 +85,10 @@ def hessian(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> CurvatureMode
     curvature sum above, symmetric to the bit by construction, and
     ``min_eigenvalue`` comes from the symmetric eigensolver.
     """
-    trace = forward(params, x)
+    return _trace_hessian(params, forward(params, x), tol)
+
+
+def _trace_hessian(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> CurvatureModel:
     _require_nondegenerate(trace, tol, "Hessian")
     H = curvature_matrix(params, trace, tol)
     grad = dual.readout(params, dual.canonical(params, trace, tol))
@@ -136,6 +141,11 @@ def _trace_gradient(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> n
     return g
 
 
+# Trials per stacked trace in quadratic_model_residual: one trace of exp2's
+# 500 trials (about 1 MB) raised the peak memory of a run; 128 do not.
+RESIDUAL_BLOCK = 128
+
+
 def quadratic_model_residual(
     params: SocIcnnParams,
     anchor,
@@ -150,28 +160,33 @@ def quadratic_model_residual(
     each, keeps the points whose branch signature matches the anchor's (and
     that are nondegenerate), and measures ``|f(x) - f(anchor) - model|``
     there.  Returns ``(retained_rate, mean_abs_residual)``; the mean is NaN
-    when nothing is retained.
+    when nothing is retained.  The directions come one at a time off the
+    seeded stream, the trials are traced as stacks of ``RESIDUAL_BLOCK``,
+    and the residuals are summed in trial order, so the result is bitwise
+    that of tracing each trial on its own.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    anchor = np.asarray(anchor, dtype=np.float64)
-    cm = hessian(params, anchor, tol)
-    f0 = forward(params, anchor).value
+    anchor_trace = forward(params, anchor)
+    cm = _trace_hessian(params, anchor_trace, tol)
     rng = np.random.default_rng(seed)
-    kept = 0
-    residuals = 0.0
-    for _ in range(trials):
-        step, nrm = _gaussian_nonzero(rng, anchor.size)
-        x = anchor + (radius / nrm) * step
-        trace = forward(params, x)
-        if not degeneracy_report(trace, tol).is_nondegenerate:
-            continue
-        if branch_signature(trace, tol) != cm.signature:
-            continue
-        kept += 1
-        residuals += abs(trace.value - f0 - cm.predict(x))
-    rate = kept / trials
-    mean = residuals / kept if kept else float("nan")
+    X = np.empty((trials, anchor_trace.x.size))
+    for k in range(trials):
+        step, nrm = _gaussian_nonzero(rng, X.shape[1])
+        X[k] = anchor_trace.x + (radius / nrm) * step
+    residuals = []
+    for start in range(0, trials, RESIDUAL_BLOCK):
+        block = X[start:start + RESIDUAL_BLOCK]
+        trace = forward(params, block)
+        kept = np.ones(len(block), dtype=bool)
+        for a, a0 in zip(trace.a, anchor_trace.a):
+            kept &= np.all((np.abs(a) > tol) & ((a > tol) == (a0 > tol)), axis=1)
+        for un in trace.u_norms:
+            kept &= un > tol
+        residuals.append(np.abs(trace.value[kept] - anchor_trace.value - cm.predict(block[kept])))
+    residuals = np.concatenate(residuals)
+    rate = residuals.size / trials
+    mean = np.add.accumulate(residuals)[-1] / residuals.size if residuals.size else float("nan")
     return rate, mean

@@ -20,29 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _gaussian_nonzero, degeneracy_report
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
+from .model import degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
 MAX_FREE_COORDS = 16
-
-
-def _matvec(M, X):
-    """``M @ x`` for ``X`` itself when 1-D, else for every row of ``X``.
-
-    A stack runs one BLAS matrix-vector product per row (not one
-    matrix-matrix product), so every row is bitwise what the single-vector
-    call gives.
-    """
-    if X.ndim == 1:
-        return M @ X
-    return (M @ X[:, :, None])[:, :, 0]
-
-
-def _dot(X, Y):
-    """``x @ y`` for 1-D operands, else row by row after broadcasting, each
-    row bitwise what the single-vector call gives."""
-    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def _per_branch(value):
@@ -147,13 +130,22 @@ def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple
 
 def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     """Quadratic multipliers ``alpha_h * q_h`` and conic multipliers of length
-    ``lam_g`` along the residual, None for each module at its cone tip."""
+    ``lam_g`` along the residual, None for each module at its cone tip; a
+    stacked trace gives ``(n, k)`` conic multipliers whose tip rows are exact
+    zeros."""
     quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
     cone = tuple(
-        (lg / un) * ug if un > tol else None
+        _cone_multiplier(lg, ug, un, tol)
         for lg, ug, un in zip(params.lam, trace.u, trace.u_norms)
     )
     return quad, cone
+
+
+def _cone_multiplier(lg, ug, un, tol):
+    if np.ndim(un) == 0:
+        return (lg / un) * ug if un > tol else None
+    off_tip = un > tol
+    return np.where(off_tip[:, None], (lg / np.where(off_tip, un, 1.0))[:, None] * ug, 0.0)
 
 
 def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
@@ -171,7 +163,8 @@ def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float)
 
 
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
-    """Minimum-norm optimal branch at this trace.
+    """Minimum-norm optimal branch at this trace, or a stack of them at a
+    stacked trace (row ``k`` bitwise the branch at row ``k``'s own trace).
 
     ReLU multipliers take their bound strictly above the kink and zero
     elsewhere (interval coordinates included); quadratic multipliers are

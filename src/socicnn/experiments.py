@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvature, dual, geometry, inference
-from .curvature import hessian, quadratic_model_residual
+from .curvature import quadratic_model_residual
 from .errors import ConstructionError, DegenerateInputError
 from .model import (
     ArchSpec,
@@ -219,7 +219,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     eig_formula_sum = eig_fd_sum = 0.0
     eig_worst = np.inf
     for x, trace in points:
-        cm = hessian(params, x, cfg.tol)
+        cm = curvature._trace_hessian(params, trace, cfg.tol)
         g_local = curvature._trace_gradient(params, trace, cfg.tol)
         grad_sum += float(np.linalg.norm(cm.grad - g_local))
         g_fd = fd_gradient(lambda Z: forward_values(params, Z), x, cfg.fd_grad_step)

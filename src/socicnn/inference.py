@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import curvature, dual, oracle
 from .curvature import curvature_matrix
-from .errors import SolveFailureError
+from .errors import SolveFailureError, ValidationError
 from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
@@ -63,6 +63,11 @@ class InferenceConfig:
             raise ValueError("max_backtracks must be nonnegative")
         if not (self.fd_grad_step > 0 and self.fd_hess_step > 0):
             raise ValueError("fd_grad_step and fd_hess_step must be positive")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative or None")
+        for name in ("grad_tol", "progress_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,8 @@ def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU
 
 def _value(params, y, beta, x):
     """Objective value at ``x`` together with the model trace behind it."""
+    if x.ndim != 1:
+        raise ValidationError("dimension-mismatch", f"point has shape {x.shape}, expected (d,)")
     trace = forward(params, x)
     diff = x - y
     return trace.value + 0.5 * beta * float(diff @ diff), trace
@@ -184,10 +191,9 @@ def _readout_grad(params, y, beta, tol):
 
 
 def _readout_field(params, tol):
-    """Canonical-readout model gradient at each row of ``Z``, one trace per row."""
-    return lambda Z: np.array(
-        [dual.readout(params, dual.canonical(params, forward(params, z), tol)) for z in Z]
-    )
+    """Canonical-readout model gradient at each row of ``Z``, from one stacked
+    trace; row ``k`` is bitwise the readout at ``Z[k]`` alone."""
+    return lambda Z: dual.readout(params, dual.canonical(params, forward(params, Z), tol))
 
 
 def _fd_grad(params, y, config):

@@ -12,7 +12,8 @@ A model is a scalar convex function of ``x`` built from three blocks:
 
 Layers are indexed 0-based throughout the package.  ``forward`` records the
 full trace (preactivations, activations, module residuals) because almost
-every downstream quantity is a function of that trace, not of ``x`` alone.
+every downstream quantity is a function of that trace, not of ``x`` alone;
+it takes one point or a stack of points, each row bitwise a one-point call.
 ``forward_values`` is the value-only kernel for many points at once, for
 callers such as the finite-difference oracles that need nothing else.
 """
@@ -20,6 +21,7 @@ callers such as the finite-difference oracles that need nothing else.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +110,8 @@ class ForwardTrace:
 
     ``a`` are preactivations, ``z = max(a, 0)`` activations, ``q`` and ``u``
     the quadratic and conic residual vectors, ``u_norms`` their Euclidean
-    norms, ``value`` the scalar output.
+    norms, ``value`` the scalar output.  The trace of a stack of ``n``
+    points holds ``(n, width)`` arrays, ``(n,)`` norms and ``(n,)`` values.
     """
 
     x: np.ndarray
@@ -117,7 +120,7 @@ class ForwardTrace:
     q: tuple
     u: tuple
     u_norms: tuple
-    value: float
+    value: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,42 +232,96 @@ def validate(params: SocIcnnParams) -> None:
             raise ValidationError("negative-lambda", f"conic module {g}: lam = {l}")
 
 
+def _matvec(M, X):
+    """``M @ x`` for ``X`` itself when 1-D, else for every row of ``X``.
+
+    A stack runs one BLAS matrix-vector product per row (not one
+    matrix-matrix product), so every row is bitwise what the single-vector
+    call gives.
+    """
+    if X.ndim == 1:
+        return M @ X
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _dot(X, Y):
+    """``x @ y`` for 1-D operands, else row by row after broadcasting, each
+    row bitwise what the single-vector call gives."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
 def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at ``x`` and record the full trace.
 
+    ``x`` is one point of shape ``(d,)`` or a stack of ``n`` points of shape
+    ``(n, d)``.  A stack gives one trace whose arrays are ``(n, width)`` per
+    layer and module, whose ``u_norms`` are ``(n,)`` per conic module and
+    whose ``value`` is ``(n,)``; row ``k`` is bitwise ``forward(params,
+    x[k])``, because every product runs one matrix-vector product per row.
     The preactivation is computed as ``W @ x + U @ z + b`` in exactly this
     association; the degenerate builder relies on that expression to land
     bitwise on zero.  A non-finite input or output value raises
-    ``NonFiniteError``.
+    ``NonFiniteError``, naming the first bad row of a stack.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
+    d0 = params.input_dim
+    if x.ndim == 2 and x.shape[1] == d0:
+        return _forward_stack(params, x)
+    if x.shape != (d0,):
         raise ValidationError(
-            "dimension-mismatch", f"input has shape {x.shape}, expected ({params.input_dim},)"
+            "dimension-mismatch", f"input has shape {x.shape}, expected ({d0},) or (n, {d0})"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("input contains NaN or infinity")
-    a_list = []
-    z_list = []
+    a_list, z_list = [], []
     z = np.zeros(0)
     for W, U, b in zip(params.W, params.U, params.b):
         a = W @ x + U @ z + b
         z = np.maximum(a, 0.0)
         a_list.append(a)
         z_list.append(z)
-    q = tuple(B @ x + e for B, e in zip(params.B, params.e))
-    u = tuple(A @ x + d for A, d in zip(params.A, params.d))
-    u_norms = tuple(float(np.linalg.norm(ug)) for ug in u)
     value = float(params.c @ z + params.v @ x + params.b0)
-    for al, qh in zip(params.alpha, q):
-        value += 0.5 * al * float(qh @ qh)
-    for lg, un in zip(params.lam, u_norms):
-        value += lg * un
-    if not np.isfinite(value):
+    q = []
+    for al, B, e in zip(params.alpha, params.B, params.e):
+        q.append(B @ x + e)
+        value += 0.5 * al * float(q[-1] @ q[-1])
+    u, u_norms = [], []
+    for lg, A, d in zip(params.lam, params.A, params.d):
+        u.append(A @ x + d)
+        u_norms.append(math.sqrt(u[-1] @ u[-1]))
+        value += lg * u_norms[-1]
+    if not math.isfinite(value):
         raise NonFiniteError("output value is NaN or infinite")
     return ForwardTrace(
-        x=_frozen(x), a=tuple(a_list), z=tuple(z_list), q=q, u=u, u_norms=u_norms, value=value
+        _frozen(x), tuple(a_list), tuple(z_list), tuple(q), tuple(u), tuple(u_norms), value
     )
+
+
+def _forward_stack(params: SocIcnnParams, X) -> ForwardTrace:
+    """``forward`` over the rows of an ``(n, d)`` array, one matrix-vector
+    product per row and product."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"input row {bad[0]} contains NaN or infinity")
+    a_list, z_list = [], []
+    z = np.zeros((X.shape[0], 0))
+    for W, U, b in zip(params.W, params.U, params.b):
+        a = _matvec(W, X) + _matvec(U, z) + b
+        z = np.maximum(a, 0.0)
+        a_list.append(a)
+        z_list.append(z)
+    value = _dot(params.c, z) + _dot(params.v, X) + params.b0
+    q = tuple(_matvec(B, X) + e for B, e in zip(params.B, params.e))
+    for al, qh in zip(params.alpha, q):
+        value += 0.5 * al * _dot(qh, qh)
+    u = tuple(_matvec(A, X) + d for A, d in zip(params.A, params.d))
+    u_norms = tuple(np.sqrt(_dot(ug, ug)) for ug in u)
+    for lg, un in zip(params.lam, u_norms):
+        value += lg * un
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise NonFiniteError(f"output value of row {bad[0]} is NaN or infinite")
+    return ForwardTrace(_frozen(X), tuple(a_list), tuple(z_list), q, u, u_norms, value)
 
 
 def forward_values(params: SocIcnnParams, X) -> np.ndarray:
@@ -300,9 +357,12 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
 
 
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
-    """List the kinks the trace sits on, within absolute tolerance ``tol``."""
+    """List the kinks the trace of one point sits on, within absolute
+    tolerance ``tol``; a stacked trace raises ``ValidationError``."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    if np.ndim(trace.value):
+        raise ValidationError("dimension-mismatch", "expected the trace of one point, not a stack")
     relu = []
     for l, a in enumerate(trace.a):
         for i in np.flatnonzero(np.abs(a) <= tol):

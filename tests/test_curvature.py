@@ -7,6 +7,7 @@ from socicnn import (
     DegenerateInputError,
     SocIcnnParams,
     branch_signature,
+    degeneracy_report,
     fd_gradient,
     fd_hessian,
     forward,
@@ -18,6 +19,8 @@ from socicnn import (
     quadratic_model_residual,
 )
 from socicnn.curvature import curvature_matrix
+from socicnn.experiments import Exp2Config, _random_model
+from socicnn.model import _gaussian_nonzero
 
 from conftest import (
     cone_only_params,
@@ -179,7 +182,62 @@ class TestSignature:
         assert hash(sig) == hash(branch_signature(forward(medium_model, x)))
 
 
+def reference_quadratic_model_residual(params, anchor, radius, trials=500, tol=1e-9, seed=0):
+    """The per-trial loop before the stacked trace, kept verbatim (argument
+    checks aside) as a reference."""
+    anchor = np.asarray(anchor, dtype=np.float64)
+    cm = hessian(params, anchor, tol)
+    f0 = forward(params, anchor).value
+    rng = np.random.default_rng(seed)
+    kept = 0
+    residuals = 0.0
+    for _ in range(trials):
+        step, nrm = _gaussian_nonzero(rng, anchor.size)
+        x = anchor + (radius / nrm) * step
+        trace = forward(params, x)
+        if not degeneracy_report(trace, tol).is_nondegenerate:
+            continue
+        if branch_signature(trace, tol) != cm.signature:
+            continue
+        kept += 1
+        residuals += abs(trace.value - f0 - cm.predict(x))
+    rate = kept / trials
+    mean = residuals / kept if kept else float("nan")
+    return rate, mean
+
+
 class TestQuadraticModel:
+    def test_matches_per_trial_reference_bitwise(self, medium_model):
+        """Retained rate and mean residual equal the per-trial loop bit for
+        bit, on one branch, across kinks (rate below one) and with nothing
+        retained (NaN mean)."""
+        from test_dual import single_layer_params
+
+        exp2_model = _random_model(Exp2Config())
+        cases = (
+            (exp2_model, gaussian_points(41, 1, 10)[0], (1e-4, 1e-3, 0.3), 500, 17),
+            (medium_model, 0.1 * np.ones(medium_model.input_dim), (1e-3, 0.5, 2.0), 200, 3),
+            (single_layer_params(0.0), np.array([0.05, 0.05]), (0.2, 1.0), 200, 0),
+            (single_layer_params(0.0), np.array([0.05, 0.05]), (1.0,), 3, 3),
+            (quad_only_params(alpha=1.7, dim=3), np.array([0.4, -0.2, 0.9]), (0.1,), 50, 0),
+        )
+        rates = []
+        for params, anchor, radii, trials, seed in cases:
+            for radius in radii:
+                got = quadratic_model_residual(params, anchor, radius, trials, seed=seed)
+                want = reference_quadratic_model_residual(params, anchor, radius, trials,
+                                                          seed=seed)
+                assert got[0] == want[0]
+                assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
+                rates.append(got[0])
+        assert 0.0 in rates and 1.0 in rates and any(0.0 < r < 1.0 for r in rates)
+
+    def test_predict_on_a_stack_matches_single_points(self, medium_model):
+        x = gaussian_points(97, 1, medium_model.input_dim)[0]
+        cm = hessian(medium_model, x)
+        X = x + gaussian_points(96, 30, medium_model.input_dim, scale=1e-2)
+        assert np.array_equal(cm.predict(X), [cm.predict(z) for z in X])
+
     def test_predict_matches_taylor_terms(self, medium_model):
         x = gaussian_points(98, 1, medium_model.input_dim)[0]
         cm = hessian(medium_model, x)

@@ -120,6 +120,29 @@ class TestCanonical:
         assert psi == pytest.approx(tr.value, rel=1e-12)
 
 
+    def test_stacked_trace_matches_single_traces(self, degenerate_model, medium_model):
+        """Row ``k`` of the canonical branch at a stacked trace is bitwise,
+        sign of zero included, the branch at row ``k``'s own trace; cone-tip
+        rows get exact ``+0.0`` conic multipliers."""
+        params, x0 = degenerate_model
+        cases = (
+            (params, x0 + np.vstack([np.zeros(2), gaussian_points(22, 8, 2, scale=1e-2)])),
+            (cone_only_params(), np.vstack([np.zeros(2), gaussian_points(23, 4, 2)])),
+            (medium_model, gaussian_points(24, 12, medium_model.input_dim)),
+        )
+        for params, X in cases:
+            stack = canonical(params, forward(params, X))
+            for k, x in enumerate(X):
+                ref = canonical(params, forward(params, x))
+                row = branch_row(stack, k)
+                for got, want in zip(row.relu + row.quad + row.cone,
+                                     ref.relu + ref.quad + ref.cone):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+        tip = canonical(cone_only_params(), forward(cone_only_params(), np.zeros((2, 2))))
+        assert not np.any(tip.cone[0]) and not np.any(np.signbit(tip.cone[0]))
+
+
 class TestDualValue:
     def test_all_zero_branch_gives_affine_part(self, medium_model):
         p = medium_model

@@ -11,6 +11,7 @@ from socicnn import (
     DualBranch,
     build_degenerate_2d,
     canonical,
+    curvature,
     dual,
     experiments,
     forward,
@@ -94,6 +95,34 @@ class TestExp2:
     def test_residual_grows_with_radius(self, exp2_small):
         resid = [row[2] for row in exp2_small.tables[1].rows]
         assert resid[0] < resid[1] < resid[2]
+
+    def test_traces_each_stencil_and_probe_set_in_one_stack(self, monkeypatch):
+        """The point search traces each draw once and every later analysis of
+        a point reuses that trace; each Hessian stencil is one stacked trace,
+        and each radius traces its anchor once and its trials in stacks of
+        ``RESIDUAL_BLOCK``."""
+        calls = {}
+
+        def counted(module):
+            def counting_forward(params, x):
+                key = (module, np.ndim(x))
+                calls[key] = calls.get(key, 0) + 1
+                return forward(params, x)
+
+            return counting_forward
+
+        for module in (experiments, curvature, inference):
+            monkeypatch.setattr(module, "forward", counted(module.__name__.split(".")[-1]))
+        cfg = Exp2Config()
+        out = run_exp2(cfg)
+        assert out.all_passed()
+        draws = calls.pop(("experiments", 1))
+        assert cfg.points <= draws <= 2 * cfg.points
+        assert calls == {
+            ("curvature", 1): len(cfg.radii),
+            ("curvature", 2): len(cfg.radii) * -(-cfg.trials // curvature.RESIDUAL_BLOCK),
+            ("inference", 2): cfg.points,
+        }
 
     def test_keeps_drawing_until_the_anchor_is_found(self, capsys):
         """At seed 0 the anchor is the third margin-gated point, so one

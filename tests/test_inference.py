@@ -25,6 +25,8 @@ from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, InferenceReport, w
 from socicnn.model import forward_values
 from socicnn.oracle import fd_gradient, fd_hessian
 
+from socicnn.experiments import Exp2Config, _random_model
+
 from conftest import gaussian_points, quad_only_params
 
 BETA = 1.0
@@ -71,6 +73,26 @@ class TestConfigValidation:
             InferenceConfig(armijo=0.0)
         with pytest.raises(ValueError):
             InferenceConfig(max_backtracks=-1)
+
+    def test_rejects_negative_max_iters(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            InferenceConfig(max_iters=-1)
+        assert InferenceConfig(max_iters=0).max_iters == 0
+        assert InferenceConfig(max_iters=None).max_iters is None
+
+    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    def test_rejects_negative_or_nan_grad_tol(self, value):
+        with pytest.raises(ValueError, match="grad_tol"):
+            InferenceConfig(grad_tol=value)
+
+    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    def test_rejects_negative_or_nan_progress_tol(self, value):
+        with pytest.raises(ValueError, match="progress_tol"):
+            InferenceConfig(progress_tol=value)
+
+    def test_zero_tolerances_are_valid(self):
+        cfg = InferenceConfig(grad_tol=0.0, progress_tol=0.0)
+        assert cfg.grad_tol == 0.0 and cfg.progress_tol == 0.0
 
     def test_defaults_are_usable(self):
         cfg = InferenceConfig()
@@ -456,6 +478,37 @@ class TestReferenceLoop:
         )
 
 
+def reference_readout_field(params, tol):
+    """The per-row canonical-readout field before the stacked trace, kept
+    verbatim as a reference."""
+    return lambda Z: np.array(
+        [dual.readout(params, dual.canonical(params, forward(params, z), tol)) for z in Z]
+    )
+
+
+class TestReadoutField:
+    def test_matches_per_row_reference_bitwise(self, medium_model, degenerate_model):
+        """On Hessian stencils, and on rows at the built ReLU kink and cone
+        tip, the stacked field equals the per-row loop bit for bit."""
+        from socicnn.oracle import _central_stencil
+
+        params, x0 = degenerate_model
+        exp2_model = _random_model(Exp2Config())
+        cases = (
+            (medium_model, gaussian_points(31, 3, medium_model.input_dim)),
+            (exp2_model, gaussian_points(32, 2, exp2_model.input_dim)),
+            (params, np.vstack([x0, x0 + gaussian_points(33, 2, 2, scale=1e-3)])),
+        )
+        for params, points in cases:
+            Z = _central_stencil(points, 1e-5).reshape(-1, params.input_dim)
+            Z = np.vstack([Z, points])
+            for tol in (1e-9, 1e-3):
+                got = inference._readout_field(params, tol)(Z)
+                want = reference_readout_field(params, tol)(Z)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestDiagnostics:
     def test_agreement_at_smooth_point(self, medium_model):
         x = gaussian_points(105, 1, medium_model.input_dim)[0]
@@ -472,15 +525,16 @@ class TestDiagnostics:
 
     def test_runs_forward_once_plus_the_stencil(self, medium_model, monkeypatch):
         """One trace at the point serves both gradient routes; only the
-        ``2 n`` legs of the Hessian stencil add forward passes."""
+        ``2 n`` legs of the Hessian stencil add rows, traced as one stack."""
         calls = []
 
         def counting_forward(params, x):
-            calls.append(1)
+            calls.append(np.shape(x))
             return forward(params, x)
 
         monkeypatch.setattr(inference, "forward", counting_forward)
         monkeypatch.setattr(curvature, "forward", counting_forward)
         x = gaussian_points(105, 1, medium_model.input_dim)[0]
         readout_diagnostics(medium_model, x)
-        assert len(calls) == 1 + 2 * medium_model.input_dim
+        n = medium_model.input_dim
+        assert calls == [(n,), (2 * n, n)]

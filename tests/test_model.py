@@ -82,6 +82,78 @@ class TestForward:
             forward(small_model, np.full(small_model.input_dim, 1e200))
 
 
+def assert_trace_rows(stacked, X, params):
+    """Every field of a stacked trace equals a per-row ``forward`` loop, bit
+    for bit."""
+    rows = [forward(params, x) for x in X]
+    assert np.array_equal(stacked.x, X)
+    for name in ("a", "z", "q", "u"):
+        for k, arr in enumerate(getattr(stacked, name)):
+            assert arr.shape == (len(X),) + getattr(rows[0], name)[k].shape
+            assert np.array_equal(arr, [getattr(tr, name)[k] for tr in rows])
+    for g, un in enumerate(stacked.u_norms):
+        assert np.array_equal(un, [tr.u_norms[g] for tr in rows])
+    assert np.array_equal(stacked.value, [tr.value for tr in rows])
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("config", [Exp1Config, Exp2Config, Exp4Config])
+    def test_rows_match_single_point_calls(self, config):
+        params = _random_model(config())
+        X = gaussian_points(12, 60, params.input_dim)
+        assert_trace_rows(forward(params, X), X, params)
+
+    def test_rows_match_at_and_near_the_built_kink(self, degenerate_model):
+        """The built zero preactivation and the cone tip stay exactly zero in
+        a stack, and the rows around them match single calls."""
+        params, x0 = degenerate_model
+        X = x0 + np.vstack([np.zeros(2), gaussian_points(13, 20, 2, scale=1e-9),
+                            gaussian_points(14, 20, 2, scale=1e-2)])
+        tr = forward(params, X)
+        assert_trace_rows(tr, X, params)
+        spec = DegeneracySpec()
+        assert tr.a[spec.relu_layer][0, spec.relu_coord] == 0.0
+        assert tr.u_norms[spec.conic_module][0] == 0.0
+        assert np.all(tr.u[spec.conic_module][0] == 0.0)
+
+    def test_one_row_stack(self, small_model):
+        x = np.array([0.3, -0.1, 0.7, 0.2])
+        assert_trace_rows(forward(small_model, x[None, :]), x[None, :], small_model)
+
+    def test_rejects_wrong_shape(self, small_model):
+        d = small_model.input_dim
+        for shape in ((3, d + 1), (2, 3, d), (d, 1), ()):
+            with pytest.raises(ValidationError):
+                forward(small_model, np.zeros(shape))
+
+    def test_non_finite_row_is_named(self, small_model):
+        X = np.zeros((4, small_model.input_dim))
+        X[2, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="row 2"):
+            forward(small_model, X)
+
+    def test_degeneracy_report_rejects_a_stack(self, small_model):
+        tr = forward(small_model, np.zeros((3, small_model.input_dim)))
+        with pytest.raises(ValidationError):
+            degeneracy_report(tr)
+
+    def test_single_point_analyses_reject_a_stack(self, small_model):
+        import socicnn
+
+        X = gaussian_points(15, 3, small_model.input_dim)
+        for analysis in (socicnn.gradient, socicnn.hessian, socicnn.local_gradient,
+                         socicnn.local_affine_constants, socicnn.subdifferential_sample,
+                         socicnn.canonical_gap_fraction, socicnn.readout_diagnostics):
+            with pytest.raises(ValidationError):
+                analysis(small_model, X)
+        with pytest.raises(ValidationError):
+            socicnn.directional_derivative(small_model, X, X[0])
+        with pytest.raises(ValidationError):
+            socicnn.whitebox_gd(small_model, X, socicnn.InferenceConfig())
+        with pytest.raises(ValidationError):
+            socicnn.objective(small_model, X[0], 1.0, X)
+
+
 class TestForwardValues:
     @pytest.mark.parametrize("config", [Exp1Config, Exp2Config, Exp4Config])
     def test_matches_forward_at_experiment_architectures(self, config):
