@@ -21,7 +21,7 @@ import scipy.linalg
 from . import curvature, dual, oracle
 from .curvature import curvature_matrix
 from .errors import SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _require_nondegenerate, conic_margin, forward
+from .model import DEFAULT_TAU, SocIcnnParams, _dot, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
@@ -110,6 +110,19 @@ def _value(params, y, beta, x):
     return trace.value + 0.5 * beta * float(diff @ diff), trace
 
 
+def _trial_block(params, y, beta, x, p, etas):
+    """The points ``x + eta p`` for the step sizes ``etas``, their objective
+    values, each bitwise ``_value``'s, and a map from row to one-point trace.
+    Several steps share one stacked ``forward``; one step runs ``_value``."""
+    X = x + etas[:, None] * p
+    if len(X) == 1:
+        f, trace = _value(params, y, beta, X[0])
+        return X, (f,), lambda k: trace
+    trace = forward(params, X)
+    diff = X - y
+    return X, trace.value + 0.5 * beta * _dot(diff, diff), trace.row
+
+
 def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     """Armijo-backtracked descent shared by all four solvers.
 
@@ -118,6 +131,11 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     trace); ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None
     for steepest descent).  Stops on per-step progress, on gradient norm, on
     iteration budget, or on a line-search failure, whichever comes first.
+
+    The line search traces the step sizes ``1, shrink, shrink^2, ...`` in
+    blocks as long as the previous search's run of trials (one at first) and
+    takes the first step that passes the Armijo test.  Steps traced past it
+    lie between two points where the convex objective is finite.
     """
     y = np.asarray(y, dtype=np.float64)
     x = y.copy()
@@ -125,6 +143,8 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
     t0 = time.perf_counter()
     deriv_time = 0.0
     f_val, point_trace = _value(params, y, config.beta, x)
+    etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)])
+    block = 1
     trace = []
     iterations = 0
     total_backtracks = 0
@@ -151,21 +171,23 @@ def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
             p = direction_fn(x, g, point_trace)
             deriv_time += time.perf_counter() - td
             slope = float(g @ p)
-        eta = 1.0
-        accepted = False
-        for bt in range(config.max_backtracks + 1):
-            x_new = x + eta * p
-            f_new, new_trace = _value(params, y, config.beta, x_new)
-            if f_new <= f_val + config.armijo * eta * slope:
-                accepted = True
-                break
-            eta *= config.shrink
-        total_backtracks += bt
-        if not accepted:
+        bounds = f_val + config.armijo * etas * slope
+        tried, k = 0, None
+        while k is None and tried < etas.size:
+            X, values, row_trace = _trial_block(
+                params, y, config.beta, x, p, etas[tried : tried + block]
+            )
+            k = next((i for i, f in enumerate(values) if f <= bounds[tried + i]), None)
+            tried += len(X) if k is None else k
+        if k is None:
+            total_backtracks += config.max_backtracks
             stop = "line-search-failure"
             break
+        total_backtracks += tried
+        block = tried + 1
+        f_new = float(values[k])
         progress = f_val - f_new
-        x, f_val, point_trace = x_new, f_new, new_trace
+        x, f_val, point_trace = X[k], f_new, row_trace(k)
         iterations += 1
     return InferenceReport(
         method=method,

@@ -122,6 +122,13 @@ class ForwardTrace:
     u_norms: tuple
     value: float | np.ndarray
 
+    def row(self, k: int) -> "ForwardTrace":
+        """Row ``k`` of a stacked trace, bitwise ``forward(params, x[k])``:
+        row views of the arrays, and Python floats for the norms and value."""
+        rows = (tuple(arr[k] for arr in group) for group in (self.a, self.z, self.q, self.u))
+        norms = tuple(float(un[k]) for un in self.u_norms)
+        return ForwardTrace(self.x[k], *rows, norms, float(self.value[k]))
+
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -250,6 +257,7 @@ def _dot(X, Y):
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at ``x`` and record the full trace.
 
@@ -261,7 +269,8 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     The preactivation is computed as ``W @ x + U @ z + b`` in exactly this
     association; the degenerate builder relies on that expression to land
     bitwise on zero.  A non-finite input or output value raises
-    ``NonFiniteError``, naming the first bad row of a stack.
+    ``NonFiniteError``, naming the first bad row of a stack, and an overflow
+    on the way there raises that error, not a NumPy warning.
     """
     x = np.asarray(x, dtype=np.float64)
     d0 = params.input_dim
@@ -324,6 +333,7 @@ def _forward_stack(params: SocIcnnParams, X) -> ForwardTrace:
     return ForwardTrace(_frozen(X), tuple(a_list), tuple(z_list), q, u, u_norms, value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward_values(params: SocIcnnParams, X) -> np.ndarray:
     """Model values at the rows of an ``(m, d)`` array, without traces.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
+from socicnn import curvature, experiments, forward, geometry, inference, model
 
 
 def inert_backbone(input_dim):
@@ -92,3 +93,43 @@ def stack_branches(branches):
         return tuple(np.concatenate([np.atleast_2d(a) for a in arrays]) for arrays in groups)
 
     return DualBranch(join("relu"), join("quad"), join("cone"))
+
+
+def record_traces(monkeypatch):
+    """Patch ``forward`` wherever the package reaches it to record the
+    points each call traces, as one ``(rows, d)`` array per call, and to
+    fail any call that a solver's gradient or Newton direction makes.
+
+    Returns the record and the solver runs, each as ``(report, calls)``
+    with ``calls`` the part of the record that run made.
+    """
+    traced, runs, inside = [], [], []
+
+    def recording_forward(params, x):
+        assert not inside, "a gradient or direction traced a point"
+        traced.append(np.atleast_2d(x).copy())
+        return forward(params, x)
+
+    def guarded(fn):
+        def wrapper(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    descent = inference._descent
+
+    def recording_descent(params, y, config, method, grad_fn, direction_fn, default_iters):
+        first = len(traced)
+        direction_fn = direction_fn and guarded(direction_fn)
+        rep = descent(params, y, config, method, guarded(grad_fn), direction_fn, default_iters)
+        runs.append((rep, traced[first:]))
+        return rep
+
+    for module in (curvature, experiments, geometry, inference, model):
+        monkeypatch.setattr(module, "forward", recording_forward)
+    monkeypatch.setattr(inference, "_descent", recording_descent)
+    return traced, runs

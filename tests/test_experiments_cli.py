@@ -34,6 +34,8 @@ from socicnn.experiments import (
     run_exp4,
 )
 
+from conftest import record_traces
+
 
 def rows_without_time(table):
     """Row tuples with wall-clock columns removed, for determinism checks."""
@@ -274,6 +276,20 @@ class TestExp4:
         cols = exp4_small.tables[0].columns
         iters = cols.index("iters")
         assert by_method["whitebox-newton"][iters] < 0.2 * by_method["whitebox-gd"][iters]
+
+    def test_line_searches_trace_their_steps_in_stacks(self, monkeypatch):
+        """A default run's line searches trace each predicted run of step
+        sizes as one stack: about 12.8k single-point calls become about 530
+        single and 3,000 stacked calls.  The steps a stack traces past the
+        accepted one stay within 5% of the trial points."""
+        traced, runs = record_traces(monkeypatch)
+        out = run_exp4(Exp4Config())
+        assert out.all_passed()
+        assert len(runs) == 4 * Exp4Config().queries
+        assert sum(len(X) == 1 for X in traced) <= 600
+        assert sum(len(X) > 1 for X in traced) <= 3100
+        rows = sum(len(X) for _, calls in runs for X in calls)
+        assert rows <= 1.05 * sum(1 + rep.iterations + rep.backtracks for rep, _ in runs)
 
 
 class TestCli:

@@ -27,7 +27,7 @@ from socicnn.oracle import fd_gradient, fd_hessian
 
 from socicnn.experiments import Exp2Config, _random_model
 
-from conftest import gaussian_points, quad_only_params
+from conftest import gaussian_points, quad_only_params, record_traces
 
 BETA = 1.0
 
@@ -244,26 +244,33 @@ class TestOnRandomModel:
 
 
 class TestTraceReuse:
-    @pytest.mark.parametrize(
-        "solver", [whitebox_newton, whitebox_gd, baseline_fd_gd, baseline_fd_newton]
-    )
-    def test_one_forward_per_gradient_and_trial_point(self, medium_model, monkeypatch, solver):
-        """Each point the line search tries is traced once, and an accepted
-        point's gradient and Newton matrix reuse that trace (the FD twins
-        difference ``forward_values`` instead).  So a run makes
-        ``1 + iterations + backtracks`` forward passes."""
-        calls = []
-
-        def counting_forward(params, x):
-            calls.append(1)
-            return forward(params, x)
-
-        monkeypatch.setattr(inference, "forward", counting_forward)
+    # (single-point calls, stacked calls, rows traced) at the query below.
+    @pytest.mark.parametrize("solver, counts", [
+        pytest.param(whitebox_newton, (4, 0, 4), id="whitebox_newton"),
+        pytest.param(whitebox_gd, (5, 14, 73), id="whitebox_gd"),
+        pytest.param(baseline_fd_gd, (5, 14, 73), id="baseline_fd_gd"),
+        pytest.param(baseline_fd_newton, (4, 0, 4), id="baseline_fd_newton"),
+    ])
+    def test_one_forward_per_gradient_and_trial_point(
+        self, medium_model, monkeypatch, solver, counts
+    ):
+        """Each point the line search tries is traced once, in its value
+        query: the gradient and the Newton matrix read the accepted trace
+        (the FD twins difference ``forward_values`` instead) and trace
+        nothing.  A search traces its predicted run of steps as one stack,
+        so a first-order run makes one call per iteration, not one per
+        trial, and traces a few rows past its ``1 + iterations +
+        backtracks`` trial points."""
+        traced, _ = record_traces(monkeypatch)
         y = gaussian_points(104, 1, medium_model.input_dim)[0]
         rep = solver(medium_model, y, InferenceConfig(beta=10.0))
         assert rep.stop_reason == "grad-tol"
         assert rep.iterations >= 2
-        assert len(calls) == 1 + rep.iterations + rep.backtracks
+        points = np.concatenate(traced)
+        assert len(np.unique(points, axis=0)) == len(points)
+        assert len(points) >= 1 + rep.iterations + rep.backtracks
+        single, stacked = sum(len(X) == 1 for X in traced), sum(len(X) > 1 for X in traced)
+        assert (single, stacked, len(points)) == counts
 
 
 # The descent loop as it stood before each accepted point was traced once:
@@ -432,13 +439,18 @@ EDGE_CONFIGS = {
     "no-backtracks": InferenceConfig(beta=10.0, max_backtracks=0),
     "coarse-progress": InferenceConfig(beta=10.0, progress_tol=1e-2),
     "budget-spent-at-tol": InferenceConfig(beta=10.0, max_iters=2),
+    "clipped-ladder": InferenceConfig(beta=1.0, max_backtracks=2),
+    "shrink-0.3": InferenceConfig(beta=1.0, shrink=0.3),
+    "uneven-searches": InferenceConfig(beta=1.0),
 }
 UNTIMED_FIELDS = [f.name for f in fields(InferenceReport) if f.name not in ("time_ms", "deriv_time_ms")]
 
 
 class TestReferenceLoop:
     """The shared loop reproduces the reference loop bit for bit, apart from
-    the two timing fields, for every solver, query and edge config."""
+    the two timing fields, for every solver, query and edge config; every
+    other field has the reference's type too, down to the floats in
+    ``trace``."""
 
     @pytest.mark.parametrize("solver, reference", SOLVER_PAIRS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
@@ -446,14 +458,13 @@ class TestReferenceLoop:
         for y in gaussian_points(106, 3, medium_model.input_dim):
             got = solver(medium_model, y, config)
             want = reference(medium_model, y, config)
+            assert type(got.iterations) is int and type(got.backtracks) is int
             for name in UNTIMED_FIELDS:
                 a, b = getattr(got, name), getattr(want, name)
                 if name == "x":
-                    assert np.array_equal(a, b)
-                elif name == "gap_to_best":
-                    assert np.isnan(a) and np.isnan(b)
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
                 else:
-                    assert a == b, name
+                    assert repr(a) == repr(b), name
 
     @pytest.mark.parametrize("name, reason", [
         ("no-iterations", "max-iters"),
@@ -476,6 +487,45 @@ class TestReferenceLoop:
                 for y in gaussian_points(106, 3, medium_model.input_dim)
             )
         )
+
+    def test_ladder_configs_reach_their_case(self, medium_model, monkeypatch):
+        """A line search traces its steps in blocks as long as the previous
+        search's run of trials.  ``clipped-ladder`` has a search fail in a
+        block cut short by the end of the ladder; in ``uneven-searches`` a
+        search traces steps past the one it accepts, and a later search
+        needs a second block."""
+        blocks = []
+        trial_block = inference._trial_block
+
+        def recording(params, y, beta, x, p, etas):
+            blocks.append((len(etas), etas[0] == 1.0))
+            return trial_block(params, y, beta, x, p, etas)
+
+        monkeypatch.setattr(inference, "_trial_block", recording)
+
+        def cases(config):
+            seen = set()
+            for solver, _ in SOLVER_PAIRS:
+                for y in gaussian_points(106, 3, medium_model.input_dim):
+                    blocks.clear()
+                    rep = solver(medium_model, y, config)
+                    searches = []
+                    for n, first in blocks:
+                        if first:
+                            searches.append([])
+                        searches[-1].append(n)
+                    last = searches[-1]
+                    if rep.stop_reason == "line-search-failure" and last[-1] < last[0]:
+                        seen.add("fails in a clipped block")
+                    for search, following in zip(searches, searches[1:]):
+                        if sum(search) > following[0]:
+                            seen.add("overshoots")
+                    if any(len(search) > 1 for search in searches[1:]):
+                        seen.add("undershoots")
+            return seen
+
+        assert "fails in a clipped block" in cases(EDGE_CONFIGS["clipped-ladder"])
+        assert {"overshoots", "undershoots"} <= cases(EDGE_CONFIGS["uneven-searches"])
 
 
 def reference_readout_field(params, tol):

@@ -73,10 +73,6 @@ class TestForward:
         v2 = forward(medium_model, x).value
         assert v1 == v2
 
-    # NumPy warns about the overflow before NonFiniteError is raised; that
-    # stray stderr output is an open defect (CHANGES.md FOUND on overflow
-    # warnings), so only this overflow warning is forgiven here.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, small_model):
         with pytest.raises(NonFiniteError):
             forward(small_model, np.full(small_model.input_dim, 1e200))
@@ -132,6 +128,24 @@ class TestStackedForward:
         with pytest.raises(NonFiniteError, match="row 2"):
             forward(small_model, X)
 
+    def test_overflow_names_the_row(self, small_model):
+        X = np.zeros((3, small_model.input_dim))
+        X[2] = 1e200
+        with pytest.raises(NonFiniteError, match="row 2"):
+            forward(small_model, X)
+
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_row_is_the_one_point_trace(self, medium_model, k):
+        """``row(k)`` is field for field, and type for type, the one-point
+        trace of ``X[k]``."""
+        X = gaussian_points(16, 5, medium_model.input_dim)
+        got, want = forward(medium_model, X).row(k), forward(medium_model, X[k])
+        assert np.array_equal(got.x, want.x)
+        for name in ("a", "z", "q", "u"):
+            pairs = zip(getattr(got, name), getattr(want, name), strict=True)
+            assert all(np.array_equal(g, w) for g, w in pairs)
+        assert repr((got.u_norms, got.value)) == repr((want.u_norms, want.value))
+
     def test_degeneracy_report_rejects_a_stack(self, small_model):
         tr = forward(small_model, np.zeros((3, small_model.input_dim)))
         with pytest.raises(ValidationError):
@@ -181,10 +195,6 @@ class TestForwardValues:
         with pytest.raises(NonFiniteError):
             forward_values(small_model, X)
 
-    # NumPy warns about the overflow before NonFiniteError is raised; that
-    # stray stderr output is an open defect (CHANGES.md FOUND on overflow
-    # warnings), so only this overflow warning is forgiven here.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_names_the_row(self, small_model):
         X = np.zeros((3, small_model.input_dim))
         X[2] = 1e200
