@@ -52,6 +52,7 @@ from .inference import (
     baseline_fd_newton,
     objective,
     readout_diagnostics,
+    solve_batch,
     whitebox_gd,
     whitebox_newton,
 )

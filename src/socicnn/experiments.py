@@ -397,28 +397,24 @@ class Exp4Config:
         _require_positive(self, "queries")
 
 
-METHOD_ORDER = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
+METHOD_ORDER = inference.METHODS
 
 
 def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
-    """Run all four solvers on each query and compare their outcomes."""
+    """Run all four solvers on the queries, each solver on all of them in
+    lockstep, and compare their outcomes query by query."""
     params = _random_model(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     t0 = time.perf_counter()
-    runners = {
-        "whitebox-gd": inference.whitebox_gd,
-        "whitebox-newton": inference.whitebox_newton,
-        "fd-gd": inference.baseline_fd_gd,
-        "fd-newton": inference.baseline_fd_newton,
-    }
     per_query = []
     sums = {m: np.zeros(5) for m in METHOD_ORDER}
     diag_sums = np.zeros(6)
     diag_count = 0
     pair_diff = 0.0
+    ys = rng.standard_normal((cfg.queries, cfg.input_dim))
+    batches = {m: inference.solve_batch(params, ys, cfg.solver, m) for m in METHOD_ORDER}
     for qid in range(cfg.queries):
-        y = rng.standard_normal(cfg.input_dim)
-        reports = {m: runners[m](params, y, cfg.solver) for m in METHOD_ORDER}
+        reports = {m: batches[m][qid] for m in METHOD_ORDER}
         best = min(r.objective for r in reports.values())
         for m in METHOD_ORDER:
             r = inference.with_gap(reports[m], best)

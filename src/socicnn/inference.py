@@ -12,6 +12,7 @@ counts are comparable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -94,120 +95,182 @@ class InferenceReport:
     gap_to_best: float = float("nan")
 
 
+# The four solvers' names, as in their reports' ``method`` field.
+METHODS = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
+
+
 def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU):
     """Value and canonical-readout gradient of the objective, by the solvers' own code."""
     x = np.asarray(x, dtype=np.float64)
-    value, trace = _value(params, y, beta, x)
-    return value, _readout_grad(params, y, beta, tol)(x, trace)
+    if x.ndim != 1:
+        raise ValidationError("dimension-mismatch", f"point has shape {x.shape}, expected (d,)")
+    Y = np.asarray(y, dtype=np.float64)[None]
+    value, trace = _value(params, Y[0], beta, x)
+    return value, _readout_grad(params, Y, beta, tol)(0, trace)
 
 
 def _value(params, y, beta, x):
-    """Objective value at ``x`` together with the model trace behind it."""
-    if x.ndim != 1:
-        raise ValidationError("dimension-mismatch", f"point has shape {x.shape}, expected (d,)")
+    """Objective value at the point ``x`` together with the model trace behind it."""
     trace = forward(params, x)
     diff = x - y
     return trace.value + 0.5 * beta * float(diff @ diff), trace
 
 
 def _trial_block(params, y, beta, x, p, etas):
-    """The points ``x + eta p`` for the step sizes ``etas``, their objective
-    values, each bitwise ``_value``'s, and a map from row to one-point trace.
-    Several steps share one stacked ``forward``; one step runs ``_value``."""
+    """The points ``x + eta p`` for the step sizes ``etas``, with ``x``,
+    ``p`` and the query ``y`` given per point (or broadcast), their
+    objective values, each bitwise ``_value``'s, and their trace.  Several
+    points share one stacked ``forward``; one point runs ``_value``."""
     X = x + etas[:, None] * p
+    return (X, *_values(params, y, beta, X))
+
+
+def _values(params, Y, beta, X):
+    """Objective values at the rows of ``X`` for the queries at the rows of
+    ``Y``, and one trace of them all: a stacked one, or a one-point trace
+    when ``X`` has a single row."""
     if len(X) == 1:
-        f, trace = _value(params, y, beta, X[0])
-        return X, (f,), lambda k: trace
+        f, trace = _value(params, Y[0], beta, X[0])
+        return np.array([f]), trace
     trace = forward(params, X)
-    diff = X - y
-    return X, trace.value + 0.5 * beta * _dot(diff, diff), trace.row
+    diff = X - Y
+    return trace.value + 0.5 * beta * _dot(diff, diff), trace
 
 
-def _descent(params, y, config, method, grad_fn, direction_fn, default_iters):
-    """Armijo-backtracked descent shared by all four solvers.
+def _descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
+    """Armijo-backtracked descent shared by all four solvers, run on the
+    query rows of ``Y`` in lockstep; returns one report per row.
 
-    Each point is traced once, by its value query.  ``grad_fn`` maps ``(x,
-    trace)`` to the objective gradient (the value-only twins ignore the
-    trace); ``direction_fn`` maps ``(x, g, trace)`` to a step direction (None
-    for steepest descent).  Stops on per-step progress, on gradient norm, on
-    iteration budget, or on a line-search failure, whichever comes first.
+    Each round makes one value query: one trace of every point that any
+    row's line search tries next.  Each point is traced once, there.  The
+    rows that accept a point in a round get their gradients from one
+    ``grad_fn(rows, trace)`` call with the trace of the accepted points
+    (``rows`` is an index array for a stacked trace and an int for a
+    one-point trace; the value-only twins read only ``trace.x``).
+    ``direction_fn`` maps ``(row, g, trace)`` to a step direction at that
+    row's one-point trace (None for steepest descent).  A row stops on
+    per-step progress, on gradient norm, on iteration budget, or on a
+    line-search failure, whichever comes first, and leaves the rounds.
 
-    The line search traces the step sizes ``1, shrink, shrink^2, ...`` in
-    blocks as long as the previous search's run of trials (one at first) and
-    takes the first step that passes the Armijo test.  Steps traced past it
-    lie between two points where the convex objective is finite.
+    A row's line search traces the step sizes ``1, shrink, shrink^2, ...``
+    in blocks as long as its previous search's run of trials (one at first)
+    and takes the first step that passes the Armijo test.  Steps traced past
+    it lie between two points where the convex objective is finite.  Every
+    row does bitwise the arithmetic of a run of its query alone.
+
+    Each row's ``time_ms`` and ``deriv_time_ms`` is its share of the batch
+    time: every interval goes to the rows of the call that ends it, in
+    proportion to the points each put in, so one batch's times sum to its
+    wall time.
     """
-    y = np.asarray(y, dtype=np.float64)
-    x = y.copy()
+    q = len(Y)
     max_iters = config.max_iters if config.max_iters is not None else default_iters
-    t0 = time.perf_counter()
-    deriv_time = 0.0
-    f_val, point_trace = _value(params, y, config.beta, x)
     etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)])
-    block = 1
-    trace = []
-    iterations = 0
-    total_backtracks = 0
+    mark = time.perf_counter()
+    spent, deriv = [0.0] * q, [0.0] * q
+
+    def charge(rows, weights, *totals):
+        nonlocal mark
+        now = time.perf_counter()
+        unit = (now - mark) / sum(weights)
+        for r, w in zip(rows, weights):
+            for total in totals:
+                total[r] += unit * w
+        mark = now
+
+    X = Y.copy()
+    F, trace = _values(params, Y, config.beta, X)
+    charged, weights, fresh = range(q), [1] * q, np.arange(q)
+    G, P = np.empty_like(Y), np.empty_like(Y)
+    bounds = np.empty((q, etas.size))
+    block, tried, iterations, backtracks = [1] * q, [0] * q, [0] * q, [0] * q
+    progress, grad_norm = [0.0] * q, [0.0] * q
+    history, stop = [[] for _ in range(q)], [None] * q
+    searching = []
     while True:
-        td = time.perf_counter()
-        g = grad_fn(x, point_trace)
-        deriv_time += time.perf_counter() - td
-        grad_norm = float(np.linalg.norm(g))
-        trace.append((f_val, grad_norm))
-        if iterations and progress <= config.progress_tol:
-            stop = "progress"
+        if fresh.size:
+            charge(charged, weights, spent)
+            stacked = np.ndim(trace.value) > 0
+            rows = fresh if stacked else fresh[0]
+            G[rows] = grad_fn(rows, trace)
+            charge(fresh, [1] * fresh.size, spent, deriv)
+            for i, r in enumerate(fresh.tolist()):
+                g = G[r]
+                grad_norm[r] = gn = math.sqrt(g @ g)
+                history[r].append((float(F[r]), gn))
+                if iterations[r] and progress[r] <= config.progress_tol:
+                    stop[r] = "progress"
+                elif gn <= config.grad_tol:
+                    stop[r] = "grad-tol"
+                elif iterations[r] >= max_iters:
+                    stop[r] = "max-iters"
+                else:
+                    if direction_fn is None:
+                        P[r] = -g
+                        slope = -gn * gn
+                    else:
+                        P[r] = direction_fn(r, g, trace.row(i) if stacked else trace)
+                        charge([r], [1], spent, deriv)
+                        slope = float(g @ P[r])
+                    bounds[r] = F[r] + config.armijo * etas * slope
+                    tried[r] = 0
+                    searching.append(r)
+        if not searching:
             break
-        if grad_norm <= config.grad_tol:
-            stop = "grad-tol"
-            break
-        if iterations >= max_iters:
-            stop = "max-iters"
-            break
-        if direction_fn is None:
-            p = -g
-            slope = -grad_norm * grad_norm
-        else:
-            td = time.perf_counter()
-            p = direction_fn(x, g, point_trace)
-            deriv_time += time.perf_counter() - td
-            slope = float(g @ p)
-        bounds = f_val + config.armijo * etas * slope
-        tried, k = 0, None
-        while k is None and tried < etas.size:
-            X, values, row_trace = _trial_block(
-                params, y, config.beta, x, p, etas[tried : tried + block]
-            )
-            k = next((i for i, f in enumerate(values) if f <= bounds[tried + i]), None)
-            tried += len(X) if k is None else k
-        if k is None:
-            total_backtracks += config.max_backtracks
-            stop = "line-search-failure"
-            break
-        total_backtracks += tried
-        block = tried + 1
-        f_new = float(values[k])
-        progress = f_val - f_new
-        x, f_val, point_trace = X[k], f_new, row_trace(k)
-        iterations += 1
-    return InferenceReport(
-        method=method,
-        x=x,
-        objective=f_val,
-        grad_norm=grad_norm,
-        iterations=iterations,
-        backtracks=total_backtracks,
-        time_ms=1000.0 * (time.perf_counter() - t0),
-        deriv_time_ms=1000.0 * deriv_time,
-        trace=tuple(trace),
-        stop_reason=stop,
+        weights = [min(block[r], etas.size - tried[r]) for r in searching]
+        owner = np.repeat(searching, weights)
+        steps = np.concatenate([etas[tried[r] : tried[r] + n] for r, n in zip(searching, weights)])
+        X_try, values, trace = _trial_block(
+            params, Y[owner], config.beta, X[owner], P[owner], steps
+        )
+        charged, accepted, still, start = searching, [], [], 0
+        for r, n in zip(searching, weights):
+            k = next((i for i in range(n) if values[start + i] <= bounds[r, tried[r] + i]), None)
+            if k is not None:
+                backtracks[r] += tried[r] + k
+                block[r] = tried[r] + k + 1
+                f_new = float(values[start + k])
+                progress[r] = float(F[r]) - f_new
+                X[r], F[r] = X_try[start + k], f_new
+                iterations[r] += 1
+                accepted.append(start + k)
+            elif tried[r] + n < etas.size:
+                tried[r] += n
+                still.append(r)
+            else:
+                backtracks[r] += config.max_backtracks
+                stop[r] = "line-search-failure"
+            start += n
+        fresh = owner[accepted]
+        if len(accepted) == 1 and np.ndim(trace.value):
+            trace = trace.row(accepted[0])
+        elif len(accepted) > 1:
+            trace = trace.row(np.array(accepted))
+        searching = still
+    charge(range(q), [1] * q, spent)
+    return tuple(
+        InferenceReport(
+            method=method,
+            x=X[r].copy(),
+            objective=float(F[r]),
+            grad_norm=grad_norm[r],
+            iterations=iterations[r],
+            backtracks=backtracks[r],
+            time_ms=1000.0 * spent[r],
+            deriv_time_ms=1000.0 * deriv[r],
+            trace=tuple(history[r]),
+            stop_reason=stop[r],
+        )
+        for r in range(q)
     )
 
 
-def _readout_grad(params, y, beta, tol):
-    """Canonical-readout gradient of the objective, read from the point's trace."""
+def _readout_grad(params, Y, beta, tol):
+    """Canonical-readout gradient of the objective for the queries at
+    ``rows`` of ``Y``, read from the trace of their points."""
 
-    def grad_fn(x, trace):
-        return dual.readout(params, dual.canonical(params, trace, tol)) + beta * (x - y)
+    def grad_fn(rows, trace):
+        return dual.readout(params, dual.canonical(params, trace, tol)) + beta * (trace.x - Y[rows])
 
     return grad_fn
 
@@ -218,24 +281,110 @@ def _readout_field(params, tol):
     return lambda Z: dual.readout(params, dual.canonical(params, forward(params, Z), tol))
 
 
-def _fd_grad(params, y, config):
-    """Central-difference gradient field of the objective, built from value
-    queries alone; takes one point or a stack of points, and no trace."""
+def _fd_values(params, Y, config):
+    """Objective value field of the queries at ``rows`` of ``Y``, from value
+    queries alone.  It takes one equally long block of points per query,
+    stacked in query order, and evaluates each block as its own ``(m, d)``
+    slab of one batched ``forward_values`` call."""
 
-    def values(Z):
-        diff = Z - y
-        return forward_values(params, Z) + 0.5 * config.beta * np.einsum("ij,ij->i", diff, diff)
+    def values(rows):
+        Yr = Y[rows].reshape(-1, 1, Y.shape[1])
 
-    def grad_fn(x, _trace=None):
-        return fd_gradient(values, x, config.fd_grad_step)
+        def f(Z):
+            Z = Z.reshape(len(Yr), -1, Z.shape[-1])
+            diff = Z - Yr
+            quad = np.einsum("...ij,...ij->...i", diff, diff)
+            return (forward_values(params, Z) + 0.5 * config.beta * quad).reshape(-1)
 
-    return grad_fn
+        return f
+
+    return values
+
+
+def _fd_grad(params, Y, config):
+    """Central-difference gradient of the objective for the queries at
+    ``rows`` of ``Y``, at the points of ``trace``, built from value queries
+    alone: one stencil block per point, all in one value query."""
+    values = _fd_values(params, Y, config)
+    return lambda rows, trace: fd_gradient(values(rows), trace.x, config.fd_grad_step)
+
+
+def _newton_direction(params, config):
+    """Damped Newton step at a row's trace from the closed-form curvature."""
+
+    def direction_fn(r, g, trace):
+        H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
+        H[np.diag_indices_from(H)] += config.beta + config.damping
+        try:
+            factor = scipy.linalg.cho_factor(H, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
+        return -scipy.linalg.cho_solve(factor, g, check_finite=False)
+
+    return direction_fn
+
+
+def _fd_newton_direction(params, Y, config):
+    """Newton step from a central difference of the FD gradient field of a
+    row's query, its ``4 n^2``-point stencil in one value query, with the
+    eigenvalues clamped from below at ``beta + damping``."""
+    values = _fd_values(params, Y, config)
+
+    def direction_fn(r, g, trace):
+        f = values(r)
+        H = fd_hessian(lambda P: fd_gradient(f, P, config.fd_grad_step), trace.x,
+                       config.fd_hess_step)
+        w, V = scipy.linalg.eigh(H, check_finite=False)
+        w = np.maximum(w, config.beta + config.damping)
+        return -(V @ ((V.T @ g) / w))
+
+    return direction_fn
+
+
+def solve_batch(params: SocIcnnParams, Y, config: InferenceConfig, method: str) -> tuple:
+    """Run one solver on every query of the ``(q, d)`` stack ``Y`` in lockstep.
+
+    ``method`` is one of ``METHODS``, the ``method`` field of the reports
+    of ``whitebox_gd``, ``whitebox_newton``, ``baseline_fd_gd`` and
+    ``baseline_fd_newton``.  Returns one report per query, in order; each
+    is bitwise what the one-query solver gives, apart from the timings,
+    which split the batch time between the queries.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or not len(Y):
+        raise ValidationError(
+            "dimension-mismatch", f"queries have shape {Y.shape}, expected (q, d) with q >= 1"
+        )
+    white = method.startswith("whitebox")
+    if white:
+        grad_fn = _readout_grad(params, Y, config.beta, config.tol)
+    else:
+        grad_fn = _fd_grad(params, Y, config)
+    if method.endswith("-gd"):
+        return _descent(params, Y, config, method, grad_fn, None, GD_MAX_ITERS)
+    if white:
+        direction_fn = _newton_direction(params, config)
+    else:
+        direction_fn = _fd_newton_direction(params, Y, config)
+    return _descent(params, Y, config, method, grad_fn, direction_fn, NEWTON_MAX_ITERS)
+
+
+def _solve_one(params, y, config, method):
+    """One query ``y`` of shape ``(d,)``, run as a stack of one."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValidationError(
+            "dimension-mismatch", f"query has shape {y.shape}, expected (d,); "
+            "solve_batch takes a stack"
+        )
+    return solve_batch(params, y[None], config, method)[0]
 
 
 def whitebox_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order descent with the canonical-readout gradient."""
-    grad_fn = _readout_grad(params, y, config.beta, config.tol)
-    return _descent(params, y, config, "whitebox-gd", grad_fn, None, GD_MAX_ITERS)
+    return _solve_one(params, y, config, "whitebox-gd")
 
 
 def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
@@ -245,25 +394,13 @@ def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Infere
     iterate land exactly on one, drop out of the curvature (their
     subdifferential term is already in the gradient).
     """
-    grad_fn = _readout_grad(params, y, config.beta, config.tol)
-
-    def direction_fn(x, g, trace):
-        H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
-        H[np.diag_indices_from(H)] += config.beta + config.damping
-        try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
-        return -scipy.linalg.cho_solve(factor, g, check_finite=False)
-
-    return _descent(params, y, config, "whitebox-newton", grad_fn, direction_fn, NEWTON_MAX_ITERS)
+    return _solve_one(params, y, config, "whitebox-newton")
 
 
 def baseline_fd_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
     """First-order twin that only sees objective values: central-difference
     gradients at step ``fd_grad_step``."""
-    grad_fn = _fd_grad(params, y, config)
-    return _descent(params, y, config, "fd-gd", grad_fn, None, GD_MAX_ITERS)
+    return _solve_one(params, y, config, "fd-gd")
 
 
 def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
@@ -276,15 +413,7 @@ def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> Inf
     the objective, no analytic model structure.  The matrix comes from one
     value query over its whole ``4 n^2``-point stencil.
     """
-    field = _fd_grad(params, y, config)
-
-    def direction_fn(x, g, _):
-        H = fd_hessian(field, x, config.fd_hess_step)
-        w, V = scipy.linalg.eigh(H, check_finite=False)
-        w = np.maximum(w, config.beta + config.damping)
-        return -(V @ ((V.T @ g) / w))
-
-    return _descent(params, y, config, "fd-newton", field, direction_fn, NEWTON_MAX_ITERS)
+    return _solve_one(params, y, config, "fd-newton")
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,15 @@ class ForwardTrace:
     u_norms: tuple
     value: float | np.ndarray
 
-    def row(self, k: int) -> "ForwardTrace":
+    def row(self, k) -> "ForwardTrace":
         """Row ``k`` of a stacked trace, bitwise ``forward(params, x[k])``:
-        row views of the arrays, and Python floats for the norms and value."""
+        row views of the arrays, and Python floats for the norms and value.
+        An index array ``k`` selects those rows, in its order, as a stacked
+        trace."""
         rows = (tuple(arr[k] for arr in group) for group in (self.a, self.z, self.q, self.u))
+        if np.ndim(k):
+            return ForwardTrace(self.x[k], *rows, tuple(un[k] for un in self.u_norms),
+                                self.value[k])
         norms = tuple(float(un[k]) for un in self.u_norms)
         return ForwardTrace(self.x[k], *rows, norms, float(self.value[k]))
 
@@ -176,9 +181,9 @@ def validate(params: SocIcnnParams) -> None:
     L = params.n_layers
     if L < 1:
         raise ValidationError("dimension-mismatch", "backbone needs at least one layer")
-    d0 = params.input_dim
     if params.v.ndim != 1:
         raise ValidationError("dimension-mismatch", "v must be a vector")
+    d0 = params.input_dim
     if len(params.U) != L or len(params.b) != L:
         raise ValidationError("dimension-mismatch", "W, U, b must have one entry per layer")
     prev = 0
@@ -335,34 +340,40 @@ def _forward_stack(params: SocIcnnParams, X) -> ForwardTrace:
 
 @np.errstate(over="ignore", invalid="ignore")
 def forward_values(params: SocIcnnParams, X) -> np.ndarray:
-    """Model values at the rows of an ``(m, d)`` array, without traces.
+    """Model values at the rows of an ``(..., m, d)`` array, without traces.
 
     Each layer and module is evaluated for all ``m`` rows at once, by
     matrix products whose summation order differs from ``forward``'s: values
     agree with ``forward(params, x).value`` to rounding, not bitwise, and
     the bitwise kinks of ``build_degenerate_2d`` hold only in ``forward``.
-    Input shape and finiteness are checked as in ``forward``, and a
-    non-finite output value raises ``NonFiniteError`` naming its row.
+    Leading batch axes make each product one batched matrix product, so
+    every ``(m, d)`` slab gets bitwise the values of its own 2-D call,
+    which one flat call over all the rows does not promise.  Input shape
+    and finiteness are checked as in ``forward``, and a non-finite output
+    value raises ``NonFiniteError`` naming its full row index.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
+    if X.ndim < 2 or X.shape[-1] != params.input_dim:
         raise ValidationError(
-            "dimension-mismatch", f"input has shape {X.shape}, expected (m, {params.input_dim})"
+            "dimension-mismatch",
+            f"input has shape {X.shape}, expected (..., m, {params.input_dim})",
         )
     if not np.all(np.isfinite(X)):
         raise NonFiniteError("input contains NaN or infinity")
-    Z = np.zeros((X.shape[0], 0))
+    Z = np.zeros(X.shape[:-1] + (0,))
     for W, U, b in zip(params.W, params.U, params.b):
         Z = np.maximum(X @ W.T + Z @ U.T + b, 0.0)
     values = Z @ params.c + X @ params.v + params.b0
     for al, B, e in zip(params.alpha, params.B, params.e):
         Q = X @ B.T + e
-        values += 0.5 * al * np.einsum("ij,ij->i", Q, Q)
+        values += 0.5 * al * np.einsum("...ij,...ij->...i", Q, Q)
     for lg, A, d in zip(params.lam, params.A, params.d):
-        values += lg * np.linalg.norm(X @ A.T + d, axis=1)
+        values += lg * np.linalg.norm(X @ A.T + d, axis=-1)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NonFiniteError(f"output value of row {bad[0]} is NaN or infinite")
+        where = np.unravel_index(bad[0], values.shape)
+        where = where[0] if values.ndim == 1 else tuple(int(i) for i in where)
+        raise NonFiniteError(f"output value of row {where} is NaN or infinite")
     return values
 
 
@@ -595,13 +606,14 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
             d=[m["d"] for m in obj["cone"]],
             seed=obj.get("seed"),
         )
-        if list(params.widths) != list(dims["widths"]):
-            raise ModelFormatError("declared widths do not match layer arrays")
+        widths = list(dims["widths"])
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
     validate(params)
+    if list(params.widths) != widths:
+        raise ModelFormatError("declared widths do not match layer arrays")
     return params
 
 

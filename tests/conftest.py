@@ -100,8 +100,9 @@ def record_traces(monkeypatch):
     points each call traces, as one ``(rows, d)`` array per call, and to
     fail any call that a solver's gradient or Newton direction makes.
 
-    Returns the record and the solver runs, each as ``(report, calls)``
-    with ``calls`` the part of the record that run made.
+    Returns the record and the descent runs, each as ``(reports, calls)``:
+    the reports of one lockstep batch of queries (a single query is a batch
+    of one), and the part of the record that batch made.
     """
     traced, runs, inside = [], [], []
 
@@ -122,12 +123,12 @@ def record_traces(monkeypatch):
 
     descent = inference._descent
 
-    def recording_descent(params, y, config, method, grad_fn, direction_fn, default_iters):
+    def recording_descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
         first = len(traced)
         direction_fn = direction_fn and guarded(direction_fn)
-        rep = descent(params, y, config, method, guarded(grad_fn), direction_fn, default_iters)
-        runs.append((rep, traced[first:]))
-        return rep
+        reports = descent(params, Y, config, method, guarded(grad_fn), direction_fn, default_iters)
+        runs.append((reports, traced[first:]))
+        return reports
 
     for module in (curvature, experiments, geometry, inference, model):
         monkeypatch.setattr(module, "forward", recording_forward)

@@ -15,6 +15,7 @@ from socicnn import (
     dual,
     experiments,
     forward,
+    forward_values,
     geometry,
     inference,
     load_model,
@@ -278,18 +279,29 @@ class TestExp4:
         assert by_method["whitebox-newton"][iters] < 0.2 * by_method["whitebox-gd"][iters]
 
     def test_line_searches_trace_their_steps_in_stacks(self, monkeypatch):
-        """A default run's line searches trace each predicted run of step
-        sizes as one stack: about 12.8k single-point calls become about 530
-        single and 3,000 stacked calls.  The steps a stack traces past the
-        accepted one stay within 5% of the trial points."""
+        """A default run descends each solver's 30 queries in lockstep: a
+        round traces every open line search's predicted run of step sizes in
+        one stack, and the FD twins' gradient stencils of the round in one
+        value query.  About 3,500 ``forward`` and 1,700 ``forward_values``
+        calls, one query at a time, become about 1,100 and 600.  The steps a
+        stack traces past the accepted one stay within 5% of the trial
+        points."""
         traced, runs = record_traces(monkeypatch)
+        value_queries = []
+
+        def counting_values(params, X):
+            value_queries.append(np.shape(X))
+            return forward_values(params, X)
+
+        monkeypatch.setattr(inference, "forward_values", counting_values)
         out = run_exp4(Exp4Config())
         assert out.all_passed()
-        assert len(runs) == 4 * Exp4Config().queries
-        assert sum(len(X) == 1 for X in traced) <= 600
-        assert sum(len(X) > 1 for X in traced) <= 3100
+        assert [len(reports) for reports, _ in runs] == [Exp4Config().queries] * 4
+        assert len(traced) <= 1200
+        assert len(value_queries) <= 700
         rows = sum(len(X) for _, calls in runs for X in calls)
-        assert rows <= 1.05 * sum(1 + rep.iterations + rep.backtracks for rep, _ in runs)
+        trials = sum(1 + r.iterations + r.backtracks for reports, _ in runs for r in reports)
+        assert rows <= 1.05 * trials
 
 
 class TestCli:
@@ -335,6 +347,26 @@ class TestCli:
         obj["layers"][0]["W"][0][0] = float("nan")
         path.write_text(json.dumps(obj))
         assert "NaN" in path.read_text()
+        capsys.readouterr()
+        assert main(["model", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["-1", "0", "1.5", "null", "true", "1e400", "-1e400"])
+    @pytest.mark.parametrize("field", ["v", "layers.0.W", "layers.1.W"])
+    def test_model_info_rejects_scalar_array_fields(self, tmp_path, capsys, field, token):
+        """A JSON scalar where a vector or matrix belongs is a format error,
+        not an ``IndexError`` from reading the shape it does not have."""
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
+        obj = json.loads(path.read_text())
+        *parents, leaf = [int(k) if k.isdigit() else k for k in field.split(".")]
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[leaf] = "SCALAR"
+        path.write_text(json.dumps(obj).replace('"SCALAR"', token))
         capsys.readouterr()
         assert main(["model", "info", str(path)]) == 2
         err = capsys.readouterr().err

@@ -15,12 +15,13 @@ from socicnn import (
     forward,
     objective,
     readout_diagnostics,
+    solve_batch,
     whitebox_gd,
     whitebox_newton,
 )
 from socicnn import curvature, dual, inference
 from socicnn.curvature import curvature_matrix
-from socicnn.errors import SolveFailureError
+from socicnn.errors import SolveFailureError, ValidationError
 from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, InferenceReport, with_gap
 from socicnn.model import forward_values
 from socicnn.oracle import fd_gradient, fd_hessian
@@ -526,6 +527,76 @@ class TestReferenceLoop:
 
         assert "fails in a clipped block" in cases(EDGE_CONFIGS["clipped-ladder"])
         assert {"overshoots", "undershoots"} <= cases(EDGE_CONFIGS["uneven-searches"])
+
+
+def assert_same_untimed(got, want):
+    """Every field but the two timings agrees: ``x`` by value and dtype, the
+    rest by ``repr``, so types and every bit of every float agree too."""
+    for name in UNTIMED_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "x":
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        else:
+            assert repr(a) == repr(b), name
+
+
+SOLVERS = [solver for solver, _ in SOLVER_PAIRS]
+
+
+class TestLockstepBatch:
+    """``solve_batch`` descends a stack of queries in lockstep, and each row
+    is bit for bit the one-query solver's report, apart from the timings."""
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    def test_rows_match_single_queries(self, medium_model, solver, config):
+        """Three queries and a repeat of the second in one stack, and the
+        first alone as a stack of one."""
+        Y = gaussian_points(106, 3, medium_model.input_dim)
+        singles = [solver(medium_model, y, config) for y in Y]
+        method = singles[0].method
+        batch = solve_batch(medium_model, np.vstack([Y, Y[1]]), config, method)
+        assert len(batch) == 4
+        for got, want in zip(batch, singles + singles[1:2]):
+            assert_same_untimed(got, want)
+        (alone,) = solve_batch(medium_model, Y[:1], config, method)
+        assert_same_untimed(alone, singles[0])
+
+    def test_rows_that_stop_apart(self, medium_model):
+        """Rows stop for different reasons, tens of rounds apart: at
+        ``beta = 1`` the FD gradient twin stops one query on progress, one
+        on its iteration budget and the rest on the gradient tolerance."""
+        config = InferenceConfig(beta=1.0, max_iters=150)
+        d = medium_model.input_dim
+        Y = np.vstack([gaussian_points(106, 3, d), gaussian_points(107, 3, d, scale=5.0)])
+        for solver in SOLVERS:
+            singles = [solver(medium_model, y, config) for y in Y]
+            batch = solve_batch(medium_model, Y, config, singles[0].method)
+            for got, want in zip(batch, singles, strict=True):
+                assert_same_untimed(got, want)
+            if solver is baseline_fd_gd:
+                assert {r.stop_reason for r in batch} == {"grad-tol", "progress", "max-iters"}
+                iters = [r.iterations for r in batch]
+                assert max(iters) >= 10 * min(iters)
+
+    def test_times_split_the_batch_time(self, medium_model):
+        """Each row's times are its share of the batch: they sum to no more
+        than the wall time around the call, and the derivative share of a
+        row is part of its total."""
+        Y = gaussian_points(106, 3, medium_model.input_dim)
+        t0 = time.perf_counter()
+        batch = solve_batch(medium_model, Y, InferenceConfig(beta=10.0), "whitebox-newton")
+        wall_ms = 1000.0 * (time.perf_counter() - t0)
+        assert 0.0 < sum(r.time_ms for r in batch) <= wall_ms
+        assert all(0.0 < r.deriv_time_ms <= r.time_ms for r in batch)
+
+    def test_rejects_bad_shapes_and_unknown_methods(self, small_model):
+        d = small_model.input_dim
+        for shape in ((d,), (0, d), (2, d + 1)):
+            with pytest.raises(ValidationError):
+                solve_batch(small_model, np.zeros(shape), InferenceConfig(), "fd-gd")
+        with pytest.raises(ValueError, match="unknown method"):
+            solve_batch(small_model, np.zeros((2, d)), InferenceConfig(), "newton")
 
 
 def reference_readout_field(params, tol):

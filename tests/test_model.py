@@ -146,6 +146,13 @@ class TestStackedForward:
             assert all(np.array_equal(g, w) for g, w in pairs)
         assert repr((got.u_norms, got.value)) == repr((want.u_norms, want.value))
 
+    def test_row_selection_is_the_stacked_trace_of_those_rows(self, medium_model):
+        """``row(idx)`` with an index array is the stacked trace of
+        ``X[idx]``, rows in the order of ``idx``, repeats included."""
+        X = gaussian_points(17, 6, medium_model.input_dim)
+        idx = np.array([4, 0, 4, 2])
+        assert_trace_rows(forward(medium_model, X).row(idx), X[idx], medium_model)
+
     def test_degeneracy_report_rejects_a_stack(self, small_model):
         tr = forward(small_model, np.zeros((3, small_model.input_dim)))
         with pytest.raises(ValidationError):
@@ -200,6 +207,34 @@ class TestForwardValues:
         X[2] = 1e200
         with pytest.raises(NonFiniteError, match="row 2"):
             forward_values(small_model, X)
+
+
+class TestForwardValuesBatchAxes:
+    def test_each_slab_is_bitwise_its_2d_call(self):
+        """At exp4's architecture, a ``(30, 20, d)`` call gives every
+        ``(20, d)`` slab bitwise the values of its own 2-D call.  One flat
+        call over the same 600 rows agrees only to rounding: its matrix
+        products run over a different row count."""
+        params = _random_model(Exp4Config())
+        S = gaussian_points(18, 600, params.input_dim).reshape(30, 20, params.input_dim)
+        batched = forward_values(params, S)
+        assert batched.shape == (30, 20)
+        for slab, got in zip(S, batched):
+            assert np.array_equal(got, forward_values(params, slab))
+        flat = forward_values(params, S.reshape(600, -1)).reshape(30, 20)
+        assert np.allclose(flat, batched, rtol=1e-13, atol=0.0)
+
+    def test_non_finite_row_is_named_by_its_full_index(self, small_model):
+        X = np.zeros((2, 3, small_model.input_dim))
+        X[1, 2] = 1e200
+        with pytest.raises(NonFiniteError, match=r"row \(1, 2\) "):
+            forward_values(small_model, X)
+        with pytest.raises(NonFiniteError, match="row 2 "):
+            forward_values(small_model, X[1])
+
+    def test_rejects_a_wrong_last_axis(self, small_model):
+        with pytest.raises(ValidationError):
+            forward_values(small_model, np.zeros((2, 3, small_model.input_dim + 1)))
 
 
 class TestValidate:

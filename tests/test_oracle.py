@@ -108,6 +108,25 @@ class TestBatchedStencils:
         for p, g in zip(P, G):
             assert np.array_equal(g, fd_gradient(per_row(f1), p))
 
+    def test_a_batch_gives_f_one_stencil_block_per_point(self, medium_model):
+        """For a stack of ``m`` points, ``f`` gets ``m`` blocks of ``2 n``
+        rows in one call, block ``i`` being exactly the rows that the
+        one-point call at ``P[i]`` gets, so a batched ``f`` can take each
+        block as its own ``(2 n, n)`` slab."""
+        n = medium_model.input_dim
+        seen = []
+
+        def f(Z):
+            seen.append(Z.copy())
+            return forward_values(medium_model, Z)
+
+        P = gaussian_points(34, 3, n)
+        fd_gradient(f, P)
+        blocks = seen.pop().reshape(len(P), 2 * n, n)
+        for p, block in zip(P, blocks):
+            fd_gradient(f, p)
+            assert np.array_equal(block, seen.pop())
+
     def test_convexity_probe_keeps_its_random_stream(self, medium_model):
         f1 = lambda x: forward(medium_model, x).value
         assert convexity_probe(per_row(f1), medium_model.input_dim, n_triples=50, seed=4) == (
