@@ -18,7 +18,7 @@ import numpy as np
 from . import dual
 from .errors import DegenerateInputError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import _require_nondegenerate, forward
+from .model import _nondegenerate_rows, _per_row, _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +63,7 @@ def curvature_matrix(
     At a cone tip the conic term is undefined; ``skip_tip_modules`` drops
     such modules (the second-order solver's fallback) instead of raising.
     """
-    n = params.input_dim
-    H = np.zeros((n, n))
-    for al, B in zip(params.alpha, params.B):
-        H += al * (B.T @ B)
+    H = params.quad_hessian.copy()
     for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
         if un <= tol:
             if skip_tip_modules:
@@ -115,15 +112,17 @@ def local_affine_constants(params: SocIcnnParams, x, tol: float = DEFAULT_TAU):
 
 
 def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
-    d0 = params.input_dim
-    M = np.zeros((0, d0))
-    m = np.zeros(0)
+    """``(slope, offset)`` at a trace; a stacked one gives ``(n, d)`` slopes
+    and ``(n,)`` offsets, each row bitwise its own point's."""
+    lead = np.shape(trace.value)
+    M = np.zeros(lead + (0, params.input_dim))
+    m = np.zeros(lead + (0,))
     for a, W, U, b in zip(trace.a, params.W, params.U, params.b):
         mask = (a > tol).astype(np.float64)
-        M = mask[:, None] * (W + U @ M)
-        m = mask * (U @ m + b)
-    slope = params.v + M.T @ params.c
-    offset = params.b0 + float(params.c @ m)
+        M = mask[..., None] * (W + U @ M)
+        m = mask * (_matvec(U, m) + b)
+    slope = params.v + np.swapaxes(M, -1, -2) @ params.c
+    offset = params.b0 + _per_row(_dot(params.c, m))
     return slope, offset
 
 
@@ -136,6 +135,7 @@ def local_gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.nda
 
 
 def _trace_gradient(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> np.ndarray:
+    """``local_gradient`` at a trace, or ``(n, d)`` rows at a stacked one."""
     g, _ = _affine_constants(params, trace, tol)
     dual._add_smooth_slope(g, params, trace, tol)
     return g
@@ -180,11 +180,9 @@ def quadratic_model_residual(
     for start in range(0, trials, RESIDUAL_BLOCK):
         block = X[start:start + RESIDUAL_BLOCK]
         trace = forward(params, block)
-        kept = np.ones(len(block), dtype=bool)
+        kept = _nondegenerate_rows(trace, tol)
         for a, a0 in zip(trace.a, anchor_trace.a):
-            kept &= np.all((np.abs(a) > tol) & ((a > tol) == (a0 > tol)), axis=1)
-        for un in trace.u_norms:
-            kept &= un > tol
+            kept &= np.all((a > tol) == (a0 > tol), axis=1)
         residuals.append(np.abs(trace.value[kept] - anchor_trace.value - cm.predict(block[kept])))
     residuals = np.concatenate(residuals)
     rate = residuals.size / trials

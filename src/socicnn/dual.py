@@ -21,16 +21,11 @@ import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import degeneracy_report
+from .model import _per_row, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
 MAX_FREE_COORDS = 16
-
-
-def _per_branch(value):
-    """A float for one branch, the ``(n,)`` array for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +49,7 @@ class DualBranch:
         total = 0.0
         for vec in self.relu + self.quad + self.cone:
             total = total + _dot(vec, vec)
-        return _per_branch(np.sqrt(total))
+        return _per_row(np.sqrt(total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,15 +145,19 @@ def _cone_multiplier(lg, ug, un, tol):
 
 def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
     """Add the quadratic and off-tip conic slopes to ``g`` in place and return
-    ``(lam_g, A_g)`` for every module at its cone tip."""
+    ``(lam_g, A_g)`` for every module at its cone tip.  At a stacked trace
+    ``g`` is ``(n, d)``, each row gets bitwise its own point's slopes (tip
+    rows none of that module's) and no tips are returned."""
     for al, B, qh in zip(params.alpha, params.B, trace.q):
-        g += al * (B.T @ qh)
+        g += al * _matvec(B.T, qh)
     tips = []
     for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        if un > tol:
-            g += (lg / un) * (A.T @ ug)
-        else:
+        if np.ndim(un) == 0 and un <= tol:
             tips.append((lg, A))
+            continue
+        off_tip = un > tol
+        scale = np.where(off_tip, lg / np.where(off_tip, un, 1.0), 0.0)
+        g += scale[..., None] * _matvec(A.T, ug)
     return tips
 
 
@@ -191,7 +190,7 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | 
             worst = np.maximum(worst, np.max(nu - bound, axis=-1))
     for lg, r in zip(params.lam, branch.cone):
         worst = np.maximum(worst, np.sqrt(_dot(r, r)) - lg)
-    return _per_branch(np.where(worst == -np.inf, 0.0, worst))
+    return _per_row(np.where(worst == -np.inf, 0.0, worst))
 
 
 def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
@@ -227,7 +226,7 @@ def dual_value(
         if bad.size:
             k = bad[0]
             raise InfeasibleBranchError(f"branch {k} violates constraints by {viol[k]:.3e}")
-    return _per_branch(_minorant_values(params, x, branch))
+    return _per_row(_minorant_values(params, x, branch))
 
 
 def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:

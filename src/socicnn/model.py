@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,15 @@ class SocIcnnParams:
     @property
     def n_cone(self) -> int:
         return len(self.A)
+
+    @cached_property
+    def quad_hessian(self) -> np.ndarray:
+        """``sum_h alpha_h B_h.T B_h``, the Hessian of the quadratic modules
+        (read-only), summed once per model in module order."""
+        H = np.zeros((self.input_dim, self.input_dim))
+        for al, B in zip(self.alpha, self.B):
+            H += al * (B.T @ B)
+        return _frozen(H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,14 +425,35 @@ def _gaussian_nonzero(rng, dim: int):
     return vec, nrm
 
 
-def relu_margin(trace: ForwardTrace) -> float:
-    """Smallest absolute preactivation across the backbone."""
-    return min((float(np.min(np.abs(a))) for a in trace.a if a.size), default=np.inf)
+def _per_row(value):
+    """A float for one point (or branch), the ``(n,)`` array for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def conic_margin(trace: ForwardTrace) -> float:
-    """Smallest conic residual norm; infinity when there are no conic modules."""
-    return min(trace.u_norms, default=np.inf)
+def relu_margin(trace: ForwardTrace) -> float | np.ndarray:
+    """Smallest absolute preactivation across the backbone; per row, as an
+    ``(n,)`` array, for a stacked trace."""
+    margin = np.full(np.shape(trace.value), np.inf)
+    for a in trace.a:
+        if a.shape[-1]:
+            margin = np.minimum(margin, np.min(np.abs(a), axis=-1))
+    return _per_row(margin)
+
+
+def conic_margin(trace: ForwardTrace) -> float | np.ndarray:
+    """Smallest conic residual norm, infinity when there are no conic
+    modules; per row, as an ``(n,)`` array, for a stacked trace."""
+    margin = np.full(np.shape(trace.value), np.inf)
+    for un in trace.u_norms:
+        margin = np.minimum(margin, un)
+    return _per_row(margin)
+
+
+def _nondegenerate_rows(trace: ForwardTrace, tol: float):
+    """Whether the point, or each row of a stacked trace, lies more than
+    ``tol`` from every ReLU and conic kink: ``degeneracy_report``'s
+    ``is_nondegenerate``, row by row."""
+    return np.minimum(relu_margin(trace), conic_margin(trace)) > tol
 
 
 def build_random(seed: int, arch: ArchSpec) -> SocIcnnParams:

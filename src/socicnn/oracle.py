@@ -40,6 +40,15 @@ def _central_stencil(x, step):
     return legs
 
 
+def _first_bad(ok, stacked):
+    """The stencil coordinate (and point, for a stack) of the first False in
+    ``ok``, which is indexed ``[point,] coordinate``, or None."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        return f"coordinate {bad[0][-1]}" + (f" of point {bad[0][0]}" if stacked else "")
+    return None
+
+
 def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar field ``f`` at ``x``.
 
@@ -56,9 +65,8 @@ def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     legs = _central_stencil(x, step)
     vals = _evaluate(f, legs.reshape(-1, n), (legs.size // n,), "f")
     vals = vals.reshape(legs.shape[:-1])
-    bad = np.argwhere(~np.all(np.isfinite(vals), axis=-2))
-    if bad.size:
-        where = f"coordinate {bad[0][-1]}" + (f" of point {bad[0][0]}" if x.ndim == 2 else "")
+    where = _first_bad(np.all(np.isfinite(vals), axis=-2), x.ndim == 2)
+    if where:
         raise NonFiniteError(f"non-finite evaluation near {where}")
     return (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * step)
 
@@ -96,20 +104,26 @@ def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
 
     ``grad`` maps points to gradient vectors; it may itself be analytic or
     a finite-difference composition such as ``lambda P: fd_gradient(f, P)``.
-    All ``2 n`` stencil points go to ``grad`` in one call.  The raw column
-    estimate is averaged with its transpose before returning.
+    ``x`` is one point of shape ``(n,)``, giving an ``(n, n)`` matrix, or a
+    stack of points of shape ``(m, n)``, giving ``(m, n, n)``; all ``2 n``
+    (or ``2 m n``, one block of ``2 n`` per point) stencil points go to
+    ``grad`` in one call.  The raw column estimate is averaged with its
+    transpose before returning.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be one point or a stack of points")
+    n = x.shape[-1]
     legs = _central_stencil(x, step)
-    grads = _evaluate(grad, legs.reshape(2 * n, n), (2 * n, n), "grad").reshape(2, n, n)
-    bad = np.flatnonzero(~np.all(np.isfinite(grads), axis=(0, 2)))
-    if bad.size:
-        raise NonFiniteError(f"non-finite gradient evaluation near coordinate {bad[0]}")
-    H = ((grads[0] - grads[1]) / (2.0 * step)).T
-    return 0.5 * (H + H.T)
+    grads = _evaluate(grad, legs.reshape(-1, n), (legs.size // n, n), "grad")
+    grads = grads.reshape(legs.shape)
+    where = _first_bad(np.all(np.isfinite(grads), axis=(-3, -1)), x.ndim == 2)
+    if where:
+        raise NonFiniteError(f"non-finite gradient evaluation near {where}")
+    H = np.swapaxes((grads[..., 0, :, :] - grads[..., 1, :, :]) / (2.0 * step), -1, -2)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def convexity_probe(

@@ -18,6 +18,7 @@ from socicnn import (
     local_gradient,
     quadratic_model_residual,
 )
+from socicnn import curvature
 from socicnn.curvature import curvature_matrix
 from socicnn.experiments import Exp2Config, _random_model
 from socicnn.model import _gaussian_nonzero
@@ -95,6 +96,25 @@ class TestHessianFormula:
         h2 = hessian(scaled, x).hess
         assert np.array_equal(h1, h2)
 
+    def test_quadratic_term_is_summed_once_per_model(self, medium_model):
+        """``curvature_matrix`` starts from the model's cached, read-only
+        ``quad_hessian`` and is bitwise a fresh sum over the modules."""
+        p = medium_model
+        tr = forward(p, gaussian_points(98, 1, p.input_dim)[0])
+        fresh = np.zeros((p.input_dim, p.input_dim))
+        for al, B in zip(p.alpha, p.B):
+            fresh += al * (B.T @ B)
+        assert p.quad_hessian is p.quad_hessian and not p.quad_hessian.flags.writeable
+        assert np.array_equal(p.quad_hessian, fresh)
+        H = curvature_matrix(p, tr)
+        for lg, A, ug, un in zip(p.lam, p.A, tr.u, tr.u_norms):
+            uhat = ug / un
+            S = A - np.outer(uhat, uhat @ A)
+            fresh += (lg / un) * (S.T @ S)
+        assert np.array_equal(H, fresh)
+        H += 1.0
+        assert np.array_equal(curvature_matrix(p, tr), fresh)
+
     def test_tip_skip_flag(self):
         params = cone_only_params(lam=0.8)
         tr = forward(params, [0.0, 0.0])
@@ -144,6 +164,26 @@ class TestLocalAffine:
             g_dual = gradient(medium_model, x)
             g_local = local_gradient(medium_model, x)
             assert np.linalg.norm(g_dual - g_local) <= 1e-12 * (1 + np.linalg.norm(g_dual))
+
+    def test_stacked_trace_rows_match_one_point_calls(self, medium_model, degenerate_model):
+        """At a stacked trace, the affine constants and the local gradient of
+        each row are bitwise its one-point trace's, a cone-tip row included
+        (it gets no slope from its tip module)."""
+        params, x0 = degenerate_model
+        cases = (
+            (medium_model, gaussian_points(97, 9, medium_model.input_dim)),
+            (params, x0 + np.vstack([np.zeros(2), gaussian_points(99, 3, 2, scale=1e-2)])),
+        )
+        for p, X in cases:
+            stack = forward(p, X)
+            slopes, offsets = curvature._affine_constants(p, stack, 1e-9)
+            grads = curvature._trace_gradient(p, stack, 1e-9)
+            for k, x in enumerate(X):
+                one = forward(p, x)
+                slope, offset = curvature._affine_constants(p, one, 1e-9)
+                assert np.array_equal(slopes[k], slope) and offsets[k] == offset
+                assert type(offset) is float
+                assert np.array_equal(grads[k], curvature._trace_gradient(p, one, 1e-9))
 
     def test_local_gradient_runs_forward_once(self, medium_model, monkeypatch):
         from socicnn import curvature

@@ -44,6 +44,48 @@ def rows_without_time(table):
     return [tuple(row[i] for i in keep) for row in table.rows]
 
 
+def count_calls(monkeypatch):
+    """Count the calls of exp1's and exp2's primitives, keyed by name (with
+    the module for ``forward``) and by whether they get a stack of points
+    (or a stacked trace or branch); returns the live count dict."""
+    calls = {}
+
+    def is_stack(x):
+        if isinstance(x, DualBranch):
+            return np.ndim(x.relu[0]) == 2
+        return np.ndim(x.value) == 1 if hasattr(x, "value") else np.ndim(x) >= 2
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            key = (name, "stack" if is_stack(args[1]) else "one")
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (experiments, curvature, inference):
+        name = module.__name__.split(".")[-1] + ".forward"
+        monkeypatch.setattr(module, "forward", counted(name, forward))
+    for name in ("forward_values", "fd_gradient", "fd_hessian"):
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    for name in ("canonical", "readout"):
+        monkeypatch.setattr(dual, name, counted(name, getattr(dual, name)))
+    return calls
+
+
+def traced_peak(run):
+    """Peak of ``tracemalloc``'s traced memory over one default run, whose
+    checks must pass."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.all_passed()
+    return peak
+
+
 SMALL1 = Exp1Config(samples=25, input_dim=6, widths=(12, 10), quad_dims=(4,), cone_dims=(4,))
 SMALL2 = Exp2Config(points=12, trials=60)
 SMALL3 = Exp3Config(directions=120, branches=300, probes=300)
@@ -78,6 +120,32 @@ class TestExp1:
         assert len(out.tables[0].rows) == 0
         assert any(c.name == "exp1-runtime" for c in out.checks)
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
+            Exp1Config(samples=-3)
+
+    def test_traces_differences_and_reads_out_each_block_in_one_stack(self, monkeypatch):
+        """The samples go through ``forward``, ``canonical``, ``readout`` and
+        ``fd_gradient`` (one ``forward_values`` call) once per block, with
+        no single-point call anywhere."""
+        calls = count_calls(monkeypatch)
+        cfg = Exp1Config()
+        out = run_exp1(cfg)
+        assert out.all_passed()
+        blocks = -(-cfg.samples // experiments._BLOCK)
+        assert calls == {
+            ("experiments.forward", "stack"): blocks,
+            ("forward_values", "stack"): blocks,
+            ("fd_gradient", "stack"): blocks,
+            ("canonical", "stack"): blocks,
+            ("readout", "stack"): blocks,
+        }
+
+    def test_default_run_stays_small(self):
+        """Blocks of 8 samples keep the run's traced peak near 1 MB; blocks
+        of 16 would pass 1.4 MB."""
+        assert traced_peak(run_exp1) < 1.3e6
+
 
 @pytest.fixture(scope="module")
 def exp2_small():
@@ -100,32 +168,37 @@ class TestExp2:
         assert resid[0] < resid[1] < resid[2]
 
     def test_traces_each_stencil_and_probe_set_in_one_stack(self, monkeypatch):
-        """The point search traces each draw once and every later analysis of
-        a point reuses that trace; each Hessian stencil is one stacked trace,
-        and each radius traces its anchor once and its trials in stacks of
-        ``RESIDUAL_BLOCK``."""
-        calls = {}
-
-        def counted(module):
-            def counting_forward(params, x):
-                key = (module, np.ndim(x))
-                calls[key] = calls.get(key, 0) + 1
-                return forward(params, x)
-
-            return counting_forward
-
-        for module in (experiments, curvature, inference):
-            monkeypatch.setattr(module, "forward", counted(module.__name__.split(".")[-1]))
+        """The point search traces its draws in stacked blocks, and each block
+        of kept points gets one stacked ``fd_gradient`` (one
+        ``forward_values`` call), one ``fd_hessian`` (one stacked trace of its
+        stencils) and one stacked readout.  The only single-point traces are
+        the quadratic model's anchor, once per radius, whose trials are
+        traced in stacks of ``RESIDUAL_BLOCK``."""
+        calls = count_calls(monkeypatch)
         cfg = Exp2Config()
         out = run_exp2(cfg)
         assert out.all_passed()
-        draws = calls.pop(("experiments", 1))
-        assert cfg.points <= draws <= 2 * cfg.points
+        search = calls.pop(("experiments.forward", "stack"))
+        assert search <= -(-2 * cfg.points // experiments._BLOCK)
+        derivative = calls.pop(("fd_hessian", "stack"))
+        assert -(-cfg.points // experiments._BLOCK) <= derivative <= search
+        trial_stacks = -(-cfg.trials // curvature.RESIDUAL_BLOCK)
         assert calls == {
-            ("curvature", 1): len(cfg.radii),
-            ("curvature", 2): len(cfg.radii) * -(-cfg.trials // curvature.RESIDUAL_BLOCK),
-            ("inference", 2): cfg.points,
+            ("curvature.forward", "one"): len(cfg.radii),
+            ("curvature.forward", "stack"): len(cfg.radii) * trial_stacks,
+            ("inference.forward", "stack"): derivative,
+            ("forward_values", "stack"): derivative,
+            ("fd_gradient", "stack"): derivative,
+            ("canonical", "stack"): 2 * derivative,
+            ("readout", "stack"): 2 * derivative,
+            ("canonical", "one"): len(cfg.radii),
+            ("readout", "one"): len(cfg.radii),
         }
+
+    def test_default_run_stays_small(self):
+        """Blocks of 8 points keep the run's traced peak under 1 MB; blocks of
+        16 would pass 1.3 MB."""
+        assert traced_peak(run_exp2) < 1.2e6
 
     def test_keeps_drawing_until_the_anchor_is_found(self, capsys):
         """At seed 0 the anchor is the third margin-gated point, so one

@@ -26,6 +26,7 @@ from socicnn import (
 )
 
 from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
+from socicnn.model import _nondegenerate_rows
 
 from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
 
@@ -438,6 +439,28 @@ class TestDegeneracyReport:
         const_tr = forward(constant_params(), [0.0, 0.0])
         assert conic_margin(const_tr) == np.inf
         assert relu_margin(const_tr) == 1.0
+
+    def test_margins_of_a_stack_are_per_row(self, medium_model, degenerate_model):
+        """A stacked trace gives each row's margins, equal to its one-point
+        trace's, and ``_nondegenerate_rows`` is each row's
+        ``is_nondegenerate``, at the built kink and at a tolerance that flags
+        some rows."""
+        params, x0 = degenerate_model
+        cases = (
+            (params, x0 + np.vstack([np.zeros(2), gaussian_points(18, 5, 2, scale=1e-2)]), 1e-9),
+            (medium_model, gaussian_points(19, 20, medium_model.input_dim), 0.05),
+            (constant_params(), gaussian_points(20, 3, 2), 1e-9),
+        )
+        flags = []
+        for p, X, tol in cases:
+            tr = forward(p, X)
+            singles = [forward(p, x) for x in X]
+            assert relu_margin(tr).tolist() == [relu_margin(t) for t in singles]
+            assert conic_margin(tr).tolist() == [conic_margin(t) for t in singles]
+            rows = _nondegenerate_rows(tr, tol)
+            assert rows.tolist() == [degeneracy_report(t, tol).is_nondegenerate for t in singles]
+            flags += rows.tolist()
+        assert True in flags and False in flags
 
 
 class TestSerialization:

@@ -127,6 +127,19 @@ class TestBatchedStencils:
             fd_gradient(f, p)
             assert np.array_equal(block, seen.pop())
 
+    def test_stacked_hessians_match_one_point_calls(self, medium_model):
+        """A stack of ``m`` points gives ``m`` matrices, each bitwise the
+        one-point call's, from one call of ``grad`` on ``2 m n`` rows: one
+        block of ``2 n`` per point, in point order."""
+        n = medium_model.input_dim
+        f = lambda Z: forward_values(medium_model, Z)
+        grad = RowCounter(per_row(lambda x: fd_gradient(f, x)))
+        P = gaussian_points(35, 3, n)
+        H = fd_hessian(grad, P)
+        assert H.shape == (3, n, n) and grad.rows == [2 * 3 * n]
+        for p, h in zip(P, H):
+            assert np.array_equal(h, fd_hessian(grad, p))
+
     def test_convexity_probe_keeps_its_random_stream(self, medium_model):
         f1 = lambda x: forward(medium_model, x).value
         assert convexity_probe(per_row(f1), medium_model.input_dim, n_triples=50, seed=4) == (
@@ -143,6 +156,9 @@ class TestBatchedStencils:
             fd_gradient(f, np.array([np.zeros(4), np.full(4, 0.5)]))
         with pytest.raises(NonFiniteError, match="coordinate 2$"):
             fd_hessian(lambda X: np.where(X[:, [2]] > 0.5, np.nan, X), np.full(4, 0.5))
+        with pytest.raises(NonFiniteError, match="coordinate 2 of point 1$"):
+            fd_hessian(lambda X: np.where(X[:, [2]] > 0.5, np.nan, X),
+                       np.array([np.zeros(4), np.full(4, 0.5)]))
         with pytest.raises(NonFiniteError):
             convexity_probe(lambda X: np.full(len(X), np.nan), 2, n_triples=5)
 
