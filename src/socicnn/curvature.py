@@ -160,10 +160,10 @@ def quadratic_model_residual(
     each, keeps the points whose branch signature matches the anchor's (and
     that are nondegenerate), and measures ``|f(x) - f(anchor) - model|``
     there.  Returns ``(retained_rate, mean_abs_residual)``; the mean is NaN
-    when nothing is retained.  The directions come one at a time off the
-    seeded stream, the trials are traced as stacks of ``RESIDUAL_BLOCK``,
-    and the residuals are summed in trial order, so the result is bitwise
-    that of tracing each trial on its own.
+    when nothing is retained.  The directions are one block draw, bitwise
+    the seeded stream drawn one direction at a time, the trials are traced
+    as stacks of ``RESIDUAL_BLOCK``, and the residuals are summed in trial
+    order, so the result is bitwise that of tracing each trial on its own.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -172,10 +172,8 @@ def quadratic_model_residual(
     anchor_trace = forward(params, anchor)
     cm = _trace_hessian(params, anchor_trace, tol)
     rng = np.random.default_rng(seed)
-    X = np.empty((trials, anchor_trace.x.size))
-    for k in range(trials):
-        step, nrm = _gaussian_nonzero(rng, X.shape[1])
-        X[k] = anchor_trace.x + (radius / nrm) * step
+    steps, nrms = _gaussian_nonzero(rng, anchor_trace.x.size, trials)
+    X = anchor_trace.x + (radius / nrms)[:, None] * steps
     residuals = []
     for start in range(0, trials, RESIDUAL_BLOCK):
         block = X[start:start + RESIDUAL_BLOCK]

@@ -258,13 +258,6 @@ def _check_optimal(params, trace, branch: DualBranch) -> DualBranch:
     return branch
 
 
-def _ball_point(rng, radius: float, dim: int) -> np.ndarray:
-    if radius == 0.0 or dim == 0:
-        return np.zeros(dim)
-    direction, nrm = _gaussian_nonzero(rng, dim)
-    return (radius * rng.uniform() ** (1.0 / dim) / nrm) * direction
-
-
 def sample_optimal_branches(
     params: SocIcnnParams,
     trace: ForwardTrace,
@@ -276,33 +269,48 @@ def sample_optimal_branches(
 
     Free interval coordinates are resampled uniformly on ``[0, bound]``
     top-down (the bound of a lower layer is recomputed from the draws above
-    it), and each cone-tip module draws uniformly from its ball.  Sample
-    ``k`` uses the child generator ``default_rng([seed, k])`` so any prefix
-    of the result is reproducible.  The stream is that of drawing each
-    branch on its own: ``rng.random(n_free)`` for the free coordinates (top
-    layer first, ``bound * u`` equals ``rng.uniform(0, bound)`` bitwise),
-    then the ball draws of each cone tip.  The draws of all branches then go
-    through one stacked box recursion.  The result is a stacked
-    ``DualBranch``; every row is verified to attain the model value at the
-    trace point.
+    it), and each cone-tip module draws uniformly from its ball.  Each kind
+    of draw is one row-major array from its own child generator
+    ``default_rng([seed, kind])``, row ``k`` serving branch ``k``:
+
+    - kind 0, ``random((n, n_free))``: the free coordinates, top layer
+      first, ascending index within a layer (``bound * u``);
+    - kind 1, ``standard_normal((n, sum of tip dims))``: the cone-tip
+      directions, split by column tip by tip in module order;
+    - kind 2, ``random((n, n_tips))``: the cone-tip radii,
+      ``lam_g * u ** (1 / dim)``.
+
+    So any prefix of the result is reproducible, with any number of tips.
+    A direction that comes out exactly zero is redrawn from generator 1
+    after the whole block, tip by tip and row by row; only then does a
+    prefix depend on ``n``.  All draws go through one stacked box recursion.
+    The result is a stacked ``DualBranch``; every row is verified to attain
+    the model value at the trace point.
     """
     box = branch_box(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    draws = np.empty((n, len(box.free_coords)))
-    cone = tuple(
-        np.empty((n, A.shape[0])) if r is None else np.broadcast_to(r, (n, r.shape[0]))
-        for r, A in zip(smooth_cone, params.A)
-    )
-    tips = [(rows, lg) for rows, r, lg in zip(cone, smooth_cone, params.lam) if r is None]
-    for k in range(n):
-        rng = np.random.default_rng([seed, k])
-        draws[k] = rng.random(draws.shape[1])
-        for rows, lg in tips:
-            rows[k] = _ball_point(rng, lg, rows.shape[1])
+    free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
+    draws = free_rng.random((n, len(box.free_coords)))
+    tips = [g for g, r in enumerate(smooth_cone) if r is None]
+    dims = [params.A[g].shape[0] for g in tips]
+    directions = dir_rng.standard_normal((n, sum(dims)))
+    radii = radius_rng.random((n, len(tips)))
+    cone = [None if r is None else np.broadcast_to(r, (n, r.shape[0])) for r in smooth_cone]
+    start = 0
+    for g, dim, u in zip(tips, dims, radii.T):
+        V = directions[:, start:start + dim]
+        start += dim
+        if dim == 0:
+            cone[g] = V
+            continue
+        nrm = np.sqrt(_dot(V, V))
+        for k in np.flatnonzero(nrm == 0.0):
+            V[k], nrm[k] = _gaussian_nonzero(dir_rng, dim)
+        cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V
     stack = DualBranch(
         relu=_box_recursion(params, box.upper, box.free, draws),
         quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
-        cone=cone,
+        cone=tuple(cone),
     )
     return _check_optimal(params, trace, stack)
 

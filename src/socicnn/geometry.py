@@ -179,9 +179,7 @@ def canonical_gap_fraction(
     box = dual.branch_box(trace, tol)
     support = _SupportEvaluator(params, trace, box, tol)
     canon_vec = dual.readout(params, dual.canonical(params, trace, tol))
-    units = np.empty((n_directions, params.input_dim))
-    for k in range(n_directions):
-        vec, nrm = _gaussian_nonzero(rng, params.input_dim)
-        units[k] = vec / nrm
+    vecs, nrms = _gaussian_nonzero(rng, params.input_dim, n_directions)
+    units = vecs / nrms[:, None]
     gaps = support(units) - units @ canon_vec
     return int(np.count_nonzero(gaps > 1e-9)) / n_directions

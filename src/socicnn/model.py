@@ -370,15 +370,25 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise NonFiniteError("input contains NaN or infinity")
+    # Each temporary is updated in place in the order of the expression it
+    # stands for (``X @ W.T + Z @ U.T + b`` and so on), so values are unchanged.
     Z = np.zeros(X.shape[:-1] + (0,))
     for W, U, b in zip(params.W, params.U, params.b):
-        Z = np.maximum(X @ W.T + Z @ U.T + b, 0.0)
-    values = Z @ params.c + X @ params.v + params.b0
+        pre = X @ W.T
+        pre += Z @ U.T
+        pre += b
+        Z = np.maximum(pre, 0.0, out=pre)
+    values = Z @ params.c
+    values += X @ params.v
+    values += params.b0
     for al, B, e in zip(params.alpha, params.B, params.e):
-        Q = X @ B.T + e
+        Q = X @ B.T
+        Q += e
         values += 0.5 * al * np.einsum("...ij,...ij->...i", Q, Q)
     for lg, A, d in zip(params.lam, params.A, params.d):
-        values += lg * np.linalg.norm(X @ A.T + d, axis=-1)
+        R = X @ A.T
+        R += d
+        values += lg * np.linalg.norm(R, axis=-1)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         where = np.unravel_index(bad[0], values.shape)
@@ -415,8 +425,24 @@ def _require_nondegenerate(trace: ForwardTrace, tol: float, what: str) -> None:
         )
 
 
-def _gaussian_nonzero(rng, dim: int):
-    """A standard Gaussian vector redrawn until nonzero, with its norm."""
+def _gaussian_nonzero(rng, dim: int, rows: int | None = None):
+    """A standard Gaussian vector redrawn until nonzero, with its norm.
+
+    With ``rows``, an ``(rows, dim)`` array of such vectors and their
+    ``(rows,)`` norms, bitwise ``rows`` calls in a row: one block draw with
+    per-row norms, or, when a row of the block is zero, the generator rewound
+    and the rows drawn one call at a time.
+    """
+    if rows is not None:
+        state = rng.bit_generator.state
+        vecs = rng.standard_normal((rows, dim))
+        norms = np.sqrt(_dot(vecs, vecs))
+        if np.all(norms != 0.0):
+            return vecs, norms
+        rng.bit_generator.state = state
+        for k in range(rows):
+            vecs[k], norms[k] = _gaussian_nonzero(rng, dim)
+        return vecs, norms
     vec = rng.standard_normal(dim)
     nrm = np.linalg.norm(vec)
     while nrm == 0.0:

@@ -1,5 +1,7 @@
 """Optimal multiplier branches: canonical selection, sampling, extremes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -276,13 +278,39 @@ class TestSampling:
         assert np.all(norms > base_norm)
 
     def test_prefix_reproducibility(self, degenerate_model):
-        params, x0 = degenerate_model
-        tr = forward(params, x0)
-        first = sample_optimal_branches(params, tr, n=4, seed=11)
-        longer = sample_optimal_branches(params, tr, n=9, seed=11)
-        assert np.array_equal(first.norm(), longer.norm()[:4])
-        assert np.array_equal(first.relu[1], longer.relu[1][:4])
-        assert np.array_equal(first.cone[0], longer.cone[0][:4])
+        """A shorter sample is a prefix of a longer one, also with free
+        coordinates in two layers and two cone tips."""
+        for params, x0 in (degenerate_model, two_tip_kinks()):
+            tr = forward(params, x0)
+            first = sample_optimal_branches(params, tr, n=4, seed=11)
+            longer = sample_optimal_branches(params, tr, n=9, seed=11)
+            assert np.array_equal(first.norm(), longer.norm()[:4])
+            for short, full in zip(first.relu + first.cone, longer.relu + longer.cone):
+                assert np.array_equal(short, full[:4])
+
+    def test_generator_count_is_constant_in_n(self, monkeypatch):
+        """The sampler makes one generator per kind of draw, not one per
+        branch: as many at ``n=5000`` as at ``n=1``, and at most three."""
+        params, x = two_tip_kinks()
+        tr = forward(params, x)
+        made = []
+        default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                made.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
+        monkeypatch.setattr(np.random, "SeedSequence", counted(seed_sequence))
+        counts = []
+        for n in (1, 5000):
+            made.clear()
+            sample_optimal_branches(params, tr, n=n, seed=3)
+            counts.append(len(made))
+        assert counts[0] == counts[1] <= 3
 
     def test_sampled_readouts_are_subgradients(self, degenerate_model):
         params, x0 = degenerate_model
@@ -458,36 +486,56 @@ def zero_bound_pair():
     )
 
 
+def two_tip_kinks():
+    """``two_layer_kinks`` plus a second conic module at its tip, of dimension
+    2: free coordinates in two layers and cone tips of dimensions 3 and 2."""
+    params, x = two_layer_kinks()
+    A2 = np.array([[0.4, -1.1, 0.3], [0.9, 0.2, -0.6]])
+    return replace(params, lam=(0.7, 0.45), A=params.A + (A2,), d=params.d + (-(A2 @ x),)), x
+
+
 def reference_samples(params, trace, n, seed, tol=1e-9):
-    """The sampler as one generator, one box recursion and one readout per
-    branch: each free coordinate draws ``rng.uniform(0, bound)`` top layer
-    first, then each cone tip draws its ball point.  Returns the per-branch
-    multipliers, readouts and norms."""
+    """The sampler as one box recursion and one readout per branch, reading
+    branch ``k``'s draws from row ``k`` of the documented stream:
+    ``default_rng([seed, 0]).random((n, n_free))`` for the free coordinates,
+    each ``bound * u`` top layer first; ``default_rng([seed,
+    1]).standard_normal((n, sum of tip dims))`` for the cone-tip directions,
+    a block of columns per tip; ``default_rng([seed, 2]).random((n,
+    n_tips))`` for their radii.  The radius power is taken on a one-element
+    array, since NumPy's array power may differ from the scalar ``**`` in
+    the last bit.  Returns the per-branch multipliers, readouts and norms."""
     box = branch_box(trace, tol)
     quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
+    tips = [g for g, un in enumerate(trace.u_norms) if un <= tol]
+    dims = [params.A[g].shape[0] for g in tips]
+    free_u = np.random.default_rng([seed, 0]).random((n, len(box.free_coords)))
+    dir_z = np.random.default_rng([seed, 1]).standard_normal((n, sum(dims)))
+    radius_u = np.random.default_rng([seed, 2]).random((n, len(tips)))
     out = []
     for k in range(n):
-        rng = np.random.default_rng([seed, k])
         relu = [None] * params.n_layers
         bound = params.c
+        col = 0
         for l in range(params.n_layers - 1, -1, -1):
             nu = np.where(box.upper[l], bound, 0.0)
             for i in np.flatnonzero(box.free[l]):
-                nu[i] = rng.uniform(0.0, bound[i])
+                nu[i] = bound[i] * free_u[k, col]
+                col += 1
             relu[l] = nu
             if l > 0:
                 bound = params.U[l].T @ nu
         cone = []
-        for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
+        start = 0
+        for g, (lg, A, ug, un) in enumerate(zip(params.lam, params.A, trace.u, trace.u_norms)):
             dim = A.shape[0]
-            if un > tol:
+            if g not in tips:
                 cone.append((lg / un) * ug)
-            elif lg == 0.0:
-                cone.append(np.zeros(dim))
-            else:
-                vec = rng.standard_normal(dim)
-                nrm = np.linalg.norm(vec)
-                cone.append((lg * rng.uniform() ** (1.0 / dim) / nrm) * vec)
+                continue
+            j = tips.index(g)
+            vec = dir_z[k, start:start + dim]
+            start += dim
+            nrm = np.linalg.norm(vec)
+            cone.append((lg * radius_u[k, j:j + 1] ** (1.0 / dim) / nrm) * vec)
         g = params.v.copy()
         for M, vec in zip(params.W + params.B + params.A, relu + list(quad) + cone):
             g += M.T @ vec
@@ -503,6 +551,7 @@ STACK_POINTS = {
     ),
     "cone-only": lambda: (cone_only_params(lam=0.8, A=np.eye(3), dim=3), np.zeros(3)),
     "two-layer-kinks": two_layer_kinks,
+    "two-tips": two_tip_kinks,
     "zero-bound": lambda: (zero_bound_pair(), np.array([0.0])),
 }
 
@@ -550,6 +599,11 @@ class TestStackedSampler:
         box = branch_box(tr)
         assert [int(np.sum(f)) for f in box.free] == [4, 3]
         assert tr.u_norms[0] == 0.0
+        params2, x = STACK_POINTS["two-tips"]()
+        tr2 = forward(params2, x)
+        assert branch_box(tr2).free_coords == box.free_coords
+        assert tr2.u_norms == (0.0, 0.0)
+        assert [A.shape[0] for A in params2.A] == [3, 2]
         ub = upper_bounds(params, canonical(params, tr).relu)
         assert ub[0][1] == 0.0 and box.free[0][1]
         params, x = STACK_POINTS["zero-bound"]()

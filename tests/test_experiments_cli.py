@@ -231,6 +231,17 @@ class TestExp3:
         for check in exp3_small.checks:
             assert check.passed, f"{check.name}: {check.detail}"
 
+    def test_checks_pass_at_every_config_seed(self):
+        """All seven checks pass at config seeds 0-99 with the default
+        config, so the sampled columns hold beyond the seeds they were
+        built at."""
+        failures = []
+        for seed in range(100):
+            out = run_exp3(Exp3Config(seed=seed))
+            assert len(out.checks) == 7
+            failures += [(seed, c.name, c.detail) for c in out.checks if not c.passed]
+        assert failures == []
+
     def test_deterministic_modulo_timing(self, exp3_small):
         again = run_exp3(SMALL3)
         assert rows_without_time(exp3_small.tables[0]) == rows_without_time(again.tables[0])

@@ -26,7 +26,7 @@ from socicnn import (
 )
 
 from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
-from socicnn.model import _nondegenerate_rows
+from socicnn.model import _gaussian_nonzero, _nondegenerate_rows
 
 from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
 
@@ -191,6 +191,23 @@ class TestForwardValues:
         expect = np.array([forward(params, x).value for x in X])
         assert np.all(np.abs(forward_values(params, X) - expect) <= 1e-12 * np.abs(expect))
 
+    @pytest.mark.parametrize("config", [Exp1Config, Exp4Config])
+    def test_in_place_temporaries_change_no_value(self, config):
+        """The in-place kernel gives bitwise the values of the expressions
+        it stands for, each temporary allocated anew, with batch axes too."""
+        params = _random_model(config())
+        X = gaussian_points(12, 60, params.input_dim).reshape(3, 20, params.input_dim)
+        Z = np.zeros(X.shape[:-1] + (0,))
+        for W, U, b in zip(params.W, params.U, params.b):
+            Z = np.maximum(X @ W.T + Z @ U.T + b, 0.0)
+        expect = Z @ params.c + X @ params.v + params.b0
+        for al, B, e in zip(params.alpha, params.B, params.e):
+            Q = X @ B.T + e
+            expect += 0.5 * al * np.einsum("...ij,...ij->...i", Q, Q)
+        for lg, A, d in zip(params.lam, params.A, params.d):
+            expect += lg * np.linalg.norm(X @ A.T + d, axis=-1)
+        assert np.array_equal(forward_values(params, X), expect)
+
     def test_rejects_wrong_shape(self, small_model):
         with pytest.raises(ValidationError):
             forward_values(small_model, np.zeros(small_model.input_dim))
@@ -208,6 +225,59 @@ class TestForwardValues:
         X[2] = 1e200
         with pytest.raises(NonFiniteError, match="row 2"):
             forward_values(small_model, X)
+
+
+class ScriptedNormals:
+    """A stand-in generator whose ``standard_normal`` hands out a fixed
+    stream in order and whose ``bit_generator.state`` is the position in it."""
+
+    def __init__(self, stream):
+        self.stream = np.asarray(stream, dtype=np.float64)
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.pos
+
+    @state.setter
+    def state(self, pos):
+        self.pos = pos
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.stream[self.pos:self.pos + count].reshape(size)
+        self.pos += count
+        return out.copy()
+
+
+class TestGaussianNonzero:
+    @pytest.mark.parametrize("dim", [1, 3, 7, 64])
+    def test_block_draw_matches_one_call_at_a_time(self, dim):
+        """A block of rows is bitwise the loop of one-vector calls, norms
+        included, and leaves the generator where the loop does."""
+        block, norms = _gaussian_nonzero(np.random.default_rng(4), dim, 150)
+        rng = np.random.default_rng(4)
+        for k in range(150):
+            vec, nrm = _gaussian_nonzero(rng, dim)
+            assert np.array_equal(block[k], vec) and norms[k] == nrm
+        after = np.random.default_rng(4)
+        _gaussian_nonzero(after, dim, 150)
+        assert after.random() == rng.random()
+
+    def test_zero_row_falls_back_to_the_loop(self):
+        """A zero vector in the block rewinds the generator and redraws it
+        as the loop does: the later rows shift up by one."""
+        stream = np.random.default_rng(5).standard_normal(3 * 6)
+        stream[6:9] = 0.0
+        scripted, loop = ScriptedNormals(stream), ScriptedNormals(stream)
+        block, norms = _gaussian_nonzero(scripted, 3, 5)
+        for k in range(5):
+            vec, nrm = _gaussian_nonzero(loop, 3)
+            assert np.array_equal(block[k], vec) and norms[k] == nrm
+        assert np.array_equal(block[2], stream[9:12])
+        assert scripted.pos == loop.pos == 18
+        assert np.all(norms > 0.0)
 
 
 class TestForwardValuesBatchAxes:
