@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
+from .errors import ValidationError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
 from .model import _per_row, degeneracy_report
 
@@ -123,42 +124,34 @@ def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple
     return tuple(relu)
 
 
+def _cone_scales(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
+    """``lam_g / ||u_g||`` per conic module, ``0.0`` at its cone tip: a float
+    at a point, an ``(n,)`` array at a stacked trace."""
+    return [(un > tol) * lg / (un + (un <= tol)) for lg, un in zip(params.lam, trace.u_norms)]
+
+
 def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     """Quadratic multipliers ``alpha_h * q_h`` and conic multipliers of length
-    ``lam_g`` along the residual, None for each module at its cone tip; a
-    stacked trace gives ``(n, k)`` conic multipliers whose tip rows are exact
-    zeros."""
+    ``lam_g`` along the residual, exactly ``+0.0`` at the cone tip; ``(n, k)``
+    arrays, row by row, at a stacked trace."""
     quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
+    # ``ug.T`` lines a stack's scales up with its rows and leaves a point's
+    # vector as it is; adding +0.0 turns every -0.0, the tip rows' included,
+    # into +0.0 and leaves every other entry as it is.
     cone = tuple(
-        _cone_multiplier(lg, ug, un, tol)
-        for lg, ug, un in zip(params.lam, trace.u, trace.u_norms)
+        (s * ug.T).T + 0.0 for s, ug in zip(_cone_scales(params, trace, tol), trace.u)
     )
     return quad, cone
 
 
-def _cone_multiplier(lg, ug, un, tol):
-    if np.ndim(un) == 0:
-        return (lg / un) * ug if un > tol else None
-    off_tip = un > tol
-    return np.where(off_tip[:, None], (lg / np.where(off_tip, un, 1.0))[:, None] * ug, 0.0)
-
-
-def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
-    """Add the quadratic and off-tip conic slopes to ``g`` in place and return
-    ``(lam_g, A_g)`` for every module at its cone tip.  At a stacked trace
-    ``g`` is ``(n, d)``, each row gets bitwise its own point's slopes (tip
-    rows none of that module's) and no tips are returned."""
+def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> None:
+    """Add the quadratic and off-tip conic slopes to ``g`` in place: ``(d,)``
+    at a point, ``(n, d)`` at a stacked trace, each row bitwise its own
+    point's (a cone tip adds none of its module's)."""
     for al, B, qh in zip(params.alpha, params.B, trace.q):
         g += al * _matvec(B.T, qh)
-    tips = []
-    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        if np.ndim(un) == 0 and un <= tol:
-            tips.append((lg, A))
-            continue
-        off_tip = un > tol
-        scale = np.where(off_tip, lg / np.where(off_tip, un, 1.0), 0.0)
-        g += scale[..., None] * _matvec(A.T, ug)
-    return tips
+    for s, A, ug in zip(_cone_scales(params, trace, tol), params.A, trace.u):
+        g += (s * _matvec(A.T, ug).T).T
 
 
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
@@ -168,12 +161,10 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ReLU multipliers take their bound strictly above the kink and zero
     elsewhere (interval coordinates included); quadratic multipliers are
     ``alpha_h * q_h``; conic multipliers point along the residual with
-    length ``lam_g``, or vanish at the cone tip.
+    length ``lam_g``, or are exactly ``+0.0`` at the cone tip.
     """
     relu = _box_recursion(params, tuple(a > tol for a in trace.a))
-    quad, cone = _smooth_multipliers(params, trace, tol)
-    cone = tuple(np.zeros_like(ug) if r is None else r for r, ug in zip(cone, trace.u))
-    return DualBranch(relu=relu, quad=quad, cone=cone)
+    return DualBranch(relu, *_smooth_multipliers(params, trace, tol))
 
 
 def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | np.ndarray:
@@ -287,15 +278,17 @@ def sample_optimal_branches(
     The result is a stacked ``DualBranch``; every row is verified to attain
     the model value at the trace point.
     """
+    if n < 0:
+        raise ValidationError("invalid-descriptor", f"branch count must be nonnegative, got {n}")
     box = branch_box(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
     draws = free_rng.random((n, len(box.free_coords)))
-    tips = [g for g, r in enumerate(smooth_cone) if r is None]
+    tips = degeneracy_report(trace, tol).conic_zero_modules
     dims = [params.A[g].shape[0] for g in tips]
     directions = dir_rng.standard_normal((n, sum(dims)))
     radii = radius_rng.random((n, len(tips)))
-    cone = [None if r is None else np.broadcast_to(r, (n, r.shape[0])) for r in smooth_cone]
+    cone = [np.broadcast_to(r, (n, r.shape[0])) for r in smooth_cone]
     start = 0
     for g, dim, u in zip(tips, dims, radii.T):
         V = directions[:, start:start + dim]
@@ -324,11 +317,8 @@ def _sphere_directions(dim: int, count: int, rng) -> list:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         angles = phase + 2.0 * np.pi * np.arange(count) / count
         return [np.array([np.cos(t), np.sin(t)]) for t in angles]
-    dirs = []
-    for _ in range(count):
-        vec, nrm = _gaussian_nonzero(rng, dim)
-        dirs.append(vec / nrm)
-    return dirs
+    vecs, nrms = _gaussian_nonzero(rng, dim, count)
+    return list(vecs / nrms[:, None])
 
 
 def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
@@ -371,7 +361,7 @@ def extreme_branches(
     box = branch_box(trace, tol)
     rng = np.random.default_rng(seed)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    tip_modules = [g for g, r in enumerate(smooth_cone) if r is None]
+    tip_modules = degeneracy_report(trace, tol).conic_zero_modules
     tip_choices = [
         [params.lam[g] * u for u in _sphere_directions(params.A[g].shape[0], sphere_samples, rng)]
         for g in tip_modules

@@ -23,6 +23,7 @@ from .model import (
     DegeneracySpec,
     SocIcnnParams,
     _dot,
+    _gaussian_nonzero,
     _nondegenerate_rows,
     build_degenerate_2d,
     build_random,
@@ -60,16 +61,6 @@ class ExperimentOutput:
 
 def _check(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(rows, axis=1)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        rows[bad] = rng.standard_normal((int(np.sum(bad)), dim))
-        norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
 
 
 def _require_positive(cfg, *names) -> None:
@@ -345,7 +336,8 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     f0 = trace0.value
     t0 = time.perf_counter()
     rng_dirs = np.random.default_rng([cfg.seed, 1])
-    dirs = _unit_rows(rng_dirs, cfg.directions, params.input_dim)
+    dirs, _ = _gaussian_nonzero(rng_dirs, params.input_dim, cfg.directions)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     res = geometry.directional_derivative(params, x0, dirs, cfg.tol)
     fd = fd_directional(lambda Z: forward_values(params, Z), x0, dirs, cfg.fd_step)
     dual_maxima = res.dual_max

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
+from .errors import NonFiniteError, ValidationError
 from .model import DEFAULT_TAU, SocIcnnParams, _gaussian_nonzero, _require_nondegenerate, forward
 
 
@@ -98,7 +99,8 @@ class _SupportEvaluator:
 
     def __init__(self, params: SocIcnnParams, trace, box, tol: float):
         smooth = params.v.copy()
-        self.tips = dual._add_smooth_slope(smooth, params, trace, tol)
+        dual._add_smooth_slope(smooth, params, trace, tol)
+        self.tips = [(lg, A) for lg, A, un in zip(params.lam, params.A, trace.u_norms) if un <= tol]
         rows = []
         for relu in dual.relu_corner_assignments(params, box):
             row = smooth.copy()
@@ -127,20 +129,27 @@ def directional_derivative(
     canonical readout, and its result fields are ``(m,)`` arrays; a single
     vector is evaluated as a stack of one and gives floats.  Each direction
     is normalized internally and its fields are rescaled by its norm, so the
-    result is positively homogeneous in the argument.  The ReLU corner
-    enumeration behind the dual route raises ``TooManyDegeneraciesError``
-    beyond ``dual.MAX_FREE_COORDS`` interval coordinates.
+    result is positively homogeneous in the argument.  A NaN or infinite
+    direction, or one too long for its norm to be finite, raises
+    ``NonFiniteError``; a zero direction or a wrong shape raises
+    ``ValidationError``.  The ReLU corner enumeration behind the dual route
+    raises ``TooManyDegeneraciesError`` beyond ``dual.MAX_FREE_COORDS``
+    interval coordinates.
     """
     direction = np.asarray(direction, dtype=np.float64)
     if direction.ndim not in (1, 2) or direction.shape[-1] != params.input_dim:
-        raise ValueError(
+        raise ValidationError(
+            "dimension-mismatch",
             f"direction has shape {direction.shape}, expected ({params.input_dim},) "
-            f"or (m, {params.input_dim})"
+            f"or (m, {params.input_dim})",
         )
     rows = np.atleast_2d(direction)
-    scale = np.linalg.norm(rows, axis=1)
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(scale).all():
+        raise NonFiniteError("direction is NaN, infinite or too long for its norm to be finite")
     if np.any(scale == 0.0):
-        raise ValueError("direction must be nonzero")
+        raise ValidationError("invalid-descriptor", "direction must be nonzero")
     units = rows / scale[:, None]
     trace = forward(params, x)
     box = dual.branch_box(trace, tol)
@@ -173,13 +182,7 @@ def canonical_gap_fraction(
     set-valuedness, as with a full-rank cone-tip module.
     """
     if n_directions <= 0:
-        raise ValueError("n_directions must be positive")
-    rng = np.random.default_rng(seed)
-    trace = forward(params, x)
-    box = dual.branch_box(trace, tol)
-    support = _SupportEvaluator(params, trace, box, tol)
-    canon_vec = dual.readout(params, dual.canonical(params, trace, tol))
-    vecs, nrms = _gaussian_nonzero(rng, params.input_dim, n_directions)
-    units = vecs / nrms[:, None]
-    gaps = support(units) - units @ canon_vec
-    return int(np.count_nonzero(gaps > 1e-9)) / n_directions
+        raise ValidationError("invalid-descriptor", "n_directions must be positive")
+    vecs, nrms = _gaussian_nonzero(np.random.default_rng(seed), params.input_dim, n_directions)
+    res = directional_derivative(params, x, vecs / nrms[:, None], tol)
+    return int(np.count_nonzero(res.dual_max - res.canonical_value > 1e-9)) / n_directions

@@ -66,7 +66,7 @@ class InferenceConfig:
             raise ValueError("fd_grad_step and fd_hess_step must be positive")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative or None")
-        for name in ("grad_tol", "progress_tol"):
+        for name in ("grad_tol", "progress_tol", "tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
@@ -105,22 +105,14 @@ def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU
     if x.ndim != 1:
         raise ValidationError("dimension-mismatch", f"point has shape {x.shape}, expected (d,)")
     Y = np.asarray(y, dtype=np.float64)[None]
-    value, trace = _value(params, Y[0], beta, x)
-    return value, _readout_grad(params, Y, beta, tol)(0, trace)
-
-
-def _value(params, y, beta, x):
-    """Objective value at the point ``x`` together with the model trace behind it."""
-    trace = forward(params, x)
-    diff = x - y
-    return trace.value + 0.5 * beta * float(diff @ diff), trace
+    values, trace = _values(params, Y, beta, x[None])
+    return float(values[0]), _readout_grad(params, Y, beta, tol)(0, trace)
 
 
 def _trial_block(params, y, beta, x, p, etas):
     """The points ``x + eta p`` for the step sizes ``etas``, with ``x``,
     ``p`` and the query ``y`` given per point (or broadcast), their
-    objective values, each bitwise ``_value``'s, and their trace.  Several
-    points share one stacked ``forward``; one point runs ``_value``."""
+    objective values and their trace, as ``_values`` gives them."""
     X = x + etas[:, None] * p
     return (X, *_values(params, y, beta, X))
 
@@ -128,11 +120,9 @@ def _trial_block(params, y, beta, x, p, etas):
 def _values(params, Y, beta, X):
     """Objective values at the rows of ``X`` for the queries at the rows of
     ``Y``, and one trace of them all: a stacked one, or a one-point trace
-    when ``X`` has a single row."""
-    if len(X) == 1:
-        f, trace = _value(params, Y[0], beta, X[0])
-        return np.array([f]), trace
-    trace = forward(params, X)
+    when ``X`` has a single row.  Each value is bitwise that of its point
+    traced alone."""
+    trace = forward(params, X[0] if len(X) == 1 else X)
     diff = X - Y
     return trace.value + 0.5 * beta * _dot(diff, diff), trace
 

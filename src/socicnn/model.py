@@ -10,18 +10,17 @@ A model is a scalar convex function of ``x`` built from three blocks:
 * conic modules ``lam_g * ||A_g x + d_g||`` with ``lam_g >= 0``, the only
   source of genuinely set-valued behavior away from the ReLU kinks.
 
-Layers are indexed 0-based throughout the package.  ``forward`` records the
-full trace (preactivations, activations, module residuals) because almost
-every downstream quantity is a function of that trace, not of ``x`` alone;
-it takes one point or a stack of points, each row bitwise a one-point call.
-``forward_values`` is the value-only kernel for many points at once, for
-callers such as the finite-difference oracles that need nothing else.
+Layers are indexed 0-based throughout the package.  ``forward``, the one
+trace kernel, records the full trace (preactivations, activations, module
+residuals) because almost every downstream quantity is a function of it; one
+body takes a point ``(d,)`` as the 1-D case of a stack ``(n, d)``, each row
+bitwise a one-point call.  ``forward_values`` is the only other kernel: values
+alone, for many points, for callers such as the finite-difference oracles.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -269,7 +268,17 @@ def _matvec(M, X):
 def _dot(X, Y):
     """``x @ y`` for 1-D operands, else row by row after broadcasting, each
     row bitwise what the single-vector call gives."""
+    if X.ndim == Y.ndim == 1:
+        return X @ Y
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def _nonfinite_row(finite):
+    """Where ``finite`` has a False flag: None when nowhere, ``""`` for a
+    point's one flag, `` row k`` naming the first bad row of a stack."""
+    if finite.ndim == 0:
+        return None if finite else ""
+    return None if finite.all() else f" row {np.argmin(finite)}"
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -279,56 +288,26 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     ``x`` is one point of shape ``(d,)`` or a stack of ``n`` points of shape
     ``(n, d)``.  A stack gives one trace whose arrays are ``(n, width)`` per
     layer and module, whose ``u_norms`` are ``(n,)`` per conic module and
-    whose ``value`` is ``(n,)``; row ``k`` is bitwise ``forward(params,
-    x[k])``, because every product runs one matrix-vector product per row.
+    whose ``value`` is ``(n,)``; a point gives vectors and Python floats.
+    One body serves both: every product runs one matrix-vector product per
+    row, so row ``k`` of a stack is bitwise ``forward(params, x[k])``.
     The preactivation is computed as ``W @ x + U @ z + b`` in exactly this
     association; the degenerate builder relies on that expression to land
     bitwise on zero.  A non-finite input or output value raises
     ``NonFiniteError``, naming the first bad row of a stack, and an overflow
     on the way there raises that error, not a NumPy warning.
     """
-    x = np.asarray(x, dtype=np.float64)
+    X = np.asarray(x, dtype=np.float64)
     d0 = params.input_dim
-    if x.ndim == 2 and x.shape[1] == d0:
-        return _forward_stack(params, x)
-    if x.shape != (d0,):
+    if X.ndim not in (1, 2) or X.shape[-1] != d0:
         raise ValidationError(
-            "dimension-mismatch", f"input has shape {x.shape}, expected ({d0},) or (n, {d0})"
+            "dimension-mismatch", f"input has shape {X.shape}, expected ({d0},) or (n, {d0})"
         )
-    if not np.isfinite(x).all():
-        raise NonFiniteError("input contains NaN or infinity")
+    where = _nonfinite_row(np.isfinite(X).all(axis=-1))
+    if where is not None:
+        raise NonFiniteError(f"input{where} contains NaN or infinity")
     a_list, z_list = [], []
-    z = np.zeros(0)
-    for W, U, b in zip(params.W, params.U, params.b):
-        a = W @ x + U @ z + b
-        z = np.maximum(a, 0.0)
-        a_list.append(a)
-        z_list.append(z)
-    value = float(params.c @ z + params.v @ x + params.b0)
-    q = []
-    for al, B, e in zip(params.alpha, params.B, params.e):
-        q.append(B @ x + e)
-        value += 0.5 * al * float(q[-1] @ q[-1])
-    u, u_norms = [], []
-    for lg, A, d in zip(params.lam, params.A, params.d):
-        u.append(A @ x + d)
-        u_norms.append(math.sqrt(u[-1] @ u[-1]))
-        value += lg * u_norms[-1]
-    if not math.isfinite(value):
-        raise NonFiniteError("output value is NaN or infinite")
-    return ForwardTrace(
-        _frozen(x), tuple(a_list), tuple(z_list), tuple(q), tuple(u), tuple(u_norms), value
-    )
-
-
-def _forward_stack(params: SocIcnnParams, X) -> ForwardTrace:
-    """``forward`` over the rows of an ``(n, d)`` array, one matrix-vector
-    product per row and product."""
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise NonFiniteError(f"input row {bad[0]} contains NaN or infinity")
-    a_list, z_list = [], []
-    z = np.zeros((X.shape[0], 0))
+    z = np.zeros(X.shape[:-1] + (0,))
     for W, U, b in zip(params.W, params.U, params.b):
         a = _matvec(W, X) + _matvec(U, z) + b
         z = np.maximum(a, 0.0)
@@ -342,9 +321,11 @@ def _forward_stack(params: SocIcnnParams, X) -> ForwardTrace:
     u_norms = tuple(np.sqrt(_dot(ug, ug)) for ug in u)
     for lg, un in zip(params.lam, u_norms):
         value += lg * un
-    bad = np.flatnonzero(~np.isfinite(value))
-    if bad.size:
-        raise NonFiniteError(f"output value of row {bad[0]} is NaN or infinite")
+    where = _nonfinite_row(np.isfinite(value))
+    if where is not None:
+        raise NonFiniteError(f"output value{where and ' of' + where} is NaN or infinite")
+    if X.ndim == 1:
+        u_norms, value = tuple(float(un) for un in u_norms), float(value)
     return ForwardTrace(_frozen(X), tuple(a_list), tuple(z_list), q, u, u_norms, value)
 
 
@@ -400,17 +381,14 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
     """List the kinks the trace of one point sits on, within absolute
     tolerance ``tol``; a stacked trace raises ``ValidationError``."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     if np.ndim(trace.value):
         raise ValidationError("dimension-mismatch", "expected the trace of one point, not a stack")
-    relu = []
-    for l, a in enumerate(trace.a):
-        for i in np.flatnonzero(np.abs(a) <= tol):
-            relu.append((l, int(i)))
+    relu = tuple((l, int(i)) for l, a in enumerate(trace.a) for i in np.flatnonzero(abs(a) <= tol))
     conic = tuple(g for g, un in enumerate(trace.u_norms) if un <= tol)
     return DegeneracyReport(
-        relu_zero_coords=tuple(relu),
+        relu_zero_coords=relu,
         conic_zero_modules=conic,
         is_nondegenerate=not relu and not conic,
     )
@@ -646,6 +624,9 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
         version = obj["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported format_version {version!r}")
+        seed = obj.get("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ModelFormatError(f"seed must be a nonnegative integer or null, got {seed!r}")
         dims = obj["dims"]
         layers = obj["layers"]
         params = SocIcnnParams(
@@ -661,7 +642,7 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
             lam=[m["lambda"] for m in obj["cone"]],
             A=[m["A"] for m in obj["cone"]],
             d=[m["d"] for m in obj["cone"]],
-            seed=obj.get("seed"),
+            seed=seed,
         )
         widths = list(dims["widths"])
     except ModelFormatError:

@@ -12,6 +12,7 @@ from socicnn import (
     InfeasibleBranchError,
     SocIcnnParams,
     TooManyDegeneraciesError,
+    ValidationError,
     branch_box,
     build_degenerate_2d,
     canonical,
@@ -97,9 +98,14 @@ class TestCanonical:
         assert np.allclose(br.cone[0], 0.8 * x / 5.0, atol=1e-15)
 
     def test_conic_multiplier_vanishes_at_tip(self):
+        """A point at or within ``tol`` of the cone tip gets exact ``+0.0``
+        conic multipliers, however the residual's entries are signed."""
         params = cone_only_params(lam=0.8)
-        br = canonical(params, forward(params, [0.0, 0.0]))
-        assert np.array_equal(br.cone[0], np.zeros(2))
+        for x in ([0.0, 0.0], [-4e-10, -3e-10], [-0.0, 2e-10]):
+            trace = forward(params, x)
+            assert trace.u_norms[0] <= 1e-9
+            r = canonical(params, trace).cone[0]
+            assert np.array_equal(r, np.zeros(2)) and not np.any(np.signbit(r))
 
     def test_interval_coordinate_pinned_to_zero(self, degenerate_model):
         params, x0 = degenerate_model
@@ -276,6 +282,11 @@ class TestSampling:
         norms = sample_optimal_branches(params, tr, n=100, seed=2).norm()
         assert norms.shape == (100,)
         assert np.all(norms > base_norm)
+
+    def test_negative_count_rejected(self, degenerate_model):
+        params, x0 = degenerate_model
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sample_optimal_branches(params, forward(params, x0), n=-1)
 
     def test_prefix_reproducibility(self, degenerate_model):
         """A shorter sample is a prefix of a longer one, also with free

@@ -457,6 +457,20 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ['"x"', "-1", "true", "1.5", "[0]"])
+    def test_model_info_rejects_bad_seed(self, tmp_path, capsys, token):
+        """The recorded seed must be a nonnegative integer or null."""
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--seed", "3"]) == 0
+        text = path.read_text()
+        assert '"seed": 3' in text
+        path.write_text(text.replace('"seed": 3', f'"seed": {token}'))
+        capsys.readouterr()
+        assert main(["model", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("preset", [[], ["--preset", "exp1"]])
     def test_model_gen_negative_seed_exits_2(self, tmp_path, capsys, preset):
         path = tmp_path / "model.json"
@@ -542,6 +556,7 @@ class TestCli:
             ("exp4", {"solver": {"fd_grad_step": 0.0}}),
             ("exp4", {"solver": {"fd_hess_step": 0.0}}),
             ("exp4", {"solver": {"tol": -1.0}}),
+            ("exp4", {"solver": {"tol": float("nan")}}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

@@ -5,8 +5,10 @@ import pytest
 
 from socicnn import (
     DegenerateInputError,
+    NonFiniteError,
     SocIcnnParams,
     TooManyDegeneraciesError,
+    ValidationError,
     canonical_gap_fraction,
     directional_derivative,
     extreme_branches,
@@ -257,13 +259,23 @@ class TestStackedDirections:
 
     def test_zero_row_rejected(self, degenerate_model):
         params, x0 = degenerate_model
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ValidationError, match="nonzero"):
             directional_derivative(params, x0, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_wrong_width_rejected(self, degenerate_model):
         params, x0 = degenerate_model
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValidationError, match="shape"):
             directional_derivative(params, x0, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("direction", [
+        [np.nan, 1.0], [np.inf, 1.0], [1e300, 1e300], [[1.0, 0.0], [1.0, -np.inf]],
+    ])
+    def test_non_finite_direction_rejected(self, degenerate_model, direction):
+        """A NaN or infinite direction, or one whose norm overflows, raises
+        ``NonFiniteError`` before any NumPy warning or NaN result."""
+        params, x0 = degenerate_model
+        with pytest.raises(NonFiniteError):
+            directional_derivative(params, x0, direction)
 
 
 class TestCanonicalGapFraction:

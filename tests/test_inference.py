@@ -91,9 +91,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="progress_tol"):
             InferenceConfig(progress_tol=value)
 
+    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, value):
+        with pytest.raises(ValueError, match="tol must be"):
+            InferenceConfig(tol=value)
+
     def test_zero_tolerances_are_valid(self):
-        cfg = InferenceConfig(grad_tol=0.0, progress_tol=0.0)
-        assert cfg.grad_tol == 0.0 and cfg.progress_tol == 0.0
+        cfg = InferenceConfig(grad_tol=0.0, progress_tol=0.0, tol=0.0)
+        assert cfg.grad_tol == 0.0 and cfg.progress_tol == 0.0 and cfg.tol == 0.0
 
     def test_defaults_are_usable(self):
         cfg = InferenceConfig()

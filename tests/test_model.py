@@ -94,9 +94,16 @@ def assert_trace_rows(stacked, X, params):
 
 
 class TestStackedForward:
-    @pytest.mark.parametrize("config", [Exp1Config, Exp2Config, Exp4Config])
+    @pytest.mark.parametrize(
+        "config",
+        [Exp1Config, Exp2Config, Exp4Config, ArchSpec(3, (5,)), ArchSpec(4, (6, 6), (3,), ())],
+        ids=["Exp1Config", "Exp2Config", "Exp4Config", "no-modules", "no-conic-modules"],
+    )
     def test_rows_match_single_point_calls(self, config):
-        params = _random_model(config())
+        if isinstance(config, ArchSpec):
+            params = build_random(0, config)
+        else:
+            params = _random_model(config())
         X = gaussian_points(12, 60, params.input_dim)
         assert_trace_rows(forward(params, X), X, params)
 
@@ -500,6 +507,8 @@ class TestDegeneracyReport:
         tr = forward(small_model, np.zeros(small_model.input_dim))
         with pytest.raises(ValueError):
             degeneracy_report(tr, tol=-1e-9)
+        with pytest.raises(ValueError):
+            degeneracy_report(tr, tol=float("nan"))
 
     def test_margin_helpers(self, degenerate_model):
         params, x0 = degenerate_model
