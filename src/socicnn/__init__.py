@@ -48,13 +48,9 @@ from .inference import (
     InferenceConfig,
     InferenceReport,
     ReadoutDiagnostics,
-    baseline_fd_gd,
-    baseline_fd_newton,
     objective,
     readout_diagnostics,
-    solve_batch,
-    whitebox_gd,
-    whitebox_newton,
+    solve,
 )
 from .model import (
     ArchSpec,

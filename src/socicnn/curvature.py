@@ -18,7 +18,7 @@ import numpy as np
 from . import dual
 from .errors import DegenerateInputError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import _nondegenerate_rows, _per_row, _require_nondegenerate, forward
+from .model import _check_tol, _nondegenerate_rows, _per_row, _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +47,7 @@ class CurvatureModel:
 def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
     """Hashable identifier of the activation branch at this trace: packed
     strict-positivity bits per layer plus a nonzero flag per conic module."""
+    _check_tol(tol)
     relu_bits = b"".join(np.packbits(a > tol).tobytes() for a in trace.a)
     cone_flags = tuple(un > tol for un in trace.u_norms)
     return (relu_bits, cone_flags)
@@ -63,6 +64,7 @@ def curvature_matrix(
     At a cone tip the conic term is undefined; ``skip_tip_modules`` drops
     such modules (the second-order solver's fallback) instead of raising.
     """
+    _check_tol(tol)
     H = params.quad_hessian.copy()
     for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
         if un <= tol:

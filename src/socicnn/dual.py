@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import _per_row, degeneracy_report
+from .model import _check_tol, _per_row, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
@@ -163,6 +163,7 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ``alpha_h * q_h``; conic multipliers point along the residual with
     length ``lam_g``, or are exactly ``+0.0`` at the cone tip.
     """
+    _check_tol(tol)
     relu = _box_recursion(params, tuple(a > tol for a in trace.a))
     return DualBranch(relu, *_smooth_multipliers(params, trace, tol))
 
@@ -356,8 +357,11 @@ def extreme_branches(
     (``sphere_samples`` of them, exact in one and two dimensions up to the
     fan density).  Rows run corner-major, then over the ``itertools.product``
     of the tip directions.  With no degeneracy the result is the canonical
-    branch as a one-row stack.
+    branch as a one-row stack.  ``sphere_samples`` below 1 raises
+    ``ValidationError``.
     """
+    if sphere_samples < 1:
+        raise ValidationError("invalid-descriptor", f"sphere_samples {sphere_samples} is below 1")
     box = branch_box(trace, tol)
     rng = np.random.default_rng(seed)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)

@@ -10,13 +10,13 @@ values; the CLI handles formatting and exit codes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import curvature, dual, geometry, inference
 from .curvature import curvature_matrix, quadratic_model_residual
-from .errors import ConstructionError, DegenerateInputError
+from .errors import ConstructionError
 from .model import (
     ArchSpec,
     DEFAULT_TAU,
@@ -25,6 +25,7 @@ from .model import (
     _dot,
     _gaussian_nonzero,
     _nondegenerate_rows,
+    _norms,
     build_degenerate_2d,
     build_random,
     conic_margin,
@@ -72,11 +73,12 @@ def _require_positive(cfg, *names) -> None:
             raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
 
 
-# Points per stacked block of exp1 and exp2.  Each point brings its 2 d
-# stencil rows, so the block sets a run's peak memory: over exp1+exp2 passes,
-# blocks of 8 kept the process's peak RSS within 0.3 MB of one point at a
-# time, while blocks of 16 added 1 MB, 32 added 2 MB and one stack of exp1's
-# 250 samples 19 MB.
+# Points per stacked block of exp1, exp2 and exp4's diagnostics.  Each point
+# brings its 2 d stencil rows, so the block sets a run's peak memory: over
+# exp1+exp2 passes, blocks of 8 kept the peak RSS within 0.3 MB of one point
+# at a time, while 16 added 1 MB, 32 added 2 MB and one stack of exp1's 250
+# samples 19 MB; exp4's traced peak is 1.10 MB with 8 or 1, 1.50 MB with 16
+# and 2.25 MB with one stack of its 30 solutions.
 _BLOCK = 8
 
 
@@ -91,11 +93,6 @@ def _gradient_routes(params, trace, tol, fd_step):
     )
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
     return g_dual, curvature._trace_gradient(params, trace, tol), g_fd
-
-
-def _norms(V):
-    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of that row."""
-    return np.sqrt(_dot(V, V))
 
 
 def _running_sums(blocks, width):
@@ -430,17 +427,17 @@ METHOD_ORDER = inference.METHODS
 
 def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
     """Run all four solvers on the queries, each solver on all of them in
-    lockstep, and compare their outcomes query by query."""
+    lockstep, and compare their outcomes query by query.  The readout
+    diagnostics run at the whitebox-newton solutions off every kink, in
+    stacked blocks of ``_BLOCK``, each cell bitwise a per-query loop's."""
     params = _random_model(cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     t0 = time.perf_counter()
     per_query = []
     sums = {m: np.zeros(5) for m in METHOD_ORDER}
-    diag_sums = np.zeros(6)
-    diag_count = 0
     pair_diff = 0.0
     ys = rng.standard_normal((cfg.queries, cfg.input_dim))
-    batches = {m: inference.solve_batch(params, ys, cfg.solver, m) for m in METHOD_ORDER}
+    batches = {m: inference.solve(params, ys, cfg.solver, m) for m in METHOD_ORDER}
     for qid in range(cfg.queries):
         reports = {m: batches[m][qid] for m in METHOD_ORDER}
         best = min(r.objective for r in reports.values())
@@ -455,21 +452,14 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
             abs(reports["whitebox-gd"].objective - reports["fd-gd"].objective),
             abs(reports["whitebox-newton"].objective - reports["fd-newton"].objective),
         )
-        try:
-            diag = inference.readout_diagnostics(
-                params, reports["whitebox-newton"].x, cfg.solver.tol
-            )
-        except DegenerateInputError:
-            continue
-        diag_sums += (
-            diag.grad_err,
-            diag.grad_rel_err,
-            diag.hess_err,
-            diag.hess_rel_err,
-            diag.min_relu_margin,
-            diag.min_conic_residual,
-        )
-        diag_count += 1
+    kept = np.array([r.x for r in batches["whitebox-newton"]])
+    kept = kept[_nondegenerate_rows(forward(params, kept), cfg.solver.tol)]
+    diag_count = len(kept)
+    diag_blocks = []
+    for start in range(0, diag_count, _BLOCK):
+        diag = inference.readout_diagnostics(params, kept[start:start + _BLOCK], cfg.solver.tol)
+        diag_blocks.append(np.column_stack(astuple(diag)))
+    diag_sums = _running_sums(diag_blocks, 6)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     nq = cfg.queries
     method_rows = tuple(
@@ -490,7 +480,7 @@ def run_exp4(cfg: Exp4Config = Exp4Config()) -> ExperimentOutput:
         "diagnostics",
         ("queries_used", "grad_err", "grad_rel_err", "hess_err", "hess_rel_err",
          "min_relu_margin", "min_conic_residual"),
-        ((diag_count,) + tuple(diag_sums / nd),),
+        ((diag_count,) + tuple(total / nd for total in diag_sums),),
     )
     mean = {m: dict(zip(("gap", "gn", "iters", "bt", "ms"), sums[m] / nq)) for m in METHOD_ORDER}
     newton_gap = mean["whitebox-newton"]["gap"]

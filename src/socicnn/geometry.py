@@ -144,13 +144,18 @@ def directional_derivative(
             f"or (m, {params.input_dim})",
         )
     rows = np.atleast_2d(direction)
+    # Rows below 2**-500 are scaled by an exact power of two lest their squares underflow.
+    _, shift = np.frexp(np.max(np.abs(rows), axis=1))
+    shift = np.where(shift <= -500, shift, 0)
+    rows = np.ldexp(rows, -shift[:, None])
     with np.errstate(over="ignore"):
-        scale = np.linalg.norm(rows, axis=1)
-    if not np.isfinite(scale).all():
+        norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(norms).all():
         raise NonFiniteError("direction is NaN, infinite or too long for its norm to be finite")
-    if np.any(scale == 0.0):
+    if np.any(norms == 0.0):
         raise ValidationError("invalid-descriptor", "direction must be nonzero")
-    units = rows / scale[:, None]
+    units = rows / norms[:, None]
+    scale = np.ldexp(norms, shift)
     trace = forward(params, x)
     box = dual.branch_box(trace, tol)
     primal = scale * _one_sided_primal(params, trace, units, tol)

@@ -1,29 +1,32 @@
 """Proximal-style inference on top of the model: minimize
 ``F(x) = f(x) + (beta/2) ||x - y||^2`` for a query ``y``.
 
-Two first-order and two second-order solvers share one descent loop.  The
-white-box pair uses the canonical readout for gradients and the branch
-curvature formula (plus ``beta I``) for the Newton system; the baseline pair
-replaces both with finite-difference compositions of plain value queries and
-must not touch any analytic route.  All four use the same Armijo
-backtracking line search and the same stopping rules, so their iteration
-counts are comparable.
+``solve`` is the one solver entry: it takes one query ``(d,)`` or a stack
+``(q, d)`` descended in lockstep, and one of four methods.  Two first-order
+and two second-order methods share one descent loop.  The white-box pair
+uses the canonical readout for gradients and the branch curvature formula
+(plus ``beta I``) for the Newton system; the baseline pair replaces both
+with finite-difference compositions of plain value queries and must not
+touch any analytic route.  All four use the same Armijo backtracking line
+search and the same stopping rules, so their iteration counts are
+comparable.  ``readout_diagnostics`` cross-checks the readout routes at one
+solution or a stack of them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from . import curvature, dual, oracle
+from . import curvature, dual
 from .curvature import curvature_matrix
 from .errors import SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _dot, _require_nondegenerate, conic_margin, forward
-from .model import forward_values, relu_margin
+from .model import DEFAULT_TAU, SocIcnnParams, _dot, _nondegenerate_rows, _norms
+from .model import _require_nondegenerate, conic_margin, forward, forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -52,20 +55,19 @@ class InferenceConfig:
     fd_hess_step: float = 1e-5
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.damping > 0:
-            raise ValueError("damping must be positive")
+        for name, value in (("beta", self.beta), ("damping", self.damping)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo must lie in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
+        if type(self.max_backtracks) is not int or self.max_backtracks < 0:
+            raise ValueError(f"max_backtracks must be a nonnegative int: {self.max_backtracks!r}")
         if not (self.fd_grad_step > 0 and self.fd_hess_step > 0):
             raise ValueError("fd_grad_step and fd_hess_step must be positive")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative or None")
+        if self.max_iters is not None and (type(self.max_iters) is not int or self.max_iters < 0):
+            raise ValueError(f"max_iters must be a nonnegative int or None: {self.max_iters!r}")
         for name in ("grad_tol", "progress_tol", "tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -127,7 +129,7 @@ def _values(params, Y, beta, X):
     return trace.value + 0.5 * beta * _dot(diff, diff), trace
 
 
-def _descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
+def _descent(params, Y, config, method, grad_fn, direction_fn):
     """Armijo-backtracked descent shared by all four solvers, run on the
     query rows of ``Y`` in lockstep; returns one report per row.
 
@@ -138,8 +140,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
     (``rows`` is an index array for a stacked trace and an int for a
     one-point trace; the value-only twins read only ``trace.x``).
     ``direction_fn`` maps ``(row, g, trace)`` to a step direction at that
-    row's one-point trace (None for steepest descent).  A row stops on
-    per-step progress, on gradient norm, on iteration budget, or on a
+    row's one-point trace (None for steepest descent, whose default budget
+    is ``GD_MAX_ITERS`` iterations, not ``NEWTON_MAX_ITERS``).  A row stops
+    on per-step progress, on gradient norm, on iteration budget, or on a
     line-search failure, whichever comes first, and leaves the rounds.
 
     A row's line search traces the step sizes ``1, shrink, shrink^2, ...``
@@ -154,7 +157,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
     wall time.
     """
     q = len(Y)
-    max_iters = config.max_iters if config.max_iters is not None else default_iters
+    max_iters = config.max_iters
+    if max_iters is None:
+        max_iters = GD_MAX_ITERS if direction_fn is None else NEWTON_MAX_ITERS
     etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)])
     mark = time.perf_counter()
     spent, deriv = [0.0] * q, [0.0] * q
@@ -331,122 +336,90 @@ def _fd_newton_direction(params, Y, config):
     return direction_fn
 
 
-def solve_batch(params: SocIcnnParams, Y, config: InferenceConfig, method: str) -> tuple:
-    """Run one solver on every query of the ``(q, d)`` stack ``Y`` in lockstep.
+def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
+    """Minimize the objective for the query ``y`` with the solver ``method``.
 
-    ``method`` is one of ``METHODS``, the ``method`` field of the reports
-    of ``whitebox_gd``, ``whitebox_newton``, ``baseline_fd_gd`` and
-    ``baseline_fd_newton``.  Returns one report per query, in order; each
-    is bitwise what the one-query solver gives, apart from the timings,
-    which split the batch time between the queries.
+    ``y`` is one query ``(d,)``, giving one ``InferenceReport``, or a stack
+    ``(q, d)`` with ``q >= 1``, giving a tuple of ``q`` reports in order.
+    The queries of a stack descend in lockstep, and each report is bitwise
+    that of its query alone, apart from the timings, which split the batch
+    time between the queries.  ``method`` is one of ``METHODS``:
+
+    - ``"whitebox-gd"``: descent along the canonical-readout gradient.
+    - ``"whitebox-newton"``: damped Newton on ``H(x) + (beta + damping) I``
+      with the closed-form branch curvature ``H``; cone-tip modules, should
+      an iterate land exactly on one, drop out of ``H`` (their
+      subdifferential term is already in the gradient).
+    - ``"fd-gd"``: the twin that sees only objective values, with
+      central-difference gradients at step ``fd_grad_step``.
+    - ``"fd-newton"``: the twin whose Newton matrix is a central difference
+      of that gradient field, over one ``4 n^2``-point value query.  It
+      goes indefinite whenever a stencil leg crosses a kink, so its
+      eigenvalues are clamped from below at ``beta + damping``: the
+      declared strong-convexity constant, no analytic model structure.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or not len(Y):
-        raise ValidationError(
-            "dimension-mismatch", f"queries have shape {Y.shape}, expected (q, d) with q >= 1"
-        )
-    white = method.startswith("whitebox")
-    if white:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (1, 2) or not len(y):
+        raise ValidationError("dimension-mismatch", f"query shape {y.shape}, need (d,) or (q>0, d)")
+    Y = np.atleast_2d(y)
+    if method.startswith("whitebox"):
         grad_fn = _readout_grad(params, Y, config.beta, config.tol)
-    else:
-        grad_fn = _fd_grad(params, Y, config)
-    if method.endswith("-gd"):
-        return _descent(params, Y, config, method, grad_fn, None, GD_MAX_ITERS)
-    if white:
         direction_fn = _newton_direction(params, config)
     else:
+        grad_fn = _fd_grad(params, Y, config)
         direction_fn = _fd_newton_direction(params, Y, config)
-    return _descent(params, Y, config, method, grad_fn, direction_fn, NEWTON_MAX_ITERS)
-
-
-def _solve_one(params, y, config, method):
-    """One query ``y`` of shape ``(d,)``, run as a stack of one."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValidationError(
-            "dimension-mismatch", f"query has shape {y.shape}, expected (d,); "
-            "solve_batch takes a stack"
-        )
-    return solve_batch(params, y[None], config, method)[0]
-
-
-def whitebox_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
-    """First-order descent with the canonical-readout gradient."""
-    return _solve_one(params, y, config, "whitebox-gd")
-
-
-def whitebox_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
-    """Damped Newton with the closed-form branch curvature.
-
-    The system is ``H(x) + (beta + damping) I``; cone-tip modules, should an
-    iterate land exactly on one, drop out of the curvature (their
-    subdifferential term is already in the gradient).
-    """
-    return _solve_one(params, y, config, "whitebox-newton")
-
-
-def baseline_fd_gd(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
-    """First-order twin that only sees objective values: central-difference
-    gradients at step ``fd_grad_step``."""
-    return _solve_one(params, y, config, "fd-gd")
-
-
-def baseline_fd_newton(params: SocIcnnParams, y, config: InferenceConfig) -> InferenceReport:
-    """Second-order twin built purely from value queries: the Newton matrix
-    is a central difference of the finite-difference gradient field.
-
-    That estimate goes indefinite whenever a stencil leg crosses a kink, so
-    its eigenvalues are clamped from below at ``beta + damping`` before
-    solving.  The floor uses only the declared strong-convexity constant of
-    the objective, no analytic model structure.  The matrix comes from one
-    value query over its whole ``4 n^2``-point stencil.
-    """
-    return _solve_one(params, y, config, "fd-newton")
+    if method.endswith("-gd"):
+        direction_fn = None
+    reports = _descent(params, Y, config, method, grad_fn, direction_fn)
+    return reports[0] if y.ndim == 1 else reports
 
 
 @dataclass(frozen=True)
 class ReadoutDiagnostics:
-    """Cross-route agreement at a solution point."""
+    """Cross-route agreement at a solution point: floats for one point,
+    ``(m,)`` arrays for a stack of ``m``."""
 
-    grad_err: float
-    grad_rel_err: float
-    hess_err: float
-    hess_rel_err: float
-    min_relu_margin: float
-    min_conic_residual: float
+    grad_err: float | np.ndarray
+    grad_rel_err: float | np.ndarray
+    hess_err: float | np.ndarray
+    hess_rel_err: float | np.ndarray
+    min_relu_margin: float | np.ndarray
+    min_conic_residual: float | np.ndarray
 
 
 def readout_diagnostics(
     params: SocIcnnParams, x, tol: float = DEFAULT_TAU, fd_hess_step: float = 1e-5
 ) -> ReadoutDiagnostics:
-    """Agreement checks at a (nondegenerate) solver output.
+    """Agreement checks at (nondegenerate) solver outputs.
 
     Compares the multiplier-readout gradient against the affine-composition
     route, and the curvature formula against a central difference of the
     analytic gradient field; also reports how far the point sits from the
-    nearest kink.
+    nearest kink.  ``x`` is one point ``(d,)``, giving floats, or a stack
+    ``(m, d)``, giving ``(m,)`` arrays whose row ``k`` is bitwise the call at
+    ``x[k]`` alone; a point is traced as a stack of one.  A point on a kink
+    raises ``DegenerateInputError``, naming its row in a stack.
     """
     x = np.asarray(x, dtype=np.float64)
-    trace = forward(params, x)
-    _require_nondegenerate(trace, tol, "diagnostics")
+    trace = forward(params, x[None] if x.ndim == 1 else x)
+    bad = np.flatnonzero(~_nondegenerate_rows(trace, tol))
+    if bad.size:
+        where = f" at row {bad[0]}" if x.ndim == 2 else ""
+        _require_nondegenerate(trace.row(bad[0]), tol, "diagnostics" + where)
+    m, n = trace.x.shape
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    g_local = curvature._trace_gradient(params, trace, tol)
-    grad_err = float(np.linalg.norm(g_dual - g_local))
-    grad_rel = grad_err / max(float(np.linalg.norm(g_dual)), 1e-300)
-    H = curvature_matrix(params, trace, tol)
-    H_fd = oracle.fd_hessian(_readout_field(params, tol), x, fd_hess_step)
-    hess_err = float(np.linalg.norm(H - H_fd, "fro"))
-    hess_rel = hess_err / max(float(np.linalg.norm(H, "fro")), 1e-300)
-    return ReadoutDiagnostics(
-        grad_err=grad_err,
-        grad_rel_err=grad_rel,
-        hess_err=hess_err,
-        hess_rel_err=hess_rel,
-        min_relu_margin=relu_margin(trace),
-        min_conic_residual=conic_margin(trace),
+    grad_err = _norms(g_dual - curvature._trace_gradient(params, trace, tol))
+    H = np.reshape([curvature_matrix(params, trace.row(k), tol) for k in range(m)], (m, n, n))
+    H_fd = fd_hessian(_readout_field(params, tol), trace.x, fd_hess_step)
+    hess_err = _norms((H - H_fd).reshape(m, n * n))
+    diag = ReadoutDiagnostics(
+        grad_err, grad_err / np.maximum(_norms(g_dual), 1e-300),
+        hess_err, hess_err / np.maximum(_norms(H.reshape(m, n * n)), 1e-300),
+        relu_margin(trace), conic_margin(trace),
     )
+    return diag if x.ndim == 2 else ReadoutDiagnostics(*(float(f[0]) for f in astuple(diag)))
 
 
 def with_gap(report: InferenceReport, best: float) -> InferenceReport:

@@ -273,6 +273,11 @@ def _dot(X, Y):
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
+def _norms(V):
+    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of that row."""
+    return np.sqrt(_dot(V, V))
+
+
 def _nonfinite_row(finite):
     """Where ``finite`` has a False flag: None when nowhere, ``""`` for a
     point's one flag, `` row k`` naming the first bad row of a stack."""
@@ -378,11 +383,16 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
     return values
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a kink tolerance that is negative or NaN."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+
+
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
     """List the kinks the trace of one point sits on, within absolute
     tolerance ``tol``; a stacked trace raises ``ValidationError``."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    _check_tol(tol)
     if np.ndim(trace.value):
         raise ValidationError("dimension-mismatch", "expected the trace of one point, not a stack")
     relu = tuple((l, int(i)) for l, a in enumerate(trace.a) for i in np.flatnonzero(abs(a) <= tol))

@@ -123,10 +123,10 @@ def record_traces(monkeypatch):
 
     descent = inference._descent
 
-    def recording_descent(params, Y, config, method, grad_fn, direction_fn, default_iters):
+    def recording_descent(params, Y, config, method, grad_fn, direction_fn):
         first = len(traced)
         direction_fn = direction_fn and guarded(direction_fn)
-        reports = descent(params, Y, config, method, guarded(grad_fn), direction_fn, default_iters)
+        reports = descent(params, Y, config, method, guarded(grad_fn), direction_fn)
         runs.append((reports, traced[first:]))
         return reports
 

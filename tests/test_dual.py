@@ -358,6 +358,13 @@ class TestCornersAndExtremes:
         cone_norms = np.linalg.norm(branches.cone[0], axis=1)
         assert cone_norms == pytest.approx(np.full(16, params.lam[0]), rel=1e-12)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sphere_count_below_one_rejected(self, degenerate_model, count):
+        """A fan of no directions used to give a branch with no rows."""
+        params, x0 = degenerate_model
+        with pytest.raises(ValidationError, match="sphere_samples"):
+            extreme_branches(params, forward(params, x0), sphere_samples=count)
+
     def test_extremes_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)

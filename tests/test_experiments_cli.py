@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from socicnn import (
-    DegenerateInputError,
     DualBranch,
     build_degenerate_2d,
     canonical,
@@ -347,10 +346,10 @@ class TestExp4:
         detail = {c.name: c.detail for c in exp4_small.checks}["exp4-conic-residual"]
         assert f"0 of {SMALL4.queries} queries skipped as degenerate" in detail
 
-        def on_a_kink(*args, **kwargs):
-            raise DegenerateInputError("on a kink")
+        def on_a_kink(trace, tol):
+            return np.zeros(np.shape(trace.value), dtype=bool)
 
-        monkeypatch.setattr(inference, "readout_diagnostics", on_a_kink)
+        monkeypatch.setattr(experiments, "_nondegenerate_rows", on_a_kink)
         cfg = Exp4Config(queries=2, input_dim=3, widths=(4,), quad_dims=(2,), cone_dims=(2,))
         checks = {c.name: c for c in run_exp4(cfg).checks}
         assert "2 of 2 queries skipped as degenerate" in checks["exp4-conic-residual"].detail

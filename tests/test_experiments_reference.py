@@ -1,30 +1,43 @@
-"""exp1 and exp2 against the one-point-at-a-time loops that the stacked
-blocks replaced.
+"""exp1, exp2 and exp4's diagnostics against the one-point-at-a-time loops
+that the stacked blocks replaced.
 
 ``reference_exp1`` and ``reference_exp2`` keep those loops verbatim, and
 with them the one-point gradient and curvature routes they called
 (``reference_trace_gradient``, ``reference_curvature_matrix``).  Every cell
 of every table apart from the ``*_ms`` columns must equal the stacked run's
 as a float hex, with the same Python type, and the check verdicts must
-agree.
+agree.  ``reference_exp4_diagnostics`` keeps exp4's per-query diagnostics
+loop and the one-point ``readout_diagnostics`` it called; its cells must
+equal the stacked run's as float hexes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from socicnn import ConstructionError, dual, inference
-from socicnn.curvature import CurvatureModel, branch_signature, quadratic_model_residual
+from socicnn import ConstructionError, DegenerateInputError, curvature, dual, inference
+from socicnn.curvature import (
+    CurvatureModel,
+    branch_signature,
+    curvature_matrix,
+    quadratic_model_residual,
+)
 from socicnn.experiments import (
     Exp1Config,
     Exp2Config,
+    Exp4Config,
     ExperimentOutput,
     Table,
     _check,
     _random_model,
     run_exp1,
     run_exp2,
+    run_exp4,
 )
-from socicnn.model import conic_margin, degeneracy_report, forward, forward_values, relu_margin
+from socicnn.inference import InferenceConfig, ReadoutDiagnostics
+from socicnn.model import DEFAULT_TAU, _require_nondegenerate, conic_margin, degeneracy_report
+from socicnn.model import forward, forward_values, relu_margin
 from socicnn.oracle import fd_gradient, fd_hessian
 
 
@@ -274,3 +287,120 @@ class TestExp2MatchesPerPointLoop:
         with pytest.raises(ConstructionError) as got:
             run_exp2(cfg)
         assert str(got.value) == str(want.value)
+
+
+def reference_readout_diagnostics(params, x, tol=DEFAULT_TAU, fd_hess_step=1e-5):
+    """The one-point ``readout_diagnostics``, before it took stacks."""
+    x = np.asarray(x, dtype=np.float64)
+    trace = forward(params, x)
+    _require_nondegenerate(trace, tol, "diagnostics")
+    g_dual = dual.readout(params, dual.canonical(params, trace, tol))
+    g_local = curvature._trace_gradient(params, trace, tol)
+    grad_err = float(np.linalg.norm(g_dual - g_local))
+    grad_rel = grad_err / max(float(np.linalg.norm(g_dual)), 1e-300)
+    H = curvature_matrix(params, trace, tol)
+    H_fd = fd_hessian(inference._readout_field(params, tol), x, fd_hess_step)
+    hess_err = float(np.linalg.norm(H - H_fd, "fro"))
+    hess_rel = hess_err / max(float(np.linalg.norm(H, "fro")), 1e-300)
+    return ReadoutDiagnostics(
+        grad_err=grad_err,
+        grad_rel_err=grad_rel,
+        hess_err=hess_err,
+        hess_rel_err=hess_rel,
+        min_relu_margin=relu_margin(trace),
+        min_conic_residual=conic_margin(trace),
+    )
+
+
+def reference_exp4_diagnostics(cfg):
+    """exp4's diagnostics row and ``exp4-conic-residual`` check, from its
+    per-query loop: one query at a time, skipping a query on a kink."""
+    params = _random_model(cfg)
+    rng = np.random.default_rng([cfg.seed, 1])
+    ys = rng.standard_normal((cfg.queries, cfg.input_dim))
+    newton = inference.solve(params, ys, cfg.solver, "whitebox-newton")
+    diag_sums = np.zeros(6)
+    diag_count = 0
+    for qid in range(cfg.queries):
+        try:
+            diag = reference_readout_diagnostics(params, newton[qid].x, cfg.solver.tol)
+        except DegenerateInputError:
+            continue
+        diag_sums += (
+            diag.grad_err,
+            diag.grad_rel_err,
+            diag.hess_err,
+            diag.hess_rel_err,
+            diag.min_relu_margin,
+            diag.min_conic_residual,
+        )
+        diag_count += 1
+    nq = cfg.queries
+    nd = max(diag_count, 1)
+    check = _check(
+        "exp4-conic-residual",
+        diag_count > 0 and diag_sums[5] / nd > 0.1,
+        f"mean min conic residual {diag_sums[5] / nd:.3e}, "
+        f"{nq - diag_count} of {nq} queries skipped as degenerate",
+    )
+    return (diag_count,) + tuple(diag_sums / nd), check
+
+
+def peak_above_retained(run):
+    """``run()`` and the peak of ``tracemalloc``'s traced memory above what
+    is still allocated once the result is dropped.  What a run leaves behind
+    (NumPy's cache of small blocks, filled on a first run) is not its peak:
+    the measure is the same in a fresh process and after a warm-up run."""
+    tracemalloc.start()
+    try:
+        out = run()
+        result = (out.tables, out.checks)
+        del out
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current
+
+
+@pytest.fixture(scope="module")
+def default_exp4_seed0():
+    return peak_above_retained(run_exp4)
+
+
+EXP4_CASES = {
+    "default-seed-0": Exp4Config(),
+    "default-seed-99": Exp4Config(seed=99),
+    # 3 of 6 solutions lie within 0.01 of a kink, 3 kept: one short block
+    "some-skipped": Exp4Config(queries=6, solver=InferenceConfig(tol=1e-2)),
+    "none-kept": Exp4Config(queries=2, solver=InferenceConfig(tol=10.0)),
+}
+
+
+class TestExp4DiagnosticsMatchPerQueryLoop:
+    @pytest.mark.parametrize("case", EXP4_CASES.keys())
+    def test_diagnostics_row_and_check_are_bitwise(self, case, default_exp4_seed0):
+        cfg = EXP4_CASES[case]
+        if case == "default-seed-0":  # the memory test's traced run
+            (tables, checks), _ = default_exp4_seed0
+        else:
+            out = run_exp4(cfg)
+            tables, checks = out.tables, out.checks
+        want_row, want_check = reference_exp4_diagnostics(cfg)
+        (got_row,) = tables[2].rows
+        assert type(got_row[0]) is int and got_row[0] == want_row[0]
+        assert [v.hex() for v in got_row[1:]] == [float(v).hex() for v in want_row[1:]]
+        got_check = next(c for c in checks if c.name == want_check.name)
+        assert got_check == want_check
+
+    def test_cases_cover_the_skip_paths(self):
+        counts = {case: reference_exp4_diagnostics(EXP4_CASES[case])[0][0]
+                  for case in ("some-skipped", "none-kept")}
+        assert counts == {"some-skipped": 3, "none-kept": 0}
+
+    def test_default_run_stays_small(self, default_exp4_seed0):
+        """The diagnostics of the 30 solutions run in blocks of 8: the run's
+        traced peak, above what it leaves allocated, stays near 1.05 MB, set
+        by the solvers.  Blocks of 16 raise it to 1.44 MB, one stack of 30
+        to 2.2 MB."""
+        _, peak = default_exp4_seed0
+        assert peak <= 1.2e6

@@ -73,6 +73,12 @@ class TestSubdifferentialSample:
         spread = max(np.linalg.norm(s - sample[0]) for s in sample)
         assert spread > 1e-3
 
+    def test_sphere_count_below_one_rejected(self, degenerate_model):
+        """NumPy's matmul ``ValueError`` used to leak out instead."""
+        params, x0 = degenerate_model
+        with pytest.raises(ValidationError, match="sphere_samples"):
+            subdifferential_sample(params, x0, sphere_samples=0)
+
     def test_every_sample_is_a_subgradient(self, degenerate_model):
         params, x0 = degenerate_model
         f0 = forward(params, x0).value
@@ -167,6 +173,27 @@ class TestDirectionalDerivative:
         scaled = directional_derivative(params, x0, 7.5 * d)
         assert scaled.dual_max == pytest.approx(7.5 * base.dual_max, rel=1e-13)
         assert scaled.primal == pytest.approx(7.5 * base.primal, rel=1e-13)
+
+    @pytest.mark.parametrize("direction", [
+        [1e-200, 1e-200], [1e-160, 3e-161], [5e-324, 0.0], [[0.6, -0.8], [-3e-310, 1e-300]],
+    ])
+    def test_tiny_direction_normalizes(self, degenerate_model, direction):
+        """Squares of these entries underflow: ``[1e-200, 1e-200]`` used to
+        be rejected as zero and ``[1e-160, 3e-161]`` to give a unit vector of
+        norm 1.0000418."""
+        params, x0 = degenerate_model
+        res = directional_derivative(params, x0, direction)
+        assert np.all(np.abs(np.linalg.norm(np.atleast_2d(res.direction), axis=1) - 1.0) <= 1e-15)
+
+    def test_homogeneous_down_to_tiny_scales(self, degenerate_model):
+        params, x0 = degenerate_model
+        d = np.array([0.6, -0.8])
+        base = directional_derivative(params, x0, d)
+        for t in (1e-100, 1e-160, 1e-200, 1e-250, 1e-300):
+            res = directional_derivative(params, x0, t * d)
+            assert res.dual_max == pytest.approx(t * base.dual_max, rel=1e-14)
+            assert res.primal == pytest.approx(t * base.primal, rel=1e-14)
+            assert np.abs(res.direction - base.direction).max() <= 1e-15
 
     def test_canonical_never_exceeds_support(self, degenerate_model):
         params, x0 = degenerate_model

@@ -10,19 +10,15 @@ import scipy.linalg
 from socicnn import (
     DegenerateInputError,
     InferenceConfig,
-    baseline_fd_gd,
-    baseline_fd_newton,
     forward,
     objective,
     readout_diagnostics,
-    solve_batch,
-    whitebox_gd,
-    whitebox_newton,
+    solve,
 )
-from socicnn import curvature, dual, inference
+from socicnn import curvature, dual, experiments, inference
 from socicnn.curvature import curvature_matrix
 from socicnn.errors import SolveFailureError, ValidationError
-from socicnn.inference import GD_MAX_ITERS, NEWTON_MAX_ITERS, InferenceReport, with_gap
+from socicnn.inference import GD_MAX_ITERS, METHODS, NEWTON_MAX_ITERS, InferenceReport, with_gap
 from socicnn.model import forward_values
 from socicnn.oracle import fd_gradient, fd_hessian
 
@@ -75,6 +71,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             InferenceConfig(max_backtracks=-1)
 
+    @pytest.mark.parametrize("change", [
+        {"beta": float("inf")}, {"damping": float("inf")}, {"beta": float("nan")},
+        {"max_backtracks": 1.5}, {"max_backtracks": True}, {"max_iters": True},
+        {"max_iters": 2.0},
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_rejects_non_finite_weights_and_non_integer_counts(self, change):
+        """An infinite ``beta`` made a solve fail inside NumPy, an infinite
+        ``damping`` stopped Newton after one step, a fractional
+        ``max_backtracks`` escaped as NumPy's ``TypeError`` and
+        ``max_iters=True`` ran one iteration."""
+        with pytest.raises(ValueError, match=next(iter(change))):
+            InferenceConfig(**change)
+
     def test_rejects_negative_max_iters(self):
         with pytest.raises(ValueError, match="max_iters"):
             InferenceConfig(max_iters=-1)
@@ -115,20 +124,20 @@ class TestQuadraticToy:
     target = proximal_target(y, 1.0)
 
     def test_whitebox_gd_converges(self):
-        rep = whitebox_gd(self.params, self.y, self.cfg)
+        rep = solve(self.params, self.y, self.cfg, "whitebox-gd")
         assert np.linalg.norm(rep.x - self.target) <= 1e-9
         assert rep.stop_reason == "grad-tol"
 
     def test_whitebox_newton_one_step(self):
         """Newton solves an exactly quadratic objective in a single damped
         step, then one more confirms the gradient is flat."""
-        rep = whitebox_newton(self.params, self.y, self.cfg)
+        rep = solve(self.params, self.y, self.cfg, "whitebox-newton")
         assert np.linalg.norm(rep.x - self.target) <= 1e-7
         assert rep.iterations <= 2
 
     def test_fd_twins_agree_with_whitebox(self):
-        wb = whitebox_gd(self.params, self.y, self.cfg)
-        fd = baseline_fd_gd(self.params, self.y, self.cfg)
+        wb = solve(self.params, self.y, self.cfg, "whitebox-gd")
+        fd = solve(self.params, self.y, self.cfg, "fd-gd")
         assert np.linalg.norm(wb.x - fd.x) <= 1e-5
         n = min(len(wb.trace), len(fd.trace))
         for (v1, _), (v2, _) in zip(wb.trace[:n], fd.trace[:n]):
@@ -145,18 +154,19 @@ class TestQuadraticToy:
         monkeypatch.setattr(inference, "dual", Forbidden())
         monkeypatch.setattr(inference, "curvature", Forbidden())
         monkeypatch.setattr(inference, "curvature_matrix", Forbidden())
-        for solver in (baseline_fd_gd, baseline_fd_newton):
-            assert np.linalg.norm(solver(self.params, self.y, self.cfg).x - self.target) <= 1e-5
+        for method in ("fd-gd", "fd-newton"):
+            rep = solve(self.params, self.y, self.cfg, method)
+            assert np.linalg.norm(rep.x - self.target) <= 1e-5
 
     def test_fd_newton_converges(self):
-        rep = baseline_fd_newton(self.params, self.y, self.cfg)
+        rep = solve(self.params, self.y, self.cfg, "fd-newton")
         assert np.linalg.norm(rep.x - self.target) <= 1e-5
         assert rep.iterations <= 3
 
     def test_strong_convexity_error_bound(self):
         """At any grad-tol stop, distance to the optimum is at most the
         gradient norm over the strong-convexity constant."""
-        rep = whitebox_gd(self.params, self.y, InferenceConfig(beta=1.0, grad_tol=1e-6))
+        rep = solve(self.params, self.y, InferenceConfig(beta=1.0, grad_tol=1e-6), "whitebox-gd")
         bound = rep.grad_norm / 1.0
         assert np.linalg.norm(rep.x - self.target) <= bound + 1e-12
 
@@ -165,7 +175,7 @@ class TestDescentMechanics:
     def test_zero_iteration_budget_returns_query(self, medium_model):
         y = gaussian_points(101, 1, medium_model.input_dim)[0]
         cfg = InferenceConfig(beta=10.0, max_iters=0)
-        rep = whitebox_gd(medium_model, y, cfg)
+        rep = solve(medium_model, y, cfg, "whitebox-gd")
         assert np.array_equal(rep.x, y)
         assert rep.iterations == 0
         v0, _ = objective(medium_model, y, 10.0, y)
@@ -177,13 +187,13 @@ class TestDescentMechanics:
         violates Armijo immediately."""
         params = quad_only_params(alpha=500.0)
         cfg = InferenceConfig(beta=1.0, max_backtracks=0)
-        rep = whitebox_gd(params, np.array([2.0, 2.0]), cfg)
+        rep = solve(params, np.array([2.0, 2.0]), cfg, "whitebox-gd")
         assert rep.stop_reason == "line-search-failure"
         assert rep.iterations == 0
 
     def test_objective_trace_monotone(self, medium_model):
         y = gaussian_points(102, 1, medium_model.input_dim)[0]
-        rep = whitebox_gd(medium_model, y, InferenceConfig(beta=10.0))
+        rep = solve(medium_model, y, InferenceConfig(beta=10.0), "whitebox-gd")
         values = [v for v, _ in rep.trace]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-14
@@ -196,18 +206,14 @@ class TestDescentMechanics:
 
     def test_max_iters_stop_reason(self, medium_model):
         y = gaussian_points(103, 1, medium_model.input_dim)[0]
-        rep = whitebox_gd(medium_model, y, InferenceConfig(beta=10.0, max_iters=1, grad_tol=1e-14))
+        cfg = InferenceConfig(beta=10.0, max_iters=1, grad_tol=1e-14)
+        rep = solve(medium_model, y, cfg, "whitebox-gd")
         assert rep.iterations <= 1
         assert rep.stop_reason in ("max-iters", "line-search-failure")
 
 
 def run_all_methods(params, y, cfg):
-    return {
-        "whitebox-gd": whitebox_gd(params, y, cfg),
-        "whitebox-newton": whitebox_newton(params, y, cfg),
-        "fd-gd": baseline_fd_gd(params, y, cfg),
-        "fd-newton": baseline_fd_newton(params, y, cfg),
-    }
+    return {method: solve(params, y, cfg, method) for method in METHODS}
 
 
 @pytest.fixture(scope="module")
@@ -251,14 +257,14 @@ class TestOnRandomModel:
 
 class TestTraceReuse:
     # (single-point calls, stacked calls, rows traced) at the query below.
-    @pytest.mark.parametrize("solver, counts", [
-        pytest.param(whitebox_newton, (4, 0, 4), id="whitebox_newton"),
-        pytest.param(whitebox_gd, (5, 14, 73), id="whitebox_gd"),
-        pytest.param(baseline_fd_gd, (5, 14, 73), id="baseline_fd_gd"),
-        pytest.param(baseline_fd_newton, (4, 0, 4), id="baseline_fd_newton"),
+    @pytest.mark.parametrize("method, counts", [
+        pytest.param("whitebox-newton", (4, 0, 4), id="whitebox_newton"),
+        pytest.param("whitebox-gd", (5, 14, 73), id="whitebox_gd"),
+        pytest.param("fd-gd", (5, 14, 73), id="baseline_fd_gd"),
+        pytest.param("fd-newton", (4, 0, 4), id="baseline_fd_newton"),
     ])
     def test_one_forward_per_gradient_and_trial_point(
-        self, medium_model, monkeypatch, solver, counts
+        self, medium_model, monkeypatch, method, counts
     ):
         """Each point the line search tries is traced once, in its value
         query: the gradient and the Newton matrix read the accepted trace
@@ -269,7 +275,7 @@ class TestTraceReuse:
         backtracks`` trial points."""
         traced, _ = record_traces(monkeypatch)
         y = gaussian_points(104, 1, medium_model.input_dim)[0]
-        rep = solver(medium_model, y, InferenceConfig(beta=10.0))
+        rep = solve(medium_model, y, InferenceConfig(beta=10.0), method)
         assert rep.stop_reason == "grad-tol"
         assert rep.iterations >= 2
         points = np.concatenate(traced)
@@ -433,11 +439,22 @@ def reference_fd_newton(params, y, config):
 
 
 SOLVER_PAIRS = [
-    (whitebox_gd, reference_whitebox_gd),
-    (whitebox_newton, reference_whitebox_newton),
-    (baseline_fd_gd, reference_fd_gd),
-    (baseline_fd_newton, reference_fd_newton),
+    ("whitebox-gd", reference_whitebox_gd),
+    ("whitebox-newton", reference_whitebox_newton),
+    ("fd-gd", reference_fd_gd),
+    ("fd-newton", reference_fd_newton),
 ]
+# Test ids of the methods: the names of the one-query solver functions that
+# ``solve`` replaced, so that every test id stays as it was.
+METHOD_IDS = dict(zip(METHODS, ("whitebox_gd", "whitebox_newton", "baseline_fd_gd",
+                                "baseline_fd_newton")))
+
+
+def param_id(value):
+    """A method's test id, or a reference function's name."""
+    return METHOD_IDS[value] if isinstance(value, str) else value.__name__
+
+
 EDGE_CONFIGS = {
     "defaults": InferenceConfig(beta=10.0),
     "no-iterations": InferenceConfig(beta=10.0, max_iters=0),
@@ -458,11 +475,11 @@ class TestReferenceLoop:
     other field has the reference's type too, down to the floats in
     ``trace``."""
 
-    @pytest.mark.parametrize("solver, reference", SOLVER_PAIRS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("method, reference", SOLVER_PAIRS, ids=param_id)
     @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
-    def test_reports_match_reference(self, medium_model, solver, reference, config):
+    def test_reports_match_reference(self, medium_model, method, reference, config):
         for y in gaussian_points(106, 3, medium_model.input_dim):
-            got = solver(medium_model, y, config)
+            got = solve(medium_model, y, config, method)
             want = reference(medium_model, y, config)
             assert type(got.iterations) is int and type(got.backtracks) is int
             for name in UNTIMED_FIELDS:
@@ -488,8 +505,8 @@ class TestReferenceLoop:
             rep.stop_reason == reason
             and (config.max_iters is None or rep.iterations == config.max_iters)
             for rep in (
-                solver(medium_model, y, config)
-                for solver, _ in SOLVER_PAIRS
+                solve(medium_model, y, config, method)
+                for method, _ in SOLVER_PAIRS
                 for y in gaussian_points(106, 3, medium_model.input_dim)
             )
         )
@@ -511,10 +528,10 @@ class TestReferenceLoop:
 
         def cases(config):
             seen = set()
-            for solver, _ in SOLVER_PAIRS:
+            for method in METHODS:
                 for y in gaussian_points(106, 3, medium_model.input_dim):
                     blocks.clear()
-                    rep = solver(medium_model, y, config)
+                    rep = solve(medium_model, y, config, method)
                     searches = []
                     for n, first in blocks:
                         if first:
@@ -545,26 +562,23 @@ def assert_same_untimed(got, want):
             assert repr(a) == repr(b), name
 
 
-SOLVERS = [solver for solver, _ in SOLVER_PAIRS]
-
-
 class TestLockstepBatch:
-    """``solve_batch`` descends a stack of queries in lockstep, and each row
-    is bit for bit the one-query solver's report, apart from the timings."""
+    """``solve`` descends a stack of queries in lockstep, and each row is bit
+    for bit the report of its query alone, apart from the timings."""
 
-    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("method", METHODS, ids=param_id)
     @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
-    def test_rows_match_single_queries(self, medium_model, solver, config):
+    def test_rows_match_single_queries(self, medium_model, method, config):
         """Three queries and a repeat of the second in one stack, and the
         first alone as a stack of one."""
         Y = gaussian_points(106, 3, medium_model.input_dim)
-        singles = [solver(medium_model, y, config) for y in Y]
-        method = singles[0].method
-        batch = solve_batch(medium_model, np.vstack([Y, Y[1]]), config, method)
-        assert len(batch) == 4
+        singles = [solve(medium_model, y, config, method) for y in Y]
+        assert all(type(rep) is InferenceReport and rep.method == method for rep in singles)
+        batch = solve(medium_model, np.vstack([Y, Y[1]]), config, method)
+        assert type(batch) is tuple and len(batch) == 4
         for got, want in zip(batch, singles + singles[1:2]):
             assert_same_untimed(got, want)
-        (alone,) = solve_batch(medium_model, Y[:1], config, method)
+        (alone,) = solve(medium_model, Y[:1], config, method)
         assert_same_untimed(alone, singles[0])
 
     def test_rows_that_stop_apart(self, medium_model):
@@ -574,12 +588,12 @@ class TestLockstepBatch:
         config = InferenceConfig(beta=1.0, max_iters=150)
         d = medium_model.input_dim
         Y = np.vstack([gaussian_points(106, 3, d), gaussian_points(107, 3, d, scale=5.0)])
-        for solver in SOLVERS:
-            singles = [solver(medium_model, y, config) for y in Y]
-            batch = solve_batch(medium_model, Y, config, singles[0].method)
+        for method in METHODS:
+            singles = [solve(medium_model, y, config, method) for y in Y]
+            batch = solve(medium_model, Y, config, method)
             for got, want in zip(batch, singles, strict=True):
                 assert_same_untimed(got, want)
-            if solver is baseline_fd_gd:
+            if method == "fd-gd":
                 assert {r.stop_reason for r in batch} == {"grad-tol", "progress", "max-iters"}
                 iters = [r.iterations for r in batch]
                 assert max(iters) >= 10 * min(iters)
@@ -590,18 +604,19 @@ class TestLockstepBatch:
         row is part of its total."""
         Y = gaussian_points(106, 3, medium_model.input_dim)
         t0 = time.perf_counter()
-        batch = solve_batch(medium_model, Y, InferenceConfig(beta=10.0), "whitebox-newton")
+        batch = solve(medium_model, Y, InferenceConfig(beta=10.0), "whitebox-newton")
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         assert 0.0 < sum(r.time_ms for r in batch) <= wall_ms
         assert all(0.0 < r.deriv_time_ms <= r.time_ms for r in batch)
 
     def test_rejects_bad_shapes_and_unknown_methods(self, small_model):
         d = small_model.input_dim
-        for shape in ((d,), (0, d), (2, d + 1)):
+        for shape in ((), (d + 1,), (0, d), (2, d + 1), (1, 2, d)):
             with pytest.raises(ValidationError):
-                solve_batch(small_model, np.zeros(shape), InferenceConfig(), "fd-gd")
-        with pytest.raises(ValueError, match="unknown method"):
-            solve_batch(small_model, np.zeros((2, d)), InferenceConfig(), "newton")
+                solve(small_model, np.zeros(shape), InferenceConfig(), "fd-gd")
+        for shape in ((d,), (2, d)):
+            with pytest.raises(ValueError, match="unknown method"):
+                solve(small_model, np.zeros(shape), InferenceConfig(), "newton")
 
 
 def reference_readout_field(params, tol):
@@ -663,4 +678,28 @@ class TestDiagnostics:
         x = gaussian_points(105, 1, medium_model.input_dim)[0]
         readout_diagnostics(medium_model, x)
         n = medium_model.input_dim
-        assert calls == [(n,), (2 * n, n)]
+        assert calls == [(1, n), (2 * n, n)]
+
+    def test_stack_rows_match_one_point_calls(self, medium_model):
+        """Row ``k`` of a stack, of one 9-row call or of blocks of exp4's
+        block size, is bit for bit the one-point call at row ``k``."""
+        X = gaussian_points(108, 9, medium_model.input_dim)
+        singles = [readout_diagnostics(medium_model, x) for x in X]
+        block = experiments._BLOCK
+        assert block < len(X)
+        stacks = [readout_diagnostics(medium_model, X)]
+        stacks += [readout_diagnostics(medium_model, X[s:s + block]) for s in (0, block)]
+        for name in (field.name for field in fields(singles[0])):
+            want = [getattr(diag, name) for diag in singles]
+            assert all(type(v) is float for v in want)
+            whole, *blocks = (getattr(diag, name) for diag in stacks)
+            assert whole.shape == (len(X),)
+            for rows in (whole, np.concatenate(blocks)):
+                assert [float(v).hex() for v in rows] == [v.hex() for v in want], name
+
+    def test_a_row_on_a_kink_raises_naming_the_row(self, degenerate_model):
+        params, x0 = degenerate_model
+        X = np.vstack([x0 + gaussian_points(109, 2, 2, scale=1e-2), x0, x0 + 0.1])
+        assert readout_diagnostics(params, X[:2]).grad_err.shape == (2,)
+        with pytest.raises(DegenerateInputError, match="at row 2 "):
+            readout_diagnostics(params, X)

@@ -172,15 +172,18 @@ class TestStackedForward:
         X = gaussian_points(15, 3, small_model.input_dim)
         for analysis in (socicnn.gradient, socicnn.hessian, socicnn.local_gradient,
                          socicnn.local_affine_constants, socicnn.subdifferential_sample,
-                         socicnn.canonical_gap_fraction, socicnn.readout_diagnostics):
+                         socicnn.canonical_gap_fraction):
             with pytest.raises(ValidationError):
                 analysis(small_model, X)
         with pytest.raises(ValidationError):
             socicnn.directional_derivative(small_model, X, X[0])
         with pytest.raises(ValidationError):
-            socicnn.whitebox_gd(small_model, X, socicnn.InferenceConfig())
-        with pytest.raises(ValidationError):
             socicnn.objective(small_model, X[0], 1.0, X)
+        # The point-or-stack entries take X itself but not a stack of stacks.
+        with pytest.raises(ValidationError):
+            socicnn.solve(small_model, X[None], socicnn.InferenceConfig(), "whitebox-gd")
+        with pytest.raises(ValidationError):
+            socicnn.readout_diagnostics(small_model, X[None])
 
 
 class TestForwardValues:
@@ -504,11 +507,22 @@ class TestDegeneracyReport:
         assert rep.conic_zero_modules == tuple(range(small_model.n_cone))
 
     def test_negative_tolerance_rejected(self, small_model):
-        tr = forward(small_model, np.zeros(small_model.input_dim))
-        with pytest.raises(ValueError):
-            degeneracy_report(tr, tol=-1e-9)
-        with pytest.raises(ValueError):
-            degeneracy_report(tr, tol=float("nan"))
+        """Every function that takes a kink tolerance rejects a negative or
+        NaN one; before, ``canonical`` read out a wrong gradient and
+        ``branch_signature`` flagged a live cone as at its tip."""
+        from socicnn import branch_signature, canonical
+        from socicnn.curvature import curvature_matrix
+
+        tr = forward(small_model, np.array([0.3, -0.2, 0.1, 0.5]))
+        for tol in (-1e-9, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                degeneracy_report(tr, tol=tol)
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                canonical(small_model, tr, tol)
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                curvature_matrix(small_model, tr, tol)
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                branch_signature(tr, tol)
 
     def test_margin_helpers(self, degenerate_model):
         params, x0 = degenerate_model
