@@ -10,14 +10,10 @@ from .curvature import (
     CurvatureModel,
     branch_signature,
     hessian,
-    local_affine_constants,
-    local_gradient,
     quadratic_model_residual,
 )
 from .dual import (
     DualBranch,
-    ReluBranchBox,
-    branch_box,
     canonical,
     dual_value,
     extreme_branches,
@@ -39,10 +35,8 @@ from .errors import (
 )
 from .geometry import (
     DirectionalDerivativeResult,
-    canonical_gap_fraction,
     directional_derivative,
     gradient,
-    subdifferential_sample,
 )
 from .inference import (
     InferenceConfig,

@@ -249,8 +249,8 @@ def main(argv=None) -> int:
                 return _cmd_model_gen(args)
             return _cmd_model_info(args)
         return _cmd_exp(args, args.command)
-    except (CliError, SocIcnnError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, SocIcnnError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

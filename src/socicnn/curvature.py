@@ -100,22 +100,16 @@ def _trace_hessian(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> Cu
     )
 
 
-def local_affine_constants(params: SocIcnnParams, x, tol: float = DEFAULT_TAU):
-    """Slope and offset of the frozen-pattern backbone readout.
-
-    Composes the per-layer affine maps under the activation masks of ``x``
-    and returns ``(slope, offset)`` with ``slope = v + M_L.T @ c`` and
-    ``offset = b0 + c @ m_L``.  This is an independent route to the backbone
-    part of the gradient; it agrees with the canonical readout to rounding.
-    """
-    trace = forward(params, x)
-    _require_nondegenerate(trace, tol, "affine constants")
-    return _affine_constants(params, trace, tol)
-
-
 def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
-    """``(slope, offset)`` at a trace; a stacked one gives ``(n, d)`` slopes
-    and ``(n,)`` offsets, each row bitwise its own point's."""
+    """Slope and offset of the frozen-pattern backbone readout at a trace.
+
+    Composes the per-layer affine maps under the activation masks of the
+    trace and returns ``(slope, offset)`` with ``slope = v + M_L.T @ c`` and
+    ``offset = b0 + c @ m_L``: an independent route to the backbone part of
+    the gradient, which agrees with the canonical readout to rounding.  A
+    stacked trace gives ``(n, d)`` slopes and ``(n,)`` offsets, each row
+    bitwise its own point's.
+    """
     lead = np.shape(trace.value)
     M = np.zeros(lead + (0, params.input_dim))
     m = np.zeros(lead + (0,))
@@ -128,16 +122,10 @@ def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     return slope, offset
 
 
-def local_gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.ndarray:
-    """Gradient assembled from the affine-composition route plus the smooth
-    module slopes; an arithmetic path independent of the multiplier readout."""
-    trace = forward(params, x)
-    _require_nondegenerate(trace, tol, "gradient")
-    return _trace_gradient(params, trace, tol)
-
-
 def _trace_gradient(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> np.ndarray:
-    """``local_gradient`` at a trace, or ``(n, d)`` rows at a stacked one."""
+    """Gradient assembled from the affine-composition route plus the smooth
+    module slopes, an arithmetic path independent of the multiplier readout;
+    ``(n, d)`` rows at a stacked trace."""
     g, _ = _affine_constants(params, trace, tol)
     dual._add_smooth_slope(g, params, trace, tol)
     return g

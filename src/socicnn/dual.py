@@ -21,12 +21,13 @@ import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import _check_tol, _per_row, degeneracy_report
+from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams, _dot, _matvec
+from .model import _check_tol, _gaussian_nonzero, _per_row, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
 MAX_FREE_COORDS = 16
+_FEAS_TOL = 1e-9  # largest constraint violation ``dual_value`` accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,32 +52,6 @@ class DualBranch:
         for vec in self.relu + self.quad + self.cone:
             total = total + _dot(vec, vec)
         return _per_row(np.sqrt(total))
-
-
-@dataclass(frozen=True, eq=False)
-class ReluBranchBox:
-    """Per-coordinate classification of the optimal ReLU multiplier set.
-
-    ``upper`` and ``free`` hold one boolean mask per layer: coordinates whose
-    preactivation lies above ``tol`` (multiplier pinned to its bound) and
-    within ``tol`` of the kink (multiplier free on its interval); the rest
-    are pinned to zero.  ``free_coords`` lists the interval coordinates as
-    ``(layer, index)`` pairs.
-    """
-
-    upper: tuple
-    free: tuple
-    free_coords: tuple
-
-
-def branch_box(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> ReluBranchBox:
-    """Classify every ReLU coordinate of the optimal set at this trace."""
-    free_coords = degeneracy_report(trace, tol).relu_zero_coords
-    return ReluBranchBox(
-        upper=tuple(a > tol for a in trace.a),
-        free=tuple(np.abs(a) <= tol for a in trace.a),
-        free_coords=free_coords,
-    )
 
 
 def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
@@ -199,22 +174,19 @@ def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
 
 
 def dual_value(
-    params: SocIcnnParams,
-    x,
-    branch: DualBranch,
-    check_feasible: bool = True,
-    feas_tol: float = 1e-9,
+    params: SocIcnnParams, x, branch: DualBranch, check_feasible: bool = True
 ) -> float | np.ndarray:
     """Value of the affine minorant indexed by ``branch`` at the point ``x``,
     or of each row's as an ``(n,)`` array for a stack.
 
     For any feasible branch this lower-bounds the model value everywhere,
     with equality exactly on the optimal set of ``x``.  The feasibility
-    check names the first infeasible row of a stack.
+    check forgives a violation up to ``_FEAS_TOL`` and names the first
+    infeasible row of a stack.
     """
     if check_feasible:
         viol = np.reshape(feasibility_violation(params, branch), -1)
-        bad = np.flatnonzero(viol > feas_tol)
+        bad = np.flatnonzero(viol > _FEAS_TOL)
         if bad.size:
             k = bad[0]
             raise InfeasibleBranchError(f"branch {k} violates constraints by {viol[k]:.3e}")
@@ -281,11 +253,11 @@ def sample_optimal_branches(
     """
     if n < 0:
         raise ValidationError("invalid-descriptor", f"branch count must be nonnegative, got {n}")
-    box = branch_box(trace, tol)
+    report = degeneracy_report(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
-    draws = free_rng.random((n, len(box.free_coords)))
-    tips = degeneracy_report(trace, tol).conic_zero_modules
+    draws = free_rng.random((n, len(report.relu_zero_coords)))
+    tips = report.conic_zero_modules
     dims = [params.A[g].shape[0] for g in tips]
     directions = dir_rng.standard_normal((n, sum(dims)))
     radii = radius_rng.random((n, len(tips)))
@@ -302,7 +274,7 @@ def sample_optimal_branches(
             V[k], nrm[k] = _gaussian_nonzero(dir_rng, dim)
         cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V
     stack = DualBranch(
-        relu=_box_recursion(params, box.upper, box.free, draws),
+        relu=_box_recursion(params, report.upper, report.free, draws),
         quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
         cone=tuple(cone),
     )
@@ -322,7 +294,7 @@ def _sphere_directions(dim: int, count: int, rng) -> list:
     return list(vecs / nrms[:, None])
 
 
-def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
+def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
     """Yield the ReLU multiplier stacks at every corner of the interval box.
 
     Each free coordinate independently takes zero or its bound; bounds of
@@ -330,13 +302,13 @@ def relu_corner_assignments(params: SocIcnnParams, box: ReluBranchBox):
     feasible.  Raises when more than ``MAX_FREE_COORDS`` coordinates are
     free.
     """
-    free = box.free_coords
+    free = report.relu_zero_coords
     if len(free) > MAX_FREE_COORDS:
         raise TooManyDegeneraciesError(
             f"{len(free)} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
         )
     for bits in itertools.product((False, True), repeat=len(free)):
-        masks = [upper.copy() for upper in box.upper]
+        masks = [upper.copy() for upper in report.upper]
         for (l, i), bit in zip(free, bits):
             masks[l][i] = bit
         yield _box_recursion(params, masks)
@@ -362,16 +334,16 @@ def extreme_branches(
     """
     if sphere_samples < 1:
         raise ValidationError("invalid-descriptor", f"sphere_samples {sphere_samples} is below 1")
-    box = branch_box(trace, tol)
+    report = degeneracy_report(trace, tol)
     rng = np.random.default_rng(seed)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    tip_modules = degeneracy_report(trace, tol).conic_zero_modules
+    tip_modules = report.conic_zero_modules
     tip_choices = [
         [params.lam[g] * u for u in _sphere_directions(params.A[g].shape[0], sphere_samples, rng)]
         for g in tip_modules
     ]
     relu_rows, cone_rows = [], []
-    for relu in relu_corner_assignments(params, box):
+    for relu in relu_corner_assignments(params, report):
         for combo in itertools.product(*tip_choices):
             pick = dict(zip(tip_modules, combo))
             relu_rows.append(relu)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import dual
 from .errors import NonFiniteError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _gaussian_nonzero, _require_nondegenerate, forward
+from .model import DEFAULT_TAU, DegeneracyReport, SocIcnnParams, _require_nondegenerate
+from .model import degeneracy_report, forward
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,6 @@ def gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.ndarray:
     trace = forward(params, x)
     _require_nondegenerate(trace, tol, "gradient")
     return dual.readout(params, dual.canonical(params, trace, tol))
-
-
-def subdifferential_sample(
-    params: SocIcnnParams,
-    x,
-    tol: float = DEFAULT_TAU,
-    n: int = 64,
-    seed: int = 0,
-    sphere_samples: int = 64,
-) -> np.ndarray:
-    """Subgradients read out from sampled plus extreme optimal branches.
-
-    Returns an ``(n + n_extreme, d)`` array: the ``n`` sampled readouts, then
-    those of the extreme branches, each read out with one stacked product.
-    At a nondegenerate point every row equals the gradient.  The extreme
-    branches pin the hull's corners (up to the conic sphere fan); the
-    sampled branches fill the interior.
-    """
-    trace = forward(params, x)
-    sampled = dual.sample_optimal_branches(params, trace, tol, n=n, seed=seed)
-    extreme = dual.extreme_branches(params, trace, tol, sphere_samples=sphere_samples, seed=seed)
-    return np.vstack([dual.readout(params, sampled), dual.readout(params, extreme)])
 
 
 def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.ndarray:
@@ -97,12 +76,12 @@ class _SupportEvaluator:
     attain).
     """
 
-    def __init__(self, params: SocIcnnParams, trace, box, tol: float):
+    def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tol: float):
         smooth = params.v.copy()
         dual._add_smooth_slope(smooth, params, trace, tol)
-        self.tips = [(lg, A) for lg, A, un in zip(params.lam, params.A, trace.u_norms) if un <= tol]
+        self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
         rows = []
-        for relu in dual.relu_corner_assignments(params, box):
+        for relu in dual.relu_corner_assignments(params, report):
             row = smooth.copy()
             for W, nu in zip(params.W, relu):
                 row += W.T @ nu
@@ -125,7 +104,7 @@ def directional_derivative(
     """Exact one-sided derivative along ``direction``, by two routes.
 
     ``direction`` is one vector of shape ``(d,)`` or a stack of shape
-    ``(m, d)``.  A stack shares one trace, branch box, support evaluator and
+    ``(m, d)``.  A stack shares one trace, kink report, support evaluator and
     canonical readout, and its result fields are ``(m,)`` arrays; a single
     vector is evaluated as a stack of one and gives floats.  Each direction
     is normalized internally and its fields are rescaled by its norm, so the
@@ -157,9 +136,9 @@ def directional_derivative(
     units = rows / norms[:, None]
     scale = np.ldexp(norms, shift)
     trace = forward(params, x)
-    box = dual.branch_box(trace, tol)
+    report = degeneracy_report(trace, tol)
     primal = scale * _one_sided_primal(params, trace, units, tol)
-    dual_max = scale * _SupportEvaluator(params, trace, box, tol)(units)
+    dual_max = scale * _SupportEvaluator(params, trace, report, tol)(units)
     canon = scale * (units @ dual.readout(params, dual.canonical(params, trace, tol)))
     if direction.ndim == 1:
         return DirectionalDerivativeResult(
@@ -171,23 +150,3 @@ def directional_derivative(
     return DirectionalDerivativeResult(
         direction=units, dual_max=dual_max, primal=primal, canonical_value=canon
     )
-
-
-def canonical_gap_fraction(
-    params: SocIcnnParams,
-    x,
-    n_directions: int = 1000,
-    tol: float = DEFAULT_TAU,
-    seed: int = 0,
-) -> float:
-    """Fraction of random unit directions along which the canonical slope is
-    strictly below the true one-sided derivative (gap above 1e-9).
-
-    Zero at nondegenerate points; equal to one when every direction sees the
-    set-valuedness, as with a full-rank cone-tip module.
-    """
-    if n_directions <= 0:
-        raise ValidationError("invalid-descriptor", "n_directions must be positive")
-    vecs, nrms = _gaussian_nonzero(np.random.default_rng(seed), params.input_dim, n_directions)
-    res = directional_derivative(params, x, vecs / nrms[:, None], tol)
-    return int(np.count_nonzero(res.dual_max - res.canonical_value > 1e-9)) / n_directions

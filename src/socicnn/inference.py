@@ -55,22 +55,22 @@ class InferenceConfig:
     fd_hess_step: float = 1e-5
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("damping", self.damping)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("beta", "damping", "fd_grad_step", "fd_hess_step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo must lie in (0, 1)")
         if type(self.max_backtracks) is not int or self.max_backtracks < 0:
             raise ValueError(f"max_backtracks must be a nonnegative int: {self.max_backtracks!r}")
-        if not (self.fd_grad_step > 0 and self.fd_hess_step > 0):
-            raise ValueError("fd_grad_step and fd_hess_step must be positive")
         if self.max_iters is not None and (type(self.max_iters) is not int or self.max_iters < 0):
             raise ValueError(f"max_iters must be a nonnegative int or None: {self.max_iters!r}")
-        for name in ("grad_tol", "progress_tol", "tol"):
+        for name in ("grad_tol", "progress_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

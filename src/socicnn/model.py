@@ -144,13 +144,18 @@ class ForwardTrace:
         return ForwardTrace(self.x[k], *rows, norms, float(self.value[k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyReport:
-    """Locations where the trace sits within ``tol`` of a kink."""
+    """Locations where the trace sits within ``tol`` of a kink.  ``upper``
+    and ``free`` mask, per layer, the preactivations above ``tol`` (ReLU
+    multiplier at its bound) and within ``tol`` (multiplier free on its
+    interval, at the ``relu_zero_coords``); the rest have multiplier zero."""
 
     relu_zero_coords: tuple
     conic_zero_modules: tuple
     is_nondegenerate: bool
+    upper: tuple
+    free: tuple
 
 
 @dataclass(frozen=True)
@@ -384,23 +389,26 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a kink tolerance that is negative or NaN."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    """Reject a kink tolerance that is negative, infinite or NaN."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
 
 
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
-    """List the kinks the trace of one point sits on, within absolute
+    """Classify every kink of the trace of one point, within absolute
     tolerance ``tol``; a stacked trace raises ``ValidationError``."""
     _check_tol(tol)
     if np.ndim(trace.value):
         raise ValidationError("dimension-mismatch", "expected the trace of one point, not a stack")
-    relu = tuple((l, int(i)) for l, a in enumerate(trace.a) for i in np.flatnonzero(abs(a) <= tol))
+    free = tuple(abs(a) <= tol for a in trace.a)
+    relu = tuple((l, int(i)) for l, mask in enumerate(free) for i in np.flatnonzero(mask))
     conic = tuple(g for g, un in enumerate(trace.u_norms) if un <= tol)
     return DegeneracyReport(
         relu_zero_coords=relu,
         conic_zero_modules=conic,
         is_nondegenerate=not relu and not conic,
+        upper=tuple(a > tol for a in trace.a),
+        free=free,
     )
 
 
@@ -570,7 +578,7 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
     for l, (Wl, Ul) in enumerate(zip(W, U)):
         s = Wl @ x0 + Ul @ z
         bl = targets[l] - s
-        a = Wl @ x0 + Ul @ z + bl
+        a = s + bl
         z = np.maximum(a, 0.0)
         b.append(bl)
     alpha, Bq, eq = _DEG_QUAD

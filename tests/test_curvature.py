@@ -14,8 +14,6 @@ from socicnn import (
     forward_values,
     gradient,
     hessian,
-    local_affine_constants,
-    local_gradient,
     quadratic_model_residual,
 )
 from socicnn import curvature
@@ -127,7 +125,7 @@ class TestHessianFormula:
 class TestLocalAffine:
     def test_all_inactive_returns_readout_affine(self):
         params = constant_params(b0=3.5)
-        slope, offset = local_affine_constants(params, [0.2, 0.2])
+        slope, offset = curvature._affine_constants(params, forward(params, [0.2, 0.2]), 1e-9)
         assert np.array_equal(slope, params.v)
         assert offset == 3.5
 
@@ -135,7 +133,7 @@ class TestLocalAffine:
         from test_dual import single_layer_params
 
         params = single_layer_params(5.0)
-        slope, offset = local_affine_constants(params, [0.1, 0.1])
+        slope, offset = curvature._affine_constants(params, forward(params, [0.1, 0.1]), 1e-9)
         assert np.allclose(slope, params.v + params.W[0].T @ params.c, atol=0)
         assert offset == pytest.approx(params.b0 + float(params.c @ params.b[0]), rel=1e-15)
 
@@ -145,7 +143,7 @@ class TestLocalAffine:
         p = medium_model
         for x in gaussian_points(93, 5, p.input_dim):
             tr = forward(p, x)
-            slope, offset = local_affine_constants(p, x)
+            slope, offset = curvature._affine_constants(p, tr, 1e-9)
             backbone = float(p.c @ tr.z[-1] + p.v @ x + p.b0)
             assert float(slope @ x) + offset == pytest.approx(backbone, rel=1e-12, abs=1e-12)
 
@@ -154,15 +152,15 @@ class TestLocalAffine:
         activation pattern leaves them bitwise unchanged."""
         p = medium_model
         x = gaussian_points(94, 1, p.input_dim)[0]
-        s1, o1 = local_affine_constants(p, x)
-        s2, o2 = local_affine_constants(p, x + 1e-9)
+        s1, o1 = curvature._affine_constants(p, forward(p, x), 1e-9)
+        s2, o2 = curvature._affine_constants(p, forward(p, x + 1e-9), 1e-9)
         assert np.array_equal(s1, s2)
         assert o1 == o2
 
-    def test_local_gradient_agrees_with_dual_readout(self, medium_model):
+    def test_affine_route_gradient_agrees_with_dual_readout(self, medium_model):
         for x in gaussian_points(95, 8, medium_model.input_dim):
             g_dual = gradient(medium_model, x)
-            g_local = local_gradient(medium_model, x)
+            g_local = curvature._trace_gradient(medium_model, forward(medium_model, x), 1e-9)
             assert np.linalg.norm(g_dual - g_local) <= 1e-12 * (1 + np.linalg.norm(g_dual))
 
     def test_stacked_trace_rows_match_one_point_calls(self, medium_model, degenerate_model):
@@ -184,21 +182,6 @@ class TestLocalAffine:
                 assert np.array_equal(slopes[k], slope) and offsets[k] == offset
                 assert type(offset) is float
                 assert np.array_equal(grads[k], curvature._trace_gradient(p, one, 1e-9))
-
-    def test_local_gradient_runs_forward_once(self, medium_model, monkeypatch):
-        from socicnn import curvature
-
-        calls = []
-
-        def counting_forward(params, x):
-            calls.append(1)
-            return forward(params, x)
-
-        monkeypatch.setattr(curvature, "forward", counting_forward)
-        x = gaussian_points(96, 1, medium_model.input_dim)[0]
-        g = local_gradient(medium_model, x)
-        assert len(calls) == 1
-        assert np.array_equal(g, local_gradient(medium_model, x))
 
 
 class TestSignature:

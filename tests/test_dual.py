@@ -13,9 +13,9 @@ from socicnn import (
     SocIcnnParams,
     TooManyDegeneraciesError,
     ValidationError,
-    branch_box,
     build_degenerate_2d,
     canonical,
+    degeneracy_report,
     dual_value,
     extreme_branches,
     feasibility_violation,
@@ -191,10 +191,14 @@ class TestDualValue:
             dual_value(params, x, too_long)
 
     def test_negative_relu_branch_rejected(self):
+        """A violation up to 1e-9 is forgiven, a larger one is not."""
         params = single_layer_params(5.0)
-        bad = DualBranch(relu=(np.array([-0.1, 0.0]),), quad=(), cone=())
-        with pytest.raises(InfeasibleBranchError):
-            dual_value(params, [0.0, 0.0], bad)
+        for nu in (-0.1, -2e-9):
+            bad = DualBranch(relu=(np.array([nu, 0.0]),), quad=(), cone=())
+            with pytest.raises(InfeasibleBranchError):
+                dual_value(params, [0.0, 0.0], bad)
+        slack = DualBranch(relu=(np.array([-1e-9, 0.0]),), quad=(), cone=())
+        assert np.isfinite(dual_value(params, [0.0, 0.0], slack))
 
 
 class TestFeasibility:
@@ -223,34 +227,60 @@ class TestFeasibility:
 
 
 class TestBranchBox:
+    """The ReLU box of the optimal set, as ``degeneracy_report`` masks it."""
+
     def test_nondegenerate_has_no_free_coords(self, medium_model):
         x = gaussian_points(8, 1, medium_model.input_dim)[0]
-        box = branch_box(forward(medium_model, x))
-        assert box.free_coords == ()
+        box = degeneracy_report(forward(medium_model, x))
+        assert box.relu_zero_coords == ()
         for free in box.free:
             assert not np.any(free)
 
     def test_degenerate_flags_exactly_one_interval(self, degenerate_model):
         params, x0 = degenerate_model
-        box = branch_box(forward(params, x0))
-        assert box.free_coords == ((1, 0),)
+        box = degeneracy_report(forward(params, x0))
+        assert box.relu_zero_coords == ((1, 0),)
         assert box.free[1][0] and not box.upper[1][0]
         assert sum(int(np.sum(free)) for free in box.free) == 1
 
     def test_status_matches_preactivation_signs(self, medium_model):
         x = gaussian_points(12, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
-        box = branch_box(tr)
+        box = degeneracy_report(tr)
         for a, upper, free in zip(tr.a, box.upper, box.free):
             assert np.array_equal(upper, a > 1e-9)
             assert np.array_equal(~upper & ~free, a < -1e-9)
+
+    @pytest.mark.parametrize("entry", ["sample", "extremes", "directional"])
+    def test_one_report_per_call(self, degenerate_model, monkeypatch, entry):
+        """The samplers, the corner enumeration and the support function
+        all read one ``degeneracy_report`` of the trace."""
+        from socicnn import dual, geometry, model
+
+        calls = []
+
+        def counting_report(trace, tol):
+            calls.append(1)
+            return model.degeneracy_report(trace, tol)
+
+        for mod in (dual, geometry):
+            monkeypatch.setattr(mod, "degeneracy_report", counting_report)
+        params, x0 = degenerate_model
+        tr = forward(params, x0)
+        if entry == "sample":
+            sample_optimal_branches(params, tr, n=4)
+        elif entry == "extremes":
+            extreme_branches(params, tr, sphere_samples=4)
+        else:
+            geometry.directional_derivative(params, x0, np.eye(2))
+        assert len(calls) == 1
 
     def test_canonical_sits_on_box_faces(self, degenerate_model):
         """Forced-upper coordinates take the recomputed bound; forced-zero
         and interval coordinates take zero."""
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        box = branch_box(tr)
+        box = degeneracy_report(tr)
         br = canonical(params, tr)
         ub = upper_bounds(params, br.relu)
         for nu, bound, upper in zip(br.relu, ub, box.upper):
@@ -324,10 +354,16 @@ class TestSampling:
         assert counts[0] == counts[1] <= 3
 
     def test_sampled_readouts_are_subgradients(self, degenerate_model):
+        """Sampled and extreme readouts support the model at the kink, and
+        so does a midpoint of two of them, since the subdifferential is
+        convex."""
         params, x0 = degenerate_model
         tr = forward(params, x0)
         gs = readout(params, sample_optimal_branches(params, tr, n=30, seed=3))
         assert gs.shape == (30, 2)
+        extremes = readout(params, extreme_branches(params, tr, sphere_samples=8))
+        gs = np.vstack([gs, extremes, 0.5 * (gs[0] + extremes[-1])])
+        assert np.ptp(gs, axis=0).max() > 1e-3
         for y in x0 + gaussian_points(14, 40, 2):
             assert np.all(forward(params, y).value >= tr.value + gs @ (y - x0) - 1e-10)
 
@@ -384,8 +420,8 @@ class TestCornersAndExtremes:
     def test_corner_enumeration_guard(self):
         params = wide_zero_net(17)
         tr = forward(params, [0.0])
-        box = branch_box(tr)
-        assert len(box.free_coords) == 17
+        box = degeneracy_report(tr)
+        assert len(box.relu_zero_coords) == 17
         with pytest.raises(TooManyDegeneraciesError):
             list(relu_corner_assignments(params, box))
         with pytest.raises(TooManyDegeneraciesError):
@@ -394,7 +430,7 @@ class TestCornersAndExtremes:
     def test_sixteen_free_coords_still_enumerable(self):
         params = wide_zero_net(16)
         tr = forward(params, [0.0])
-        corners = list(relu_corner_assignments(params, branch_box(tr)))
+        corners = list(relu_corner_assignments(params, degeneracy_report(tr)))
         assert len(corners) == 2 ** 16
 
 
@@ -522,11 +558,11 @@ def reference_samples(params, trace, n, seed, tol=1e-9):
     n_tips))`` for their radii.  The radius power is taken on a one-element
     array, since NumPy's array power may differ from the scalar ``**`` in
     the last bit.  Returns the per-branch multipliers, readouts and norms."""
-    box = branch_box(trace, tol)
+    box = degeneracy_report(trace, tol)
     quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
     tips = [g for g, un in enumerate(trace.u_norms) if un <= tol]
     dims = [params.A[g].shape[0] for g in tips]
-    free_u = np.random.default_rng([seed, 0]).random((n, len(box.free_coords)))
+    free_u = np.random.default_rng([seed, 0]).random((n, len(box.relu_zero_coords)))
     dir_z = np.random.default_rng([seed, 1]).standard_normal((n, sum(dims)))
     radius_u = np.random.default_rng([seed, 2]).random((n, len(tips)))
     out = []
@@ -614,18 +650,18 @@ class TestStackedSampler:
     def test_kink_counts_of_the_test_points(self):
         params, x = STACK_POINTS["two-layer-kinks"]()
         tr = forward(params, x)
-        box = branch_box(tr)
+        box = degeneracy_report(tr)
         assert [int(np.sum(f)) for f in box.free] == [4, 3]
         assert tr.u_norms[0] == 0.0
         params2, x = STACK_POINTS["two-tips"]()
         tr2 = forward(params2, x)
-        assert branch_box(tr2).free_coords == box.free_coords
+        assert degeneracy_report(tr2).relu_zero_coords == box.relu_zero_coords
         assert tr2.u_norms == (0.0, 0.0)
         assert [A.shape[0] for A in params2.A] == [3, 2]
         ub = upper_bounds(params, canonical(params, tr).relu)
         assert ub[0][1] == 0.0 and box.free[0][1]
         params, x = STACK_POINTS["zero-bound"]()
-        assert branch_box(forward(params, x)).free_coords == ((0, 0), (0, 1))
+        assert degeneracy_report(forward(params, x)).relu_zero_coords == ((0, 0), (0, 1))
 
     def test_free_coordinate_with_zero_bound_stays_zero(self):
         params, x = STACK_POINTS["zero-bound"]()

@@ -479,6 +479,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("flag, size", [("--width", 10 ** 12), ("--depth", 10 ** 15)])
+    def test_model_gen_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, flag, size):
+        """NumPy refuses a 146 TiB weight matrix, and Python an 8 PB tuple of
+        widths, without allocating; their ``MemoryError`` used to escape as
+        a traceback.  The tuple's has no message, so its type is printed."""
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), flag, str(size)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.split()[1:]
+        assert "Traceback" not in err
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "preset, config", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp4", Exp4Config)]
     )
@@ -556,6 +568,7 @@ class TestCli:
             ("exp4", {"solver": {"fd_hess_step": 0.0}}),
             ("exp4", {"solver": {"tol": -1.0}}),
             ("exp4", {"solver": {"tol": float("nan")}}),
+            ("exp1", {"samples": 10 ** 15}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

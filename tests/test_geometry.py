@@ -1,4 +1,4 @@
-"""Gradients, subdifferential samples, and directional derivatives."""
+"""Gradients and directional derivatives."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from socicnn import (
     SocIcnnParams,
     TooManyDegeneraciesError,
     ValidationError,
-    canonical_gap_fraction,
     directional_derivative,
-    extreme_branches,
     fd_directional,
     fd_gradient,
     forward,
@@ -19,11 +17,9 @@ from socicnn import (
     gradient,
     readout,
     sample_optimal_branches,
-    subdifferential_sample,
 )
 
 from conftest import (
-    branch_row,
     cone_only_params,
     constant_params,
     gaussian_points,
@@ -58,67 +54,6 @@ class TestGradient:
             gradient(params, [0.0, 0.0])
 
 
-class TestSubdifferentialSample:
-    def test_singleton_at_smooth_point(self, medium_model):
-        x = gaussian_points(61, 1, medium_model.input_dim)[0]
-        g = gradient(medium_model, x)
-        sample = subdifferential_sample(medium_model, x, n=10, sphere_samples=8)
-        assert len(sample) >= 1
-        for s in sample:
-            assert np.linalg.norm(s - g) <= 1e-12
-
-    def test_degenerate_point_is_set_valued(self, degenerate_model):
-        params, x0 = degenerate_model
-        sample = subdifferential_sample(params, x0, n=40, sphere_samples=16)
-        spread = max(np.linalg.norm(s - sample[0]) for s in sample)
-        assert spread > 1e-3
-
-    def test_sphere_count_below_one_rejected(self, degenerate_model):
-        """NumPy's matmul ``ValueError`` used to leak out instead."""
-        params, x0 = degenerate_model
-        with pytest.raises(ValidationError, match="sphere_samples"):
-            subdifferential_sample(params, x0, sphere_samples=0)
-
-    def test_every_sample_is_a_subgradient(self, degenerate_model):
-        params, x0 = degenerate_model
-        f0 = forward(params, x0).value
-        sample = subdifferential_sample(params, x0, n=25, sphere_samples=12)
-        probes = x0 + gaussian_points(15, 30, 2)
-        for g in sample:
-            for y in probes:
-                assert forward(params, y).value >= f0 + g @ (y - x0) - 1e-10
-
-    def test_convex_combinations_are_subgradients(self, degenerate_model):
-        """The subdifferential is convex, so midpoints of sampled elements
-        must satisfy the same supporting inequality."""
-        params, x0 = degenerate_model
-        f0 = forward(params, x0).value
-        sample = subdifferential_sample(params, x0, n=12, sphere_samples=8)
-        mid = 0.5 * (sample[0] + sample[-1])
-        for y in x0 + gaussian_points(16, 30, 2):
-            assert forward(params, y).value >= f0 + mid @ (y - x0) - 1e-10
-
-
-    @pytest.mark.parametrize("where", ["smooth", "kink"])
-    def test_equals_per_branch_readouts(self, medium_model, degenerate_model, where):
-        """The stacked readout gives, row for row and bit for bit, the
-        readouts of the sampled branches followed by the extreme ones."""
-        if where == "smooth":
-            params, x = medium_model, gaussian_points(62, 1, medium_model.input_dim)[0]
-        else:
-            params, x = degenerate_model
-        sample = subdifferential_sample(params, x, n=15, seed=4, sphere_samples=6)
-        tr = forward(params, x)
-        stacks = (
-            sample_optimal_branches(params, tr, n=15, seed=4),
-            extreme_branches(params, tr, sphere_samples=6, seed=4),
-        )
-        branches = [branch_row(s, k) for s in stacks for k in range(s.relu[0].shape[0])]
-        assert sample.shape == (len(branches), params.input_dim)
-        for row, br in zip(sample, branches):
-            assert np.array_equal(row, readout(params, br))
-
-
 class TestDirectionalDerivative:
     def test_smooth_point_all_routes_agree(self, medium_model):
         x = gaussian_points(70, 1, medium_model.input_dim)[0]
@@ -134,7 +69,8 @@ class TestDirectionalDerivative:
 
     def test_conic_tip_primal_is_norm(self):
         """At the cone tip the one-sided derivative along d is lam * ||A d||
-        for every direction."""
+        for every direction, so with a full-rank ``A`` the canonical slope
+        falls short of it along every direction."""
         A = np.array([[0.7, 0.2], [-0.1, 0.6]])
         params = cone_only_params(lam=0.8, A=A)
         rng = np.random.default_rng(1)
@@ -144,6 +80,7 @@ class TestDirectionalDerivative:
             expect = 0.8 * float(np.linalg.norm(A @ d))
             assert res.primal == pytest.approx(expect, rel=1e-12)
             assert res.dual_max == pytest.approx(expect, rel=1e-9)
+            assert res.dual_max - res.canonical_value > 1e-9
 
     def test_absolute_value_both_sides(self):
         params = zero_preact_pair()
@@ -196,10 +133,13 @@ class TestDirectionalDerivative:
             assert np.abs(res.direction - base.direction).max() <= 1e-15
 
     def test_canonical_never_exceeds_support(self, degenerate_model):
+        """At the hand-built kink the canonical slope stays strictly below
+        the support function along every probed direction."""
         params, x0 = degenerate_model
         for d in gaussian_points(73, 40, 2):
             res = directional_derivative(params, x0, d)
             assert res.canonical_value <= res.dual_max + 1e-10
+            assert res.dual_max - res.canonical_value > 1e-9
 
     def test_sampled_oracle_lower_bounds_exact(self, degenerate_model):
         """The maximum over sampled optimal branches lies between the
@@ -303,26 +243,6 @@ class TestStackedDirections:
         params, x0 = degenerate_model
         with pytest.raises(NonFiniteError):
             directional_derivative(params, x0, direction)
-
-
-class TestCanonicalGapFraction:
-    def test_smooth_point_has_no_gap(self, medium_model):
-        x = gaussian_points(80, 1, medium_model.input_dim)[0]
-        assert canonical_gap_fraction(medium_model, x, n_directions=100) == 0.0
-
-    def test_degenerate_point_gaps_everywhere(self, degenerate_model):
-        """Around the hand-built kink the canonical slope underestimates the
-        support function along every probed direction."""
-        params, x0 = degenerate_model
-        assert canonical_gap_fraction(params, x0, n_directions=200) == 1.0
-
-    def test_full_rank_tip_gaps_everywhere(self):
-        params = cone_only_params(lam=0.8)
-        assert canonical_gap_fraction(params, [0.0, 0.0], n_directions=64) == 1.0
-
-    def test_rejects_nonpositive_count(self, medium_model):
-        with pytest.raises(ValueError):
-            canonical_gap_fraction(medium_model, np.zeros(medium_model.input_dim), n_directions=0)
 
 
 class TestLimitConsistency:

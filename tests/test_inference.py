@@ -74,13 +74,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("change", [
         {"beta": float("inf")}, {"damping": float("inf")}, {"beta": float("nan")},
         {"max_backtracks": 1.5}, {"max_backtracks": True}, {"max_iters": True},
-        {"max_iters": 2.0},
+        {"max_iters": 2.0}, {"fd_grad_step": float("inf")}, {"fd_hess_step": float("inf")},
     ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
     def test_rejects_non_finite_weights_and_non_integer_counts(self, change):
         """An infinite ``beta`` made a solve fail inside NumPy, an infinite
         ``damping`` stopped Newton after one step, a fractional
         ``max_backtracks`` escaped as NumPy's ``TypeError`` and
-        ``max_iters=True`` ran one iteration."""
+        ``max_iters=True`` ran one iteration; an infinite FD step failed
+        inside ``forward_values``."""
         with pytest.raises(ValueError, match=next(iter(change))):
             InferenceConfig(**change)
 
@@ -100,7 +101,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="progress_tol"):
             InferenceConfig(progress_tol=value)
 
-    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    @pytest.mark.parametrize("value", [-1e-6, float("nan"), float("inf")])
     def test_rejects_negative_or_nan_tol(self, value):
         with pytest.raises(ValueError, match="tol must be"):
             InferenceConfig(tol=value)

@@ -170,9 +170,7 @@ class TestStackedForward:
         import socicnn
 
         X = gaussian_points(15, 3, small_model.input_dim)
-        for analysis in (socicnn.gradient, socicnn.hessian, socicnn.local_gradient,
-                         socicnn.local_affine_constants, socicnn.subdifferential_sample,
-                         socicnn.canonical_gap_fraction):
+        for analysis in (socicnn.gradient, socicnn.hessian):
             with pytest.raises(ValidationError):
                 analysis(small_model, X)
         with pytest.raises(ValidationError):
@@ -507,14 +505,14 @@ class TestDegeneracyReport:
         assert rep.conic_zero_modules == tuple(range(small_model.n_cone))
 
     def test_negative_tolerance_rejected(self, small_model):
-        """Every function that takes a kink tolerance rejects a negative or
-        NaN one; before, ``canonical`` read out a wrong gradient and
-        ``branch_signature`` flagged a live cone as at its tip."""
+        """Every function that takes a kink tolerance rejects a negative,
+        NaN or infinite one; before, ``canonical`` read out a wrong gradient
+        and ``branch_signature`` flagged a live cone as at its tip."""
         from socicnn import branch_signature, canonical
         from socicnn.curvature import curvature_matrix
 
         tr = forward(small_model, np.array([0.3, -0.2, 0.1, 0.5]))
-        for tol in (-1e-9, -1.0, float("nan")):
+        for tol in (-1e-9, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tolerance must be nonnegative"):
                 degeneracy_report(tr, tol=tol)
             with pytest.raises(ValueError, match="tolerance must be nonnegative"):
