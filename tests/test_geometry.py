@@ -1,4 +1,4 @@
-"""Gradients and directional derivatives."""
+"""Gradients, subdifferential samples, and directional derivatives."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from socicnn import (
     TooManyDegeneraciesError,
     ValidationError,
     directional_derivative,
+    extreme_branches,
     fd_directional,
     fd_gradient,
     forward,
@@ -20,12 +21,30 @@ from socicnn import (
 )
 
 from conftest import (
+    branch_row,
     cone_only_params,
     constant_params,
     gaussian_points,
     quad_only_params,
 )
 from test_dual import wide_zero_net, zero_preact_pair
+
+
+def subdifferential_sample(params, x, n=64, seed=0, sphere_samples=64):
+    """Readouts of ``n`` sampled optimal branches stacked on those of the
+    extreme branches, both drawn from one trace."""
+    trace = forward(params, x)
+    sampled = sample_optimal_branches(params, trace, n=n, seed=seed)
+    extreme = extreme_branches(params, trace, sphere_samples=sphere_samples, seed=seed)
+    return np.vstack([readout(params, sampled), readout(params, extreme)])
+
+
+def canonical_gap_fraction(params, x, n_directions, seed=0):
+    """Share of Gaussian directions along which the canonical slope falls
+    more than 1e-9 short of the support function."""
+    dirs = gaussian_points(seed, n_directions, params.input_dim)
+    res = directional_derivative(params, x, dirs)
+    return int(np.count_nonzero(res.dual_max - res.canonical_value > 1e-9)) / n_directions
 
 
 class TestGradient:
@@ -52,6 +71,66 @@ class TestGradient:
         params = cone_only_params()
         with pytest.raises(DegenerateInputError):
             gradient(params, [0.0, 0.0])
+
+
+class TestSubdifferentialSample:
+    def test_singleton_at_smooth_point(self, medium_model):
+        x = gaussian_points(61, 1, medium_model.input_dim)[0]
+        g = gradient(medium_model, x)
+        sample = subdifferential_sample(medium_model, x, n=10, sphere_samples=8)
+        assert len(sample) >= 1
+        for s in sample:
+            assert np.linalg.norm(s - g) <= 1e-12
+
+    def test_degenerate_point_is_set_valued(self, degenerate_model):
+        params, x0 = degenerate_model
+        sample = subdifferential_sample(params, x0, n=40, sphere_samples=16)
+        spread = max(np.linalg.norm(s - sample[0]) for s in sample)
+        assert spread > 1e-3
+
+    def test_sphere_count_below_one_rejected(self, degenerate_model):
+        """NumPy's matmul ``ValueError`` used to leak out instead."""
+        params, x0 = degenerate_model
+        with pytest.raises(ValidationError, match="sphere_samples"):
+            subdifferential_sample(params, x0, sphere_samples=0)
+
+    def test_every_sample_is_a_subgradient(self, degenerate_model):
+        params, x0 = degenerate_model
+        f0 = forward(params, x0).value
+        sample = subdifferential_sample(params, x0, n=25, sphere_samples=12)
+        probes = x0 + gaussian_points(15, 30, 2)
+        for g in sample:
+            for y in probes:
+                assert forward(params, y).value >= f0 + g @ (y - x0) - 1e-10
+
+    def test_convex_combinations_are_subgradients(self, degenerate_model):
+        """The subdifferential is convex, so midpoints of sampled elements
+        must satisfy the same supporting inequality."""
+        params, x0 = degenerate_model
+        f0 = forward(params, x0).value
+        sample = subdifferential_sample(params, x0, n=12, sphere_samples=8)
+        mid = 0.5 * (sample[0] + sample[-1])
+        for y in x0 + gaussian_points(16, 30, 2):
+            assert forward(params, y).value >= f0 + mid @ (y - x0) - 1e-10
+
+    @pytest.mark.parametrize("where", ["smooth", "kink"])
+    def test_equals_per_branch_readouts(self, medium_model, degenerate_model, where):
+        """The stacked readout gives, row for row and bit for bit, the
+        readouts of the sampled branches followed by the extreme ones."""
+        if where == "smooth":
+            params, x = medium_model, gaussian_points(62, 1, medium_model.input_dim)[0]
+        else:
+            params, x = degenerate_model
+        sample = subdifferential_sample(params, x, n=15, seed=4, sphere_samples=6)
+        tr = forward(params, x)
+        stacks = (
+            sample_optimal_branches(params, tr, n=15, seed=4),
+            extreme_branches(params, tr, sphere_samples=6, seed=4),
+        )
+        branches = [branch_row(s, k) for s in stacks for k in range(s.relu[0].shape[0])]
+        assert sample.shape == (len(branches), params.input_dim)
+        for row, br in zip(sample, branches):
+            assert np.array_equal(row, readout(params, br))
 
 
 class TestDirectionalDerivative:
@@ -243,6 +322,22 @@ class TestStackedDirections:
         params, x0 = degenerate_model
         with pytest.raises(NonFiniteError):
             directional_derivative(params, x0, direction)
+
+
+class TestCanonicalGapFraction:
+    def test_smooth_point_has_no_gap(self, medium_model):
+        x = gaussian_points(80, 1, medium_model.input_dim)[0]
+        assert canonical_gap_fraction(medium_model, x, n_directions=100) == 0.0
+
+    def test_degenerate_point_gaps_everywhere(self, degenerate_model):
+        """Around the hand-built kink the canonical slope underestimates the
+        support function along every probed direction."""
+        params, x0 = degenerate_model
+        assert canonical_gap_fraction(params, x0, n_directions=200) == 1.0
+
+    def test_full_rank_tip_gaps_everywhere(self):
+        params = cone_only_params(lam=0.8)
+        assert canonical_gap_fraction(params, [0.0, 0.0], n_directions=64) == 1.0
 
 
 class TestLimitConsistency:
