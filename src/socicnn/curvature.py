@@ -17,8 +17,9 @@ import numpy as np
 
 from . import dual
 from .errors import DegenerateInputError
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _dot, _gaussian_nonzero, _matvec
-from .model import _check_tol, _nondegenerate_rows, _per_row, _require_nondegenerate, forward
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol, _dot
+from .model import _gaussian_nonzero, _matvec, _nondegenerate_rows, _per_row
+from .model import _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +156,8 @@ def quadratic_model_residual(
     as stacks of ``RESIDUAL_BLOCK``, and the residuals are summed in trial
     order, so the result is bitwise that of tracing each trial on its own.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    _check_positive(radius, "radius")
+    _check_positive(trials, "trials")
     anchor_trace = forward(params, anchor)
     cm = _trace_hessian(params, anchor_trace, tol)
     rng = np.random.default_rng(seed)

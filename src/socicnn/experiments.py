@@ -22,6 +22,7 @@ from .model import (
     DEFAULT_TAU,
     DegeneracySpec,
     SocIcnnParams,
+    _check_positive,
     _dot,
     _gaussian_nonzero,
     _nondegenerate_rows,
@@ -66,11 +67,13 @@ def _check(name: str, passed, detail: str) -> CheckResult:
 
 def _require_positive(cfg, *names) -> None:
     """Reject a config whose named fields (counts, steps, or a nonempty
-    tuple of steps) are not all above zero."""
+    tuple of steps) are not all positive and finite."""
     for name in names:
-        values = np.atleast_1d(getattr(cfg, name))
-        if values.size == 0 or not np.all(values > 0):
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not np.size(value):
+            raise ValueError(f"{name} must be positive, got {value}")
+        for v in np.ravel(value).tolist():
+            _check_positive(v, name)
 
 
 # Points per stacked block of exp1, exp2 and exp4's diagnostics.  Each point

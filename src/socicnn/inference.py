@@ -20,12 +20,11 @@ import time
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import curvature, dual
 from .curvature import curvature_matrix
-from .errors import SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _dot, _nondegenerate_rows, _norms
+from .errors import NonFiniteError, SolveFailureError, ValidationError
+from .model import DEFAULT_TAU, SocIcnnParams, _check_positive, _dot, _nondegenerate_rows, _norms
 from .model import _require_nondegenerate, conic_margin, forward, forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
@@ -56,8 +55,7 @@ class InferenceConfig:
 
     def __post_init__(self):
         for name in ("beta", "damping", "fd_grad_step", "fd_hess_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            _check_positive(getattr(self, name), name)
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0 < self.armijo < 1:
@@ -102,11 +100,15 @@ METHODS = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
 
 
 def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU):
-    """Value and canonical-readout gradient of the objective, by the solvers' own code."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("dimension-mismatch", f"point has shape {x.shape}, expected (d,)")
-    Y = np.asarray(y, dtype=np.float64)[None]
+    """Value and canonical-readout gradient of the objective, by the solvers' own code,
+    at one point ``x`` for one finite query ``y``, both ``(d,)``."""
+    x, Y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)[None]
+    for what, v in (("point", x), ("query", Y[0])):
+        if v.shape != (params.input_dim,):
+            raise ValidationError("dimension-mismatch", f"{what} shape {v.shape}, need (d,)")
+    if not np.isfinite(Y).all():
+        raise NonFiniteError("query contains NaN or infinity")
+    _check_positive(beta, "beta")
     values, trace = _values(params, Y, beta, x[None])
     return float(values[0]), _readout_grad(params, Y, beta, tol)(0, trace)
 
@@ -306,6 +308,7 @@ def _fd_grad(params, Y, config):
 
 def _newton_direction(params, config):
     """Damped Newton step at a row's trace from the closed-form curvature."""
+    import scipy.linalg  # loaded on the first Newton solve, not with the package
 
     def direction_fn(r, g, trace):
         H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
@@ -323,6 +326,8 @@ def _fd_newton_direction(params, Y, config):
     """Newton step from a central difference of the FD gradient field of a
     row's query, its ``4 n^2``-point stencil in one value query, with the
     eigenvalues clamped from below at ``beta + damping``."""
+    import scipy.linalg  # loaded on the first Newton solve, not with the package
+
     values = _fd_values(params, Y, config)
 
     def direction_fn(r, g, trace):
@@ -366,12 +371,13 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     Y = np.atleast_2d(y)
     if method.startswith("whitebox"):
         grad_fn = _readout_grad(params, Y, config.beta, config.tol)
-        direction_fn = _newton_direction(params, config)
     else:
         grad_fn = _fd_grad(params, Y, config)
+    direction_fn = None
+    if method == "whitebox-newton":
+        direction_fn = _newton_direction(params, config)
+    elif method == "fd-newton":
         direction_fn = _fd_newton_direction(params, Y, config)
-    if method.endswith("-gd"):
-        direction_fn = None
     reports = _descent(params, Y, config, method, grad_fn, direction_fn)
     return reports[0] if y.ndim == 1 else reports
 

@@ -394,6 +394,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
 
 
+def _check_positive(value, name: str) -> None:
+    """Reject a step, scale or count that is not positive and finite (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
     """Classify every kink of the trace of one point, within absolute
     tolerance ``tol``; a stacked trace raises ``ValidationError``."""

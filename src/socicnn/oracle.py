@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError
+from .model import _check_positive
 
 
 def _evaluate(fn, points, shape, what):
@@ -56,8 +57,7 @@ def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     ``(m, n)``; the result has the shape of ``x``.  All ``2 n`` (or
     ``2 m n``) stencil points go to ``f`` in one call.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_positive(step, "step")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("x must be one point or a stack of points")
@@ -80,8 +80,7 @@ def fd_directional(f, x, d, step: float = 1e-7):
     One-sided quotients are the only consistent estimate at a kink, where
     the two-sided ones average the branches away.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_positive(step, "step")
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     if d.ndim not in (1, 2):
@@ -110,8 +109,7 @@ def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
     ``grad`` in one call.  The raw column estimate is averaged with its
     transpose before returning.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_positive(step, "step")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("x must be one point or a stack of points")

@@ -305,6 +305,9 @@ class TestQuadraticModel:
             quadratic_model_residual(medium_model, anchor, radius=0.0)
         with pytest.raises(ValueError):
             quadratic_model_residual(medium_model, anchor, radius=1e-3, trials=0)
+        for radius in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                quadratic_model_residual(medium_model, anchor, radius=radius)
 
     def test_fd_gradient_cross_check(self, medium_model):
         f = lambda Y: forward_values(medium_model, Y)

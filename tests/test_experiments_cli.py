@@ -1,7 +1,11 @@
 """Experiment drivers at reduced scale, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,6 +541,23 @@ class TestCli:
         assert main(["exp1", "--config", str(cfg)]) == 2
         assert "sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, change", [
+        (Exp1Config, {"fd_step": float("inf")}),
+        (Exp1Config, {"fd_step": float("nan")}),
+        (Exp2Config, {"radii": (float("inf"),)}),
+        (Exp2Config, {"radii": (1e-4, float("nan"))}),
+        (Exp2Config, {"fd_grad_step": float("inf")}),
+        (Exp2Config, {"fd_hess_step": float("nan")}),
+        (Exp3Config, {"fd_step": float("inf")}),
+        (Exp3Config, {"probes": float("inf")}),
+        (Exp4Config, {"queries": float("nan")}),
+    ], ids=lambda v: getattr(v, "__name__", None) or "-".join(f"{k}={x}" for k, x in v.items()))
+    def test_non_finite_config_value_rejected(self, config, change):
+        """An infinite step or radius used to construct, and ``run_exp1`` or
+        ``run_exp2`` then failed deep in ``forward_values``."""
+        with pytest.raises(ValueError, match=f"{next(iter(change))} must be positive"):
+            config(**change)
+
     @pytest.mark.parametrize(
         "command, config",
         [
@@ -561,6 +582,8 @@ class TestCli:
             ("exp1", {"fd_step": float("inf")}),
             ("exp2", {"radii": [1e-4, 0.0]}),
             ("exp2", {"radii": []}),
+            ("exp2", {"radii": [1e-4, float("inf")]}),
+            ("exp2", {"fd_grad_step": float("nan")}),
             ("exp2", {"fd_hess_step": 0.0}),
             ("exp3", {"tol": -1.0}),
             ("exp3", {"fd_step": 0.0}),
@@ -633,3 +656,44 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main([])
         assert exit_info.value.code == 2
+
+
+# Run in a fresh interpreter by ``test_scipy_loads_only_for_a_newton_solve``.
+_NUMPY_ONLY_RUN = """
+import contextlib, io, sys
+import numpy as np
+import socicnn, socicnn.cli
+from socicnn import ArchSpec, InferenceConfig, build_random, solve
+from socicnn.experiments import Exp1Config, Exp2Config, Exp3Config, run_exp1, run_exp2, run_exp3
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")[:3]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert socicnn.cli.main(["model", "gen", "--out", sys.argv[1], "--input-dim", "3",
+                             "--width", "4", "--depth", "1", "--quad-dims", "2",
+                             "--cone-dims", "2"]) == 0
+    assert socicnn.cli.main(["model", "info", sys.argv[1]]) == 0
+run_exp1(Exp1Config(samples=3, input_dim=4, widths=(6,), quad_dims=(2,), cone_dims=(2,)))
+run_exp2(Exp2Config(points=2, trials=5))
+run_exp3(Exp3Config(directions=20, branches=30, probes=40))
+params = build_random(0, ArchSpec(3, (4,), (2,), (2,)))
+config = InferenceConfig(max_iters=5)
+for method in ("whitebox-gd", "fd-gd"):
+    solve(params, np.ones(3), config, method)
+assert not scipy_modules(), scipy_modules()
+solve(params, np.ones(3), config, "whitebox-newton")
+assert "scipy.linalg" in sys.modules, scipy_modules()
+"""
+
+
+def test_scipy_loads_only_for_a_newton_solve(tmp_path):
+    """``import socicnn``, the ``model`` commands, exp1-exp3 and the two
+    first-order solvers run on NumPy alone; the first Newton solve loads
+    ``scipy.linalg``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path / "model.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

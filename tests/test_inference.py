@@ -17,7 +17,7 @@ from socicnn import (
 )
 from socicnn import curvature, dual, experiments, inference
 from socicnn.curvature import curvature_matrix
-from socicnn.errors import SolveFailureError, ValidationError
+from socicnn.errors import NonFiniteError, SolveFailureError, ValidationError
 from socicnn.inference import GD_MAX_ITERS, METHODS, NEWTON_MAX_ITERS, InferenceReport, with_gap
 from socicnn.model import forward_values
 from socicnn.oracle import fd_gradient, fd_hessian
@@ -57,6 +57,24 @@ class TestObjective:
         v_at_y, _ = objective(params, y, 5.0, y)
         assert v_at_y == pytest.approx(forward(params, y).value, rel=1e-15)
 
+    @pytest.mark.parametrize("y, beta, error, match", [
+        ([np.nan, 0.0], 1.0, NonFiniteError, "query contains NaN"),
+        ([np.inf, 0.0], 1.0, NonFiniteError, "query contains NaN"),
+        ([1.0], 1.0, ValidationError, r"query shape \(1,\)"),
+        ([[1.0, 0.0], [0.0, 1.0]], 1.0, ValidationError, r"query shape \(2, 2\)"),
+        ([1.0, 0.0], np.nan, ValueError, "beta must be positive"),
+        ([1.0, 0.0], np.inf, ValueError, "beta must be positive"),
+        ([1.0, 0.0], 0.0, ValueError, "beta must be positive"),
+        ([1.0, 0.0], -1.0, ValueError, "beta must be positive"),
+    ])
+    def test_rejects_bad_query_and_beta(self, y, beta, error, match):
+        """A NaN query or ``beta`` gave a NaN value and gradient, an infinite
+        ``beta`` an infinite one, and a misshapen query NumPy's broadcast
+        ``ValueError`` or a ``TypeError``; they are checked as ``solve``
+        and ``InferenceConfig`` check them."""
+        with pytest.raises(error, match=match):
+            objective(quad_only_params(alpha=1.0), y, beta, np.zeros(2))
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
@@ -75,6 +93,8 @@ class TestConfigValidation:
         {"beta": float("inf")}, {"damping": float("inf")}, {"beta": float("nan")},
         {"max_backtracks": 1.5}, {"max_backtracks": True}, {"max_iters": True},
         {"max_iters": 2.0}, {"fd_grad_step": float("inf")}, {"fd_hess_step": float("inf")},
+        {"beta": -float("inf")}, {"damping": float("nan")}, {"fd_grad_step": float("nan")},
+        {"fd_hess_step": float("nan")},
     ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
     def test_rejects_non_finite_weights_and_non_integer_counts(self, change):
         """An infinite ``beta`` made a solve fail inside NumPy, an infinite
@@ -664,6 +684,13 @@ class TestDiagnostics:
         params, x0 = degenerate_model
         with pytest.raises(DegenerateInputError):
             readout_diagnostics(params, x0)
+
+    @pytest.mark.parametrize("step", [0.0, float("nan"), float("inf")])
+    def test_bad_fd_hess_step_is_named(self, medium_model, step):
+        """A NaN step used to be reported as a NaN in the input row."""
+        x = gaussian_points(105, 1, medium_model.input_dim)[0]
+        with pytest.raises(ValueError, match="step must be positive"):
+            readout_diagnostics(medium_model, x, fd_hess_step=step)
 
     def test_runs_forward_once_plus_the_stencil(self, medium_model, monkeypatch):
         """One trace at the point serves both gradient routes; only the

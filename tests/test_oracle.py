@@ -16,6 +16,10 @@ from socicnn import (
 
 from conftest import gaussian_points, inert_backbone
 
+# Steps that pass a plain ``step <= 0`` test and then blamed the input for
+# the NaN stencil they made.
+BAD_STEPS = (float("inf"), float("nan"), -float("inf"))
+
 
 def sq(X):
     """Row-wise sum of squares."""
@@ -188,6 +192,9 @@ class TestFdGradient:
             fd_gradient(sq, np.zeros(2), step=0.0)
         with pytest.raises(ValueError):
             fd_gradient(sq, np.zeros(2), step=-1e-6)
+        for step in BAD_STEPS:
+            with pytest.raises(ValueError, match="step must be positive"):
+                fd_gradient(sq, np.zeros(2), step=step)
 
     def test_non_finite_value_raises(self):
         def f(X):
@@ -218,6 +225,9 @@ class TestFdDirectional:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             fd_directional(sq, np.zeros(2), np.array([1.0, 0.0]), step=0.0)
+        for step in BAD_STEPS:
+            with pytest.raises(ValueError, match="step must be positive"):
+                fd_directional(sq, np.zeros(2), np.array([1.0, 0.0]), step=step)
 
 
 class TestFdDirectionalStack:
@@ -265,6 +275,9 @@ class TestFdHessian:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             fd_hessian(lambda x: x, np.zeros(2), step=0.0)
+        for step in BAD_STEPS:
+            with pytest.raises(ValueError, match="step must be positive"):
+                fd_hessian(lambda x: x, np.zeros(2), step=step)
 
 
 class TestConvexityProbe:
