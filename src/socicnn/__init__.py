@@ -16,7 +16,6 @@ from .dual import (
     DualBranch,
     canonical,
     dual_value,
-    extreme_branches,
     feasibility_violation,
     readout,
     sample_optimal_branches,

@@ -157,8 +157,8 @@ def _cmd_model_info(args) -> int:
     trace_dims = ", ".join(str(w) for w in params.widths)
     print(f"input_dim: {params.input_dim}")
     print(f"layers: {params.n_layers} (widths {trace_dims})")
-    print(f"quadratic modules: {params.n_quad} (dims {[B.shape[0] for B in params.B]})")
-    print(f"conic modules: {params.n_cone} (dims {[A.shape[0] for A in params.A]})")
+    print(f"quadratic modules: {len(params.B)} (dims {[B.shape[0] for B in params.B]})")
+    print(f"conic modules: {len(params.A)} (dims {[A.shape[0] for A in params.A]})")
     print(f"seed: {params.seed}")
     total = sum(W.size + U.size + b.size for W, U, b in zip(params.W, params.U, params.b))
     total += params.c.size + params.v.size + 1

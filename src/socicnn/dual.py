@@ -8,8 +8,9 @@ fixed input the optimal triples form a product set: an interval box over the
 ReLU coordinates whose preactivation sits at zero, times a ball for every
 conic module whose residual sits at the cone tip, times singletons elsewhere.
 Everything in this module manipulates that set: evaluating the minorant,
-reading out its input slope, selecting the minimum-norm element, and
-enumerating or sampling the rest.
+reading out its input slope, selecting the minimum-norm element, enumerating
+the corners of the box and sampling the whole set.  No ball is enumerated:
+``geometry`` adds its support term ``lam_g * ||A_g d||`` in closed form.
 """
 
 from __future__ import annotations
@@ -281,21 +282,8 @@ def sample_optimal_branches(
     return _check_optimal(params, trace, stack)
 
 
-def _sphere_directions(dim: int, count: int, rng) -> list:
-    """Spread of unit vectors: exact endpoints in 1-d, an equispaced fan with
-    a random phase in 2-d, normalized Gaussians above."""
-    if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    if dim == 2:
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        angles = phase + 2.0 * np.pi * np.arange(count) / count
-        return [np.array([np.cos(t), np.sin(t)]) for t in angles]
-    vecs, nrms = _gaussian_nonzero(rng, dim, count)
-    return list(vecs / nrms[:, None])
-
-
 def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
-    """Yield the ReLU multiplier stacks at every corner of the interval box.
+    """Yield every corner of the interval box: ReLU multipliers, one per layer.
 
     Each free coordinate independently takes zero or its bound; bounds of
     lower layers are recomputed under each assignment, so corners remain
@@ -313,44 +301,3 @@ def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
             masks[l][i] = bit
         yield _box_recursion(params, masks)
 
-
-def extreme_branches(
-    params: SocIcnnParams,
-    trace: ForwardTrace,
-    tol: float = DEFAULT_TAU,
-    sphere_samples: int = 64,
-    seed: int = 0,
-) -> DualBranch:
-    """Extreme points of the optimal set, up to sphere discretization, as a
-    stacked ``DualBranch``.
-
-    ReLU corners are enumerated exactly.  Each cone-tip module contributes
-    multipliers of full length ``lam_g`` along a direction spread
-    (``sphere_samples`` of them, exact in one and two dimensions up to the
-    fan density).  Rows run corner-major, then over the ``itertools.product``
-    of the tip directions.  With no degeneracy the result is the canonical
-    branch as a one-row stack.  ``sphere_samples`` below 1 raises
-    ``ValidationError``.
-    """
-    if sphere_samples < 1:
-        raise ValidationError("invalid-descriptor", f"sphere_samples {sphere_samples} is below 1")
-    report = degeneracy_report(trace, tol)
-    rng = np.random.default_rng(seed)
-    quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    tip_modules = report.conic_zero_modules
-    tip_choices = [
-        [params.lam[g] * u for u in _sphere_directions(params.A[g].shape[0], sphere_samples, rng)]
-        for g in tip_modules
-    ]
-    relu_rows, cone_rows = [], []
-    for relu in relu_corner_assignments(params, report):
-        for combo in itertools.product(*tip_choices):
-            pick = dict(zip(tip_modules, combo))
-            relu_rows.append(relu)
-            cone_rows.append(tuple(pick.get(g, r) for g, r in enumerate(smooth_cone)))
-    stack = DualBranch(
-        relu=tuple(np.array(rows) for rows in zip(*relu_rows)),
-        quad=tuple(np.broadcast_to(p, (len(relu_rows), p.shape[0])) for p in quad),
-        cone=tuple(np.array(rows) for rows in zip(*cone_rows)),
-    )
-    return _check_optimal(params, trace, stack)

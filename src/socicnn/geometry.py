@@ -71,9 +71,9 @@ class _SupportEvaluator:
     Precomputes the readout of every ReLU corner with the smooth module
     slopes folded in; a call maximizes those rows against each row of an
     ``(m, d)`` array of unit directions and adds ``lam_g * ||A_g @ unit||``
-    for each cone-tip module, which is the exact ball contribution (the
-    maximum a sphere fan augmented with the per-direction maximizer would
-    attain).
+    for each cone-tip module, the maximum of ``r . A_g @ unit`` over the
+    ball ``||r|| <= lam_g``.  The optimal set is a product of the corner box
+    and the balls, so the sum is its exact support function.
     """
 
     def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tol: float):

@@ -95,14 +95,6 @@ class SocIcnnParams:
     def widths(self) -> tuple:
         return tuple(w.shape[0] for w in self.W)
 
-    @property
-    def n_quad(self) -> int:
-        return len(self.B)
-
-    @property
-    def n_cone(self) -> int:
-        return len(self.A)
-
     @cached_property
     def quad_hessian(self) -> np.ndarray:
         """``sum_h alpha_h B_h.T B_h``, the Hessian of the quadratic modules
@@ -613,16 +605,21 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
     return params, _frozen(x0)
 
 
+def _dims(params: SocIcnnParams) -> dict:
+    """The ``dims`` entry of a model file, as the arrays imply it."""
+    return {
+        "input_dim": params.input_dim,
+        "widths": list(params.widths),
+        "quad_dims": [B.shape[0] for B in params.B],
+        "cone_dims": [A.shape[0] for A in params.A],
+    }
+
+
 def to_json_obj(params: SocIcnnParams) -> dict:
     """Plain-dict form of a model, suitable for ``json.dump``."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "dims": {
-            "input_dim": params.input_dim,
-            "widths": list(params.widths),
-            "quad_dims": [B.shape[0] for B in params.B],
-            "cone_dims": [A.shape[0] for A in params.A],
-        },
+        "dims": _dims(params),
         "layers": [
             {"W": W.tolist(), "U": U.tolist(), "b": b.tolist()}
             for W, U, b in zip(params.W, params.U, params.b)
@@ -643,10 +640,12 @@ def to_json_obj(params: SocIcnnParams) -> dict:
 
 
 def from_json_obj(obj: dict) -> SocIcnnParams:
-    """Rebuild a model from its dict form; validates before returning."""
+    """Rebuild a model from its dict form; validates before returning.  A
+    ``format_version`` other than the integer 1, or ``dims`` other than
+    what the arrays imply, raises ``ModelFormatError``."""
     try:
         version = obj["format_version"]
-        if version != MODEL_FORMAT_VERSION:
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported format_version {version!r}")
         seed = obj.get("seed")
         if seed is not None and (type(seed) is not int or seed < 0):
@@ -668,14 +667,14 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
             d=[m["d"] for m in obj["cone"]],
             seed=seed,
         )
-        widths = list(dims["widths"])
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
     validate(params)
-    if list(params.widths) != widths:
-        raise ModelFormatError("declared widths do not match layer arrays")
+    implied = _dims(params)
+    if dims != implied:
+        raise ModelFormatError(f"declared dims {dims!r} do not match the arrays' {implied!r}")
     return params
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
-from socicnn import curvature, experiments, forward, geometry, inference, model
+from socicnn import canonical, curvature, degeneracy_report, experiments, forward, geometry
+from socicnn import inference, model
+from socicnn.dual import relu_corner_assignments
 
 
 def inert_backbone(input_dim):
@@ -93,6 +95,21 @@ def stack_branches(branches):
         return tuple(np.concatenate([np.atleast_2d(a) for a in arrays]) for arrays in groups)
 
     return DualBranch(join("relu"), join("quad"), join("cone"))
+
+
+def corner_branches(params, trace):
+    """The ReLU corners of the optimal set at one point's trace as one
+    stacked ``DualBranch``, in ``relu_corner_assignments`` order, each row
+    with the canonical quadratic and conic multipliers (``+0.0`` at a cone
+    tip)."""
+    base = canonical(params, trace)
+    relu = list(relu_corner_assignments(params, degeneracy_report(trace)))
+    n = len(relu)
+    return DualBranch(
+        tuple(np.array(layer) for layer in zip(*relu)),
+        tuple(np.broadcast_to(p, (n, p.shape[0])) for p in base.quad),
+        tuple(np.broadcast_to(r, (n, r.shape[0])) for r in base.cone),
+    )
 
 
 def record_traces(monkeypatch):

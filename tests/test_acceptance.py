@@ -17,8 +17,8 @@ from socicnn import (
     build_random,
     canonical,
     convexity_probe,
+    degeneracy_report,
     dual_value,
-    extreme_branches,
     forward,
     forward_values,
     readout,
@@ -35,7 +35,7 @@ from socicnn.experiments import (
     run_exp4,
 )
 
-from conftest import branch_row, stack_branches
+from conftest import branch_row, corner_branches, stack_branches
 
 
 def timed(runner, cfg):
@@ -236,6 +236,24 @@ PROPERTY_ARCHES = (
 )
 
 
+def corner_tip_branches(params, trace, count=64, seed=0):
+    """The ReLU corners of the built kink, each crossed with ``count``
+    full-length multipliers ``lam * (cos t, sin t)`` at its 2-D cone tip,
+    corner-major.  The angles are equispaced from one phase drawn by
+    ``default_rng(seed).uniform(0, 2 pi)``."""
+    corners = corner_branches(params, trace)
+    (tip,) = degeneracy_report(trace).conic_zero_modules
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+    angles = phase + 2.0 * np.pi * np.arange(count) / count
+    ring = params.lam[tip] * np.column_stack([np.cos(angles), np.sin(angles)])
+    rows = np.repeat(np.arange(corners.relu[0].shape[0]), count)
+    cone = [r[rows] for r in corners.cone]
+    cone[tip] = np.tile(ring, (rows.size // count, 1))
+    return DualBranch(
+        tuple(nu[rows] for nu in corners.relu), tuple(p[rows] for p in corners.quad), tuple(cone)
+    )
+
+
 def test_criterion_10_property_suite():
     """Convexity, support inequalities, blockwise mixing, and tightness of
     the canonical minorant, on fresh random models."""
@@ -254,7 +272,7 @@ def test_criterion_10_property_suite():
     emitted = stack_branches(
         [
             sample_optimal_branches(params, trace0, n=64, seed=0),
-            extreme_branches(params, trace0, sphere_samples=64, seed=0),
+            corner_tip_branches(params, trace0),
         ]
     )
     n_emitted = emitted.relu[0].shape[0]

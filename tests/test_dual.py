@@ -1,4 +1,4 @@
-"""Optimal multiplier branches: canonical selection, sampling, extremes."""
+"""Optimal multiplier branches: canonical selection, sampling, corners."""
 
 from dataclasses import replace
 
@@ -17,7 +17,6 @@ from socicnn import (
     canonical,
     degeneracy_report,
     dual_value,
-    extreme_branches,
     feasibility_violation,
     forward,
     readout,
@@ -29,6 +28,7 @@ from socicnn.dual import _check_optimal, relu_corner_assignments
 from conftest import (
     branch_row,
     cone_only_params,
+    corner_branches,
     gaussian_points,
     quad_only_params,
     stack_branches,
@@ -251,7 +251,7 @@ class TestBranchBox:
             assert np.array_equal(upper, a > 1e-9)
             assert np.array_equal(~upper & ~free, a < -1e-9)
 
-    @pytest.mark.parametrize("entry", ["sample", "extremes", "directional"])
+    @pytest.mark.parametrize("entry", ["sample", "directional"])
     def test_one_report_per_call(self, degenerate_model, monkeypatch, entry):
         """The samplers, the corner enumeration and the support function
         all read one ``degeneracy_report`` of the trace."""
@@ -269,8 +269,6 @@ class TestBranchBox:
         tr = forward(params, x0)
         if entry == "sample":
             sample_optimal_branches(params, tr, n=4)
-        elif entry == "extremes":
-            extreme_branches(params, tr, sphere_samples=4)
         else:
             geometry.directional_derivative(params, x0, np.eye(2))
         assert len(calls) == 1
@@ -354,65 +352,41 @@ class TestSampling:
         assert counts[0] == counts[1] <= 3
 
     def test_sampled_readouts_are_subgradients(self, degenerate_model):
-        """Sampled and extreme readouts support the model at the kink, and
+        """Sampled and corner readouts support the model at the kink, and
         so does a midpoint of two of them, since the subdifferential is
         convex."""
         params, x0 = degenerate_model
         tr = forward(params, x0)
         gs = readout(params, sample_optimal_branches(params, tr, n=30, seed=3))
         assert gs.shape == (30, 2)
-        extremes = readout(params, extreme_branches(params, tr, sphere_samples=8))
-        gs = np.vstack([gs, extremes, 0.5 * (gs[0] + extremes[-1])])
+        corners = readout(params, corner_branches(params, tr))
+        gs = np.vstack([gs, corners, 0.5 * (gs[0] + corners[-1])])
         assert np.ptp(gs, axis=0).max() > 1e-3
         for y in x0 + gaussian_points(14, 40, 2):
             assert np.all(forward(params, y).value >= tr.value + gs @ (y - x0) - 1e-10)
 
 
-class TestCornersAndExtremes:
-    def test_nondegenerate_single_extreme(self, medium_model):
-        """With no degeneracy the extremes are the canonical branch, bitwise,
-        as a one-row stack."""
+class TestCorners:
+    def test_nondegenerate_single_corner(self, medium_model):
+        """With no degeneracy the one corner is the canonical branch's ReLU
+        multipliers, bitwise."""
         x = gaussian_points(40, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
-        branches = extreme_branches(medium_model, tr)
-        base = canonical(medium_model, tr)
-        for a, b in zip(
-            branches.relu + branches.quad + branches.cone, base.relu + base.quad + base.cone
-        ):
-            assert a.shape == (1, b.shape[0])
-            assert np.array_equal(a[0], b)
+        (corner,) = relu_corner_assignments(medium_model, degeneracy_report(tr))
+        for a, b in zip(corner, canonical(medium_model, tr).relu):
+            assert np.array_equal(a, b)
 
-    def test_corner_and_sphere_counts(self, degenerate_model):
-        """One interval coordinate and one 2D tip module with an 8-point fan
-        give exactly 2 * 8 extreme branches."""
+    def test_corners_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        branches = extreme_branches(params, tr, sphere_samples=8)
-        assert branches.relu[1].shape[0] == 16
-        free_vals = sorted(set(branches.relu[1][:, 0]))
-        assert free_vals[0] == 0.0 and free_vals[1] > 0.0
-        cone_norms = np.linalg.norm(branches.cone[0], axis=1)
-        assert cone_norms == pytest.approx(np.full(16, params.lam[0]), rel=1e-12)
-
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_sphere_count_below_one_rejected(self, degenerate_model, count):
-        """A fan of no directions used to give a branch with no rows."""
-        params, x0 = degenerate_model
-        with pytest.raises(ValidationError, match="sphere_samples"):
-            extreme_branches(params, forward(params, x0), sphere_samples=count)
-
-    def test_extremes_attain_value(self, degenerate_model):
-        params, x0 = degenerate_model
-        tr = forward(params, x0)
-        psi = dual_value(params, x0, extreme_branches(params, tr, sphere_samples=16))
-        assert psi.shape == (32,)
+        psi = dual_value(params, x0, corner_branches(params, tr))
+        assert psi.shape == (2,)
         assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
 
     def test_absolute_value_corners(self):
         """relu(x) + relu(-x) at 0 has corner readouts {-1, 0, 0, 1}."""
         params = zero_preact_pair()
-        tr = forward(params, [0.0])
-        outs = readout(params, extreme_branches(params, tr))
+        outs = readout(params, corner_branches(params, forward(params, [0.0])))
         assert outs.shape == (4, 1)
         outs = sorted(outs[:, 0])
         assert outs == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=0)
@@ -424,8 +398,6 @@ class TestCornersAndExtremes:
         assert len(box.relu_zero_coords) == 17
         with pytest.raises(TooManyDegeneraciesError):
             list(relu_corner_assignments(params, box))
-        with pytest.raises(TooManyDegeneraciesError):
-            extreme_branches(params, tr)
 
     def test_sixteen_free_coords_still_enumerable(self):
         params = wide_zero_net(16)

@@ -426,6 +426,20 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_model_info_rejects_wrong_input_dim(self, tmp_path, capsys):
+        """A declared ``input_dim`` other than the arrays' used to load, and
+        ``model info`` printed the arrays' one."""
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
+        obj = json.loads(path.read_text())
+        obj["dims"]["input_dim"] = 7
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["model", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dims" in err
+        assert "Traceback" not in err
+
     def test_model_info_rejects_non_finite_weights(self, tmp_path, capsys):
         """JSON ``NaN`` literals load as floats; validation must refuse them."""
         path = tmp_path / "model.json"

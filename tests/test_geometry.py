@@ -1,16 +1,20 @@
 """Gradients, subdifferential samples, and directional derivatives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from socicnn import (
+    ArchSpec,
     DegenerateInputError,
     NonFiniteError,
     SocIcnnParams,
     TooManyDegeneraciesError,
     ValidationError,
+    build_random,
+    degeneracy_report,
     directional_derivative,
-    extreme_branches,
     fd_directional,
     fd_gradient,
     forward,
@@ -24,19 +28,37 @@ from conftest import (
     branch_row,
     cone_only_params,
     constant_params,
+    corner_branches,
     gaussian_points,
     quad_only_params,
 )
 from test_dual import wide_zero_net, zero_preact_pair
 
 
-def subdifferential_sample(params, x, n=64, seed=0, sphere_samples=64):
+def subdifferential_sample(params, x, n=64, seed=0):
     """Readouts of ``n`` sampled optimal branches stacked on those of the
-    extreme branches, both drawn from one trace."""
+    ReLU corners, both drawn from one trace."""
     trace = forward(params, x)
     sampled = sample_optimal_branches(params, trace, n=n, seed=seed)
-    extreme = extreme_branches(params, trace, sphere_samples=sphere_samples, seed=seed)
-    return np.vstack([readout(params, sampled), readout(params, extreme)])
+    return np.vstack([readout(params, sampled), readout(params, corner_branches(params, trace))])
+
+
+def planted_kinks():
+    """``build_random(5, ArchSpec(6, (8, 8), (3,), (3, 5)))`` moved onto
+    kinks at a Gaussian point ``x`` by the bias trick.  Units 1 and 4 of
+    layer 0 and unit 2 of layer 1 take the bias ``-(W @ x + U @ z)``, which
+    ``forward`` cancels bitwise, and each conic offset ``-(A @ x)`` puts its
+    residual at the cone tip: three free ReLU coordinates over two layers
+    and cone tips of dimensions 3 and 5."""
+    params = build_random(5, ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)))
+    x = np.random.default_rng(5).standard_normal(6)
+    b = [bl.copy() for bl in params.b]
+    z = np.zeros(0)
+    for l, (W, U, kinked) in enumerate(zip(params.W, params.U, ((1, 4), (2,)))):
+        s = W @ x + U @ z
+        b[l][list(kinked)] = -s[list(kinked)]
+        z = np.maximum(s + b[l], 0.0)
+    return replace(params, b=b, d=[-(A @ x) for A in params.A]), x
 
 
 def canonical_gap_fraction(params, x, n_directions, seed=0):
@@ -77,27 +99,21 @@ class TestSubdifferentialSample:
     def test_singleton_at_smooth_point(self, medium_model):
         x = gaussian_points(61, 1, medium_model.input_dim)[0]
         g = gradient(medium_model, x)
-        sample = subdifferential_sample(medium_model, x, n=10, sphere_samples=8)
+        sample = subdifferential_sample(medium_model, x, n=10)
         assert len(sample) >= 1
         for s in sample:
             assert np.linalg.norm(s - g) <= 1e-12
 
     def test_degenerate_point_is_set_valued(self, degenerate_model):
         params, x0 = degenerate_model
-        sample = subdifferential_sample(params, x0, n=40, sphere_samples=16)
+        sample = subdifferential_sample(params, x0, n=40)
         spread = max(np.linalg.norm(s - sample[0]) for s in sample)
         assert spread > 1e-3
-
-    def test_sphere_count_below_one_rejected(self, degenerate_model):
-        """NumPy's matmul ``ValueError`` used to leak out instead."""
-        params, x0 = degenerate_model
-        with pytest.raises(ValidationError, match="sphere_samples"):
-            subdifferential_sample(params, x0, sphere_samples=0)
 
     def test_every_sample_is_a_subgradient(self, degenerate_model):
         params, x0 = degenerate_model
         f0 = forward(params, x0).value
-        sample = subdifferential_sample(params, x0, n=25, sphere_samples=12)
+        sample = subdifferential_sample(params, x0, n=25)
         probes = x0 + gaussian_points(15, 30, 2)
         for g in sample:
             for y in probes:
@@ -108,7 +124,7 @@ class TestSubdifferentialSample:
         must satisfy the same supporting inequality."""
         params, x0 = degenerate_model
         f0 = forward(params, x0).value
-        sample = subdifferential_sample(params, x0, n=12, sphere_samples=8)
+        sample = subdifferential_sample(params, x0, n=12)
         mid = 0.5 * (sample[0] + sample[-1])
         for y in x0 + gaussian_points(16, 30, 2):
             assert forward(params, y).value >= f0 + mid @ (y - x0) - 1e-10
@@ -116,17 +132,14 @@ class TestSubdifferentialSample:
     @pytest.mark.parametrize("where", ["smooth", "kink"])
     def test_equals_per_branch_readouts(self, medium_model, degenerate_model, where):
         """The stacked readout gives, row for row and bit for bit, the
-        readouts of the sampled branches followed by the extreme ones."""
+        readouts of the sampled branches followed by the corner ones."""
         if where == "smooth":
             params, x = medium_model, gaussian_points(62, 1, medium_model.input_dim)[0]
         else:
             params, x = degenerate_model
-        sample = subdifferential_sample(params, x, n=15, seed=4, sphere_samples=6)
+        sample = subdifferential_sample(params, x, n=15, seed=4)
         tr = forward(params, x)
-        stacks = (
-            sample_optimal_branches(params, tr, n=15, seed=4),
-            extreme_branches(params, tr, sphere_samples=6, seed=4),
-        )
+        stacks = (sample_optimal_branches(params, tr, n=15, seed=4), corner_branches(params, tr))
         branches = [branch_row(s, k) for s in stacks for k in range(s.relu[0].shape[0])]
         assert sample.shape == (len(branches), params.input_dim)
         for row, br in zip(sample, branches):
@@ -354,3 +367,21 @@ class TestLimitConsistency:
             g = gradient(params, x0 + step)
             for y in probes:
                 assert forward(params, y).value >= f0 + g @ (y - x0) - 1e-6
+
+
+class TestPlantedKinks:
+    """Three free ReLU coordinates and cone tips of dimensions 3 and 5 at one
+    point, where a discretized ball would fall short of the support."""
+
+    def test_support_function_is_exact(self):
+        params, x = planted_kinks()
+        report = degeneracy_report(forward(params, x))
+        assert report.relu_zero_coords == ((0, 1), (0, 4), (1, 2))
+        assert report.conic_zero_modules == (0, 1)
+        units = gaussian_points(90, 200, params.input_dim)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        res = directional_derivative(params, x, units)
+        assert np.all(np.abs(res.dual_max - res.primal) <= 1e-12 * np.abs(res.primal))
+        fd = fd_directional(lambda Y: forward_values(params, Y), x, units, step=1e-7)
+        assert np.max(np.abs(fd - res.dual_max)) <= 1e-6
+        assert canonical_gap_fraction(params, x, n_directions=200) == 1.0

@@ -502,7 +502,7 @@ class TestDegeneracyReport:
         rep = degeneracy_report(tr, tol=1e12)
         n_units = sum(small_model.widths)
         assert len(rep.relu_zero_coords) == n_units
-        assert rep.conic_zero_modules == tuple(range(small_model.n_cone))
+        assert rep.conic_zero_modules == tuple(range(len(small_model.A)))
 
     def test_negative_tolerance_rejected(self, small_model):
         """Every function that takes a kink tolerance rejects a negative,
@@ -597,13 +597,33 @@ class TestSerialization:
             with pytest.raises(ModelFormatError):
                 load_model(path)
 
-    def test_unknown_format_version_raises(self, tmp_path, small_model):
+    @pytest.mark.parametrize("token", ["99", "true", "1.0", '"1"', "null"])
+    def test_unknown_format_version_raises(self, tmp_path, small_model, token):
+        """Only the integer 1: ``true`` and ``1.0`` compare equal to it in
+        Python and used to load."""
+        path = tmp_path / "model.json"
+        save_model(small_model, path)
+        text = path.read_text()
+        assert '"format_version": 1,' in text
+        path.write_text(text.replace('"format_version": 1,', f'"format_version": {token},'))
+        with pytest.raises(ModelFormatError, match="format_version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("input_dim", 7), ("widths", [6, 9]), ("widths", []), ("quad_dims", [2]),
+        ("quad_dims", []), ("cone_dims", [3, 3]), ("cone_dims", []), ("depth", 2),
+    ])
+    def test_declared_dims_must_match_the_arrays(self, tmp_path, small_model, key, value):
+        """``dims`` must be what the arrays give, entry for entry and with no
+        extra entry: a file declaring ``input_dim: 7`` over 4-column arrays
+        used to load, and ``model info`` printed 4."""
         path = tmp_path / "model.json"
         save_model(small_model, path)
         obj = json.loads(path.read_text())
-        obj["format_version"] = 99
+        assert obj["dims"].get(key) != value
+        obj["dims"][key] = value
         path.write_text(json.dumps(obj))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="dims"):
             load_model(path)
 
     def test_invalid_payload_fails_validation(self, tmp_path, small_model):
