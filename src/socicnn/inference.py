@@ -308,16 +308,17 @@ def _fd_grad(params, Y, config):
 
 def _newton_direction(params, config):
     """Damped Newton step at a row's trace from the closed-form curvature."""
-    import scipy.linalg  # loaded on the first Newton solve, not with the package
 
     def direction_fn(r, g, trace):
         H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
         H[np.diag_indices_from(H)] += config.beta + config.damping
         try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError as exc:
             raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
-        return -scipy.linalg.cho_solve(factor, g, check_finite=False)
+        # The factor only tests definiteness: NumPy has no triangular solve, and
+        # two general solves on it cost more than one solve with H.
+        return -np.linalg.solve(H, g)
 
     return direction_fn
 
@@ -326,15 +327,13 @@ def _fd_newton_direction(params, Y, config):
     """Newton step from a central difference of the FD gradient field of a
     row's query, its ``4 n^2``-point stencil in one value query, with the
     eigenvalues clamped from below at ``beta + damping``."""
-    import scipy.linalg  # loaded on the first Newton solve, not with the package
-
     values = _fd_values(params, Y, config)
 
     def direction_fn(r, g, trace):
         f = values(r)
         H = fd_hessian(lambda P: fd_gradient(f, P, config.fd_grad_step), trace.x,
                        config.fd_hess_step)
-        w, V = scipy.linalg.eigh(H, check_finite=False)
+        w, V = np.linalg.eigh(H)
         w = np.maximum(w, config.beta + config.damping)
         return -(V @ ((V.T @ g) / w))
 

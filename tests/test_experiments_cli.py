@@ -672,7 +672,7 @@ class TestCli:
         assert exit_info.value.code == 2
 
 
-# Run in a fresh interpreter by ``test_scipy_loads_only_for_a_newton_solve``.
+# Run in a fresh interpreter by ``test_scipy_never_loads``.
 _NUMPY_ONLY_RUN = """
 import contextlib, io, sys
 import numpy as np
@@ -693,18 +693,19 @@ run_exp2(Exp2Config(points=2, trials=5))
 run_exp3(Exp3Config(directions=20, branches=30, probes=40))
 params = build_random(0, ArchSpec(3, (4,), (2,), (2,)))
 config = InferenceConfig(max_iters=5)
-for method in ("whitebox-gd", "fd-gd"):
+for method in ("whitebox-gd", "fd-gd", "whitebox-newton", "fd-newton"):
     solve(params, np.ones(3), config, method)
 assert not scipy_modules(), scipy_modules()
-solve(params, np.ones(3), config, "whitebox-newton")
-assert "scipy.linalg" in sys.modules, scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert socicnn.cli.main(["exp4", "--queries", "2", "--check"]) == 0
+assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_scipy_loads_only_for_a_newton_solve(tmp_path):
-    """``import socicnn``, the ``model`` commands, exp1-exp3 and the two
-    first-order solvers run on NumPy alone; the first Newton solve loads
-    ``scipy.linalg``."""
+def test_scipy_never_loads(tmp_path):
+    """``import socicnn``, the ``model`` commands, exp1-exp3, all four
+    solvers and a checked exp4 run on NumPy alone: no ``scipy`` module is
+    ever loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path / "model.json")],

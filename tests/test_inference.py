@@ -5,7 +5,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from socicnn import (
     DegenerateInputError,
@@ -276,6 +275,37 @@ class TestOnRandomModel:
         assert annotated.gap_to_best >= 0.0
 
 
+class TestNewtonDirection:
+    """The two Newton directions solve their systems to working precision,
+    and an indefinite damped system fails loudly.  The bounds are fixed:
+    residual ``1e-12 (1 + ||g||)`` and relative difference ``1e-12``."""
+
+    def test_indefinite_damped_system_raises(self, medium_model, monkeypatch):
+        d = medium_model.input_dim
+        monkeypatch.setattr(inference, "curvature_matrix", lambda *a, **k: -1e3 * np.eye(d))
+        with pytest.raises(SolveFailureError, match="failed to factor"):
+            solve(medium_model, np.ones(d), InferenceConfig(beta=10.0), "whitebox-newton")
+
+    def test_directions_solve_their_systems(self, medium_model):
+        config = InferenceConfig(beta=10.0)
+        shift = config.beta + config.damping
+        X = gaussian_points(107, 4, medium_model.input_dim)
+        Y = gaussian_points(108, 4, medium_model.input_dim)
+        whitebox = inference._newton_direction(medium_model, config)
+        fd = inference._fd_newton_direction(medium_model, Y, config)
+        for r, (x, y) in enumerate(zip(X, Y)):
+            trace = forward(medium_model, x)
+            _, g = objective(medium_model, y, config.beta, x)
+            bound = 1e-12 * (1 + np.linalg.norm(g))
+            C = curvature_matrix(medium_model, trace, config.tol, skip_tip_modules=True)
+            p = whitebox(r, g, trace)
+            assert np.linalg.norm((C + shift * np.eye(len(x))) @ p + g) <= bound
+            H = fd_hessian(_fd_grad(medium_model, y, config), x, config.fd_hess_step)
+            assert np.linalg.eigvalsh(H).min() > shift
+            want = -np.linalg.solve(H, g)
+            assert np.linalg.norm(fd(r, g, trace) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestTraceReuse:
     # (single-point calls, stacked calls, rows traced) at the query below.
     @pytest.mark.parametrize("method, counts", [
@@ -432,10 +462,10 @@ def reference_whitebox_newton(params, y, config):
         H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
         H[np.diag_indices_from(H)] += config.beta + config.damping
         try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError as exc:
             raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
-        return -scipy.linalg.cho_solve(factor, g, check_finite=False)
+        return -np.linalg.solve(H, g)
 
     return _descent(params, y, config, "whitebox-newton", grad_fn, direction_fn, NEWTON_MAX_ITERS)
 
@@ -450,7 +480,7 @@ def reference_fd_newton(params, y, config):
 
     def direction_fn(x, g, _):
         H = fd_hessian(field, x, config.fd_hess_step)
-        w, V = scipy.linalg.eigh(H, check_finite=False)
+        w, V = np.linalg.eigh(H)
         w = np.maximum(w, config.beta + config.damping)
         return -(V @ ((V.T @ g) / w))
 
