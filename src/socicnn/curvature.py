@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import DegenerateInputError
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol, _dot
 from .model import _gaussian_nonzero, _matvec, _nondegenerate_rows, _per_row
 from .model import _require_nondegenerate, forward
@@ -55,26 +54,18 @@ def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
 
 
 def curvature_matrix(
-    params: SocIcnnParams,
-    trace: ForwardTrace,
-    tol: float = DEFAULT_TAU,
-    skip_tip_modules: bool = False,
+    params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU
 ) -> np.ndarray:
-    """Branch Hessian of the model at this trace.
-
-    At a cone tip the conic term is undefined; ``skip_tip_modules`` drops
-    such modules (the second-order solver's fallback) instead of raising.
-    """
+    """Branch Hessian at this trace: ``(d, d)`` at a point, ``(n, d, d)`` at a
+    stacked trace, each matrix bitwise its own point's.  A module at its cone
+    tip adds no term (its ``dual._cone_scales`` is 0.0); ``hessian`` raises on a kink."""
     _check_tol(tol)
-    H = params.quad_hessian.copy()
-    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        if un <= tol:
-            if skip_tip_modules:
-                continue
-            raise DegenerateInputError("conic residual at the cone tip; Hessian undefined")
-        uhat = ug / un
-        S = A - np.outer(uhat, uhat @ A)
-        H += (lg / un) * (S.T @ S)
+    H = np.tile(params.quad_hessian, np.shape(trace.value) + (1, 1))
+    for s, A, u, un in zip(dual._cone_scales(params, trace, tol), params.A, trace.u, trace.u_norms):
+        # A tip row divides by ``un + 1``, not by zero, so its dropped term is finite.
+        uhat = (u.T / (un + (un <= tol))).T
+        S = A - uhat[..., :, None] * _matvec(A.T, uhat)[..., None, :]
+        H += (s * (np.swapaxes(S, -1, -2) @ S).T).T
     return H
 
 
@@ -157,7 +148,7 @@ def quadratic_model_residual(
     order, so the result is bitwise that of tracing each trial on its own.
     """
     _check_positive(radius, "radius")
-    _check_positive(trials, "trials")
+    _check_positive(trials, "trials", count=True)
     anchor_trace = forward(params, anchor)
     cm = _trace_hessian(params, anchor_trace, tol)
     rng = np.random.default_rng(seed)

@@ -252,8 +252,8 @@ def sample_optimal_branches(
     The result is a stacked ``DualBranch``; every row is verified to attain
     the model value at the trace point.
     """
-    if n < 0:
-        raise ValidationError("invalid-descriptor", f"branch count must be nonnegative, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValidationError("invalid-descriptor", f"branch count must be a nonnegative int: {n}")
     report = degeneracy_report(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))

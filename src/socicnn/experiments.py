@@ -66,14 +66,14 @@ def _check(name: str, passed, detail: str) -> CheckResult:
 
 
 def _require_positive(cfg, *names) -> None:
-    """Reject a config whose named fields (counts, steps, or a nonempty
-    tuple of steps) are not all positive and finite."""
+    """Reject a config whose named fields (counts, steps, or a nonempty tuple
+    of steps) are not all positive and finite, or a count (int default) not an int."""
     for name in names:
         value = getattr(cfg, name)
         if not np.size(value):
             raise ValueError(f"{name} must be positive, got {value}")
         for v in np.ravel(value).tolist():
-            _check_positive(v, name)
+            _check_positive(v, name, count=type(getattr(type(cfg), name)) is int)
 
 
 # Points per stacked block of exp1, exp2 and exp4's diagnostics.  Each point
@@ -127,6 +127,8 @@ class Exp1Config:
 
     def __post_init__(self):
         _require_positive(self, "fd_step")
+        if type(self.samples) is not int:
+            raise ValueError(f"samples must be an int, got {self.samples}")
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
@@ -206,7 +208,9 @@ class Exp2Config:
     max_draws: int = 100000
 
     def __post_init__(self):
-        _require_positive(self, "points", "trials", "radii", "fd_grad_step", "fd_hess_step")
+        _require_positive(
+            self, "points", "trials", "radii", "fd_grad_step", "fd_hess_step", "max_draws"
+        )
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
@@ -247,7 +251,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     for trace in blocks:
         m = len(trace.x)
         g_dual, g_local, g_fd = _gradient_routes(params, trace, cfg.tol, cfg.fd_grad_step)
-        H = np.array([curvature_matrix(params, trace.row(k), cfg.tol) for k in range(m)])
+        H = curvature_matrix(params, trace, cfg.tol)
         H_fd = fd_hessian(grad_field, trace.x, cfg.fd_hess_step)
         fro = _norms((H - H_fd).reshape(m, -1))
         terms.append(np.column_stack((

@@ -310,7 +310,7 @@ def _newton_direction(params, config):
     """Damped Newton step at a row's trace from the closed-form curvature."""
 
     def direction_fn(r, g, trace):
-        H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
+        H = curvature_matrix(params, trace, config.tol)
         H[np.diag_indices_from(H)] += config.beta + config.damping
         try:
             np.linalg.cholesky(H)
@@ -416,7 +416,7 @@ def readout_diagnostics(
     m, n = trace.x.shape
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
     grad_err = _norms(g_dual - curvature._trace_gradient(params, trace, tol))
-    H = np.reshape([curvature_matrix(params, trace.row(k), tol) for k in range(m)], (m, n, n))
+    H = curvature_matrix(params, trace, tol)
     H_fd = fd_hessian(_readout_field(params, tol), trace.x, fd_hess_step)
     hess_err = _norms((H - H_fd).reshape(m, n * n))
     diag = ReadoutDiagnostics(

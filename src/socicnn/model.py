@@ -386,10 +386,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
 
 
-def _check_positive(value, name: str) -> None:
-    """Reject a step, scale or count that is not positive and finite (NaN included)."""
+def _check_positive(value, name: str, count: bool = False) -> None:
+    """Reject a step, scale or count that is not positive and finite (NaN
+    included), and a ``count`` that is not an int: a float or a bool, say."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    if count and type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value}")
 
 
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:

@@ -1,5 +1,7 @@
 """Closed-form local Hessians, affine constants, and quadratic models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from socicnn import (
 from socicnn import curvature
 from socicnn.curvature import curvature_matrix
 from socicnn.experiments import Exp2Config, _random_model
-from socicnn.model import _gaussian_nonzero
+from socicnn.model import ArchSpec, _gaussian_nonzero, build_random
 
 from conftest import (
     cone_only_params,
@@ -114,12 +116,47 @@ class TestHessianFormula:
         assert np.array_equal(curvature_matrix(p, tr), fresh)
 
     def test_tip_skip_flag(self):
+        """At a cone tip the module's term is dropped, with no flag to ask
+        for it; the public ``hessian`` still refuses the kink."""
         params = cone_only_params(lam=0.8)
         tr = forward(params, [0.0, 0.0])
-        H = curvature_matrix(params, tr, skip_tip_modules=True)
+        H = curvature_matrix(params, tr)
         assert np.array_equal(H, np.zeros((2, 2)))
         with pytest.raises(DegenerateInputError):
-            curvature_matrix(params, tr)
+            hessian(params, [0.0, 0.0])
+
+
+class TestStackedCurvature:
+    """A stacked trace gives one matrix per row, bitwise its point's."""
+
+    @staticmethod
+    def rows_match(params, X):
+        H = curvature_matrix(params, forward(params, X))
+        assert H.shape == (len(X), params.input_dim, params.input_dim)
+        for k, x in enumerate(X):
+            assert np.array_equal(H[k], curvature_matrix(params, forward(params, x)))
+        return H
+
+    def test_medium_model(self, medium_model):
+        self.rows_match(medium_model, gaussian_points(130, 9, medium_model.input_dim))
+
+    def test_model_without_conic_modules(self):
+        params = build_random(5, ArchSpec(5, (7, 6), quad_dims=(4, 3), cone_dims=()))
+        H = self.rows_match(params, gaussian_points(131, 4, 5))
+        assert np.array_equal(H, np.broadcast_to(params.quad_hessian, H.shape))
+
+    def test_one_row_stack(self, medium_model):
+        self.rows_match(medium_model, gaussian_points(132, 1, medium_model.input_dim))
+
+    def test_row_at_cone_tip_drops_its_module(self):
+        params = replace(
+            cone_only_params(lam=0.8, A=[[1.0, 0.5], [0.0, 1.0]]),
+            alpha=(2.0,), B=(np.eye(2),), e=(np.zeros(2),),
+        )
+        H = self.rows_match(params, np.array([[1.0, -0.5], [0.0, 0.0], [0.3, 2.0]]))
+        assert np.array_equal(H[1], params.quad_hessian)
+        assert np.array_equal(H[1], 2.0 * np.eye(2))
+        assert not np.array_equal(H[0], H[1]) and not np.array_equal(H[2], H[1])
 
 
 class TestLocalAffine:

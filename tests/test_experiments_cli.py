@@ -12,6 +12,7 @@ import pytest
 
 from socicnn import (
     DualBranch,
+    ValidationError,
     build_degenerate_2d,
     canonical,
     curvature,
@@ -571,6 +572,28 @@ class TestCli:
         ``run_exp2`` then failed deep in ``forward_values``."""
         with pytest.raises(ValueError, match=f"{next(iter(change))} must be positive"):
             config(**change)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name, build, error", [
+        ("samples", lambda v, m: Exp1Config(samples=v), ValueError),
+        ("points", lambda v, m: Exp2Config(points=v), ValueError),
+        ("trials", lambda v, m: Exp2Config(trials=v), ValueError),
+        ("max_draws", lambda v, m: Exp2Config(max_draws=v), ValueError),
+        ("directions", lambda v, m: Exp3Config(directions=v), ValueError),
+        ("branches", lambda v, m: Exp3Config(branches=v), ValueError),
+        ("probes", lambda v, m: Exp3Config(probes=v), ValueError),
+        ("queries", lambda v, m: Exp4Config(queries=v), ValueError),
+        ("branch count", lambda v, m: dual.sample_optimal_branches(
+            m[0], forward(*m), n=v), ValidationError),
+        ("trials", lambda v, m: curvature.quadratic_model_residual(
+            m[0], [0.3, -0.2], 1e-3, trials=v), ValueError),
+    ], ids=["exp1-samples", "exp2-points", "exp2-trials", "exp2-max_draws", "exp3-directions",
+            "exp3-branches", "exp3-probes", "exp4-queries", "sampler-n", "residual-trials"])
+    def test_non_integer_count_rejected(self, name, build, error, value):
+        """A fractional or boolean count used to raise a bare ``TypeError``
+        deep inside NumPy, or, for ``True``, to run as a count of 1."""
+        with pytest.raises(error, match=f"{name} must be .*int"):
+            build(value, build_degenerate_2d())
 
     @pytest.mark.parametrize(
         "command, config",

@@ -297,7 +297,7 @@ class TestNewtonDirection:
             trace = forward(medium_model, x)
             _, g = objective(medium_model, y, config.beta, x)
             bound = 1e-12 * (1 + np.linalg.norm(g))
-            C = curvature_matrix(medium_model, trace, config.tol, skip_tip_modules=True)
+            C = curvature_matrix(medium_model, trace, config.tol)
             p = whitebox(r, g, trace)
             assert np.linalg.norm((C + shift * np.eye(len(x))) @ p + g) <= bound
             H = fd_hessian(_fd_grad(medium_model, y, config), x, config.fd_hess_step)
@@ -459,7 +459,7 @@ def reference_whitebox_newton(params, y, config):
     grad_fn = _readout_grad(params, y, config)
 
     def direction_fn(x, g, trace):
-        H = curvature_matrix(params, trace, config.tol, skip_tip_modules=True)
+        H = curvature_matrix(params, trace, config.tol)
         H[np.diag_indices_from(H)] += config.beta + config.damping
         try:
             np.linalg.cholesky(H)
