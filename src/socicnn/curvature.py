@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol, _dot
-from .model import _gaussian_nonzero, _matvec, _nondegenerate_rows, _per_row
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol
+from .model import _gaussian_nonzero, _nondegenerate_rows, _per_row
 from .model import _require_nondegenerate, forward
 
 
@@ -40,7 +40,7 @@ class CurvatureModel:
         added by the caller: returns the first- plus second-order part.  A
         stack of points gives an ``(n,)`` array, row by row bitwise."""
         delta = np.asarray(x, dtype=np.float64) - self.anchor
-        pred = _dot(self.grad, delta) + 0.5 * _dot(delta, _matvec(self.hess, delta))
+        pred = np.vecdot(self.grad, delta) + 0.5 * np.vecdot(delta, np.matvec(self.hess, delta))
         return float(pred) if delta.ndim == 1 else pred
 
 
@@ -64,7 +64,7 @@ def curvature_matrix(
     for s, A, u, un in zip(dual._cone_scales(params, trace, tol), params.A, trace.u, trace.u_norms):
         # A tip row divides by ``un + 1``, not by zero, so its dropped term is finite.
         uhat = (u.T / (un + (un <= tol))).T
-        S = A - uhat[..., :, None] * _matvec(A.T, uhat)[..., None, :]
+        S = A - uhat[..., :, None] * np.matvec(A.T, uhat)[..., None, :]
         H += (s * (np.swapaxes(S, -1, -2) @ S).T).T
     return H
 
@@ -108,9 +108,9 @@ def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     for a, W, U, b in zip(trace.a, params.W, params.U, params.b):
         mask = (a > tol).astype(np.float64)
         M = mask[..., None] * (W + U @ M)
-        m = mask * (_matvec(U, m) + b)
+        m = mask * (np.matvec(U, m) + b)
     slope = params.v + np.swapaxes(M, -1, -2) @ params.c
-    offset = params.b0 + _per_row(_dot(params.c, m))
+    offset = params.b0 + _per_row(np.vecdot(params.c, m))
     return slope, offset
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
-from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams, _dot, _matvec
+from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams
 from .model import _check_tol, _gaussian_nonzero, _per_row, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
@@ -51,7 +51,7 @@ class DualBranch:
         group in a fixed order; an ``(n,)`` array for a stack."""
         total = 0.0
         for vec in self.relu + self.quad + self.cone:
-            total = total + _dot(vec, vec)
+            total = total + np.vecdot(vec, vec)
         return _per_row(np.sqrt(total))
 
 
@@ -66,7 +66,7 @@ def upper_bounds(params: SocIcnnParams, relu: tuple) -> list:
     ub = [None] * L
     ub[L - 1] = params.c
     for l in range(L - 2, -1, -1):
-        ub[l] = _matvec(params.U[l + 1].T, relu[l + 1])
+        ub[l] = np.matvec(params.U[l + 1].T, relu[l + 1])
     return ub
 
 
@@ -96,7 +96,7 @@ def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple
             col += cols.size
         relu[l] = nu
         if l > 0:
-            bound = _matvec(params.U[l].T, nu)
+            bound = np.matvec(params.U[l].T, nu)
     return tuple(relu)
 
 
@@ -125,9 +125,9 @@ def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float)
     at a point, ``(n, d)`` at a stacked trace, each row bitwise its own
     point's (a cone tip adds none of its module's)."""
     for al, B, qh in zip(params.alpha, params.B, trace.q):
-        g += al * _matvec(B.T, qh)
+        g += al * np.matvec(B.T, qh)
     for s, A, ug in zip(_cone_scales(params, trace, tol), params.A, trace.u):
-        g += (s * _matvec(A.T, ug).T).T
+        g += (s * np.matvec(A.T, ug).T).T
 
 
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
@@ -157,7 +157,7 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | 
             worst = np.maximum(worst, np.max(-nu, axis=-1))
             worst = np.maximum(worst, np.max(nu - bound, axis=-1))
     for lg, r in zip(params.lam, branch.cone):
-        worst = np.maximum(worst, np.sqrt(_dot(r, r)) - lg)
+        worst = np.maximum(worst, np.sqrt(np.vecdot(r, r)) - lg)
     return _per_row(np.where(worst == -np.inf, 0.0, worst))
 
 
@@ -166,11 +166,11 @@ def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
     x = np.asarray(x, dtype=np.float64)
     total = float(params.v @ x) + params.b0
     for nu, W, b in zip(branch.relu, params.W, params.b):
-        total = total + _dot(nu, W @ x + b)
+        total = total + np.vecdot(nu, W @ x + b)
     for p, al, B, e in zip(branch.quad, params.alpha, params.B, params.e):
-        total = total + (_dot(p, B @ x + e) - _dot(p, p) / (2.0 * al))
+        total = total + (np.vecdot(p, B @ x + e) - np.vecdot(p, p) / (2.0 * al))
     for r, A, d in zip(branch.cone, params.A, params.d):
-        total = total + _dot(r, A @ x + d)
+        total = total + np.vecdot(r, A @ x + d)
     return total
 
 
@@ -204,7 +204,7 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     """
     g = params.v
     for M, vec in zip(params.W + params.B + params.A, branch.relu + branch.quad + branch.cone):
-        g = g + _matvec(M.T, vec)
+        g = g + np.matvec(M.T, vec)
     return g
 
 
@@ -270,7 +270,7 @@ def sample_optimal_branches(
         if dim == 0:
             cone[g] = V
             continue
-        nrm = np.sqrt(_dot(V, V))
+        nrm = np.sqrt(np.vecdot(V, V))
         for k in np.flatnonzero(nrm == 0.0):
             V[k], nrm[k] = _gaussian_nonzero(dir_rng, dim)
         cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V

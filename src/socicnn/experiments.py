@@ -23,7 +23,6 @@ from .model import (
     DegeneracySpec,
     SocIcnnParams,
     _check_positive,
-    _dot,
     _gaussian_nonzero,
     _nondegenerate_rows,
     _norms,
@@ -66,14 +65,20 @@ def _check(name: str, passed, detail: str) -> CheckResult:
 
 
 def _require_positive(cfg, *names) -> None:
-    """Reject a config whose named fields (counts, steps, or a nonempty tuple
-    of steps) are not all positive and finite, or a count (int default) not an int."""
+    """Reject a config whose ``seed`` is not a nonnegative int, or whose named
+    fields (counts, sizes, steps, or tuples of them, nonempty but for the
+    module dimensions) are not all positive and finite, or hold a float or
+    bool where the default holds ints."""
+    if type(cfg.seed) is not int or cfg.seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {cfg.seed}")
     for name in names:
         value = getattr(cfg, name)
-        if not np.size(value):
-            raise ValueError(f"{name} must be positive, got {value}")
-        for v in np.ravel(value).tolist():
-            _check_positive(v, name, count=type(getattr(type(cfg), name)) is int)
+        values = np.asarray(value, dtype=object).ravel().tolist()
+        if not values and name not in ("quad_dims", "cone_dims"):
+            raise ValueError(f"{name} must be nonempty, got {value}")
+        count = np.asarray(getattr(type(cfg), name)).dtype.kind == "i"
+        for v in values:
+            _check_positive(v, name, count=count)
 
 
 # Points per stacked block of exp1, exp2 and exp4's diagnostics.  Each point
@@ -126,7 +131,7 @@ class Exp1Config:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        _require_positive(self, "fd_step")
+        _require_positive(self, "input_dim", "widths", "quad_dims", "cone_dims", "fd_step")
         if type(self.samples) is not int:
             raise ValueError(f"samples must be an int, got {self.samples}")
         if self.samples < 0:
@@ -152,7 +157,7 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
             continue
         g_dual, g_local, g_fd = _gradient_routes(params, trace.row(kept), cfg.tol, cfg.fd_step)
         diff, dual_norm = _norms(g_dual - g_local), _norms(g_dual)
-        cosine = _dot(g_dual, g_local) / (dual_norm * _norms(g_local))
+        cosine = np.vecdot(g_dual, g_local) / (dual_norm * _norms(g_local))
         blocks.append(np.column_stack(
             (diff, diff / dual_norm, cosine, _norms(g_dual - g_fd), _norms(g_local - g_fd))
         ))
@@ -209,7 +214,8 @@ class Exp2Config:
 
     def __post_init__(self):
         _require_positive(
-            self, "points", "trials", "radii", "fd_grad_step", "fd_hess_step", "max_draws"
+            self, "points", "input_dim", "widths", "quad_dims", "cone_dims", "trials", "radii",
+            "fd_grad_step", "fd_hess_step", "max_draws",
         )
 
 
@@ -311,9 +317,27 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     return ExperimentOutput("exp2", (table_a, table_b), checks)
 
 
-# Branches per block of exp3's readout-direction product: 128 x 1000 doubles
-# (1 MB) at the default config instead of one 5000 x 1000 array.
-EXP3_CHUNK = 128
+# Directions per block of exp3's direction-readout product: 16 x 5000 doubles
+# (640 KB) at the default config, each row reduced along its contiguous
+# branches.  Sweep (directions per block -> ms for all 1000; best of 9 x 20
+# calls, 2-vCPU Xeon VM, NumPy 2.4.6, OpenBLAS 0.3.31), config seed 0 / 99:
+# 2 -> 5.2 / 5.0, 4 -> 4.1 / 4.0, 8 -> 3.9 / 3.2, 16 -> 3.0 / 3.5,
+# 32 -> 3.3 / 3.9, 64 -> 3.9 / 5.5, 128 -> 4.9 / 4.9; one full 1000 x 5000
+# product 12.4 / 12.4, the old blocks of 128 branches 4.4 / 5.5.
+EXP3_CHUNK = 16
+
+
+def _support_maxima(dirs, readouts):
+    """``max_i d_j . r_i`` over the readout rows ``r_i`` for every direction
+    row ``d_j``, in blocks of ``EXP3_CHUNK`` directions.  The readouts are
+    transposed into one C-ordered copy first, so no block's product packs a
+    strided operand."""
+    by_coord = np.ascontiguousarray(readouts.T)
+    col_max = np.empty(len(dirs))
+    for start in range(0, len(dirs), EXP3_CHUNK):
+        blk = slice(start, start + EXP3_CHUNK)
+        np.max(dirs[blk] @ by_coord, axis=1, out=col_max[blk])
+    return col_max
 
 
 @dataclass(frozen=True)
@@ -353,13 +377,9 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     )
     canon = dual.canonical(params, trace0, cfg.tol)
     readouts = dual.readout(params, branches)
-    # max_ij (r_i . d_j - dual_max_j) is max_j (max_i r_i . d_j - dual_max_j)
-    # bitwise; chunks of branches keep the product small.
-    col_max = np.full(cfg.directions, -np.inf)
-    for start in range(0, cfg.branches, EXP3_CHUNK):
-        chunk = readouts[start:start + EXP3_CHUNK] @ dirs.T
-        np.maximum(col_max, np.max(chunk, axis=0), out=col_max)
-    violation = float(np.max(col_max - dual_maxima))
+    # max_ij (r_i . d_j - dual_max_j) is max_j (max_i d_j . r_i - dual_max_j)
+    # bitwise; blocks of directions keep the product small.
+    violation = float(np.max(_support_maxima(dirs, readouts) - dual_maxima))
     min_norm_gap = float(np.min(branches.norm()) - canon.norm())
     rng_probes = np.random.default_rng([cfg.seed, 2])
     g_can = dual.readout(params, canon)
@@ -426,7 +446,7 @@ class Exp4Config:
     solver: inference.InferenceConfig = field(default_factory=inference.InferenceConfig)
 
     def __post_init__(self):
-        _require_positive(self, "queries")
+        _require_positive(self, "queries", "input_dim", "widths", "quad_dims", "cone_dims")
 
 
 METHOD_ORDER = inference.METHODS

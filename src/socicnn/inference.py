@@ -24,7 +24,7 @@ import numpy as np
 from . import curvature, dual
 from .curvature import curvature_matrix
 from .errors import NonFiniteError, SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _check_positive, _dot, _nondegenerate_rows, _norms
+from .model import DEFAULT_TAU, SocIcnnParams, _check_positive, _nondegenerate_rows, _norms
 from .model import _require_nondegenerate, conic_margin, forward, forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
@@ -128,7 +128,7 @@ def _values(params, Y, beta, X):
     traced alone."""
     trace = forward(params, X[0] if len(X) == 1 else X)
     diff = X - Y
-    return trace.value + 0.5 * beta * _dot(diff, diff), trace
+    return trace.value + 0.5 * beta * np.vecdot(diff, diff), trace
 
 
 def _descent(params, Y, config, method, grad_fn, direction_fn):

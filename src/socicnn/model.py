@@ -250,37 +250,18 @@ def validate(params: SocIcnnParams) -> None:
             raise ValidationError("negative-lambda", f"conic module {g}: lam = {l}")
 
 
-def _matvec(M, X):
-    """``M @ x`` for ``X`` itself when 1-D, else for every row of ``X``.
-
-    A stack runs one BLAS matrix-vector product per row (not one
-    matrix-matrix product), so every row is bitwise what the single-vector
-    call gives.
-    """
-    if X.ndim == 1:
-        return M @ X
-    return (M @ X[:, :, None])[:, :, 0]
-
-
-def _dot(X, Y):
-    """``x @ y`` for 1-D operands, else row by row after broadcasting, each
-    row bitwise what the single-vector call gives."""
-    if X.ndim == Y.ndim == 1:
-        return X @ Y
-    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
-
-
 def _norms(V):
     """Euclidean norm of each row, bitwise ``np.linalg.norm`` of that row."""
-    return np.sqrt(_dot(V, V))
+    return np.sqrt(np.vecdot(V, V))
 
 
-def _nonfinite_row(finite):
-    """Where ``finite`` has a False flag: None when nowhere, ``""`` for a
-    point's one flag, `` row k`` naming the first bad row of a stack."""
-    if finite.ndim == 0:
-        return None if finite else ""
-    return None if finite.all() else f" row {np.argmin(finite)}"
+def _nonfinite_row(V, stacked):
+    """Where ``V`` has a NaN or infinity: None when nowhere, ``""`` for a
+    point, `` row k`` naming the first bad row of a stack.  The happy path
+    is one scan; the per-row flags are built only on a failure."""
+    if np.isfinite(V).all():
+        return None
+    return f" row {np.argmin(np.isfinite(V).reshape(len(V), -1).all(axis=1))}" if stacked else ""
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -291,13 +272,14 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     ``(n, d)``.  A stack gives one trace whose arrays are ``(n, width)`` per
     layer and module, whose ``u_norms`` are ``(n,)`` per conic module and
     whose ``value`` is ``(n,)``; a point gives vectors and Python floats.
-    One body serves both: every product runs one matrix-vector product per
-    row, so row ``k`` of a stack is bitwise ``forward(params, x[k])``.
-    The preactivation is computed as ``W @ x + U @ z + b`` in exactly this
-    association; the degenerate builder relies on that expression to land
-    bitwise on zero.  A non-finite input or output value raises
-    ``NonFiniteError``, naming the first bad row of a stack, and an overflow
-    on the way there raises that error, not a NumPy warning.
+    One body serves both: every product is a ``np.matvec`` or ``np.vecdot``
+    gufunc, one product per row, so row ``k`` of a stack is bitwise
+    ``forward(params, x[k])``.  The preactivation is computed as
+    ``matvec(W, x) + matvec(U, z) + b`` in exactly this association; the
+    degenerate builder relies on that expression to land bitwise on zero.
+    A non-finite input or output value raises ``NonFiniteError``, naming
+    the first bad row of a stack, and an overflow on the way there raises
+    that error, not a NumPy warning.
     """
     X = np.asarray(x, dtype=np.float64)
     d0 = params.input_dim
@@ -305,25 +287,25 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
         raise ValidationError(
             "dimension-mismatch", f"input has shape {X.shape}, expected ({d0},) or (n, {d0})"
         )
-    where = _nonfinite_row(np.isfinite(X).all(axis=-1))
+    where = _nonfinite_row(X, X.ndim == 2)
     if where is not None:
         raise NonFiniteError(f"input{where} contains NaN or infinity")
     a_list, z_list = [], []
     z = np.zeros(X.shape[:-1] + (0,))
     for W, U, b in zip(params.W, params.U, params.b):
-        a = _matvec(W, X) + _matvec(U, z) + b
+        a = np.matvec(W, X) + np.matvec(U, z) + b
         z = np.maximum(a, 0.0)
         a_list.append(a)
         z_list.append(z)
-    value = _dot(params.c, z) + _dot(params.v, X) + params.b0
-    q = tuple(_matvec(B, X) + e for B, e in zip(params.B, params.e))
+    value = np.vecdot(params.c, z) + np.vecdot(params.v, X) + params.b0
+    q = tuple(np.matvec(B, X) + e for B, e in zip(params.B, params.e))
     for al, qh in zip(params.alpha, q):
-        value += 0.5 * al * _dot(qh, qh)
-    u = tuple(_matvec(A, X) + d for A, d in zip(params.A, params.d))
-    u_norms = tuple(np.sqrt(_dot(ug, ug)) for ug in u)
+        value += 0.5 * al * np.vecdot(qh, qh)
+    u = tuple(np.matvec(A, X) + d for A, d in zip(params.A, params.d))
+    u_norms = tuple(_norms(ug) for ug in u)
     for lg, un in zip(params.lam, u_norms):
         value += lg * un
-    where = _nonfinite_row(np.isfinite(value))
+    where = _nonfinite_row(value, X.ndim == 2)
     if where is not None:
         raise NonFiniteError(f"output value{where and ' of' + where} is NaN or infinite")
     if X.ndim == 1:
@@ -372,9 +354,8 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
         R = X @ A.T
         R += d
         values += lg * np.linalg.norm(R, axis=-1)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        where = np.unravel_index(bad[0], values.shape)
+    if not np.isfinite(values).all():
+        where = np.unravel_index(np.flatnonzero(~np.isfinite(values))[0], values.shape)
         where = where[0] if values.ndim == 1 else tuple(int(i) for i in where)
         raise NonFiniteError(f"output value of row {where} is NaN or infinite")
     return values
@@ -433,7 +414,7 @@ def _gaussian_nonzero(rng, dim: int, rows: int | None = None):
     if rows is not None:
         state = rng.bit_generator.state
         vecs = rng.standard_normal((rows, dim))
-        norms = np.sqrt(_dot(vecs, vecs))
+        norms = _norms(vecs)
         if np.all(norms != 0.0):
             return vecs, norms
         rng.bit_generator.state = state
@@ -559,11 +540,11 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
 
     Returns ``(params, x0)``.  At ``x0`` the chosen preactivation and the
     chosen conic residual are exactly zero by construction: biases and
-    offsets are assigned as ``target - (W @ x0 + U @ z)``, the same partial
-    sum ``forward`` computes, so the cancellation is bitwise.  Every other
-    preactivation and residual stays at least 0.1 away from zero, and the
-    zero coordinate keeps a strictly positive multiplier upper bound, so the
-    optimal multiplier set has full extent there.
+    offsets are assigned as ``target - (matvec(W, x0) + matvec(U, z))``, the
+    same partial sum ``forward`` computes, so the cancellation is bitwise.
+    Every other preactivation and residual stays at least 0.1 away from
+    zero, and the zero coordinate keeps a strictly positive multiplier upper
+    bound, so the optimal multiplier set has full extent there.
     """
     x0 = np.array(_DEG_X0)
     W = [np.array(m) for m in _DEG_W]
@@ -577,7 +558,7 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
     b = []
     z = np.zeros(0)
     for l, (Wl, Ul) in enumerate(zip(W, U)):
-        s = Wl @ x0 + Ul @ z
+        s = np.matvec(Wl, x0) + np.matvec(Ul, z)
         bl = targets[l] - s
         a = s + bl
         z = np.maximum(a, 0.0)
@@ -587,7 +568,7 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
     d = []
     for g, Ag in enumerate(A):
         if g == spec.conic_module:
-            d.append(-(Ag @ x0))
+            d.append(-np.matvec(Ag, x0))
         else:
             d.append(np.array(_DEG_CONE_OFFSET))
     params = SocIcnnParams(

@@ -33,21 +33,19 @@ def _central_stencil(x, step):
     index ``[..., 0, i, :]`` is the plus leg of coordinate ``i``, ``[..., 1,
     i, :]`` its minus leg."""
     n = x.shape[-1]
-    legs = np.repeat(x[..., None, None, :], n, axis=-2)
-    legs = np.repeat(legs, 2, axis=-3)
-    diag = np.arange(n)
-    legs[..., 0, diag, diag] += step
-    legs[..., 1, diag, diag] -= step
+    legs = np.broadcast_to(x[..., None, None, :], x.shape[:-1] + (2, n, n)).copy()
+    # Entry (i, i) of each n x n leg sits at flat offset i (n + 1).
+    diag = legs.reshape(x.shape[:-1] + (2, n * n))[..., ::n + 1]
+    diag[..., 0, :] += step
+    diag[..., 1, :] -= step
     return legs
 
 
 def _first_bad(ok, stacked):
     """The stencil coordinate (and point, for a stack) of the first False in
-    ``ok``, which is indexed ``[point,] coordinate``, or None."""
-    bad = np.argwhere(~ok)
-    if bad.size:
-        return f"coordinate {bad[0][-1]}" + (f" of point {bad[0][0]}" if stacked else "")
-    return None
+    ``ok``, which is indexed ``[point,] coordinate``."""
+    bad = np.argwhere(~ok)[0]
+    return f"coordinate {bad[-1]}" + (f" of point {bad[0]}" if stacked else "")
 
 
 def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
@@ -65,8 +63,8 @@ def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     legs = _central_stencil(x, step)
     vals = _evaluate(f, legs.reshape(-1, n), (legs.size // n,), "f")
     vals = vals.reshape(legs.shape[:-1])
-    where = _first_bad(np.all(np.isfinite(vals), axis=-2), x.ndim == 2)
-    if where:
+    if not np.isfinite(vals).all():
+        where = _first_bad(np.all(np.isfinite(vals), axis=-2), x.ndim == 2)
         raise NonFiniteError(f"non-finite evaluation near {where}")
     return (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * step)
 
@@ -117,8 +115,8 @@ def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
     legs = _central_stencil(x, step)
     grads = _evaluate(grad, legs.reshape(-1, n), (legs.size // n, n), "grad")
     grads = grads.reshape(legs.shape)
-    where = _first_bad(np.all(np.isfinite(grads), axis=(-3, -1)), x.ndim == 2)
-    if where:
+    if not np.isfinite(grads).all():
+        where = _first_bad(np.all(np.isfinite(grads), axis=(-3, -1)), x.ndim == 2)
         raise NonFiniteError(f"non-finite gradient evaluation near {where}")
     H = np.swapaxes((grads[..., 0, :, :] - grads[..., 1, :, :]) / (2.0 * step), -1, -2)
     return 0.5 * (H + np.swapaxes(H, -1, -2))

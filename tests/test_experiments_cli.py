@@ -595,6 +595,28 @@ class TestCli:
         with pytest.raises(error, match=f"{name} must be .*int"):
             build(value, build_degenerate_2d())
 
+    @pytest.mark.parametrize("config, change, message", [
+        (Exp2Config, {"input_dim": 2.5}, "input_dim must be an int"),
+        (Exp1Config, {"input_dim": True}, "input_dim must be an int"),
+        (Exp4Config, {"widths": (4.5,)}, "widths must be an int"),
+        (Exp1Config, {"quad_dims": (2.5,)}, "quad_dims must be an int"),
+        (Exp4Config, {"cone_dims": (8, True)}, "cone_dims must be an int"),
+        (Exp2Config, {"widths": (32, 0)}, "widths must be positive"),
+        (Exp1Config, {"cone_dims": (-1,)}, "cone_dims must be positive"),
+        (Exp4Config, {"widths": ()}, "widths must be nonempty"),
+        (Exp3Config, {"seed": 1.5}, "seed must be a nonnegative int"),
+        (Exp1Config, {"seed": -1}, "seed must be a nonnegative int"),
+        (Exp2Config, {"seed": True}, "seed must be a nonnegative int"),
+        (Exp4Config, {"seed": 2.0}, "seed must be a nonnegative int"),
+    ], ids=lambda v: getattr(v, "__name__", None) or (
+        "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None))
+    def test_bad_seed_or_architecture_rejected(self, config, change, message):
+        """These used to construct, then raise a bare ``TypeError`` in
+        ``build_random`` or NumPy's ``TypeError``/``ValueError`` at run time;
+        ``seed=True`` ran as seed 1."""
+        with pytest.raises(ValueError, match=message):
+            config(**change)
+
     @pytest.mark.parametrize(
         "command, config",
         [
