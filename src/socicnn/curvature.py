@@ -17,8 +17,7 @@ import numpy as np
 
 from . import dual
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol
-from .model import _gaussian_nonzero, _nondegenerate_rows, _per_row
-from .model import _require_nondegenerate, forward
+from .model import _gaussian_nonzero, _nondegenerate_rows, _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,37 +89,6 @@ def _trace_hessian(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> Cu
         signature=branch_signature(trace, tol),
         min_eigenvalue=float(np.linalg.eigvalsh(H)[0]),
     )
-
-
-def _affine_constants(params: SocIcnnParams, trace: ForwardTrace, tol: float):
-    """Slope and offset of the frozen-pattern backbone readout at a trace.
-
-    Composes the per-layer affine maps under the activation masks of the
-    trace and returns ``(slope, offset)`` with ``slope = v + M_L.T @ c`` and
-    ``offset = b0 + c @ m_L``: an independent route to the backbone part of
-    the gradient, which agrees with the canonical readout to rounding.  A
-    stacked trace gives ``(n, d)`` slopes and ``(n,)`` offsets, each row
-    bitwise its own point's.
-    """
-    lead = np.shape(trace.value)
-    M = np.zeros(lead + (0, params.input_dim))
-    m = np.zeros(lead + (0,))
-    for a, W, U, b in zip(trace.a, params.W, params.U, params.b):
-        mask = (a > tol).astype(np.float64)
-        M = mask[..., None] * (W + U @ M)
-        m = mask * (np.matvec(U, m) + b)
-    slope = params.v + np.swapaxes(M, -1, -2) @ params.c
-    offset = params.b0 + _per_row(np.vecdot(params.c, m))
-    return slope, offset
-
-
-def _trace_gradient(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> np.ndarray:
-    """Gradient assembled from the affine-composition route plus the smooth
-    module slopes, an arithmetic path independent of the multiplier readout;
-    ``(n, d)`` rows at a stacked trace."""
-    g, _ = _affine_constants(params, trace, tol)
-    dual._add_smooth_slope(g, params, trace, tol)
-    return g
 
 
 # Trials per stacked trace in quadratic_model_residual: one trace of exp2's

@@ -120,16 +120,6 @@ def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
     return quad, cone
 
 
-def _add_smooth_slope(g, params: SocIcnnParams, trace: ForwardTrace, tol: float) -> None:
-    """Add the quadratic and off-tip conic slopes to ``g`` in place: ``(d,)``
-    at a point, ``(n, d)`` at a stacked trace, each row bitwise its own
-    point's (a cone tip adds none of its module's)."""
-    for al, B, qh in zip(params.alpha, params.B, trace.q):
-        g += al * np.matvec(B.T, qh)
-    for s, A, ug in zip(_cone_scales(params, trace, tol), params.A, trace.u):
-        g += (s * np.matvec(A.T, ug).T).T
-
-
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
     """Minimum-norm optimal branch at this trace, or a stack of them at a
     stacked trace (row ``k`` bitwise the branch at row ``k``'s own trace).

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from . import curvature, dual, geometry, inference
+from . import dual, geometry, inference
 from .curvature import curvature_matrix, quadratic_model_residual
 from .errors import ConstructionError
 from .model import (
@@ -67,12 +67,15 @@ def _check(name: str, passed, detail: str) -> CheckResult:
 def _require_positive(cfg, *names) -> None:
     """Reject a config whose ``seed`` is not a nonnegative int, or whose named
     fields (counts, sizes, steps, or tuples of them, nonempty but for the
-    module dimensions) are not all positive and finite, or hold a float or
-    bool where the default holds ints."""
+    module dimensions) are not all positive and finite, hold a float or bool
+    where the default holds ints, or hold a scalar where the default holds a
+    tuple (or a tuple where it holds a scalar)."""
     if type(cfg.seed) is not int or cfg.seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {cfg.seed}")
     for name in names:
-        value = getattr(cfg, name)
+        value, seq = getattr(cfg, name), isinstance(getattr(type(cfg), name), tuple)
+        if seq != isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be {'a tuple' if seq else 'a number'}, got {value!r}")
         values = np.asarray(value, dtype=object).ravel().tolist()
         if not values and name not in ("quad_dims", "cone_dims"):
             raise ValueError(f"{name} must be nonempty, got {value}")
@@ -91,16 +94,17 @@ _BLOCK = 8
 
 
 def _gradient_routes(params, trace, tol, fd_step):
-    """Canonical-readout, affine-composition and central-difference gradients
-    at the rows of a stacked trace.  Each point's ``2 d`` stencil rows are
-    their own slab of one batched ``forward_values`` call, so every row is
-    bitwise what a one-point call gives."""
+    """Dual (canonical readout), primal (the one-sided sweep along
+    ``np.eye(d)``) and central-difference gradients at the rows of a stacked
+    trace.  Each point's ``2 d`` stencil rows are their own slab of one
+    batched ``forward_values`` call, so every row is bitwise what a one-point
+    call gives."""
     d = params.input_dim
     g_fd = fd_gradient(
         lambda Z: forward_values(params, Z.reshape(-1, 2 * d, d)).reshape(-1), trace.x, fd_step
     )
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    return g_dual, curvature._trace_gradient(params, trace, tol), g_fd
+    return g_dual, geometry._one_sided_primal(params, trace, np.eye(d), tol), g_fd
 
 
 def _running_sums(blocks, width):
@@ -139,8 +143,8 @@ class Exp1Config:
 
 
 def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
-    """Compare the multiplier readout, the affine-composition route, and a
-    central-difference oracle at Gaussian inputs.
+    """Compare the multiplier readout, the primal forward-mode sweep along
+    the coordinate axes, and a central-difference oracle at Gaussian inputs.
 
     The samples are drawn as one array and handled in stacked blocks of
     ``_BLOCK``; the per-sample terms are summed in sample order, so every
@@ -155,11 +159,11 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
         kept = np.flatnonzero(_nondegenerate_rows(trace, cfg.tol))
         if not kept.size:
             continue
-        g_dual, g_local, g_fd = _gradient_routes(params, trace.row(kept), cfg.tol, cfg.fd_step)
-        diff, dual_norm = _norms(g_dual - g_local), _norms(g_dual)
-        cosine = np.vecdot(g_dual, g_local) / (dual_norm * _norms(g_local))
+        g_dual, g_primal, g_fd = _gradient_routes(params, trace.row(kept), cfg.tol, cfg.fd_step)
+        diff, dual_norm = _norms(g_dual - g_primal), _norms(g_dual)
+        cosine = np.vecdot(g_dual, g_primal) / (dual_norm * _norms(g_primal))
         blocks.append(np.column_stack(
-            (diff, diff / dual_norm, cosine, _norms(g_dual - g_fd), _norms(g_local - g_fd))
+            (diff, diff / dual_norm, cosine, _norms(g_dual - g_fd), _norms(g_primal - g_fd))
         ))
     retained = sum(len(block) for block in blocks)
     l2_sum, rel_sum, cos_sum, fd_dual_sum, fd_local_sum = _running_sums(blocks, 5)
@@ -256,12 +260,12 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
     terms = []
     for trace in blocks:
         m = len(trace.x)
-        g_dual, g_local, g_fd = _gradient_routes(params, trace, cfg.tol, cfg.fd_grad_step)
+        g_dual, g_primal, g_fd = _gradient_routes(params, trace, cfg.tol, cfg.fd_grad_step)
         H = curvature_matrix(params, trace, cfg.tol)
         H_fd = fd_hessian(grad_field, trace.x, cfg.fd_hess_step)
         fro = _norms((H - H_fd).reshape(m, -1))
         terms.append(np.column_stack((
-            _norms(g_dual - g_local), _norms(g_dual - g_fd), fro,
+            _norms(g_dual - g_primal), _norms(g_dual - g_fd), fro,
             fro / _norms(H.reshape(m, -1)),
             np.linalg.eigvalsh(H)[:, 0], np.linalg.eigvalsh(H_fd)[:, 0],
         )))

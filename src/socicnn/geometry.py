@@ -46,22 +46,30 @@ def gradient(params: SocIcnnParams, x, tol: float = DEFAULT_TAU) -> np.ndarray:
 
 
 def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.ndarray:
-    """Exact one-sided chain rule along each row of ``units``: ReLU kinks pass
-    the positive part of their incoming slope, cone tips contribute the full
-    residual speed, smooth parts differentiate as usual."""
-    dZ = np.zeros((units.shape[0], 0))
+    """Exact one-sided chain rule along each row of ``units``, in forward mode
+    over the trace's pattern: ReLU kinks pass the positive part of their
+    incoming slope, cone tips contribute the full residual speed, smooth
+    parts differentiate as usual.  ``(m,)`` at a point, ``(n, m)`` at a
+    stacked trace, each row bitwise its point's.  Off every kink, the sweep
+    along ``np.eye(d)`` is the gradient: the primal route of every check."""
+    dZ = np.zeros(np.shape(trace.value) + (0, units.shape[0]))
     for a, W, U in zip(trace.a, params.W, params.U):
-        dA = units @ W.T + dZ @ U.T
-        dZ = np.where(a > tol, dA, np.where(a < -tol, 0.0, np.maximum(dA, 0.0)))
-    total = units @ params.v + dZ @ params.c
+        # Layout (..., width, m): at exp1's widths an 8-point block's ``U @ dZ`` took
+        # 28 us, ``dZ @ U.T`` in the transposed layout 48 us (2-vCPU Xeon, NumPy 2.4.6).
+        dZ = U @ dZ
+        dZ += W @ units.T
+        # Clamp per unit: above the kink the slope passes, below it 0, on it its positive part.
+        np.maximum(dZ, np.where(a > tol, -np.inf, 0.0)[..., None], out=dZ)
+        np.minimum(dZ, np.where(a < -tol, 0.0, np.inf)[..., None], out=dZ)
+    total = units @ params.v + params.c @ dZ
     for al, B, qh in zip(params.alpha, params.B, trace.q):
-        total += al * ((units @ B.T) @ qh)
+        total += al * np.matvec(units @ B.T, qh)
     for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
         Ad = units @ A.T
-        if un > tol:
-            total += lg * (Ad @ ug) / un
-        else:
-            total += lg * np.linalg.norm(Ad, axis=1)
+        un = np.reshape(un, np.shape(un) + (1,))
+        # A tip row divides by ``un + 1``, not by zero, and takes the norm term.
+        off_tip = lg * np.matvec(Ad, ug) / (un + (un <= tol))
+        total += np.where(un > tol, off_tip, lg * np.linalg.norm(Ad, axis=1))
     return total
 
 
@@ -78,7 +86,10 @@ class _SupportEvaluator:
 
     def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tol: float):
         smooth = params.v.copy()
-        dual._add_smooth_slope(smooth, params, trace, tol)
+        for al, B, qh in zip(params.alpha, params.B, trace.q):
+            smooth += al * np.matvec(B.T, qh)
+        for s, A, ug in zip(dual._cone_scales(params, trace, tol), params.A, trace.u):
+            smooth += s * np.matvec(A.T, ug)
         self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
         rows = []
         for relu in dual.relu_corner_assignments(params, report):

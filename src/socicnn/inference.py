@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from . import curvature, dual
+from . import dual, geometry
 from .curvature import curvature_matrix
 from .errors import NonFiniteError, SolveFailureError, ValidationError
 from .model import DEFAULT_TAU, SocIcnnParams, _check_positive, _nondegenerate_rows, _norms
@@ -399,13 +399,14 @@ def readout_diagnostics(
 ) -> ReadoutDiagnostics:
     """Agreement checks at (nondegenerate) solver outputs.
 
-    Compares the multiplier-readout gradient against the affine-composition
-    route, and the curvature formula against a central difference of the
-    analytic gradient field; also reports how far the point sits from the
-    nearest kink.  ``x`` is one point ``(d,)``, giving floats, or a stack
-    ``(m, d)``, giving ``(m,)`` arrays whose row ``k`` is bitwise the call at
-    ``x[k]`` alone; a point is traced as a stack of one.  A point on a kink
-    raises ``DegenerateInputError``, naming its row in a stack.
+    Compares the multiplier-readout gradient against the primal route (the
+    one-sided sweep along ``np.eye(d)``), and the curvature formula against a
+    central difference of the analytic gradient field; also reports how far
+    the point sits from the nearest kink.  ``x`` is one point ``(d,)``,
+    giving floats, or a stack ``(m, d)``, giving ``(m,)`` arrays whose row
+    ``k`` is bitwise the call at ``x[k]`` alone; a point is traced as a
+    stack of one.  A point on a kink raises ``DegenerateInputError``,
+    naming its row in a stack.
     """
     x = np.asarray(x, dtype=np.float64)
     trace = forward(params, x[None] if x.ndim == 1 else x)
@@ -415,7 +416,7 @@ def readout_diagnostics(
         _require_nondegenerate(trace.row(bad[0]), tol, "diagnostics" + where)
     m, n = trace.x.shape
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    grad_err = _norms(g_dual - curvature._trace_gradient(params, trace, tol))
+    grad_err = _norms(g_dual - geometry._one_sided_primal(params, trace, np.eye(n), tol))
     H = curvature_matrix(params, trace, tol)
     H_fd = fd_hessian(_readout_field(params, tol), trace.x, fd_hess_step)
     hess_err = _norms((H - H_fd).reshape(m, n * n))

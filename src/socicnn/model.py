@@ -11,10 +11,10 @@ A model is a scalar convex function of ``x`` built from three blocks:
   source of genuinely set-valued behavior away from the ReLU kinks.
 
 Layers are indexed 0-based throughout the package.  ``forward``, the one
-trace kernel, records the full trace (preactivations, activations, module
-residuals) because almost every downstream quantity is a function of it; one
-body takes a point ``(d,)`` as the 1-D case of a stack ``(n, d)``, each row
-bitwise a one-point call.  ``forward_values`` is the only other kernel: values
+trace kernel, records the full trace (preactivations and module residuals)
+because almost every downstream quantity is a function of it; one body takes
+a point ``(d,)`` as the 1-D case of a stack ``(n, d)``, each row bitwise a
+one-point call.  ``forward_values`` is the only other kernel: values
 alone, for many points, for callers such as the finite-difference oracles.
 """
 
@@ -109,15 +109,14 @@ class SocIcnnParams:
 class ForwardTrace:
     """Everything recorded during one forward pass.
 
-    ``a`` are preactivations, ``z = max(a, 0)`` activations, ``q`` and ``u``
-    the quadratic and conic residual vectors, ``u_norms`` their Euclidean
-    norms, ``value`` the scalar output.  The trace of a stack of ``n``
+    ``a`` are preactivations (the activations are ``max(a, 0)``), ``q`` and
+    ``u`` the quadratic and conic residual vectors, ``u_norms`` their
+    Euclidean norms, ``value`` the scalar output.  The trace of a stack of ``n``
     points holds ``(n, width)`` arrays, ``(n,)`` norms and ``(n,)`` values.
     """
 
     x: np.ndarray
     a: tuple
-    z: tuple
     q: tuple
     u: tuple
     u_norms: tuple
@@ -128,7 +127,7 @@ class ForwardTrace:
         row views of the arrays, and Python floats for the norms and value.
         An index array ``k`` selects those rows, in its order, as a stacked
         trace."""
-        rows = (tuple(arr[k] for arr in group) for group in (self.a, self.z, self.q, self.u))
+        rows = (tuple(arr[k] for arr in group) for group in (self.a, self.q, self.u))
         if np.ndim(k):
             return ForwardTrace(self.x[k], *rows, tuple(un[k] for un in self.u_norms),
                                 self.value[k])
@@ -290,13 +289,12 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     where = _nonfinite_row(X, X.ndim == 2)
     if where is not None:
         raise NonFiniteError(f"input{where} contains NaN or infinity")
-    a_list, z_list = [], []
+    a_list = []
     z = np.zeros(X.shape[:-1] + (0,))
     for W, U, b in zip(params.W, params.U, params.b):
         a = np.matvec(W, X) + np.matvec(U, z) + b
         z = np.maximum(a, 0.0)
         a_list.append(a)
-        z_list.append(z)
     value = np.vecdot(params.c, z) + np.vecdot(params.v, X) + params.b0
     q = tuple(np.matvec(B, X) + e for B, e in zip(params.B, params.e))
     for al, qh in zip(params.alpha, q):
@@ -310,7 +308,7 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
         raise NonFiniteError(f"output value{where and ' of' + where} is NaN or infinite")
     if X.ndim == 1:
         u_norms, value = tuple(float(un) for un in u_norms), float(value)
-    return ForwardTrace(_frozen(X), tuple(a_list), tuple(z_list), q, u, u_norms, value)
+    return ForwardTrace(_frozen(X), tuple(a_list), q, u, u_norms, value)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,4 +1,4 @@
-"""Closed-form local Hessians, affine constants, and quadratic models."""
+"""Closed-form local Hessians, branch signatures, and quadratic models."""
 
 from dataclasses import replace
 
@@ -18,7 +18,6 @@ from socicnn import (
     hessian,
     quadratic_model_residual,
 )
-from socicnn import curvature
 from socicnn.curvature import curvature_matrix
 from socicnn.experiments import Exp2Config, _random_model
 from socicnn.model import ArchSpec, _gaussian_nonzero, build_random
@@ -157,68 +156,6 @@ class TestStackedCurvature:
         assert np.array_equal(H[1], params.quad_hessian)
         assert np.array_equal(H[1], 2.0 * np.eye(2))
         assert not np.array_equal(H[0], H[1]) and not np.array_equal(H[2], H[1])
-
-
-class TestLocalAffine:
-    def test_all_inactive_returns_readout_affine(self):
-        params = constant_params(b0=3.5)
-        slope, offset = curvature._affine_constants(params, forward(params, [0.2, 0.2]), 1e-9)
-        assert np.array_equal(slope, params.v)
-        assert offset == 3.5
-
-    def test_all_active_single_layer(self):
-        from test_dual import single_layer_params
-
-        params = single_layer_params(5.0)
-        slope, offset = curvature._affine_constants(params, forward(params, [0.1, 0.1]), 1e-9)
-        assert np.allclose(slope, params.v + params.W[0].T @ params.c, atol=0)
-        assert offset == pytest.approx(params.b0 + float(params.c @ params.b[0]), rel=1e-15)
-
-    def test_reconstructs_backbone_value(self, medium_model):
-        """slope . x + offset reproduces the backbone part of the value at
-        the expansion point."""
-        p = medium_model
-        for x in gaussian_points(93, 5, p.input_dim):
-            tr = forward(p, x)
-            slope, offset = curvature._affine_constants(p, tr, 1e-9)
-            backbone = float(p.c @ tr.z[-1] + p.v @ x + p.b0)
-            assert float(slope @ x) + offset == pytest.approx(backbone, rel=1e-12, abs=1e-12)
-
-    def test_constant_on_the_branch(self, medium_model):
-        """Both constants are locally constant: a small step that keeps the
-        activation pattern leaves them bitwise unchanged."""
-        p = medium_model
-        x = gaussian_points(94, 1, p.input_dim)[0]
-        s1, o1 = curvature._affine_constants(p, forward(p, x), 1e-9)
-        s2, o2 = curvature._affine_constants(p, forward(p, x + 1e-9), 1e-9)
-        assert np.array_equal(s1, s2)
-        assert o1 == o2
-
-    def test_affine_route_gradient_agrees_with_dual_readout(self, medium_model):
-        for x in gaussian_points(95, 8, medium_model.input_dim):
-            g_dual = gradient(medium_model, x)
-            g_local = curvature._trace_gradient(medium_model, forward(medium_model, x), 1e-9)
-            assert np.linalg.norm(g_dual - g_local) <= 1e-12 * (1 + np.linalg.norm(g_dual))
-
-    def test_stacked_trace_rows_match_one_point_calls(self, medium_model, degenerate_model):
-        """At a stacked trace, the affine constants and the local gradient of
-        each row are bitwise its one-point trace's, a cone-tip row included
-        (it gets no slope from its tip module)."""
-        params, x0 = degenerate_model
-        cases = (
-            (medium_model, gaussian_points(97, 9, medium_model.input_dim)),
-            (params, x0 + np.vstack([np.zeros(2), gaussian_points(99, 3, 2, scale=1e-2)])),
-        )
-        for p, X in cases:
-            stack = forward(p, X)
-            slopes, offsets = curvature._affine_constants(p, stack, 1e-9)
-            grads = curvature._trace_gradient(p, stack, 1e-9)
-            for k, x in enumerate(X):
-                one = forward(p, x)
-                slope, offset = curvature._affine_constants(p, one, 1e-9)
-                assert np.array_equal(slopes[k], slope) and offsets[k] == offset
-                assert type(offset) is float
-                assert np.array_equal(grads[k], curvature._trace_gradient(p, one, 1e-9))
 
 
 class TestSignature:

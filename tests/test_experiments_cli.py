@@ -608,12 +608,17 @@ class TestCli:
         (Exp1Config, {"seed": -1}, "seed must be a nonnegative int"),
         (Exp2Config, {"seed": True}, "seed must be a nonnegative int"),
         (Exp4Config, {"seed": 2.0}, "seed must be a nonnegative int"),
+        (Exp1Config, {"widths": 5}, "widths must be a tuple"),
+        (Exp4Config, {"quad_dims": 3}, "quad_dims must be a tuple"),
+        (Exp2Config, {"cone_dims": 4}, "cone_dims must be a tuple"),
+        (Exp2Config, {"radii": 1e-3}, "radii must be a tuple"),
     ], ids=lambda v: getattr(v, "__name__", None) or (
         "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None))
     def test_bad_seed_or_architecture_rejected(self, config, change, message):
         """These used to construct, then raise a bare ``TypeError`` in
-        ``build_random`` or NumPy's ``TypeError``/``ValueError`` at run time;
-        ``seed=True`` ran as seed 1."""
+        ``build_random`` (a scalar where the default is a tuple, too) or
+        NumPy's ``TypeError``/``ValueError`` at run time; ``seed=True`` ran
+        as seed 1."""
         with pytest.raises(ValueError, match=message):
             config(**change)
 

@@ -1,12 +1,12 @@
 """exp1, exp2 and exp4's diagnostics against the one-point-at-a-time loops
 that the stacked blocks replaced.
 
-``reference_exp1`` and ``reference_exp2`` keep those loops verbatim, and
-with them the one-point gradient and curvature routes they called
-(``reference_trace_gradient``, ``reference_curvature_matrix``).  Every cell
-of every table apart from the ``*_ms`` columns must equal the stacked run's
-as a float hex, with the same Python type, and the check verdicts must
-agree.  ``reference_exp4_diagnostics`` keeps exp4's per-query diagnostics
+``reference_exp1`` and ``reference_exp2`` keep those loops verbatim, with
+the one-point curvature route they called (``reference_curvature_matrix``)
+and the primal gradient as a one-point call of the one-sided sweep
+(``reference_trace_gradient``).  Every cell of every table apart from the
+``*_ms`` columns must equal the stacked run's as a float hex, with the same
+Python type, and the check verdicts must agree.  ``reference_exp4_diagnostics`` keeps exp4's per-query diagnostics
 loop and the one-point ``readout_diagnostics`` it called; its cells must
 equal the stacked run's as float hexes.
 """
@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from socicnn import ConstructionError, DegenerateInputError, curvature, dual, inference
+from socicnn import ConstructionError, DegenerateInputError, dual, geometry, inference
 from socicnn.curvature import (
     CurvatureModel,
     branch_signature,
@@ -41,27 +41,9 @@ from socicnn.model import forward, forward_values, relu_margin
 from socicnn.oracle import fd_gradient, fd_hessian
 
 
-def reference_affine_constants(params, trace, tol):
-    d0 = params.input_dim
-    M = np.zeros((0, d0))
-    m = np.zeros(0)
-    for a, W, U, b in zip(trace.a, params.W, params.U, params.b):
-        mask = (a > tol).astype(np.float64)
-        M = mask[:, None] * (W + U @ M)
-        m = mask * (U @ m + b)
-    slope = params.v + M.T @ params.c
-    offset = params.b0 + float(params.c @ m)
-    return slope, offset
-
-
 def reference_trace_gradient(params, trace, tol):
-    g, _ = reference_affine_constants(params, trace, tol)
-    for al, B, qh in zip(params.alpha, params.B, trace.q):
-        g += al * (B.T @ qh)
-    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
-        if un > tol:
-            g += (lg / un) * (A.T @ ug)
-    return g
+    """The primal gradient of one point: the sweep along ``np.eye(d)``."""
+    return geometry._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
 
 
 def reference_curvature_matrix(params, trace, tol):
@@ -295,7 +277,7 @@ def reference_readout_diagnostics(params, x, tol=DEFAULT_TAU, fd_hess_step=1e-5)
     trace = forward(params, x)
     _require_nondegenerate(trace, tol, "diagnostics")
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    g_local = curvature._trace_gradient(params, trace, tol)
+    g_local = reference_trace_gradient(params, trace, tol)
     grad_err = float(np.linalg.norm(g_dual - g_local))
     grad_rel = grad_err / max(float(np.linalg.norm(g_dual)), 1e-300)
     H = curvature_matrix(params, trace, tol)

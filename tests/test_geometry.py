@@ -23,6 +23,8 @@ from socicnn import (
     readout,
     sample_optimal_branches,
 )
+from socicnn import dual, geometry
+from socicnn.model import DEFAULT_TAU, _nondegenerate_rows
 
 from conftest import (
     branch_row,
@@ -32,7 +34,7 @@ from conftest import (
     gaussian_points,
     quad_only_params,
 )
-from test_dual import wide_zero_net, zero_preact_pair
+from test_dual import single_layer_params, wide_zero_net, zero_preact_pair
 
 
 def subdifferential_sample(params, x, n=64, seed=0):
@@ -43,22 +45,27 @@ def subdifferential_sample(params, x, n=64, seed=0):
     return np.vstack([readout(params, sampled), readout(params, corner_branches(params, trace))])
 
 
-def planted_kinks():
-    """``build_random(5, ArchSpec(6, (8, 8), (3,), (3, 5)))`` moved onto
-    kinks at a Gaussian point ``x`` by the bias trick.  Units 1 and 4 of
-    layer 0 and unit 2 of layer 1 take the bias ``-(W @ x + U @ z)``, which
-    ``forward`` cancels bitwise, and each conic offset ``-(A @ x)`` puts its
-    residual at the cone tip: three free ReLU coordinates over two layers
-    and cone tips of dimensions 3 and 5."""
-    params = build_random(5, ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)))
-    x = np.random.default_rng(5).standard_normal(6)
+def planted_kinks(seed=5, arch=ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)),
+                  coords=((0, 1), (0, 4), (1, 2)), tips=(0, 1)):
+    """``build_random(seed, arch)`` moved onto kinks at a Gaussian point ``x``
+    by the bias trick.  Unit ``i`` of layer ``l``, for each ``(l, i)`` in
+    ``coords``, takes the bias ``-(matvec(W_l, x) + matvec(U_l, z))[i]``,
+    which ``forward`` cancels bitwise, and each conic module in ``tips`` the
+    offset ``-matvec(A_g, x)``, which puts its residual at the cone tip.  By
+    default: three free ReLU coordinates over two layers and cone tips of
+    dimensions 3 and 5."""
+    params = build_random(seed, arch)
+    x = np.random.default_rng(seed).standard_normal(arch.input_dim)
     b = [bl.copy() for bl in params.b]
     z = np.zeros(0)
-    for l, (W, U, kinked) in enumerate(zip(params.W, params.U, ((1, 4), (2,)))):
-        s = W @ x + U @ z
-        b[l][list(kinked)] = -s[list(kinked)]
+    for l, (W, U) in enumerate(zip(params.W, params.U)):
+        s = np.matvec(W, x) + np.matvec(U, z)
+        kinked = [i for k, i in coords if k == l]
+        b[l][kinked] = -s[kinked]
         z = np.maximum(s + b[l], 0.0)
-    return replace(params, b=b, d=[-(A @ x) for A in params.A]), x
+    d = [-np.matvec(A, x) if g in tips else dg
+         for g, (A, dg) in enumerate(zip(params.A, params.d))]
+    return replace(params, b=b, d=d), x
 
 
 def canonical_gap_fraction(params, x, n_directions, seed=0):
@@ -385,3 +392,135 @@ class TestPlantedKinks:
         fd = fd_directional(lambda Y: forward_values(params, Y), x, units, step=1e-7)
         assert np.max(np.abs(fd - res.dual_max)) <= 1e-6
         assert canonical_gap_fraction(params, x, n_directions=200) == 1.0
+
+
+def primal_sweep(params, trace, units):
+    """The one primal route: the one-sided forward-mode sweep of a trace."""
+    return geometry._one_sided_primal(params, trace, units, DEFAULT_TAU)
+
+
+class TestPrimalSweepGradient:
+    """Off every kink the sweep along ``np.eye(d)`` is the gradient, an
+    arithmetic route independent of the multiplier readout."""
+
+    def test_all_inactive_returns_readout_affine(self):
+        params = constant_params(b0=3.5)
+        assert np.array_equal(primal_sweep(params, forward(params, [0.2, 0.2]), np.eye(2)),
+                              params.v)
+
+    def test_all_active_single_layer(self):
+        params = single_layer_params(5.0)
+        slope = primal_sweep(params, forward(params, [0.1, 0.1]), np.eye(2))
+        assert np.allclose(slope, params.v + params.W[0].T @ params.c, atol=0)
+
+    def test_backbone_slope_constant_on_the_branch(self, medium_model):
+        """Without modules the slope is the frozen pattern's: a small step
+        that keeps the activation pattern leaves it bitwise unchanged."""
+        p = replace(medium_model, alpha=(), B=(), e=(), lam=(), A=(), d=())
+        x = gaussian_points(94, 1, p.input_dim)[0]
+        eye = np.eye(p.input_dim)
+        s1 = primal_sweep(p, forward(p, x), eye)
+        assert np.array_equal(s1, primal_sweep(p, forward(p, x + 1e-9), eye))
+
+    def test_sweep_gradient_agrees_with_dual_readout(self, medium_model):
+        for x in gaussian_points(95, 8, medium_model.input_dim):
+            g_dual = gradient(medium_model, x)
+            g_primal = primal_sweep(medium_model, forward(medium_model, x),
+                                    np.eye(medium_model.input_dim))
+            assert np.linalg.norm(g_dual - g_primal) <= 1e-12 * (1 + np.linalg.norm(g_dual))
+
+    def test_stacked_trace_rows_match_one_point_calls(self, medium_model, degenerate_model):
+        """At a stacked trace, each row of the sweep is bitwise its one-point
+        trace's, along the axes and along random directions, a cone-tip row
+        included (its tip module contributes the norm term)."""
+        params, x0 = degenerate_model
+        cases = (
+            (medium_model, gaussian_points(97, 9, medium_model.input_dim)),
+            (params, x0 + np.vstack([np.zeros(2), gaussian_points(99, 3, 2, scale=1e-2)])),
+        )
+        for p, X in cases:
+            stack = forward(p, X)
+            for units in (np.eye(p.input_dim), gaussian_points(98, 5, p.input_dim)):
+                got = primal_sweep(p, stack, units)
+                assert got.shape == (len(X), len(units))
+                for k, x in enumerate(X):
+                    one = primal_sweep(p, forward(p, x), units)
+                    assert one.shape == (len(units),)
+                    assert np.array_equal(got[k], one)
+
+
+SWEEP_ARCHS = (
+    ArchSpec(1, (3,)),
+    ArchSpec(3, (5,), (2,), ()),
+    ArchSpec(4, (6, 6), (), (3,)),
+    ArchSpec(5, (7, 6, 5), (3, 2), (1,)),
+    ArchSpec(6, (12, 12, 12), (3,), (4, 3)),
+    ArchSpec(8, (16, 8), (4,), (5, 2)),
+    ArchSpec(20, (64, 64, 64, 64), (20, 20), (20, 20)),
+)
+
+# Six free ReLU coordinates over three layers and one cone tip of dimension 4.
+PLANTED_6 = dict(
+    seed=3,
+    arch=ArchSpec(6, (12, 12, 12), (3,), (4, 3)),
+    coords=((0, 2), (0, 7), (1, 4), (1, 9), (2, 1), (2, 10)),
+    tips=(0,),
+)
+
+
+class TestOnePrimalRoute:
+    """The sweep beyond the 2-D fixture: the gradient off kinks on random
+    architectures, and the exact one-sided derivative at planted kinks."""
+
+    @pytest.mark.parametrize("seed, arch", list(enumerate(SWEEP_ARCHS)),
+                             ids=[f"d{a.input_dim}-w{len(a.widths)}" for a in SWEEP_ARCHS])
+    def test_sweep_is_the_gradient_off_kinks(self, seed, arch):
+        params = build_random(seed, arch)
+        d = arch.input_dim
+        X = gaussian_points(100 + seed, 6, d)
+        trace = forward(params, X)
+        assert np.all(_nondegenerate_rows(trace, DEFAULT_TAU))
+        units = gaussian_points(200 + seed, 16, d)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        G = primal_sweep(params, trace, np.eye(d))
+        P = primal_sweep(params, trace, units)
+        for k, x in enumerate(X):
+            g = gradient(params, x)
+            bound = 1e-12 * (1 + np.linalg.norm(g))
+            assert np.linalg.norm(G[k] - g) <= bound
+            assert np.max(np.abs(units @ G[k] - P[k])) <= bound
+
+    @pytest.fixture(params=["degenerate-2d", "planted-6-free-1-tip"])
+    def kink(self, request, degenerate_model):
+        if request.param == "degenerate-2d":
+            return degenerate_model
+        params, x = planted_kinks(**PLANTED_6)
+        report = degeneracy_report(forward(params, x))
+        assert report.relu_zero_coords == PLANTED_6["coords"]
+        assert report.conic_zero_modules == PLANTED_6["tips"]
+        return params, x
+
+    def test_sweep_is_sublinear(self, kink):
+        params, x = kink
+        trace = forward(params, x)
+        D1, D2 = (gaussian_points(s, 300, params.input_dim) for s in (301, 302))
+        p1, p2 = primal_sweep(params, trace, D1), primal_sweep(params, trace, D2)
+        slack = 1e-12 * (1 + np.abs(p1) + np.abs(p2))
+        assert np.all(primal_sweep(params, trace, D1 + D2) <= p1 + p2 + slack)
+        for t in (0.25, 3.0):
+            assert np.allclose(primal_sweep(params, trace, t * D1), t * p1, rtol=1e-12, atol=1e-12)
+
+    def test_sweep_bounds_the_canonical_slope(self, kink):
+        params, x = kink
+        trace = forward(params, x)
+        units = gaussian_points(303, 300, params.input_dim)
+        g_can = readout(params, dual.canonical(params, trace, DEFAULT_TAU))
+        primal = primal_sweep(params, trace, units)
+        assert np.all(primal >= units @ g_can - 1e-12 * (1 + np.abs(primal)))
+
+    def test_primal_equals_dual_max(self, kink):
+        params, x = kink
+        units = gaussian_points(304, 300, params.input_dim)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        res = directional_derivative(params, x, units)
+        assert np.all(np.abs(res.primal - res.dual_max) <= 1e-12 * (1 + np.abs(res.dual_max)))

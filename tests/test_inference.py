@@ -172,7 +172,7 @@ class TestQuadraticToy:
                 raise AssertionError("analytic route used: curvature_matrix")
 
         monkeypatch.setattr(inference, "dual", Forbidden())
-        monkeypatch.setattr(inference, "curvature", Forbidden())
+        monkeypatch.setattr(inference, "geometry", Forbidden())
         monkeypatch.setattr(inference, "curvature_matrix", Forbidden())
         for method in ("fd-gd", "fd-newton"):
             rep = solve(self.params, self.y, self.cfg, method)

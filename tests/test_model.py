@@ -47,9 +47,8 @@ class TestForward:
     def test_trace_records_consistent_pieces(self, small_model):
         x = np.array([0.3, -0.1, 0.7, 0.2])
         tr = forward(small_model, x)
-        for a, z in zip(tr.a, tr.z):
-            assert np.array_equal(z, np.maximum(a, 0.0))
-        recon = float(small_model.c @ tr.z[-1] + small_model.v @ x + small_model.b0)
+        recon = float(small_model.c @ np.maximum(tr.a[-1], 0.0) + small_model.v @ x
+                      + small_model.b0)
         for al, q in zip(small_model.alpha, tr.q):
             recon += 0.5 * al * float(q @ q)
         for lg, un in zip(small_model.lam, tr.u_norms):
@@ -84,7 +83,7 @@ def assert_trace_rows(stacked, X, params):
     for bit."""
     rows = [forward(params, x) for x in X]
     assert np.array_equal(stacked.x, X)
-    for name in ("a", "z", "q", "u"):
+    for name in ("a", "q", "u"):
         for k, arr in enumerate(getattr(stacked, name)):
             assert arr.shape == (len(X),) + getattr(rows[0], name)[k].shape
             assert np.array_equal(arr, [getattr(tr, name)[k] for tr in rows])
@@ -149,7 +148,7 @@ class TestStackedForward:
         X = gaussian_points(16, 5, medium_model.input_dim)
         got, want = forward(medium_model, X).row(k), forward(medium_model, X[k])
         assert np.array_equal(got.x, want.x)
-        for name in ("a", "z", "q", "u"):
+        for name in ("a", "q", "u"):
             pairs = zip(getattr(got, name), getattr(want, name), strict=True)
             assert all(np.array_equal(g, w) for g, w in pairs)
         assert repr((got.u_norms, got.value)) == repr((want.u_norms, want.value))
