@@ -66,43 +66,29 @@ def _table_text(table: experiments.Table, fmt: str) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
-def _coerce(key: str, default, value):
-    """``value`` from JSON as the type of the field default ``default``: a
-    nested config from an object, a tuple from an array (each element typed
-    like the default's first), a non-negative integer (or null where the
-    default is None), or a float from a finite non-negative number."""
-    if dataclasses.is_dataclass(default):
-        if not isinstance(value, dict):
-            raise CliError(f"{key} takes a JSON object, got {value!r}")
+def _coerce(default, value):
+    """The JSON ``value`` of the field whose default is ``default`` in the
+    field's Python shape: an object as a nested config, an array as a tuple
+    (each element shaped like the default's first), and an integer as a
+    float where the default is a float.  The config itself checks the rest."""
+    if isinstance(value, dict) and dataclasses.is_dataclass(default):
         return _build_config(type(default), value)
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise CliError(f"{key} takes a JSON array, got {value!r}")
-        return tuple(_coerce(key, default[0], v) for v in value)
-    if default is None and value is None:
-        return None
-    if isinstance(default, int) or default is None:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise CliError(f"{key} takes a non-negative integer, got {value!r}")
-        return value
-    if isinstance(default, float):
-        finite = isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max
-        if isinstance(value, bool) or not finite:
-            raise CliError(f"{key} takes a finite non-negative number, got {value!r}")
+    if isinstance(value, list):
+        item = default[0] if isinstance(default, tuple) else None
+        return tuple(_coerce(item, v) for v in value)
+    if isinstance(default, float) and type(value) is int:
         return float(value)
     return value
 
 
 def _build_config(cls, values: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - names
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     defaults = cls()
-    values = {k: _coerce(k, getattr(defaults, k), v) for k, v in values.items()}
     try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
+        return cls(**{k: _coerce(getattr(defaults, k), v) for k, v in values.items()})
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"bad config value: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from .model import (
     DEFAULT_TAU,
     DegeneracySpec,
     SocIcnnParams,
-    _check_positive,
+    _check_config,
     _gaussian_nonzero,
     _nondegenerate_rows,
     _norms,
@@ -62,26 +62,6 @@ class ExperimentOutput:
 
 def _check(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _require_positive(cfg, *names) -> None:
-    """Reject a config whose ``seed`` is not a nonnegative int, or whose named
-    fields (counts, sizes, steps, or tuples of them, nonempty but for the
-    module dimensions) are not all positive and finite, hold a float or bool
-    where the default holds ints, or hold a scalar where the default holds a
-    tuple (or a tuple where it holds a scalar)."""
-    if type(cfg.seed) is not int or cfg.seed < 0:
-        raise ValueError(f"seed must be a nonnegative int, got {cfg.seed}")
-    for name in names:
-        value, seq = getattr(cfg, name), isinstance(getattr(type(cfg), name), tuple)
-        if seq != isinstance(value, (tuple, list)):
-            raise ValueError(f"{name} must be {'a tuple' if seq else 'a number'}, got {value!r}")
-        values = np.asarray(value, dtype=object).ravel().tolist()
-        if not values and name not in ("quad_dims", "cone_dims"):
-            raise ValueError(f"{name} must be nonempty, got {value}")
-        count = np.asarray(getattr(type(cfg), name)).dtype.kind == "i"
-        for v in values:
-            _check_positive(v, name, count=count)
 
 
 # Points per stacked block of exp1, exp2 and exp4's diagnostics.  Each point
@@ -135,11 +115,7 @@ class Exp1Config:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        _require_positive(self, "input_dim", "widths", "quad_dims", "cone_dims", "fd_step")
-        if type(self.samples) is not int:
-            raise ValueError(f"samples must be an int, got {self.samples}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be nonnegative, got {self.samples}")
+        _check_config(self, ("input_dim", "widths", "quad_dims", "cone_dims", "fd_step"))
 
 
 def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
@@ -217,10 +193,10 @@ class Exp2Config:
     max_draws: int = 100000
 
     def __post_init__(self):
-        _require_positive(
-            self, "points", "input_dim", "widths", "quad_dims", "cone_dims", "trials", "radii",
+        _check_config(self, (
+            "points", "input_dim", "widths", "quad_dims", "cone_dims", "trials", "radii",
             "fd_grad_step", "fd_hess_step", "max_draws",
-        )
+        ))
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
@@ -357,7 +333,7 @@ class Exp3Config:
     degeneracy: DegeneracySpec = field(default_factory=DegeneracySpec)
 
     def __post_init__(self):
-        _require_positive(self, "directions", "branches", "probes", "fd_step")
+        _check_config(self, ("directions", "branches", "probes", "fd_step"))
 
 
 def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
@@ -450,7 +426,7 @@ class Exp4Config:
     solver: inference.InferenceConfig = field(default_factory=inference.InferenceConfig)
 
     def __post_init__(self):
-        _require_positive(self, "queries", "input_dim", "widths", "quad_dims", "cone_dims")
+        _check_config(self, ("queries", "input_dim", "widths", "quad_dims", "cone_dims"))
 
 
 METHOD_ORDER = inference.METHODS

@@ -24,8 +24,8 @@ import numpy as np
 from . import dual, geometry
 from .curvature import curvature_matrix
 from .errors import NonFiniteError, SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _check_positive, _nondegenerate_rows, _norms
-from .model import _require_nondegenerate, conic_margin, forward, forward_values, relu_margin
+from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_positive, _norms, conic_margin
+from .model import _nondegenerate_rows, _require_nondegenerate, forward, forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -54,21 +54,11 @@ class InferenceConfig:
     fd_hess_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("beta", "damping", "fd_grad_step", "fd_hess_step"):
-            _check_positive(getattr(self, name), name)
+        _check_config(self, ("beta", "damping", "fd_grad_step", "fd_hess_step"))
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo must lie in (0, 1)")
-        if type(self.max_backtracks) is not int or self.max_backtracks < 0:
-            raise ValueError(f"max_backtracks must be a nonnegative int: {self.max_backtracks!r}")
-        if self.max_iters is not None and (type(self.max_iters) is not int or self.max_iters < 0):
-            raise ValueError(f"max_iters must be a nonnegative int or None: {self.max_iters!r}")
-        for name in ("grad_tol", "progress_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if not 0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +111,7 @@ def _trial_block(params, y, beta, x, p, etas):
     return (X, *_values(params, y, beta, X))
 
 
+@np.errstate(over="ignore")
 def _values(params, Y, beta, X):
     """Objective values at the rows of ``X`` for the queries at the rows of
     ``Y``, and one trace of them all: a stacked one, or a one-point trace
@@ -131,6 +122,7 @@ def _values(params, Y, beta, X):
     return trace.value + 0.5 * beta * np.vecdot(diff, diff), trace
 
 
+@np.errstate(over="ignore")
 def _descent(params, Y, config, method, grad_fn, direction_fn):
     """Armijo-backtracked descent shared by all four solvers, run on the
     query rows of ``Y`` in lockstep; returns one report per row.

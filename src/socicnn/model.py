@@ -21,7 +21,9 @@ alone, for many points, for callers such as the finite-difference oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -172,6 +174,9 @@ class DegeneracySpec:
     relu_layer: int = 1
     relu_coord: int = 0
     conic_module: int = 0
+
+    def __post_init__(self):
+        _check_config(self)
 
 
 def validate(params: SocIcnnParams) -> None:
@@ -374,6 +379,45 @@ def _check_positive(value, name: str, count: bool = False) -> None:
         raise ValueError(f"{name} must be an int, got {value}")
 
 
+def _check_config(cfg, positive=()) -> None:
+    """Reject, with a ``ValueError`` that names it, a field of the config
+    dataclass ``cfg`` whose value is not of the kind its default holds: an
+    instance of the default's class for a nested config; a tuple or list of
+    its first element's kind, nonempty but for the module dimensions, for a
+    tuple; a non-bool int, or None where the default is None, for an int; a
+    finite real number for a float.  Every number must be nonnegative, and
+    positive for the fields named in ``positive``."""
+    for f in fields(cfg):
+        name, value = f.name, getattr(cfg, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if is_dataclass(default):
+            if not isinstance(value, type(default)):
+                raise ValueError(f"{name} must be an instance of {type(default).__name__}")
+            continue
+        seq = isinstance(default, tuple)
+        if seq != isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be {'a tuple' if seq else 'a number'}, got {value!r}")
+        if seq and not value and name not in ("quad_dims", "cone_dims"):
+            raise ValueError(f"{name} must be nonempty, got {value!r}")
+        kind = default[0] if seq else default
+        count = kind is None or type(kind) is int
+        sign = "positive" if name in positive else "nonnegative"
+        rule = f"a {sign} int" if count else f"{sign} and finite"
+        for v in value if seq else (value,):
+            if v is None and kind is None:
+                continue
+            if not isinstance(v, numbers.Real):
+                bad = "a number"
+            elif not (v > 0 if name in positive else v >= 0) or not v <= sys.float_info.max:
+                bad = sign if count else rule
+            elif isinstance(v, bool) or count and type(v) is not int:
+                bad = "an int" if count else "a number"
+            else:
+                continue
+            hint = "" if bad == rule else f" ({name} must be {rule})"
+            raise ValueError(f"{name} must be {bad}, got {v!r}{hint}")
+
+
 def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
     """Classify every kink of the trace of one point, within absolute
     tolerance ``tol``; a stacked trace raises ``ValidationError``."""
@@ -475,12 +519,9 @@ def build_random(seed: int, arch: ArchSpec) -> SocIcnnParams:
     dual upper bounds.  The scalar ``b0`` stays at unit scale.  ``alpha``
     and ``lam`` are uniform on ``[0.5, 1.5]``.
     """
-    if arch.input_dim <= 0 or not arch.widths:
-        raise ValidationError("invalid-descriptor", "input_dim and widths must be positive")
-    if any(w <= 0 for w in arch.widths):
-        raise ValidationError("invalid-descriptor", "layer widths must be positive")
-    if any(m <= 0 for m in arch.quad_dims) or any(k <= 0 for k in arch.cone_dims):
-        raise ValidationError("invalid-descriptor", "module dimensions must be positive")
+    dims = (arch.input_dim, *arch.widths, *arch.quad_dims, *arch.cone_dims)
+    if not arch.widths or not all(type(n) is int and n > 0 for n in dims):
+        raise ValidationError("invalid-descriptor", f"need widths and positive int dims: {arch}")
     rng = np.random.default_rng(seed)
     d0 = arch.input_dim
     W, U, b = [], [], []

@@ -1,5 +1,6 @@
 """Experiment drivers at reduced scale, and the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    DegeneracySpec,
     DualBranch,
+    InferenceConfig,
     ValidationError,
     build_degenerate_2d,
     canonical,
@@ -25,7 +28,7 @@ from socicnn import (
     load_model,
     readout,
 )
-from socicnn.cli import main
+from socicnn.cli import CliError, _load_config, main
 from socicnn.experiments import (
     Exp1Config,
     Exp2Config,
@@ -566,6 +569,7 @@ class TestCli:
         (Exp3Config, {"fd_step": float("inf")}),
         (Exp3Config, {"probes": float("inf")}),
         (Exp4Config, {"queries": float("nan")}),
+        (Exp1Config, {"fd_step": 10 ** 400}),
     ], ids=lambda v: getattr(v, "__name__", None) or "-".join(f"{k}={x}" for k, x in v.items()))
     def test_non_finite_config_value_rejected(self, config, change):
         """An infinite step or radius used to construct, and ``run_exp1`` or
@@ -612,6 +616,16 @@ class TestCli:
         (Exp4Config, {"quad_dims": 3}, "quad_dims must be a tuple"),
         (Exp2Config, {"cone_dims": 4}, "cone_dims must be a tuple"),
         (Exp2Config, {"radii": 1e-3}, "radii must be a tuple"),
+        (Exp3Config, {"degeneracy": 5}, "degeneracy must be an instance of DegeneracySpec"),
+        (Exp4Config, {"solver": 5}, "solver must be an instance of InferenceConfig"),
+        (DegeneracySpec, {"relu_layer": 1.5}, "relu_layer must be an int"),
+        (DegeneracySpec, {"relu_coord": True}, "relu_coord must be an int"),
+        (Exp1Config, {"tol": -1.0}, "tol must be nonnegative and finite"),
+        (Exp1Config, {"tol": float("nan")}, "tol must be nonnegative and finite"),
+        (Exp3Config, {"tol": float("inf")}, "tol must be nonnegative and finite"),
+        (Exp2Config, {"margin_gate": -1.0}, "margin_gate must be nonnegative"),
+        (Exp2Config, {"anchor_conic_margin": float("nan")}, "anchor_conic_margin must be nonneg"),
+        (Exp3Config, {"probes": "x"}, "probes must be a number"),
     ], ids=lambda v: getattr(v, "__name__", None) or (
         "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None))
     def test_bad_seed_or_architecture_rejected(self, config, change, message):
@@ -656,6 +670,7 @@ class TestCli:
             ("exp4", {"solver": {"tol": -1.0}}),
             ("exp4", {"solver": {"tol": float("nan")}}),
             ("exp1", {"samples": 10 ** 15}),
+            ("exp1", {"fd_step": 10 ** 400}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
@@ -667,6 +682,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_every_config_field_fails_only_with_its_named_error(self, tmp_path):
+        """Each field of each config, set in turn to each value of a fixed
+        pool, either constructs or raises a ``ValueError`` naming the field,
+        and the same value sent as JSON through the CLI's loader either loads
+        or raises only ``CliError``, with the same verdict except where a
+        JSON object is a nested config's fields: 561 cases."""
+        path = tmp_path / "cfg.json"
+        pool = (-1, 0, 2.5, True, float("nan"), float("inf"), "x", [], {}, None, Exp1Config())
+        for cls in (Exp1Config, Exp2Config, Exp3Config, Exp4Config, InferenceConfig,
+                    DegeneracySpec):
+            for f in dataclasses.fields(cls):
+                for value in pool:
+                    try:
+                        cls(**{f.name: value})
+                        python_ok = True
+                    except ValueError as exc:
+                        assert f.name in str(exc), (cls.__name__, f.name, value, exc)
+                        python_ok = False
+                    plain = dataclasses.asdict(value) if isinstance(value, Exp1Config) else value
+                    path.write_text(json.dumps({f.name: plain}))
+                    try:
+                        _load_config(cls, str(path), {})
+                        cli_ok = True
+                    except CliError:
+                        cli_ok = False
+                    nested = dataclasses.is_dataclass(getattr(cls(), f.name))
+                    assert cli_ok == python_ok or (nested and value == {}), (
+                        cls.__name__, f.name, value)
 
     def test_missing_config_file_rejected(self, capsys):
         assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2

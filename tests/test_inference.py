@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    ArchSpec,
     DegenerateInputError,
     InferenceConfig,
+    build_random,
     forward,
     objective,
     readout_diagnostics,
@@ -230,6 +232,27 @@ class TestDescentMechanics:
         rep = solve(medium_model, y, cfg, "whitebox-gd")
         assert rep.iterations <= 1
         assert rep.stop_reason in ("max-iters", "line-search-failure")
+
+    @pytest.mark.parametrize("beta", [1e300, 1e308, 1.7e308])
+    def test_huge_finite_beta_leaks_no_overflow_warning(self, medium_model, beta):
+        """A huge finite ``beta`` used to leak NumPy's overflow warning, an
+        error under this suite's filter: whitebox-gd's trial values overflow
+        (now ``inf``, which fails the Armijo test), and on a tiny model so does
+        the FD pair's gradient norm (now a ``NonFiniteError`` once a step
+        leaves the floats)."""
+        Y = gaussian_points(105, 2, medium_model.input_dim)
+        for method in METHODS:
+            reports = solve(medium_model, Y, InferenceConfig(beta=beta), method)
+            objectives = np.array([rep.objective for rep in reports])
+            assert np.all(objectives <= forward_values(medium_model, Y)), method
+        tiny = build_random(0, ArchSpec(3, (4, 4), (2,), (2,)))
+        for method in METHODS:
+            try:
+                rep = solve(tiny, np.array([0.3, -0.2, 0.5]), InferenceConfig(beta=beta), method)
+            except NonFiniteError:
+                assert method.startswith("fd-")
+                continue
+            assert np.isfinite(rep.objective)
 
 
 def run_all_methods(params, y, cfg):

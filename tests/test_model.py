@@ -435,6 +435,10 @@ class TestBuildRandom:
             build_random(0, ArchSpec(3, (4, -1)))
         with pytest.raises(ValidationError):
             build_random(0, ArchSpec(3, (4,), quad_dims=(0,)))
+        for arch in (ArchSpec(2, (2.5,)), ArchSpec(True, (3,)), ArchSpec(2, (3,), (2.0,))):
+            with pytest.raises(ValidationError) as info:
+                build_random(0, arch)
+            assert info.value.code == "invalid-descriptor"
 
     def test_arrays_are_read_only(self):
         p = build_random(0, ArchSpec(3, (4,)))
