@@ -63,6 +63,6 @@ from .model import (
     save_model,
     validate,
 )
-from .oracle import convexity_probe, fd_directional, fd_gradient, fd_hessian
+from .oracle import fd_directional, fd_gradient, fd_hessian
 
 __version__ = "0.1.0"

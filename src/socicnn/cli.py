@@ -68,16 +68,14 @@ def _table_text(table: experiments.Table, fmt: str) -> str:
 
 def _coerce(default, value):
     """The JSON ``value`` of the field whose default is ``default`` in the
-    field's Python shape: an object as a nested config, an array as a tuple
-    (each element shaped like the default's first), and an integer as a
-    float where the default is a float.  The config itself checks the rest."""
+    field's Python shape: an object as a nested config, and an array as a
+    tuple (each element shaped like the default's first).  The config
+    itself checks the rest; an int in a float field is a number there."""
     if isinstance(value, dict) and dataclasses.is_dataclass(default):
         return _build_config(type(default), value)
     if isinstance(value, list):
         item = default[0] if isinstance(default, tuple) else None
         return tuple(_coerce(item, v) for v in value)
-    if isinstance(default, float) and type(value) is int:
-        return float(value)
     return value
 
 
@@ -88,7 +86,7 @@ def _build_config(cls, values: dict):
     defaults = cls()
     try:
         return cls(**{k: _coerce(getattr(defaults, k), v) for k, v in values.items()})
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
 
 

@@ -110,10 +110,10 @@ def quadratic_model_residual(
     each, keeps the points whose branch signature matches the anchor's (and
     that are nondegenerate), and measures ``|f(x) - f(anchor) - model|``
     there.  Returns ``(retained_rate, mean_abs_residual)``; the mean is NaN
-    when nothing is retained.  The directions are one block draw, bitwise
-    the seeded stream drawn one direction at a time, the trials are traced
-    as stacks of ``RESIDUAL_BLOCK``, and the residuals are summed in trial
-    order, so the result is bitwise that of tracing each trial on its own.
+    when nothing is retained.  The directions are one seeded block draw
+    (``model._gaussian_nonzero``), the trials are traced as stacks of
+    ``RESIDUAL_BLOCK``, and the residuals are summed in trial order, so the
+    result is bitwise that of tracing each trial on its own.
     """
     _check_positive(radius, "radius")
     _check_positive(trials, "trials", count=True)

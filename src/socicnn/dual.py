@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
 from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams
-from .model import _check_tol, _gaussian_nonzero, _per_row, degeneracy_report
+from .model import _check_tol, _nonzero_rows, _per_row, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
@@ -260,9 +260,7 @@ def sample_optimal_branches(
         if dim == 0:
             cone[g] = V
             continue
-        nrm = np.sqrt(np.vecdot(V, V))
-        for k in np.flatnonzero(nrm == 0.0):
-            V[k], nrm[k] = _gaussian_nonzero(dir_rng, dim)
+        nrm = _nonzero_rows(dir_rng, V)
         cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V
     stack = DualBranch(
         relu=_box_recursion(params, report.upper, report.free, draws),

@@ -263,7 +263,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         rate, mean = quadratic_model_residual(
             params, anchor, radius, cfg.trials, cfg.tol, seed=cfg.seed + 17
         )
-        quad_rows.append((radius, rate, mean))
+        quad_rows.append((float(radius), rate, mean))
     quad_runtime_ms = 1000.0 * (time.perf_counter() - t1)
     table_b = Table(
         "quadratic_model", ("radius", "retained_rate", "mean_abs_residual"), tuple(quad_rows)
@@ -295,29 +295,6 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         _check("exp2-quad-runtime", quad_runtime_ms < 10000.0, f"{quad_runtime_ms:.1f} ms"),
     )
     return ExperimentOutput("exp2", (table_a, table_b), checks)
-
-
-# Directions per block of exp3's direction-readout product: 16 x 5000 doubles
-# (640 KB) at the default config, each row reduced along its contiguous
-# branches.  Sweep (directions per block -> ms for all 1000; best of 9 x 20
-# calls, 2-vCPU Xeon VM, NumPy 2.4.6, OpenBLAS 0.3.31), config seed 0 / 99:
-# 2 -> 5.2 / 5.0, 4 -> 4.1 / 4.0, 8 -> 3.9 / 3.2, 16 -> 3.0 / 3.5,
-# 32 -> 3.3 / 3.9, 64 -> 3.9 / 5.5, 128 -> 4.9 / 4.9; one full 1000 x 5000
-# product 12.4 / 12.4, the old blocks of 128 branches 4.4 / 5.5.
-EXP3_CHUNK = 16
-
-
-def _support_maxima(dirs, readouts):
-    """``max_i d_j . r_i`` over the readout rows ``r_i`` for every direction
-    row ``d_j``, in blocks of ``EXP3_CHUNK`` directions.  The readouts are
-    transposed into one C-ordered copy first, so no block's product packs a
-    strided operand."""
-    by_coord = np.ascontiguousarray(readouts.T)
-    col_max = np.empty(len(dirs))
-    for start in range(0, len(dirs), EXP3_CHUNK):
-        blk = slice(start, start + EXP3_CHUNK)
-        np.max(dirs[blk] @ by_coord, axis=1, out=col_max[blk])
-    return col_max
 
 
 @dataclass(frozen=True)
@@ -359,7 +336,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     readouts = dual.readout(params, branches)
     # max_ij (r_i . d_j - dual_max_j) is max_j (max_i d_j . r_i - dual_max_j)
     # bitwise; blocks of directions keep the product small.
-    violation = float(np.max(_support_maxima(dirs, readouts) - dual_maxima))
+    violation = float(np.max(geometry._support_maxima(dirs, readouts) - dual_maxima))
     min_norm_gap = float(np.min(branches.norm()) - canon.norm())
     rng_probes = np.random.default_rng([cfg.seed, 2])
     g_can = dual.readout(params, canon)

@@ -73,6 +73,25 @@ def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.nda
     return total
 
 
+# Doubles per block of a direction-readout product: 16 directions x 5000 branches
+# (640 KB) at exp3's defaults, the fastest of blocks of 2-128 directions there: 3.0 ms
+# for all 1000 against 12.4 ms for one full product (2-vCPU Xeon VM, NumPy 2.4.6).
+SUPPORT_BLOCK = 80_000
+
+
+def _support_maxima(units, readouts) -> np.ndarray:
+    """``max_i u_j . r_i`` over the rows ``r_i`` of ``readouts`` for each row ``u_j`` of
+    ``units``, in blocks of directions of at most ``SUPPORT_BLOCK`` products (one
+    direction at the least), against one C-ordered copy of ``readouts.T``."""
+    by_coord = np.ascontiguousarray(readouts.T)
+    best = np.empty(len(units))
+    step = max(1, SUPPORT_BLOCK // len(readouts))
+    for start in range(0, len(units), step):
+        blk = slice(start, start + step)
+        np.max(units[blk] @ by_coord, axis=1, out=best[blk])
+    return best
+
+
 class _SupportEvaluator:
     """Support function of the optimal set at a fixed trace.
 
@@ -100,7 +119,7 @@ class _SupportEvaluator:
         self.corner_readouts = np.vstack(rows)
 
     def __call__(self, units) -> np.ndarray:
-        best = np.max(units @ self.corner_readouts.T, axis=1)
+        best = _support_maxima(units, self.corner_readouts)
         for lg, A in self.tips:
             best += lg * np.linalg.norm(units @ A.T, axis=1)
         return best

@@ -66,10 +66,9 @@ class InferenceReport:
     """Outcome of one solver run.
 
     ``trace`` holds ``(objective, grad_norm)`` per accepted iterate,
-    starting with the initial point.  ``deriv_time_ms`` counts only gradient
-    and curvature construction, not line-search value queries.
-    ``gap_to_best`` is NaN until an experiment harness fills it in against
-    the best objective any method reached on the same query.
+    starting with the initial point.  ``gap_to_best`` is NaN until an
+    experiment harness fills it in against the best objective any method
+    reached on the same query.
     """
 
     method: str
@@ -79,7 +78,6 @@ class InferenceReport:
     iterations: int
     backtracks: int
     time_ms: float
-    deriv_time_ms: float
     trace: tuple
     stop_reason: str
     gap_to_best: float = float("nan")
@@ -145,10 +143,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     it lie between two points where the convex objective is finite.  Every
     row does bitwise the arithmetic of a run of its query alone.
 
-    Each row's ``time_ms`` and ``deriv_time_ms`` is its share of the batch
-    time: every interval goes to the rows of the call that ends it, in
-    proportion to the points each put in, so one batch's times sum to its
-    wall time.
+    Each row's ``time_ms`` is its share of the batch time: every interval
+    goes to the rows of the call that ends it, in proportion to the points
+    each put in, so one batch's times sum to its wall time.
     """
     q = len(Y)
     max_iters = config.max_iters
@@ -156,15 +153,14 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
         max_iters = GD_MAX_ITERS if direction_fn is None else NEWTON_MAX_ITERS
     etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)])
     mark = time.perf_counter()
-    spent, deriv = [0.0] * q, [0.0] * q
+    spent = [0.0] * q
 
-    def charge(rows, weights, *totals):
+    def charge(rows, weights):
         nonlocal mark
         now = time.perf_counter()
         unit = (now - mark) / sum(weights)
         for r, w in zip(rows, weights):
-            for total in totals:
-                total[r] += unit * w
+            spent[r] += unit * w
         mark = now
 
     X = Y.copy()
@@ -178,11 +174,11 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     searching = []
     while True:
         if fresh.size:
-            charge(charged, weights, spent)
+            charge(charged, weights)
             stacked = np.ndim(trace.value) > 0
             rows = fresh if stacked else fresh[0]
             G[rows] = grad_fn(rows, trace)
-            charge(fresh, [1] * fresh.size, spent, deriv)
+            charge(fresh, [1] * fresh.size)
             for i, r in enumerate(fresh.tolist()):
                 g = G[r]
                 grad_norm[r] = gn = math.sqrt(g @ g)
@@ -199,7 +195,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                         slope = -gn * gn
                     else:
                         P[r] = direction_fn(r, g, trace.row(i) if stacked else trace)
-                        charge([r], [1], spent, deriv)
+                        charge([r], [1])
                         slope = float(g @ P[r])
                     bounds[r] = F[r] + config.armijo * etas * slope
                     tried[r] = 0
@@ -236,7 +232,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
         elif len(accepted) > 1:
             trace = trace.row(np.array(accepted))
         searching = still
-    charge(range(q), [1] * q, spent)
+    charge(range(q), [1] * q)
     return tuple(
         InferenceReport(
             method=method,
@@ -246,7 +242,6 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
             iterations=iterations[r],
             backtracks=backtracks[r],
             time_ms=1000.0 * spent[r],
-            deriv_time_ms=1000.0 * deriv[r],
             trace=tuple(history[r]),
             stop_reason=stop[r],
         )

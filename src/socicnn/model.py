@@ -445,30 +445,22 @@ def _require_nondegenerate(trace: ForwardTrace, tol: float, what: str) -> None:
         )
 
 
-def _gaussian_nonzero(rng, dim: int, rows: int | None = None):
-    """A standard Gaussian vector redrawn until nonzero, with its norm.
+def _nonzero_rows(rng, V):
+    """Redraw from ``rng``, in place and in row order, each zero row of the standard
+    Gaussian block ``V`` until it is nonzero; return the row norms (``_norms``)."""
+    norms = _norms(V)
+    for k in np.flatnonzero(norms == 0.0):
+        while norms[k] == 0.0:
+            V[k] = rng.standard_normal(V.shape[1])
+            norms[k] = np.linalg.norm(V[k])
+    return norms
 
-    With ``rows``, an ``(rows, dim)`` array of such vectors and their
-    ``(rows,)`` norms, bitwise ``rows`` calls in a row: one block draw with
-    per-row norms, or, when a row of the block is zero, the generator rewound
-    and the rows drawn one call at a time.
-    """
-    if rows is not None:
-        state = rng.bit_generator.state
-        vecs = rng.standard_normal((rows, dim))
-        norms = _norms(vecs)
-        if np.all(norms != 0.0):
-            return vecs, norms
-        rng.bit_generator.state = state
-        for k in range(rows):
-            vecs[k], norms[k] = _gaussian_nonzero(rng, dim)
-        return vecs, norms
-    vec = rng.standard_normal(dim)
-    nrm = np.linalg.norm(vec)
-    while nrm == 0.0:
-        vec = rng.standard_normal(dim)
-        nrm = np.linalg.norm(vec)
-    return vec, nrm
+
+def _gaussian_nonzero(rng, dim: int, rows: int):
+    """An ``(rows, dim)`` block of standard Gaussian vectors and their norms: one
+    block draw, then each zero row redrawn after it by ``_nonzero_rows``."""
+    vecs = rng.standard_normal((rows, dim))
+    return vecs, _nonzero_rows(rng, vecs)
 
 
 def _per_row(value):
@@ -662,10 +654,23 @@ def to_json_obj(params: SocIcnnParams) -> dict:
     }
 
 
+def _bool_path(value, path: str) -> str | None:
+    """``path`` extended to the first boolean in the JSON ``value`` at it, or None."""
+    if type(value) is bool:
+        return path
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list) and not {bool, list, dict}.isdisjoint(map(type, value)):
+        items = ((f"{path}[{k}]", v) for k, v in enumerate(value))
+    else:  # one scan of types passes over a flat list of numbers
+        return None
+    return next(filter(None, (_bool_path(v, p) for p, v in items)), None)
+
+
 def from_json_obj(obj: dict) -> SocIcnnParams:
     """Rebuild a model from its dict form; validates before returning.  A
-    ``format_version`` other than the integer 1, or ``dims`` other than
-    what the arrays imply, raises ``ModelFormatError``."""
+    ``format_version`` other than the integer 1, ``dims`` other than what
+    the arrays imply, or a boolean anywhere raises ``ModelFormatError``."""
     try:
         version = obj["format_version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -673,6 +678,9 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
         seed = obj.get("seed")
         if seed is not None and (type(seed) is not int or seed < 0):
             raise ModelFormatError(f"seed must be a nonnegative integer or null, got {seed!r}")
+        where = _bool_path(obj, "model")
+        if where is not None:
+            raise ModelFormatError(f"{where} must be a number, got a boolean")
         dims = obj["dims"]
         layers = obj["layers"]
         params = SocIcnnParams(
@@ -692,7 +700,7 @@ def from_json_obj(obj: dict) -> SocIcnnParams:
         )
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
     validate(params)
     implied = _dims(params)

@@ -120,35 +120,3 @@ def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
         raise NonFiniteError(f"non-finite gradient evaluation near {where}")
     H = np.swapaxes((grads[..., 0, :, :] - grads[..., 1, :, :]) / (2.0 * step), -1, -2)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-
-def convexity_probe(
-    f, dim: int, n_triples: int = 1000, seed: int = 0, scale: float = 1.0
-) -> float:
-    """Largest observed midpoint-convexity violation, clamped at zero.
-
-    Samples ``(x, y, t)`` with Gaussian endpoints of the given scale and
-    uniform ``t``, and returns ``max(0, max_t f(t x + (1-t) y)
-    - t f(x) - (1-t) f(y))``.  A convex ``f`` yields a value at rounding
-    level; a clearly positive value certifies nonconvexity.  The triples are
-    drawn one at a time, ``x``, ``y``, then ``t``, and all ``3 n_triples``
-    points go to ``f`` in one call.
-    """
-    if n_triples <= 0:
-        raise ValueError("n_triples must be positive")
-    rng = np.random.default_rng(seed)
-    X = np.empty((n_triples, dim))
-    Y = np.empty((n_triples, dim))
-    T = np.empty(n_triples)
-    for k in range(n_triples):
-        X[k] = scale * rng.standard_normal(dim)
-        Y[k] = scale * rng.standard_normal(dim)
-        T[k] = rng.uniform()
-    t = T[:, None]
-    points = np.concatenate([t * X + (1.0 - t) * Y, X, Y])
-    vals = _evaluate(f, points, (3 * n_triples,), "f").reshape(3, n_triples)
-    bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=0))
-    if bad.size:
-        raise NonFiniteError(f"non-finite evaluation in triple {bad[0]}")
-    fm, fx, fy = vals
-    return max(0.0, float(np.max(fm - (T * fx + (1.0 - T) * fy))))

@@ -5,7 +5,7 @@ import pytest
 
 from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
 from socicnn import canonical, curvature, degeneracy_report, experiments, forward, geometry
-from socicnn import inference, model
+from socicnn import forward_values, inference, model
 from socicnn.dual import relu_corner_assignments
 
 
@@ -80,6 +80,20 @@ def gaussian_points(seed, n, dim, scale=1.0):
     return scale * rng.standard_normal((n, dim))
 
 
+def midpoint_violation(f, dim, n_triples, seed):
+    """Largest midpoint-convexity violation ``f(t x + (1 - t) y) - t f(x) -
+    (1 - t) f(y)`` of a row-batched value field ``f``, clamped at zero, over
+    ``n_triples`` triples of standard Gaussian endpoints and uniform ``t``,
+    all ``3 n_triples`` points in one call: rounding level for a convex
+    ``f``, clearly positive for a nonconvex one."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, n_triples, dim))
+    t = rng.uniform(size=n_triples)
+    fm, fx, fy = f(np.concatenate([t[:, None] * X + (1.0 - t[:, None]) * Y, X, Y])).reshape(3, -1)
+    assert np.isfinite(fm).all() and np.isfinite(fx).all() and np.isfinite(fy).all()
+    return max(0.0, float(np.max(fm - (t * fx + (1.0 - t) * fy))))
+
+
 def branch_row(stack, k):
     """Row ``k`` of a stacked ``DualBranch`` as a one-branch ``DualBranch``."""
     groups = (stack.relu, stack.quad, stack.cone)
@@ -151,3 +165,42 @@ def record_traces(monkeypatch):
         monkeypatch.setattr(module, "forward", recording_forward)
     monkeypatch.setattr(inference, "_descent", recording_descent)
     return traced, runs
+
+
+def count_value_rows(monkeypatch):
+    """Patch ``inference.forward_values`` and ``inference._descent`` to count,
+    per descent run, the gradient points and Newton directions the solver
+    asks for and the value rows evaluated inside each kind of call.
+
+    Returns one dict per run, in run order, with the counts ``grads``,
+    ``grad_rows``, ``directions`` and ``direction_rows``.
+    """
+    runs, inside = [], []
+
+    def counting_values(params, X):
+        if inside:
+            runs[-1][inside[-1]] += X.size // X.shape[-1]
+        return forward_values(params, X)
+
+    def counted(fn, kind, size):
+        def wrapper(*args):
+            runs[-1][kind + "s"] += size(*args)
+            inside.append(kind + "_rows")
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    descent = inference._descent
+
+    def counting_descent(params, Y, config, method, grad_fn, direction_fn):
+        runs.append(dict.fromkeys(("grads", "grad_rows", "directions", "direction_rows"), 0))
+        grad_fn = counted(grad_fn, "grad", lambda rows, trace: np.size(rows))
+        direction_fn = direction_fn and counted(direction_fn, "direction", lambda *args: 1)
+        return descent(params, Y, config, method, grad_fn, direction_fn)
+
+    monkeypatch.setattr(inference, "forward_values", counting_values)
+    monkeypatch.setattr(inference, "_descent", counting_descent)
+    return runs

@@ -1,10 +1,11 @@
-"""Print every table cell and check verdict of exp1-exp4, or compare them
-with an earlier printout.
+"""Print every table cell and check verdict of exp1-exp4, compare them with
+an earlier printout, or write them as a golden file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
     PYTHONPATH=src python tests/table_cells.py --seeds 0 1 2 3 34 99 > cells.tsv
     PYTHONPATH=src python tests/table_cells.py --seeds 0 99 --against cells.tsv
+    PYTHONPATH=src python tests/table_cells.py --seeds 0 99 --write tests/golden_tables.json
 
 Each line is ``key<TAB>value``.  A cell's key is
 ``seed/experiment/table/row/column`` and its value is the float's
@@ -13,14 +14,23 @@ Each line is ``key<TAB>value``.  A cell's key is
 ``*_ms`` columns are left out, since they are timings.  With ``--against``,
 only the differences are printed: each moved cell with its old value, new
 value and distance in units in the last place, each changed verdict, and
-each key that one side lacks.  pytest does not collect this file.
+each key that one side lacks.  ``--write`` stores the cells as JSON
+together with the machine they were made on (CPU model, NumPy version,
+BLAS), and ``--against`` reads such a file too.  The golden file
+``tests/golden_tables.json`` is checked by
+``test_experiments_reference.py::test_tables_match_the_golden_file``.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import struct
 import sys
+
+import numpy as np
 
 from socicnn.experiments import (
     Exp1Config,
@@ -41,22 +51,43 @@ EXPERIMENTS = (
 )
 
 
-def table_cells(seeds) -> dict:
+def output_cells(seed, name, tables, checks) -> dict:
     """``{key: value}`` for every non-``*_ms`` cell and every check verdict
-    of exp1-exp4 at their default configs, at each config seed in order."""
+    of one experiment's output at one config seed."""
+    cells = {}
+    for table in tables:
+        for r, row in enumerate(table.rows):
+            for column, value in zip(table.columns, row):
+                if not column.endswith("_ms"):
+                    key = f"{seed}/{name}/{table.name}/{r}/{column}"
+                    cells[key] = value.hex() if isinstance(value, float) else repr(value)
+    for check in checks:
+        cells[f"{seed}/{name}/check/{check.name}"] = "pass" if check.passed else "FAIL"
+    return cells
+
+
+def table_cells(seeds) -> dict:
+    """``output_cells`` of exp1-exp4 at their default configs, at each
+    config seed in order."""
     cells = {}
     for seed in seeds:
         for name, config, run in EXPERIMENTS:
             out = run(config(seed=seed))
-            for table in out.tables:
-                for r, row in enumerate(table.rows):
-                    for column, value in zip(table.columns, row):
-                        if not column.endswith("_ms"):
-                            key = f"{seed}/{name}/{table.name}/{r}/{column}"
-                            cells[key] = value.hex() if isinstance(value, float) else repr(value)
-            for check in out.checks:
-                cells[f"{seed}/{name}/check/{check.name}"] = "pass" if check.passed else "FAIL"
+            cells.update(output_cells(seed, name, out.tables, out.checks))
     return cells
+
+
+def machine() -> dict:
+    """What a float cell's last bits can depend on: the CPU model, the NumPy
+    version and the BLAS NumPy was built with."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu": cpu, "numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}"}
 
 
 def _ordinal(x: float) -> int:
@@ -75,7 +106,10 @@ def ulp_distance(old: str, new: str) -> int | None:
 
 
 def read_cells(path) -> dict:
+    """The cells of a printout, or of a file that ``--write`` made."""
     with open(path, encoding="utf-8") as fh:
+        if str(path).endswith(".json"):
+            return json.load(fh)["cells"]
         return dict(line.rstrip("\n").split("\t", 1) for line in fh if line.strip())
 
 
@@ -102,8 +136,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 34, 99])
     parser.add_argument("--against", metavar="FILE", help="an earlier printout to compare with")
+    parser.add_argument("--write", metavar="FILE", help="write the cells as a golden JSON file")
     args = parser.parse_args(argv)
     cells = table_cells(args.seeds)
+    if args.write is not None:
+        with open(args.write, "w", encoding="utf-8") as fh:
+            json.dump({"made_on": machine(), "seeds": args.seeds, "cells": cells}, fh, indent=1)
+            fh.write("\n")
+        return 0
     if args.against is None:
         for key, value in cells.items():
             print(f"{key}\t{value}")

@@ -16,7 +16,6 @@ from socicnn import (
     build_degenerate_2d,
     build_random,
     canonical,
-    convexity_probe,
     degeneracy_report,
     dual_value,
     forward,
@@ -35,7 +34,7 @@ from socicnn.experiments import (
     run_exp4,
 )
 
-from conftest import branch_row, corner_branches, stack_branches
+from conftest import branch_row, corner_branches, midpoint_violation, stack_branches
 
 
 def timed(runner, cfg):
@@ -262,7 +261,7 @@ def test_criterion_10_property_suite():
         params = build_random(seed, arch)
         f = lambda X: forward_values(params, X)
         worst_probe = max(
-            worst_probe, convexity_probe(f, arch.input_dim, n_triples=1000, seed=seed)
+            worst_probe, midpoint_violation(f, arch.input_dim, n_triples=1000, seed=seed)
         )
     assert worst_probe <= 1e-10, worst_probe
 

@@ -189,7 +189,7 @@ def reference_quadratic_model_residual(params, anchor, radius, trials=500, tol=1
     kept = 0
     residuals = 0.0
     for _ in range(trials):
-        step, nrm = _gaussian_nonzero(rng, anchor.size)
+        (step,), (nrm,) = _gaussian_nonzero(rng, anchor.size, 1)
         x = anchor + (radius / nrm) * step
         trace = forward(params, x)
         if not degeneracy_report(trace, tol).is_nondegenerate:

@@ -1,6 +1,7 @@
 """Experiment drivers at reduced scale, and the command-line front end."""
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from socicnn import (
     load_model,
     readout,
 )
+from socicnn import cli
 from socicnn.cli import CliError, _load_config, main
 from socicnn.experiments import (
     Exp1Config,
@@ -478,6 +480,54 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_every_model_file_field_fails_only_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Each field of a small model file, every dict key and the first
+        entry of every array at any depth, set in turn to each value of a
+        fixed pool: ``model info`` exits 0, or 2 with one ``error:`` line and
+        no traceback, and a boolean is refused with its field named.  637
+        cases; one parser serves them all, since building it is most of a
+        call's cost."""
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        path = tmp_path / "model.json"
+        assert main(["model", "gen", "--out", str(path), "--seed", "1", "--input-dim", "2",
+                     "--width", "2", "--depth", "2", "--quad-dims", "1", "--cone-dims", "1"]) == 0
+        obj = json.loads(path.read_text())
+
+        def fields(value, at=()):
+            keys = value.keys() if isinstance(value, dict) else ()
+            if isinstance(value, list) and value:
+                keys = range(len(value)) if isinstance(value[0], dict) else (0,)
+            for key in keys:
+                yield at + (key,)
+                yield from fields(value[key], at + (key,))
+
+        pool = (-1, 0, 2.5, True, False, None, float("nan"), float("inf"), 10 ** 400, "x", [], {},
+                [[1.0, 2.0]])
+        cases = 0
+        for field in fields(obj):
+            for value in pool:
+                bad = json.loads(json.dumps(obj))
+                target = bad
+                for key in field[:-1]:
+                    target = target[key]
+                target[field[-1]] = value
+                path.write_text(json.dumps(bad))
+                capsys.readouterr()
+                code = main(["model", "info", str(path)])
+                out, err = capsys.readouterr()
+                lines = err.splitlines()
+                assert code in (0, 2), (field, value)
+                if code == 2:
+                    assert len(lines) == 1 and lines[0].startswith("error:"), (field, value, err)
+                else:
+                    assert "validation: ok" in out and not err
+                if type(value) is bool:
+                    assert code == 2 and str(field[-1]) in err, (field, value, err)
+                cases += 1
+        assert cases == 637
+
     @pytest.mark.parametrize("token", ['"x"', "-1", "true", "1.5", "[0]"])
     def test_model_info_rejects_bad_seed(self, tmp_path, capsys, token):
         """The recorded seed must be a nonnegative integer or null."""
@@ -671,17 +721,24 @@ class TestCli:
             ("exp4", {"solver": {"tol": float("nan")}}),
             ("exp1", {"samples": 10 ** 15}),
             ("exp1", {"fd_step": 10 ** 400}),
+            ("exp2", {"radii": [1e-4, 10 ** 400]}),
+            ("exp4", {"solver": {"grad_tol": 10 ** 400}}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
         """Uncoercible values and a point search that runs out of draws are
-        reported on stderr with exit 2, never as an escaping traceback."""
+        reported on stderr with exit 2, never as an escaping traceback, and
+        a value the config rejects is named: a JSON integer too large for a
+        float too."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+        if "bad config value" in err:
+            names = [k for part in (config, *config.values()) if isinstance(part, dict) for k in part]
+            assert any(f"{name} must" in err for name in names), err
 
     def test_every_config_field_fails_only_with_its_named_error(self, tmp_path):
         """Each field of each config, set in turn to each value of a fixed
@@ -715,6 +772,16 @@ class TestCli:
     def test_missing_config_file_rejected(self, capsys):
         assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2
         assert capsys.readouterr().err != ""
+
+    def test_integer_radii_print_as_floats(self, tmp_path, capsys):
+        """A JSON integer stays an int in the config, where it is a number
+        to a float field; the ``radius`` column still prints floats."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 2, "trials": 3, "radii": [1, 2]}))
+        assert main(["exp2", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = lines[lines.index("radius,retained_rate,mean_abs_residual") + 1:]
+        assert [row.split(",")[0] for row in rows] == ["1.0", "2.0"]
 
     def test_csv_output_round_trips(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

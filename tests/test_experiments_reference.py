@@ -11,7 +11,9 @@ loop and the one-point ``readout_diagnostics`` it called; its cells must
 equal the stacked run's as float hexes.
 """
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from socicnn.inference import InferenceConfig, ReadoutDiagnostics
 from socicnn.model import DEFAULT_TAU, _require_nondegenerate, conic_margin, degeneracy_report
 from socicnn.model import forward, forward_values, relu_margin
 from socicnn.oracle import fd_gradient, fd_hessian
+
+from table_cells import EXPERIMENTS, differences, machine, output_cells
 
 
 def reference_trace_gradient(params, trace, tol):
@@ -386,3 +390,27 @@ class TestExp4DiagnosticsMatchPerQueryLoop:
         to 2.2 MB."""
         _, peak = default_exp4_seed0
         assert peak <= 1.2e6
+
+
+def test_tables_match_the_golden_file(default_exp4_seed0):
+    """Every non-``*_ms`` cell and check verdict of exp1-exp4 at config seeds
+    0 and 99 equals ``golden_tables.json``'s: integers and verdicts exactly,
+    floats bitwise.  A mismatch lists each moved cell with its distance in
+    units in the last place, and the machine each side ran on, since the
+    last bits of a float can move with the CPU, NumPy or BLAS.  Remake the
+    file with ``tests/table_cells.py --seeds 0 99 --write`` only for a
+    change that moves the tables on purpose."""
+    golden = json.loads(Path(__file__).with_name("golden_tables.json").read_text("utf-8"))
+    cells = {}
+    for seed in (0, 99):
+        for name, config, run in EXPERIMENTS:
+            if (seed, name) == (0, "exp4"):  # the memory test's traced run
+                (tables, checks), _ = default_exp4_seed0
+            else:
+                out = run(config(seed=seed))
+                tables, checks = out.tables, out.checks
+            cells.update(output_cells(seed, name, tables, checks))
+    moved = differences(golden["cells"], cells)
+    assert not moved, "\n".join(
+        [f"made on {golden['made_on']}", f"running on {machine()}", *moved]
+    )

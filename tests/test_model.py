@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from socicnn import (
 )
 
 from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
-from socicnn.model import _gaussian_nonzero, _nondegenerate_rows
+from socicnn.model import _gaussian_nonzero, _nondegenerate_rows, _nonzero_rows, from_json_obj
+from socicnn.model import to_json_obj
 
 from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
 
@@ -236,20 +238,11 @@ class TestForwardValues:
 
 class ScriptedNormals:
     """A stand-in generator whose ``standard_normal`` hands out a fixed
-    stream in order and whose ``bit_generator.state`` is the position in it."""
+    stream in order; ``pos`` is the position in it."""
 
     def __init__(self, stream):
         self.stream = np.asarray(stream, dtype=np.float64)
         self.pos = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.pos
-
-    @state.setter
-    def state(self, pos):
-        self.pos = pos
 
     def standard_normal(self, size):
         count = int(np.prod(size))
@@ -261,30 +254,45 @@ class ScriptedNormals:
 class TestGaussianNonzero:
     @pytest.mark.parametrize("dim", [1, 3, 7, 64])
     def test_block_draw_matches_one_call_at_a_time(self, dim):
-        """A block of rows is bitwise the loop of one-vector calls, norms
-        included, and leaves the generator where the loop does."""
+        """Without a zero row, a block of rows is bitwise the loop of
+        one-row calls, norms included (each bitwise ``np.linalg.norm`` of
+        its row), and leaves the generator where the loop does."""
         block, norms = _gaussian_nonzero(np.random.default_rng(4), dim, 150)
         rng = np.random.default_rng(4)
         for k in range(150):
-            vec, nrm = _gaussian_nonzero(rng, dim)
-            assert np.array_equal(block[k], vec) and norms[k] == nrm
+            (vec,), (nrm,) = _gaussian_nonzero(rng, dim, 1)
+            assert np.array_equal(block[k], vec) and norms[k] == nrm == np.linalg.norm(vec)
         after = np.random.default_rng(4)
         _gaussian_nonzero(after, dim, 150)
         assert after.random() == rng.random()
 
-    def test_zero_row_falls_back_to_the_loop(self):
-        """A zero vector in the block rewinds the generator and redraws it
-        as the loop does: the later rows shift up by one."""
-        stream = np.random.default_rng(5).standard_normal(3 * 6)
-        stream[6:9] = 0.0
-        scripted, loop = ScriptedNormals(stream), ScriptedNormals(stream)
-        block, norms = _gaussian_nonzero(scripted, 3, 5)
-        for k in range(5):
-            vec, nrm = _gaussian_nonzero(loop, 3)
-            assert np.array_equal(block[k], vec) and norms[k] == nrm
-        assert np.array_equal(block[2], stream[9:12])
-        assert scripted.pos == loop.pos == 18
-        assert np.all(norms > 0.0)
+    def test_zero_rows_are_redrawn_after_the_block_in_row_order(self):
+        """Zero rows keep their place and are redrawn from the stream after
+        the block, in row order, each until it is nonzero; every other row
+        is the block's."""
+        stream = np.random.default_rng(5).standard_normal(3 * 8)
+        stream[6:9] = 0.0  # row 2 of the block
+        stream[12:15] = 0.0  # row 4 of the block
+        stream[15:18] = 0.0  # row 2's first redraw
+        block, norms = _gaussian_nonzero(ScriptedNormals(stream), 3, 5)
+        want = stream[:15].reshape(5, 3).copy()
+        want[2], want[4] = stream[18:21], stream[21:24]
+        assert np.array_equal(block, want)
+        assert np.array_equal(norms, np.linalg.norm(want, axis=1)) and np.all(norms > 0.0)
+
+    def test_redraw_is_in_place(self):
+        """``_nonzero_rows`` writes into the block it is given, a view too,
+        and leaves a block with no zero row as it is."""
+        rng = np.random.default_rng(6)
+        base = np.zeros((4, 5))
+        base[:, 3:] = 1.0
+        view = base[:, :3]
+        norms = _nonzero_rows(rng, view)
+        assert np.all(norms > 0.0) and np.array_equal(base[:, 3:], np.ones((4, 2)))
+        assert np.array_equal(norms, np.linalg.norm(base[:, :3], axis=1))
+        before = base.copy()
+        _nonzero_rows(rng, view)
+        assert np.array_equal(base, before)
 
 
 class TestForwardValuesBatchAxes:
@@ -628,6 +636,23 @@ class TestSerialization:
         path.write_text(json.dumps(obj))
         with pytest.raises(ModelFormatError, match="dims"):
             load_model(path)
+
+    @pytest.mark.parametrize("where, set_true", [
+        ("model.cone[0].lambda", lambda obj: obj["cone"][0].update({"lambda": True})),
+        ("model.quad[0].alpha", lambda obj: obj["quad"][0].update({"alpha": True})),
+        ("model.b0", lambda obj: obj.update({"b0": True})),
+        ("model.layers[1].b[2]", lambda obj: obj["layers"][1]["b"].__setitem__(2, False)),
+        ("model.c[0]", lambda obj: obj["c"].__setitem__(0, True)),
+        ("model.layers[0].W[1][3]", lambda obj: obj["layers"][0]["W"][1].__setitem__(3, True)),
+        ("model.dims.input_dim", lambda obj: obj["dims"].update({"input_dim": True})),
+    ])
+    def test_booleans_are_refused_by_name(self, small_model, where, set_true):
+        """A JSON boolean is not a number: ``"lambda": true`` and a boolean
+        bias used to load as 1.0 or 0.0."""
+        obj = to_json_obj(small_model)
+        set_true(obj)
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(where)} must be a number"):
+            from_json_obj(obj)
 
     def test_invalid_payload_fails_validation(self, tmp_path, small_model):
         path = tmp_path / "model.json"

@@ -1,4 +1,4 @@
-"""Finite-difference and convexity oracles checked on closed-form functions."""
+"""Finite-difference oracles checked on closed-form functions, and the models' convexity."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from socicnn import (
     NonFiniteError,
     SocIcnnParams,
-    convexity_probe,
     fd_directional,
     fd_gradient,
     fd_hessian,
@@ -14,7 +13,7 @@ from socicnn import (
     forward_values,
 )
 
-from conftest import gaussian_points, inert_backbone
+from conftest import gaussian_points, inert_backbone, midpoint_violation
 
 # Steps that pass a plain ``step <= 0`` test and then blamed the input for
 # the NaN stencil they made.
@@ -67,19 +66,6 @@ def loop_fd_hessian(grad1, x, step):
         xm[i] -= step
         H[:, i] = (grad1(xp) - grad1(xm)) / (2.0 * step)
     return 0.5 * (H + H.T)
-
-
-def loop_convexity_probe(f1, dim, n_triples, seed):
-    """Reference: one triple at a time, in the draw order x, y, t."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_triples):
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        t = rng.uniform()
-        viol = f1(t * x + (1.0 - t) * y) - (t * f1(x) + (1.0 - t) * f1(y))
-        worst = max(worst, float(viol))
-    return worst
 
 
 class TestBatchedStencils:
@@ -144,12 +130,6 @@ class TestBatchedStencils:
         for p, h in zip(P, H):
             assert np.array_equal(h, fd_hessian(grad, p))
 
-    def test_convexity_probe_keeps_its_random_stream(self, medium_model):
-        f1 = lambda x: forward(medium_model, x).value
-        assert convexity_probe(per_row(f1), medium_model.input_dim, n_triples=50, seed=4) == (
-            loop_convexity_probe(f1, medium_model.input_dim, 50, 4)
-        )
-
     def test_non_finite_names_the_first_bad_coordinate(self):
         def f(X):
             return np.where(X[:, 2] > 0.5, np.inf, 0.0)
@@ -163,8 +143,6 @@ class TestBatchedStencils:
         with pytest.raises(NonFiniteError, match="coordinate 2 of point 1$"):
             fd_hessian(lambda X: np.where(X[:, [2]] > 0.5, np.nan, X),
                        np.array([np.zeros(4), np.full(4, 0.5)]))
-        with pytest.raises(NonFiniteError):
-            convexity_probe(lambda X: np.full(len(X), np.nan), 2, n_triples=5)
 
     def test_callable_must_return_one_value_per_row(self):
         with pytest.raises(ValueError):
@@ -281,15 +259,19 @@ class TestFdHessian:
 
 
 class TestConvexityProbe:
+    """The models are convex to rounding on the midpoint probe of
+    ``conftest.midpoint_violation``, which reads zero on an affine field
+    and does flag a nonconvex composition."""
+
     def test_affine_function_probe_is_zero(self):
         def f(X):
             return X[:, 0] - 2 * X[:, 1] + 3
 
-        assert convexity_probe(f, 2, n_triples=200, seed=0) <= 1e-12
+        assert midpoint_violation(f, 2, n_triples=200, seed=0) <= 1e-12
 
     def test_valid_model_passes(self, medium_model):
         f = lambda X: forward_values(medium_model, X)
-        assert convexity_probe(f, medium_model.input_dim, n_triples=300, seed=1) <= 1e-10
+        assert midpoint_violation(f, medium_model.input_dim, n_triples=300, seed=1) <= 1e-10
 
     def test_detects_concave_composition(self):
         """A negative skip weight builds max(0, 0.5 - max(0, x)), which has a
@@ -304,13 +286,4 @@ class TestConvexityProbe:
             b0=0.0,
         )
         f = lambda X: forward_values(params, X)
-        assert convexity_probe(f, 1, n_triples=500, seed=0) > 1e-3
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            convexity_probe(sq, 2, n_triples=0)
-
-    def test_probe_is_deterministic(self):
-        v1 = convexity_probe(sq, 3, n_triples=100, seed=7)
-        v2 = convexity_probe(sq, 3, n_triples=100, seed=7)
-        assert v1 == v2
+        assert midpoint_violation(f, 1, n_triples=500, seed=0) > 1e-3

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from socicnn import dual
-from socicnn.experiments import Exp3Config, _support_maxima
+from socicnn.experiments import Exp3Config
+from socicnn.geometry import _support_maxima
 from socicnn.model import _gaussian_nonzero, build_degenerate_2d, forward
 from socicnn.oracle import _central_stencil
 
