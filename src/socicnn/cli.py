@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
 from . import experiments, model
 from .errors import SocIcnnError
@@ -41,28 +40,16 @@ class CliError(Exception):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _plain(value):
-    """A table cell as a plain Python value; its ``str`` is the CSV cell."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _csv_lines(table: experiments.Table) -> list:
     return [",".join(table.columns)] + [
-        ",".join(str(_plain(v)) for v in row) for row in table.rows
+        ",".join(str(v) for v in row) for row in table.rows
     ]
 
 
 def _table_text(table: experiments.Table, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(_csv_lines(table)) + "\n"
-    rows = [[_plain(v) for v in row] for row in table.rows]
-    obj = {"name": table.name, "columns": list(table.columns), "rows": rows}
+    obj = {"name": table.name, "columns": list(table.columns), "rows": table.rows}
     return json.dumps(obj, indent=1) + "\n"
 
 

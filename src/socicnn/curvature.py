@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_positive, _check_tol
-from .model import _gaussian_nonzero, _nondegenerate_rows, _require_nondegenerate, forward
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_number, _gaussian_nonzero
+from .model import _nondegenerate_rows, _points, _require_nondegenerate, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +38,7 @@ class CurvatureModel:
         """Value of the quadratic model at ``x`` given the anchor value is
         added by the caller: returns the first- plus second-order part.  A
         stack of points gives an ``(n,)`` array, row by row bitwise."""
-        delta = np.asarray(x, dtype=np.float64) - self.anchor
+        delta = _points(x, self.anchor.size, "x") - self.anchor
         pred = np.vecdot(self.grad, delta) + 0.5 * np.vecdot(delta, np.matvec(self.hess, delta))
         return float(pred) if delta.ndim == 1 else pred
 
@@ -46,7 +46,7 @@ class CurvatureModel:
 def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
     """Hashable identifier of the activation branch at this trace: packed
     strict-positivity bits per layer plus a nonzero flag per conic module."""
-    _check_tol(tol)
+    _check_number(tol, "tolerance")
     relu_bits = b"".join(np.packbits(a > tol).tobytes() for a in trace.a)
     cone_flags = tuple(un > tol for un in trace.u_norms)
     return (relu_bits, cone_flags)
@@ -58,7 +58,7 @@ def curvature_matrix(
     """Branch Hessian at this trace: ``(d, d)`` at a point, ``(n, d, d)`` at a
     stacked trace, each matrix bitwise its own point's.  A module at its cone
     tip adds no term (its ``dual._cone_scales`` is 0.0); ``hessian`` raises on a kink."""
-    _check_tol(tol)
+    _check_number(tol, "tolerance")
     H = np.tile(params.quad_hessian, np.shape(trace.value) + (1, 1))
     for s, A, u, un in zip(dual._cone_scales(params, trace, tol), params.A, trace.u, trace.u_norms):
         # A tip row divides by ``un + 1``, not by zero, so its dropped term is finite.
@@ -115,8 +115,9 @@ def quadratic_model_residual(
     ``RESIDUAL_BLOCK``, and the residuals are summed in trial order, so the
     result is bitwise that of tracing each trial on its own.
     """
-    _check_positive(radius, "radius")
-    _check_positive(trials, "trials", count=True)
+    _check_number(radius, "radius", positive=True)
+    _check_number(trials, "trials", positive=True, count=True)
+    _check_number(seed, "seed", count=True)
     anchor_trace = forward(params, anchor)
     cm = _trace_hessian(params, anchor_trace, tol)
     rng = np.random.default_rng(seed)
@@ -129,7 +130,7 @@ def quadratic_model_residual(
         kept = _nondegenerate_rows(trace, tol)
         for a, a0 in zip(trace.a, anchor_trace.a):
             kept &= np.all((a > tol) == (a0 > tol), axis=1)
-        residuals.append(np.abs(trace.value[kept] - anchor_trace.value - cm.predict(block[kept])))
+        residuals.append(np.abs(trace.value[kept] - anchor_trace.value - cm.predict(block)[kept]))
     residuals = np.concatenate(residuals)
     rate = residuals.size / trials
     mean = np.add.accumulate(residuals)[-1] / residuals.size if residuals.size else float("nan")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
 from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams
-from .model import _check_tol, _nonzero_rows, _per_row, degeneracy_report
+from .model import _check_number, _nonzero_rows, _per_row, _points, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
@@ -129,7 +129,7 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ``alpha_h * q_h``; conic multipliers point along the residual with
     length ``lam_g``, or are exactly ``+0.0`` at the cone tip.
     """
-    _check_tol(tol)
+    _check_number(tol, "tolerance")
     relu = _box_recursion(params, tuple(a > tol for a in trace.a))
     return DualBranch(relu, *_smooth_multipliers(params, trace, tol))
 
@@ -153,7 +153,6 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | 
 
 def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
     """Value at ``x`` of the branch's affine minorant, or of every row's."""
-    x = np.asarray(x, dtype=np.float64)
     total = float(params.v @ x) + params.b0
     for nu, W, b in zip(branch.relu, params.W, params.b):
         total = total + np.vecdot(nu, W @ x + b)
@@ -175,6 +174,7 @@ def dual_value(
     check forgives a violation up to ``_FEAS_TOL`` and names the first
     infeasible row of a stack.
     """
+    x = _points(x, params.input_dim, "x", stack=False)
     if check_feasible:
         viol = np.reshape(feasibility_violation(params, branch), -1)
         bad = np.flatnonzero(viol > _FEAS_TOL)
@@ -198,17 +198,17 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     return g
 
 
-def _check_optimal(params, trace, branch: DualBranch) -> DualBranch:
+def _check_optimal(params, trace, branch: DualBranch, tol: float = DEFAULT_TAU) -> DualBranch:
     """Return ``branch`` (one or a stack) once every row attains the model
     value at the trace point; raise ``ConstructionError`` naming the first
-    row that does not."""
+    row that does not and the tolerance ``tol`` its kinks were classified at."""
     values = np.reshape(_minorant_values(params, trace.x, branch), -1)
     bad = np.flatnonzero(np.abs(values - trace.value) > 1e-10 * (1.0 + abs(trace.value)))
     if bad.size:
         k = bad[0]
         raise ConstructionError(
-            f"constructed branch {k} is not optimal: minorant {values[k]!r} "
-            f"vs value {trace.value!r}"
+            f"constructed branch {k} is not optimal: minorant {values[k]} vs value "
+            f"{trace.value} with kinks classified at tolerance {tol:g}"
         )
     return branch
 
@@ -244,6 +244,7 @@ def sample_optimal_branches(
     """
     if type(n) is not int or n < 0:
         raise ValidationError("invalid-descriptor", f"branch count must be a nonnegative int: {n}")
+    _check_number(seed, "seed", count=True)
     report = degeneracy_report(trace, tol)
     quad, smooth_cone = _smooth_multipliers(params, trace, tol)
     free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
@@ -267,7 +268,7 @@ def sample_optimal_branches(
         quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
         cone=tuple(cone),
     )
-    return _check_optimal(params, trace, stack)
+    return _check_optimal(params, trace, stack, tol)
 
 
 def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):

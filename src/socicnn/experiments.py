@@ -172,6 +172,10 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
     )
 
 
+# exp2-quad-residual's bound on the mean residual at each radius, in radius order.
+_QUAD_BOUNDS = (1e-12, 1e-11, 1e-9)
+
+
 @dataclass(frozen=True)
 class Exp2Config:
     """Hessian agreement and local quadratic-model accuracy."""
@@ -197,6 +201,8 @@ class Exp2Config:
             "points", "input_dim", "widths", "quad_dims", "cone_dims", "trials", "radii",
             "fd_grad_step", "fd_hess_step", "max_draws",
         ))
+        if len(self.radii) > len(_QUAD_BOUNDS):
+            raise ValueError(f"radii must hold at most {len(_QUAD_BOUNDS)} radii, one per bound")
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
@@ -269,7 +275,6 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         "quadratic_model", ("radius", "retained_rate", "mean_abs_residual"), tuple(quad_rows)
     )
     residuals = [r[2] for r in quad_rows]
-    bounds = (1e-12, 1e-11, 1e-9)
     increasing = all(residuals[i] < residuals[i + 1] for i in range(len(residuals) - 1))
     ratio = residuals[-1] / residuals[0] if residuals[0] > 0 else np.inf
     checks = (
@@ -283,7 +288,7 @@ def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:
         ),
         _check(
             "exp2-quad-residual",
-            all(m <= b for m, b in zip(residuals, bounds)),
+            all(m <= b for m, b in zip(residuals, _QUAD_BOUNDS)),
             "residuals " + ", ".join(f"{m:.3e}" for m in residuals),
         ),
         _check("exp2-quad-monotone", increasing, "strictly increasing with radius"),

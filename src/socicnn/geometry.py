@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dual
 from .errors import NonFiniteError, ValidationError
-from .model import DEFAULT_TAU, DegeneracyReport, SocIcnnParams, _require_nondegenerate
+from .model import DEFAULT_TAU, DegeneracyReport, SocIcnnParams, _points, _require_nondegenerate
 from .model import degeneracy_report, forward
 
 
@@ -110,6 +110,9 @@ class _SupportEvaluator:
         for s, A, ug in zip(dual._cone_scales(params, trace, tol), params.A, trace.u):
             smooth += s * np.matvec(A.T, ug)
         self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
+        # Corner by corner, only d-wide rows stay alive.  One stacked branch for
+        # ``dual.readout`` would hold 2**16 x sum(widths) doubles at the corner cap
+        # (134 MB at exp1's widths), and its other summation order moves exp3 cells.
         rows = []
         for relu in dual.relu_corner_assignments(params, report):
             row = smooth.copy()
@@ -138,20 +141,14 @@ def directional_derivative(
     canonical readout, and its result fields are ``(m,)`` arrays; a single
     vector is evaluated as a stack of one and gives floats.  Each direction
     is normalized internally and its fields are rescaled by its norm, so the
-    result is positively homogeneous in the argument.  A NaN or infinite
-    direction, or one too long for its norm to be finite, raises
-    ``NonFiniteError``; a zero direction or a wrong shape raises
+    result is positively homogeneous in the argument.  ``direction`` and
+    ``x`` are checked by ``model._points``; a direction too long for its
+    norm to be finite raises ``NonFiniteError``, and a zero one
     ``ValidationError``.  The ReLU corner enumeration behind the dual route
     raises ``TooManyDegeneraciesError`` beyond ``dual.MAX_FREE_COORDS``
     interval coordinates.
     """
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.ndim not in (1, 2) or direction.shape[-1] != params.input_dim:
-        raise ValidationError(
-            "dimension-mismatch",
-            f"direction has shape {direction.shape}, expected ({params.input_dim},) "
-            f"or (m, {params.input_dim})",
-        )
+    direction = _points(direction, params.input_dim, "direction")
     rows = np.atleast_2d(direction)
     # Rows below 2**-500 are scaled by an exact power of two lest their squares underflow.
     _, shift = np.frexp(np.max(np.abs(rows), axis=1))
@@ -160,7 +157,7 @@ def directional_derivative(
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rows, axis=1)
     if not np.isfinite(norms).all():
-        raise NonFiniteError("direction is NaN, infinite or too long for its norm to be finite")
+        raise NonFiniteError("direction is too long for its norm to be finite")
     if np.any(norms == 0.0):
         raise ValidationError("invalid-descriptor", "direction must be nonzero")
     units = rows / norms[:, None]

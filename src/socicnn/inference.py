@@ -23,9 +23,10 @@ import numpy as np
 
 from . import dual, geometry
 from .curvature import curvature_matrix
-from .errors import NonFiniteError, SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_positive, _norms, conic_margin
-from .model import _nondegenerate_rows, _require_nondegenerate, forward, forward_values, relu_margin
+from .errors import SolveFailureError
+from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_number, _norms, _points
+from .model import _nondegenerate_rows, _require_nondegenerate, conic_margin, forward
+from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
 GD_MAX_ITERS = 2000
@@ -90,13 +91,9 @@ METHODS = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
 def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU):
     """Value and canonical-readout gradient of the objective, by the solvers' own code,
     at one point ``x`` for one finite query ``y``, both ``(d,)``."""
-    x, Y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)[None]
-    for what, v in (("point", x), ("query", Y[0])):
-        if v.shape != (params.input_dim,):
-            raise ValidationError("dimension-mismatch", f"{what} shape {v.shape}, need (d,)")
-    if not np.isfinite(Y).all():
-        raise NonFiniteError("query contains NaN or infinity")
-    _check_positive(beta, "beta")
+    x = _points(x, params.input_dim, "x", stack=False)
+    Y = _points(y, params.input_dim, "query", stack=False)[None]
+    _check_number(beta, "beta", positive=True)
     values, trace = _values(params, Y, beta, x[None])
     return float(values[0]), _readout_grad(params, Y, beta, tol)(0, trace)
 
@@ -114,7 +111,10 @@ def _values(params, Y, beta, X):
     """Objective values at the rows of ``X`` for the queries at the rows of
     ``Y``, and one trace of them all: a stacked one, or a one-point trace
     when ``X`` has a single row.  Each value is bitwise that of its point
-    traced alone."""
+    traced alone.  A one-row round stays a point: tracing every round as a
+    stack, and reading the accepted rows from stacks, made default ``run_exp4``
+    slower, 472.7 -> 493.7 ms median CPU time, in 21 of 30 alternated pairs
+    (2-vCPU Xeon VM, NumPy 2.4.6, one BLAS thread)."""
     trace = forward(params, X[0] if len(X) == 1 else X)
     diff = X - Y
     return trace.value + 0.5 * beta * np.vecdot(diff, diff), trace
@@ -351,9 +351,7 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or not len(y):
-        raise ValidationError("dimension-mismatch", f"query shape {y.shape}, need (d,) or (q>0, d)")
+    y = _points(y, params.input_dim, "query")
     Y = np.atleast_2d(y)
     if method.startswith("whitebox"):
         grad_fn = _readout_grad(params, Y, config.beta, config.tol)
@@ -395,7 +393,7 @@ def readout_diagnostics(
     stack of one.  A point on a kink raises ``DegenerateInputError``,
     naming its row in a stack.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _points(x, params.input_dim, "x")
     trace = forward(params, x[None] if x.ndim == 1 else x)
     bad = np.flatnonzero(~_nondegenerate_rows(trace, tol))
     if bad.size:

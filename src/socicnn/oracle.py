@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError
-from .model import _check_positive
+from .model import _check_number, _points
 
 
 def _evaluate(fn, points, shape, what):
@@ -55,10 +55,8 @@ def fd_gradient(f, x, step: float = 1e-6) -> np.ndarray:
     ``(m, n)``; the result has the shape of ``x``.  All ``2 n`` (or
     ``2 m n``) stencil points go to ``f`` in one call.
     """
-    _check_positive(step, "step")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("x must be one point or a stack of points")
+    _check_number(step, "step", positive=True)
+    x = _points(x, None, "x")
     n = x.shape[-1]
     legs = _central_stencil(x, step)
     vals = _evaluate(f, legs.reshape(-1, n), (legs.size // n,), "f")
@@ -78,11 +76,9 @@ def fd_directional(f, x, d, step: float = 1e-7):
     One-sided quotients are the only consistent estimate at a kink, where
     the two-sided ones average the branches away.
     """
-    _check_positive(step, "step")
-    x = np.asarray(x, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim not in (1, 2):
-        raise ValueError("d must be one direction or a stack of directions")
+    _check_number(step, "step", positive=True)
+    x = _points(x, None, "x", stack=False)
+    d = _points(d, x.size, "d")
     dirs = np.atleast_2d(d)
     if not np.all(np.isclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-8, atol=0.0)):
         raise ValueError("direction must be unit length")
@@ -107,10 +103,8 @@ def fd_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
     ``grad`` in one call.  The raw column estimate is averaged with its
     transpose before returning.
     """
-    _check_positive(step, "step")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("x must be one point or a stack of points")
+    _check_number(step, "step", positive=True)
+    x = _points(x, None, "x")
     n = x.shape[-1]
     legs = _central_stencil(x, step)
     grads = _evaluate(grad, legs.reshape(-1, n), (legs.size // n, n), "grad")

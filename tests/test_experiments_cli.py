@@ -218,6 +218,12 @@ class TestExp2:
         assert lines[header + 1].startswith("points,")
         assert lines[header + 2].startswith("1,")
 
+    def test_more_radii_than_residual_bounds_rejected(self):
+        """exp2-quad-residual compares each radius's residual with its own
+        bound; a fourth radius's residual (2.5e-7 here) went unchecked."""
+        with pytest.raises(ValueError, match="^radii must hold at most 3 radii"):
+            Exp2Config(points=4, trials=100, radii=(1e-4, 3e-4, 1e-3, 3e-2))
+
 
 @pytest.fixture(scope="module")
 def exp3_small():
@@ -395,6 +401,16 @@ class TestExp4:
         rows = sum(len(X) for _, calls in runs for X in calls)
         trials = sum(1 + r.iterations + r.backtracks for reports, _ in runs for r in reports)
         assert rows <= 1.05 * trials
+
+
+def test_every_table_cell_is_an_int_float_or_str(exp1_small, exp2_small, exp3_small,
+                                                  exp4_small):
+    """The CLI writes cells with ``str`` and ``json.dumps`` as they come; an
+    ``np.float64`` is a float, whose ``str`` and JSON are the float's."""
+    for out in (exp1_small, exp2_small, exp3_small, exp4_small):
+        for table in out.tables:
+            for row in table.rows:
+                assert all(isinstance(v, (int, float, str)) for v in row), (table.name, row)
 
 
 class TestCli:
@@ -768,6 +784,17 @@ class TestCli:
                     nested = dataclasses.is_dataclass(getattr(cls(), f.name))
                     assert cli_ok == python_ok or (nested and value == {}), (
                         cls.__name__, f.name, value)
+
+    def test_huge_kink_tolerance_is_named_in_the_sampler_error(self, tmp_path, capsys):
+        """At tolerance 1e300 every unit is a kink and the sampled branches
+        are not optimal; the one error line names that tolerance and prints
+        plain floats, not ``np.float64(...)`` reprs."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e300}))
+        assert main(["exp3", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: constructed branch 0")
+        assert "at tolerance 1e+300" in lines[0] and "np.float64(" not in lines[0]
 
     def test_missing_config_file_rejected(self, capsys):
         assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2

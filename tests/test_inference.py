@@ -61,8 +61,8 @@ class TestObjective:
     @pytest.mark.parametrize("y, beta, error, match", [
         ([np.nan, 0.0], 1.0, NonFiniteError, "query contains NaN"),
         ([np.inf, 0.0], 1.0, NonFiniteError, "query contains NaN"),
-        ([1.0], 1.0, ValidationError, r"query shape \(1,\)"),
-        ([[1.0, 0.0], [0.0, 1.0]], 1.0, ValidationError, r"query shape \(2, 2\)"),
+        ([1.0], 1.0, ValidationError, r"query has shape \(1,\)"),
+        ([[1.0, 0.0], [0.0, 1.0]], 1.0, ValidationError, r"query has shape \(2, 2\)"),
         ([1.0, 0.0], np.nan, ValueError, "beta must be positive"),
         ([1.0, 0.0], np.inf, ValueError, "beta must be positive"),
         ([1.0, 0.0], 0.0, ValueError, "beta must be positive"),
