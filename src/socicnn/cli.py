@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-
 from . import experiments, model
 from .errors import SocIcnnError
 from .model import ArchSpec

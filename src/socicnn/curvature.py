@@ -17,7 +17,8 @@ import numpy as np
 
 from . import dual
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_number, _gaussian_nonzero
-from .model import _nondegenerate_rows, _points, _require_nondegenerate, forward
+from .model import _kinks, _nondegenerate_rows, _points, _require_nondegenerate
+from .model import degeneracy_report, forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +45,11 @@ class CurvatureModel:
 
 
 def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
-    """Hashable identifier of the activation branch at this trace: packed
-    strict-positivity bits per layer plus a nonzero flag per conic module."""
-    _check_number(tol, "tolerance")
-    relu_bits = b"".join(np.packbits(a > tol).tobytes() for a in trace.a)
-    cone_flags = tuple(un > tol for un in trace.u_norms)
-    return (relu_bits, cone_flags)
+    """Hashable identifier of the branch at one point's trace, from its kink report:
+    above-the-kink bits per layer and an off-tip flag per cone (a stack raises)."""
+    report = degeneracy_report(trace, tol)
+    relu_bits = b"".join(np.packbits(up).tobytes() for up in report.upper)
+    return (relu_bits, tuple(g not in report.conic_zero_modules for g in range(len(trace.u))))
 
 
 def curvature_matrix(
@@ -58,11 +58,12 @@ def curvature_matrix(
     """Branch Hessian at this trace: ``(d, d)`` at a point, ``(n, d, d)`` at a
     stacked trace, each matrix bitwise its own point's.  A module at its cone
     tip adds no term (its ``dual._cone_scales`` is 0.0); ``hessian`` raises on a kink."""
-    _check_number(tol, "tolerance")
+    tips = _kinks(trace, tol)[2]
     H = np.tile(params.quad_hessian, np.shape(trace.value) + (1, 1))
-    for s, A, u, un in zip(dual._cone_scales(params, trace, tol), params.A, trace.u, trace.u_norms):
+    for s, A, u, un, t in zip(dual._cone_scales(params, trace, tips), params.A, trace.u,
+                              trace.u_norms, tips):
         # A tip row divides by ``un + 1``, not by zero, so its dropped term is finite.
-        uhat = (u.T / (un + (un <= tol))).T
+        uhat = (u.T / (un + t)).T
         S = A - uhat[..., :, None] * np.matvec(A.T, uhat)[..., None, :]
         H += (s * (np.swapaxes(S, -1, -2) @ S).T).T
     return H
@@ -128,8 +129,8 @@ def quadratic_model_residual(
         block = X[start:start + RESIDUAL_BLOCK]
         trace = forward(params, block)
         kept = _nondegenerate_rows(trace, tol)
-        for a, a0 in zip(trace.a, anchor_trace.a):
-            kept &= np.all((a > tol) == (a0 > tol), axis=1)
+        for up, up0 in zip(_kinks(trace, tol)[0], _kinks(anchor_trace, tol)[0]):
+            kept &= np.all(up == up0, axis=1)
         residuals.append(np.abs(trace.value[kept] - anchor_trace.value - cm.predict(block)[kept]))
     residuals = np.concatenate(residuals)
     rate = residuals.size / trials

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
 from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams
-from .model import _check_number, _nonzero_rows, _per_row, _points, degeneracy_report
+from .model import _check_number, _kinks, _nonzero_rows, _per_row, _points, degeneracy_report
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
@@ -100,22 +100,22 @@ def _box_recursion(params: SocIcnnParams, upper, free=None, draws=None) -> tuple
     return tuple(relu)
 
 
-def _cone_scales(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> list:
-    """``lam_g / ||u_g||`` per conic module, ``0.0`` at its cone tip: a float
-    at a point, an ``(n,)`` array at a stacked trace."""
-    return [(un > tol) * lg / (un + (un <= tol)) for lg, un in zip(params.lam, trace.u_norms)]
+def _cone_scales(params: SocIcnnParams, trace: ForwardTrace, tips) -> list:
+    """``lam_g / ||u_g||`` per conic module, ``0.0`` at its cone tip (``tips``,
+    from ``model._kinks``): a float at a point, an ``(n,)`` array at a stack."""
+    return [(1 - t) * lg / (un + t) for lg, un, t in zip(params.lam, trace.u_norms, tips)]
 
 
-def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tol: float):
+def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tips):
     """Quadratic multipliers ``alpha_h * q_h`` and conic multipliers of length
-    ``lam_g`` along the residual, exactly ``+0.0`` at the cone tip; ``(n, k)``
-    arrays, row by row, at a stacked trace."""
+    ``lam_g`` along the residual, exactly ``+0.0`` at the cone tips ``tips``;
+    ``(n, k)`` arrays, row by row, at a stacked trace."""
     quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
     # ``ug.T`` lines a stack's scales up with its rows and leaves a point's
     # vector as it is; adding +0.0 turns every -0.0, the tip rows' included,
     # into +0.0 and leaves every other entry as it is.
     cone = tuple(
-        (s * ug.T).T + 0.0 for s, ug in zip(_cone_scales(params, trace, tol), trace.u)
+        (s * ug.T).T + 0.0 for s, ug in zip(_cone_scales(params, trace, tips), trace.u)
     )
     return quad, cone
 
@@ -129,9 +129,8 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ``alpha_h * q_h``; conic multipliers point along the residual with
     length ``lam_g``, or are exactly ``+0.0`` at the cone tip.
     """
-    _check_number(tol, "tolerance")
-    relu = _box_recursion(params, tuple(a > tol for a in trace.a))
-    return DualBranch(relu, *_smooth_multipliers(params, trace, tol))
+    above, _, tips = _kinks(trace, tol)
+    return DualBranch(_box_recursion(params, [*above]), *_smooth_multipliers(params, trace, tips))
 
 
 def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | np.ndarray:
@@ -246,11 +245,14 @@ def sample_optimal_branches(
         raise ValidationError("invalid-descriptor", f"branch count must be a nonnegative int: {n}")
     _check_number(seed, "seed", count=True)
     report = degeneracy_report(trace, tol)
-    quad, smooth_cone = _smooth_multipliers(params, trace, tol)
-    free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
-    draws = free_rng.random((n, len(report.relu_zero_coords)))
     tips = report.conic_zero_modules
     dims = [params.A[g].shape[0] for g in tips]
+    widest = max(*params.widths, len(report.relu_zero_coords), sum(dims), len(tips))
+    if n > np.iinfo(np.intp).max // (8 * widest):  # no (n, widest) float array has this size
+        raise ValidationError("invalid-descriptor", f"branch count {n} is too large to draw")
+    quad, smooth_cone = _smooth_multipliers(params, trace, _kinks(trace, tol)[2])
+    free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
+    draws = free_rng.random((n, len(report.relu_zero_coords)))
     directions = dir_rng.standard_normal((n, sum(dims)))
     radii = radius_rng.random((n, len(tips)))
     cone = [np.broadcast_to(r, (n, r.shape[0])) for r in smooth_cone]

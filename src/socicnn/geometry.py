@@ -16,8 +16,8 @@ import numpy as np
 
 from . import dual
 from .errors import NonFiniteError, ValidationError
-from .model import DEFAULT_TAU, DegeneracyReport, SocIcnnParams, _points, _require_nondegenerate
-from .model import degeneracy_report, forward
+from .model import DEFAULT_TAU, DegeneracyReport, SocIcnnParams, _kinks, _points
+from .model import _require_nondegenerate, degeneracy_report, forward
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,25 @@ def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.nda
     parts differentiate as usual.  ``(m,)`` at a point, ``(n, m)`` at a
     stacked trace, each row bitwise its point's.  Off every kink, the sweep
     along ``np.eye(d)`` is the gradient: the primal route of every check."""
+    above, below, tips = _kinks(trace, tol)
     dZ = np.zeros(np.shape(trace.value) + (0, units.shape[0]))
-    for a, W, U in zip(trace.a, params.W, params.U):
+    for up, down, W, U in zip(above, below, params.W, params.U):
         # Layout (..., width, m): at exp1's widths an 8-point block's ``U @ dZ`` took
         # 28 us, ``dZ @ U.T`` in the transposed layout 48 us (2-vCPU Xeon, NumPy 2.4.6).
         dZ = U @ dZ
         dZ += W @ units.T
         # Clamp per unit: above the kink the slope passes, below it 0, on it its positive part.
-        np.maximum(dZ, np.where(a > tol, -np.inf, 0.0)[..., None], out=dZ)
-        np.minimum(dZ, np.where(a < -tol, 0.0, np.inf)[..., None], out=dZ)
+        np.maximum(dZ, np.where(up, -np.inf, 0.0)[..., None], out=dZ)
+        np.minimum(dZ, np.where(down, 0.0, np.inf)[..., None], out=dZ)
     total = units @ params.v + params.c @ dZ
     for al, B, qh in zip(params.alpha, params.B, trace.q):
         total += al * np.matvec(units @ B.T, qh)
-    for lg, A, ug, un in zip(params.lam, params.A, trace.u, trace.u_norms):
+    for lg, A, ug, un, tip in zip(params.lam, params.A, trace.u, trace.u_norms, tips):
         Ad = units @ A.T
-        un = np.reshape(un, np.shape(un) + (1,))
+        tip = np.reshape(tip, np.shape(tip) + (1,))
         # A tip row divides by ``un + 1``, not by zero, and takes the norm term.
-        off_tip = lg * np.matvec(Ad, ug) / (un + (un <= tol))
-        total += np.where(un > tol, off_tip, lg * np.linalg.norm(Ad, axis=1))
+        off_tip = lg * np.matvec(Ad, ug) / (np.reshape(un, tip.shape) + tip)
+        total += np.where(tip, lg * np.linalg.norm(Ad, axis=1), off_tip)
     return total
 
 
@@ -98,18 +99,18 @@ class _SupportEvaluator:
     Precomputes the readout of every ReLU corner with the smooth module
     slopes folded in; a call maximizes those rows against each row of an
     ``(m, d)`` array of unit directions and adds ``lam_g * ||A_g @ unit||``
-    for each cone-tip module, the maximum of ``r . A_g @ unit`` over the
-    ball ``||r|| <= lam_g``.  The optimal set is a product of the corner box
-    and the balls, so the sum is its exact support function.
+    for each cone tip flagged in ``tips`` by the kink rule, the maximum of
+    ``r . A_g @ unit`` over the ball ``||r|| <= lam_g``.  The optimal set is
+    a product of the corner box and the balls: the sum is its exact support function.
     """
 
-    def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tol: float):
+    def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tips):
         smooth = params.v.copy()
         for al, B, qh in zip(params.alpha, params.B, trace.q):
             smooth += al * np.matvec(B.T, qh)
-        for s, A, ug in zip(dual._cone_scales(params, trace, tol), params.A, trace.u):
+        for s, A, ug in zip(dual._cone_scales(params, trace, tips), params.A, trace.u):
             smooth += s * np.matvec(A.T, ug)
-        self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
+        self.tips = [(lg, A) for lg, A, tip in zip(params.lam, params.A, tips) if tip]
         # Corner by corner, only d-wide rows stay alive.  One stacked branch for
         # ``dual.readout`` would hold 2**16 x sum(widths) doubles at the corner cap
         # (134 MB at exp1's widths), and its other summation order moves exp3 cells.
@@ -165,7 +166,7 @@ def directional_derivative(
     trace = forward(params, x)
     report = degeneracy_report(trace, tol)
     primal = scale * _one_sided_primal(params, trace, units, tol)
-    dual_max = scale * _SupportEvaluator(params, trace, report, tol)(units)
+    dual_max = scale * _SupportEvaluator(params, trace, report, _kinks(trace, tol)[2])(units)
     canon = scale * (units @ dual.readout(params, dual.canonical(params, trace, tol)))
     if direction.ndim == 1:
         return DirectionalDerivativeResult(

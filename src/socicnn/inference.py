@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dual, geometry
 from .curvature import curvature_matrix
-from .errors import SolveFailureError
+from .errors import SolveFailureError, ValidationError
 from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_number, _norms, _points
 from .model import _nondegenerate_rows, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
@@ -95,7 +95,7 @@ def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU
     Y = _points(y, params.input_dim, "query", stack=False)[None]
     _check_number(beta, "beta", positive=True)
     values, trace = _values(params, Y, beta, x[None])
-    return float(values[0]), _readout_grad(params, Y, beta, tol)(0, trace)
+    return values[0], _readout_grad(params, Y, beta, tol)(0, trace.row(0))
 
 
 def _trial_block(params, y, beta, x, p, etas):
@@ -108,16 +108,13 @@ def _trial_block(params, y, beta, x, p, etas):
 
 @np.errstate(over="ignore")
 def _values(params, Y, beta, X):
-    """Objective values at the rows of ``X`` for the queries at the rows of
-    ``Y``, and one trace of them all: a stacked one, or a one-point trace
-    when ``X`` has a single row.  Each value is bitwise that of its point
-    traced alone.  A one-row round stays a point: tracing every round as a
-    stack, and reading the accepted rows from stacks, made default ``run_exp4``
-    slower, 472.7 -> 493.7 ms median CPU time, in 21 of 30 alternated pairs
-    (2-vCPU Xeon VM, NumPy 2.4.6, one BLAS thread)."""
-    trace = forward(params, X[0] if len(X) == 1 else X)
+    """Objective values, as floats, at the rows of ``X`` for the queries at the rows
+    of ``Y``, each bitwise its point's alone, and their stacked trace, even of one row.
+    With list state this read default ``run_exp4`` at 0.982 (seed 0) and 0.960 (seed 99)
+    of the point-tracing loop's time (30 alternated pairs, 2-vCPU Xeon VM, NumPy 2.4.6)."""
+    trace = forward(params, X)
     diff = X - Y
-    return trace.value + 0.5 * beta * np.vecdot(diff, diff), trace
+    return (trace.value + 0.5 * beta * np.vecdot(diff, diff)).tolist(), trace
 
 
 @np.errstate(over="ignore")
@@ -128,9 +125,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     Each round makes one value query: one trace of every point that any
     row's line search tries next.  Each point is traced once, there.  The
     rows that accept a point in a round get their gradients from one
-    ``grad_fn(rows, trace)`` call with the trace of the accepted points
-    (``rows`` is an index array for a stacked trace and an int for a
-    one-point trace; the value-only twins read only ``trace.x``).
+    ``grad_fn(rows, trace)`` call: ``rows`` an index array, ``trace`` the stacked
+    trace of the accepted points (the value-only twins read only ``trace.x``).
     ``direction_fn`` maps ``(row, g, trace)`` to a step direction at that
     row's one-point trace (None for steepest descent, whose default budget
     is ``GD_MAX_ITERS`` iterations, not ``NEWTON_MAX_ITERS``).  A row stops
@@ -151,7 +147,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     max_iters = config.max_iters
     if max_iters is None:
         max_iters = GD_MAX_ITERS if direction_fn is None else NEWTON_MAX_ITERS
-    etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)])
+    etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)]).tolist()
     mark = time.perf_counter()
     spent = [0.0] * q
 
@@ -167,22 +163,19 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     F, trace = _values(params, Y, config.beta, X)
     charged, weights, fresh = range(q), [1] * q, np.arange(q)
     G, P = np.empty_like(Y), np.empty_like(Y)
-    bounds = np.empty((q, etas.size))
     block, tried, iterations, backtracks = [1] * q, [0] * q, [0] * q, [0] * q
-    progress, grad_norm = [0.0] * q, [0.0] * q
+    progress, grad_norm, slopes = [0.0] * q, [0.0] * q, [0.0] * q
     history, stop = [[] for _ in range(q)], [None] * q
     searching = []
     while True:
         if fresh.size:
             charge(charged, weights)
-            stacked = np.ndim(trace.value) > 0
-            rows = fresh if stacked else fresh[0]
-            G[rows] = grad_fn(rows, trace)
+            G[fresh] = grad_fn(fresh, trace)
             charge(fresh, [1] * fresh.size)
             for i, r in enumerate(fresh.tolist()):
                 g = G[r]
                 grad_norm[r] = gn = math.sqrt(g @ g)
-                history[r].append((float(F[r]), gn))
+                history[r].append((F[r], gn))
                 if iterations[r] and progress[r] <= config.progress_tol:
                     stop[r] = "progress"
                 elif gn <= config.grad_tol:
@@ -192,52 +185,49 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                 else:
                     if direction_fn is None:
                         P[r] = -g
-                        slope = -gn * gn
+                        slopes[r] = -gn * gn
                     else:
-                        P[r] = direction_fn(r, g, trace.row(i) if stacked else trace)
+                        P[r] = direction_fn(r, g, trace.row(i))
                         charge([r], [1])
-                        slope = float(g @ P[r])
-                    bounds[r] = F[r] + config.armijo * etas * slope
+                        slopes[r] = float(g @ P[r])
                     tried[r] = 0
                     searching.append(r)
         if not searching:
             break
-        weights = [min(block[r], etas.size - tried[r]) for r in searching]
+        weights = [min(block[r], len(etas) - tried[r]) for r in searching]
         owner = np.repeat(searching, weights)
         steps = np.concatenate([etas[tried[r] : tried[r] + n] for r, n in zip(searching, weights)])
         X_try, values, trace = _trial_block(
             params, Y[owner], config.beta, X[owner], P[owner], steps
         )
-        charged, accepted, still, start = searching, [], [], 0
-        for r, n in zip(searching, weights):
-            k = next((i for i in range(n) if values[start + i] <= bounds[r, tried[r] + i]), None)
+        charged, searching, accepted, start = searching, [], [], 0
+        for r, n in zip(charged, weights):
+            bounds = [F[r] + config.armijo * eta * slopes[r] for eta in etas[tried[r]:tried[r] + n]]
+            k = next((i for i in range(n) if values[start + i] <= bounds[i]), None)
             if k is not None:
                 backtracks[r] += tried[r] + k
                 block[r] = tried[r] + k + 1
-                f_new = float(values[start + k])
-                progress[r] = float(F[r]) - f_new
+                f_new = values[start + k]
+                progress[r] = F[r] - f_new
                 X[r], F[r] = X_try[start + k], f_new
                 iterations[r] += 1
                 accepted.append(start + k)
-            elif tried[r] + n < etas.size:
+            elif tried[r] + n < len(etas):
                 tried[r] += n
-                still.append(r)
+                searching.append(r)
             else:
                 backtracks[r] += config.max_backtracks
                 stop[r] = "line-search-failure"
             start += n
         fresh = owner[accepted]
-        if len(accepted) == 1 and np.ndim(trace.value):
-            trace = trace.row(accepted[0])
-        elif len(accepted) > 1:
+        if 0 < len(accepted) < len(owner):  # none accepted, or all in order: keep the trace
             trace = trace.row(np.array(accepted))
-        searching = still
     charge(range(q), [1] * q)
     return tuple(
         InferenceReport(
             method=method,
             x=X[r].copy(),
-            objective=float(F[r]),
+            objective=F[r],
             grad_norm=grad_norm[r],
             iterations=iterations[r],
             backtracks=backtracks[r],
@@ -351,6 +341,9 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    for name, arg, kind in (("params", params, SocIcnnParams), ("config", config, InferenceConfig)):
+        if not isinstance(arg, kind):
+            raise ValidationError("invalid-descriptor", f"{name} must be of type {kind.__name__}")
     y = _points(y, params.input_dim, "query")
     Y = np.atleast_2d(y)
     if method.startswith("whitebox"):

@@ -312,9 +312,9 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """
     X = _points(x, params.input_dim, "input")
     a_list = []
-    z = np.zeros(X.shape[:-1] + (0,))
+    z = None  # layer 0 adds +0.0 for its skip product by the zero-column ``U[0]``
     for W, U, b in zip(params.W, params.U, params.b):
-        a = np.matvec(W, X) + np.matvec(U, z) + b
+        a = np.matvec(W, X) + (0.0 if z is None else np.matvec(U, z)) + b
         z = np.maximum(a, 0.0)
         a_list.append(a)
     value = np.vecdot(params.c, z) + np.vecdot(params.v, X) + params.b0
@@ -350,10 +350,10 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
     X = _points(X, params.input_dim, "input", batch=True)
     # Each temporary is updated in place in the order of the expression it
     # stands for (``X @ W.T + Z @ U.T + b`` and so on), so values are unchanged.
-    Z = np.zeros(X.shape[:-1] + (0,))
+    Z = None  # as in ``forward``: +0.0 stands for layer 0's empty skip product
     for W, U, b in zip(params.W, params.U, params.b):
         pre = X @ W.T
-        pre += Z @ U.T
+        pre += 0.0 if Z is None else Z @ U.T
         pre += b
         Z = np.maximum(pre, 0.0, out=pre)
     values = Z @ params.c
@@ -418,20 +418,31 @@ def _check_config(cfg, positive=()) -> None:
                 _check_number(v, name, name in positive, kind is None or type(kind) is int)
 
 
-def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
-    """Classify every kink of the trace of one point, within absolute
-    tolerance ``tol``; a stacked trace raises ``ValidationError``."""
+def _kinks(trace: ForwardTrace, tol: float):
+    """The one kink rule; no other code compares a trace value with ``tol``.  Per layer,
+    one-pass generators of the masks of the units above ``tol`` and below ``-tol`` (the
+    rest are on their kinks); per cone, the tip flag ``||u_g|| <= tol`` (bool or mask)."""
     _check_number(tol, "tolerance")
+    tips = [un <= tol for un in trace.u_norms]
+    return (a > tol for a in trace.a), (a < -tol for a in trace.a), tips
+
+
+def degeneracy_report(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DegeneracyReport:
+    """Classify every kink of one point's trace by the kink rule at tolerance ``tol``:
+    a unit is above where ``a > tol``, below where ``a < -tol`` and on its kink otherwise,
+    a cone at its tip where ``||u_g|| <= tol``.  A stack raises ``ValidationError``."""
+    above, below, tips = _kinks(trace, tol)
     if np.ndim(trace.value):
         raise ValidationError("dimension-mismatch", "expected the trace of one point, not a stack")
-    free = tuple(abs(a) <= tol for a in trace.a)
+    upper = tuple(above)
+    free = tuple(~(up | down) for up, down in zip(upper, below))
     relu = tuple((l, int(i)) for l, mask in enumerate(free) for i in np.flatnonzero(mask))
-    conic = tuple(g for g, un in enumerate(trace.u_norms) if un <= tol)
+    conic = tuple(g for g, tip in enumerate(tips) if tip)
     return DegeneracyReport(
         relu_zero_coords=relu,
         conic_zero_modules=conic,
         is_nondegenerate=not relu and not conic,
-        upper=tuple(a > tol for a in trace.a),
+        upper=upper,
         free=free,
     )
 
@@ -488,11 +499,12 @@ def conic_margin(trace: ForwardTrace) -> float | np.ndarray:
 
 
 def _nondegenerate_rows(trace: ForwardTrace, tol: float):
-    """Whether the point, or each row of a stacked trace, lies more than
-    ``tol`` from every ReLU and conic kink: ``degeneracy_report``'s
+    """Whether the point, or each row of a stacked trace, lies off every ReLU
+    and conic kink by the one kink rule: ``degeneracy_report``'s
     ``is_nondegenerate``, row by row."""
-    _check_number(tol, "tolerance")
-    return np.minimum(relu_margin(trace), conic_margin(trace)) > tol
+    above, below, tips = _kinks(trace, tol)
+    off = [np.all(up | down, axis=-1) for up, down in zip(above, below)]
+    return np.logical_and.reduce(off + [np.logical_not(tip) for tip in tips])
 
 
 def build_random(seed: int, arch: ArchSpec) -> SocIcnnParams:

@@ -316,6 +316,15 @@ class TestSampling:
         with pytest.raises(ValidationError, match="nonnegative"):
             sample_optimal_branches(params, forward(params, x0), n=-1)
 
+    @pytest.mark.parametrize("n", [10 ** 400, 2 ** 63, 2 ** 62], ids=["10**400", "2**63", "2**62"])
+    def test_count_too_large_to_shape_rejected(self, degenerate_model, n):
+        """Counts whose draws NumPy cannot shape ended in a bare ``ValueError``
+        (``Maximum allowed dimension exceeded`` or ``array is too big``); NumPy
+        refuses them before allocating anything."""
+        params, x0 = degenerate_model
+        with pytest.raises(ValidationError, match=f"^branch count {n} is too large"):
+            sample_optimal_branches(params, forward(params, x0), n=n)
+
     def test_prefix_reproducibility(self, degenerate_model):
         """A shorter sample is a prefix of a longer one, also with free
         coordinates in two layers and two cone tips."""

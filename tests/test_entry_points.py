@@ -18,6 +18,7 @@ from socicnn import (
     ArchSpec,
     InferenceConfig,
     SocIcnnError,
+    ValidationError,
     branch_signature,
     build_random,
     canonical,
@@ -171,6 +172,33 @@ def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
     assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
     assert cases == 17 * 14 - 4 + 20 * 7
     assert elapsed < 0.3, f"sweep took {elapsed:.3f} s"
+
+
+# Each non-point, non-number argument: the call with the argument replaced,
+# and the name its error gives.
+OBJECT_ARGS = {
+    "solve params": (lambda v: solve(v, X, InferenceConfig(), "whitebox-gd"), "params"),
+    "solve config": (lambda v: solve(P, X, v, "whitebox-gd"), "config"),
+}
+
+BAD_OBJECTS = {
+    "None": None,
+    "dict": {"beta": 10.0},
+    "number": 1.0,
+    "point": X,
+}
+
+
+def test_every_bad_object_argument_fails_with_a_named_validation_error():
+    """``solve`` read ``config`` and ``params`` as attribute bags, so ``None``
+    or a dict ended in a bare ``AttributeError``."""
+    misses = []
+    for arg, (call, name) in OBJECT_ARGS.items():
+        for kind, value in BAD_OBJECTS.items():
+            got = outcome(call, value)
+            if not (isinstance(got, ValidationError) and str(got).startswith(f"{name} must be")):
+                misses.append((arg, kind, got))
+    assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
 
 
 @pytest.mark.parametrize("arg", ["dual_value x", "CurvatureModel.predict x"])

@@ -177,6 +177,8 @@ class TestStackedForward:
         with pytest.raises(ValidationError):
             socicnn.directional_derivative(small_model, X, X[0])
         with pytest.raises(ValidationError):
+            socicnn.branch_signature(forward(small_model, X))
+        with pytest.raises(ValidationError):
             socicnn.objective(small_model, X[0], 1.0, X)
         # The point-or-stack entries take X itself but not a stack of stacks.
         with pytest.raises(ValidationError):
