@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
 from .errors import ValidationError
-from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams
-from .model import _check_number, _kinks, _nonzero_rows, _per_row, _points, degeneracy_report
+from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams, degeneracy_report
+from .model import _check_kind, _check_number, _kinks, _nonzero_rows, _per_row, _points
 
 # Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
 # corner assignments is the most the exhaustive routines will materialize.
@@ -140,6 +140,7 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | 
     on every conic module.  Quadratic multipliers are unconstrained.  A
     stack gives each row's violation as an ``(n,)`` array.
     """
+    _check_kind(branch, DualBranch, "branch")
     worst = np.full(np.shape(branch.relu[0])[:-1], -np.inf)
     for nu, bound in zip(branch.relu, upper_bounds(params, branch.relu)):
         if nu.shape[-1]:
@@ -174,6 +175,7 @@ def dual_value(
     infeasible row of a stack.
     """
     x = _points(x, params.input_dim, "x", stack=False)
+    _check_kind(branch, DualBranch, "branch")
     if check_feasible:
         viol = np.reshape(feasibility_violation(params, branch), -1)
         bad = np.flatnonzero(viol > _FEAS_TOL)
@@ -191,6 +193,7 @@ def readout(params: SocIcnnParams, branch: DualBranch) -> np.ndarray:
     stack gives an ``(n, d)`` array whose row ``k`` is bitwise the readout
     of branch ``k``.
     """
+    _check_kind(branch, DualBranch, "branch")
     g = params.v
     for M, vec in zip(params.W + params.B + params.A, branch.relu + branch.quad + branch.cone):
         g = g + np.matvec(M.T, vec)

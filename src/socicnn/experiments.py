@@ -33,7 +33,7 @@ from .model import (
     forward_values,
     relu_margin,
 )
-from .oracle import fd_directional, fd_gradient, fd_hessian
+from .oracle import fd_directional, fd_hessian
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,12 @@ _BLOCK = 8
 
 def _gradient_routes(params, trace, tol, fd_step):
     """Dual (canonical readout), primal (the one-sided sweep along
-    ``np.eye(d)``) and central-difference gradients at the rows of a stacked
-    trace.  Each point's ``2 d`` stencil rows are their own slab of one
-    batched ``forward_values`` call, so every row is bitwise what a one-point
-    call gives."""
-    d = params.input_dim
-    g_fd = fd_gradient(
-        lambda Z: forward_values(params, Z.reshape(-1, 2 * d, d)).reshape(-1), trace.x, fd_step
-    )
-    g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    return g_dual, geometry._one_sided_primal(params, trace, np.eye(d), tol), g_fd
+    ``np.eye(d)``) and central-difference (the FD solvers' own field)
+    gradients at the rows of a stacked trace, each row bitwise what a
+    one-point call gives."""
+    g_dual = inference._readout_grad(params, tol)(trace)
+    g_primal = geometry._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
+    return g_dual, g_primal, inference._fd_field(params, fd_step)(trace)
 
 
 def _running_sums(blocks, width):

@@ -3,14 +3,14 @@
 
 ``solve`` is the one solver entry: it takes one query ``(d,)`` or a stack
 ``(q, d)`` descended in lockstep, and one of four methods.  Two first-order
-and two second-order methods share one descent loop.  The white-box pair
-uses the canonical readout for gradients and the branch curvature formula
-(plus ``beta I``) for the Newton system; the baseline pair replaces both
-with finite-difference compositions of plain value queries and must not
-touch any analytic route.  All four use the same Armijo backtracking line
-search and the same stopping rules, so their iteration counts are
-comparable.  ``readout_diagnostics`` cross-checks the readout routes at one
-solution or a stack of them.
+and two second-order methods share one descent loop.  Each supplies only
+the model's derivatives: the white-box pair the canonical readout and the
+branch curvature formula, the baseline pair finite-difference compositions
+of model values alone, touching no analytic route.  The proximal term's
+``beta (x - y)`` and ``beta I`` are added in closed form for every method.
+All four use the same Armijo backtracking line search and the same stopping
+rules, so their iteration counts are comparable.  ``readout_diagnostics``
+cross-checks the readout routes at one solution or a stack of them.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import dual, geometry
 from .curvature import curvature_matrix
-from .errors import SolveFailureError, ValidationError
-from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_number, _norms, _points
-from .model import _nondegenerate_rows, _require_nondegenerate, conic_margin, forward
+from .errors import SolveFailureError
+from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_kind, _check_number, _norms
+from .model import _nondegenerate_rows, _points, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
 
@@ -95,7 +96,7 @@ def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU
     Y = _points(y, params.input_dim, "query", stack=False)[None]
     _check_number(beta, "beta", positive=True)
     values, trace = _values(params, Y, beta, x[None])
-    return values[0], _readout_grad(params, Y, beta, tol)(0, trace.row(0))
+    return values[0], _readout_grad(params, tol)(trace.row(0)) + beta * (x - Y[0])
 
 
 def _trial_block(params, y, beta, x, p, etas):
@@ -125,10 +126,10 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     Each round makes one value query: one trace of every point that any
     row's line search tries next.  Each point is traced once, there.  The
     rows that accept a point in a round get their gradients from one
-    ``grad_fn(rows, trace)`` call: ``rows`` an index array, ``trace`` the stacked
-    trace of the accepted points (the value-only twins read only ``trace.x``).
-    ``direction_fn`` maps ``(row, g, trace)`` to a step direction at that
-    row's one-point trace (None for steepest descent, whose default budget
+    ``grad_fn(trace)`` call, the model's at the stacked trace of the accepted
+    points (the value-only twins read only ``trace.x``), plus ``beta (x - y)``.
+    ``direction_fn`` maps ``(g, trace)`` to a step direction at a row's
+    one-point trace (None for steepest descent, whose default budget
     is ``GD_MAX_ITERS`` iterations, not ``NEWTON_MAX_ITERS``).  A row stops
     on per-step progress, on gradient norm, on iteration budget, or on a
     line-search failure, whichever comes first, and leaves the rounds.
@@ -170,7 +171,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     while True:
         if fresh.size:
             charge(charged, weights)
-            G[fresh] = grad_fn(fresh, trace)
+            G[fresh] = grad_fn(trace) + config.beta * (trace.x - Y[fresh])
             charge(fresh, [1] * fresh.size)
             for i, r in enumerate(fresh.tolist()):
                 g = G[r]
@@ -187,7 +188,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                         P[r] = -g
                         slopes[r] = -gn * gn
                     else:
-                        P[r] = direction_fn(r, g, trace.row(i))
+                        P[r] = direction_fn(g, trace.row(i))
                         charge([r], [1])
                         slopes[r] = float(g @ P[r])
                     tried[r] = 0
@@ -239,14 +240,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     )
 
 
-def _readout_grad(params, Y, beta, tol):
-    """Canonical-readout gradient of the objective for the queries at
-    ``rows`` of ``Y``, read from the trace of their points."""
-
-    def grad_fn(rows, trace):
-        return dual.readout(params, dual.canonical(params, trace, tol)) + beta * (trace.x - Y[rows])
-
-    return grad_fn
+def _readout_grad(params, tol):
+    """Canonical-readout model gradient at the points of a trace."""
+    return lambda trace: dual.readout(params, dual.canonical(params, trace, tol))
 
 
 def _readout_field(params, tol):
@@ -255,66 +251,42 @@ def _readout_field(params, tol):
     return lambda Z: dual.readout(params, dual.canonical(params, forward(params, Z), tol))
 
 
-def _fd_values(params, Y, config):
-    """Objective value field of the queries at ``rows`` of ``Y``, from value
-    queries alone.  It takes one equally long block of points per query,
-    stacked in query order, and evaluates each block as its own ``(m, d)``
-    slab of one batched ``forward_values`` call."""
-
-    def values(rows):
-        Yr = Y[rows].reshape(-1, 1, Y.shape[1])
-
-        def f(Z):
-            Z = Z.reshape(len(Yr), -1, Z.shape[-1])
-            diff = Z - Yr
-            quad = np.einsum("...ij,...ij->...i", diff, diff)
-            return (forward_values(params, Z) + 0.5 * config.beta * quad).reshape(-1)
-
-        return f
-
-    return values
+def _fd_field(params, step):
+    """Central-difference model gradient at the points ``trace.x``, from model values
+    alone.  Each point's ``2 d`` stencil rows are their own ``(m, 2 d, d)`` slab of
+    one batched ``forward_values`` call, so row ``k`` is bitwise point ``k``'s alone."""
+    d = params.input_dim
+    return lambda trace: fd_gradient(
+        lambda S: forward_values(params, S.reshape(-1, 2 * d, d)).reshape(-1), trace.x, step
+    )
 
 
-def _fd_grad(params, Y, config):
-    """Central-difference gradient of the objective for the queries at
-    ``rows`` of ``Y``, at the points of ``trace``, built from value queries
-    alone: one stencil block per point, all in one value query."""
-    values = _fd_values(params, Y, config)
-    return lambda rows, trace: fd_gradient(values(rows), trace.x, config.fd_grad_step)
+def _newton_direction(params, config, g, trace):
+    """Damped Newton step for ``g`` at a point's trace, from the closed-form curvature."""
+    H = curvature_matrix(params, trace, config.tol)
+    H[np.diag_indices_from(H)] += config.beta + config.damping
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
+    # The factor only tests definiteness: NumPy has no triangular solve, and
+    # two general solves on it cost more than one solve with H.
+    return -np.linalg.solve(H, g)
 
 
-def _newton_direction(params, config):
-    """Damped Newton step at a row's trace from the closed-form curvature."""
+def _fd_newton_direction(params, config, g, trace):
+    """Newton step for ``g`` at a point's trace: a central difference of the FD model
+    gradient field, its ``4 d^2``-point stencil in one flat value query, plus ``beta I``,
+    with the eigenvalues clamped from below at ``beta + damping``."""
 
-    def direction_fn(r, g, trace):
-        H = curvature_matrix(params, trace, config.tol)
-        H[np.diag_indices_from(H)] += config.beta + config.damping
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
-        # The factor only tests definiteness: NumPy has no triangular solve, and
-        # two general solves on it cost more than one solve with H.
-        return -np.linalg.solve(H, g)
+    def field(P):
+        return fd_gradient(lambda S: forward_values(params, S), P, config.fd_grad_step)
 
-    return direction_fn
-
-
-def _fd_newton_direction(params, Y, config):
-    """Newton step from a central difference of the FD gradient field of a
-    row's query, its ``4 n^2``-point stencil in one value query, with the
-    eigenvalues clamped from below at ``beta + damping``."""
-    values = _fd_values(params, Y, config)
-
-    def direction_fn(r, g, trace):
-        f = values(r)
-        H = fd_hessian(lambda P: fd_gradient(f, P, config.fd_grad_step), trace.x,
-                       config.fd_hess_step)
-        w, V = np.linalg.eigh(H)
-        w = np.maximum(w, config.beta + config.damping)
-        return -(V @ ((V.T @ g) / w))
-
-    return direction_fn
+    H = fd_hessian(field, trace.x, config.fd_hess_step)
+    H[np.diag_indices_from(H)] += config.beta
+    w, V = np.linalg.eigh(H)
+    w = np.maximum(w, config.beta + config.damping)
+    return -(V @ ((V.T @ g) / w))
 
 
 def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
@@ -324,37 +296,35 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     ``(q, d)`` with ``q >= 1``, giving a tuple of ``q`` reports in order.
     The queries of a stack descend in lockstep, and each report is bitwise
     that of its query alone, apart from the timings, which split the batch
-    time between the queries.  ``method`` is one of ``METHODS``:
+    time between the queries.  Each method gives only the model's derivatives,
+    and ``beta (x - y)`` and ``beta I`` are added in closed form for every
+    method.  ``method`` is one of ``METHODS``:
 
     - ``"whitebox-gd"``: descent along the canonical-readout gradient.
     - ``"whitebox-newton"``: damped Newton on ``H(x) + (beta + damping) I``
       with the closed-form branch curvature ``H``; cone-tip modules, should
       an iterate land exactly on one, drop out of ``H`` (their
       subdifferential term is already in the gradient).
-    - ``"fd-gd"``: the twin that sees only objective values, with
-      central-difference gradients at step ``fd_grad_step``.
+    - ``"fd-gd"``: the twin that sees only model values, with
+      central-difference model gradients at step ``fd_grad_step``.
     - ``"fd-newton"``: the twin whose Newton matrix is a central difference
-      of that gradient field, over one ``4 n^2``-point value query.  It
-      goes indefinite whenever a stencil leg crosses a kink, so its
-      eigenvalues are clamped from below at ``beta + damping``: the
+      of that gradient field, over one ``4 d^2``-point value query, plus
+      ``beta I``.  It goes indefinite whenever a stencil leg crosses a kink,
+      so its eigenvalues are clamped from below at ``beta + damping``: the
       declared strong-convexity constant, no analytic model structure.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    for name, arg, kind in (("params", params, SocIcnnParams), ("config", config, InferenceConfig)):
-        if not isinstance(arg, kind):
-            raise ValidationError("invalid-descriptor", f"{name} must be of type {kind.__name__}")
+    _check_kind(params, SocIcnnParams, "params")
+    _check_kind(config, InferenceConfig, "config")
     y = _points(y, params.input_dim, "query")
     Y = np.atleast_2d(y)
+    # A method is a family, which supplies the model's derivatives, and an order.
     if method.startswith("whitebox"):
-        grad_fn = _readout_grad(params, Y, config.beta, config.tol)
+        grad_fn, newton = _readout_grad(params, config.tol), _newton_direction
     else:
-        grad_fn = _fd_grad(params, Y, config)
-    direction_fn = None
-    if method == "whitebox-newton":
-        direction_fn = _newton_direction(params, config)
-    elif method == "fd-newton":
-        direction_fn = _fd_newton_direction(params, Y, config)
+        grad_fn, newton = _fd_field(params, config.fd_grad_step), _fd_newton_direction
+    direction_fn = partial(newton, params, config) if method.endswith("newton") else None
     reports = _descent(params, Y, config, method, grad_fn, direction_fn)
     return reports[0] if y.ndim == 1 else reports
 

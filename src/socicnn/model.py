@@ -392,6 +392,12 @@ def _check_number(value, name: str, positive: bool = False, count: bool = False)
     raise ValueError(f"{name} must be {bad}, got {value!r}{hint}")
 
 
+def _check_kind(value, kind, name: str) -> None:
+    """The one kind check of every object argument: ``ValidationError`` unless a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError("invalid-descriptor", f"{name} must be of type {kind.__name__}")
+
+
 def _check_config(cfg, positive=()) -> None:
     """Reject, with a ``ValueError`` that names it, a field of the config
     dataclass ``cfg`` whose value is not of the kind its default holds: an
@@ -422,6 +428,7 @@ def _kinks(trace: ForwardTrace, tol: float):
     """The one kink rule; no other code compares a trace value with ``tol``.  Per layer,
     one-pass generators of the masks of the units above ``tol`` and below ``-tol`` (the
     rest are on their kinks); per cone, the tip flag ``||u_g|| <= tol`` (bool or mask)."""
+    _check_kind(trace, ForwardTrace, "trace")
     _check_number(tol, "tolerance")
     tips = [un <= tol for un in trace.u_norms]
     return (a > tol for a in trace.a), (a < -tol for a in trace.a), tips
@@ -482,6 +489,7 @@ def _per_row(value):
 def relu_margin(trace: ForwardTrace) -> float | np.ndarray:
     """Smallest absolute preactivation across the backbone; per row, as an
     ``(n,)`` array, for a stacked trace."""
+    _check_kind(trace, ForwardTrace, "trace")
     margin = np.full(np.shape(trace.value), np.inf)
     for a in trace.a:
         if a.shape[-1]:
@@ -492,6 +500,7 @@ def relu_margin(trace: ForwardTrace) -> float | np.ndarray:
 def conic_margin(trace: ForwardTrace) -> float | np.ndarray:
     """Smallest conic residual norm, infinity when there are no conic
     modules; per row, as an ``(n,)`` array, for a stacked trace."""
+    _check_kind(trace, ForwardTrace, "trace")
     margin = np.full(np.shape(trace.value), np.inf)
     for un in trace.u_norms:
         margin = np.minimum(margin, un)

@@ -197,7 +197,7 @@ def count_value_rows(monkeypatch):
 
     def counting_descent(params, Y, config, method, grad_fn, direction_fn):
         runs.append(dict.fromkeys(("grads", "grad_rows", "directions", "direction_rows"), 0))
-        grad_fn = counted(grad_fn, "grad", lambda rows, trace: np.size(rows))
+        grad_fn = counted(grad_fn, "grad", lambda trace: len(trace.x))
         direction_fn = direction_fn and counted(direction_fn, "direction", lambda *args: 1)
         return descent(params, Y, config, method, grad_fn, direction_fn)
 

@@ -14,8 +14,10 @@ Each line is ``key<TAB>value``.  A cell's key is
 ``*_ms`` columns are left out, since they are timings.  With ``--against``,
 only the differences are printed: each moved cell with its old value, new
 value and distance in units in the last place, each changed verdict, and
-each key that one side lacks.  ``--write`` stores the cells as JSON
-together with the machine they were made on (CPU model, NumPy version,
+each key that one side lacks, then one summary line per moved
+``seed/experiment/table/column`` with its count of moved cells and their
+largest distance in units in the last place.  ``--write`` stores the cells
+as JSON together with the machine they were made on (CPU model, NumPy version,
 BLAS), and ``--against`` reads such a file too.  The golden file
 ``tests/golden_tables.json`` is checked by
 ``test_experiments_reference.py::test_tables_match_the_golden_file``.
@@ -132,6 +134,28 @@ def differences(old: dict, new: dict) -> list:
     return lines
 
 
+def column_summary(old: dict, new: dict) -> list:
+    """One line per ``seed/experiment/table/column`` with a cell in both
+    ``old`` and ``new`` that moved: the count of moved cells and the largest
+    ULP distance among them (``-`` when no moved cell is a finite float)."""
+    moved = {}
+    for key, value in new.items():
+        before = old.get(key)
+        seed, name, table, *rest = key.split("/")
+        if before is None or before == value or table == "check":
+            continue
+        column = f"{seed}/{name}/{table}/{rest[-1]}"
+        count, worst = moved.get(column, (0, None))
+        ulps = ulp_distance(before, value)
+        if ulps is not None and (worst is None or ulps > worst):
+            worst = ulps
+        moved[column] = (count + 1, worst)
+    return [
+        f"{column}\t{count} moved\tmax {'-' if worst is None else worst} ulp"
+        for column, (count, worst) in moved.items()
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 34, 99])
@@ -152,6 +176,10 @@ def main(argv=None) -> int:
     old = {k: v for k, v in old.items() if int(k.split("/", 1)[0]) in args.seeds}
     lines = differences(old, cells)
     print("\n".join(lines) if lines else "no cell or verdict differs")
+    summary = column_summary(old, cells)
+    if summary:
+        print("moved cells per column:")
+        print("\n".join(summary))
     return 0
 
 

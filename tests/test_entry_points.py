@@ -22,19 +22,23 @@ from socicnn import (
     branch_signature,
     build_random,
     canonical,
+    conic_margin,
     degeneracy_report,
     directional_derivative,
     dual_value,
     fd_directional,
     fd_gradient,
     fd_hessian,
+    feasibility_violation,
     forward,
     forward_values,
     gradient,
     hessian,
     objective,
     quadratic_model_residual,
+    readout,
     readout_diagnostics,
+    relu_margin,
     sample_optimal_branches,
     solve,
 )
@@ -179,19 +183,32 @@ def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
 OBJECT_ARGS = {
     "solve params": (lambda v: solve(v, X, InferenceConfig(), "whitebox-gd"), "params"),
     "solve config": (lambda v: solve(P, X, v, "whitebox-gd"), "config"),
+    "canonical trace": (lambda v: canonical(P, v), "trace"),
+    "degeneracy_report trace": (lambda v: degeneracy_report(v), "trace"),
+    "branch_signature trace": (lambda v: branch_signature(v), "trace"),
+    "curvature_matrix trace": (lambda v: curvature_matrix(P, v), "trace"),
+    "sample_optimal_branches trace": (lambda v: sample_optimal_branches(P, v, n=2), "trace"),
+    "relu_margin trace": (lambda v: relu_margin(v), "trace"),
+    "conic_margin trace": (lambda v: conic_margin(v), "trace"),
+    "readout branch": (lambda v: readout(P, v), "branch"),
+    "dual_value branch": (lambda v: dual_value(P, X, v), "branch"),
+    "dual_value branch unchecked": (lambda v: dual_value(P, X, v, check_feasible=False), "branch"),
+    "feasibility_violation branch": (lambda v: feasibility_violation(P, v), "branch"),
 }
 
 BAD_OBJECTS = {
     "None": None,
     "dict": {"beta": 10.0},
+    "string": "trace",
     "number": 1.0,
     "point": X,
 }
 
 
 def test_every_bad_object_argument_fails_with_a_named_validation_error():
-    """``solve`` read ``config`` and ``params`` as attribute bags, so ``None``
-    or a dict ended in a bare ``AttributeError``."""
+    """``solve`` read ``config`` and ``params`` as attribute bags, and every
+    function that takes a trace or a branch read it as one, so ``None``, a
+    dict or a string ended in a bare ``AttributeError`` (or a ``TypeError``)."""
     misses = []
     for arg, (call, name) in OBJECT_ARGS.items():
         for kind, value in BAD_OBJECTS.items():

@@ -75,8 +75,11 @@ def count_calls(monkeypatch):
     for module in (experiments, curvature, inference):
         name = module.__name__.split(".")[-1] + ".forward"
         monkeypatch.setattr(module, "forward", counted(name, forward))
-    for name in ("forward_values", "fd_gradient", "fd_hessian"):
-        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    # The FD gradient is the FD solvers' own field, so its value rows go
+    # through ``inference``'s bindings.
+    for module, name in ((inference, "forward_values"), (inference, "fd_gradient"),
+                         (experiments, "fd_hessian")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in ("canonical", "readout"):
         monkeypatch.setattr(dual, name, counted(name, getattr(dual, name)))
     return calls
@@ -858,6 +861,18 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main([])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4"])
+    def test_small_counts_run_with_checks(self, command, count, capsys):
+        """Every count flag of an experiment at 1 and at 2, all at once, with
+        ``--check``: a pass (0), a refused config (2) or a failed check (3),
+        and never a traceback."""
+        argv = [command, "--check"]
+        for flag in cli._EXTRA_FLAGS[command]:
+            argv += [f"--{flag}", str(count)]
+        assert main(argv) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # Run in a fresh interpreter by ``test_scipy_never_loads``.

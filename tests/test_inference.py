@@ -1,5 +1,6 @@
 """Proximal-objective descent: white-box routes against value-query twins."""
 
+import functools
 import time
 from dataclasses import fields
 
@@ -237,9 +238,10 @@ class TestDescentMechanics:
     def test_huge_finite_beta_leaks_no_overflow_warning(self, medium_model, beta):
         """A huge finite ``beta`` used to leak NumPy's overflow warning, an
         error under this suite's filter: whitebox-gd's trial values overflow
-        (now ``inf``, which fails the Armijo test), and on a tiny model so does
-        the FD pair's gradient norm (now a ``NonFiniteError`` once a step
-        leaves the floats)."""
+        (now ``inf``, which fails the Armijo test).  The FD pair used to
+        difference ``beta/2 ||x - y||^2`` with the model, which cancelled
+        the model away and ended in ``NonFiniteError`` on a tiny model; now
+        it differences the model alone, and every method ends finite."""
         Y = gaussian_points(105, 2, medium_model.input_dim)
         for method in METHODS:
             reports = solve(medium_model, Y, InferenceConfig(beta=beta), method)
@@ -247,12 +249,8 @@ class TestDescentMechanics:
             assert np.all(objectives <= forward_values(medium_model, Y)), method
         tiny = build_random(0, ArchSpec(3, (4, 4), (2,), (2,)))
         for method in METHODS:
-            try:
-                rep = solve(tiny, np.array([0.3, -0.2, 0.5]), InferenceConfig(beta=beta), method)
-            except NonFiniteError:
-                assert method.startswith("fd-")
-                continue
-            assert np.isfinite(rep.objective)
+            rep = solve(tiny, np.array([0.3, -0.2, 0.5]), InferenceConfig(beta=beta), method)
+            assert np.isfinite(rep.objective), method
 
 
 def run_all_methods(params, y, cfg):
@@ -325,19 +323,20 @@ class TestNewtonDirection:
         shift = config.beta + config.damping
         X = gaussian_points(107, 4, medium_model.input_dim)
         Y = gaussian_points(108, 4, medium_model.input_dim)
-        whitebox = inference._newton_direction(medium_model, config)
-        fd = inference._fd_newton_direction(medium_model, Y, config)
-        for r, (x, y) in enumerate(zip(X, Y)):
+        whitebox = functools.partial(inference._newton_direction, medium_model, config)
+        fd = functools.partial(inference._fd_newton_direction, medium_model, config)
+        for x, y in zip(X, Y):
             trace = forward(medium_model, x)
             _, g = objective(medium_model, y, config.beta, x)
             bound = 1e-12 * (1 + np.linalg.norm(g))
             C = curvature_matrix(medium_model, trace, config.tol)
-            p = whitebox(r, g, trace)
+            p = whitebox(g, trace)
             assert np.linalg.norm((C + shift * np.eye(len(x))) @ p + g) <= bound
-            H = fd_hessian(_fd_grad(medium_model, y, config), x, config.fd_hess_step)
+            H = fd_hessian(_fd_model_grad(medium_model, config), x, config.fd_hess_step)
+            H += config.beta * np.eye(len(x))
             assert np.linalg.eigvalsh(H).min() > shift
             want = -np.linalg.solve(H, g)
-            assert np.linalg.norm(fd(r, g, trace) - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.linalg.norm(fd(g, trace) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestTraceReuse:
@@ -396,8 +395,11 @@ class TestTraceReuse:
 
 # The descent loop as it stood before each accepted point was traced once:
 # it traced every accepted point again for its gradient and took gradients
-# as ``(g, trace)`` tuples.  Kept verbatim as the reference that the shared
-# loop must reproduce field for field.
+# as ``(g, trace)`` tuples.  Kept as the reference that the shared loop must
+# reproduce field for field.  Its solvers follow the same contract as the
+# shared loop's: every method gives the model's gradient (and Newton matrix),
+# and the proximal term's ``beta (x - y)`` (and ``beta I``) is added in closed
+# form, so the FD twins difference model values alone.
 
 
 def _objective_value(params, y, beta, x):
@@ -486,18 +488,21 @@ def _readout_grad(params, y, config):
     return grad_fn
 
 
-def _fd_grad(params, y, config):
-    """Central-difference gradient field of the objective, built from value
+def _fd_model_grad(params, config):
+    """Central-difference gradient field of the model, built from value
     queries alone; takes one point or a stack of points."""
 
-    def values(Z):
-        diff = Z - y
-        return forward_values(params, Z) + 0.5 * config.beta * np.einsum("ij,ij->i", diff, diff)
-
     def grad_fn(x):
-        return fd_gradient(values, x, config.fd_grad_step)
+        return fd_gradient(lambda Z: forward_values(params, Z), x, config.fd_grad_step)
 
     return grad_fn
+
+
+def _fd_grad(params, y, config):
+    """The FD twins' objective gradient at one point: the model's central
+    difference plus ``beta (x - y)`` in closed form."""
+    field = _fd_model_grad(params, config)
+    return lambda x: (field(x) + config.beta * (x - y), None)
 
 
 def reference_whitebox_gd(params, y, config):
@@ -521,21 +526,21 @@ def reference_whitebox_newton(params, y, config):
 
 
 def reference_fd_gd(params, y, config):
-    field = _fd_grad(params, y, config)
-    return _descent(params, y, config, "fd-gd", lambda x: (field(x), None), None, GD_MAX_ITERS)
+    return _descent(params, y, config, "fd-gd", _fd_grad(params, y, config), None, GD_MAX_ITERS)
 
 
 def reference_fd_newton(params, y, config):
-    field = _fd_grad(params, y, config)
+    field = _fd_model_grad(params, config)
 
     def direction_fn(x, g, _):
         H = fd_hessian(field, x, config.fd_hess_step)
+        H[np.diag_indices_from(H)] += config.beta
         w, V = np.linalg.eigh(H)
         w = np.maximum(w, config.beta + config.damping)
         return -(V @ ((V.T @ g) / w))
 
     return _descent(
-        params, y, config, "fd-newton", lambda x: (field(x), None), direction_fn, NEWTON_MAX_ITERS
+        params, y, config, "fd-newton", _fd_grad(params, y, config), direction_fn, NEWTON_MAX_ITERS
     )
 
 
