@@ -106,20 +106,6 @@ def _cone_scales(params: SocIcnnParams, trace: ForwardTrace, tips) -> list:
     return [(1 - t) * lg / (un + t) for lg, un, t in zip(params.lam, trace.u_norms, tips)]
 
 
-def _smooth_multipliers(params: SocIcnnParams, trace: ForwardTrace, tips):
-    """Quadratic multipliers ``alpha_h * q_h`` and conic multipliers of length
-    ``lam_g`` along the residual, exactly ``+0.0`` at the cone tips ``tips``;
-    ``(n, k)`` arrays, row by row, at a stacked trace."""
-    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
-    # ``ug.T`` lines a stack's scales up with its rows and leaves a point's
-    # vector as it is; adding +0.0 turns every -0.0, the tip rows' included,
-    # into +0.0 and leaves every other entry as it is.
-    cone = tuple(
-        (s * ug.T).T + 0.0 for s, ug in zip(_cone_scales(params, trace, tips), trace.u)
-    )
-    return quad, cone
-
-
 def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_TAU) -> DualBranch:
     """Minimum-norm optimal branch at this trace, or a stack of them at a
     stacked trace (row ``k`` bitwise the branch at row ``k``'s own trace).
@@ -127,10 +113,18 @@ def canonical(params: SocIcnnParams, trace: ForwardTrace, tol: float = DEFAULT_T
     ReLU multipliers take their bound strictly above the kink and zero
     elsewhere (interval coordinates included); quadratic multipliers are
     ``alpha_h * q_h``; conic multipliers point along the residual with
-    length ``lam_g``, or are exactly ``+0.0`` at the cone tip.
+    length ``lam_g``, or are exactly ``+0.0`` at the cone tip.  Every optimal
+    branch agrees with it off the interval coordinates and the cone tips.
     """
     above, _, tips = _kinks(trace, tol)
-    return DualBranch(_box_recursion(params, [*above]), *_smooth_multipliers(params, trace, tips))
+    quad = tuple(al * qh for al, qh in zip(params.alpha, trace.q))
+    # ``ug.T`` lines a stack's scales up with its rows and leaves a point's
+    # vector as it is; adding +0.0 turns every -0.0, the tip rows' included,
+    # into +0.0 and leaves every other entry as it is.
+    cone = tuple(
+        (s * ug.T).T + 0.0 for s, ug in zip(_cone_scales(params, trace, tips), trace.u)
+    )
+    return DualBranch(_box_recursion(params, [*above]), quad, cone)
 
 
 def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | np.ndarray:
@@ -222,8 +216,9 @@ def sample_optimal_branches(
     n: int = 1,
     seed: int = 0,
 ) -> DualBranch:
-    """Draw ``n`` optimal branches at this trace, canonical included as a case.
+    """Draw ``n`` optimal branches around ``canonical`` at this trace.
 
+    Every branch keeps the canonical quadratic and off-tip conic multipliers.
     Free interval coordinates are resampled uniformly on ``[0, bound]``
     top-down (the bound of a lower layer is recomputed from the draws above
     it), and each cone-tip module draws uniformly from its ball.  Each kind
@@ -253,12 +248,12 @@ def sample_optimal_branches(
     widest = max(*params.widths, len(report.relu_zero_coords), sum(dims), len(tips))
     if n > np.iinfo(np.intp).max // (8 * widest):  # no (n, widest) float array has this size
         raise ValidationError("invalid-descriptor", f"branch count {n} is too large to draw")
-    quad, smooth_cone = _smooth_multipliers(params, trace, _kinks(trace, tol)[2])
+    canon = canonical(params, trace, tol)
     free_rng, dir_rng, radius_rng = (np.random.default_rng([seed, kind]) for kind in range(3))
     draws = free_rng.random((n, len(report.relu_zero_coords)))
     directions = dir_rng.standard_normal((n, sum(dims)))
     radii = radius_rng.random((n, len(tips)))
-    cone = [np.broadcast_to(r, (n, r.shape[0])) for r in smooth_cone]
+    cone = [np.broadcast_to(r, (n, r.shape[0])) for r in canon.cone]
     start = 0
     for g, dim, u in zip(tips, dims, radii.T):
         V = directions[:, start:start + dim]
@@ -270,7 +265,7 @@ def sample_optimal_branches(
         cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V
     stack = DualBranch(
         relu=_box_recursion(params, report.upper, report.free, draws),
-        quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in quad),
+        quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in canon.quad),
         cone=tuple(cone),
     )
     return _check_optimal(params, trace, stack, tol)

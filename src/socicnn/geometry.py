@@ -94,33 +94,26 @@ def _support_maxima(units, readouts) -> np.ndarray:
 
 
 class _SupportEvaluator:
-    """Support function of the optimal set at a fixed trace.
+    """Support function of the optimal set at a point, from its kink
+    ``report`` and its ``canon``ical branch.
 
-    Precomputes the readout of every ReLU corner with the smooth module
-    slopes folded in; a call maximizes those rows against each row of an
-    ``(m, d)`` array of unit directions and adds ``lam_g * ||A_g @ unit||``
-    for each cone tip flagged in ``tips`` by the kink rule, the maximum of
-    ``r . A_g @ unit`` over the ball ``||r|| <= lam_g``.  The optimal set is
-    a product of the corner box and the balls: the sum is its exact support function.
+    ``corner_readouts`` holds the ``dual.readout`` of every ReLU corner of the
+    box, each with the canonical quadratic and conic multipliers.  A call
+    maximizes those rows against each row of an ``(m, d)`` array of unit
+    directions and adds ``lam_g * ||A_g @ unit||`` for each cone tip of the
+    report, the maximum of ``r . A_g @ unit`` over the ball ``||r|| <= lam_g``.
+    The optimal set is a product of the corner box and the balls: the sum is
+    its exact support function.
     """
 
-    def __init__(self, params: SocIcnnParams, trace, report: DegeneracyReport, tips):
-        smooth = params.v.copy()
-        for al, B, qh in zip(params.alpha, params.B, trace.q):
-            smooth += al * np.matvec(B.T, qh)
-        for s, A, ug in zip(dual._cone_scales(params, trace, tips), params.A, trace.u):
-            smooth += s * np.matvec(A.T, ug)
-        self.tips = [(lg, A) for lg, A, tip in zip(params.lam, params.A, tips) if tip]
-        # Corner by corner, only d-wide rows stay alive.  One stacked branch for
-        # ``dual.readout`` would hold 2**16 x sum(widths) doubles at the corner cap
-        # (134 MB at exp1's widths), and its other summation order moves exp3 cells.
-        rows = []
-        for relu in dual.relu_corner_assignments(params, report):
-            row = smooth.copy()
-            for W, nu in zip(params.W, relu):
-                row += W.T @ nu
-            rows.append(row)
-        self.corner_readouts = np.vstack(rows)
+    def __init__(self, params: SocIcnnParams, report: DegeneracyReport, canon: dual.DualBranch):
+        self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
+        # Corner by corner, only d-wide rows stay alive: one stacked branch would hold
+        # 2**16 x sum(widths) doubles at the corner cap (134 MB at exp1's widths).
+        self.corner_readouts = np.vstack([
+            dual.readout(params, dual.DualBranch(relu, canon.quad, canon.cone))
+            for relu in dual.relu_corner_assignments(params, report)
+        ])
 
     def __call__(self, units) -> np.ndarray:
         best = _support_maxima(units, self.corner_readouts)
@@ -164,17 +157,17 @@ def directional_derivative(
     units = rows / norms[:, None]
     scale = np.ldexp(norms, shift)
     trace = forward(params, x)
-    report = degeneracy_report(trace, tol)
+    canon = dual.canonical(params, trace, tol)
     primal = scale * _one_sided_primal(params, trace, units, tol)
-    dual_max = scale * _SupportEvaluator(params, trace, report, _kinks(trace, tol)[2])(units)
-    canon = scale * (units @ dual.readout(params, dual.canonical(params, trace, tol)))
+    dual_max = scale * _SupportEvaluator(params, degeneracy_report(trace, tol), canon)(units)
+    canon_value = scale * (units @ dual.readout(params, canon))
     if direction.ndim == 1:
         return DirectionalDerivativeResult(
             direction=units[0],
             dual_max=float(dual_max[0]),
             primal=float(primal[0]),
-            canonical_value=float(canon[0]),
+            canonical_value=float(canon_value[0]),
         )
     return DirectionalDerivativeResult(
-        direction=units, dual_max=dual_max, primal=primal, canonical_value=canon
+        direction=units, dual_max=dual_max, primal=primal, canonical_value=canon_value
     )

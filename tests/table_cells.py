@@ -13,14 +13,14 @@ Each line is ``key<TAB>value``.  A cell's key is
 ``seed/experiment/check/name`` and its value ``pass`` or ``FAIL``.  The
 ``*_ms`` columns are left out, since they are timings.  With ``--against``,
 only the differences are printed: each moved cell with its old value, new
-value and distance in units in the last place, each changed verdict, and
-each key that one side lacks, then one summary line per moved
-``seed/experiment/table/column`` with its count of moved cells and their
-largest distance in units in the last place.  ``--write`` stores the cells
-as JSON together with the machine they were made on (CPU model, NumPy version,
-BLAS), and ``--against`` reads such a file too.  The golden file
-``tests/golden_tables.json`` is checked by
-``test_experiments_reference.py::test_tables_match_the_golden_file``.
+value, distance in units in the last place and absolute difference, each
+changed verdict, and each key that one side lacks, then one summary line per
+moved ``seed/experiment/table/column`` with its count of moved cells and
+their largest distance in units in the last place and largest absolute
+difference.  ``--write`` stores the cells as JSON together with the machine
+they were made on (CPU model, NumPy version, BLAS), and ``--against`` reads
+such a file too.  The golden file ``tests/golden_tables.json`` is checked
+by ``test_experiments_reference.py::test_tables_match_the_golden_file``.
 pytest does not collect this file.
 """
 
@@ -99,12 +99,15 @@ def _ordinal(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def ulp_distance(old: str, new: str) -> int | None:
-    """Doubles between two cell values, None unless both are the
-    ``float.hex`` of finite floats."""
+def distance(old: str, new: str) -> tuple | None:
+    """Doubles between two cell values and their absolute difference, None
+    unless both are the ``float.hex`` of finite floats.  Across 0.0 the
+    first counts every double of the smaller magnitude (about 4.4e18 from
+    1e-12), so only the second says how far such a cell moved."""
     if "0x" not in old or "0x" not in new:
         return None
-    return abs(_ordinal(float.fromhex(old)) - _ordinal(float.fromhex(new)))
+    old_f, new_f = float.fromhex(old), float.fromhex(new)
+    return abs(_ordinal(old_f) - _ordinal(new_f)), abs(new_f - old_f)
 
 
 def read_cells(path) -> dict:
@@ -124,20 +127,22 @@ def differences(old: dict, new: dict) -> list:
         if before is None:
             lines.append(f"{key}\tnew only\t{value}")
         elif before != value:
-            ulps = ulp_distance(before, value)
-            if ulps is None:
+            moved = distance(before, value)
+            if moved is None:
                 lines.append(f"{key}\t{before} -> {value}")
             else:
                 old_f, new_f = float.fromhex(before), float.fromhex(value)
-                lines.append(f"{key}\t{old_f!r} -> {new_f!r}\t{ulps} ulp")
+                ulps, absolute = moved
+                lines.append(f"{key}\t{old_f!r} -> {new_f!r}\t{ulps} ulp\t{absolute:.3g} abs")
     lines += [f"{key}\told only\t{old[key]}" for key in old if key not in new]
     return lines
 
 
 def column_summary(old: dict, new: dict) -> list:
     """One line per ``seed/experiment/table/column`` with a cell in both
-    ``old`` and ``new`` that moved: the count of moved cells and the largest
-    ULP distance among them (``-`` when no moved cell is a finite float)."""
+    ``old`` and ``new`` that moved: the count of moved cells, the largest
+    ULP distance and the largest absolute difference among them (``-`` when
+    no moved cell is a finite float)."""
     moved = {}
     for key, value in new.items():
         before = old.get(key)
@@ -145,14 +150,16 @@ def column_summary(old: dict, new: dict) -> list:
         if before is None or before == value or table == "check":
             continue
         column = f"{seed}/{name}/{table}/{rest[-1]}"
-        count, worst = moved.get(column, (0, None))
-        ulps = ulp_distance(before, value)
-        if ulps is not None and (worst is None or ulps > worst):
-            worst = ulps
-        moved[column] = (count + 1, worst)
+        count, ulps, absolute = moved.get(column, (0, None, None))
+        dist = distance(before, value)
+        if dist is not None:
+            ulps = dist[0] if ulps is None else max(ulps, dist[0])
+            absolute = dist[1] if absolute is None else max(absolute, dist[1])
+        moved[column] = (count + 1, ulps, absolute)
     return [
-        f"{column}\t{count} moved\tmax {'-' if worst is None else worst} ulp"
-        for column, (count, worst) in moved.items()
+        f"{column}\t{count} moved\tmax {'-' if ulps is None else ulps} ulp"
+        f"\tmax {'-' if absolute is None else f'{absolute:.3g}'} abs"
+        for column, (count, ulps, absolute) in moved.items()
     ]
 
 

@@ -24,6 +24,7 @@ from socicnn import (
     upper_bounds,
 )
 from socicnn.dual import _check_optimal, relu_corner_assignments
+from socicnn.geometry import _SupportEvaluator
 
 from conftest import (
     branch_row,
@@ -589,6 +590,21 @@ STACK_POINTS = {
     "two-tips": two_tip_kinks,
     "zero-bound": lambda: (zero_bound_pair(), np.array([0.0])),
 }
+
+
+@pytest.mark.parametrize("name", ["deg-last-layer", "two-layer-kinks", "two-tips"])
+def test_support_corner_slopes_are_the_corner_readouts(name):
+    """Row ``k`` of the support function's corner slopes is, bitwise,
+    ``readout`` of ReLU corner ``k`` carrying the canonical quadratic and
+    conic multipliers, in ``relu_corner_assignments`` order."""
+    params, x = STACK_POINTS[name]()
+    tr = forward(params, x)
+    report = degeneracy_report(tr)
+    support = _SupportEvaluator(params, report, canonical(params, tr))
+    want = readout(params, corner_branches(params, tr))
+    assert support.corner_readouts.shape == want.shape
+    assert len(want) == 2 ** len(report.relu_zero_coords)
+    assert support.corner_readouts.tobytes() == want.tobytes()
 
 
 class TestStackedSampler:

@@ -293,10 +293,11 @@ class TestExp3:
         assert peak < 20e6, peak
 
     def test_reads_out_the_branches_in_one_stack(self, monkeypatch):
-        """Two single readouts (the canonical slope in the directional
-        derivative and for the probes) and one canonical norm; the sampled
-        branches go through one stacked ``readout`` and one stacked
-        ``norm``."""
+        """Two single canonical readouts (the canonical slope in the
+        directional derivative and for the probes), one single readout per
+        ReLU corner of the support function (2 at the default anchor) and one
+        canonical norm; the sampled branches go through one stacked
+        ``readout`` and one stacked ``norm``."""
         counts = {"readout": 0, "stack readout": 0, "norm": 0, "stack norm": 0}
         readout_fn, norm_fn = dual.readout, DualBranch.norm
 
@@ -312,7 +313,7 @@ class TestExp3:
         monkeypatch.setattr(DualBranch, "norm", counted("norm", norm_fn, 0))
         out = run_exp3(Exp3Config())
         assert out.all_passed()
-        assert counts["readout"] <= 2
+        assert counts["readout"] == 2 + 2
         assert counts["stack readout"] == 1
         assert counts["norm"] <= 1
         assert counts["stack norm"] == 1

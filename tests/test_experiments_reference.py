@@ -42,7 +42,7 @@ from socicnn.model import DEFAULT_TAU, _require_nondegenerate, conic_margin, deg
 from socicnn.model import forward, forward_values, relu_margin
 from socicnn.oracle import fd_gradient, fd_hessian
 
-from table_cells import EXPERIMENTS, differences, machine, output_cells
+from table_cells import EXPERIMENTS, column_summary, differences, machine, output_cells
 
 
 def reference_trace_gradient(params, trace, tol):
@@ -396,10 +396,10 @@ def test_tables_match_the_golden_file(default_exp4_seed0):
     """Every non-``*_ms`` cell and check verdict of exp1-exp4 at config seeds
     0 and 99 equals ``golden_tables.json``'s: integers and verdicts exactly,
     floats bitwise.  A mismatch lists each moved cell with its distance in
-    units in the last place, and the machine each side ran on, since the
-    last bits of a float can move with the CPU, NumPy or BLAS.  Remake the
-    file with ``tests/table_cells.py --seeds 0 99 --write`` only for a
-    change that moves the tables on purpose."""
+    units in the last place and its absolute difference, and the machine
+    each side ran on, since the last bits of a float can move with the CPU,
+    NumPy or BLAS.  Remake the file with ``tests/table_cells.py --seeds 0 99
+    --write`` only for a change that moves the tables on purpose."""
     golden = json.loads(Path(__file__).with_name("golden_tables.json").read_text("utf-8"))
     cells = {}
     for seed in (0, 99):
@@ -414,3 +414,32 @@ def test_tables_match_the_golden_file(default_exp4_seed0):
     assert not moved, "\n".join(
         [f"made on {golden['made_on']}", f"running on {machine()}", *moved]
     )
+
+
+def test_column_summary_gives_ulp_and_absolute_distances():
+    """A cell that moves off 0.0 is about 4.4e18 doubles away whatever its
+    size, so each column's line also gives the largest absolute difference;
+    verdicts, one-sided keys and non-float cells add no distance."""
+    old = {
+        "0/exp3/t/0/a": (0.0).hex(),
+        "0/exp3/t/1/a": (1.0).hex(),
+        "0/exp3/t/0/b": (0.5).hex(),
+        "0/exp3/t/0/n": "3",
+        "0/exp3/check/c": "pass",
+        "0/exp3/t/0/gone": (1.0).hex(),
+    }
+    new = {
+        "0/exp3/t/0/a": (1e-12).hex(),
+        "0/exp3/t/1/a": float(np.nextafter(1.0, 2.0)).hex(),
+        "0/exp3/t/0/b": (0.5).hex(),
+        "0/exp3/t/0/n": "4",
+        "0/exp3/check/c": "FAIL",
+        "0/exp3/t/0/fresh": (2.0).hex(),
+    }
+    assert column_summary(old, new) == [
+        "0/exp3/t/a\t2 moved\tmax 4427486594234968593 ulp\tmax 1e-12 abs",
+        "0/exp3/t/n\t1 moved\tmax - ulp\tmax - abs",
+    ]
+    moved = differences(old, new)
+    assert moved[0] == "0/exp3/t/0/a\t0.0 -> 1e-12\t4427486594234968593 ulp\t1e-12 abs"
+    assert moved[1] == "0/exp3/t/1/a\t1.0 -> 1.0000000000000002\t1 ulp\t2.22e-16 abs"

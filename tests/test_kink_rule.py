@@ -154,7 +154,7 @@ def test_every_consumer_agrees_at_the_boundary():
     assert np.array_equal(curvature_matrix(params, point, TOL), without_tip)
     assert np.array_equal(curvature_matrix(params, stack, TOL)[1], without_tip)
     # Support function: the corner box spans exactly the on units, plus one ball.
-    support = _SupportEvaluator(params, point, report, _kinks(point, TOL)[2])
+    support = _SupportEvaluator(params, report, canon)
     assert len(support.corner_readouts) == 2 ** len(ON_UNITS)
     assert [A is params.A[0] for _, A in support.tips] == [True]
     # Sampled branches move exactly the on units and the tip module.
