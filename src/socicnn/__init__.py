@@ -19,7 +19,6 @@ from .dual import (
     feasibility_violation,
     readout,
     sample_optimal_branches,
-    upper_bounds,
 )
 from .errors import (
     ConstructionError,

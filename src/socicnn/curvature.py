@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_number, _gaussian_nonzero
-from .model import _kinks, _nondegenerate_rows, _points, _require_nondegenerate
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_number, _check_trace
+from .model import _gaussian_nonzero, _kinks, _nondegenerate_rows, _points, _require_nondegenerate
 from .model import degeneracy_report, forward
 
 
@@ -58,6 +58,7 @@ def curvature_matrix(
     """Branch Hessian at this trace: ``(d, d)`` at a point, ``(n, d, d)`` at a
     stacked trace, each matrix bitwise its own point's.  A module at its cone
     tip adds no term (its ``dual._cone_scales`` is 0.0); ``hessian`` raises on a kink."""
+    _check_trace(params, trace)
     tips = _kinks(trace, tol)[2]
     H = np.tile(params.quad_hessian, np.shape(trace.value) + (1, 1))
     for s, A, u, un, t in zip(dual._cone_scales(params, trace, tips), params.A, trace.u,

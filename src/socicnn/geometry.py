@@ -74,19 +74,13 @@ def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float) -> np.nda
     return total
 
 
-# Doubles per block of a direction-readout product: 16 directions x 5000 branches
-# (640 KB) at exp3's defaults, the fastest of blocks of 2-128 directions there: 3.0 ms
-# for all 1000 against 12.4 ms for one full product (2-vCPU Xeon VM, NumPy 2.4.6).
-SUPPORT_BLOCK = 80_000
-
-
 def _support_maxima(units, readouts) -> np.ndarray:
     """``max_i u_j . r_i`` over the rows ``r_i`` of ``readouts`` for each row ``u_j`` of
-    ``units``, in blocks of directions of at most ``SUPPORT_BLOCK`` products (one
+    ``units``, in blocks of directions of at most ``dual.SUPPORT_BLOCK`` products (one
     direction at the least), against one C-ordered copy of ``readouts.T``."""
     by_coord = np.ascontiguousarray(readouts.T)
     best = np.empty(len(units))
-    step = max(1, SUPPORT_BLOCK // len(readouts))
+    step = max(1, dual.SUPPORT_BLOCK // len(readouts))
     for start in range(0, len(units), step):
         blk = slice(start, start + step)
         np.max(units[blk] @ by_coord, axis=1, out=best[blk])
@@ -98,7 +92,8 @@ class _SupportEvaluator:
     ``report`` and its ``canon``ical branch.
 
     ``corner_readouts`` holds the ``dual.readout`` of every ReLU corner of the
-    box, each with the canonical quadratic and conic multipliers.  A call
+    box, each with the canonical quadratic and conic multipliers: one stacked
+    readout per block of ``dual.relu_corner_assignments``.  A call
     maximizes those rows against each row of an ``(m, d)`` array of unit
     directions and adds ``lam_g * ||A_g @ unit||`` for each cone tip of the
     report, the maximum of ``r . A_g @ unit`` over the ball ``||r|| <= lam_g``.
@@ -108,11 +103,11 @@ class _SupportEvaluator:
 
     def __init__(self, params: SocIcnnParams, report: DegeneracyReport, canon: dual.DualBranch):
         self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
-        # Corner by corner, only d-wide rows stay alive: one stacked branch would hold
-        # 2**16 x sum(widths) doubles at the corner cap (134 MB at exp1's widths).
+        # Block by block, only d-wide rows stay alive: one stack of every corner would
+        # hold 2**16 x sum(widths) doubles at the corner cap (134 MB at exp1's widths).
         self.corner_readouts = np.vstack([
-            dual.readout(params, dual.DualBranch(relu, canon.quad, canon.cone))
-            for relu in dual.relu_corner_assignments(params, report)
+            dual.readout(params, dual.DualBranch(block, canon.quad, canon.cone))
+            for block in dual.relu_corner_assignments(params, report)
         ])
 
     def __call__(self, units) -> np.ndarray:

@@ -106,6 +106,13 @@ class SocIcnnParams:
             H += al * (B.T @ B)
         return _frozen(H)
 
+    @cached_property
+    def _trace_dims(self) -> tuple:
+        """What ``model._check_trace`` compares: the layer and quadratic-module counts
+        of a trace of this model, and the widths of its ``x``, ``a``, ``q`` and ``u``."""
+        widths = [m.shape[0] for m in self.W + self.B + self.A]
+        return self.n_layers, len(self.B), [self.input_dim] + widths
+
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
@@ -396,6 +403,17 @@ def _check_kind(value, kind, name: str) -> None:
     """The one kind check of every object argument: ``ValidationError`` unless a ``kind``."""
     if not isinstance(value, kind):
         raise ValidationError("invalid-descriptor", f"{name} must be of type {kind.__name__}")
+
+
+def _check_trace(params: SocIcnnParams, trace) -> None:
+    """The one check that a trace is of this model: ``ValidationError`` unless
+    ``trace`` is a ``ForwardTrace`` whose input width, layer widths and module
+    dimensions are those of ``params`` (``params._trace_dims``, cached, since
+    ``canonical`` checks once per descent round)."""
+    _check_kind(trace, ForwardTrace, "trace")
+    widths = [v.shape[-1] for v in (trace.x, *trace.a, *trace.q, *trace.u)]
+    if (len(trace.a), len(trace.q), widths) != params._trace_dims:
+        raise ValidationError("dimension-mismatch", f"trace is not of this model: {_dims(params)}")
 
 
 def _check_config(cfg, positive=()) -> None:

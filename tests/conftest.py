@@ -113,14 +113,15 @@ def stack_branches(branches):
 
 def corner_branches(params, trace):
     """The ReLU corners of the optimal set at one point's trace as one
-    stacked ``DualBranch``, in ``relu_corner_assignments`` order, each row
-    with the canonical quadratic and conic multipliers (``+0.0`` at a cone
-    tip)."""
+    stacked ``DualBranch``, the blocks of ``relu_corner_assignments``
+    concatenated in order, each row with the canonical quadratic and conic
+    multipliers (``+0.0`` at a cone tip)."""
     base = canonical(params, trace)
-    relu = list(relu_corner_assignments(params, degeneracy_report(trace)))
-    n = len(relu)
+    blocks = list(relu_corner_assignments(params, degeneracy_report(trace)))
+    relu = tuple(np.concatenate(layer) for layer in zip(*blocks))
+    n = len(relu[0])
     return DualBranch(
-        tuple(np.array(layer) for layer in zip(*relu)),
+        relu,
         tuple(np.broadcast_to(p, (n, p.shape[0])) for p in base.quad),
         tuple(np.broadcast_to(r, (n, r.shape[0])) for r in base.cone),
     )

@@ -21,7 +21,6 @@ from socicnn import (
     forward,
     readout,
     sample_optimal_branches,
-    upper_bounds,
 )
 from socicnn.dual import _check_optimal, relu_corner_assignments
 from socicnn.geometry import _SupportEvaluator
@@ -281,7 +280,7 @@ class TestBranchBox:
         tr = forward(params, x0)
         box = degeneracy_report(tr)
         br = canonical(params, tr)
-        ub = upper_bounds(params, br.relu)
+        ub = [np.matvec(U.T, nu) for U, nu in zip(params.U[1:], br.relu[1:])] + [params.c]
         for nu, bound, upper in zip(br.relu, ub, box.upper):
             assert np.array_equal(nu[upper], bound[upper])
             assert np.all(nu[~upper] == 0.0)
@@ -378,13 +377,14 @@ class TestSampling:
 
 class TestCorners:
     def test_nondegenerate_single_corner(self, medium_model):
-        """With no degeneracy the one corner is the canonical branch's ReLU
-        multipliers, bitwise."""
+        """With no degeneracy there is one block of one corner, and its row
+        is the canonical branch's ReLU multipliers, bitwise."""
         x = gaussian_points(40, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
-        (corner,) = relu_corner_assignments(medium_model, degeneracy_report(tr))
-        for a, b in zip(corner, canonical(medium_model, tr).relu):
-            assert np.array_equal(a, b)
+        (block,) = relu_corner_assignments(medium_model, degeneracy_report(tr))
+        for a, b in zip(block, canonical(medium_model, tr).relu):
+            assert a.shape == (1, b.shape[0])
+            assert np.array_equal(a[0], b)
 
     def test_corners_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
@@ -412,8 +412,8 @@ class TestCorners:
     def test_sixteen_free_coords_still_enumerable(self):
         params = wide_zero_net(16)
         tr = forward(params, [0.0])
-        corners = list(relu_corner_assignments(params, degeneracy_report(tr)))
-        assert len(corners) == 2 ** 16
+        blocks = relu_corner_assignments(params, degeneracy_report(tr))
+        assert sum(len(block[0]) for block in blocks) == 2 ** 16
 
 
 class TestMixing:
@@ -432,16 +432,6 @@ class TestMixing:
         psi = dual_value(params, x0, mixed)
         assert psi.shape == (12,)
         assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
-
-    def test_upper_bounds_chain(self, medium_model):
-        """The last bound is the readout weight; earlier bounds flow through
-        the transposed skip weights."""
-        x = gaussian_points(51, 1, medium_model.input_dim)[0]
-        tr = forward(medium_model, x)
-        br = canonical(medium_model, tr)
-        ub = upper_bounds(medium_model, br.relu)
-        assert np.array_equal(ub[-1], medium_model.c)
-        assert np.array_equal(ub[0], medium_model.U[1].T @ br.relu[1])
 
     def test_non_optimal_branch_raises_typed_error(self, degenerate_model):
         """A feasible branch off the optimal set fails the optimality check
@@ -655,8 +645,8 @@ class TestStackedSampler:
         assert degeneracy_report(tr2).relu_zero_coords == box.relu_zero_coords
         assert tr2.u_norms == (0.0, 0.0)
         assert [A.shape[0] for A in params2.A] == [3, 2]
-        ub = upper_bounds(params, canonical(params, tr).relu)
-        assert ub[0][1] == 0.0 and box.free[0][1]
+        ub = np.matvec(params.U[1].T, canonical(params, tr).relu[1])
+        assert ub[1] == 0.0 and box.free[0][1]
         params, x = STACK_POINTS["zero-bound"]()
         assert degeneracy_report(forward(params, x)).relu_zero_coords == ((0, 0), (0, 1))
 

@@ -43,6 +43,7 @@ from socicnn import (
     solve,
 )
 from socicnn.curvature import curvature_matrix
+from socicnn.dual import relu_corner_assignments
 
 P = build_random(3, ArchSpec(3, (4, 4), quad_dims=(2,), cone_dims=(2,)))
 X = np.array([0.3, -0.2, 0.5])  # 0.22 from every ReLU kink, 0.74 from every cone tip
@@ -194,6 +195,11 @@ OBJECT_ARGS = {
     "dual_value branch": (lambda v: dual_value(P, X, v), "branch"),
     "dual_value branch unchecked": (lambda v: dual_value(P, X, v, check_feasible=False), "branch"),
     "feasibility_violation branch": (lambda v: feasibility_violation(P, v), "branch"),
+    # A generator checks its arguments when it is first consumed.
+    "relu_corner_assignments params": (
+        lambda v: list(relu_corner_assignments(v, degeneracy_report(TRACE))), "params"
+    ),
+    "relu_corner_assignments report": (lambda v: list(relu_corner_assignments(P, v)), "report"),
 }
 
 BAD_OBJECTS = {
@@ -216,6 +222,47 @@ def test_every_bad_object_argument_fails_with_a_named_validation_error():
             if not (isinstance(got, ValidationError) and str(got).startswith(f"{name} must be")):
                 misses.append((arg, kind, got))
     assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
+
+
+# Models that differ from ``P`` in one dimension each: the input width, a layer
+# width, the number of layers, a quadratic module's dimension, the number of cones.
+FOREIGN = {
+    "input_dim": ArchSpec(4, (4, 4), quad_dims=(2,), cone_dims=(2,)),
+    "width": ArchSpec(3, (4, 5), quad_dims=(2,), cone_dims=(2,)),
+    "layers": ArchSpec(3, (4, 4, 4), quad_dims=(2,), cone_dims=(2,)),
+    "quad_dim": ArchSpec(3, (4, 4), quad_dims=(3,), cone_dims=(2,)),
+    "cones": ArchSpec(3, (4, 4), quad_dims=(2,), cone_dims=(2, 2)),
+}
+TRACE_USERS = {
+    "canonical": lambda tr: canonical(P, tr),
+    "curvature_matrix": lambda tr: curvature_matrix(P, tr),
+    "sample_optimal_branches": lambda tr: sample_optimal_branches(P, tr, n=2),
+}
+
+
+@pytest.mark.parametrize("use", sorted(TRACE_USERS))
+@pytest.mark.parametrize("foreign", sorted(FOREIGN))
+def test_a_trace_of_another_model_is_refused(use, foreign):
+    """A trace of another model was used as it came: ``curvature_matrix``
+    returned a matrix in all five cases and ``canonical`` a branch in all
+    but the layer width's, while the sampler ended in a NumPy ``ValueError``
+    or a ``ConstructionError``."""
+    other = build_random(1, FOREIGN[foreign])
+    tr = forward(other, np.full(other.input_dim, 0.3))
+    with pytest.raises(ValidationError, match="^trace is not of this model") as info:
+        TRACE_USERS[use](tr)
+    assert info.value.code == "dimension-mismatch"
+
+
+def test_a_report_of_another_model_is_refused():
+    """A report whose masks are not of the model's widths was a NumPy
+    broadcast error inside the box recursion."""
+    other = build_random(1, FOREIGN["width"])
+    report = degeneracy_report(forward(other, X))
+    with pytest.raises(ValidationError, match="^report masks") as info:
+        list(relu_corner_assignments(P, report))
+    assert info.value.code == "dimension-mismatch"
+    assert len(list(relu_corner_assignments(P, degeneracy_report(TRACE)))) == 1
 
 
 @pytest.mark.parametrize("arg", ["dual_value x", "CurvatureModel.predict x"])

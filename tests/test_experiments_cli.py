@@ -294,10 +294,10 @@ class TestExp3:
 
     def test_reads_out_the_branches_in_one_stack(self, monkeypatch):
         """Two single canonical readouts (the canonical slope in the
-        directional derivative and for the probes), one single readout per
-        ReLU corner of the support function (2 at the default anchor) and one
-        canonical norm; the sampled branches go through one stacked
-        ``readout`` and one stacked ``norm``."""
+        directional derivative and for the probes) and one canonical norm;
+        the support function's ReLU corners (one block of 2 at the default
+        anchor) and the sampled branches each go through one stacked
+        ``readout``, and the sampled branches through one stacked ``norm``."""
         counts = {"readout": 0, "stack readout": 0, "norm": 0, "stack norm": 0}
         readout_fn, norm_fn = dual.readout, DualBranch.norm
 
@@ -313,8 +313,8 @@ class TestExp3:
         monkeypatch.setattr(DualBranch, "norm", counted("norm", norm_fn, 0))
         out = run_exp3(Exp3Config())
         assert out.all_passed()
-        assert counts["readout"] == 2 + 2
-        assert counts["stack readout"] == 1
+        assert counts["readout"] == 2
+        assert counts["stack readout"] == 1 + 1
         assert counts["norm"] <= 1
         assert counts["stack norm"] == 1
 

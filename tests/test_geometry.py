@@ -1,5 +1,6 @@
 """Gradients, subdifferential samples, and directional derivatives."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -412,6 +413,72 @@ class TestPlantedKinks:
             tracemalloc.stop()
         assert peak <= 2e6, peak
         assert np.all(np.abs(res.dual_max - res.primal) <= 1e-12 * (1 + np.abs(res.primal)))
+
+
+def reference_corners(params, report):
+    """The one-corner-at-a-time enumeration the stacked blocks replace: for
+    each 0/1 assignment of the free coordinates (``itertools.product`` over
+    ``relu_zero_coords``), a copy of the report's masks with those bits set,
+    through the unstacked ``_box_recursion``; a list of per-layer tuples."""
+    corners = []
+    for bits in itertools.product((False, True), repeat=len(report.relu_zero_coords)):
+        masks = [upper.copy() for upper in report.upper]
+        for (l, i), bit in zip(report.relu_zero_coords, bits):
+            masks[l][i] = bit
+        corners.append(dual._box_recursion(params, masks))
+    return corners
+
+
+def row_multiset(rows):
+    """The rows of a 2-D array as a sorted list of their bytes."""
+    return sorted(row.tobytes() for row in rows)
+
+
+# Sixteen planted free coordinates over three layers; a prefix of ``k`` plants ``k``,
+# and every prefix of four or more spans all three layers.
+CORNER_COORDS = ((2, 1), (0, 3), (1, 5), (2, 6), (0, 0), (1, 2), (2, 3), (0, 6),
+                 (1, 7), (2, 0), (0, 2), (1, 0), (2, 7), (0, 5), (1, 4), (2, 4))
+CORNER_ARCH = ArchSpec(6, (8, 8, 8), quad_dims=(3,), cone_dims=(3, 5))
+
+
+class TestCornerBlocks:
+    """The stacked corner blocks and the support function's corner readouts
+    hold, bitwise and as multisets of rows, what the per-corner loop gives."""
+
+    @pytest.mark.parametrize("n_free", [0, 1, 4, 10, 16])
+    def test_blocks_equal_the_per_corner_loop(self, n_free):
+        params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS[:n_free])
+        tr = forward(params, x)
+        report = degeneracy_report(tr)
+        assert report.relu_zero_coords == tuple(sorted(CORNER_COORDS[:n_free]))
+        canon = dual.canonical(params, tr)
+        blocks = list(dual.relu_corner_assignments(params, report))
+        got = np.concatenate([np.hstack(block) for block in blocks])
+        ref = reference_corners(params, report)
+        assert got.shape == (2 ** n_free, sum(params.widths))
+        assert row_multiset(got) == row_multiset(np.array([np.concatenate(c) for c in ref]))
+        assert np.array_equal(got[0], np.concatenate(canon.relu))
+        support = geometry._SupportEvaluator(params, report, canon)
+        want = [readout(params, dual.DualBranch(c, canon.quad, canon.cone)) for c in ref]
+        assert row_multiset(support.corner_readouts) == row_multiset(np.array(want))
+
+    def test_cap_reads_out_one_stack_per_block(self, monkeypatch):
+        """At 16 free coordinates the support function makes one stacked
+        ``readout`` per block of ``dual.SUPPORT_BLOCK`` doubles of
+        multipliers and no single one (the per-corner loop made 65,536)."""
+        params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS)
+        tr = forward(params, x)
+        counts = {"single": 0, "stacked": 0}
+        readout_fn = dual.readout
+
+        def counted(params, branch):
+            counts["stacked" if np.ndim(branch.relu[0]) == 2 else "single"] += 1
+            return readout_fn(params, branch)
+
+        monkeypatch.setattr(dual, "readout", counted)
+        geometry._SupportEvaluator(params, degeneracy_report(tr), dual.canonical(params, tr))
+        block = dual.SUPPORT_BLOCK // sum(params.widths)
+        assert counts == {"single": 0, "stacked": -(-2 ** 16 // block)}
 
 
 def primal_sweep(params, trace, units):

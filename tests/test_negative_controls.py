@@ -1,14 +1,23 @@
 """Negative controls: each check of a claim must fail when the code behind
 the claim is broken.
 
-Each mutation replaces one method of ``geometry._SupportEvaluator``, the
-support function of the optimal set behind every ``dual_max``, with a
-plausible bug, by ``monkeypatch``.  A small exp3 run must then fail exactly
-the named checks; the unmutated run passes every check.  The two FD checks
-compare the finite-difference slopes with ``dual_max``, so every wrong
-support function fails them as well.  ``exp3-min-norm`` and
-``exp3-support-margin`` read the canonical branch and the sampled branches
-only, so no mutation here can fail them.
+Each mutation replaces, by ``monkeypatch``, one method of
+``geometry._SupportEvaluator`` (the support function of the optimal set
+behind every ``dual_max``), the sampler ``dual.sample_optimal_branches`` or
+``dual.canonical`` with a plausible bug.  A small exp3 run must then fail
+exactly the named checks; the unmutated run passes every check.  The two FD
+checks compare the finite-difference slopes with ``dual_max``, so every
+wrong support function fails them as well.
+
+``exp3-min-norm`` fails for a sampler whose draws all land on the canonical
+branch and for a canonical branch off the minimum-norm one.  No mutation here
+fails ``exp3-support-margin``.  The sampler is built on the canonical
+quadratic and off-tip conic multipliers, so a wrong one of those stops the
+run with a ``ConstructionError``.  Every probe's margin exceeds 0.82 times
+its step length at seeds 0 and 99, so only a slope error longer than 0.82
+can fail the check, while the whole canonical slope is 0.79 long: seven
+mutations of the ReLU part (among them zeroed, negated, doubled and with the
+layers swapped) left the smallest margin at 0.024 to 0.19.
 """
 
 from dataclasses import replace
@@ -16,12 +25,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from socicnn import geometry
+from socicnn import dual, geometry, model
 from socicnn.experiments import Exp3Config, run_exp3
 
 SMALL = dict(directions=60, branches=100, probes=100)
 SUPPORT = geometry._SupportEvaluator
 SUPPORT_INIT = SUPPORT.__init__
+CANONICAL = dual.canonical
 
 
 def drop_tip_terms(self, units):
@@ -31,8 +41,9 @@ def drop_tip_terms(self, units):
 
 def canonical_corner_only(self, params, report, canon):
     """``__init__`` with no free ReLU coordinate: the one corner is the
-    canonical branch."""
-    SUPPORT_INIT(self, params, replace(report, relu_zero_coords=()), canon)
+    canonical branch.  The corners read the free masks, so they clear too."""
+    free = tuple(np.zeros_like(mask) for mask in report.free)
+    SUPPORT_INIT(self, params, replace(report, relu_zero_coords=(), free=free), canon)
 
 
 def corners_without_quad(self, params, report, canon):
@@ -41,22 +52,54 @@ def corners_without_quad(self, params, report, canon):
     SUPPORT_INIT(self, params, report, replace(canon, quad=quad))
 
 
+def sampler_ignores_draws(params, trace, tol, n, seed):
+    """``sample_optimal_branches`` whose every draw lands on the canonical
+    branch: ``n`` copies of it."""
+    canon = dual.canonical(params, trace, tol)
+    groups = (canon.relu, canon.quad, canon.cone)
+    return dual.DualBranch(*(tuple(np.broadcast_to(a, (n, a.size)) for a in g) for g in groups))
+
+
+def canonical_bound_on_kink(params, trace, tol=model.DEFAULT_TAU):
+    """``canonical`` that puts the units on their kink at their bound with
+    those above it (``a >= -tol`` for ``a > tol``): an optimal corner, but
+    not the minimum-norm branch."""
+    below = model._kinks(trace, tol)[1]
+    relu = dual._box_recursion(params, [~down for down in below])
+    return replace(CANONICAL(params, trace, tol), relu=relu)
+
+
 FD = {"exp3-fd-mean", "exp3-fd-max"}
 MUTATIONS = {
     "drop-tip-terms": (
+        SUPPORT,
         "__call__",
         drop_tip_terms,
         FD | {"exp3-primal-exact", "exp3-no-violation", "exp3-gap-fraction"},
     ),
     "canonical-corner-only": (
+        SUPPORT,
         "__init__",
         canonical_corner_only,
         FD | {"exp3-primal-exact", "exp3-no-violation"},
     ),
     "corners-without-quad": (
+        SUPPORT,
         "__init__",
         corners_without_quad,
         FD | {"exp3-primal-exact", "exp3-no-violation"},
+    ),
+    "sampler-ignores-draws": (
+        dual,
+        "sample_optimal_branches",
+        sampler_ignores_draws,
+        {"exp3-min-norm"},
+    ),
+    "canonical-bound-on-kink": (
+        dual,
+        "canonical",
+        canonical_bound_on_kink,
+        {"exp3-min-norm"},
     ),
 }
 
@@ -74,6 +117,6 @@ def test_unmutated_run_passes_every_check(seed):
 @pytest.mark.parametrize("seed", [0, 99])
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_mutation_fails_its_checks(monkeypatch, name, seed):
-    method, mutant, expected = MUTATIONS[name]
-    monkeypatch.setattr(SUPPORT, method, mutant)
+    owner, attribute, mutant, expected = MUTATIONS[name]
+    monkeypatch.setattr(owner, attribute, mutant)
     assert failed_checks(seed) == expected
