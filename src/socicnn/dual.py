@@ -270,13 +270,13 @@ def sample_optimal_branches(
 
 
 def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
-    """Yield every corner of the interval box, in stacked blocks of at most
-    ``SUPPORT_BLOCK`` doubles (one corner at the least): ``_box_recursion``
+    """Every corner of the interval box, as an iterator over stacked blocks of at
+    most ``SUPPORT_BLOCK`` doubles (one corner at the least): ``_box_recursion``
     under 0/1 draws, one ``(n, width)`` array per layer, so every corner is
     feasible.  Row ``k`` of the sequence is corner ``k``, whose draw column
-    ``j`` is bit ``j`` of ``k``: corner 0 is ``canonical``'s.  Raises when
-    more than ``MAX_FREE_COORDS`` coordinates are free, and ``ValidationError``
-    for a report whose masks do not have the model's widths.
+    ``j`` is bit ``j`` of ``k``: corner 0 is ``canonical``'s.  Raises, on the
+    call, when more than ``MAX_FREE_COORDS`` coordinates are free, and
+    ``ValidationError`` for a report whose masks do not have the model's widths.
     """
     _check_kind(params, SocIcnnParams, "params")
     _check_kind(report, DegeneracyReport, "report")
@@ -288,8 +288,7 @@ def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
         raise TooManyDegeneraciesError(
             f"{n_free} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
         )
-    step = max(1, SUPPORT_BLOCK // max(1, sum(widths)))
-    for start in range(0, 2 ** n_free, step):
-        corners = np.arange(start, min(start + step, 2 ** n_free))
-        draws = (corners[:, None] >> np.arange(n_free)) & 1
-        yield _box_recursion(params, report.upper, report.free, draws)
+    step, bits = max(1, SUPPORT_BLOCK // max(1, sum(widths))), np.arange(n_free)
+    blocks = (np.arange(k, min(k + step, 2 ** n_free)) for k in range(0, 2 ** n_free, step))
+    return (_box_recursion(params, report.upper, report.free, (corners[:, None] >> bits) & 1)
+            for corners in blocks)

@@ -78,9 +78,10 @@ def _gradient_routes(params, trace, tol, fd_step):
     ``np.eye(d)``) and central-difference (the FD solvers' own field)
     gradients at the rows of a stacked trace, each row bitwise what a
     one-point call gives."""
-    g_dual = inference._readout_grad(params, tol)(trace)
+    rows = np.arange(len(trace.x))
+    g_dual = inference._readout_grad(params, tol)(trace, rows)
     g_primal = geometry._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
-    return g_dual, g_primal, inference._fd_field(params, fd_step)(trace)
+    return g_dual, g_primal, inference._fd_field(params, fd_step)(trace, rows)
 
 
 def _running_sums(blocks, width):
@@ -339,6 +340,7 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     # bitwise; blocks of directions keep the product small.
     violation = float(np.max(geometry._support_maxima(dirs, readouts) - dual_maxima))
     min_norm_gap = float(np.min(branches.norm()) - canon.norm())
+    canon_shortfall = f0 - float(dual._minorant_values(params, x0, canon))
     rng_probes = np.random.default_rng([cfg.seed, 2])
     g_can = dual.readout(params, canon)
     ydeltas = rng_probes.standard_normal((cfg.probes, params.input_dim))
@@ -370,6 +372,8 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
         ),
         _check("exp3-no-violation", violation <= 1e-9, f"max violation {violation:.3e}"),
         _check("exp3-gap-fraction", gap_frac == 1.0, f"fraction {gap_frac:.4f}"),
+        _check("exp3-canonical-optimal", abs(canon_shortfall) <= 1e-10 * (1.0 + abs(f0)),
+               f"canonical minorant {canon_shortfall:.3e} below the value"),
         _check(
             "exp3-min-norm",
             min_norm_gap > 0.0,

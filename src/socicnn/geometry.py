@@ -92,9 +92,9 @@ class _SupportEvaluator:
     ``report`` and its ``canon``ical branch.
 
     ``corner_readouts`` holds the ``dual.readout`` of every ReLU corner of the
-    box, each with the canonical quadratic and conic multipliers: one stacked
-    readout per block of ``dual.relu_corner_assignments``.  A call
-    maximizes those rows against each row of an ``(m, d)`` array of unit
+    box, each with the canonical quadratic and conic multipliers, in one array
+    filled by a stacked readout per block of ``dual.relu_corner_assignments``.
+    A call maximizes those rows against each row of an ``(m, d)`` array of unit
     directions and adds ``lam_g * ||A_g @ unit||`` for each cone tip of the
     report, the maximum of ``r . A_g @ unit`` over the ball ``||r|| <= lam_g``.
     The optimal set is a product of the corner box and the balls: the sum is
@@ -105,10 +105,15 @@ class _SupportEvaluator:
         self.tips = [(params.lam[g], params.A[g]) for g in report.conic_zero_modules]
         # Block by block, only d-wide rows stay alive: one stack of every corner would
         # hold 2**16 x sum(widths) doubles at the corner cap (134 MB at exp1's widths).
-        self.corner_readouts = np.vstack([
-            dual.readout(params, dual.DualBranch(block, canon.quad, canon.cone))
-            for block in dual.relu_corner_assignments(params, report)
-        ])
+        blocks = dual.relu_corner_assignments(params, report)  # checks the cap, allocates nothing
+        self.corner_readouts = np.empty((2 ** len(report.relu_zero_coords), params.input_dim))
+        start = 0
+        for block in blocks:
+            stop = start + len(block[0])
+            self.corner_readouts[start:stop] = dual.readout(
+                params, dual.DualBranch(block, canon.quad, canon.cone))
+            start = stop
+            del block  # lest it outlive the build of the next one
 
     def __call__(self, units) -> np.ndarray:
         best = _support_maxima(units, self.corner_readouts)

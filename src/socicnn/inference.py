@@ -96,7 +96,7 @@ def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU
     Y = _points(y, params.input_dim, "query", stack=False)[None]
     _check_number(beta, "beta", positive=True)
     values, trace = _values(params, Y, beta, x[None])
-    return values[0], _readout_grad(params, tol)(trace.row(0)) + beta * (x - Y[0])
+    return values[0], _readout_grad(params, tol)(trace, [0])[0] + beta * (x - Y[0])
 
 
 def _trial_block(params, y, beta, x, p, etas):
@@ -124,13 +124,14 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     query rows of ``Y`` in lockstep; returns one report per row.
 
     Each round makes one value query: one trace of every point that any
-    row's line search tries next.  Each point is traced once, there.  The
-    rows that accept a point in a round get their gradients from one
-    ``grad_fn(trace)`` call, the model's at the stacked trace of the accepted
-    points (the value-only twins read only ``trace.x``), plus ``beta (x - y)``.
-    ``direction_fn`` maps ``(g, trace)`` to a step direction at a row's
-    one-point trace (None for steepest descent, whose default budget
-    is ``GD_MAX_ITERS`` iterations, not ``NEWTON_MAX_ITERS``).  A row stops
+    row's line search tries next.  Each point is traced once, there.  Every
+    other stage of a round is one call on that trial trace and the indices
+    ``rows`` of the points it serves.  ``grad_fn(trace, rows)`` gives the
+    model's gradients at the accepted points (the value-only twins read only
+    ``trace.x[rows]``), to which ``beta (x - y)`` is added.  ``direction_fn(G,
+    trace, rows)`` maps the gradients ``G`` of the rows that continue to their
+    step directions (None for steepest descent, whose default budget is
+    ``GD_MAX_ITERS`` iterations, not ``NEWTON_MAX_ITERS``).  A row stops
     on per-step progress, on gradient norm, on iteration budget, or on a
     line-search failure, whichever comes first, and leaves the rounds.
 
@@ -142,7 +143,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
 
     Each row's ``time_ms`` is its share of the batch time: every interval
     goes to the rows of the call that ends it, in proportion to the points
-    each put in, so one batch's times sum to its wall time.
+    each put in (a round's directions to the rows that continue in it), so
+    one batch's times sum to its wall time.
     """
     q = len(Y)
     max_iters = config.max_iters
@@ -163,6 +165,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     X = Y.copy()
     F, trace = _values(params, Y, config.beta, X)
     charged, weights, fresh = range(q), [1] * q, np.arange(q)
+    rows = fresh  # the points of the trace that the fresh rows accepted
     G, P = np.empty_like(Y), np.empty_like(Y)
     block, tried, iterations, backtracks = [1] * q, [0] * q, [0] * q, [0] * q
     progress, grad_norm, slopes = [0.0] * q, [0.0] * q, [0.0] * q
@@ -171,8 +174,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     while True:
         if fresh.size:
             charge(charged, weights)
-            G[fresh] = grad_fn(trace) + config.beta * (trace.x - Y[fresh])
+            G[fresh] = grad_fn(trace, rows) + config.beta * (trace.x[rows] - Y[fresh])
             charge(fresh, [1] * fresh.size)
+            going = []
             for i, r in enumerate(fresh.tolist()):
                 g = G[r]
                 grad_norm[r] = gn = math.sqrt(g @ g)
@@ -184,22 +188,29 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                 elif iterations[r] >= max_iters:
                     stop[r] = "max-iters"
                 else:
-                    if direction_fn is None:
-                        P[r] = -g
-                        slopes[r] = -gn * gn
-                    else:
-                        P[r] = direction_fn(g, trace.row(i))
-                        charge([r], [1])
-                        slopes[r] = float(g @ P[r])
+                    slopes[r] = -gn * gn
                     tried[r] = 0
-                    searching.append(r)
+                    going.append(i)
+            moving = fresh[going]
+            if direction_fn is None:
+                P[moving] = -G[moving]
+            elif going:
+                P[moving] = direction_fn(G[moving], trace, rows[going])
+                charge(moving, [1] * len(going))
+                for r in moving.tolist():
+                    slopes[r] = float(G[r] @ P[r])
+            searching += moving.tolist()
         if not searching:
             break
-        weights = [min(block[r], len(etas) - tried[r]) for r in searching]
-        owner = np.repeat(searching, weights)
-        steps = np.concatenate([etas[tried[r] : tried[r] + n] for r, n in zip(searching, weights)])
+        weights, owner, steps = [], [], []
+        for r in searching:
+            n = min(block[r], len(etas) - tried[r])
+            weights.append(n)
+            owner += [r] * n
+            steps += etas[tried[r]:tried[r] + n]
+        owner = np.array(owner)
         X_try, values, trace = _trial_block(
-            params, Y[owner], config.beta, X[owner], P[owner], steps
+            params, Y[owner], config.beta, X[owner], P[owner], np.array(steps)
         )
         charged, searching, accepted, start = searching, [], [], 0
         for r, n in zip(charged, weights):
@@ -220,9 +231,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                 backtracks[r] += config.max_backtracks
                 stop[r] = "line-search-failure"
             start += n
-        fresh = owner[accepted]
-        if 0 < len(accepted) < len(owner):  # none accepted, or all in order: keep the trace
-            trace = trace.row(np.array(accepted))
+        rows = np.array(accepted, dtype=np.intp)
+        fresh = owner[rows]
     charge(range(q), [1] * q)
     return tuple(
         InferenceReport(
@@ -240,9 +250,14 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     )
 
 
+def _at(trace, rows):
+    """The points ``rows`` of a stacked trace: the trace itself when they are all of it."""
+    return trace if len(rows) == len(trace.x) else trace.row(rows)
+
+
 def _readout_grad(params, tol):
-    """Canonical-readout model gradient at the points of a trace."""
-    return lambda trace: dual.readout(params, dual.canonical(params, trace, tol))
+    """Canonical-readout model gradient at the points ``rows`` of a stacked trace."""
+    return lambda trace, rows: dual.readout(params, dual.canonical(params, _at(trace, rows), tol))
 
 
 def _readout_field(params, tol):
@@ -252,41 +267,48 @@ def _readout_field(params, tol):
 
 
 def _fd_field(params, step):
-    """Central-difference model gradient at the points ``trace.x``, from model values
+    """Central-difference model gradient at the points ``trace.x[rows]``, from model values
     alone.  Each point's ``2 d`` stencil rows are their own ``(m, 2 d, d)`` slab of
     one batched ``forward_values`` call, so row ``k`` is bitwise point ``k``'s alone."""
     d = params.input_dim
-    return lambda trace: fd_gradient(
-        lambda S: forward_values(params, S.reshape(-1, 2 * d, d)).reshape(-1), trace.x, step
+    return lambda trace, rows: fd_gradient(
+        lambda S: forward_values(params, S.reshape(-1, 2 * d, d)).reshape(-1), trace.x[rows], step
     )
 
 
-def _newton_direction(params, config, g, trace):
-    """Damped Newton step for ``g`` at a point's trace, from the closed-form curvature."""
-    H = curvature_matrix(params, trace, config.tol)
-    H[np.diag_indices_from(H)] += config.beta + config.damping
+def _newton_direction(params, config, G, trace, rows):
+    """Damped Newton steps for the gradients ``G`` at the points ``rows`` of a stacked
+    trace, from the closed-form curvature: one stack of matrices, factored and solved
+    at once, each step bitwise its point's alone."""
+    H = curvature_matrix(params, _at(trace, rows), config.tol)
+    diag = np.arange(H.shape[-1])
+    H[..., diag, diag] += config.beta + config.damping
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise SolveFailureError(f"damped system failed to factor: {exc}") from exc
     # The factor only tests definiteness: NumPy has no triangular solve, and
     # two general solves on it cost more than one solve with H.
-    return -np.linalg.solve(H, g)
+    return -np.linalg.solve(H, G[..., None])[..., 0]
 
 
-def _fd_newton_direction(params, config, g, trace):
-    """Newton step for ``g`` at a point's trace: a central difference of the FD model
-    gradient field, its ``4 d^2``-point stencil in one flat value query, plus ``beta I``,
+def _fd_newton_direction(params, config, G, trace, rows):
+    """Newton steps for the gradients ``G`` at the points ``rows`` of a trace: per point a
+    central difference of the FD model gradient field over one flat ``4 d^2``-row value
+    query (a ``(k, 4 d^2, d)`` stack of them was no cheaper per point), plus ``beta I``,
     with the eigenvalues clamped from below at ``beta + damping``."""
 
     def field(P):
         return fd_gradient(lambda S: forward_values(params, S), P, config.fd_grad_step)
 
-    H = fd_hessian(field, trace.x, config.fd_hess_step)
-    H[np.diag_indices_from(H)] += config.beta
-    w, V = np.linalg.eigh(H)
-    w = np.maximum(w, config.beta + config.damping)
-    return -(V @ ((V.T @ g) / w))
+    steps = np.empty_like(G)
+    for k, (g, x) in enumerate(zip(G, trace.x[rows])):
+        H = fd_hessian(field, x, config.fd_hess_step)
+        H[np.diag_indices_from(H)] += config.beta
+        w, V = np.linalg.eigh(H)
+        w = np.maximum(w, config.beta + config.damping)
+        steps[k] = -(V @ ((V.T @ g) / w))
+    return steps
 
 
 def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):

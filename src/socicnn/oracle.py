@@ -33,7 +33,8 @@ def _central_stencil(x, step):
     index ``[..., 0, i, :]`` is the plus leg of coordinate ``i``, ``[..., 1,
     i, :]`` its minus leg."""
     n = x.shape[-1]
-    legs = np.broadcast_to(x[..., None, None, :], x.shape[:-1] + (2, n, n)).copy()
+    legs = np.empty(x.shape[:-1] + (2, n, n))
+    legs[...] = x[..., None, None, :]
     # Entry (i, i) of each n x n leg sits at flat offset i (n + 1).
     diag = legs.reshape(x.shape[:-1] + (2, n * n))[..., ::n + 1]
     diag[..., 0, :] += step

@@ -130,7 +130,8 @@ def corner_branches(params, trace):
 def record_traces(monkeypatch):
     """Patch ``forward`` wherever the package reaches it to record the
     points each call traces, as one ``(rows, d)`` array per call, and to
-    fail any call that a solver's gradient or Newton direction makes.
+    fail any call that a solver's gradient ``grad_fn(trace, rows)`` or
+    Newton direction ``direction_fn(G, trace, rows)`` makes.
 
     Returns the record and the descent runs, each as ``(reports, calls)``:
     the reports of one lockstep batch of queries (a single query is a batch
@@ -171,7 +172,9 @@ def record_traces(monkeypatch):
 def count_value_rows(monkeypatch):
     """Patch ``inference.forward_values`` and ``inference._descent`` to count,
     per descent run, the gradient points and Newton directions the solver
-    asks for and the value rows evaluated inside each kind of call.
+    asks for, as the ``rows`` of its round calls ``grad_fn(trace, rows)`` and
+    ``direction_fn(G, trace, rows)``, and the value rows evaluated inside
+    each kind of call.
 
     Returns one dict per run, in run order, with the counts ``grads``,
     ``grad_rows``, ``directions`` and ``direction_rows``.
@@ -183,9 +186,9 @@ def count_value_rows(monkeypatch):
             runs[-1][inside[-1]] += X.size // X.shape[-1]
         return forward_values(params, X)
 
-    def counted(fn, kind, size):
+    def counted(fn, kind):
         def wrapper(*args):
-            runs[-1][kind + "s"] += size(*args)
+            runs[-1][kind + "s"] += len(args[-1])
             inside.append(kind + "_rows")
             try:
                 return fn(*args)
@@ -198,9 +201,8 @@ def count_value_rows(monkeypatch):
 
     def counting_descent(params, Y, config, method, grad_fn, direction_fn):
         runs.append(dict.fromkeys(("grads", "grad_rows", "directions", "direction_rows"), 0))
-        grad_fn = counted(grad_fn, "grad", lambda trace: len(trace.x))
-        direction_fn = direction_fn and counted(direction_fn, "direction", lambda *args: 1)
-        return descent(params, Y, config, method, grad_fn, direction_fn)
+        direction_fn = direction_fn and counted(direction_fn, "direction")
+        return descent(params, Y, config, method, counted(grad_fn, "grad"), direction_fn)
 
     monkeypatch.setattr(inference, "forward_values", counting_values)
     monkeypatch.setattr(inference, "_descent", counting_descent)

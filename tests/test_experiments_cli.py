@@ -250,13 +250,13 @@ class TestExp3:
             assert check.passed, f"{check.name}: {check.detail}"
 
     def test_checks_pass_at_every_config_seed(self):
-        """All seven checks pass at config seeds 0-99 with the default
+        """All eight checks pass at config seeds 0-99 with the default
         config, so the sampled columns hold beyond the seeds they were
         built at."""
         failures = []
         for seed in range(100):
             out = run_exp3(Exp3Config(seed=seed))
-            assert len(out.checks) == 7
+            assert len(out.checks) == 8
             failures += [(seed, c.name, c.detail) for c in out.checks if not c.passed]
         assert failures == []
 

@@ -414,6 +414,27 @@ class TestPlantedKinks:
         assert peak <= 2e6, peak
         assert np.all(np.abs(res.dual_max - res.primal) <= 1e-12 * (1 + np.abs(res.primal)))
 
+    def test_corner_readouts_are_held_once(self):
+        """At 14 free coordinates the support function's 16,384 corner readouts
+        take 0.79 MB.  Written block by block into one preallocated array, the
+        build's traced peak is that plus one block of multipliers: 2.11 MB
+        measured, where a ``vstack`` over the list of blocks peaked at 2.60 MB."""
+        coords = ((0, 0), (0, 2), (0, 4), (0, 6), (0, 8), (1, 0), (1, 2), (1, 4), (1, 6),
+                  (2, 0), (2, 2), (2, 4), (2, 6), (2, 8))
+        params, x = planted_kinks(7, ArchSpec(6, (16, 16, 16), (3,), (4, 3)), coords, tips=(0,))
+        trace = forward(params, x)
+        report = degeneracy_report(trace)
+        assert report.relu_zero_coords == coords
+        canon = dual.canonical(params, trace)
+        tracemalloc.start()
+        try:
+            support = geometry._SupportEvaluator(params, report, canon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert support.corner_readouts.shape == (2 ** 14, params.input_dim)
+        assert peak <= 2.3e6, peak
+
 
 def reference_corners(params, report):
     """The one-corner-at-a-time enumeration the stacked blocks replace: for

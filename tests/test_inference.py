@@ -1,6 +1,5 @@
 """Proximal-objective descent: white-box routes against value-query twins."""
 
-import functools
 import time
 from dataclasses import fields
 
@@ -314,29 +313,66 @@ class TestNewtonDirection:
 
     def test_indefinite_damped_system_raises(self, medium_model, monkeypatch):
         d = medium_model.input_dim
-        monkeypatch.setattr(inference, "curvature_matrix", lambda *a, **k: -1e3 * np.eye(d))
+
+        def indefinite(params, trace, tol):
+            return np.tile(-1e3 * np.eye(d), (len(trace.x), 1, 1))
+
+        monkeypatch.setattr(inference, "curvature_matrix", indefinite)
         with pytest.raises(SolveFailureError, match="failed to factor"):
             solve(medium_model, np.ones(d), InferenceConfig(beta=10.0), "whitebox-newton")
 
     def test_directions_solve_their_systems(self, medium_model):
+        """One call on a stacked trace gives the steps at the points ``rows``,
+        all of them or some, each checked against its own point's system."""
         config = InferenceConfig(beta=10.0)
         shift = config.beta + config.damping
         X = gaussian_points(107, 4, medium_model.input_dim)
         Y = gaussian_points(108, 4, medium_model.input_dim)
-        whitebox = functools.partial(inference._newton_direction, medium_model, config)
-        fd = functools.partial(inference._fd_newton_direction, medium_model, config)
-        for x, y in zip(X, Y):
-            trace = forward(medium_model, x)
-            _, g = objective(medium_model, y, config.beta, x)
-            bound = 1e-12 * (1 + np.linalg.norm(g))
-            C = curvature_matrix(medium_model, trace, config.tol)
-            p = whitebox(g, trace)
-            assert np.linalg.norm((C + shift * np.eye(len(x))) @ p + g) <= bound
-            H = fd_hessian(_fd_model_grad(medium_model, config), x, config.fd_hess_step)
-            H += config.beta * np.eye(len(x))
-            assert np.linalg.eigvalsh(H).min() > shift
-            want = -np.linalg.solve(H, g)
-            assert np.linalg.norm(fd(g, trace) - want) <= 1e-12 * np.linalg.norm(want)
+        trace = forward(medium_model, X)
+        G = np.array([objective(medium_model, y, config.beta, x)[1] for x, y in zip(X, Y)])
+        for rows in (np.arange(4), np.array([1, 3])):
+            P_whitebox = inference._newton_direction(medium_model, config, G[rows], trace, rows)
+            P_fd = inference._fd_newton_direction(medium_model, config, G[rows], trace, rows)
+            for k, r in enumerate(rows):
+                x, g = X[r], G[r]
+                bound = 1e-12 * (1 + np.linalg.norm(g))
+                C = curvature_matrix(medium_model, forward(medium_model, x), config.tol)
+                assert np.linalg.norm((C + shift * np.eye(len(x))) @ P_whitebox[k] + g) <= bound
+                H = fd_hessian(_fd_model_grad(medium_model, config), x, config.fd_hess_step)
+                H += config.beta * np.eye(len(x))
+                assert np.linalg.eigvalsh(H).min() > shift
+                want = -np.linalg.solve(H, g)
+                assert np.linalg.norm(P_fd[k] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_one_curvature_stack_per_round(self, medium_model, monkeypatch):
+        """whitebox-newton builds one stacked ``curvature_matrix`` per round
+        that has a continuing row, covering exactly that round's directions,
+        not one matrix per row: four queries in lockstep need fewer calls
+        than directions."""
+        stacks, rounds = [], []
+        matrix = inference.curvature_matrix
+
+        def counted_matrix(params, trace, tol):
+            stacks.append(len(trace.x))
+            return matrix(params, trace, tol)
+
+        descent = inference._descent
+
+        def counting_descent(params, Y, config, method, grad_fn, direction_fn):
+            def counted_direction(G, trace, rows):
+                rounds.append(len(rows))
+                return direction_fn(G, trace, rows)
+
+            return descent(params, Y, config, method, grad_fn, counted_direction)
+
+        monkeypatch.setattr(inference, "curvature_matrix", counted_matrix)
+        monkeypatch.setattr(inference, "_descent", counting_descent)
+        Y = gaussian_points(106, 4, medium_model.input_dim)
+        reports = solve(medium_model, Y, InferenceConfig(beta=10.0), "whitebox-newton")
+        directions = sum(r.iterations + (r.stop_reason == "line-search-failure") for r in reports)
+        assert stacks == rounds
+        assert sum(stacks) == directions
+        assert len(stacks) < directions
 
 
 class TestTraceReuse:

@@ -10,7 +10,9 @@ checks compare the finite-difference slopes with ``dual_max``, so every
 wrong support function fails them as well.
 
 ``exp3-min-norm`` fails for a sampler whose draws all land on the canonical
-branch and for a canonical branch off the minimum-norm one.  No mutation here
+branch and for a canonical branch off the minimum-norm one, and
+``exp3-canonical-optimal`` alone for a canonical branch whose ReLU part is
+zeroed: no other check reads the canonical ReLU multipliers tightly enough.  No mutation here
 fails ``exp3-support-margin``.  The sampler is built on the canonical
 quadratic and off-tip conic multipliers, so a wrong one of those stops the
 run with a ``ConstructionError``.  Every probe's margin exceeds 0.82 times
@@ -69,6 +71,14 @@ def canonical_bound_on_kink(params, trace, tol=model.DEFAULT_TAU):
     return replace(CANONICAL(params, trace, tol), relu=relu)
 
 
+def canonical_without_relu(params, trace, tol=model.DEFAULT_TAU):
+    """``canonical`` whose ReLU multipliers are all zero: a feasible branch,
+    but its minorant sits below the model value (0.275 below at the built
+    kink), so it is not optimal."""
+    canon = CANONICAL(params, trace, tol)
+    return replace(canon, relu=tuple(np.zeros_like(nu) for nu in canon.relu))
+
+
 FD = {"exp3-fd-mean", "exp3-fd-max"}
 MUTATIONS = {
     "drop-tip-terms": (
@@ -100,6 +110,12 @@ MUTATIONS = {
         "canonical",
         canonical_bound_on_kink,
         {"exp3-min-norm"},
+    ),
+    "canonical-without-relu": (
+        dual,
+        "canonical",
+        canonical_without_relu,
+        {"exp3-canonical-optimal"},
     ),
 }
 
