@@ -8,9 +8,9 @@ the model's derivatives: the white-box pair the canonical readout and the
 branch curvature formula, the baseline pair finite-difference compositions
 of model values alone, touching no analytic route.  The proximal term's
 ``beta (x - y)`` and ``beta I`` are added in closed form for every method.
-All four use the same Armijo backtracking line search and the same stopping
-rules, so their iteration counts are comparable.  ``readout_diagnostics``
-cross-checks the readout routes at one solution or a stack of them.
+All four take the same Armijo and stopping decisions, so their iteration counts are
+comparable; the white-box pair traces only the steps its minorant cannot rule out.
+``readout_diagnostics`` cross-checks the readout routes at one solution or a stack of them.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _values(params, Y, beta, X):
 
 
 @np.errstate(over="ignore")
-def _descent(params, Y, config, method, grad_fn, direction_fn):
+def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
     """Armijo-backtracked descent shared by all four solvers, run on the
     query rows of ``Y`` in lockstep; returns one report per row.
 
@@ -135,11 +135,11 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     on per-step progress, on gradient norm, on iteration budget, or on a
     line-search failure, whichever comes first, and leaves the rounds.
 
-    A row's line search traces the step sizes ``1, shrink, shrink^2, ...``
-    in blocks as long as its previous search's run of trials (one at first)
-    and takes the first step that passes the Armijo test.  Steps traced past
-    it lie between two points where the convex objective is finite.  Every
-    row does bitwise the arithmetic of a run of its query alone.
+    A row's line search takes the first step ``1, shrink, shrink^2, ...`` that passes the
+    Armijo test, from ``floor(etas, f, slope, ||p||^2)`` on (0 for None; ``backtracks``
+    counts the steps skipped), tracing blocks as long as its previous search's run of traced
+    trials (one at first).  Steps traced past the accepted one lie between two points where
+    the convex objective is finite.  Every row does bitwise the arithmetic of its query alone.
 
     Each row's ``time_ms`` is its share of the batch time: every interval
     goes to the rows of the call that ends it, in proportion to the points
@@ -167,7 +167,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
     charged, weights, fresh = range(q), [1] * q, np.arange(q)
     rows = fresh  # the points of the trace that the fresh rows accepted
     G, P = np.empty_like(Y), np.empty_like(Y)
-    block, tried, iterations, backtracks = [1] * q, [0] * q, [0] * q, [0] * q
+    block, tried, first, iterations, backtracks = [1] * q, [0] * q, [0] * q, [0] * q, [0] * q
     progress, grad_norm, slopes = [0.0] * q, [0.0] * q, [0.0] * q
     history, stop = [[] for _ in range(q)], [None] * q
     searching = []
@@ -199,6 +199,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
                 charge(moving, [1] * len(going))
                 for r in moving.tolist():
                     slopes[r] = float(G[r] @ P[r])
+            if floor is not None:
+                for r, pp in zip(moving.tolist(), np.vecdot(P[moving], P[moving]).tolist()):
+                    first[r] = tried[r] = floor(etas, F[r], slopes[r], pp)
             searching += moving.tolist()
         if not searching:
             break
@@ -218,7 +221,7 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
             k = next((i for i in range(n) if values[start + i] <= bounds[i]), None)
             if k is not None:
                 backtracks[r] += tried[r] + k
-                block[r] = tried[r] + k + 1
+                block[r] = tried[r] + k + 1 - first[r]
                 f_new = values[start + k]
                 progress[r] = F[r] - f_new
                 X[r], F[r] = X_try[start + k], f_new
@@ -248,6 +251,18 @@ def _descent(params, Y, config, method, grad_fn, direction_fn):
         )
         for r in range(q)
     )
+
+
+def _armijo_floor(config, gap, etas, f, slope, pp):
+    """First ``k`` (at most the last) at which ``eta = etas[k]`` is not ruled out: the canonical
+    minorant gives ``F(x + eta p) >= f - gap + eta slope + (beta/2) eta^2 pp``, ``pp = ||p||^2``,
+    which rules a step out where it tops the Armijo bound by over ``1e-12 (1 + |f|)``.  Its gap,
+    ``bound a`` per unit at ``0 < a <= tol`` and ``lam_g ||u_g||`` per tip, is at most ``gap``."""
+    curv, lin = 0.5 * config.beta * pp, (1.0 - config.armijo) * slope
+    room, k = gap + 1e-12 * (1.0 + abs(f)), 0
+    while k < len(etas) - 1 and etas[k] * (curv * etas[k] + lin) > room:
+        k += 1
+    return k
 
 
 def _at(trace, rows):
@@ -320,7 +335,8 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     that of its query alone, apart from the timings, which split the batch
     time between the queries.  Each method gives only the model's derivatives,
     and ``beta (x - y)`` and ``beta I`` are added in closed form for every
-    method.  ``method`` is one of ``METHODS``:
+    method.  All four take the same Armijo decisions; ``backtracks`` counts the
+    steps the white-box minorant rules out untraced.  ``method`` is one of ``METHODS``:
 
     - ``"whitebox-gd"``: descent along the canonical-readout gradient.
     - ``"whitebox-newton"``: damped Newton on ``H(x) + (beta + damping) I``
@@ -341,13 +357,16 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     _check_kind(config, InferenceConfig, "config")
     y = _points(y, params.input_dim, "query")
     Y = np.atleast_2d(y)
-    # A method is a family, which supplies the model's derivatives, and an order.
+    # A method is a family, which supplies the model's derivatives and floor, and an order.
     if method.startswith("whitebox"):
         grad_fn, newton = _readout_grad(params, config.tol), _newton_direction
+        nu_bar = dual._box_recursion(params, [True] * params.n_layers)  # largest: U, c >= 0
+        gap = config.tol * (sum(float(nu.sum()) for nu in nu_bar) + sum(params.lam))
+        floor = partial(_armijo_floor, config, gap)
     else:
-        grad_fn, newton = _fd_field(params, config.fd_grad_step), _fd_newton_direction
+        grad_fn, newton, floor = _fd_field(params, config.fd_grad_step), _fd_newton_direction, None
     direction_fn = partial(newton, params, config) if method.endswith("newton") else None
-    reports = _descent(params, Y, config, method, grad_fn, direction_fn)
+    reports = _descent(params, Y, config, method, grad_fn, direction_fn, floor)
     return reports[0] if y.ndim == 1 else reports
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures: hand-built models whose values are known in closed form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,10 @@ def record_traces(monkeypatch):
 
     descent = inference._descent
 
-    def recording_descent(params, Y, config, method, grad_fn, direction_fn):
+    def recording_descent(params, Y, config, method, grad_fn, direction_fn, floor):
         first = len(traced)
         direction_fn = direction_fn and guarded(direction_fn)
-        reports = descent(params, Y, config, method, guarded(grad_fn), direction_fn)
+        reports = descent(params, Y, config, method, guarded(grad_fn), direction_fn, floor)
         runs.append((reports, traced[first:]))
         return reports
 
@@ -167,6 +169,65 @@ def record_traces(monkeypatch):
         monkeypatch.setattr(module, "forward", recording_forward)
     monkeypatch.setattr(inference, "_descent", recording_descent)
     return traced, runs
+
+
+def near_kink_unit(delta=model.DEFAULT_TAU):
+    """One ReLU unit planted by the bias trick at ``a = delta`` above its kink at the
+    query ``0``: ``f(x) = max(x + delta, 0) + x``, whose canonical branch zeroes the unit
+    (gap ``delta``).  At ``beta = 2 (1 - armijo) + delta`` the first steepest-descent
+    step, ``eta = 1``, passes the Armijo test by ``delta / 2``, while the canonical
+    minorant without its gap bound rules it out by ``delta / 2``."""
+    params = SocIcnnParams(W=(np.ones((1, 1)),), U=(np.zeros((1, 0)),), b=(np.array([delta]),),
+                           c=np.ones(1), v=np.ones(1), b0=0.0)
+    config = inference.InferenceConfig()
+    return params, np.zeros(1), replace(config, beta=2.0 * (1.0 - config.armijo) + delta)
+
+
+def record_line_searches(monkeypatch):
+    """Patch ``inference._trial_block`` and ``inference._armijo_floor`` to record
+    every trial block as ``(Y, x, p, X)``, the queries, starts and directions of its
+    rows and the points it traces, and every certified ladder start as ``(config,
+    gap, etas, f, slope, pp, k)``, ``k`` being the number of steps it skipped.
+    Returns the two lists."""
+    blocks, floors = [], []
+    trial_block, floor = inference._trial_block, inference._armijo_floor
+
+    def recording_block(params, Y, beta, x, p, etas):
+        out = trial_block(params, Y, beta, x, p, etas)
+        blocks.append((Y, x, p, out[0]))
+        return out
+
+    def recording_floor(config, gap, etas, f, slope, pp):
+        k = floor(config, gap, etas, f, slope, pp)
+        floors.append((config, gap, etas, f, slope, pp, k))
+        return k
+
+    monkeypatch.setattr(inference, "_trial_block", recording_block)
+    monkeypatch.setattr(inference, "_armijo_floor", recording_floor)
+    return blocks, floors
+
+
+def skipped_passes(params, blocks, floors):
+    """Trace every step the recorded floors skipped and return those that pass
+    the Armijo test, as ``(f, eta, value)``: an empty list when the floor is
+    sound.  A search's ray is the trial-block row whose start has the search's
+    objective ``f``, traced again as the solver traced it."""
+    passing = []
+    if not floors:
+        return passing
+    beta = floors[0][0].beta
+    starts = {x.tobytes(): (x, p, y) for Y, X0, P, _ in blocks for x, p, y in zip(X0, P, Y)}
+    X0, P, Y = map(np.array, zip(*starts.values()))
+    rays = dict(zip(inference._values(params, Y, beta, X0)[0], zip(X0, P, Y)))
+    for config, _, etas, f, slope, pp, k in floors:
+        if k:
+            x, p, y = rays[f]
+            assert pp == np.vecdot(p, p)
+            steps = np.array(etas[:k])
+            values, _ = inference._values(params, y, beta, x + steps[:, None] * p)
+            passing += [(f, eta, v) for eta, v in zip(etas, values)
+                        if v <= f + config.armijo * eta * slope]
+    return passing
 
 
 def count_value_rows(monkeypatch):
@@ -199,10 +260,10 @@ def count_value_rows(monkeypatch):
 
     descent = inference._descent
 
-    def counting_descent(params, Y, config, method, grad_fn, direction_fn):
+    def counting_descent(params, Y, config, method, grad_fn, direction_fn, floor):
         runs.append(dict.fromkeys(("grads", "grad_rows", "directions", "direction_rows"), 0))
         direction_fn = direction_fn and counted(direction_fn, "direction")
-        return descent(params, Y, config, method, counted(grad_fn, "grad"), direction_fn)
+        return descent(params, Y, config, method, counted(grad_fn, "grad"), direction_fn, floor)
 
     monkeypatch.setattr(inference, "forward_values", counting_values)
     monkeypatch.setattr(inference, "_descent", counting_descent)

@@ -20,12 +20,14 @@ from socicnn import curvature, dual, experiments, inference
 from socicnn.curvature import curvature_matrix
 from socicnn.errors import NonFiniteError, SolveFailureError, ValidationError
 from socicnn.inference import GD_MAX_ITERS, METHODS, NEWTON_MAX_ITERS, InferenceReport, with_gap
-from socicnn.model import forward_values
+from socicnn.model import DEFAULT_TAU, forward_values
 from socicnn.oracle import fd_gradient, fd_hessian
 
 from socicnn.experiments import Exp2Config, _random_model
 
-from conftest import count_value_rows, gaussian_points, quad_only_params, record_traces
+from conftest import count_value_rows, gaussian_points, near_kink_unit, quad_only_params
+from conftest import record_line_searches, record_traces, skipped_passes
+from test_geometry import planted_kinks
 
 BETA = 1.0
 
@@ -358,12 +360,12 @@ class TestNewtonDirection:
 
         descent = inference._descent
 
-        def counting_descent(params, Y, config, method, grad_fn, direction_fn):
+        def counting_descent(params, Y, config, method, grad_fn, direction_fn, floor):
             def counted_direction(G, trace, rows):
                 rounds.append(len(rows))
                 return direction_fn(G, trace, rows)
 
-            return descent(params, Y, config, method, grad_fn, counted_direction)
+            return descent(params, Y, config, method, grad_fn, counted_direction, floor)
 
         monkeypatch.setattr(inference, "curvature_matrix", counted_matrix)
         monkeypatch.setattr(inference, "_descent", counting_descent)
@@ -376,12 +378,13 @@ class TestNewtonDirection:
 
 
 class TestTraceReuse:
-    # (single-point calls, stacked calls, rows traced) at the query below.
+    # (single-point calls, stacked calls, rows traced, steps certified and
+    # skipped) at the query below.
     @pytest.mark.parametrize("method, counts", [
-        pytest.param("whitebox-newton", (4, 0, 4), id="whitebox_newton"),
-        pytest.param("whitebox-gd", (5, 14, 73), id="whitebox_gd"),
-        pytest.param("fd-gd", (5, 14, 73), id="baseline_fd_gd"),
-        pytest.param("fd-newton", (4, 0, 4), id="baseline_fd_newton"),
+        pytest.param("whitebox-newton", (4, 0, 4, 0), id="whitebox_newton"),
+        pytest.param("whitebox-gd", (4, 13, 31, 40), id="whitebox_gd"),
+        pytest.param("fd-gd", (5, 14, 73, 0), id="baseline_fd_gd"),
+        pytest.param("fd-newton", (4, 0, 4, 0), id="baseline_fd_newton"),
     ])
     def test_one_forward_per_gradient_and_trial_point(
         self, medium_model, monkeypatch, method, counts
@@ -394,39 +397,136 @@ class TestTraceReuse:
         trial, and traces a few rows past its ``1 + iterations +
         backtracks`` trial points."""
         traced, _ = record_traces(monkeypatch)
+        blocks, floors = record_line_searches(monkeypatch)
         y = gaussian_points(104, 1, medium_model.input_dim)[0]
         rep = solve(medium_model, y, InferenceConfig(beta=10.0), method)
         assert rep.stop_reason == "grad-tol"
         assert rep.iterations >= 2
         points = np.concatenate(traced)
         assert len(np.unique(points, axis=0)) == len(points)
-        assert len(points) >= 1 + rep.iterations + rep.backtracks
+        # A block's trials run up to the point the next block starts from (or the
+        # solution): a block of the same search starts where it did, so all its rows are.
+        trials = 1
+        for (_, x, _, X), start in zip(blocks, [x[0] for _, x, _, _ in blocks[1:]] + [rep.x]):
+            accepted = np.flatnonzero((X == start).all(axis=1))
+            trials += accepted[0] + 1 if accepted.size else len(X)
+        skips = sum(k for *_, k in floors)
+        assert len(points) >= trials
+        assert trials + skips == 1 + rep.iterations + rep.backtracks
         single, stacked = sum(len(X) == 1 for X in traced), sum(len(X) > 1 for X in traced)
-        assert (single, stacked, len(points)) == counts
+        assert (single, stacked, len(points), skips) == counts
 
     def test_line_search_rows_at_exp4(self, monkeypatch):
         """At default exp4 seed 0 the lockstep line searches trace a pinned
         number of rows in a pinned number of value queries, every one a
-        stack ``(rows, d)``: whitebox-gd 6,397 rows in 500 calls, 3.5% past
-        its 6,182 starts and trial points, and whitebox-newton 488 rows in 31
-        for 357."""
+        stack ``(rows, d)``: whitebox-gd 2,163 rows in 498 calls for its
+        6,182 starts and trial points, 4,162 of which its canonical minorant
+        rules out untraced, and whitebox-newton 488 rows in 31 for 357, none
+        ruled out."""
         cfg = experiments.Exp4Config()
         params = experiments._random_model(cfg)
         ys = np.random.default_rng([cfg.seed, 1]).standard_normal((cfg.queries, cfg.input_dim))
         shapes = []
+        _, floors = record_line_searches(monkeypatch)
 
         def recording(p, X):
             shapes.append(np.shape(X))
             return forward(p, X)
 
         monkeypatch.setattr(inference, "forward", recording)
-        for method, want in (("whitebox-gd", (500, 6397, 6182)),
-                             ("whitebox-newton", (31, 488, 357))):
+        for method, want in (("whitebox-gd", (498, 2163, 6182, 4162)),
+                             ("whitebox-newton", (31, 488, 357, 0))):
             shapes.clear()
+            floors.clear()
             reports = solve(params, ys, cfg.solver, method)
             assert all(len(shape) == 2 for shape in shapes)
             trials = sum(1 + r.iterations + r.backtracks for r in reports)
-            assert (len(shapes), sum(shape[0] for shape in shapes), trials) == want
+            skips = sum(k for *_, k in floors)
+            assert (len(shapes), sum(shape[0] for shape in shapes), trials, skips) == want
+
+
+class TestCertifiedFloor:
+    """A white-box line search starts at the first ladder step that its
+    canonical minorant does not rule out.  Every step it skips, traced after
+    the run, fails the Armijo test, so it takes the plain ladder's decisions.
+    A steepest-descent step is ruled out past about ``2 (1 - armijo) / beta``,
+    so never at ``beta = 1``, and a Newton step never: its slope is at least
+    ``beta`` times its squared length."""
+
+    def run(self, monkeypatch, params, Y, config, method):
+        blocks, floors = record_line_searches(monkeypatch)
+        solve(params, Y, config, method)
+        assert skipped_passes(params, blocks, floors) == []
+        return [k for *_, k in floors]
+
+    def test_exp4_skips_only_failing_steps(self, monkeypatch):
+        cfg = experiments.Exp4Config()
+        ys = np.random.default_rng([cfg.seed, 1]).standard_normal((cfg.queries, cfg.input_dim))
+        params = experiments._random_model(cfg)
+        assert sum(self.run(monkeypatch, params, ys, cfg.solver, "whitebox-gd")) == 4162
+
+    @pytest.mark.parametrize("method", ["whitebox-gd", "whitebox-newton"])
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
+    def test_medium_model(self, medium_model, monkeypatch, beta, method):
+        Y = gaussian_points(104, 3, medium_model.input_dim)
+        skips = self.run(monkeypatch, medium_model, Y, InferenceConfig(beta=beta), method)
+        assert (sum(skips) > 0) == (method == "whitebox-gd" and beta > 1.0)
+
+    @pytest.mark.parametrize("method", ["whitebox-gd", "whitebox-newton"])
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
+    def test_planted_near_kinks(self, monkeypatch, beta, method):
+        """From a query where three units sit at ``0 < a <= tol`` and two cone
+        residuals at length ``tol / 2``, so the canonical minorant starts below
+        the model value."""
+        params, x = planted_kinks(shift=0.5 * DEFAULT_TAU)
+        trace = forward(params, x)
+        near = [trace.a[l][i] for l, i in ((0, 1), (0, 4), (1, 2))]
+        assert near + list(trace.u_norms) == pytest.approx([5e-10] * 5, rel=1e-5)
+        skips = self.run(monkeypatch, params, x, InferenceConfig(beta=beta), method)
+        assert (sum(skips) > 0) == (method == "whitebox-gd" and beta > 1.0)
+
+    def test_gap_keeps_a_passing_step(self, monkeypatch):
+        """At ``near_kink_unit`` the first step passes the Armijo test by less
+        than the gap: the floor traces it, and the search accepts it."""
+        params, y, config = near_kink_unit()
+        skips = self.run(monkeypatch, params, y, config, "whitebox-gd")
+        assert skips[0] == 0
+        # Only ``eta = 1`` lands within 1e-9 of the Armijo bound ``delta - armijo``.
+        first_value = solve(params, y, config, "whitebox-gd").trace[1][0]
+        assert -config.armijo < first_value <= -config.armijo + 1e-9
+
+
+class TestGapBound:
+    """The bound that ``solve`` hands the white-box floor, ``tol`` times the
+    all-above box bounds and the ``lam_g``, bounds the canonical branch's gap
+    ``f(x) - l(x)``: 0 on the planted kinks and off every kink, and at most
+    the bound just off the planted kinks, to rounding."""
+
+    def bound(self, monkeypatch, params, y):
+        _, floors = record_line_searches(monkeypatch)
+        solve(params, y, InferenceConfig(max_iters=1), "whitebox-gd")
+        nu_bar = dual._box_recursion(params, [True] * params.n_layers)
+        assert floors[0][1] == DEFAULT_TAU * (sum(map(np.sum, nu_bar)) + sum(params.lam))
+        return floors[0][1]
+
+    def gap(self, params, x):
+        trace = forward(params, x)
+        minorant = dual._minorant_values(params, x, dual.canonical(params, trace))
+        return trace.value - minorant, 1e-12 * (1.0 + abs(trace.value))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5 * DEFAULT_TAU, 0.99 * DEFAULT_TAU])
+    def test_planted_points(self, monkeypatch, shift):
+        params, x = planted_kinks(shift=shift)
+        bound = self.bound(monkeypatch, params, x)
+        gap, rounding = self.gap(params, x)
+        assert -rounding <= gap <= bound + rounding
+        # The two cone tips alone cost lam_g shift each.
+        assert gap >= shift * sum(params.lam) - rounding
+
+    def test_off_kinks(self, medium_model):
+        for x in gaussian_points(109, 20, medium_model.input_dim):
+            gap, rounding = self.gap(medium_model, x)
+            assert abs(gap) <= rounding
 
 
 # The descent loop as it stood before each accepted point was traced once:

@@ -20,6 +20,15 @@ its step length at seeds 0 and 99, so only a slope error longer than 0.82
 can fail the check, while the whole canonical slope is 0.79 long: seven
 mutations of the ReLU part (among them zeroed, negated, doubled and with the
 layers swapped) left the smallest margin at 0.024 to 0.19.
+
+The white-box line search's certified floor has its own controls: a mutated
+``inference._armijo_floor`` must skip a step that passes the Armijo test when
+traced after the run (``TestCertifiedFloor`` in ``test_inference.py`` runs the
+unmutated cases).  A lower model of curvature ``2 beta`` does so on the
+medium model and at ``near_kink_unit``.  One that drops the gap bound does so
+only at ``near_kink_unit``, whose first step passes by less than the gap: at
+``planted_kinks(shift=tol / 2)`` and ``beta = 10`` no step lands within the
+gap of the bound.
 """
 
 from dataclasses import replace
@@ -27,8 +36,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from socicnn import dual, geometry, model
+from socicnn import InferenceConfig, dual, geometry, inference, model, solve
 from socicnn.experiments import Exp3Config, run_exp3
+
+from conftest import gaussian_points, near_kink_unit, record_line_searches, skipped_passes
 
 SMALL = dict(directions=60, branches=100, probes=100)
 SUPPORT = geometry._SupportEvaluator
@@ -136,3 +147,49 @@ def test_mutation_fails_its_checks(monkeypatch, name, seed):
     owner, attribute, mutant, expected = MUTATIONS[name]
     monkeypatch.setattr(owner, attribute, mutant)
     assert failed_checks(seed) == expected
+
+
+FLOOR = inference._armijo_floor
+
+
+def floor_double_curvature(config, gap, etas, f, slope, pp):
+    """``_armijo_floor`` whose lower model has curvature ``2 beta``."""
+    return FLOOR(replace(config, beta=2.0 * config.beta), gap, etas, f, slope, pp)
+
+
+def floor_without_gap(config, gap, etas, f, slope, pp):
+    """``_armijo_floor`` that takes the canonical minorant as exact at ``x``."""
+    return FLOOR(config, 0.0, etas, f, slope, pp)
+
+
+FLOOR_MUTATIONS = {
+    "double-curvature": (floor_double_curvature, {"medium", "near-kink-unit"}),
+    "without-gap": (floor_without_gap, {"near-kink-unit"}),
+}
+
+
+def floor_cases(medium_model):
+    return {
+        "medium": (medium_model, gaussian_points(104, 3, medium_model.input_dim),
+                   InferenceConfig(beta=10.0)),
+        "near-kink-unit": near_kink_unit(),
+    }
+
+
+def cases_with_passing_skips(monkeypatch, medium_model):
+    failing = set()
+    blocks, floors = record_line_searches(monkeypatch)
+    for case, (params, Y, config) in floor_cases(medium_model).items():
+        blocks.clear()
+        floors.clear()
+        solve(params, Y, config, "whitebox-gd")
+        if skipped_passes(params, blocks, floors):
+            failing.add(case)
+    return failing
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_MUTATIONS))
+def test_floor_mutation_skips_a_passing_step(monkeypatch, medium_model, name):
+    mutant, expected = FLOOR_MUTATIONS[name]
+    monkeypatch.setattr(inference, "_armijo_floor", mutant)
+    assert cases_with_passing_skips(monkeypatch, medium_model) == expected
