@@ -14,6 +14,7 @@ from .curvature import (
 )
 from .dual import (
     DualBranch,
+    argmax_branch,
     canonical,
     dual_value,
     feasibility_violation,
@@ -28,7 +29,6 @@ from .errors import (
     NonFiniteError,
     SocIcnnError,
     SolveFailureError,
-    TooManyDegeneraciesError,
     ValidationError,
 )
 from .geometry import (

@@ -8,9 +8,9 @@ fixed input the optimal triples form a product set: an interval box over the
 ReLU coordinates whose preactivation sits at zero, times a ball for every
 conic module whose residual sits at the cone tip, times singletons elsewhere.
 Everything in this module manipulates that set: evaluating the minorant,
-reading out its input slope, selecting the minimum-norm element, enumerating
-the corners of the box and sampling the whole set.  No ball is enumerated:
-``geometry`` adds its support term ``lam_g * ||A_g d||`` in closed form.
+reading out its input slope, selecting the minimum-norm element, sampling
+the whole set, and picking the element of largest slope along a direction
+from the sign pattern of the one-sided chain rule's sweep.
 """
 
 from __future__ import annotations
@@ -19,22 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, InfeasibleBranchError, TooManyDegeneraciesError
-from .errors import ValidationError
-from .model import DEFAULT_TAU, DegeneracyReport, ForwardTrace, SocIcnnParams, degeneracy_report
+from .errors import ConstructionError, InfeasibleBranchError, ValidationError
+from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, degeneracy_report
 from .model import _check_kind, _check_number, _check_trace, _kinks, _nonzero_rows, _per_row
 from .model import _points
 
-# Hard cap on interval coordinates for exact corner enumeration: 2**16 ReLU
-# corner assignments is the most the exhaustive routines will materialize.
-MAX_FREE_COORDS = 16
-# Doubles per block of corner multipliers and of ``geometry._support_maxima``'s direction-
-# readout products (2-vCPU Xeon VM).  Products: at exp3's defaults, 16 directions x 5000
-# branches were the fastest of 2-128 (3.0 ms against 12.4 ms unblocked).  Corners: at 16
-# free coordinates and widths (64, 64, 64, 64), two sweeps read 0.17-0.25 s and 0.35-0.37 s
-# for blocks of 256-4,096 corners (these are 312) and 0.25 s and 0.50 s for 64-corner
-# ones; 16,384-corner blocks raised the traced peak from 21 to 87 MB.
-SUPPORT_BLOCK = 80_000
 _FEAS_TOL = 1e-9  # largest constraint violation ``dual_value`` accepts
 
 
@@ -134,9 +123,9 @@ def feasibility_violation(params: SocIcnnParams, branch: DualBranch) -> float | 
     top = params.n_layers - 1
     for l, nu in enumerate(branch.relu):
         bound = params.c if l == top else np.matvec(params.U[l + 1].T, branch.relu[l + 1])
-        if nu.shape[-1]:
-            worst = np.maximum(worst, np.max(-nu, axis=-1))
-            worst = np.maximum(worst, np.max(nu - bound, axis=-1))
+        if nu.shape[-1]:  # a C-ordered transpose: one pass per unit, not a loop per row
+            worst = np.maximum(worst, np.max(np.ascontiguousarray(-nu.T), axis=0))
+            worst = np.maximum(worst, np.max(np.ascontiguousarray((nu - bound).T), axis=0))
     for lg, r in zip(params.lam, branch.cone):
         worst = np.maximum(worst, np.sqrt(np.vecdot(r, r)) - lg)
     return _per_row(np.where(worst == -np.inf, 0.0, worst))
@@ -269,26 +258,72 @@ def sample_optimal_branches(
     return _check_optimal(params, trace, stack, tol)
 
 
-def relu_corner_assignments(params: SocIcnnParams, report: DegeneracyReport):
-    """Every corner of the interval box, as an iterator over stacked blocks of at
-    most ``SUPPORT_BLOCK`` doubles (one corner at the least): ``_box_recursion``
-    under 0/1 draws, one ``(n, width)`` array per layer, so every corner is
-    feasible.  Row ``k`` of the sequence is corner ``k``, whose draw column
-    ``j`` is bit ``j`` of ``k``: corner 0 is ``canonical``'s.  Raises, on the
-    call, when more than ``MAX_FREE_COORDS`` coordinates are free, and
-    ``ValidationError`` for a report whose masks do not have the model's widths.
-    """
+def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float, free=None):
+    """Exact one-sided chain rule along each row of ``units``, in forward mode
+    over the trace's pattern: ReLU kinks pass the positive part of their
+    incoming slope, cone tips contribute the full residual speed, smooth
+    parts differentiate as usual.  ``(m,)`` at a point, ``(n, m)`` at a
+    stacked trace, each row bitwise its point's.  Off every kink, the sweep
+    along ``np.eye(d)`` is the gradient: the primal route of every check.
+
+    Given one point's on-kink masks ``free``, it also returns where their
+    pre-clamp slopes ``W_l u + U_l dZ`` are positive, as ``(m, n_free)`` draws
+    for ``_box_recursion``.  As ``U, nu >= 0``, these slopes are the weights of
+    the backward program that maximizes ``u . readout`` over the ReLU box."""
+    above, below, tips = _kinks(trace, tol)
+    dZ = np.zeros(np.shape(trace.value) + (0, units.shape[0]))
+    signs = []
+    for l, (up, down, W, U) in enumerate(zip(above, below, params.W, params.U)):
+        # Layout (..., width, m): at exp1's widths an 8-point block's ``U @ dZ`` took
+        # 28 us, ``dZ @ U.T`` in the transposed layout 48 us (2-vCPU Xeon, NumPy 2.4.6).
+        dZ = U @ dZ
+        dZ += W @ units.T
+        if free is not None:
+            signs.append(dZ[free[l]] > 0.0)
+        # Clamp per unit: above the kink the slope passes, below it 0, on it its positive part.
+        np.maximum(dZ, np.where(up, -np.inf, 0.0)[..., None], out=dZ)
+        np.minimum(dZ, np.where(down, 0.0, np.inf)[..., None], out=dZ)
+    total = units @ params.v + params.c @ dZ
+    for al, B, qh in zip(params.alpha, params.B, trace.q):
+        total += al * np.matvec(units @ B.T, qh)
+    for lg, A, ug, un, tip in zip(params.lam, params.A, trace.u, trace.u_norms, tips):
+        Ad = units @ A.T
+        tip = np.reshape(tip, np.shape(tip) + (1,))
+        # A tip row divides by ``un + 1``, not by zero, and takes the norm term.
+        off_tip = lg * np.matvec(Ad, ug) / (np.reshape(un, tip.shape) + tip)
+        total += np.where(tip, lg * np.sqrt(np.vecdot(Ad, Ad)), off_tip)
+    return total if free is None else (total, np.concatenate(signs[::-1]).T)
+
+
+def _maximizing(params: SocIcnnParams, trace, units, tol: float, canon: DualBranch):
+    """``(slopes, stack)``: the one-sided slopes along the rows of ``units`` and
+    ``argmax_branch``'s rows around ``canon``, from one sweep of ``trace``."""
+    report = degeneracy_report(trace, tol)
+    slopes, draws = _one_sided_primal(params, trace, units, tol, report.free)
+    m = len(units)
+    cone = [np.broadcast_to(r, (m, r.shape[0])) for r in canon.cone]
+    for g in report.conic_zero_modules:
+        Au = units @ params.A[g].T
+        norm = np.sqrt(np.vecdot(Au, Au))[:, None]
+        cone[g] = params.lam[g] * Au / np.where(norm > 0.0, norm, 1.0) + 0.0
+    relu = _box_recursion(params, report.upper, report.free, draws)
+    quad = tuple(np.broadcast_to(p, (m, p.shape[0])) for p in canon.quad)
+    return slopes, DualBranch(relu, quad, tuple(cone))
+
+
+def argmax_branch(
+    params: SocIcnnParams, trace: ForwardTrace, units, tol: float = DEFAULT_TAU
+) -> DualBranch:
+    """A stack of one optimal branch per row ``u`` of ``units`` (``(m, d)``, or
+    ``(d,)`` as a stack of one) at one point's trace, whose slope ``u . readout``
+    is the largest on the optimal set: the one-sided derivative along ``u``.
+    Free ReLU coordinates take their bound where the sweep's pre-clamp slope
+    is positive and 0 elsewhere (through ``_box_recursion``, so feasibly), each
+    cone tip ``lam_g A_g u / ||A_g u||`` (``+0.0`` where ``A_g u = 0``), the rest
+    what ``canonical`` takes.  Rows are scaled by powers of two first, lest a
+    norm over- or underflow."""
     _check_kind(params, SocIcnnParams, "params")
-    _check_kind(report, DegeneracyReport, "report")
-    widths = params.widths
-    if tuple(map(len, report.upper)) != widths or tuple(map(len, report.free)) != widths:
-        raise ValidationError("dimension-mismatch", f"report masks are not of the widths {widths}")
-    n_free = len(report.relu_zero_coords)
-    if n_free > MAX_FREE_COORDS:
-        raise TooManyDegeneraciesError(
-            f"{n_free} interval coordinates; corner enumeration caps at {MAX_FREE_COORDS}"
-        )
-    step, bits = max(1, SUPPORT_BLOCK // max(1, sum(widths))), np.arange(n_free)
-    blocks = (np.arange(k, min(k + step, 2 ** n_free)) for k in range(0, 2 ** n_free, step))
-    return (_box_recursion(params, report.upper, report.free, (corners[:, None] >> bits) & 1)
-            for corners in blocks)
+    canon = canonical(params, trace, tol)
+    units = np.atleast_2d(_points(units, params.input_dim, "units"))
+    _, shift = np.frexp(np.max(np.abs(units), axis=1, keepdims=True))
+    return _maximizing(params, trace, np.ldexp(units, -shift), tol, canon)[1]

@@ -34,10 +34,6 @@ class DegenerateInputError(SocIcnnError, ValueError):
     """The input sits on a kink, so a single-valued quantity is undefined there."""
 
 
-class TooManyDegeneraciesError(SocIcnnError, ValueError):
-    """Exact enumeration of the optimal-set corners would be too large."""
-
-
 class SolveFailureError(SocIcnnError, RuntimeError):
     """A damped second-order system unexpectedly failed to factor."""
 

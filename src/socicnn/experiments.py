@@ -80,7 +80,7 @@ def _gradient_routes(params, trace, tol, fd_step):
     one-point call gives."""
     rows = np.arange(len(trace.x))
     g_dual = inference._readout_grad(params, tol)(trace, rows)
-    g_primal = geometry._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
+    g_primal = dual._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
     return g_dual, g_primal, inference._fd_field(params, fd_step)(trace, rows)
 
 
@@ -331,6 +331,9 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
     fd_errs = np.abs(fd - dual_maxima)
     primal_errs = np.abs(res.primal - dual_maxima)
     gap_count = int(np.count_nonzero(dual_maxima - res.canonical_value > 1e-9))
+    # Feasible rows that attain the value make ``dual_max`` a lower bound by weak duality.
+    argmax_viol = float(np.max(dual.feasibility_violation(params, res.argmax)))
+    argmax_gap = float(np.max(np.abs(dual._minorant_values(params, x0, res.argmax) - f0)))
     branches = dual.sample_optimal_branches(
         params, trace0, cfg.tol, n=cfg.branches, seed=cfg.seed + 3
     )
@@ -371,6 +374,8 @@ def run_exp3(cfg: Exp3Config = Exp3Config()) -> ExperimentOutput:
             f"mean {np.mean(primal_errs):.3e}",
         ),
         _check("exp3-no-violation", violation <= 1e-9, f"max violation {violation:.3e}"),
+        _check("exp3-argmax-optimal", argmax_viol <= 1e-12 and argmax_gap <= 1e-10 * (1 + abs(f0)),
+               f"argmax rows violate by {argmax_viol:.3e}, miss the value by {argmax_gap:.3e}"),
         _check("exp3-gap-fraction", gap_frac == 1.0, f"fraction {gap_frac:.4f}"),
         _check("exp3-canonical-optimal", abs(canon_shortfall) <= 1e-10 * (1.0 + abs(f0)),
                f"canonical minorant {canon_shortfall:.3e} below the value"),

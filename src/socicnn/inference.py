@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dual, geometry
+from . import dual
 from .curvature import curvature_matrix
 from .errors import SolveFailureError
 from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_kind, _check_number, _norms
@@ -405,7 +405,7 @@ def readout_diagnostics(
         _require_nondegenerate(trace.row(bad[0]), tol, "diagnostics" + where)
     m, n = trace.x.shape
     g_dual = dual.readout(params, dual.canonical(params, trace, tol))
-    grad_err = _norms(g_dual - geometry._one_sided_primal(params, trace, np.eye(n), tol))
+    grad_err = _norms(g_dual - dual._one_sided_primal(params, trace, np.eye(n), tol))
     H = curvature_matrix(params, trace, tol)
     H_fd = fd_hessian(_readout_field(params, tol), trace.x, fd_hess_step)
     hess_err = _norms((H - H_fd).reshape(m, n * n))

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
-from socicnn import canonical, curvature, degeneracy_report, experiments, forward, geometry
-from socicnn import forward_values, inference, model
-from socicnn.dual import relu_corner_assignments
+from socicnn import canonical, curvature, degeneracy_report, dual, experiments, forward
+from socicnn import forward_values, geometry, inference, model
 
 
 def inert_backbone(input_dim):
@@ -113,15 +112,22 @@ def stack_branches(branches):
     return DualBranch(join("relu"), join("quad"), join("cone"))
 
 
-def corner_branches(params, trace):
-    """The ReLU corners of the optimal set at one point's trace as one
-    stacked ``DualBranch``, the blocks of ``relu_corner_assignments``
-    concatenated in order, each row with the canonical quadratic and conic
-    multipliers (``+0.0`` at a cone tip)."""
+def reference_corners(params, trace):
+    """Every ReLU corner of the optimal set at one point's trace, as one
+    stacked ``DualBranch``: the tests' "max over every corner" route to the
+    support function, which the package reads off one sweep.  Row ``k``
+    puts free coordinate ``j`` (top layer first, ascending index within a
+    layer, as ``dual._box_recursion`` reads its draws) at its bound when bit
+    ``j`` of ``k`` is set and at 0 otherwise, so row 0 is the canonical
+    corner; every row carries the canonical quadratic and conic multipliers
+    (``+0.0`` at a cone tip).  ``2**n_free`` rows: meant for 16 free
+    coordinates and below."""
     base = canonical(params, trace)
-    blocks = list(relu_corner_assignments(params, degeneracy_report(trace)))
-    relu = tuple(np.concatenate(layer) for layer in zip(*blocks))
-    n = len(relu[0])
+    report = degeneracy_report(trace)
+    n_free = len(report.relu_zero_coords)
+    bits = (np.arange(2 ** n_free)[:, None] >> np.arange(n_free)) & 1
+    relu = dual._box_recursion(params, report.upper, report.free, bits)
+    n = len(bits)
     return DualBranch(
         relu,
         tuple(np.broadcast_to(p, (n, p.shape[0])) for p in base.quad),

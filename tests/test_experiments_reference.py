@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socicnn import ConstructionError, DegenerateInputError, dual, geometry, inference
+from socicnn import ConstructionError, DegenerateInputError, dual, inference
 from socicnn.curvature import (
     CurvatureModel,
     branch_signature,
@@ -47,7 +47,7 @@ from table_cells import EXPERIMENTS, column_summary, differences, machine, outpu
 
 def reference_trace_gradient(params, trace, tol):
     """The primal gradient of one point: the sweep along ``np.eye(d)``."""
-    return geometry._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
+    return dual._one_sided_primal(params, trace, np.eye(params.input_dim), tol)
 
 
 def reference_curvature_matrix(params, trace, tol):

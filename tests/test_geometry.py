@@ -1,6 +1,5 @@
 """Gradients, subdifferential samples, and directional derivatives."""
 
-import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -12,31 +11,32 @@ from socicnn import (
     DegenerateInputError,
     NonFiniteError,
     SocIcnnParams,
-    TooManyDegeneraciesError,
     ValidationError,
+    argmax_branch,
     build_random,
     degeneracy_report,
     directional_derivative,
     fd_directional,
     fd_gradient,
+    feasibility_violation,
     forward,
     forward_values,
     gradient,
     readout,
     sample_optimal_branches,
 )
-from socicnn import dual, geometry
+from socicnn import dual
 from socicnn.model import DEFAULT_TAU, _nondegenerate_rows
 
 from conftest import (
     branch_row,
     cone_only_params,
     constant_params,
-    corner_branches,
     gaussian_points,
     quad_only_params,
+    reference_corners,
 )
-from test_dual import single_layer_params, wide_zero_net, zero_preact_pair
+from test_dual import single_layer_params, zero_preact_pair
 
 
 def subdifferential_sample(params, x, n=64, seed=0):
@@ -44,7 +44,8 @@ def subdifferential_sample(params, x, n=64, seed=0):
     ReLU corners, both drawn from one trace."""
     trace = forward(params, x)
     sampled = sample_optimal_branches(params, trace, n=n, seed=seed)
-    return np.vstack([readout(params, sampled), readout(params, corner_branches(params, trace))])
+    corners = reference_corners(params, trace)
+    return np.vstack([readout(params, sampled), readout(params, corners)])
 
 
 def planted_kinks(seed=5, arch=ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)),
@@ -150,7 +151,8 @@ class TestSubdifferentialSample:
             params, x = degenerate_model
         sample = subdifferential_sample(params, x, n=15, seed=4)
         tr = forward(params, x)
-        stacks = (sample_optimal_branches(params, tr, n=15, seed=4), corner_branches(params, tr))
+        stacks = (sample_optimal_branches(params, tr, n=15, seed=4),
+                  reference_corners(params, tr))
         branches = [branch_row(s, k) for s in stacks for k in range(s.relu[0].shape[0])]
         assert sample.shape == (len(branches), params.input_dim)
         for row, br in zip(sample, branches):
@@ -263,14 +265,25 @@ class TestDirectionalDerivative:
                 medium_model, np.zeros(medium_model.input_dim), np.zeros(medium_model.input_dim)
             )
 
-    def test_branch_budget_guard(self):
-        params = wide_zero_net(17)
-        with pytest.raises(TooManyDegeneraciesError):
-            directional_derivative(params, [0.0], [1.0])
+    def test_seventeen_free_coords_need_no_cap(self):
+        """Seventeen free coordinates (2**17 corners) need no enumeration:
+        f(x) = sum_k relu(k x / 4) for k = -8..8, all 17 kinks at x = 0, has
+        slope 9 both ways."""
+        params = SocIcnnParams(
+            W=(np.arange(-8, 9)[:, None] / 4.0,),
+            U=(np.zeros((17, 0)),),
+            b=(np.zeros(17),),
+            c=np.ones(17),
+            v=np.array([0.0]),
+            b0=0.0,
+        )
+        assert len(degeneracy_report(forward(params, [0.0])).relu_zero_coords) == 17
+        for d in (1.0, -1.0):
+            res = directional_derivative(params, [0.0], [d])
+            assert res.dual_max == res.primal == 9.0
 
-    def test_thirteen_free_coords_enumerate_exactly(self):
-        """The one corner cap is 16 interval coordinates, so 13 enumerate:
-        f(x) = sum_k relu(k x / 4) for k = -6..6, all 13 kinks at x = 0."""
+    def test_thirteen_free_coords_are_exact(self):
+        """f(x) = sum_k relu(k x / 4) for k = -6..6, all 13 kinks at x = 0."""
         params = SocIcnnParams(
             W=(np.arange(-6, 7)[:, None] / 4.0,),
             U=(np.zeros((13, 0)),),
@@ -398,11 +411,9 @@ class TestPlantedKinks:
         assert canonical_gap_fraction(params, x, n_directions=200) == 1.0
 
     def test_support_memory_is_bounded_at_ten_free_coordinates(self):
-        """At 1,024 corners and 2,000 directions, the whole direction-by-corner
-        product would hold 16 MB; blocks of ``geometry.SUPPORT_BLOCK`` doubles
-        keep the peak of ``directional_derivative`` under 2 MB (1.0 MB
-        measured, 16.7 MB with the whole product), and the dual route is
-        still exact."""
+        """At 10 free coordinates (1,024 corners) and 2,000 directions the
+        peak of ``directional_derivative``, its 2,000 argmax rows included,
+        stays under 2 MB, and the dual route is still exact."""
         coords = ((0, 0), (0, 2), (0, 4), (0, 6), (1, 0), (1, 2), (1, 4), (2, 0), (2, 2), (2, 4))
         params, x = planted_kinks(7, ArchSpec(6, (16, 16, 16), (3,), (4, 3)), coords, tips=(0,))
         assert degeneracy_report(forward(params, x)).relu_zero_coords == coords
@@ -416,46 +427,6 @@ class TestPlantedKinks:
         assert peak <= 2e6, peak
         assert np.all(np.abs(res.dual_max - res.primal) <= 1e-12 * (1 + np.abs(res.primal)))
 
-    def test_corner_readouts_are_held_once(self):
-        """At 14 free coordinates the support function's 16,384 corner readouts
-        take 0.79 MB.  Written block by block into one preallocated array, the
-        build's traced peak is that plus one block of multipliers: 2.11 MB
-        measured, where a ``vstack`` over the list of blocks peaked at 2.60 MB."""
-        coords = ((0, 0), (0, 2), (0, 4), (0, 6), (0, 8), (1, 0), (1, 2), (1, 4), (1, 6),
-                  (2, 0), (2, 2), (2, 4), (2, 6), (2, 8))
-        params, x = planted_kinks(7, ArchSpec(6, (16, 16, 16), (3,), (4, 3)), coords, tips=(0,))
-        trace = forward(params, x)
-        report = degeneracy_report(trace)
-        assert report.relu_zero_coords == coords
-        canon = dual.canonical(params, trace)
-        tracemalloc.start()
-        try:
-            support = geometry._SupportEvaluator(params, report, canon)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert support.corner_readouts.shape == (2 ** 14, params.input_dim)
-        assert peak <= 2.3e6, peak
-
-
-def reference_corners(params, report):
-    """The one-corner-at-a-time enumeration the stacked blocks replace: for
-    each 0/1 assignment of the free coordinates (``itertools.product`` over
-    ``relu_zero_coords``), a copy of the report's masks with those bits set,
-    through the unstacked ``_box_recursion``; a list of per-layer tuples."""
-    corners = []
-    for bits in itertools.product((False, True), repeat=len(report.relu_zero_coords)):
-        masks = [upper.copy() for upper in report.upper]
-        for (l, i), bit in zip(report.relu_zero_coords, bits):
-            masks[l][i] = bit
-        corners.append(dual._box_recursion(params, masks))
-    return corners
-
-
-def row_multiset(rows):
-    """The rows of a 2-D array as a sorted list of their bytes."""
-    return sorted(row.tobytes() for row in rows)
-
 
 # Sixteen planted free coordinates over three layers; a prefix of ``k`` plants ``k``,
 # and every prefix of four or more spans all three layers.
@@ -464,49 +435,64 @@ CORNER_COORDS = ((2, 1), (0, 3), (1, 5), (2, 6), (0, 0), (1, 2), (2, 3), (0, 6),
 CORNER_ARCH = ArchSpec(6, (8, 8, 8), quad_dims=(3,), cone_dims=(3, 5))
 
 
-class TestCornerBlocks:
-    """The stacked corner blocks and the support function's corner readouts
-    hold, bitwise and as multisets of rows, what the per-corner loop gives."""
+class TestArgmaxBranch:
+    """The sweep's sign pattern picks the maximizing branch: its slope is the
+    largest over every corner the tests enumerate (``reference_corners``)
+    plus the cone tips' ball terms, and every row is feasible and optimal."""
 
     @pytest.mark.parametrize("n_free", [0, 1, 4, 10, 16])
-    def test_blocks_equal_the_per_corner_loop(self, n_free):
+    def test_attains_the_enumerated_maximum(self, n_free):
         params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS[:n_free])
         tr = forward(params, x)
         report = degeneracy_report(tr)
         assert report.relu_zero_coords == tuple(sorted(CORNER_COORDS[:n_free]))
-        canon = dual.canonical(params, tr)
-        blocks = list(dual.relu_corner_assignments(params, report))
-        got = np.concatenate([np.hstack(block) for block in blocks])
-        ref = reference_corners(params, report)
-        assert got.shape == (2 ** n_free, sum(params.widths))
-        assert row_multiset(got) == row_multiset(np.array([np.concatenate(c) for c in ref]))
-        assert np.array_equal(got[0], np.concatenate(canon.relu))
-        support = geometry._SupportEvaluator(params, report, canon)
-        want = [readout(params, dual.DualBranch(c, canon.quad, canon.cone)) for c in ref]
-        assert row_multiset(support.corner_readouts) == row_multiset(np.array(want))
+        assert report.conic_zero_modules == (0, 1)
+        units = gaussian_points(310 + n_free, 20, params.input_dim)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        stack = argmax_branch(params, tr, units)
+        got = np.vecdot(readout(params, stack), units)
+        corners = readout(params, reference_corners(params, tr))
+        assert corners.shape == (2 ** n_free, params.input_dim)
+        tips = sum(lg * np.linalg.norm(units @ A.T, axis=1) for lg, A in zip(params.lam, params.A))
+        want = np.max(units @ corners.T, axis=1) + tips
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert np.max(feasibility_violation(params, stack)) <= 1e-12
+        dual._check_optimal(params, tr, stack)
 
-    def test_cap_reads_out_one_stack_per_block(self, monkeypatch):
-        """At 16 free coordinates the support function makes one stacked
-        ``readout`` per block of ``dual.SUPPORT_BLOCK`` doubles of
-        multipliers and no single one (the per-corner loop made 65,536)."""
-        params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS)
-        tr = forward(params, x)
-        counts = {"single": 0, "stacked": 0}
-        readout_fn = dual.readout
+    def test_is_the_directional_derivative_branch(self):
+        """``directional_derivative``'s ``argmax`` holds ``argmax_branch``'s
+        rows bitwise, and ``dual_max`` is their slope.  One direction gives one
+        branch, the stack's row up to the rounding of the tip products."""
+        params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS[:10])
+        units = gaussian_points(320, 20, params.input_dim)
+        res = directional_derivative(params, x, units)
+        stack = argmax_branch(params, forward(params, x), res.direction)
+        for got, want in zip(res.argmax.relu + res.argmax.cone, stack.relu + stack.cone):
+            assert np.array_equal(got, want)
+        slopes = np.vecdot(readout(params, stack), units)
+        assert np.allclose(res.dual_max, slopes, rtol=1e-13, atol=0.0)
+        one = directional_derivative(params, x, units[3])
+        for got, want in zip(one.argmax.relu + one.argmax.cone, stack.relu + stack.cone):
+            assert got.shape == want[3].shape
+            assert np.allclose(got, want[3], rtol=1e-15, atol=1e-15)
 
-        def counted(params, branch):
-            counts["stacked" if np.ndim(branch.relu[0]) == 2 else "single"] += 1
-            return readout_fn(params, branch)
+    def test_one_sweep_per_call(self, monkeypatch):
+        """``primal`` and ``dual_max`` come from one sweep of the stack."""
+        params, x = planted_kinks(11, CORNER_ARCH, CORNER_COORDS[:10])
+        sweep, calls = dual._one_sided_primal, []
 
-        monkeypatch.setattr(dual, "readout", counted)
-        geometry._SupportEvaluator(params, degeneracy_report(tr), dual.canonical(params, tr))
-        block = dual.SUPPORT_BLOCK // sum(params.widths)
-        assert counts == {"single": 0, "stacked": -(-2 ** 16 // block)}
+        def counted(*args):
+            calls.append(len(args[2]))
+            return sweep(*args)
+
+        monkeypatch.setattr(dual, "_one_sided_primal", counted)
+        directional_derivative(params, x, gaussian_points(321, 40, params.input_dim))
+        assert calls == [40]
 
 
 def primal_sweep(params, trace, units):
     """The one primal route: the one-sided forward-mode sweep of a trace."""
-    return geometry._one_sided_primal(params, trace, units, DEFAULT_TAU)
+    return dual._one_sided_primal(params, trace, units, DEFAULT_TAU)
 
 
 class TestPrimalSweepGradient:

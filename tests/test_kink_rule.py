@@ -14,15 +14,17 @@ import pytest
 
 from socicnn import (
     SocIcnnParams,
+    argmax_branch,
     branch_signature,
     canonical,
     degeneracy_report,
     directional_derivative,
     forward,
+    readout,
     sample_optimal_branches,
 )
 from socicnn.curvature import curvature_matrix
-from socicnn.geometry import _one_sided_primal, _SupportEvaluator
+from socicnn.dual import _one_sided_primal
 from socicnn.model import _kinks, _nondegenerate_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "socicnn"
@@ -153,19 +155,22 @@ def test_every_consumer_agrees_at_the_boundary():
     without_tip = curvature_matrix(boundary_params(False), forward(boundary_params(False), X0))
     assert np.array_equal(curvature_matrix(params, point, TOL), without_tip)
     assert np.array_equal(curvature_matrix(params, stack, TOL)[1], without_tip)
-    # Support function: the corner box spans exactly the on units, plus one ball.
-    support = _SupportEvaluator(params, report, canon)
-    assert len(support.corner_readouts) == 2 ** len(ON_UNITS)
-    assert [A is params.A[0] for _, A in support.tips] == [True]
+    # Support function: the argmax rows leave the canonical branch only at the
+    # on units and at the tip module, which takes full-length multipliers.
+    units = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.6, -0.8]])
+    argmax = argmax_branch(params, point, units, TOL)
+    moved = {(l, i) for l, nu in enumerate(argmax.relu) for i in np.flatnonzero(np.ptp(nu, 0))}
+    assert moved == ON_UNITS
+    assert np.all(argmax.cone[1] == canon.cone[1])
+    assert np.allclose(np.linalg.norm(argmax.cone[0], axis=1), params.lam[0], rtol=1e-15)
     # Sampled branches move exactly the on units and the tip module.
     sample = sample_optimal_branches(params, point, TOL, n=64, seed=5)
     moved = {(l, i) for l, nu in enumerate(sample.relu) for i in np.flatnonzero(np.ptp(nu, 0))}
     assert moved == ON_UNITS
     assert [bool(np.ptp(r, axis=0).any()) for r in sample.cone] == [True, False]
     # One-sided chain rule: the primal route matches the support function.
-    units = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.6, -0.8]])
     primal = _one_sided_primal(params, point, units, TOL)
-    assert np.allclose(primal, support(units), rtol=0, atol=1e-14)
+    assert np.allclose(primal, np.vecdot(readout(params, argmax), units), rtol=0, atol=1e-14)
     assert np.array_equal(_one_sided_primal(params, stack, units, TOL)[1], primal)
     dd = directional_derivative(params, X0, units, TOL)
     assert np.allclose(dd.primal, dd.dual_max, rtol=0, atol=1e-14)

@@ -1,19 +1,23 @@
 """Negative controls: each check of a claim must fail when the code behind
 the claim is broken.
 
-Each mutation replaces, by ``monkeypatch``, one method of
-``geometry._SupportEvaluator`` (the support function of the optimal set
-behind every ``dual_max``), the sampler ``dual.sample_optimal_branches`` or
-``dual.canonical`` with a plausible bug.  A small exp3 run must then fail
-exactly the named checks; the unmutated run passes every check.  The two FD
-checks compare the finite-difference slopes with ``dual_max``, so every
-wrong support function fails them as well.
+Each mutation replaces, by ``monkeypatch``, one function with a plausible
+bug: ``dual._maximizing`` (the argmax rows behind every ``dual_max``), the
+one-sided sweep ``dual._one_sided_primal`` whose sign pattern picks those
+rows, the sampler ``dual.sample_optimal_branches`` or ``dual.canonical``.
+A small exp3 run must then fail exactly the named checks; the unmutated run
+passes every check.  The two FD checks compare the finite-difference slopes
+with ``dual_max``, so every wrong support function fails them as well.  A
+wrong pick that stays optimal (the canonical corner, the sign rule flipped,
+the tips' ball term dropped) leaves ``exp3-argmax-optimal`` passing, since
+every such row is still a feasible optimal branch; rows off the optimal set
+(no quadratic multipliers, free coordinates at twice their bound) fail it.
 
 ``exp3-min-norm`` fails for a sampler whose draws all land on the canonical
 branch and for a canonical branch off the minimum-norm one, and
 ``exp3-canonical-optimal`` alone for a canonical branch whose ReLU part is
-zeroed: no other check reads the canonical ReLU multipliers tightly enough.  No mutation here
-fails ``exp3-support-margin``.  The sampler is built on the canonical
+zeroed: no other check reads the canonical ReLU multipliers tightly
+enough.  No mutation here fails ``exp3-support-margin``.  The sampler is built on the canonical
 quadratic and off-tip conic multipliers, so a wrong one of those stops the
 run with a ``ConstructionError``.  Every probe's margin exceeds 0.82 times
 its step length at seeds 0 and 99, so only a slope error longer than 0.82
@@ -42,27 +46,36 @@ from socicnn.experiments import Exp3Config, run_exp3
 from conftest import gaussian_points, near_kink_unit, record_line_searches, skipped_passes
 
 SMALL = dict(directions=60, branches=100, probes=100)
-SUPPORT = geometry._SupportEvaluator
-SUPPORT_INIT = SUPPORT.__init__
+MAXIMIZING = dual._maximizing
+SWEEP = dual._one_sided_primal
 CANONICAL = dual.canonical
 
 
-def drop_tip_terms(self, units):
-    """``__call__`` without the cone tips' ``lam_g * ||A_g u||``."""
-    return geometry._support_maxima(units, self.corner_readouts)
+def argmax_without_tips(params, trace, units, tol, canon):
+    """``_maximizing`` whose cone-tip rows keep the canonical ``+0.0``: the
+    tips' ``lam_g * ||A_g u||`` dropped."""
+    slopes, stack = MAXIMIZING(params, trace, units, tol, canon)
+    cone = tuple(np.broadcast_to(r, s.shape) for r, s in zip(canon.cone, stack.cone))
+    return slopes, replace(stack, cone=cone)
 
 
-def canonical_corner_only(self, params, report, canon):
-    """``__init__`` with no free ReLU coordinate: the one corner is the
-    canonical branch.  The corners read the free masks, so they clear too."""
-    free = tuple(np.zeros_like(mask) for mask in report.free)
-    SUPPORT_INIT(self, params, replace(report, relu_zero_coords=(), free=free), canon)
+def argmax_without_quad(params, trace, units, tol, canon):
+    """``_maximizing`` whose rows carry zero quadratic multipliers."""
+    slopes, stack = MAXIMIZING(params, trace, units, tol, canon)
+    return slopes, replace(stack, quad=tuple(np.zeros_like(p) for p in stack.quad))
 
 
-def corners_without_quad(self, params, report, canon):
-    """``__init__`` whose corners carry zero quadratic multipliers."""
-    quad = tuple(np.zeros_like(p) for p in canon.quad)
-    SUPPORT_INIT(self, params, report, replace(canon, quad=quad))
+def sweep_drawing(change):
+    """``_one_sided_primal`` whose sign pattern, when one is asked for, goes
+    through ``change`` on its way to the box recursion."""
+
+    def mutant(params, trace, units, tol, free=None):
+        if free is None:
+            return SWEEP(params, trace, units, tol)
+        slopes, draws = SWEEP(params, trace, units, tol, free)
+        return slopes, change(draws)
+
+    return mutant
 
 
 def sampler_ignores_draws(params, trace, tol, n, seed):
@@ -93,22 +106,34 @@ def canonical_without_relu(params, trace, tol=model.DEFAULT_TAU):
 FD = {"exp3-fd-mean", "exp3-fd-max"}
 MUTATIONS = {
     "drop-tip-terms": (
-        SUPPORT,
-        "__call__",
-        drop_tip_terms,
+        dual,
+        "_maximizing",
+        argmax_without_tips,
         FD | {"exp3-primal-exact", "exp3-no-violation", "exp3-gap-fraction"},
     ),
     "canonical-corner-only": (
-        SUPPORT,
-        "__init__",
-        canonical_corner_only,
+        dual,
+        "_one_sided_primal",
+        sweep_drawing(np.zeros_like),
         FD | {"exp3-primal-exact", "exp3-no-violation"},
     ),
-    "corners-without-quad": (
-        SUPPORT,
-        "__init__",
-        corners_without_quad,
-        FD | {"exp3-primal-exact", "exp3-no-violation"},
+    "argmax-without-quad": (
+        dual,
+        "_maximizing",
+        argmax_without_quad,
+        FD | {"exp3-primal-exact", "exp3-no-violation", "exp3-argmax-optimal"},
+    ),
+    "free-at-twice-the-bound": (
+        dual,
+        "_one_sided_primal",
+        sweep_drawing(lambda draws: 2.0 * draws),
+        FD | {"exp3-primal-exact", "exp3-argmax-optimal"},
+    ),
+    "sign-rule-flipped": (
+        dual,
+        "_one_sided_primal",
+        sweep_drawing(np.logical_not),
+        FD | {"exp3-primal-exact", "exp3-no-violation", "exp3-gap-fraction"},
     ),
     "sampler-ignores-draws": (
         dual,
