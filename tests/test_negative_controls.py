@@ -25,6 +25,13 @@ can fail the check, while the whole canonical slope is 0.79 long: seven
 mutations of the ReLU part (among them zeroed, negated, doubled and with the
 layers swapped) left the smallest margin at 0.024 to 0.19.
 
+exp3's support check cannot see a hull pre-filter in ``geometry._support_maxima``
+that drops too much: an under-estimated maximum only widens the
+``exp3-no-violation`` margin, and the run passes every check.  So
+``HULL_MARGIN`` with its sign flipped, which drops the polygon's own
+vertices, is pinned against the branch-major reference of
+``test_primitives.py`` on exp3's own inputs instead.
+
 The white-box line search's certified floor has its own controls: a mutated
 ``inference._armijo_floor`` must skip a step that passes the Armijo test when
 traced after the run (``TestCertifiedFloor`` in ``test_inference.py`` runs the
@@ -44,6 +51,7 @@ from socicnn import InferenceConfig, dual, geometry, inference, model, solve
 from socicnn.experiments import Exp3Config, run_exp3
 
 from conftest import gaussian_points, near_kink_unit, record_line_searches, skipped_passes
+from test_primitives import exp3_support_inputs, reference_support_maxima
 
 SMALL = dict(directions=60, branches=100, probes=100)
 MAXIMIZING = dual._maximizing
@@ -172,6 +180,17 @@ def test_mutation_fails_its_checks(monkeypatch, name, seed):
     owner, attribute, mutant, expected = MUTATIONS[name]
     monkeypatch.setattr(owner, attribute, mutant)
     assert failed_checks(seed) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 99])
+def test_hull_margin_flipped_fails_only_the_reference(monkeypatch, seed):
+    monkeypatch.setattr(geometry, "HULL_MARGIN", -geometry.HULL_MARGIN)
+    out = run_exp3(Exp3Config(seed=seed, **{**SMALL, "branches": 4 * geometry.HULL_MIN_ROWS}))
+    assert out.all_passed()
+    dirs, readouts = exp3_support_inputs(seed)
+    got = geometry._support_maxima(dirs, readouts)
+    want = reference_support_maxima(dirs, readouts)
+    assert np.all(got <= want) and np.any(got < want)
 
 
 FLOOR = inference._armijo_floor

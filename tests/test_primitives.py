@@ -4,19 +4,30 @@
 and ``_dot`` helpers stood, ``oracle._central_stencil`` writes its legs
 through a strided diagonal view instead of ``np.repeat`` and fancy
 indexing, and exp3's support check reduces blocks of directions instead of
-blocks of branches.  Each ``reference_*`` below is a verbatim copy of the
-replaced code.  The replacements claim the same arithmetic, so every
-comparison is bitwise (shape, dtype and bytes, so a ``-0.0`` counts): a
-mismatch on another machine names the primitive whose BLAS path or
-reduction differs there.
+blocks of branches, over the sampled readouts that are not strictly inside
+the polygon of their extreme rows.  Each ``reference_*`` below is a verbatim
+copy of the replaced code.  The replacements claim the same arithmetic, so
+every comparison on exp3's own inputs is bitwise (shape, dtype and bytes, so
+a ``-0.0`` counts): a mismatch on another machine names the primitive whose
+BLAS path or reduction differs there.
+
+On other readout sets the support maxima are held within
+``4 eps max_i (|u_0 r_i0| + |u_1 r_i1|)`` of the branch-major reference, a
+bound fixed from the dtype: OpenBLAS picks its kernel by shape, and the
+blocked scan over every row already differs from the reference in the last
+bit on generic sets (4.4e-16 on 5000 Gaussian points).  Where the hull
+pre-filter drops nothing, the maxima are bitwise those of the blocked scan
+over every row.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from socicnn import dual
 from socicnn.experiments import Exp3Config
-from socicnn.geometry import _support_maxima
+from socicnn.geometry import HULL_MARGIN, HULL_MIN_ROWS, _hull_candidates, _support_maxima
 from socicnn.model import _gaussian_nonzero, build_degenerate_2d, forward
 from socicnn.oracle import _central_stencil
 
@@ -49,6 +60,18 @@ def reference_support_maxima(dirs, readouts, chunk=128):
         block = readouts[start:start + chunk] @ dirs.T
         np.maximum(col_max, np.max(block, axis=0), out=col_max)
     return col_max
+
+
+def reference_blocked_maxima(units, readouts, block=80_000):
+    """``_support_maxima`` before its hull pre-filter: every row, in blocks of
+    directions against one C-ordered copy of ``readouts.T``."""
+    by_coord = np.ascontiguousarray(readouts.T)
+    best = np.empty(len(units))
+    step = max(1, block // len(readouts))
+    for start in range(0, len(units), step):
+        blk = slice(start, start + step)
+        np.max(units[blk] @ by_coord, axis=1, out=best[blk])
+    return best
 
 
 def assert_bitwise(got, want):
@@ -106,9 +129,8 @@ def test_central_stencil_is_the_old_one(x, step):
     assert_bitwise(_central_stencil(x, step), reference_central_stencil(x, step))
 
 
-@pytest.mark.parametrize("seed", [0, 99])
-def test_exp3_support_maxima_are_the_branch_major_loop(seed):
-    """The readouts and directions exactly as ``run_exp3`` builds them."""
+def exp3_support_inputs(seed):
+    """The directions and sampled readouts exactly as ``run_exp3`` builds them."""
     cfg = Exp3Config(seed=seed)
     params, x0 = build_degenerate_2d(cfg.degeneracy)
     dirs, _ = _gaussian_nonzero(np.random.default_rng([cfg.seed, 1]), 2, cfg.directions)
@@ -116,5 +138,117 @@ def test_exp3_support_maxima_are_the_branch_major_loop(seed):
     branches = dual.sample_optimal_branches(
         params, forward(params, x0), cfg.tol, n=cfg.branches, seed=cfg.seed + 3
     )
-    readouts = dual.readout(params, branches)
+    return dirs, dual.readout(params, branches)
+
+
+# About 8 ms a seed; seeds 0-99 were all bitwise when the pre-filter came in.
+@pytest.mark.parametrize("seed", [*range(10), 34, 52, 99])
+def test_exp3_support_maxima_are_the_branch_major_loop(seed):
+    dirs, readouts = exp3_support_inputs(seed)
+    kept = _hull_candidates(readouts)
+    assert len(kept) < len(readouts) // 20  # 55-217 of 5000 rows at seeds 0-99
     assert_bitwise(_support_maxima(dirs, readouts), reference_support_maxima(dirs, readouts))
+
+
+def traced_peak(call):
+    """Peak of ``tracemalloc``'s traced memory above what was allocated before ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("seed", [0, 99])
+def test_exp3_support_maxima_peak_is_at_most_the_blocked_scans(seed):
+    """Each temporary of the pre-filter holds one value per row, so the peak
+    stays at most that of the scan over every row: its 16 x 5000 block plus
+    the transposed copy of the readouts (728 kB with the result)."""
+    dirs, readouts = exp3_support_inputs(seed)
+    _support_maxima(dirs, readouts)
+    scan = traced_peak(lambda: reference_blocked_maxima(dirs, readouts))
+    assert scan > 16 * 5000 * 8
+    assert traced_peak(lambda: _support_maxima(dirs, readouts)) <= scan
+
+
+def unit_directions(seed, m=200, d=2):
+    dirs = np.random.default_rng([seed, 24]).standard_normal((m, d))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def thin_box(rng):
+    return rng.uniform(size=(3000, 2)) * [3.0, 0.01]
+
+
+def collinear(rng):
+    return np.outer(rng.standard_normal(2000), [0.6, -0.8]) + [0.25, 1.5]
+
+
+def heavy_duplicates(rng):
+    return rng.standard_normal((40, 2))[rng.integers(0, 40, size=4000)]
+
+
+# Each set with whether the pre-filter drops rows from it.  At 512 equal rows every
+# probe picks row 0 (at 500 the product's last columns round apart), so the polygon
+# has no vertex at all.
+EDGE_SETS = {
+    "all-rows-equal": (lambda rng: np.tile(rng.standard_normal(2), (512, 1)), False),
+    "collinear": (collinear, False),
+    "heavy-duplicates": (heavy_duplicates, True),
+    "thin-3-by-0.01-box": (thin_box, True),
+    "gaussian-scale-1e3": (lambda rng: 1e3 * rng.standard_normal((5000, 2)), True),
+    "tiny-offset-cloud": (lambda rng: 1e-3 * rng.standard_normal((3000, 2)) + [7.0, -2.0], True),
+    "fewer-rows-than-the-threshold": (
+        lambda rng: rng.standard_normal((HULL_MIN_ROWS - 1, 2)), False),
+    "three-dimensional": (lambda rng: rng.standard_normal((3000, 3)), False),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(EDGE_SETS))
+def test_support_maxima_on_edge_sets(name, seed):
+    """Within the dtype's bound of the branch-major reference on every set, and
+    bitwise the blocked scan over every row where the pre-filter drops nothing."""
+    build, drops = EDGE_SETS[name]
+    readouts = build(np.random.default_rng([seed, 25]))
+    dirs = unit_directions(seed, d=readouts.shape[1])
+    got = _support_maxima(dirs, readouts)
+    planar = readouts.shape[1] == 2 and len(readouts) >= HULL_MIN_ROWS
+    kept = _hull_candidates(readouts) if planar else readouts
+    assert (len(kept) < len(readouts)) == drops
+    if not drops:
+        assert_bitwise(got, reference_blocked_maxima(dirs, readouts))
+    bound = 4 * np.finfo(np.float64).eps * np.max(np.abs(dirs) @ np.abs(readouts).T, axis=1)
+    assert np.all(np.abs(got - reference_support_maxima(dirs, readouts)) <= bound)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_row_keeps_every_row(bad):
+    readouts = np.random.default_rng(27).standard_normal((1000, 2))
+    readouts[417, 1] = bad
+    assert _hull_candidates(readouts) is readouts
+    dirs = unit_directions(3)
+    got = _support_maxima(dirs, readouts)
+    assert got.tobytes() == reference_blocked_maxima(dirs, readouts).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e120])
+def test_extreme_scales_keep_every_row(scale):
+    readouts = scale * np.random.default_rng(28).standard_normal((1000, 2))
+    assert _hull_candidates(readouts) is readouts
+
+
+def test_every_dropped_row_is_strictly_inside_the_kept_hull():
+    """The exactness argument, checked directly: along every direction each
+    dropped row's slope sits below the kept rows' maximum by at least the radius
+    of the disc about it that the margin puts inside the hull."""
+    readouts = np.random.default_rng(29).standard_normal((5000, 2))
+    radius = HULL_MARGIN * np.max(np.abs(readouts)) / 2**1.5
+    kept = _hull_candidates(readouts)
+    dropped = readouts[~(readouts[:, None, :] == kept[None, :, :]).all(axis=2).any(axis=1)]
+    assert len(kept) + len(dropped) == len(readouts) and len(kept) < 250
+    dirs = unit_directions(4, m=2000)
+    gap = np.max(dirs @ kept.T, axis=1) - np.max(dirs @ dropped.T, axis=1)
+    assert np.min(gap) > 0.99 * radius
