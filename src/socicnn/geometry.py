@@ -23,12 +23,13 @@ from .model import DEFAULT_TAU, SocIcnnParams, _points, _require_nondegenerate, 
 # were the fastest of 2-128 for exp3's unfiltered scan (3.0 ms against 12.4 ms
 # unblocked, 2-vCPU Xeon VM).
 SUPPORT_BLOCK = 80_000
-# ``_hull_candidates``, whose temporaries hold one value per row: at exp3's defaults 12
-# probes keep 55-217 of 5000 rows (config seeds 0-99) and the call reads 0.34 ms (8, 16
-# or 24 probes 0.36-0.40 ms, unfiltered 2.7 ms); at 1000 directions the filter pays
-# from about 128 rows (144 against 152 us).
-HULL_PROBES = np.array([[np.cos(t), np.sin(t)] for t in np.arange(12) * np.pi / 6])
-HULL_MIN_ROWS, HULL_MARGIN = 128, 1e-9
+# ``_hull_candidates``: 12 probes keep 55-217 of exp3's 5000 rows (config seeds 0-99), 0.34 ms
+# a call against 2.7 ms unfiltered (8-24 probes 0.36-0.40 ms).  Literal probes and no float
+# ``argmax``: a first np.cos and np.sin, or argmax, lift a kink run's peak RSS 0.3 or 0.17 MB.
+_R3 = 0.75**0.5
+HULL_PROBES = np.array([(1, 0), (_R3, 0.5), (0.5, _R3), (0, 1), (-0.5, _R3), (-_R3, 0.5),
+                        (-1, 0), (-_R3, -0.5), (-0.5, -_R3), (0, -1), (0.5, -_R3), (_R3, -0.5)])
+HULL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,20 @@ def _hull_candidates(readouts) -> np.ndarray:
     number at least 1, so with a disc of radius ``HULL_MARGIN * scale / 2**1.5`` it lies
     in the hull, and no unit direction's maximum moves.  A ``scale`` (largest entry size)
     outside ``(1e-100, 1e100)`` (NaN, inf) or under 3 vertices keep every row."""
-    scale = np.max(np.abs(readouts))
+    scale = max(readouts.max(), -readouts.min())
     if not 1e-100 < scale < 1e100:
         return readouts
-    ext = np.array([np.argmax(readouts @ probe) for probe in HULL_PROBES])
+    slopes, above = np.empty(len(readouts)), np.empty(len(readouts), dtype=bool)
+    ext = np.empty(len(HULL_PROBES), dtype=np.intp)
+    for k, probe in enumerate(HULL_PROBES):
+        np.matmul(readouts, probe, out=slopes)
+        ext[k] = np.flatnonzero(slopes == slopes.max())[0]
     poly = readouts[ext[ext != np.roll(ext, -1)]]
     normals = (np.roll(poly, -1, axis=0) - poly)[:, ::-1] * [-1.0, 1.0]
     floors = np.vecdot(normals, poly) + HULL_MARGIN * scale * scale
     inside = np.full(len(readouts), len(poly) > 2)
     for normal, floor in zip(normals, floors):
-        inside &= readouts @ normal > floor
+        inside &= np.greater(np.matmul(readouts, normal, out=slopes), floor, out=above)
     return readouts[~inside]
 
 
@@ -82,8 +87,8 @@ def _support_maxima(units, readouts) -> np.ndarray:
     """``max_i u_j . r_i`` over the rows ``r_i`` of ``readouts`` for each row ``u_j`` of
     ``units``, in blocks of directions of at most ``SUPPORT_BLOCK`` products (one
     direction at the least), against one C-ordered copy of ``readouts.T``.  A planar
-    set of ``HULL_MIN_ROWS`` rows or more is scanned over its ``_hull_candidates``."""
-    if readouts.shape[1] == 2 and len(readouts) >= HULL_MIN_ROWS:
+    set is scanned over its ``_hull_candidates``."""
+    if readouts.shape[1] == 2:
         readouts = _hull_candidates(readouts)
     by_coord = np.ascontiguousarray(readouts.T)
     best = np.empty(len(units))

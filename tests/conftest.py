@@ -8,6 +8,7 @@ import pytest
 from socicnn import ArchSpec, DualBranch, SocIcnnParams, build_degenerate_2d, build_random
 from socicnn import canonical, curvature, degeneracy_report, dual, experiments, forward
 from socicnn import forward_values, geometry, inference, model
+from socicnn.experiments import Exp3Config
 
 
 def inert_backbone(input_dim):
@@ -274,3 +275,26 @@ def count_value_rows(monkeypatch):
     monkeypatch.setattr(inference, "forward_values", counting_values)
     monkeypatch.setattr(inference, "_descent", counting_descent)
     return runs
+
+
+def reference_support_maxima(dirs, readouts, chunk=128):
+    """``max_i d_j . r_i`` for each row ``d_j`` of ``dirs``, branch-major: blocks of
+    ``chunk`` rows of ``readouts`` against every direction, as exp3 first scanned them."""
+    col_max = np.full(len(dirs), -np.inf)
+    for start in range(0, len(readouts), chunk):
+        block = readouts[start:start + chunk] @ dirs.T
+        np.maximum(col_max, np.max(block, axis=0), out=col_max)
+    return col_max
+
+
+def exp3_support_inputs(seed, **overrides):
+    """The directions and sampled readouts exactly as ``run_exp3`` builds them at
+    ``Exp3Config(seed=seed, **overrides)``."""
+    cfg = Exp3Config(seed=seed, **overrides)
+    params, x0 = build_degenerate_2d(cfg.degeneracy)
+    dirs, _ = model._gaussian_nonzero(np.random.default_rng([cfg.seed, 1]), 2, cfg.directions)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    branches = dual.sample_optimal_branches(
+        params, forward(params, x0), cfg.tol, n=cfg.branches, seed=cfg.seed + 3
+    )
+    return dirs, dual.readout(params, branches)

@@ -30,7 +30,7 @@ that drops too much: an under-estimated maximum only widens the
 ``exp3-no-violation`` margin, and the run passes every check.  So
 ``HULL_MARGIN`` with its sign flipped, which drops the polygon's own
 vertices, is pinned against the branch-major reference of
-``test_primitives.py`` on exp3's own inputs instead.
+``conftest.py`` on exp3's own inputs instead.
 
 The white-box line search's certified floor has its own controls: a mutated
 ``inference._armijo_floor`` must skip a step that passes the Armijo test when
@@ -50,8 +50,8 @@ import pytest
 from socicnn import InferenceConfig, dual, geometry, inference, model, solve
 from socicnn.experiments import Exp3Config, run_exp3
 
-from conftest import gaussian_points, near_kink_unit, record_line_searches, skipped_passes
-from test_primitives import exp3_support_inputs, reference_support_maxima
+from conftest import exp3_support_inputs, gaussian_points, near_kink_unit, record_line_searches
+from conftest import reference_support_maxima, skipped_passes
 
 SMALL = dict(directions=60, branches=100, probes=100)
 MAXIMIZING = dual._maximizing
@@ -185,9 +185,9 @@ def test_mutation_fails_its_checks(monkeypatch, name, seed):
 @pytest.mark.parametrize("seed", [0, 99])
 def test_hull_margin_flipped_fails_only_the_reference(monkeypatch, seed):
     monkeypatch.setattr(geometry, "HULL_MARGIN", -geometry.HULL_MARGIN)
-    out = run_exp3(Exp3Config(seed=seed, **{**SMALL, "branches": 4 * geometry.HULL_MIN_ROWS}))
+    out = run_exp3(Exp3Config(seed=seed, **SMALL))
     assert out.all_passed()
-    dirs, readouts = exp3_support_inputs(seed)
+    dirs, readouts = exp3_support_inputs(seed, **SMALL)
     got = geometry._support_maxima(dirs, readouts)
     want = reference_support_maxima(dirs, readouts)
     assert np.all(got <= want) and np.any(got < want)

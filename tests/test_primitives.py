@@ -5,11 +5,12 @@ and ``_dot`` helpers stood, ``oracle._central_stencil`` writes its legs
 through a strided diagonal view instead of ``np.repeat`` and fancy
 indexing, and exp3's support check reduces blocks of directions instead of
 blocks of branches, over the sampled readouts that are not strictly inside
-the polygon of their extreme rows.  Each ``reference_*`` below is a verbatim
-copy of the replaced code.  The replacements claim the same arithmetic, so
-every comparison on exp3's own inputs is bitwise (shape, dtype and bytes, so
-a ``-0.0`` counts): a mismatch on another machine names the primitive whose
-BLAS path or reduction differs there.
+the polygon of their extreme rows.  Each ``reference_*`` below (and
+``conftest.reference_support_maxima``) is a verbatim copy of the replaced
+code.  The replacements claim the same arithmetic, so every comparison on
+exp3's own inputs is bitwise (shape, dtype and bytes, so a ``-0.0``
+counts): a mismatch on another machine names the primitive whose BLAS path
+or reduction differs there.
 
 On other readout sets the support maxima are held within
 ``4 eps max_i (|u_0 r_i0| + |u_1 r_i1|)`` of the branch-major reference, a
@@ -25,11 +26,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from socicnn import dual
-from socicnn.experiments import Exp3Config
-from socicnn.geometry import HULL_MARGIN, HULL_MIN_ROWS, _hull_candidates, _support_maxima
-from socicnn.model import _gaussian_nonzero, build_degenerate_2d, forward
+from socicnn.geometry import HULL_MARGIN, HULL_PROBES, _hull_candidates, _support_maxima
 from socicnn.oracle import _central_stencil
+
+from conftest import exp3_support_inputs, reference_support_maxima
 
 
 def reference_matvec(M, X):
@@ -52,14 +52,6 @@ def reference_central_stencil(x, step):
     legs[..., 0, diag, diag] += step
     legs[..., 1, diag, diag] -= step
     return legs
-
-
-def reference_support_maxima(dirs, readouts, chunk=128):
-    col_max = np.full(len(dirs), -np.inf)
-    for start in range(0, len(readouts), chunk):
-        block = readouts[start:start + chunk] @ dirs.T
-        np.maximum(col_max, np.max(block, axis=0), out=col_max)
-    return col_max
 
 
 def reference_blocked_maxima(units, readouts, block=80_000):
@@ -129,18 +121,6 @@ def test_central_stencil_is_the_old_one(x, step):
     assert_bitwise(_central_stencil(x, step), reference_central_stencil(x, step))
 
 
-def exp3_support_inputs(seed):
-    """The directions and sampled readouts exactly as ``run_exp3`` builds them."""
-    cfg = Exp3Config(seed=seed)
-    params, x0 = build_degenerate_2d(cfg.degeneracy)
-    dirs, _ = _gaussian_nonzero(np.random.default_rng([cfg.seed, 1]), 2, cfg.directions)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    branches = dual.sample_optimal_branches(
-        params, forward(params, x0), cfg.tol, n=cfg.branches, seed=cfg.seed + 3
-    )
-    return dirs, dual.readout(params, branches)
-
-
 # About 8 ms a seed; seeds 0-99 were all bitwise when the pre-filter came in.
 @pytest.mark.parametrize("seed", [*range(10), 34, 52, 99])
 def test_exp3_support_maxima_are_the_branch_major_loop(seed):
@@ -163,14 +143,25 @@ def traced_peak(call):
 
 @pytest.mark.parametrize("seed", [0, 99])
 def test_exp3_support_maxima_peak_is_at_most_the_blocked_scans(seed):
-    """Each temporary of the pre-filter holds one value per row, so the peak
-    stays at most that of the scan over every row: its 16 x 5000 block plus
-    the transposed copy of the readouts (728 kB with the result)."""
+    """The pre-filter's products share one buffer of one value per row, so the
+    peak stays at most that of the scan over every row: its 16 x 5000 block
+    plus the transposed copy of the readouts (728 kB with the result)."""
     dirs, readouts = exp3_support_inputs(seed)
     _support_maxima(dirs, readouts)
     scan = traced_peak(lambda: reference_blocked_maxima(dirs, readouts))
     assert scan > 16 * 5000 * 8
     assert traced_peak(lambda: _support_maxima(dirs, readouts)) <= scan
+
+
+def test_hull_probes_are_twelve_unit_directions_30_degrees_apart():
+    """The probe table is written out, so check it: unit rows, counterclockwise, each
+    30 degrees past the one before it, the last one back to the first."""
+    nxt = np.roll(HULL_PROBES, -1, axis=0)
+    assert HULL_PROBES.shape == (12, 2)
+    assert np.allclose(np.linalg.norm(HULL_PROBES, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.vecdot(HULL_PROBES, nxt), 0.75**0.5, rtol=0.0, atol=1e-15)
+    cross = HULL_PROBES[:, 0] * nxt[:, 1] - HULL_PROBES[:, 1] * nxt[:, 0]
+    assert np.allclose(cross, 0.5, rtol=0.0, atol=1e-15)
 
 
 def unit_directions(seed, m=200, d=2):
@@ -190,9 +181,8 @@ def heavy_duplicates(rng):
     return rng.standard_normal((40, 2))[rng.integers(0, 40, size=4000)]
 
 
-# Each set with whether the pre-filter drops rows from it.  At 512 equal rows every
-# probe picks row 0 (at 500 the product's last columns round apart), so the polygon
-# has no vertex at all.
+# Each set with whether the pre-filter drops rows from it.  On the equal rows every
+# probe picks row 0, so the polygon has no vertex at all.
 EDGE_SETS = {
     "all-rows-equal": (lambda rng: np.tile(rng.standard_normal(2), (512, 1)), False),
     "collinear": (collinear, False),
@@ -200,8 +190,7 @@ EDGE_SETS = {
     "thin-3-by-0.01-box": (thin_box, True),
     "gaussian-scale-1e3": (lambda rng: 1e3 * rng.standard_normal((5000, 2)), True),
     "tiny-offset-cloud": (lambda rng: 1e-3 * rng.standard_normal((3000, 2)) + [7.0, -2.0], True),
-    "fewer-rows-than-the-threshold": (
-        lambda rng: rng.standard_normal((HULL_MIN_ROWS - 1, 2)), False),
+    "forty-gaussian-rows": (lambda rng: rng.standard_normal((40, 2)), True),
     "three-dimensional": (lambda rng: rng.standard_normal((3000, 3)), False),
 }
 
@@ -215,8 +204,7 @@ def test_support_maxima_on_edge_sets(name, seed):
     readouts = build(np.random.default_rng([seed, 25]))
     dirs = unit_directions(seed, d=readouts.shape[1])
     got = _support_maxima(dirs, readouts)
-    planar = readouts.shape[1] == 2 and len(readouts) >= HULL_MIN_ROWS
-    kept = _hull_candidates(readouts) if planar else readouts
+    kept = _hull_candidates(readouts) if readouts.shape[1] == 2 else readouts
     assert (len(kept) < len(readouts)) == drops
     if not drops:
         assert_bitwise(got, reference_blocked_maxima(dirs, readouts))
