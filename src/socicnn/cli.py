@@ -19,19 +19,17 @@ from . import experiments, model
 from .errors import SocIcnnError
 from .model import ArchSpec
 
+# Per experiment: config class, driver, help line and count flags, each flag
+# overriding the config field of its name.
 _EXPERIMENTS = {
-    "exp1": (experiments.Exp1Config, experiments.run_exp1),
-    "exp2": (experiments.Exp2Config, experiments.run_exp2),
-    "exp3": (experiments.Exp3Config, experiments.run_exp3),
-    "exp4": (experiments.Exp4Config, experiments.run_exp4),
-}
-
-# Per-experiment count flags; each overrides the config field of its name.
-_EXTRA_FLAGS = {
-    "exp1": ("samples",),
-    "exp2": ("points", "trials"),
-    "exp3": ("directions", "branches", "probes"),
-    "exp4": ("queries",),
+    "exp1": (experiments.Exp1Config, experiments.run_exp1,
+             "gradient readout agreement on random inputs", ("samples",)),
+    "exp2": (experiments.Exp2Config, experiments.run_exp2,
+             "Hessian formula and quadratic-model accuracy", ("points", "trials")),
+    "exp3": (experiments.Exp3Config, experiments.run_exp3,
+             "set-valued geometry at the degenerate anchor", ("directions", "branches", "probes")),
+    "exp4": (experiments.Exp4Config, experiments.run_exp4,
+             "white-box versus finite-difference inference", ("queries",)),
 }
 
 
@@ -140,8 +138,8 @@ def _cmd_model_info(args) -> int:
 
 
 def _cmd_exp(args, name: str) -> int:
-    cls, runner = _EXPERIMENTS[name]
-    overrides = {key: getattr(args, key) for key in ("seed",) + _EXTRA_FLAGS[name]}
+    cls, runner, _, flags = _EXPERIMENTS[name]
+    overrides = {key: getattr(args, key) for key in ("seed",) + flags}
     cfg = _load_config(cls, args.config, overrides)
     out = runner(cfg)
     for table in out.tables:
@@ -192,20 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = model_sub.add_parser("info", help="validate and summarize a model file")
     p_info.add_argument("path")
 
-    help_text = {
-        "exp1": "gradient readout agreement on random inputs",
-        "exp2": "Hessian formula and quadratic-model accuracy",
-        "exp3": "set-valued geometry at the degenerate anchor",
-        "exp4": "white-box versus finite-difference inference",
-    }
-    for name in _EXPERIMENTS:
-        p = sub.add_parser(name, help=help_text[name])
+    for name, (_, _, help_line, flags) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="directory for result tables")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--check", action="store_true", help="evaluate pass/fail criteria")
-        for flag in _EXTRA_FLAGS[name]:
+        for flag in flags:
             p.add_argument(f"--{flag}", type=int, default=None)
     return parser
 

@@ -143,9 +143,7 @@ def _minorant_values(params: SocIcnnParams, x, branch: DualBranch):
     return total
 
 
-def dual_value(
-    params: SocIcnnParams, x, branch: DualBranch, check_feasible: bool = True
-) -> float | np.ndarray:
+def dual_value(params: SocIcnnParams, x, branch: DualBranch) -> float | np.ndarray:
     """Value of the affine minorant indexed by ``branch`` at the point ``x``,
     or of each row's as an ``(n,)`` array for a stack.
 
@@ -155,13 +153,11 @@ def dual_value(
     infeasible row of a stack.
     """
     x = _points(x, params.input_dim, "x", stack=False)
-    _check_kind(branch, DualBranch, "branch")
-    if check_feasible:
-        viol = np.reshape(feasibility_violation(params, branch), -1)
-        bad = np.flatnonzero(viol > _FEAS_TOL)
-        if bad.size:
-            k = bad[0]
-            raise InfeasibleBranchError(f"branch {k} violates constraints by {viol[k]:.3e}")
+    viol = np.reshape(feasibility_violation(params, branch), -1)
+    bad = np.flatnonzero(viol > _FEAS_TOL)
+    if bad.size:
+        k = bad[0]
+        raise InfeasibleBranchError(f"branch {k} violates constraints by {viol[k]:.3e}")
     return _per_row(_minorant_values(params, x, branch))
 
 
@@ -193,6 +189,18 @@ def _check_optimal(params, trace, branch: DualBranch, tol: float = DEFAULT_TAU) 
             f"{trace.value} with kinks classified at tolerance {tol:g}"
         )
     return branch
+
+
+def _optimal_stack(params: SocIcnnParams, report, canon: DualBranch, draws, balls) -> DualBranch:
+    """The ``len(draws)`` optimal branches at ``report``'s point: ReLU layers from
+    ``_box_recursion`` over ``draws``, the rows ``balls[g]`` at each cone tip ``g``,
+    and ``canon``'s quadratic and off-tip conic multipliers on every row."""
+    n = len(draws)
+    return DualBranch(
+        _box_recursion(params, report.upper, report.free, draws),
+        tuple(np.broadcast_to(p, (n, p.shape[0])) for p in canon.quad),
+        tuple(balls.get(g, np.broadcast_to(r, (n, r.shape[0]))) for g, r in enumerate(canon.cone)),
+    )
 
 
 def sample_optimal_branches(
@@ -240,22 +248,14 @@ def sample_optimal_branches(
     draws = free_rng.random((n, len(report.relu_zero_coords)))
     directions = dir_rng.standard_normal((n, sum(dims)))
     radii = radius_rng.random((n, len(tips)))
-    cone = [np.broadcast_to(r, (n, r.shape[0])) for r in canon.cone]
-    start = 0
+    balls, start = {}, 0
     for g, dim, u in zip(tips, dims, radii.T):
         V = directions[:, start:start + dim]
         start += dim
-        if dim == 0:
-            cone[g] = V
-            continue
-        nrm = _nonzero_rows(dir_rng, V)
-        cone[g] = (params.lam[g] * u ** (1.0 / dim) / nrm)[:, None] * V
-    stack = DualBranch(
-        relu=_box_recursion(params, report.upper, report.free, draws),
-        quad=tuple(np.broadcast_to(p, (n, p.shape[0])) for p in canon.quad),
-        cone=tuple(cone),
-    )
-    return _check_optimal(params, trace, stack, tol)
+        if dim:
+            V = (params.lam[g] * u ** (1.0 / dim) / _nonzero_rows(dir_rng, V))[:, None] * V
+        balls[g] = V
+    return _check_optimal(params, trace, _optimal_stack(params, report, canon, draws, balls), tol)
 
 
 def _one_sided_primal(params: SocIcnnParams, trace, units, tol: float, free=None):
@@ -300,15 +300,12 @@ def _maximizing(params: SocIcnnParams, trace, units, tol: float, canon: DualBran
     ``argmax_branch``'s rows around ``canon``, from one sweep of ``trace``."""
     report = degeneracy_report(trace, tol)
     slopes, draws = _one_sided_primal(params, trace, units, tol, report.free)
-    m = len(units)
-    cone = [np.broadcast_to(r, (m, r.shape[0])) for r in canon.cone]
+    balls = {}
     for g in report.conic_zero_modules:
         Au = units @ params.A[g].T
         norm = np.sqrt(np.vecdot(Au, Au))[:, None]
-        cone[g] = params.lam[g] * Au / np.where(norm > 0.0, norm, 1.0) + 0.0
-    relu = _box_recursion(params, report.upper, report.free, draws)
-    quad = tuple(np.broadcast_to(p, (m, p.shape[0])) for p in canon.quad)
-    return slopes, DualBranch(relu, quad, tuple(cone))
+        balls[g] = params.lam[g] * Au / np.where(norm > 0.0, norm, 1.0) + 0.0
+    return slopes, _optimal_stack(params, report, canon, draws, balls)
 
 
 def argmax_branch(

@@ -59,6 +59,55 @@ def constant_params(b0=3.5, dim=2):
     return SocIcnnParams(**base)
 
 
+def single_layer_params(b_value):
+    """Two-unit, one-layer net z = relu(x + b) read out with c = (0.9, 0.4)."""
+    return SocIcnnParams(
+        W=(np.eye(2),),
+        U=(np.zeros((2, 0)),),
+        b=(np.array([b_value, b_value]),),
+        c=np.array([0.9, 0.4]),
+        v=np.array([0.1, -0.2]),
+        b0=0.25,
+    )
+
+
+def zero_preact_pair():
+    """f(x) = relu(x) + relu(-x) = |x| with both preactivations zero at 0."""
+    return SocIcnnParams(
+        W=(np.array([[1.0], [-1.0]]),),
+        U=(np.zeros((2, 0)),),
+        b=(np.zeros(2),),
+        c=np.array([1.0, 1.0]),
+        v=np.array([0.0]),
+        b0=0.0,
+    )
+
+
+def planted_kinks(seed=5, arch=ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)),
+                  coords=((0, 1), (0, 4), (1, 2)), tips=(0, 1), shift=0.0):
+    """``build_random(seed, arch)`` moved onto kinks at a Gaussian point ``x``
+    by the bias trick.  Unit ``i`` of layer ``l``, for each ``(l, i)`` in
+    ``coords``, takes the bias ``-(matvec(W_l, x) + matvec(U_l, z))[i]``,
+    which ``forward`` cancels bitwise, and each conic module in ``tips`` the
+    offset ``-matvec(A_g, x)``, which puts its residual at the cone tip.  By
+    default: three free ReLU coordinates over two layers and cone tips of
+    dimensions 3 and 5.  A positive ``shift`` moves the point just off its
+    kinks: the units take ``shift`` more bias (``a`` about ``shift``) and the
+    tips' residuals are ``shift`` times the first unit vector."""
+    params = build_random(seed, arch)
+    x = np.random.default_rng(seed).standard_normal(arch.input_dim)
+    b = [bl.copy() for bl in params.b]
+    z = np.zeros(0)
+    for l, (W, U) in enumerate(zip(params.W, params.U)):
+        s = np.matvec(W, x) + np.matvec(U, z)
+        kinked = [i for k, i in coords if k == l]
+        b[l][kinked] = shift - s[kinked]
+        z = np.maximum(s + b[l], 0.0)
+    d = [shift * (np.arange(len(dg)) == 0) - np.matvec(A, x) if g in tips else dg
+         for g, (A, dg) in enumerate(zip(params.A, params.d))]
+    return replace(params, b=b, d=d), x
+
+
 @pytest.fixture(scope="session")
 def degenerate_model():
     """The hand-built 2D model with one ReLU kink and one conic tip at x0."""

@@ -28,6 +28,7 @@ from conftest import (
     gaussian_points,
     inert_backbone,
     quad_only_params,
+    single_layer_params,
 )
 
 
@@ -166,8 +167,6 @@ class TestSignature:
         assert s1 == s2
 
     def test_changes_across_kink(self):
-        from test_dual import single_layer_params
-
         params = single_layer_params(0.0)
         s_neg = branch_signature(forward(params, [-1.0, -1.0]))
         s_pos = branch_signature(forward(params, [1.0, 1.0]))
@@ -208,8 +207,6 @@ class TestQuadraticModel:
         """Retained rate and mean residual equal the per-trial loop bit for
         bit, on one branch, across kinks (rate below one) and with nothing
         retained (NaN mean)."""
-        from test_dual import single_layer_params
-
         exp2_model = _random_model(Exp2Config())
         cases = (
             (exp2_model, gaussian_points(41, 1, 10)[0], (1e-4, 1e-3, 0.3), 500, 17),
@@ -266,8 +263,6 @@ class TestQuadraticModel:
     def test_retention_drops_across_kinks(self):
         """An anchor close to a ReLU boundary loses probes to neighboring
         branches at large radius."""
-        from test_dual import single_layer_params
-
         params = single_layer_params(0.0)
         anchor = np.array([0.05, 0.05])
         kept, _ = quadratic_model_residual(params, anchor, radius=0.2, trials=200)

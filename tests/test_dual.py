@@ -30,32 +30,10 @@ from conftest import (
     gaussian_points,
     quad_only_params,
     reference_corners,
+    single_layer_params,
     stack_branches,
+    zero_preact_pair,
 )
-
-
-def single_layer_params(b_value):
-    """Two-unit, one-layer net z = relu(x + b) read out with c = (0.9, 0.4)."""
-    return SocIcnnParams(
-        W=(np.eye(2),),
-        U=(np.zeros((2, 0)),),
-        b=(np.array([b_value, b_value]),),
-        c=np.array([0.9, 0.4]),
-        v=np.array([0.1, -0.2]),
-        b0=0.25,
-    )
-
-
-def zero_preact_pair():
-    """f(x) = relu(x) + relu(-x) = |x| with both preactivations zero at 0."""
-    return SocIcnnParams(
-        W=(np.array([[1.0], [-1.0]]),),
-        U=(np.zeros((2, 0)),),
-        b=(np.zeros(2),),
-        c=np.array([1.0, 1.0]),
-        v=np.array([0.0]),
-        b0=0.0,
-    )
 
 
 class TestCanonical:
@@ -167,8 +145,6 @@ class TestDualValue:
         too_big = DualBranch(relu=(1.5 * base.relu[0],), quad=(), cone=())
         with pytest.raises(InfeasibleBranchError):
             dual_value(params, [0.0, 0.0], too_big)
-        val = dual_value(params, [0.0, 0.0], too_big, check_feasible=False)
-        assert np.isfinite(val)
 
     def test_infeasible_cone_branch_rejected(self):
         params = cone_only_params(lam=0.5)

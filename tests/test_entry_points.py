@@ -195,7 +195,6 @@ OBJECT_ARGS = {
     "conic_margin trace": (lambda v: conic_margin(v), "trace"),
     "readout branch": (lambda v: readout(P, v), "branch"),
     "dual_value branch": (lambda v: dual_value(P, X, v), "branch"),
-    "dual_value branch unchecked": (lambda v: dual_value(P, X, v, check_feasible=False), "branch"),
     "feasibility_violation branch": (lambda v: feasibility_violation(P, v), "branch"),
     "argmax_branch params": (lambda v: argmax_branch(v, TRACE, U), "params"),
     "argmax_branch trace": (lambda v: argmax_branch(P, v, U), "trace"),

@@ -870,7 +870,7 @@ class TestCli:
         ``--check``: a pass (0), a refused config (2) or a failed check (3),
         and never a traceback."""
         argv = [command, "--check"]
-        for flag in cli._EXTRA_FLAGS[command]:
+        for flag in cli._EXPERIMENTS[command][3]:
             argv += [f"--{flag}", str(count)]
         assert main(argv) in (0, 2, 3)
         assert "Traceback" not in capsys.readouterr().err

@@ -33,10 +33,12 @@ from conftest import (
     cone_only_params,
     constant_params,
     gaussian_points,
+    planted_kinks,
     quad_only_params,
     reference_corners,
+    single_layer_params,
+    zero_preact_pair,
 )
-from test_dual import single_layer_params, zero_preact_pair
 
 
 def subdifferential_sample(params, x, n=64, seed=0):
@@ -46,31 +48,6 @@ def subdifferential_sample(params, x, n=64, seed=0):
     sampled = sample_optimal_branches(params, trace, n=n, seed=seed)
     corners = reference_corners(params, trace)
     return np.vstack([readout(params, sampled), readout(params, corners)])
-
-
-def planted_kinks(seed=5, arch=ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3, 5)),
-                  coords=((0, 1), (0, 4), (1, 2)), tips=(0, 1), shift=0.0):
-    """``build_random(seed, arch)`` moved onto kinks at a Gaussian point ``x``
-    by the bias trick.  Unit ``i`` of layer ``l``, for each ``(l, i)`` in
-    ``coords``, takes the bias ``-(matvec(W_l, x) + matvec(U_l, z))[i]``,
-    which ``forward`` cancels bitwise, and each conic module in ``tips`` the
-    offset ``-matvec(A_g, x)``, which puts its residual at the cone tip.  By
-    default: three free ReLU coordinates over two layers and cone tips of
-    dimensions 3 and 5.  A positive ``shift`` moves the point just off its
-    kinks: the units take ``shift`` more bias (``a`` about ``shift``) and the
-    tips' residuals are ``shift`` times the first unit vector."""
-    params = build_random(seed, arch)
-    x = np.random.default_rng(seed).standard_normal(arch.input_dim)
-    b = [bl.copy() for bl in params.b]
-    z = np.zeros(0)
-    for l, (W, U) in enumerate(zip(params.W, params.U)):
-        s = np.matvec(W, x) + np.matvec(U, z)
-        kinked = [i for k, i in coords if k == l]
-        b[l][kinked] = shift - s[kinked]
-        z = np.maximum(s + b[l], 0.0)
-    d = [shift * (np.arange(len(dg)) == 0) - np.matvec(A, x) if g in tips else dg
-         for g, (A, dg) in enumerate(zip(params.A, params.d))]
-    return replace(params, b=b, d=d), x
 
 
 def canonical_gap_fraction(params, x, n_directions, seed=0):

@@ -26,8 +26,7 @@ from socicnn.oracle import fd_gradient, fd_hessian
 from socicnn.experiments import Exp2Config, _random_model
 
 from conftest import count_value_rows, gaussian_points, near_kink_unit, quad_only_params
-from conftest import record_line_searches, record_traces, skipped_passes
-from test_geometry import planted_kinks
+from conftest import planted_kinks, record_line_searches, record_traces, skipped_passes
 
 BETA = 1.0
 

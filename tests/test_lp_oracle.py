@@ -19,8 +19,7 @@ from socicnn import ArchSpec, argmax_branch, degeneracy_report, directional_deri
 from socicnn import readout
 from socicnn.model import DEFAULT_TAU
 
-from conftest import gaussian_points
-from test_geometry import planted_kinks
+from conftest import gaussian_points, planted_kinks
 
 
 def relu_face(params, trace, tol=DEFAULT_TAU):

@@ -12,7 +12,7 @@ import pytest
 
 from socicnn import degeneracy_report, forward, sample_optimal_branches
 
-from test_geometry import planted_kinks
+from conftest import planted_kinks
 
 N, SEED = 2000, 11
 # Two-sided Kolmogorov-Smirnov critical value at level 0.001 for N draws, in its
