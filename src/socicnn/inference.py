@@ -126,7 +126,9 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
     Each round makes one value query: one trace of every point that any
     row's line search tries next.  Each point is traced once, there.  Every
     other stage of a round is one call on that trial trace and the indices
-    ``rows`` of the points it serves.  ``grad_fn(trace, rows)`` gives the
+    ``rows`` of the points it serves, and so is the bookkeeping: the gradient
+    norms, the Newton slopes and the copy of the accepted points; only the
+    Armijo and stop decisions loop over the rows.  ``grad_fn(trace, rows)`` gives the
     model's gradients at the accepted points (the value-only twins read only
     ``trace.x[rows]``), to which ``beta (x - y)`` is added.  ``direction_fn(G,
     trace, rows)`` maps the gradients ``G`` of the rows that continue to their
@@ -150,7 +152,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
     max_iters = config.max_iters
     if max_iters is None:
         max_iters = GD_MAX_ITERS if direction_fn is None else NEWTON_MAX_ITERS
-    etas = np.cumprod(np.r_[1.0, np.full(config.max_backtracks, config.shrink)]).tolist()
+    armijo, max_backtracks = config.armijo, config.max_backtracks
+    etas = np.cumprod(np.r_[1.0, np.full(max_backtracks, config.shrink)]).tolist()
     mark = time.perf_counter()
     spent = [0.0] * q
 
@@ -177,9 +180,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
             G[fresh] = grad_fn(trace, rows) + config.beta * (trace.x[rows] - Y[fresh])
             charge(fresh, [1] * fresh.size)
             going = []
-            for i, r in enumerate(fresh.tolist()):
-                g = G[r]
-                grad_norm[r] = gn = math.sqrt(g @ g)
+            for i, (r, gg) in enumerate(zip(fresh.tolist(), np.vecdot(G[fresh], G[fresh]).tolist())):
+                grad_norm[r] = gn = math.sqrt(gg)
                 history[r].append((F[r], gn))
                 if iterations[r] and progress[r] <= config.progress_tol:
                     stop[r] = "progress"
@@ -197,8 +199,8 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
             elif going:
                 P[moving] = direction_fn(G[moving], trace, rows[going])
                 charge(moving, [1] * len(going))
-                for r in moving.tolist():
-                    slopes[r] = float(G[r] @ P[r])
+                for r, gp in zip(moving.tolist(), np.vecdot(G[moving], P[moving]).tolist()):
+                    slopes[r] = gp
             if floor is not None:
                 for r, pp in zip(moving.tolist(), np.vecdot(P[moving], P[moving]).tolist()):
                     first[r] = tried[r] = floor(etas, F[r], slopes[r], pp)
@@ -217,25 +219,26 @@ def _descent(params, Y, config, method, grad_fn, direction_fn, floor):
         )
         charged, searching, accepted, start = searching, [], [], 0
         for r, n in zip(charged, weights):
-            bounds = [F[r] + config.armijo * eta * slopes[r] for eta in etas[tried[r]:tried[r] + n]]
-            k = next((i for i in range(n) if values[start + i] <= bounds[i]), None)
-            if k is not None:
-                backtracks[r] += tried[r] + k
-                block[r] = tried[r] + k + 1 - first[r]
-                f_new = values[start + k]
-                progress[r] = F[r] - f_new
-                X[r], F[r] = X_try[start + k], f_new
+            f, slope, t, k = F[r], slopes[r], tried[r], 0
+            while k < n and not values[start + k] <= f + armijo * etas[t + k] * slope:
+                k += 1
+            if k < n:
+                backtracks[r] += t + k
+                block[r] = t + k + 1 - first[r]
+                progress[r] = f - values[start + k]
+                F[r] = values[start + k]
                 iterations[r] += 1
                 accepted.append(start + k)
-            elif tried[r] + n < len(etas):
+            elif t + n < len(etas):
                 tried[r] += n
                 searching.append(r)
             else:
-                backtracks[r] += config.max_backtracks
+                backtracks[r] += max_backtracks
                 stop[r] = "line-search-failure"
             start += n
         rows = np.array(accepted, dtype=np.intp)
         fresh = owner[rows]
+        X[fresh] = X_try[rows]
     charge(range(q), [1] * q)
     return tuple(
         InferenceReport(
@@ -309,20 +312,26 @@ def _newton_direction(params, config, G, trace, rows):
 
 def _fd_newton_direction(params, config, G, trace, rows):
     """Newton steps for the gradients ``G`` at the points ``rows`` of a trace: per point a
-    central difference of the FD model gradient field over one flat ``4 d^2``-row value
-    query (a ``(k, 4 d^2, d)`` stack of them was no cheaper per point), plus ``beta I``,
-    with the eigenvalues clamped from below at ``beta + damping``."""
+    central difference of the FD model gradient field, plus ``beta I``, with the eigenvalues
+    clamped from below at ``beta + damping``.  The points go in chunks of at most 4, each
+    one ``fd_hessian`` stencil whose points keep one flat ``4 d^2``-row value query apiece
+    (a ``(k, 4 d^2, d)`` slab was slower per point) and one stacked eigensolve, so each
+    step is bitwise its point's alone."""
+    d = params.input_dim
+
+    def values(S):
+        return np.concatenate([forward_values(params, s) for s in S.reshape(-1, 4 * d * d, d)])
 
     def field(P):
-        return fd_gradient(lambda S: forward_values(params, S), P, config.fd_grad_step)
+        return fd_gradient(values, P, config.fd_grad_step)
 
-    steps = np.empty_like(G)
-    for k, (g, x) in enumerate(zip(G, trace.x[rows])):
-        H = fd_hessian(field, x, config.fd_hess_step)
-        H[np.diag_indices_from(H)] += config.beta
+    steps, X, diag = np.empty_like(G), trace.x[rows], np.arange(d)
+    for chunk in (slice(lo, lo + 4) for lo in range(0, len(X), 4)):
+        H = fd_hessian(field, X[chunk], config.fd_hess_step)
+        H[:, diag, diag] += config.beta
         w, V = np.linalg.eigh(H)
         w = np.maximum(w, config.beta + config.damping)
-        steps[k] = -(V @ ((V.T @ g) / w))
+        steps[chunk] = -np.matvec(V, np.matvec(V.mT, G[chunk]) / w)
     return steps
 
 
@@ -346,8 +355,9 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
     - ``"fd-gd"``: the twin that sees only model values, with
       central-difference model gradients at step ``fd_grad_step``.
     - ``"fd-newton"``: the twin whose Newton matrix is a central difference
-      of that gradient field, over one ``4 d^2``-point value query, plus
-      ``beta I``.  It goes indefinite whenever a stencil leg crosses a kink,
+      of that gradient field, over one ``4 d^2``-point value query per point,
+      plus ``beta I``, the round's points in chunks of at most 4 with one
+      stacked eigensolve each.  It goes indefinite whenever a stencil leg crosses a kink,
       so its eigenvalues are clamped from below at ``beta + damping``: the
       declared strong-convexity constant, no analytic model structure.
     """

@@ -14,7 +14,13 @@ parent, the two kinds interleaved, and alternates which side of a pair runs
 first.  Each pair gives the ratio of the two wall times.  The last lines are
 the median change/parent ratio with the number of pairs in which the change
 ran faster, and the same for the A/A control, whose median sits near 1.0
-when the process itself favours neither side.
+when the process itself favours neither side.  For exp4 two more lines give
+the same ratios of the step-scaled time that ``bench/run.py`` reports for
+its ``solve`` workload: the wall time plus ``bench/run.py``'s
+``_fixed_work_delta``, which scales each solver's summed ``time_ms`` to its
+``SOLVE_REFERENCE_STEPS``, both read from the ``bench/run.py`` of the
+checkout holding this file.  Importing that module pins BLAS to one thread,
+as the benchmark does.
 
 Nothing is written into either checkout.  Set ``OPENBLAS_NUM_THREADS=1`` to
 keep BLAS threads from adding noise.  pytest does not collect this file.
@@ -26,6 +32,7 @@ import argparse
 import gc
 import hashlib
 import importlib
+import importlib.util
 import shutil
 import statistics
 import sys
@@ -57,13 +64,23 @@ def load_sides(change: Path, parent: Path, into: Path) -> dict:
     return {side: importlib.import_module(f"socicnn_{side}.experiments") for side in SIDES}
 
 
-def timed(module, experiment: str, seed: int) -> float:
+def load_bench(root: Path):
+    """The module ``bench/run.py`` of the checkout at ``root``, imported unchanged."""
+    sys.path.insert(0, str(root / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", root / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def timed(module, experiment: str, seed: int):
+    """Wall seconds of one ``run_expN`` at config seed ``seed``, and its output."""
     run = getattr(module, f"run_{experiment}")
     config = getattr(module, f"Exp{experiment[-1]}Config")(seed=seed)
     gc.collect()
     start = time.perf_counter()
-    run(config)
-    return time.perf_counter() - start
+    output = run(config)
+    return time.perf_counter() - start, output
 
 
 def summary(ratios) -> str:
@@ -81,6 +98,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=60)
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True
+    bench = load_bench(here) if args.experiment == "exp4" else None
     with tempfile.TemporaryDirectory() as tmp:
         modules = load_sides(args.change.resolve(), args.parent.resolve(), Path(tmp))
         for side, module in modules.items():
@@ -88,14 +106,22 @@ def main(argv=None) -> int:
             output = getattr(module, f"run_{args.experiment}")(config)
             print(f"{side}\tdigest {table_digest(output)}", flush=True)
         ratios = {"change": [], "control": []}
+        scaled = {"change": [], "control": []}
         for i in range(args.pairs):
             for side in ratios:
                 order = (side, "parent") if i % 2 == 0 else ("parent", side)
-                secs = {s: timed(modules[s], args.experiment, args.seed) for s in order}
-                ratios[side].append(secs[side] / secs["parent"])
-        print(f"{args.experiment} seed {args.seed}, change/parent: {summary(ratios['change'])}")
-        print(f"{args.experiment} seed {args.seed}, control/parent (A/A): "
-              f"{summary(ratios['control'])}")
+                runs = {s: timed(modules[s], args.experiment, args.seed) for s in order}
+                ratios[side].append(runs[side][0] / runs["parent"][0])
+                if bench:
+                    work = {s: secs + bench._fixed_work_delta(output, [1.0])[0]
+                            for s, (secs, output) in runs.items()}
+                    scaled[side].append(work[side] / work["parent"])
+        for kind, found in (("", ratios), ("step-scaled ", scaled)):
+            if found["change"]:
+                print(f"{args.experiment} seed {args.seed}, {kind}change/parent: "
+                      f"{summary(found['change'])}")
+                print(f"{args.experiment} seed {args.seed}, {kind}control/parent (A/A): "
+                      f"{summary(found['control'])}")
     return 0
 
 

@@ -345,6 +345,33 @@ class TestNewtonDirection:
                 want = -np.linalg.solve(H, g)
                 assert np.linalg.norm(P_fd[k] - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_fd_chunks_match_one_row_calls(self, medium_model, monkeypatch):
+        """fd-newton takes its points in chunks of at most 4: calls on 1, 4, 5
+        and 9 rows of a stacked trace, the 5 a subset out of order, give
+        steps bitwise equal to one-row calls, and each direction still makes
+        one flat ``(4 d^2, d)`` value query."""
+        config = InferenceConfig(beta=10.0)
+        d = medium_model.input_dim
+        X = gaussian_points(109, 9, d)
+        Y = gaussian_points(110, 9, d)
+        trace = forward(medium_model, X)
+        G = np.array([objective(medium_model, y, config.beta, x)[1] for x, y in zip(X, Y)])
+        alone = [inference._fd_newton_direction(medium_model, config, G[[r]], trace, np.array([r]))
+                 for r in range(9)]
+        shapes = []
+
+        def recording(params, S):
+            shapes.append(S.shape)
+            return forward_values(params, S)
+
+        monkeypatch.setattr(inference, "forward_values", recording)
+        for rows in (np.array([6]), np.arange(4), np.array([8, 0, 2, 5, 7]), np.arange(9)):
+            shapes.clear()
+            P = inference._fd_newton_direction(medium_model, config, G[rows], trace, rows)
+            assert shapes == [(4 * d * d, d)] * len(rows)
+            for k, r in enumerate(rows):
+                assert np.array_equal(P[k], alone[r][0]), (rows, r)
+
     def test_one_curvature_stack_per_round(self, medium_model, monkeypatch):
         """whitebox-newton builds one stacked ``curvature_matrix`` per round
         that has a continuing row, covering exactly that round's directions,
@@ -374,6 +401,37 @@ class TestNewtonDirection:
         assert stacks == rounds
         assert sum(stacks) == directions
         assert len(stacks) < directions
+
+
+def test_round_wide_products_are_the_per_row_ones_at_exp4():
+    """The lockstep rounds take one NumPy call where a per-row loop took one per
+    row, and stay bitwise only while those calls are: ``np.vecdot`` rows equal
+    ``g @ g`` and ``g @ p``, and the stacked ``np.matvec`` pair equals ``V @
+    ((V.T @ g) / w)``, here at exp4's model.  Which bits come out can hang on
+    the machine's SIMD path, so a failure here names the assumption that broke."""
+    cfg = experiments.Exp4Config()
+    params = experiments._random_model(cfg)
+    config = cfg.solver
+    Y = np.random.default_rng([cfg.seed, 1]).standard_normal((cfg.queries, cfg.input_dim))
+    X = Y + gaussian_points(111, cfg.queries, cfg.input_dim, scale=0.1)
+    trace, rows = forward(params, X), np.arange(cfg.queries)
+    G = inference._readout_grad(params, config.tol)(trace, rows) + config.beta * (X - Y)
+    P = inference._newton_direction(params, config, G, trace, rows)
+    H = curvature_matrix(params, trace, config.tol) + config.beta * np.eye(cfg.input_dim)
+    w, V = np.linalg.eigh(H)
+    w = np.maximum(w, config.beta + config.damping)
+    for n in (1, 4, 9, cfg.queries):
+        at = np.sort(np.random.default_rng(n).permutation(cfg.queries)[:n])
+        gg, gp = np.vecdot(G[at], G[at]), np.vecdot(G[at], P[at])
+        assert gg.tolist() == [g @ g for g in G[at]], f"np.vecdot(G, G) != g @ g at {n} rows"
+        assert gp.tolist() == [g @ p for g, p in zip(G[at], P[at])], (
+            f"np.vecdot(G, P) != g @ p at {n} rows"
+        )
+    for n in (1, 2, 3, 4):
+        s = slice(7, 7 + n)
+        got = np.matvec(V[s], np.matvec(V[s].mT, G[s]) / w[s])
+        want = [v @ ((v.T @ g) / u) for v, g, u in zip(V[s], G[s], w[s])]
+        assert np.array_equal(got, want), f"stacked np.matvec pair != V @ ((V.T @ g) / w) at {n}"
 
 
 class TestTraceReuse:
