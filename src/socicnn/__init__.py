@@ -25,7 +25,6 @@ from .errors import (
     ConstructionError,
     DegenerateInputError,
     InfeasibleBranchError,
-    ModelFormatError,
     NonFiniteError,
     SocIcnnError,
     SolveFailureError,
@@ -57,9 +56,7 @@ from .model import (
     degeneracy_report,
     forward,
     forward_values,
-    load_model,
     relu_margin,
-    save_model,
     validate,
 )
 from .oracle import fd_directional, fd_gradient, fd_hessian

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``model gen``, ``model info``, and ``exp1`` through ``exp4``.
-Experiment configs load from a JSON file (``--config``) whose keys mirror the
-config dataclass fields; individual flags override file values.  Exit codes:
+Subcommands: ``exp1`` through ``exp4``, one per experiment.  Their configs
+load from a JSON file (``--config``) whose keys mirror the config dataclass
+fields; individual flags override file values.  Exit codes:
 0 on success, 2 on configuration or input errors, 3 when ``--check`` finds a
 failed criterion.
 """
@@ -15,9 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiments, model
+from . import experiments
 from .errors import SocIcnnError
-from .model import ArchSpec
 
 # Per experiment: config class, driver, help line and count flags, each flag
 # overriding the config field of its name.
@@ -90,53 +89,6 @@ def _load_config(cls, path: str | None, overrides: dict):
     return _build_config(cls, values)
 
 
-def _parse_dims(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _cmd_model_gen(args) -> int:
-    if args.seed < 0:
-        raise CliError(f"--seed takes a non-negative integer, got {args.seed}")
-    if args.preset == "degenerate-2d":
-        params, _ = model.build_degenerate_2d()
-    elif args.preset is not None:
-        params = experiments._random_model(_EXPERIMENTS[args.preset][0](seed=args.seed))
-    else:
-        arch = ArchSpec(
-            args.input_dim,
-            (args.width,) * args.depth,
-            _parse_dims(args.quad_dims),
-            _parse_dims(args.cone_dims),
-        )
-        params = model.build_random(args.seed, arch)
-    model.save_model(params, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_model_info(args) -> int:
-    params = model.load_model(args.path)
-    trace_dims = ", ".join(str(w) for w in params.widths)
-    print(f"input_dim: {params.input_dim}")
-    print(f"layers: {params.n_layers} (widths {trace_dims})")
-    print(f"quadratic modules: {len(params.B)} (dims {[B.shape[0] for B in params.B]})")
-    print(f"conic modules: {len(params.A)} (dims {[A.shape[0] for A in params.A]})")
-    print(f"seed: {params.seed}")
-    total = sum(W.size + U.size + b.size for W, U, b in zip(params.W, params.U, params.b))
-    total += params.c.size + params.v.size + 1
-    total += sum(B.size + e.size + 1 for B, e in zip(params.B, params.e))
-    total += sum(A.size + d.size + 1 for A, d in zip(params.A, params.d))
-    print(f"parameters: {total}")
-    print("validation: ok")
-    return 0
-
-
 def _cmd_exp(args, name: str) -> int:
     cls, runner, _, flags = _EXPERIMENTS[name]
     overrides = {key: getattr(args, key) for key in ("seed",) + flags}
@@ -172,24 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_model = sub.add_parser("model", help="generate or inspect model files")
-    model_sub = p_model.add_subparsers(dest="model_command", required=True)
-    p_gen = model_sub.add_parser("gen", help="draw a model and write it as JSON")
-    p_gen.add_argument("--out", required=True, help="output path")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument(
-        "--preset",
-        choices=("exp1", "exp2", "exp4", "degenerate-2d"),
-        help="named architecture; degenerate-2d ignores --seed",
-    )
-    p_gen.add_argument("--input-dim", type=int, default=20)
-    p_gen.add_argument("--width", type=int, default=64)
-    p_gen.add_argument("--depth", type=int, default=4)
-    p_gen.add_argument("--quad-dims", default="20,20", help="comma-separated module dims")
-    p_gen.add_argument("--cone-dims", default="20,20", help="comma-separated module dims")
-    p_info = model_sub.add_parser("info", help="validate and summarize a model file")
-    p_info.add_argument("path")
-
     for name, (_, _, help_line, flags) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file")
@@ -206,10 +140,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "model":
-            if args.model_command == "gen":
-                return _cmd_model_gen(args)
-            return _cmd_model_info(args)
         return _cmd_exp(args, args.command)
     except (CliError, SocIcnnError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

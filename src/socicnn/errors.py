@@ -22,10 +22,6 @@ class NonFiniteError(SocIcnnError, ValueError):
     """An input vector or an evaluated value is NaN or infinite."""
 
 
-class ModelFormatError(SocIcnnError, ValueError):
-    """A serialized model file is malformed or has an unsupported version."""
-
-
 class InfeasibleBranchError(SocIcnnError, ValueError):
     """A multiplier branch violates its feasibility constraints beyond tolerance."""
 

@@ -112,7 +112,7 @@ class Exp1Config:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        _check_config(self, ("input_dim", "widths", "quad_dims", "cone_dims", "fd_step"))
+        _check_config(self, ("samples", "input_dim", "widths", "quad_dims", "cone_dims", "fd_step"))
 
 
 def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
@@ -141,22 +141,18 @@ def run_exp1(cfg: Exp1Config = Exp1Config()) -> ExperimentOutput:
     retained = sum(len(block) for block in blocks)
     l2_sum, rel_sum, cos_sum, fd_dual_sum, fd_local_sum = _running_sums(blocks, 5)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
-    rows, checks = (), ()
-    if cfg.samples:
-        rate = retained / cfg.samples
-        n = max(retained, 1)
-        rows = ((cfg.samples, rate, l2_sum / n, rel_sum / n, cos_sum / n,
-                 fd_dual_sum / n, fd_local_sum / n, runtime_ms),)
-        checks = (
-            _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
-            _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
-            _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
-            _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
-            _check(
-                "exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"
-            ),
-        )
-    checks += (_check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),)
+    rate = retained / cfg.samples
+    n = max(retained, 1)
+    rows = ((cfg.samples, rate, l2_sum / n, rel_sum / n, cos_sum / n,
+             fd_dual_sum / n, fd_local_sum / n, runtime_ms),)
+    checks = (
+        _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
+        _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
+        _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
+        _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
+        _check("exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"),
+        _check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),
+    )
     return ExperimentOutput(
         "exp1",
         (Table(

@@ -20,7 +20,6 @@ alone, for many points, for callers such as the finite-difference oracles.
 
 from __future__ import annotations
 
-import json
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -28,15 +27,46 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, ModelFormatError, NonFiniteError, ValidationError
+from .errors import DegenerateInputError, NonFiniteError, ValidationError
 
 DEFAULT_TAU = 1e-9
-
-MODEL_FORMAT_VERSION = 1
 
 
 def _frozen(a, dtype=np.float64) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a boolean, a boolean array or a list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return type(value) is bool or getattr(value, "dtype", None) == bool
+
+
+def _param(value, name: str, scalar: bool = False):
+    """``value`` as a read-only float64 array, or a float where ``scalar``: the one
+    check of every ``SocIcnnParams`` field.  A boolean, a complex number or other
+    non-real, a ragged list or, where ``scalar``, an array raises ``ValidationError``,
+    and an int too large for a float ``NonFiniteError``; both name ``name``."""
+    try:
+        raw = np.asarray(value)
+        if _has_bool(value):
+            raise TypeError("a boolean is not a number")
+        kind = raw.dtype.kind
+        if kind not in "fiuO" or kind == "O" and not all(
+                type(v) is not bool and isinstance(v, numbers.Real) for v in raw.flat):
+            raise TypeError(f"expected real numbers, got entries of type {raw.dtype.name}")
+        if scalar and raw.ndim:
+            raise TypeError(f"expected one number, got shape {raw.shape}")
+        arr = raw.astype(np.float64)
+    except OverflowError as exc:
+        raise NonFiniteError(f"{name} has an entry too large for a float") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("invalid-descriptor", f"{name} is not numeric: {exc}") from exc
+    if scalar:
+        return float(arr)
     arr.setflags(write=False)
     return arr
 
@@ -55,6 +85,10 @@ class SocIcnnParams:
     alpha, B, e : quadratic module curvatures, maps, and offsets.
     lam, A, d : conic module weights, maps, and offsets.
     seed : generator seed recorded at construction time, if any.
+
+    Each entry is checked by ``_param`` as it is stored, naming it as in ``W[0]``
+    or ``b0``, and a seed other than a nonnegative int or None raises
+    ``ValidationError``; ``validate`` then checks shapes and signs.
     """
 
     W: tuple
@@ -72,18 +106,18 @@ class SocIcnnParams:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "W", tuple(_frozen(m) for m in self.W))
-        object.__setattr__(self, "U", tuple(_frozen(m) for m in self.U))
-        object.__setattr__(self, "b", tuple(_frozen(m) for m in self.b))
-        object.__setattr__(self, "c", _frozen(self.c))
-        object.__setattr__(self, "v", _frozen(self.v))
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "B", tuple(_frozen(m) for m in self.B))
-        object.__setattr__(self, "e", tuple(_frozen(m) for m in self.e))
-        object.__setattr__(self, "lam", tuple(float(l) for l in self.lam))
-        object.__setattr__(self, "A", tuple(_frozen(m) for m in self.A))
-        object.__setattr__(self, "d", tuple(_frozen(m) for m in self.d))
+        for name in ("W", "U", "b", "c", "v", "b0", "alpha", "B", "e", "lam", "A", "d"):
+            value, scalar = getattr(self, name), name in ("b0", "alpha", "lam")
+            if name in ("c", "v", "b0"):
+                value = _param(value, name, scalar)
+            elif isinstance(value, (list, tuple, np.ndarray)):
+                value = tuple(_param(m, f"{name}[{k}]", scalar) for k, m in enumerate(value))
+            else:
+                raise ValidationError("invalid-descriptor", f"{name} is not a list or tuple")
+            object.__setattr__(self, name, value)
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
+            msg = f"seed must be a nonnegative int or None, got {self.seed!r}"
+            raise ValidationError("invalid-descriptor", msg)
 
     @property
     def n_layers(self) -> int:
@@ -412,8 +446,10 @@ def _check_trace(params: SocIcnnParams, trace) -> None:
     ``canonical`` checks once per descent round)."""
     _check_kind(trace, ForwardTrace, "trace")
     widths = [v.shape[-1] for v in (trace.x, *trace.a, *trace.q, *trace.u)]
-    if (len(trace.a), len(trace.q), widths) != params._trace_dims:
-        raise ValidationError("dimension-mismatch", f"trace is not of this model: {_dims(params)}")
+    dims = (len(trace.a), len(trace.q), widths)
+    if dims != params._trace_dims:
+        msg = f"trace is not of this model: (layers, quadratic modules, widths) {dims}"
+        raise ValidationError("dimension-mismatch", f"{msg}, expected {params._trace_dims}")
 
 
 def _check_config(cfg, positive=()) -> None:
@@ -658,107 +694,3 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
     )
     validate(params)
     return params, _frozen(x0)
-
-
-def _dims(params: SocIcnnParams) -> dict:
-    """The ``dims`` entry of a model file, as the arrays imply it."""
-    return {
-        "input_dim": params.input_dim,
-        "widths": list(params.widths),
-        "quad_dims": [B.shape[0] for B in params.B],
-        "cone_dims": [A.shape[0] for A in params.A],
-    }
-
-
-def to_json_obj(params: SocIcnnParams) -> dict:
-    """Plain-dict form of a model, suitable for ``json.dump``."""
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "dims": _dims(params),
-        "layers": [
-            {"W": W.tolist(), "U": U.tolist(), "b": b.tolist()}
-            for W, U, b in zip(params.W, params.U, params.b)
-        ],
-        "c": params.c.tolist(),
-        "v": params.v.tolist(),
-        "b0": params.b0,
-        "quad": [
-            {"alpha": a, "B": B.tolist(), "e": e.tolist()}
-            for a, B, e in zip(params.alpha, params.B, params.e)
-        ],
-        "cone": [
-            {"lambda": l, "A": A.tolist(), "d": d.tolist()}
-            for l, A, d in zip(params.lam, params.A, params.d)
-        ],
-        "seed": params.seed,
-    }
-
-
-def _bool_path(value, path: str) -> str | None:
-    """``path`` extended to the first boolean in the JSON ``value`` at it, or None."""
-    if type(value) is bool:
-        return path
-    if isinstance(value, dict):
-        items = ((f"{path}.{k}", v) for k, v in value.items())
-    elif isinstance(value, list) and not {bool, list, dict}.isdisjoint(map(type, value)):
-        items = ((f"{path}[{k}]", v) for k, v in enumerate(value))
-    else:  # one scan of types passes over a flat list of numbers
-        return None
-    return next(filter(None, (_bool_path(v, p) for p, v in items)), None)
-
-
-def from_json_obj(obj: dict) -> SocIcnnParams:
-    """Rebuild a model from its dict form; validates before returning.  A
-    ``format_version`` other than the integer 1, ``dims`` other than what
-    the arrays imply, or a boolean anywhere raises ``ModelFormatError``."""
-    try:
-        version = obj["format_version"]
-        if type(version) is not int or version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported format_version {version!r}")
-        seed = obj.get("seed")
-        if seed is not None and (type(seed) is not int or seed < 0):
-            raise ModelFormatError(f"seed must be a nonnegative integer or null, got {seed!r}")
-        where = _bool_path(obj, "model")
-        if where is not None:
-            raise ModelFormatError(f"{where} must be a number, got a boolean")
-        dims = obj["dims"]
-        layers = obj["layers"]
-        params = SocIcnnParams(
-            W=[np.array(l["W"], dtype=np.float64) for l in layers],
-            U=[np.array(l["U"], dtype=np.float64) for l in layers],
-            b=[l["b"] for l in layers],
-            c=obj["c"],
-            v=obj["v"],
-            b0=obj["b0"],
-            alpha=[m["alpha"] for m in obj["quad"]],
-            B=[m["B"] for m in obj["quad"]],
-            e=[m["e"] for m in obj["quad"]],
-            lam=[m["lambda"] for m in obj["cone"]],
-            A=[m["A"] for m in obj["cone"]],
-            d=[m["d"] for m in obj["cone"]],
-            seed=seed,
-        )
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed model object: {exc}") from exc
-    validate(params)
-    implied = _dims(params)
-    if dims != implied:
-        raise ModelFormatError(f"declared dims {dims!r} do not match the arrays' {implied!r}")
-    return params
-
-
-def save_model(params: SocIcnnParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_obj(params), fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> SocIcnnParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_obj(obj)

@@ -26,7 +26,6 @@ from socicnn import (
     forward_values,
     geometry,
     inference,
-    load_model,
     readout,
 )
 from socicnn import cli
@@ -126,14 +125,17 @@ class TestExp1:
         again = run_exp1(SMALL1)
         assert rows_without_time(exp1_small.tables[0]) == rows_without_time(again.tables[0])
 
-    def test_zero_samples_degrades_gracefully(self):
-        cfg = Exp1Config(samples=0, input_dim=4, widths=(6,), quad_dims=(), cone_dims=())
-        out = run_exp1(cfg)
-        assert len(out.tables[0].rows) == 0
-        assert any(c.name == "exp1-runtime" for c in out.checks)
+    def test_zero_samples_rejected(self, capsys):
+        """With no samples exp1 used to print an empty table and pass its
+        one runtime check, having checked nothing."""
+        with pytest.raises(ValueError, match="^samples must be positive, got 0"):
+            Exp1Config(samples=0)
+        assert main(["exp1", "--samples", "0", "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: bad config value: samples must be positive") and not out
 
     def test_negative_samples_rejected(self):
-        with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
+        with pytest.raises(ValueError, match="samples must be positive, got -3"):
             Exp1Config(samples=-3)
 
     def test_traces_differences_and_reads_out_each_block_in_one_stack(self, monkeypatch):
@@ -418,185 +420,18 @@ def test_every_table_cell_is_an_int_float_or_str(exp1_small, exp2_small, exp3_sm
 
 
 class TestCli:
-    def test_model_gen_is_deterministic(self, tmp_path):
-        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        args = ["--seed", "5", "--input-dim", "4", "--width", "6", "--depth", "2",
-                "--quad-dims", "2", "--cone-dims", "2"]
-        assert main(["model", "gen", "--out", str(p1)] + args) == 0
-        assert main(["model", "gen", "--out", str(p2)] + args) == 0
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_model_info_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "deg.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
-        assert main(["model", "info", str(path)]) == 0
-        text = capsys.readouterr().out
-        assert "validation: ok" in text
-        assert "input_dim" in text
-
-    def test_model_info_rejects_corrupted_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{broken")
-        assert main(["model", "info", str(path)]) == 2
-        assert capsys.readouterr().err != ""
-
-    def test_model_info_rejects_missing_widths(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["model", "gen", "--out", "PATH"], ["model", "info", "PATH"]])
+    def test_model_command_is_gone(self, tmp_path, capsys, argv):
+        """A model is built in Python (``SocIcnnParams`` then ``validate``);
+        the model-file commands are gone, and asking for one is a usage
+        error with no traceback."""
         path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
-        obj = json.loads(path.read_text())
-        del obj["dims"]["widths"]
-        path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["model", "info", str(path)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(path) if a == "PATH" else a for a in argv])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    def test_model_info_rejects_wrong_input_dim(self, tmp_path, capsys):
-        """A declared ``input_dim`` other than the arrays' used to load, and
-        ``model info`` printed the arrays' one."""
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
-        obj = json.loads(path.read_text())
-        obj["dims"]["input_dim"] = 7
-        path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["model", "info", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "dims" in err
-        assert "Traceback" not in err
-
-    def test_model_info_rejects_non_finite_weights(self, tmp_path, capsys):
-        """JSON ``NaN`` literals load as floats; validation must refuse them."""
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
-        obj = json.loads(path.read_text())
-        obj["layers"][0]["W"][0][0] = float("nan")
-        path.write_text(json.dumps(obj))
-        assert "NaN" in path.read_text()
-        capsys.readouterr()
-        assert main(["model", "info", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("token", ["-1", "0", "1.5", "null", "true", "1e400", "-1e400"])
-    @pytest.mark.parametrize("field", ["v", "layers.0.W", "layers.1.W"])
-    def test_model_info_rejects_scalar_array_fields(self, tmp_path, capsys, field, token):
-        """A JSON scalar where a vector or matrix belongs is a format error,
-        not an ``IndexError`` from reading the shape it does not have."""
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", "degenerate-2d"]) == 0
-        obj = json.loads(path.read_text())
-        *parents, leaf = [int(k) if k.isdigit() else k for k in field.split(".")]
-        target = obj
-        for key in parents:
-            target = target[key]
-        target[leaf] = "SCALAR"
-        path.write_text(json.dumps(obj).replace('"SCALAR"', token))
-        capsys.readouterr()
-        assert main(["model", "info", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    def test_every_model_file_field_fails_only_with_one_error_line(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Each field of a small model file, every dict key and the first
-        entry of every array at any depth, set in turn to each value of a
-        fixed pool: ``model info`` exits 0, or 2 with one ``error:`` line and
-        no traceback, and a boolean is refused with its field named.  637
-        cases; one parser serves them all, since building it is most of a
-        call's cost."""
-        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--seed", "1", "--input-dim", "2",
-                     "--width", "2", "--depth", "2", "--quad-dims", "1", "--cone-dims", "1"]) == 0
-        obj = json.loads(path.read_text())
-
-        def fields(value, at=()):
-            keys = value.keys() if isinstance(value, dict) else ()
-            if isinstance(value, list) and value:
-                keys = range(len(value)) if isinstance(value[0], dict) else (0,)
-            for key in keys:
-                yield at + (key,)
-                yield from fields(value[key], at + (key,))
-
-        pool = (-1, 0, 2.5, True, False, None, float("nan"), float("inf"), 10 ** 400, "x", [], {},
-                [[1.0, 2.0]])
-        cases = 0
-        for field in fields(obj):
-            for value in pool:
-                bad = json.loads(json.dumps(obj))
-                target = bad
-                for key in field[:-1]:
-                    target = target[key]
-                target[field[-1]] = value
-                path.write_text(json.dumps(bad))
-                capsys.readouterr()
-                code = main(["model", "info", str(path)])
-                out, err = capsys.readouterr()
-                lines = err.splitlines()
-                assert code in (0, 2), (field, value)
-                if code == 2:
-                    assert len(lines) == 1 and lines[0].startswith("error:"), (field, value, err)
-                else:
-                    assert "validation: ok" in out and not err
-                if type(value) is bool:
-                    assert code == 2 and str(field[-1]) in err, (field, value, err)
-                cases += 1
-        assert cases == 637
-
-    @pytest.mark.parametrize("token", ['"x"', "-1", "true", "1.5", "[0]"])
-    def test_model_info_rejects_bad_seed(self, tmp_path, capsys, token):
-        """The recorded seed must be a nonnegative integer or null."""
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--seed", "3"]) == 0
-        text = path.read_text()
-        assert '"seed": 3' in text
-        path.write_text(text.replace('"seed": 3', f'"seed": {token}'))
-        capsys.readouterr()
-        assert main(["model", "info", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "seed" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("preset", [[], ["--preset", "exp1"]])
-    def test_model_gen_negative_seed_exits_2(self, tmp_path, capsys, preset):
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--seed", "-1"] + preset) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert "invalid choice: 'model'" in err and "Traceback" not in err
         assert not path.exists()
-
-    @pytest.mark.parametrize("flag, size", [("--width", 10 ** 12), ("--depth", 10 ** 15)])
-    def test_model_gen_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, flag, size):
-        """NumPy refuses a 146 TiB weight matrix, and Python an 8 PB tuple of
-        widths, without allocating; their ``MemoryError`` used to escape as
-        a traceback.  The tuple's has no message, so its type is printed."""
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), flag, str(size)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.split()[1:]
-        assert "Traceback" not in err
-        assert not path.exists()
-
-    @pytest.mark.parametrize(
-        "preset, config", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp4", Exp4Config)]
-    )
-    def test_model_gen_preset_is_experiment_model(self, tmp_path, preset, config):
-        path = tmp_path / "model.json"
-        assert main(["model", "gen", "--out", str(path), "--preset", preset, "--seed", "3"]) == 0
-        loaded, expected = load_model(path), _random_model(config(seed=3))
-        assert loaded.seed == expected.seed == 3
-        for name in ("W", "U", "b", "c", "v", "b0", "alpha", "B", "e", "lam", "A", "d"):
-            got, want = getattr(loaded, name), getattr(expected, name)
-            if not isinstance(want, tuple):
-                got, want = (got,), (want,)
-            bits = [[(np.shape(a), np.asarray(a).tobytes()) for a in arrs] for arrs in (got, want)]
-            assert bits[0] == bits[1], name
 
     def test_exp1_check_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -880,18 +715,15 @@ class TestCli:
 _NUMPY_ONLY_RUN = """
 import contextlib, io, sys
 import numpy as np
-import socicnn, socicnn.cli
+import socicnn, socicnn.experiments
+assert "json" not in sys.modules, "importing the library needs no file format"
+import socicnn.cli
 from socicnn import ArchSpec, InferenceConfig, build_random, solve
 from socicnn.experiments import Exp1Config, Exp2Config, Exp3Config, run_exp1, run_exp2, run_exp3
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")[:3]
 
-with contextlib.redirect_stdout(io.StringIO()):
-    assert socicnn.cli.main(["model", "gen", "--out", sys.argv[1], "--input-dim", "3",
-                             "--width", "4", "--depth", "1", "--quad-dims", "2",
-                             "--cone-dims", "2"]) == 0
-    assert socicnn.cli.main(["model", "info", sys.argv[1]]) == 0
 run_exp1(Exp1Config(samples=3, input_dim=4, widths=(6,), quad_dims=(2,), cone_dims=(2,)))
 run_exp2(Exp2Config(points=2, trials=5))
 run_exp3(Exp3Config(directions=20, branches=30, probes=40))
@@ -906,13 +738,14 @@ assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_scipy_never_loads(tmp_path):
-    """``import socicnn``, the ``model`` commands, exp1-exp3, all four
-    solvers and a checked exp4 run on NumPy alone: no ``scipy`` module is
-    ever loaded."""
+def test_scipy_never_loads():
+    """``import socicnn``, exp1-exp3, all four solvers and a checked exp4
+    run on NumPy alone: no ``scipy`` module is ever loaded.  Importing the
+    library and its experiments loads no ``json`` either; only the CLI,
+    which reads configs, does."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path / "model.json")],
+        [sys.executable, "-c", _NUMPY_ONLY_RUN],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -99,22 +99,18 @@ def reference_exp1(cfg):
         fd_dual_sum += float(np.linalg.norm(g_dual - g_fd))
         fd_local_sum += float(np.linalg.norm(g_local - g_fd))
     runtime_ms = 0.0
-    rows, checks = (), ()
-    if cfg.samples:
-        rate = retained / cfg.samples
-        n = max(retained, 1)
-        rows = ((cfg.samples, rate, l2_sum / n, rel_sum / n, cos_sum / n,
-                 fd_dual_sum / n, fd_local_sum / n, runtime_ms),)
-        checks = (
-            _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
-            _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
-            _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
-            _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
-            _check(
-                "exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"
-            ),
-        )
-    checks += (_check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),)
+    rate = retained / cfg.samples
+    n = max(retained, 1)
+    rows = ((cfg.samples, rate, l2_sum / n, rel_sum / n, cos_sum / n,
+             fd_dual_sum / n, fd_local_sum / n, runtime_ms),)
+    checks = (
+        _check("exp1-retained", rate == 1.0, f"retained rate {rate:.4f}"),
+        _check("exp1-grad-exact", l2_sum / n <= 1e-12, f"mean L2 {l2_sum / n:.3e}"),
+        _check("exp1-cosine", cos_sum / n >= 1.0 - 1e-12, f"mean cosine {cos_sum / n:.12f}"),
+        _check("exp1-fd-dual", fd_dual_sum / n <= 1e-5, f"mean FD L2 {fd_dual_sum / n:.3e}"),
+        _check("exp1-fd-local", fd_local_sum / n <= 1e-5, f"mean FD L2 {fd_local_sum / n:.3e}"),
+        _check("exp1-runtime", runtime_ms < 5000.0, f"{runtime_ms:.1f} ms"),
+    )
     return ExperimentOutput("exp1", (Table("gradient_check", (), rows),), checks)
 
 
@@ -232,7 +228,6 @@ EXP1_CASES = {
     "some-dropped": Exp1Config(samples=29, tol=0.03, **SMALL_ARCH),
     "one-sample": Exp1Config(samples=1, **SMALL_ARCH),
     "block-remainder": Exp1Config(samples=13, seed=5, **SMALL_ARCH),
-    "no-samples": Exp1Config(samples=0, **SMALL_ARCH),
 }
 
 

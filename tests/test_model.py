@@ -1,7 +1,6 @@
-"""Model construction, validation, forward traces, and serialization."""
+"""Model construction, validation and forward traces."""
 
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from socicnn import (
     ArchSpec,
     DegeneracySpec,
-    ModelFormatError,
     NonFiniteError,
     SocIcnnParams,
     ValidationError,
@@ -20,15 +18,12 @@ from socicnn import (
     degeneracy_report,
     forward,
     forward_values,
-    load_model,
     relu_margin,
-    save_model,
     validate,
 )
 
 from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
-from socicnn.model import _gaussian_nonzero, _nondegenerate_rows, _nonzero_rows, from_json_obj
-from socicnn.model import to_json_obj
+from socicnn.model import _gaussian_nonzero, _nondegenerate_rows, _nonzero_rows
 
 from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
 
@@ -374,8 +369,8 @@ class TestValidate:
         assert err.value.code == "negative-lambda"
 
     def test_non_finite_entries(self):
-        """JSON ``NaN`` literals load as floats, so finiteness is checked
-        like any other structural rule."""
+        """A NaN or an infinity is a float to the constructor, so finiteness
+        is checked like any other structural rule."""
         p = self._valid()
         W0 = np.array(p.W[0])
         W0[0, 0] = np.nan
@@ -386,6 +381,34 @@ class TestValidate:
             with pytest.raises(ValidationError) as err:
                 validate(dataclasses.replace(p, **change))
             assert err.value.code == "non-finite", change
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"W": ["abc"]}, ValidationError, "W[0] is not numeric"),
+        ({"W": [[[1.0, 2.0, 3.0], [4.0]]]}, ValidationError, "W[0] is not numeric"),
+        ({"b0": None}, ValidationError, "b0 is not numeric"),
+        ({"b0": [1.0, 2.0]}, ValidationError, "b0 is not numeric: expected one number"),
+        ({"W": None}, ValidationError, "W is not a list or tuple"),
+        ({"b0": 10 ** 400}, NonFiniteError, "b0 has an entry too large for a float"),
+        ({"W": [[[1.0, 10 ** 400, 0.0]] * 4]}, NonFiniteError, "W[0] has an entry too large"),
+        ({"W": [np.ones((4, 3), complex)]}, ValidationError, "W[0] is not numeric"),
+        ({"c": np.ones(4, bool)}, ValidationError, "c is not numeric: a boolean"),
+        ({"lam": (True,)}, ValidationError, "lam[0] is not numeric: a boolean"),
+        ({"b": [[0.1, True, 0.3, 0.4]]}, ValidationError, "b[0] is not numeric: a boolean"),
+        ({"seed": "x"}, ValidationError, "seed must be a nonnegative int or None"),
+        ({"seed": -1}, ValidationError, "seed must be a nonnegative int or None"),
+    ], ids=["string", "ragged", "none", "array-b0", "no-list", "huge-b0", "huge-entry", "complex",
+            "bool-array", "bool-lam", "bool-in-list", "string-seed", "negative-seed"])
+    def test_constructor_refuses_what_is_not_a_real_number(self, change, error, message):
+        """Each field is named in a typed error.  These used to end in a bare
+        ``ValueError``, ``TypeError`` or ``OverflowError``, or to be taken:
+        a complex ``W`` with its imaginary part dropped, booleans as 0 and 1,
+        and any seed."""
+        p = self._valid()
+        given = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+        with pytest.raises(error, match=f"^{re.escape(message)}") as info:
+            SocIcnnParams(**{**given, **change})
+        if error is ValidationError:
+            assert info.value.code == "invalid-descriptor"
 
     def test_shape_mismatch_reported_first(self):
         """Shape checks run before sign checks, so a model that is wrong in
@@ -565,102 +588,3 @@ class TestDegeneracyReport:
             assert rows.tolist() == [degeneracy_report(t, tol).is_nondegenerate for t in singles]
             flags += rows.tolist()
         assert True in flags and False in flags
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path, medium_model):
-        path = tmp_path / "model.json"
-        save_model(medium_model, path)
-        back = load_model(path)
-        for attr in ("W", "U", "b", "B", "e", "A", "d"):
-            for m1, m2 in zip(getattr(medium_model, attr), getattr(back, attr)):
-                assert np.array_equal(m1, m2)
-        assert np.array_equal(medium_model.c, back.c)
-        assert np.array_equal(medium_model.v, back.v)
-        assert medium_model.b0 == back.b0
-        assert medium_model.alpha == back.alpha
-        assert medium_model.lam == back.lam
-        assert medium_model.seed == back.seed
-        x = np.random.default_rng(9).standard_normal(medium_model.input_dim)
-        assert forward(medium_model, x).value == forward(back, x).value
-
-    def test_round_trip_degenerate_stays_exact(self, tmp_path, degenerate_model):
-        """JSON transport must not disturb the bitwise kink placement."""
-        params, x0 = degenerate_model
-        path = tmp_path / "deg.json"
-        save_model(params, path)
-        tr = forward(load_model(path), x0)
-        assert tr.a[1][0] == 0.0
-        assert np.all(tr.u[0] == 0.0)
-
-    def test_corrupted_json_raises(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    def test_missing_key_raises(self, tmp_path, small_model):
-        """A layer without its bias, or dims without its widths."""
-        path = tmp_path / "model.json"
-        for drop in (lambda obj: obj["layers"][0].pop("b"), lambda obj: obj["dims"].pop("widths")):
-            save_model(small_model, path)
-            obj = json.loads(path.read_text())
-            drop(obj)
-            path.write_text(json.dumps(obj))
-            with pytest.raises(ModelFormatError):
-                load_model(path)
-
-    @pytest.mark.parametrize("token", ["99", "true", "1.0", '"1"', "null"])
-    def test_unknown_format_version_raises(self, tmp_path, small_model, token):
-        """Only the integer 1: ``true`` and ``1.0`` compare equal to it in
-        Python and used to load."""
-        path = tmp_path / "model.json"
-        save_model(small_model, path)
-        text = path.read_text()
-        assert '"format_version": 1,' in text
-        path.write_text(text.replace('"format_version": 1,', f'"format_version": {token},'))
-        with pytest.raises(ModelFormatError, match="format_version"):
-            load_model(path)
-
-    @pytest.mark.parametrize("key, value", [
-        ("input_dim", 7), ("widths", [6, 9]), ("widths", []), ("quad_dims", [2]),
-        ("quad_dims", []), ("cone_dims", [3, 3]), ("cone_dims", []), ("depth", 2),
-    ])
-    def test_declared_dims_must_match_the_arrays(self, tmp_path, small_model, key, value):
-        """``dims`` must be what the arrays give, entry for entry and with no
-        extra entry: a file declaring ``input_dim: 7`` over 4-column arrays
-        used to load, and ``model info`` printed 4."""
-        path = tmp_path / "model.json"
-        save_model(small_model, path)
-        obj = json.loads(path.read_text())
-        assert obj["dims"].get(key) != value
-        obj["dims"][key] = value
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ModelFormatError, match="dims"):
-            load_model(path)
-
-    @pytest.mark.parametrize("where, set_true", [
-        ("model.cone[0].lambda", lambda obj: obj["cone"][0].update({"lambda": True})),
-        ("model.quad[0].alpha", lambda obj: obj["quad"][0].update({"alpha": True})),
-        ("model.b0", lambda obj: obj.update({"b0": True})),
-        ("model.layers[1].b[2]", lambda obj: obj["layers"][1]["b"].__setitem__(2, False)),
-        ("model.c[0]", lambda obj: obj["c"].__setitem__(0, True)),
-        ("model.layers[0].W[1][3]", lambda obj: obj["layers"][0]["W"][1].__setitem__(3, True)),
-        ("model.dims.input_dim", lambda obj: obj["dims"].update({"input_dim": True})),
-    ])
-    def test_booleans_are_refused_by_name(self, small_model, where, set_true):
-        """A JSON boolean is not a number: ``"lambda": true`` and a boolean
-        bias used to load as 1.0 or 0.0."""
-        obj = to_json_obj(small_model)
-        set_true(obj)
-        with pytest.raises(ModelFormatError, match=rf"^{re.escape(where)} must be a number"):
-            from_json_obj(obj)
-
-    def test_invalid_payload_fails_validation(self, tmp_path, small_model):
-        path = tmp_path / "model.json"
-        save_model(small_model, path)
-        obj = json.loads(path.read_text())
-        obj["c"][0] = -1.0
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError):
-            load_model(path)
