@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built models whose values are known in closed form."""
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def planted_kinks(seed=5, arch=ArchSpec(6, (8, 8), quad_dims=(3,), cone_dims=(3,
     d = [shift * (np.arange(len(dg)) == 0) - np.matvec(A, x) if g in tips else dg
          for g, (A, dg) in enumerate(zip(params.A, params.d))]
     return replace(params, b=b, d=d), x
+
+
+def plain_model(params):
+    """``params`` as plain data, one key per ``SocIcnnParams`` argument: nested
+    lists of floats and Python numbers, as a model that the user's own code
+    saved with ``json`` comes back."""
+    obj = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, tuple):
+            value = [np.asarray(m).tolist() for m in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        obj[f.name] = value
+    return json.loads(json.dumps(obj))
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    ArchSpec,
     DegeneracySpec,
     DualBranch,
     InferenceConfig,
+    SocIcnnError,
+    SocIcnnParams,
     ValidationError,
     build_degenerate_2d,
+    build_random,
     canonical,
     curvature,
     dual,
@@ -27,6 +31,7 @@ from socicnn import (
     geometry,
     inference,
     readout,
+    validate,
 )
 from socicnn import cli
 from socicnn.cli import CliError, _load_config, main
@@ -43,7 +48,41 @@ from socicnn.experiments import (
     run_exp4,
 )
 
-from conftest import record_traces
+from conftest import plain_model, record_traces
+
+
+def model_bits(params):
+    """Every field of ``params`` as shapes and bytes, for bitwise comparison."""
+    bits = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        arrays = value if isinstance(value, tuple) else (value,)
+        bits[f.name] = [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+    return bits
+
+
+def record_models(monkeypatch):
+    """Record each model an experiment draws; returns the live list."""
+    drawn, draw = [], experiments._random_model
+
+    def record(cfg):
+        drawn.append(draw(cfg))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "_random_model", record)
+    return drawn
+
+
+def model_refusal(obj):
+    """The error that ``SocIcnnParams(**obj)`` or ``validate`` raises for the
+    plain-data model ``obj``, None if it is valid.  Any error but a
+    ``SocIcnnError`` with a one-line message fails the calling test."""
+    try:
+        validate(SocIcnnParams(**obj))
+    except SocIcnnError as exc:
+        assert len(str(exc).splitlines()) == 1, str(exc)
+        return exc
+    return None
 
 
 def rows_without_time(table):
@@ -125,9 +164,10 @@ class TestExp1:
         again = run_exp1(SMALL1)
         assert rows_without_time(exp1_small.tables[0]) == rows_without_time(again.tables[0])
 
-    def test_zero_samples_rejected(self, capsys):
+    def test_zero_samples_degrades_gracefully(self, capsys):
         """With no samples exp1 used to print an empty table and pass its
-        one runtime check, having checked nothing."""
+        one runtime check, having checked nothing; now the config names the
+        field and the command exits 2."""
         with pytest.raises(ValueError, match="^samples must be positive, got 0"):
             Exp1Config(samples=0)
         assert main(["exp1", "--samples", "0", "--check"]) == 2
@@ -432,6 +472,153 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid choice: 'model'" in err and "Traceback" not in err
         assert not path.exists()
+
+    # The experiment commands draw their models from ``--seed``; what
+    # ``socicnn model info`` refused in a model file, ``SocIcnnParams`` and
+    # ``validate`` now refuse in the model's own arrays, on the same cases.
+
+    def test_model_gen_is_deterministic(self, tmp_path, monkeypatch):
+        """Two runs of an experiment command draw bitwise the same model."""
+        drawn = record_models(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input_dim": 4, "widths": [6, 6], "quad_dims": [2],
+                                   "cone_dims": [2]}))
+        for _ in range(2):
+            assert main(["exp1", "--config", str(cfg), "--seed", "5", "--samples", "1"]) == 0
+        assert len(drawn) == 2 and drawn[0].seed == 5
+        assert model_bits(drawn[0]) == model_bits(drawn[1])
+
+    @pytest.mark.parametrize(
+        "preset, config", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp4", Exp4Config)]
+    )
+    def test_model_gen_preset_is_experiment_model(self, monkeypatch, preset, config):
+        """``--seed 3`` with every count flag at 1 runs the model of the
+        experiment's default config at seed 3: the counts change only the
+        counts."""
+        expected = _random_model(config(seed=3))
+        drawn = record_models(monkeypatch)
+        counts = [arg for flag in cli._EXPERIMENTS[preset][3] for arg in (f"--{flag}", "1")]
+        assert main([preset, "--seed", "3"] + counts) == 0
+        assert len(drawn) == 1 and drawn[0].seed == 3
+        assert model_bits(drawn[0]) == model_bits(expected)
+
+    @pytest.mark.parametrize("preset", [["exp1"], ["exp4", "--queries", "1"]])
+    def test_model_gen_negative_seed_exits_2(self, tmp_path, capsys, preset):
+        """A negative ``--seed`` is a config error: no model is drawn and no
+        output directory made."""
+        out = tmp_path / "out"
+        assert main(preset + ["--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, size", [("--width", 10 ** 12)])
+    def test_model_gen_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, flag, size):
+        """NumPy refuses a 146 TiB weight matrix without allocating; its
+        ``MemoryError`` is one error line, not a traceback.  The width is
+        given as the config's ``widths``."""
+        assert flag == "--width"
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"widths": [size]}))
+        assert main(["exp1", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_model_info_round_trip(self, degenerate_model):
+        """The degenerate model, back from plain data, validates with the
+        dimensions and seed of the original, bit for bit."""
+        params, _ = degenerate_model
+        back = SocIcnnParams(**plain_model(params))
+        validate(back)
+        assert (back.input_dim, back.widths, back.seed) == (2, params.widths, params.seed)
+        assert model_bits(back) == model_bits(params)
+
+    def test_model_info_rejects_corrupted_file(self, degenerate_model):
+        obj = plain_model(degenerate_model[0])
+        obj["W"][0] = "{broken"
+        err = model_refusal(obj)
+        assert isinstance(err, ValidationError) and err.code == "invalid-descriptor"
+        assert str(err).startswith("W[0] is not numeric")
+
+    def test_model_info_rejects_missing_widths(self, degenerate_model):
+        """No layers at all."""
+        obj = plain_model(degenerate_model[0])
+        obj.update(W=[], U=[], b=[])
+        err = model_refusal(obj)
+        assert str(err) == "backbone needs at least one layer"
+
+    def test_model_info_rejects_wrong_input_dim(self, degenerate_model):
+        """``v`` of length 7 over 2-column weights."""
+        obj = plain_model(degenerate_model[0])
+        obj["v"] = [0.0] * 7
+        err = model_refusal(obj)
+        assert err.code == "dimension-mismatch" and "expected (*, 7)" in str(err)
+
+    def test_model_info_rejects_non_finite_weights(self, degenerate_model):
+        """JSON ``NaN`` literals load as floats; validation must refuse them."""
+        obj = plain_model(degenerate_model[0])
+        obj["W"][0][0][0] = float("nan")
+        obj = json.loads(json.dumps(obj))
+        err = model_refusal(obj)
+        assert err.code == "non-finite" and str(err).startswith("W has NaN")
+
+    @pytest.mark.parametrize("token", ["-1", "0", "1.5", "null", "true", "1e400", "-1e400"])
+    @pytest.mark.parametrize("field", ["v", "layers.0.W", "layers.1.W"])
+    def test_model_info_rejects_scalar_array_fields(self, degenerate_model, field, token):
+        """A scalar (the JSON ``token``) where a vector or matrix belongs is a
+        ``ValidationError``, not an ``IndexError`` from reading the shape it
+        does not have.  ``layers.k.W`` is ``W[k]``."""
+        obj = plain_model(degenerate_model[0])
+        target, key = (obj, "v") if field == "v" else (obj["W"], int(field.split(".")[1]))
+        target[key] = json.loads(token)
+        err = model_refusal(obj)
+        assert isinstance(err, ValidationError)
+        assert err.code in ("invalid-descriptor", "dimension-mismatch"), err
+
+    def test_every_model_file_field_fails_only_with_one_error_line(self):
+        """Each place of a small model as plain data, every argument, every
+        layer or module and the first entry below it at any depth, set in
+        turn to each value of a fixed pool: the model is valid, or
+        ``model_refusal`` gets a ``SocIcnnError`` with a one-line message,
+        and a boolean is refused with its argument named."""
+        obj = plain_model(build_random(1, ArchSpec(2, (2, 2), quad_dims=(1,), cone_dims=(1,))))
+
+        def places(value, at):
+            if not (isinstance(value, list) and value):
+                return
+            for key in range(len(value)) if len(at) == 1 else (0,):
+                yield at + (key,)
+                yield from places(value[key], at + (key,))
+
+        pool = (-1, 0, 2.5, True, False, None, float("nan"), float("inf"), 10 ** 400, "x", [], {},
+                [[1.0, 2.0]])
+        cases = 0
+        for place in (p for name in obj for p in [(name,), *places(obj[name], (name,))]):
+            tuple_arg = len(place) > 1 and place[0] not in ("c", "v")
+            argument = f"{place[0]}[{place[1]}]" if tuple_arg else place[0]
+            for value in pool:
+                bad = json.loads(json.dumps(obj))
+                target = bad
+                for key in place[:-1]:
+                    target = target[key]
+                target[place[-1]] = value
+                err = model_refusal(bad)
+                if type(value) is bool:
+                    assert err is not None and str(err).startswith(argument), (place, err)
+                cases += 1
+        assert cases == 572
+
+    @pytest.mark.parametrize("token", ['"x"', "-1", "true", "1.5", "[0]"])
+    def test_model_info_rejects_bad_seed(self, degenerate_model, token):
+        """The recorded seed must be a nonnegative integer or None."""
+        obj = plain_model(degenerate_model[0])
+        obj["seed"] = json.loads(token)
+        err = model_refusal(obj)
+        assert isinstance(err, ValidationError)
+        assert str(err).startswith("seed must be a nonnegative int or None")
 
     def test_exp1_check_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

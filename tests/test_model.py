@@ -1,4 +1,4 @@
-"""Model construction, validation and forward traces."""
+"""Model construction, validation, forward traces, and models as plain data."""
 
 import dataclasses
 import re
@@ -25,7 +25,8 @@ from socicnn import (
 from socicnn.experiments import Exp1Config, Exp2Config, Exp4Config, _random_model
 from socicnn.model import _gaussian_nonzero, _nondegenerate_rows, _nonzero_rows
 
-from conftest import constant_params, gaussian_points, inert_backbone, quad_only_params
+from conftest import constant_params, gaussian_points, inert_backbone, plain_model
+from conftest import quad_only_params
 
 
 class TestForward:
@@ -588,3 +589,110 @@ class TestDegeneracyReport:
             assert rows.tolist() == [degeneracy_report(t, tol).is_nondegenerate for t in singles]
             flags += rows.tolist()
         assert True in flags and False in flags
+
+
+class TestSerialization:
+    """A model as plain data (``conftest.plain_model``: nested lists and
+    numbers, as JSON holds them) goes back in through ``SocIcnnParams``, the
+    one way in for a model: bit for bit, and with what is not a valid model
+    refused by the constructor or by ``validate``."""
+
+    def test_round_trip_bitwise(self, medium_model):
+        back = SocIcnnParams(**plain_model(medium_model))
+        for attr in ("W", "U", "b", "B", "e", "A", "d"):
+            for m1, m2 in zip(getattr(medium_model, attr), getattr(back, attr)):
+                assert np.array_equal(m1, m2)
+        assert np.array_equal(medium_model.c, back.c)
+        assert np.array_equal(medium_model.v, back.v)
+        assert medium_model.b0 == back.b0
+        assert medium_model.alpha == back.alpha
+        assert medium_model.lam == back.lam
+        assert medium_model.seed == back.seed
+        x = np.random.default_rng(9).standard_normal(medium_model.input_dim)
+        assert forward(medium_model, x).value == forward(back, x).value
+
+    def test_round_trip_degenerate_stays_exact(self, degenerate_model):
+        """Plain-data transport must not disturb the bitwise kink placement."""
+        params, x0 = degenerate_model
+        tr = forward(SocIcnnParams(**plain_model(params)), x0)
+        assert tr.a[1][0] == 0.0
+        assert np.all(tr.u[0] == 0.0)
+
+    def test_corrupted_json_raises(self, small_model):
+        """A file cut short mid-row leaves a ragged matrix, and a stray
+        character a string entry: the constructor names the matrix."""
+        for corrupt in (lambda row: row.pop(), lambda row: row.__setitem__(0, "{not json")):
+            obj = plain_model(small_model)
+            corrupt(obj["W"][0][-1])
+            with pytest.raises(ValidationError, match=r"^W\[0\] is not numeric") as err:
+                SocIcnnParams(**obj)
+            assert err.value.code == "invalid-descriptor"
+
+    def test_missing_key_raises(self, small_model):
+        """A layer without its bias, or a quadratic module without its offset."""
+        for arg, message in (("b", "W, U, b must have one entry per layer"),
+                             ("e", "alpha, B, e must have equal length")):
+            obj = plain_model(small_model)
+            obj[arg].pop()
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as err:
+                validate(SocIcnnParams(**obj))
+            assert err.value.code == "dimension-mismatch"
+
+    @pytest.mark.parametrize("key, value", [
+        ("input_dim", 7), ("widths", [6, 9]), ("widths", []), ("quad_dims", [2]),
+        ("quad_dims", []), ("cone_dims", [3, 3]), ("cone_dims", []), ("depth", 2),
+    ])
+    def test_declared_dims_must_match_the_arrays(self, medium_model, key, value):
+        """Each argument declares dimensions that the others must match: ``v``
+        the input dimension, ``b`` the widths, ``e`` and ``d`` the quadratic
+        and conic module dimensions, ``U`` the depth.  One of them made to
+        declare ``key = value`` is refused by ``validate``."""
+        obj = plain_model(medium_model)
+        declared = {
+            "input_dim": len(obj["v"]), "widths": [len(b) for b in obj["b"]],
+            "quad_dims": [len(e) for e in obj["e"]], "cone_dims": [len(d) for d in obj["d"]],
+            "depth": len(obj["U"]),
+        }
+        assert declared[key] != value
+        if key == "input_dim":
+            obj["v"] = [0.0] * value
+        elif key == "depth":
+            obj["U"] = obj["U"][:value]
+        else:
+            arg = {"widths": "b", "quad_dims": "e", "cone_dims": "d"}[key]
+            obj[arg] = [[0.0] * n for n in value]
+        with pytest.raises(ValidationError) as err:
+            validate(SocIcnnParams(**obj))
+        assert err.value.code == "dimension-mismatch"
+
+    @pytest.mark.parametrize("where, set_true", [
+        ("model.cone[0].lambda", lambda obj: obj["lam"].__setitem__(0, True)),
+        ("model.quad[0].alpha", lambda obj: obj["alpha"].__setitem__(0, True)),
+        ("model.b0", lambda obj: obj.update({"b0": True})),
+        ("model.layers[1].b[2]", lambda obj: obj["b"][1].__setitem__(2, False)),
+        ("model.c[0]", lambda obj: obj["c"].__setitem__(0, True)),
+        ("model.layers[0].W[1][3]", lambda obj: obj["W"][0][1].__setitem__(3, True)),
+        ("model.dims.input_dim", lambda obj: obj.update({"v": [True] * len(obj["v"])})),
+    ])
+    def test_booleans_are_refused_by_name(self, small_model, where, set_true):
+        """A boolean is not a number: ``lam=(True,)`` and a boolean bias used to
+        be taken as 1.0 or 0.0.  ``where`` is the place in the model's layers,
+        modules and dims (the input dimension is the length of ``v``); the
+        error names the constructor argument that holds it."""
+        argument = {
+            "model.cone[0].lambda": "lam[0]", "model.quad[0].alpha": "alpha[0]",
+            "model.b0": "b0", "model.layers[1].b[2]": "b[1]", "model.c[0]": "c",
+            "model.layers[0].W[1][3]": "W[0]", "model.dims.input_dim": "v",
+        }[where]
+        obj = plain_model(small_model)
+        set_true(obj)
+        message = rf"^{re.escape(argument)} is not numeric: a boolean"
+        with pytest.raises(ValidationError, match=message):
+            SocIcnnParams(**obj)
+
+    def test_invalid_payload_fails_validation(self, small_model):
+        obj = plain_model(small_model)
+        obj["c"][0] = -1.0
+        with pytest.raises(ValidationError) as err:
+            validate(SocIcnnParams(**obj))
+        assert err.value.code == "negativity"
