@@ -8,7 +8,6 @@ inference against finite-difference twins.
 
 from .curvature import (
     CurvatureModel,
-    branch_signature,
     hessian,
     quadratic_model_residual,
 )
@@ -39,7 +38,6 @@ from .inference import (
     InferenceConfig,
     InferenceReport,
     ReadoutDiagnostics,
-    objective,
     readout_diagnostics,
     solve,
 )

@@ -42,13 +42,6 @@ def _csv_lines(table: experiments.Table) -> list:
     ]
 
 
-def _table_text(table: experiments.Table, fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join(_csv_lines(table)) + "\n"
-    obj = {"name": table.name, "columns": list(table.columns), "rows": table.rows}
-    return json.dumps(obj, indent=1) + "\n"
-
-
 def _coerce(default, value):
     """The JSON ``value`` of the field whose default is ``default`` in the
     field's Python shape: an object as a nested config, and an array as a
@@ -101,8 +94,8 @@ def _cmd_exp(args, name: str) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for table in out.tables:
-            path = out_dir / f"{name}_{table.name}.{args.format}"
-            path.write_text(_table_text(table, args.format), encoding="utf-8")
+            path = out_dir / f"{name}_{table.name}.csv"
+            path.write_text("\n".join(_csv_lines(table)) + "\n", encoding="utf-8")
             print(f"wrote {path}")
     if args.check:
         failed = 0
@@ -128,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="directory for result tables")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="directory for the CSV result tables")
         p.add_argument("--check", action="store_true", help="evaluate pass/fail criteria")
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, default=None)

@@ -18,21 +18,18 @@ import numpy as np
 from . import dual
 from .model import DEFAULT_TAU, ForwardTrace, SocIcnnParams, _check_number, _check_trace
 from .model import _gaussian_nonzero, _kinks, _nondegenerate_rows, _points, _require_nondegenerate
-from .model import degeneracy_report, forward
+from .model import forward
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureModel:
-    """Local quadratic model at an anchor point.
-
-    ``signature`` identifies the activation branch; the model is exact up to
-    third-order conic terms while the perturbed point keeps that signature.
+    """Local quadratic model at an anchor point, exact up to third-order conic
+    terms while the perturbed point keeps the anchor's activation branch.
     """
 
     anchor: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    signature: tuple
     min_eigenvalue: float
 
     def predict(self, x) -> float | np.ndarray:
@@ -42,14 +39,6 @@ class CurvatureModel:
         delta = _points(x, self.anchor.size, "x") - self.anchor
         pred = np.vecdot(self.grad, delta) + 0.5 * np.vecdot(delta, np.matvec(self.hess, delta))
         return float(pred) if delta.ndim == 1 else pred
-
-
-def branch_signature(trace: ForwardTrace, tol: float = DEFAULT_TAU) -> tuple:
-    """Hashable identifier of the branch at one point's trace, from its kink report:
-    above-the-kink bits per layer and an off-tip flag per cone (a stack raises)."""
-    report = degeneracy_report(trace, tol)
-    relu_bits = b"".join(np.packbits(up).tobytes() for up in report.upper)
-    return (relu_bits, tuple(g not in report.conic_zero_modules for g in range(len(trace.u))))
 
 
 def curvature_matrix(
@@ -88,7 +77,6 @@ def _trace_hessian(params: SocIcnnParams, trace: ForwardTrace, tol: float) -> Cu
         anchor=trace.x,
         grad=grad,
         hess=H,
-        signature=branch_signature(trace, tol),
         min_eigenvalue=float(np.linalg.eigvalsh(H)[0]),
     )
 
@@ -109,9 +97,9 @@ def quadratic_model_residual(
     """Accuracy of the local quadratic model on a sphere around the anchor.
 
     Draws ``trials`` uniformly random directions, steps ``radius`` along
-    each, keeps the points whose branch signature matches the anchor's (and
-    that are nondegenerate), and measures ``|f(x) - f(anchor) - model|``
-    there.  Returns ``(retained_rate, mean_abs_residual)``; the mean is NaN
+    each, keeps the points that are nondegenerate and above the same ReLU
+    kinks as the anchor (``model._kinks``), and measures
+    ``|f(x) - f(anchor) - model|`` there.  Returns ``(retained_rate, mean_abs_residual)``; the mean is NaN
     when nothing is retained.  The directions are one seeded block draw
     (``model._gaussian_nonzero``), the trials are traced as stacks of
     ``RESIDUAL_BLOCK``, and the residuals are summed in trial order, so the

@@ -25,7 +25,7 @@ import numpy as np
 from . import dual
 from .curvature import curvature_matrix
 from .errors import SolveFailureError
-from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_kind, _check_number, _norms
+from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_kind, _norms
 from .model import _nondegenerate_rows, _points, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
 from .oracle import fd_gradient, fd_hessian
@@ -87,16 +87,6 @@ class InferenceReport:
 
 # The four solvers' names, as in their reports' ``method`` field.
 METHODS = ("whitebox-gd", "whitebox-newton", "fd-gd", "fd-newton")
-
-
-def objective(params: SocIcnnParams, y, beta: float, x, tol: float = DEFAULT_TAU):
-    """Value and canonical-readout gradient of the objective, by the solvers' own code,
-    at one point ``x`` for one finite query ``y``, both ``(d,)``."""
-    x = _points(x, params.input_dim, "x", stack=False)
-    Y = _points(y, params.input_dim, "query", stack=False)[None]
-    _check_number(beta, "beta", positive=True)
-    values, trace = _values(params, Y, beta, x[None])
-    return values[0], _readout_grad(params, tol)(trace, [0])[0] + beta * (x - Y[0])
 
 
 def _trial_block(params, y, beta, x, p, etas):

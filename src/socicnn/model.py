@@ -39,36 +39,38 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
 
 
 def _has_bool(value) -> bool:
-    """Whether ``value`` is a boolean, a boolean array or a list or tuple holding one."""
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_bool, value))
-    return type(value) is bool or getattr(value, "dtype", None) == bool
+    """Whether ``value`` is a list or tuple holding, at any depth, a boolean or a boolean array."""
+    return isinstance(value, (list, tuple)) and any(
+        type(v) is bool or getattr(v, "dtype", None) == bool or _has_bool(v) for v in value)
 
 
-def _param(value, name: str, scalar: bool = False):
-    """``value`` as a read-only float64 array, or a float where ``scalar``: the one
-    check of every ``SocIcnnParams`` field.  A boolean, a complex number or other
-    non-real, a ragged list or, where ``scalar``, an array raises ``ValidationError``,
-    and an int too large for a float ``NonFiniteError``; both name ``name``."""
+def _real(value, name: str, scalar: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, not copied where it already is one: the one rule of
+    what the package takes for numbers.  A boolean, a complex number or other non-real,
+    a ragged list or, where ``scalar``, an array raises ``ValidationError``, and an int
+    too large for a float ``NonFiniteError``; both name ``name``."""
     try:
         raw = np.asarray(value)
-        if _has_bool(value):
-            raise TypeError("a boolean is not a number")
         kind = raw.dtype.kind
+        if kind == "b" or _has_bool(value):
+            raise TypeError("a boolean is not a number")
         if kind not in "fiuO" or kind == "O" and not all(
                 type(v) is not bool and isinstance(v, numbers.Real) for v in raw.flat):
             raise TypeError(f"expected real numbers, got entries of type {raw.dtype.name}")
         if scalar and raw.ndim:
             raise TypeError(f"expected one number, got shape {raw.shape}")
-        arr = raw.astype(np.float64)
+        return np.asarray(raw, dtype=np.float64)
     except OverflowError as exc:
         raise NonFiniteError(f"{name} has an entry too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("invalid-descriptor", f"{name} is not numeric: {exc}") from exc
-    if scalar:
-        return float(arr)
-    arr.setflags(write=False)
-    return arr
+
+
+def _param(value, name: str, scalar: bool = False):
+    """``value`` by ``_real``'s rule as a read-only float64 copy, or a float where
+    ``scalar``: the one check of every ``SocIcnnParams`` field."""
+    arr = _real(value, name, scalar)
+    return float(arr) if scalar else _frozen(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +90,8 @@ class SocIcnnParams:
 
     Each entry is checked by ``_param`` as it is stored, naming it as in ``W[0]``
     or ``b0``, and a seed other than a nonnegative int or None raises
-    ``ValidationError``; ``validate`` then checks shapes and signs.
+    ``ValidationError``; ``validate`` then checks shapes and signs, so every
+    model that exists is valid.
     """
 
     W: tuple
@@ -118,6 +121,7 @@ class SocIcnnParams:
         if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
             msg = f"seed must be a nonnegative int or None, got {self.seed!r}"
             raise ValidationError("invalid-descriptor", msg)
+        validate(self)
 
     @property
     def n_layers(self) -> int:
@@ -227,7 +231,7 @@ def validate(params: SocIcnnParams) -> None:
     finiteness of every array entry, ``b0``, ``alpha`` and ``lam``,
     nonnegativity of skip weights ``U`` (layers beyond the first) and of the
     readout ``c``, strict positivity of every ``alpha``, and nonnegativity
-    of every ``lam``.
+    of every ``lam``.  ``SocIcnnParams`` runs it as it is built.
     """
     L = params.n_layers
     if L < 1:
@@ -313,15 +317,11 @@ def _nonfinite_row(V, axes=0):
 def _points(x, d, what: str, stack: bool = True, batch: bool = False) -> np.ndarray:
     """``x`` as float64 points of width ``d`` (any when None), the one check of
     every point the package is handed: a point ``(d,)``, with ``stack`` also
-    ``(n, d)``, with ``batch`` only ``(..., m, d)``.  Non-numbers or a wrong
-    shape raise ``ValidationError``, and NaN, infinity or an int too large
-    for a float ``NonFiniteError`` naming the first bad row; both name ``what``."""
-    try:
-        X = np.asarray(x, dtype=np.float64)
-    except OverflowError as exc:
-        raise NonFiniteError(f"{what} has an entry too large for a float") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("invalid-descriptor", f"{what} is not numeric: {exc}") from exc
+    ``(n, d)``, with ``batch`` only ``(..., m, d)``.  What ``_real`` refuses (booleans
+    and complex numbers too) or a wrong shape raises ``ValidationError``, and NaN,
+    infinity or an int too large for a float ``NonFiniteError`` naming the first bad
+    row; both name ``what``."""
+    X = _real(x, what)
     ndim_ok = X.ndim >= 2 if batch else X.ndim == 1 or stack and X.ndim == 2
     if not (ndim_ok and X.size and (d is None or X.shape[-1] == d)):
         w = "d" if d is None else d
@@ -615,11 +615,9 @@ def build_random(seed: int, arch: ArchSpec) -> SocIcnnParams:
         A.append(rng.normal(0.0, 1.0 / np.sqrt(d0), size=(k, d0)))
         d.append(rng.normal(0.0, 1.0 / np.sqrt(d0), size=k))
         lam.append(rng.uniform(0.5, 1.5))
-    params = SocIcnnParams(
+    return SocIcnnParams(
         W=W, U=U, b=b, c=c, v=v, b0=b0, alpha=alpha, B=B, e=e, lam=lam, A=A, d=d, seed=seed
     )
-    validate(params)
-    return params
 
 
 # Fixed constants for the hand-built two-dimensional degenerate model.  All
@@ -692,5 +690,4 @@ def build_degenerate_2d(spec: DegeneracySpec = DegeneracySpec()):
         A=A,
         d=d,
     )
-    validate(params)
     return params, _frozen(x0)

@@ -1,4 +1,4 @@
-"""Closed-form local Hessians, branch signatures, and quadratic models."""
+"""Closed-form local Hessians and quadratic models."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ import pytest
 from socicnn import (
     DegenerateInputError,
     SocIcnnParams,
-    branch_signature,
     degeneracy_report,
     fd_gradient,
     fd_hessian,
@@ -159,31 +158,14 @@ class TestStackedCurvature:
         assert not np.array_equal(H[0], H[1]) and not np.array_equal(H[2], H[1])
 
 
-class TestSignature:
-    def test_stable_within_branch(self, medium_model):
-        x = gaussian_points(96, 1, medium_model.input_dim)[0]
-        s1 = branch_signature(forward(medium_model, x))
-        s2 = branch_signature(forward(medium_model, x + 1e-10))
-        assert s1 == s2
-
-    def test_changes_across_kink(self):
-        params = single_layer_params(0.0)
-        s_neg = branch_signature(forward(params, [-1.0, -1.0]))
-        s_pos = branch_signature(forward(params, [1.0, 1.0]))
-        assert s_neg != s_pos
-
-    def test_hashable_and_equal_by_value(self, medium_model):
-        x = gaussian_points(97, 1, medium_model.input_dim)[0]
-        sig = branch_signature(forward(medium_model, x))
-        assert hash(sig) == hash(branch_signature(forward(medium_model, x)))
-
-
 def reference_quadratic_model_residual(params, anchor, radius, trials=500, tol=1e-9, seed=0):
     """The per-trial loop before the stacked trace, kept verbatim (argument
-    checks aside) as a reference."""
+    checks aside, and the anchor's branch compared as its above-the-kink masks)
+    as a reference."""
     anchor = np.asarray(anchor, dtype=np.float64)
     cm = hessian(params, anchor, tol)
     f0 = forward(params, anchor).value
+    upper0 = degeneracy_report(forward(params, anchor), tol).upper
     rng = np.random.default_rng(seed)
     kept = 0
     residuals = 0.0
@@ -191,9 +173,10 @@ def reference_quadratic_model_residual(params, anchor, radius, trials=500, tol=1
         (step,), (nrm,) = _gaussian_nonzero(rng, anchor.size, 1)
         x = anchor + (radius / nrm) * step
         trace = forward(params, x)
-        if not degeneracy_report(trace, tol).is_nondegenerate:
+        report = degeneracy_report(trace, tol)
+        if not report.is_nondegenerate:
             continue
-        if branch_signature(trace, tol) != cm.signature:
+        if not all(np.array_equal(up, up0) for up, up0 in zip(report.upper, upper0)):
             continue
         kept += 1
         residuals += abs(trace.value - f0 - cm.predict(x))

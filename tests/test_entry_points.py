@@ -20,7 +20,6 @@ from socicnn import (
     SocIcnnError,
     ValidationError,
     argmax_branch,
-    branch_signature,
     build_random,
     canonical,
     conic_margin,
@@ -35,7 +34,6 @@ from socicnn import (
     forward_values,
     gradient,
     hessian,
-    objective,
     quadratic_model_residual,
     readout,
     readout_diagnostics,
@@ -67,8 +65,6 @@ POINT_ARGS = {
     "directional_derivative x": (lambda p: directional_derivative(P, p, U), "input", ()),
     "directional_derivative direction": (
         lambda p: directional_derivative(P, X, p), "direction", ()),
-    "objective y": (lambda p: objective(P, p, 1.0, X), "query", ()),
-    "objective x": (lambda p: objective(P, X, 1.0, p), "x", ()),
     "solve y": (lambda p: solve(P, p, InferenceConfig(), "whitebox-gd"), "query", ()),
     "readout_diagnostics x": (lambda p: readout_diagnostics(P, p), "x", ()),
     "quadratic_model_residual anchor": (
@@ -89,6 +85,8 @@ BAD_POINTS = {
     "inf": [np.inf] + ROW[1:],
     "-inf": [-np.inf] + ROW[1:],
     "int too large for a float": [10 ** 400] + ROW[1:],
+    "complex": np.array([0.1 + 5j] + ROW[1:]),
+    "bool": [True, False, True],
     "ragged": [ROW, ROW[1:]],
     "string": "0.1",
     "strings": ["a", "b", "c"],
@@ -106,13 +104,10 @@ BAD_POINTS = {
 NUMBER_ARGS = {
     "degeneracy_report tol": (lambda v: degeneracy_report(TRACE, v), "tolerance"),
     "canonical tol": (lambda v: canonical(P, TRACE, v), "tolerance"),
-    "branch_signature tol": (lambda v: branch_signature(TRACE, v), "tolerance"),
     "curvature_matrix tol": (lambda v: curvature_matrix(P, TRACE, v), "tolerance"),
     "gradient tol": (lambda v: gradient(P, X, v), "tolerance"),
     "hessian tol": (lambda v: hessian(P, X, v), "tolerance"),
     "directional_derivative tol": (lambda v: directional_derivative(P, X, U, v), "tolerance"),
-    "objective beta": (lambda v: objective(P, X, v, X), "beta"),
-    "objective tol": (lambda v: objective(P, X, 1.0, X, v), "tolerance"),
     "readout_diagnostics tol": (lambda v: readout_diagnostics(P, X, v), "tolerance"),
     "readout_diagnostics fd_hess_step": (
         lambda v: readout_diagnostics(P, X, fd_hess_step=v), "step"),
@@ -153,13 +148,15 @@ def outcome(call, value):
 
 
 def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
-    """18 point arguments x 14 bad points, less the 4 that do not apply, and
-    21 number parameters x 7 bad numbers: 395 cases, each refused with an
+    """16 point arguments x 16 bad points, less the 4 that do not apply, and
+    18 number parameters x 7 bad numbers: 378 cases, each refused with an
     error whose message starts with the argument's name.  Before one rule
     checked every point, ``[10**400, 0.2, 0.3]`` escaped every entry point as
     a bare ``OverflowError`` and a ragged list as NumPy's ``ValueError``,
     ``dual_value`` and ``CurvatureModel.predict`` returned NaN at a NaN
-    point, and a bool ``tol`` passed as tolerance 1."""
+    point, and a bool ``tol`` passed as tolerance 1.  Before points took the
+    constructor's rule for numbers, a complex point was cast to its real part
+    with only a ``ComplexWarning``, and a boolean point read as 0 and 1."""
     start = time.perf_counter()
     misses, cases = [], 0
     for arg, (call, name, skip) in POINT_ARGS.items():
@@ -177,7 +174,7 @@ def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
                 misses.append((arg, kind, got))
     elapsed = time.perf_counter() - start
     assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
-    assert cases == 18 * 14 - 4 + 21 * 7
+    assert cases == 16 * 16 - 4 + 18 * 7
     assert elapsed < 0.3, f"sweep took {elapsed:.3f} s"
 
 
@@ -188,7 +185,6 @@ OBJECT_ARGS = {
     "solve config": (lambda v: solve(P, X, v, "whitebox-gd"), "config"),
     "canonical trace": (lambda v: canonical(P, v), "trace"),
     "degeneracy_report trace": (lambda v: degeneracy_report(v), "trace"),
-    "branch_signature trace": (lambda v: branch_signature(v), "trace"),
     "curvature_matrix trace": (lambda v: curvature_matrix(P, v), "trace"),
     "sample_optimal_branches trace": (lambda v: sample_optimal_branches(P, v, n=2), "trace"),
     "relu_margin trace": (lambda v: relu_margin(v), "trace"),

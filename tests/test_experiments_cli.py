@@ -853,19 +853,6 @@ class TestCli:
         parsed = float(row[header.index("fd_mean_err")])
         assert np.isfinite(parsed) and parsed < 5e-8
 
-    def test_json_output_well_formed(self, tmp_path, capsys):
-        out_dir = tmp_path / "results"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "samples": 5, "input_dim": 4, "widths": [6], "quad_dims": [2], "cone_dims": [2],
-        }))
-        assert main(["exp1", "--config", str(cfg), "--out", str(out_dir),
-                     "--format", "json"]) == 0
-        capsys.readouterr()
-        obj = json.loads((out_dir / "exp1_gradient_check.json").read_text())
-        assert obj["columns"][0] == "trials"
-        assert len(obj["rows"]) == 1
-
     def test_count_flag_overrides_config(self, capsys):
         assert main(["exp1", "--samples", "3", "--seed", "1"]) == 0
         text = capsys.readouterr().out

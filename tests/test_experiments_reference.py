@@ -21,7 +21,6 @@ import pytest
 from socicnn import ConstructionError, DegenerateInputError, dual, inference
 from socicnn.curvature import (
     CurvatureModel,
-    branch_signature,
     curvature_matrix,
     quadratic_model_residual,
 )
@@ -71,7 +70,6 @@ def reference_trace_hessian(params, trace, tol):
         anchor=trace.x,
         grad=grad,
         hess=H,
-        signature=branch_signature(trace, tol),
         min_eigenvalue=float(np.linalg.eigvalsh(H)[0]),
     )
 

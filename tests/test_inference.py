@@ -12,7 +12,6 @@ from socicnn import (
     InferenceConfig,
     build_random,
     forward,
-    objective,
     readout_diagnostics,
     solve,
 )
@@ -37,45 +36,48 @@ def proximal_target(y, beta):
 
 
 class TestObjective:
+    """The objective as the solvers evaluate it: ``_values`` and ``_readout_grad``
+    on a stack of points, with ``beta (x - y)`` added in closed form."""
+
     def test_value_and_gradient_on_quadratic(self):
         """f = (1/2)||x||^2, beta = 1, y = (2, 0): F(0) = 2 with slope (-2, 0)."""
         params = quad_only_params(alpha=1.0)
-        y = np.array([2.0, 0.0])
-        value, grad = objective(params, y, BETA, np.zeros(2))
-        assert value == pytest.approx(2.0, abs=1e-15)
-        assert np.allclose(grad, [-2.0, 0.0], atol=1e-15)
+        y = np.array([[2.0, 0.0]])
+        values, trace = inference._values(params, y, BETA, np.zeros((1, 2)))
+        grad = inference._readout_grad(params, DEFAULT_TAU)(trace, [0]) + BETA * (trace.x - y)
+        assert values == [pytest.approx(2.0, abs=1e-15)]
+        assert np.allclose(grad, [[-2.0, 0.0]], atol=1e-15)
 
     def test_gradient_at_query_point_is_model_readout(self, medium_model):
-        y = gaussian_points(100, 1, medium_model.input_dim)[0]
-        _, grad = objective(medium_model, y, 10.0, y)
+        y = gaussian_points(100, 1, medium_model.input_dim)
+        grad = inference._readout_grad(medium_model, DEFAULT_TAU)(forward(medium_model, y), [0])
         from socicnn import canonical, readout
 
-        expect = readout(medium_model, canonical(medium_model, forward(medium_model, y)))
-        assert np.array_equal(grad, expect)
+        expect = readout(medium_model, canonical(medium_model, forward(medium_model, y[0])))
+        assert np.array_equal(grad[0], expect)
 
     def test_regularizer_centers_at_query(self):
         params = quad_only_params(alpha=1.0)
-        y = np.array([1.0, -1.0])
-        v_at_y, _ = objective(params, y, 5.0, y)
-        assert v_at_y == pytest.approx(forward(params, y).value, rel=1e-15)
+        y = np.array([[1.0, -1.0]])
+        values, _ = inference._values(params, y, 5.0, y)
+        assert values == [pytest.approx(forward(params, y[0]).value, rel=1e-15)]
 
     @pytest.mark.parametrize("y, beta, error, match", [
         ([np.nan, 0.0], 1.0, NonFiniteError, "query contains NaN"),
         ([np.inf, 0.0], 1.0, NonFiniteError, "query contains NaN"),
         ([1.0], 1.0, ValidationError, r"query has shape \(1,\)"),
-        ([[1.0, 0.0], [0.0, 1.0]], 1.0, ValidationError, r"query has shape \(2, 2\)"),
+        ([[[1.0, 0.0]]], 1.0, ValidationError, r"query has shape \(1, 1, 2\)"),
         ([1.0, 0.0], np.nan, ValueError, "beta must be positive"),
         ([1.0, 0.0], np.inf, ValueError, "beta must be positive"),
         ([1.0, 0.0], 0.0, ValueError, "beta must be positive"),
         ([1.0, 0.0], -1.0, ValueError, "beta must be positive"),
     ])
     def test_rejects_bad_query_and_beta(self, y, beta, error, match):
-        """A NaN query or ``beta`` gave a NaN value and gradient, an infinite
-        ``beta`` an infinite one, and a misshapen query NumPy's broadcast
-        ``ValueError`` or a ``TypeError``; they are checked as ``solve``
-        and ``InferenceConfig`` check them."""
+        """A NaN query or ``beta`` would give a NaN value and gradient, an
+        infinite ``beta`` an infinite one; ``solve`` and ``InferenceConfig``
+        refuse them before any descent."""
         with pytest.raises(error, match=match):
-            objective(quad_only_params(alpha=1.0), y, beta, np.zeros(2))
+            solve(quad_only_params(alpha=1.0), y, InferenceConfig(beta=beta), "whitebox-gd")
 
 
 class TestConfigValidation:
@@ -201,8 +203,7 @@ class TestDescentMechanics:
         rep = solve(medium_model, y, cfg, "whitebox-gd")
         assert np.array_equal(rep.x, y)
         assert rep.iterations == 0
-        v0, _ = objective(medium_model, y, 10.0, y)
-        assert rep.objective == v0
+        assert rep.objective == forward(medium_model, y).value
         assert len(rep.trace) == 1
 
     def test_line_search_failure_reported(self):
@@ -330,7 +331,8 @@ class TestNewtonDirection:
         X = gaussian_points(107, 4, medium_model.input_dim)
         Y = gaussian_points(108, 4, medium_model.input_dim)
         trace = forward(medium_model, X)
-        G = np.array([objective(medium_model, y, config.beta, x)[1] for x, y in zip(X, Y)])
+        G = inference._readout_grad(medium_model, config.tol)(trace, np.arange(len(X)))
+        G += config.beta * (X - Y)
         for rows in (np.arange(4), np.array([1, 3])):
             P_whitebox = inference._newton_direction(medium_model, config, G[rows], trace, rows)
             P_fd = inference._fd_newton_direction(medium_model, config, G[rows], trace, rows)
@@ -355,7 +357,8 @@ class TestNewtonDirection:
         X = gaussian_points(109, 9, d)
         Y = gaussian_points(110, 9, d)
         trace = forward(medium_model, X)
-        G = np.array([objective(medium_model, y, config.beta, x)[1] for x, y in zip(X, Y)])
+        G = inference._readout_grad(medium_model, config.tol)(trace, np.arange(len(X)))
+        G += config.beta * (X - Y)
         alone = [inference._fd_newton_direction(medium_model, config, G[[r]], trace, np.array([r]))
                  for r in range(9)]
         shapes = []

@@ -15,7 +15,6 @@ import pytest
 from socicnn import (
     SocIcnnParams,
     argmax_branch,
-    branch_signature,
     canonical,
     degeneracy_report,
     directional_derivative,
@@ -138,11 +137,8 @@ def test_every_consumer_agrees_at_the_boundary():
     assert not report.is_nondegenerate
     assert _nondegenerate_rows(stack, TOL).tolist() == [True, False, True]
     assert not _nondegenerate_rows(point, TOL)
-    # Branch signature: above-the-kink bits and off-tip flags.
-    bits, flags = branch_signature(point, TOL)
-    assert bits == np.packbits([False, False, True, False]).tobytes() + np.packbits(
-        [True, False]).tobytes()
-    assert flags == (False, True)
+    # Above-the-kink masks, which the quadratic-model residual compares.
+    assert [m.tolist() for m in report.upper] == [[False, False, True, False], [True, False]]
     # Canonical branch: bound exactly above the kink, +0.0 cone at the tip.
     canon = canonical(params, point, TOL)
     assert (canon.relu[0] > 0).tolist() == [False, False, True, False]
@@ -184,7 +180,6 @@ def test_one_step_inside_the_tolerance_is_smooth():
     report = degeneracy_report(point, tol)
     assert report.is_nondegenerate and not report.conic_zero_modules
     assert _nondegenerate_rows(stack, tol)[1]
-    assert branch_signature(point, tol)[1] == (True, True)
     assert (canonical(params, point, tol).relu[0] > 0).tolist() == [True, False, True, False]
     assert not np.array_equal(curvature_matrix(params, point, tol), curvature_matrix(
         boundary_params(False), forward(boundary_params(False), X0)))

@@ -65,6 +65,19 @@ class TestForward:
         with pytest.raises(NonFiniteError):
             forward(small_model, [np.inf, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x, kind", [
+        (np.array([1 + 5j, 0.0, 0.0, 0.0]), "complex128"),
+        (np.array([True, False, True, False]), "a boolean"),
+        ([1.0, True, 0.0, 0.0], "a boolean"),
+    ], ids=["complex", "bool-array", "bool-in-list"])
+    def test_rejects_a_point_that_is_not_real_numbers(self, small_model, x, kind):
+        """Points take the constructor's rule for numbers: a complex point was
+        cast to its real part with only a ``ComplexWarning``, so ``1 + 5j`` read
+        as 1, and booleans read as 0 and 1."""
+        with pytest.raises(ValidationError, match=f"^input is not numeric: .*{kind}") as err:
+            forward(small_model, x)
+        assert err.value.code == "invalid-descriptor"
+
     def test_forward_is_deterministic(self, medium_model):
         x = np.random.default_rng(5).standard_normal(medium_model.input_dim)
         v1 = forward(medium_model, x).value
@@ -173,9 +186,7 @@ class TestStackedForward:
         with pytest.raises(ValidationError):
             socicnn.directional_derivative(small_model, X, X[0])
         with pytest.raises(ValidationError):
-            socicnn.branch_signature(forward(small_model, X))
-        with pytest.raises(ValidationError):
-            socicnn.objective(small_model, X[0], 1.0, X)
+            socicnn.degeneracy_report(forward(small_model, X))
         # The point-or-stack entries take X itself but not a stack of stacks.
         with pytest.raises(ValidationError):
             socicnn.solve(small_model, X[None], socicnn.InferenceConfig(), "whitebox-gd")
@@ -341,33 +352,39 @@ class TestValidate:
         p = self._valid()
         U = [np.array(m) for m in p.U]
         U[1][0, 0] = -0.1
-        bad = SocIcnnParams(p.W, U, p.b, p.c, p.v, p.b0, p.alpha, p.B, p.e, p.lam, p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, U=U)
         assert err.value.code == "negativity"
 
     def test_negative_readout(self):
         p = self._valid()
         c = np.array(p.c)
         c[0] = -1e-3
-        bad = SocIcnnParams(p.W, p.U, p.b, c, p.v, p.b0, p.alpha, p.B, p.e, p.lam, p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, c=c)
         assert err.value.code == "negativity"
 
     def test_zero_alpha(self):
         p = self._valid()
-        bad = SocIcnnParams(p.W, p.U, p.b, p.c, p.v, p.b0, (0.0,), p.B, p.e, p.lam, p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, alpha=(0.0,))
         assert err.value.code == "nonpositive-alpha"
 
     def test_negative_lambda(self):
+        """The constructor refuses it; before, such a model reached ``forward``,
+        which returned the value of a nonconvex function."""
         p = self._valid()
-        bad = SocIcnnParams(p.W, p.U, p.b, p.c, p.v, p.b0, p.alpha, p.B, p.e, (-0.5,), p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, lam=(-0.5,))
         assert err.value.code == "negative-lambda"
+
+    def test_wrong_length_readout(self):
+        """A ``c`` of the wrong length ended in NumPy's bare ``ValueError`` at
+        the first ``forward``; the constructor now names it."""
+        p = self._valid()
+        with pytest.raises(ValidationError, match=r"^c has shape \(3,\), expected \(4,\)") as err:
+            dataclasses.replace(p, c=np.ones(3))
+        assert err.value.code == "dimension-mismatch"
 
     def test_non_finite_entries(self):
         """A NaN or an infinity is a float to the constructor, so finiteness
@@ -380,7 +397,7 @@ class TestValidate:
         for change in ({"W": (W0,) + p.W[1:]}, {"v": v}, {"b0": np.nan},
                        {"alpha": (np.inf,)}, {"lam": (np.nan,)}):
             with pytest.raises(ValidationError) as err:
-                validate(dataclasses.replace(p, **change))
+                dataclasses.replace(p, **change)
             assert err.value.code == "non-finite", change
 
     @pytest.mark.parametrize("change, error, message", [
@@ -417,16 +434,14 @@ class TestValidate:
         p = self._valid()
         U = [np.array(m) for m in p.U]
         U[1] = -np.ones((2, 2))
-        bad = SocIcnnParams(p.W, U, p.b, p.c, p.v, p.b0, p.alpha, p.B, p.e, p.lam, p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, U=U)
         assert err.value.code == "dimension-mismatch"
 
     def test_mismatched_module_lists(self):
         p = self._valid()
-        bad = SocIcnnParams(p.W, p.U, p.b, p.c, p.v, p.b0, p.alpha, p.B, (), p.lam, p.A, p.d)
         with pytest.raises(ValidationError) as err:
-            validate(bad)
+            dataclasses.replace(p, e=())
         assert err.value.code == "dimension-mismatch"
 
 
@@ -544,8 +559,8 @@ class TestDegeneracyReport:
     def test_negative_tolerance_rejected(self, small_model):
         """Every function that takes a kink tolerance rejects a negative,
         NaN or infinite one; before, ``canonical`` read out a wrong gradient
-        and ``branch_signature`` flagged a live cone as at its tip."""
-        from socicnn import branch_signature, canonical
+        and the kink report flagged a live cone as at its tip."""
+        from socicnn import canonical
         from socicnn.curvature import curvature_matrix
 
         tr = forward(small_model, np.array([0.3, -0.2, 0.1, 0.5]))
@@ -556,8 +571,6 @@ class TestDegeneracyReport:
                 canonical(small_model, tr, tol)
             with pytest.raises(ValueError, match="tolerance must be nonnegative"):
                 curvature_matrix(small_model, tr, tol)
-            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-                branch_signature(tr, tol)
 
     def test_margin_helpers(self, degenerate_model):
         params, x0 = degenerate_model
@@ -595,7 +608,7 @@ class TestSerialization:
     """A model as plain data (``conftest.plain_model``: nested lists and
     numbers, as JSON holds them) goes back in through ``SocIcnnParams``, the
     one way in for a model: bit for bit, and with what is not a valid model
-    refused by the constructor or by ``validate``."""
+    refused by the constructor, which ends with ``validate``."""
 
     def test_round_trip_bitwise(self, medium_model):
         back = SocIcnnParams(**plain_model(medium_model))
@@ -635,7 +648,7 @@ class TestSerialization:
             obj = plain_model(small_model)
             obj[arg].pop()
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as err:
-                validate(SocIcnnParams(**obj))
+                SocIcnnParams(**obj)
             assert err.value.code == "dimension-mismatch"
 
     @pytest.mark.parametrize("key, value", [
@@ -646,7 +659,7 @@ class TestSerialization:
         """Each argument declares dimensions that the others must match: ``v``
         the input dimension, ``b`` the widths, ``e`` and ``d`` the quadratic
         and conic module dimensions, ``U`` the depth.  One of them made to
-        declare ``key = value`` is refused by ``validate``."""
+        declare ``key = value`` is refused by the constructor's ``validate``."""
         obj = plain_model(medium_model)
         declared = {
             "input_dim": len(obj["v"]), "widths": [len(b) for b in obj["b"]],
@@ -662,7 +675,7 @@ class TestSerialization:
             arg = {"widths": "b", "quad_dims": "e", "cone_dims": "d"}[key]
             obj[arg] = [[0.0] * n for n in value]
         with pytest.raises(ValidationError) as err:
-            validate(SocIcnnParams(**obj))
+            SocIcnnParams(**obj)
         assert err.value.code == "dimension-mismatch"
 
     @pytest.mark.parametrize("where, set_true", [
@@ -694,5 +707,5 @@ class TestSerialization:
         obj = plain_model(small_model)
         obj["c"][0] = -1.0
         with pytest.raises(ValidationError) as err:
-            validate(SocIcnnParams(**obj))
+            SocIcnnParams(**obj)
         assert err.value.code == "negativity"

@@ -5,7 +5,6 @@ import pytest
 
 from socicnn import (
     NonFiniteError,
-    SocIcnnParams,
     fd_directional,
     fd_gradient,
     fd_hessian,
@@ -13,7 +12,7 @@ from socicnn import (
     forward_values,
 )
 
-from conftest import gaussian_points, inert_backbone, midpoint_violation
+from conftest import gaussian_points, midpoint_violation
 
 # Steps that pass a plain ``step <= 0`` test and then blamed the input for
 # the NaN stencil they made.
@@ -274,16 +273,8 @@ class TestConvexityProbe:
         assert midpoint_violation(f, medium_model.input_dim, n_triples=300, seed=1) <= 1e-10
 
     def test_detects_concave_composition(self):
-        """A negative skip weight builds max(0, 0.5 - max(0, x)), which has a
-        concave shoulder the probe must flag."""
-        base = inert_backbone(1)
-        params = SocIcnnParams(
-            W=(np.array([[1.0]]), np.array([[0.0]])),
-            U=(np.zeros((1, 0)), np.array([[-1.0]])),
-            b=(np.array([0.0]), np.array([0.5])),
-            c=np.array([1.0]),
-            v=base["v"],
-            b0=0.0,
-        )
-        f = lambda X: forward_values(params, X)
+        """max(0, 0.5 - max(0, x)), the backbone a negative skip weight would
+        build (the constructor refuses one), has a concave shoulder the probe
+        must flag."""
+        f = lambda X: np.maximum(0.5 - np.maximum(X[:, 0], 0.0), 0.0)
         assert midpoint_violation(f, 1, n_triples=500, seed=0) > 1e-3
