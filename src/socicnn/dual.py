@@ -233,8 +233,7 @@ def sample_optimal_branches(
     The result is a stacked ``DualBranch``; every row is verified to attain
     the model value at the trace point.
     """
-    if type(n) is not int or n < 0:
-        raise ValidationError("invalid-descriptor", f"branch count must be a nonnegative int: {n}")
+    _check_number(n, "branch count", count=True)
     _check_number(seed, "seed", count=True)
     _check_trace(params, trace)
     report = degeneracy_report(trace, tol)

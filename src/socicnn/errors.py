@@ -6,7 +6,9 @@ class SocIcnnError(Exception):
 
 
 class ValidationError(SocIcnnError, ValueError):
-    """A parameter set or descriptor violates a structural invariant.
+    """A parameter set, descriptor, config field or argument breaks its rule:
+    every refusal of a bad number, point, object or config field but a
+    non-finite one (``NonFiniteError``).
 
     The ``code`` attribute carries a stable machine-readable tag, one of:
     ``dimension-mismatch``, ``negativity``, ``nonpositive-alpha``,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dual, geometry, inference
 from .curvature import curvature_matrix, quadratic_model_residual
-from .errors import ConstructionError
+from .errors import ConstructionError, ValidationError
 from .model import (
     ArchSpec,
     DEFAULT_TAU,
@@ -195,7 +195,8 @@ class Exp2Config:
             "fd_grad_step", "fd_hess_step", "max_draws",
         ))
         if len(self.radii) > len(_QUAD_BOUNDS):
-            raise ValueError(f"radii must hold at most {len(_QUAD_BOUNDS)} radii, one per bound")
+            msg = f"radii must hold at most {len(_QUAD_BOUNDS)} radii, one per bound"
+            raise ValidationError("invalid-descriptor", msg)
 
 
 def run_exp2(cfg: Exp2Config = Exp2Config()) -> ExperimentOutput:

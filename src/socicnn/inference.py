@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dual
 from .curvature import curvature_matrix
-from .errors import SolveFailureError
+from .errors import SolveFailureError, ValidationError
 from .model import DEFAULT_TAU, SocIcnnParams, _check_config, _check_kind, _norms
 from .model import _nondegenerate_rows, _points, _require_nondegenerate, conic_margin, forward
 from .model import forward_values, relu_margin
@@ -57,10 +57,9 @@ class InferenceConfig:
 
     def __post_init__(self):
         _check_config(self, ("beta", "damping", "fd_grad_step", "fd_hess_step"))
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0 < self.armijo < 1:
-            raise ValueError("armijo must lie in (0, 1)")
+        for name in ("shrink", "armijo"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValidationError("invalid-descriptor", f"{name} must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,8 @@ def solve(params: SocIcnnParams, y, config: InferenceConfig, method: str):
       declared strong-convexity constant, no analytic model structure.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        msg = f"method must be one of {METHODS}, got {method!r}"
+        raise ValidationError("invalid-descriptor", msg)
     _check_kind(params, SocIcnnParams, "params")
     _check_kind(config, InferenceConfig, "config")
     y = _points(y, params.input_dim, "query")

@@ -89,9 +89,9 @@ class SocIcnnParams:
     seed : generator seed recorded at construction time, if any.
 
     Each entry is checked by ``_param`` as it is stored, naming it as in ``W[0]``
-    or ``b0``, and a seed other than a nonnegative int or None raises
-    ``ValidationError``; ``validate`` then checks shapes and signs, so every
-    model that exists is valid.
+    or ``b0``, and a seed other than None by ``_check_number`` as a count;
+    ``validate`` then checks shapes and signs, so every model that exists is
+    valid.
     """
 
     W: tuple
@@ -118,9 +118,8 @@ class SocIcnnParams:
             else:
                 raise ValidationError("invalid-descriptor", f"{name} is not a list or tuple")
             object.__setattr__(self, name, value)
-        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
-            msg = f"seed must be a nonnegative int or None, got {self.seed!r}"
-            raise ValidationError("invalid-descriptor", msg)
+        if self.seed is not None:
+            _check_number(self.seed, "seed", count=True)
         validate(self)
 
     @property
@@ -198,12 +197,18 @@ class DegeneracyReport:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Architecture descriptor for random construction."""
+    """Architecture descriptor for random construction: a positive int
+    ``input_dim``, a nonempty tuple of positive int ``widths``, and tuples of
+    positive int module dimensions, checked at construction."""
 
     input_dim: int
     widths: tuple
     quad_dims: tuple = ()
     cone_dims: tuple = ()
+
+    def __post_init__(self):
+        for name in ("input_dim", "widths", "quad_dims", "cone_dims"):
+            _check_field(name, getattr(self, name), 1 if name == "input_dim" else (1,), True)
 
 
 @dataclass(frozen=True)
@@ -415,7 +420,7 @@ def forward_values(params: SocIcnnParams, X) -> np.ndarray:
 
 
 def _check_number(value, name: str, positive: bool = False, count: bool = False) -> None:
-    """The one check of every number the package is handed: a ``ValueError``
+    """The one check of every number the package is handed: a ``ValidationError``
     naming ``name`` unless ``value`` is a real number, not a bool, at least 0
     (above 0 where ``positive``), at most the largest float, and an int for a ``count``."""
     sign = "positive" if positive else "nonnegative"
@@ -430,7 +435,7 @@ def _check_number(value, name: str, positive: bool = False, count: bool = False)
         return
     rule = f"a {sign} int" if count else f"{sign} and finite"
     hint = "" if bad == rule else f" ({name} must be {rule})"
-    raise ValueError(f"{name} must be {bad}, got {value!r}{hint}")
+    raise ValidationError("invalid-descriptor", f"{name} must be {bad}, got {value!r}{hint}")
 
 
 def _check_kind(value, kind, name: str) -> None:
@@ -452,30 +457,40 @@ def _check_trace(params: SocIcnnParams, trace) -> None:
         raise ValidationError("dimension-mismatch", f"{msg}, expected {params._trace_dims}")
 
 
+def _check_field(name: str, value, like, positive: bool) -> None:
+    """Reject, with a ``ValidationError`` that names it, a field ``value`` not of
+    the kind ``like`` holds: a tuple or list of its first element's kind,
+    nonempty but for the module dimensions, for a tuple; a number that
+    ``_check_number`` passes, positive where ``positive`` and a count for an int,
+    or None where ``like`` is None."""
+    seq = isinstance(like, tuple)
+    if seq != isinstance(value, (tuple, list)):
+        bad = f"{'a tuple' if seq else 'a number'}, got {value!r}"
+    elif seq and not value and name not in ("quad_dims", "cone_dims"):
+        bad = f"nonempty, got {value!r}"
+    else:
+        kind = like[0] if seq else like
+        for v in value if seq else (value,):
+            if v is not None or kind is not None:
+                _check_number(v, name, positive, kind is None or type(kind) is int)
+        return
+    raise ValidationError("invalid-descriptor", f"{name} must be {bad}")
+
+
 def _check_config(cfg, positive=()) -> None:
-    """Reject, with a ``ValueError`` that names it, a field of the config
+    """Reject, with a ``ValidationError`` that names it, a field of the config
     dataclass ``cfg`` whose value is not of the kind its default holds: an
-    instance of the default's class for a nested config; a tuple or list of
-    its first element's kind, nonempty but for the module dimensions, for a
-    tuple; a number that ``_check_number`` passes, as a count for an int
-    default, or None where the default is None.  Every number must be
-    nonnegative, and positive for the fields named in ``positive``."""
+    instance of the default's class for a nested config, and otherwise what
+    ``_check_field`` passes.  Every number must be nonnegative, and positive
+    for the fields named in ``positive``."""
     for f in fields(cfg):
         name, value = f.name, getattr(cfg, f.name)
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        if is_dataclass(default):
-            if not isinstance(value, type(default)):
-                raise ValueError(f"{name} must be an instance of {type(default).__name__}")
-            continue
-        seq = isinstance(default, tuple)
-        if seq != isinstance(value, (tuple, list)):
-            raise ValueError(f"{name} must be {'a tuple' if seq else 'a number'}, got {value!r}")
-        if seq and not value and name not in ("quad_dims", "cone_dims"):
-            raise ValueError(f"{name} must be nonempty, got {value!r}")
-        kind = default[0] if seq else default
-        for v in value if seq else (value,):
-            if v is not None or kind is not None:
-                _check_number(v, name, name in positive, kind is None or type(kind) is int)
+        if not is_dataclass(default):
+            _check_field(name, value, default, name in positive)
+        elif not isinstance(value, type(default)):
+            msg = f"{name} must be an instance of {type(default).__name__}"
+            raise ValidationError("invalid-descriptor", msg)
 
 
 def _kinks(trace: ForwardTrace, tol: float):
@@ -587,9 +602,8 @@ def build_random(seed: int, arch: ArchSpec) -> SocIcnnParams:
     dual upper bounds.  The scalar ``b0`` stays at unit scale.  ``alpha``
     and ``lam`` are uniform on ``[0.5, 1.5]``.
     """
-    dims = (arch.input_dim, *arch.widths, *arch.quad_dims, *arch.cone_dims)
-    if not arch.widths or not all(type(n) is int and n > 0 for n in dims):
-        raise ValidationError("invalid-descriptor", f"need widths and positive int dims: {arch}")
+    _check_number(seed, "seed", count=True)
+    _check_kind(arch, ArchSpec, "arch")
     rng = np.random.default_rng(seed)
     d0 = arch.input_dim
     W, U, b = [], [], []

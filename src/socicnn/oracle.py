@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError
-from .model import _check_number, _points
+from .errors import NonFiniteError, ValidationError
+from .model import _check_number, _points, _real
 
 
 def _evaluate(fn, points, shape, what):
-    """``fn`` at the rows of ``points``, checked to have ``shape``."""
-    out = np.asarray(fn(points), dtype=np.float64)
+    """``fn`` at the rows of ``points``, real numbers by ``model._real``'s rule,
+    checked to have ``shape``."""
+    out = _real(fn(points), what)
     if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape} for {len(points)} rows, "
-                         f"expected {shape}")
+        msg = f"{what} must return shape {shape} for {len(points)} rows, got {out.shape}"
+        raise ValidationError("invalid-descriptor", msg)
     return out
 
 
@@ -82,7 +83,7 @@ def fd_directional(f, x, d, step: float = 1e-7):
     d = _points(d, x.size, "d")
     dirs = np.atleast_2d(d)
     if not np.all(np.isclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-8, atol=0.0)):
-        raise ValueError("direction must be unit length")
+        raise ValidationError("invalid-descriptor", "direction must be unit length")
     m = len(dirs)
     vals = _evaluate(f, np.vstack([x, x + step * dirs]), (m + 1,), "f")
     bad = np.flatnonzero(~np.isfinite(vals))

@@ -1,8 +1,8 @@
 """Every point and every number the library's entry points are handed.
 
-A bad point fails with a package error (``SocIcnnError``) that names the
-argument, and a bad number with a ``ValueError`` that names the parameter:
-never a bare NumPy ``TypeError``, ``ValueError`` or ``OverflowError``, never
+A bad point or a bad number fails with a package error (``SocIcnnError``)
+that names the argument: never a bare NumPy ``TypeError``, ``ValueError`` or
+``OverflowError``, never
 a ``RuntimeWarning`` (the suite turns warnings into errors) and never a NaN
 result.  The sweep is deterministic: every point argument crossed with a
 fixed pool of bad points, every number parameter with a fixed pool of bad
@@ -126,6 +126,10 @@ NUMBER_ARGS = {
     "fd_gradient step": (lambda v: fd_gradient(values, X, v), "step"),
     "fd_directional step": (lambda v: fd_directional(values, X, U, v), "step"),
     "fd_hessian step": (lambda v: fd_hessian(lambda Z: fd_gradient(values, Z), X, v), "step"),
+    "build_random seed": (lambda v: build_random(v, ArchSpec(3, (4,))), "seed"),
+    "sample_optimal_branches n": (lambda v: sample_optimal_branches(P, TRACE, n=v), "branch count"),
+    "ArchSpec dims": (lambda v: ArchSpec(3, (4, v)), "widths"),
+    "solve method": (lambda v: solve(P, X, InferenceConfig(), v), "method"),
 }
 
 BAD_NUMBERS = {
@@ -149,8 +153,11 @@ def outcome(call, value):
 
 def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
     """16 point arguments x 16 bad points, less the 4 that do not apply, and
-    18 number parameters x 7 bad numbers: 378 cases, each refused with an
-    error whose message starts with the argument's name.  Before one rule
+    22 number parameters x 7 bad numbers: 406 cases, each refused with a
+    package error whose message starts with the argument's name.  A bad
+    number was a plain ``ValueError`` until every refusal was typed;
+    ``build_random(-1, ...)`` ended in NumPy's unnamed ``ValueError`` and
+    ``ArchSpec(3, (4, -1))`` constructed.  Before one rule
     checked every point, ``[10**400, 0.2, 0.3]`` escaped every entry point as
     a bare ``OverflowError`` and a ragged list as NumPy's ``ValueError``,
     ``dual_value`` and ``CurvatureModel.predict`` returned NaN at a NaN
@@ -170,11 +177,11 @@ def test_every_bad_point_and_number_fails_only_with_a_named_package_error():
         for kind, number in BAD_NUMBERS.items():
             cases += 1
             got = outcome(call, number)
-            if not (isinstance(got, ValueError) and str(got).startswith(f"{name} must be")):
+            if not (isinstance(got, SocIcnnError) and str(got).startswith(f"{name} must be")):
                 misses.append((arg, kind, got))
     elapsed = time.perf_counter() - start
     assert not misses, "\n".join(f"{a} <- {k}: {g!r}" for a, k, g in misses)
-    assert cases == 16 * 16 - 4 + 18 * 7
+    assert cases == 16 * 16 - 4 + 22 * 7
     assert elapsed < 0.3, f"sweep took {elapsed:.3f} s"
 
 
@@ -194,6 +201,7 @@ OBJECT_ARGS = {
     "feasibility_violation branch": (lambda v: feasibility_violation(P, v), "branch"),
     "argmax_branch params": (lambda v: argmax_branch(v, TRACE, U), "params"),
     "argmax_branch trace": (lambda v: argmax_branch(P, v, U), "trace"),
+    "build_random arch": (lambda v: build_random(0, v), "arch"),
 }
 
 BAD_OBJECTS = {
@@ -207,8 +215,9 @@ BAD_OBJECTS = {
 
 def test_every_bad_object_argument_fails_with_a_named_validation_error():
     """``solve`` read ``config`` and ``params`` as attribute bags, and every
-    function that takes a trace or a branch read it as one, so ``None``, a
-    dict or a string ended in a bare ``AttributeError`` (or a ``TypeError``)."""
+    function that takes a trace or a branch read it as one (and
+    ``build_random`` its ``arch``), so ``None``, a dict or a string ended in
+    a bare ``AttributeError`` (or a ``TypeError``)."""
     misses = []
     for arg, (call, name) in OBJECT_ARGS.items():
         for kind, value in BAD_OBJECTS.items():

@@ -34,7 +34,7 @@ from socicnn import (
     validate,
 )
 from socicnn import cli
-from socicnn.cli import CliError, _load_config, main
+from socicnn.cli import main
 from socicnn.experiments import (
     Exp1Config,
     Exp2Config,
@@ -83,6 +83,21 @@ def model_refusal(obj):
         assert len(str(exc).splitlines()) == 1, str(exc)
         return exc
     return None
+
+
+def patch_config(monkeypatch, command, fields):
+    """Make ``command`` build its config from ``fields`` under its flags, a dict
+    building the nested config of its field's class, as a caller in Python
+    would; returns that builder.  The CLI itself takes flags only."""
+    cls, runner, help_line, flags = cli._EXPERIMENTS[command]
+
+    def build(**overrides):
+        nested = {k: type(getattr(cls(), k))(**v) if isinstance(v, dict) else v
+                  for k, v in fields.items()}
+        return cls(**nested, **overrides)
+
+    monkeypatch.setitem(cli._EXPERIMENTS, command, (build, runner, help_line, flags))
+    return build
 
 
 def rows_without_time(table):
@@ -172,7 +187,7 @@ class TestExp1:
             Exp1Config(samples=0)
         assert main(["exp1", "--samples", "0", "--check"]) == 2
         out, err = capsys.readouterr()
-        assert err.startswith("error: bad config value: samples must be positive") and not out
+        assert err.startswith("error: samples must be positive") and not out
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be positive, got -3"):
@@ -451,8 +466,8 @@ class TestExp4:
 
 def test_every_table_cell_is_an_int_float_or_str(exp1_small, exp2_small, exp3_small,
                                                   exp4_small):
-    """The CLI writes cells with ``str`` and ``json.dumps`` as they come; an
-    ``np.float64`` is a float, whose ``str`` and JSON are the float's."""
+    """The CLI writes cells with ``str`` as they come; an ``np.float64`` is a
+    float, whose ``str`` is the float's."""
     for out in (exp1_small, exp2_small, exp3_small, exp4_small):
         for table in out.tables:
             for row in table.rows:
@@ -477,14 +492,13 @@ class TestCli:
     # ``socicnn model info`` refused in a model file, ``SocIcnnParams`` and
     # ``validate`` now refuse in the model's own arrays, on the same cases.
 
-    def test_model_gen_is_deterministic(self, tmp_path, monkeypatch):
+    def test_model_gen_is_deterministic(self, monkeypatch):
         """Two runs of an experiment command draw bitwise the same model."""
         drawn = record_models(monkeypatch)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"input_dim": 4, "widths": [6, 6], "quad_dims": [2],
-                                   "cone_dims": [2]}))
+        patch_config(monkeypatch, "exp1", {"input_dim": 4, "widths": (6, 6), "quad_dims": (2,),
+                                           "cone_dims": (2,)})
         for _ in range(2):
-            assert main(["exp1", "--config", str(cfg), "--seed", "5", "--samples", "1"]) == 0
+            assert main(["exp1", "--seed", "5", "--samples", "1"]) == 0
         assert len(drawn) == 2 and drawn[0].seed == 5
         assert model_bits(drawn[0]) == model_bits(drawn[1])
 
@@ -514,14 +528,15 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, size", [("--width", 10 ** 12)])
-    def test_model_gen_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, flag, size):
+    def test_model_gen_size_too_large_to_allocate_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                          flag, size):
         """NumPy refuses a 146 TiB weight matrix without allocating; its
         ``MemoryError`` is one error line, not a traceback.  The width is
         given as the config's ``widths``."""
         assert flag == "--width"
-        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
-        cfg.write_text(json.dumps({"widths": [size]}))
-        assert main(["exp1", "--config", str(cfg), "--out", str(out)]) == 2
+        out = tmp_path / "out"
+        patch_config(monkeypatch, "exp1", {"widths": (size,)})
+        assert main(["exp1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
@@ -618,38 +633,27 @@ class TestCli:
         obj["seed"] = json.loads(token)
         err = model_refusal(obj)
         assert isinstance(err, ValidationError)
-        assert str(err).startswith("seed must be a nonnegative int or None")
+        assert str(err).startswith("seed must be ")
 
-    def test_exp1_check_passes(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "samples": 10, "input_dim": 5, "widths": [8, 6],
-            "quad_dims": [3], "cone_dims": [3],
-        }))
-        code = main(["exp1", "--config", str(cfg), "--check"])
+    def test_exp1_check_passes(self, monkeypatch, capsys):
+        patch_config(monkeypatch, "exp1", {"input_dim": 5, "widths": (8, 6), "quad_dims": (3,),
+                                           "cone_dims": (3,)})
+        code = main(["exp1", "--samples", "10", "--check"])
         text = capsys.readouterr().out
         assert code == 0
         assert "[PASS] exp1-grad-exact" in text
         assert "[FAIL]" not in text
 
-    def test_check_failure_sets_exit_code(self, tmp_path, capsys):
-        """A deliberately coarse difference step pushes the oracle mismatch
-        over its bound, which must surface as a failed check and exit 3."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "samples": 10, "input_dim": 5, "widths": [8, 6],
-            "quad_dims": [3], "cone_dims": [3], "fd_step": 10.0,
-        }))
-        code = main(["exp1", "--config", str(cfg), "--check"])
+    def test_check_failure_sets_exit_code(self, monkeypatch, capsys):
+        """A deliberately coarse difference step, set on the config the
+        command builds, pushes the oracle mismatch over its bound, which must
+        surface as a failed check and exit 3."""
+        patch_config(monkeypatch, "exp1", {"input_dim": 5, "widths": (8, 6), "quad_dims": (3,),
+                                           "cone_dims": (3,), "fd_step": 10.0})
+        code = main(["exp1", "--samples", "10", "--check"])
         text = capsys.readouterr().out
         assert code == 3
         assert "[FAIL]" in text
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sample": 10}))
-        assert main(["exp1", "--config", str(cfg)]) == 2
-        assert "sample" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, change", [
         (Exp1Config, {"fd_step": float("inf")}),
@@ -732,10 +736,10 @@ class TestCli:
         "command, config",
         [
             ("exp1", {"widths": 5}),
-            ("exp3", {"degeneracy": {"bogus": 1}}),
+            ("exp3", {"degeneracy": {"relu_layer": -1}}),
             ("exp4", {"solver": [1, 2]}),
             ("exp2", {"max_draws": 1}),
-            ("exp4", {"beta": 5.0}),
+            ("exp4", {"solver": {"beta": 0.0}}),
             ("exp1", {"samples": "x"}),
             ("exp1", {"widths": "ab"}),
             ("exp3", {"degeneracy": {"relu_layer": "x"}}),
@@ -767,82 +771,62 @@ class TestCli:
             ("exp4", {"solver": {"grad_tol": 10 ** 400}}),
         ],
     )
-    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
-        """Uncoercible values and a point search that runs out of draws are
-        reported on stderr with exit 2, never as an escaping traceback, and
-        a value the config rejects is named: a JSON integer too large for a
-        float too."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main([command, "--config", str(cfg)]) == 2
+    def test_bad_config_value_exits_2(self, monkeypatch, capsys, command, config):
+        """A config that the command builds from values its rule refuses, and
+        a run that cannot proceed (a point search out of draws), are reported
+        on stderr with exit 2, never as an escaping traceback, and a value the
+        config rejects is named: an integer too large for a float too."""
+        build = patch_config(monkeypatch, command, config)
+        assert main([command]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
-        if "bad config value" in err:
+        try:
+            build()
+        except ValidationError as exc:
             names = [k for part in (config, *config.values()) if isinstance(part, dict) for k in part]
-            assert any(f"{name} must" in err for name in names), err
+            assert err == f"error: {exc}\n" and any(f"{name} must" in err for name in names), err
 
-    def test_every_config_field_fails_only_with_its_named_error(self, tmp_path):
+    def test_every_config_field_fails_only_with_its_named_error(self):
         """Each field of each config, set in turn to each value of a fixed
-        pool, either constructs or raises a ``ValueError`` naming the field,
-        and the same value sent as JSON through the CLI's loader either loads
-        or raises only ``CliError``, with the same verdict except where a
-        JSON object is a nested config's fields: 561 cases."""
-        path = tmp_path / "cfg.json"
+        pool, either constructs or raises a ``ValidationError`` whose message
+        starts with the field's name: 561 cases."""
         pool = (-1, 0, 2.5, True, float("nan"), float("inf"), "x", [], {}, None, Exp1Config())
+        cases = 0
         for cls in (Exp1Config, Exp2Config, Exp3Config, Exp4Config, InferenceConfig,
                     DegeneracySpec):
             for f in dataclasses.fields(cls):
                 for value in pool:
+                    cases += 1
                     try:
                         cls(**{f.name: value})
-                        python_ok = True
-                    except ValueError as exc:
-                        assert f.name in str(exc), (cls.__name__, f.name, value, exc)
-                        python_ok = False
-                    plain = dataclasses.asdict(value) if isinstance(value, Exp1Config) else value
-                    path.write_text(json.dumps({f.name: plain}))
-                    try:
-                        _load_config(cls, str(path), {})
-                        cli_ok = True
-                    except CliError:
-                        cli_ok = False
-                    nested = dataclasses.is_dataclass(getattr(cls(), f.name))
-                    assert cli_ok == python_ok or (nested and value == {}), (
-                        cls.__name__, f.name, value)
+                    except ValidationError as exc:
+                        assert str(exc).startswith(f"{f.name} must"), (cls.__name__, value, exc)
+        assert cases == 561
 
-    def test_huge_kink_tolerance_is_named_in_the_sampler_error(self, tmp_path, capsys):
+    def test_huge_kink_tolerance_is_named_in_the_sampler_error(self, monkeypatch, capsys):
         """At tolerance 1e300 every unit is a kink and the sampled branches
         are not optimal; the one error line names that tolerance and prints
         plain floats, not ``np.float64(...)`` reprs."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": 1e300}))
-        assert main(["exp3", "--config", str(cfg)]) == 2
+        patch_config(monkeypatch, "exp3", {"tol": 1e300})
+        assert main(["exp3"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: constructed branch 0")
         assert "at tolerance 1e+300" in lines[0] and "np.float64(" not in lines[0]
 
-    def test_missing_config_file_rejected(self, capsys):
-        assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2
-        assert capsys.readouterr().err != ""
-
-    def test_integer_radii_print_as_floats(self, tmp_path, capsys):
-        """A JSON integer stays an int in the config, where it is a number
-        to a float field; the ``radius`` column still prints floats."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"points": 2, "trials": 3, "radii": [1, 2]}))
-        assert main(["exp2", "--config", str(cfg)]) == 0
+    def test_integer_radii_print_as_floats(self, monkeypatch, capsys):
+        """An int stays an int in the config, where it is a number to a
+        float field; the ``radius`` column still prints floats."""
+        patch_config(monkeypatch, "exp2", {"radii": (1, 2)})
+        assert main(["exp2", "--points", "2", "--trials", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = lines[lines.index("radius,retained_rate,mean_abs_residual") + 1:]
         assert [row.split(",")[0] for row in rows] == ["1.0", "2.0"]
 
     def test_csv_output_round_trips(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "directions": 40, "branches": 100, "probes": 100,
-        }))
         out_dir = tmp_path / "results"
-        assert main(["exp3", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        argv = ["exp3", "--directions", "40", "--branches", "100", "--probes", "100"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
         capsys.readouterr()
         csv_path = out_dir / "exp3_degenerate_geometry.csv"
         lines = csv_path.read_text().splitlines()
@@ -858,14 +842,14 @@ class TestCli:
         text = capsys.readouterr().out
         assert "[gradient_check]" in text
 
-    def test_nested_solver_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "queries": 2,
-            "solver": {"beta": 10.0, "grad_tol": 1e-3},
-        }))
-        assert main(["exp4", "--config", str(cfg)]) == 0
-        assert "[methods]" in capsys.readouterr().out
+    def test_config_flag_is_gone(self, capsys):
+        """Configs are built in Python; the JSON config file is gone, and
+        ``--config`` is a usage error with no traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["exp1", "--config", "f.json"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --config f.json" in err and "Traceback" not in err
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -889,9 +873,8 @@ class TestCli:
 _NUMPY_ONLY_RUN = """
 import contextlib, io, sys
 import numpy as np
-import socicnn, socicnn.experiments
-assert "json" not in sys.modules, "importing the library needs no file format"
-import socicnn.cli
+import socicnn, socicnn.experiments, socicnn.cli
+assert "json" not in sys.modules, "importing the library and its CLI needs no file format"
 from socicnn import ArchSpec, InferenceConfig, build_random, solve
 from socicnn.experiments import Exp1Config, Exp2Config, Exp3Config, run_exp1, run_exp2, run_exp3
 
@@ -915,8 +898,7 @@ assert not scipy_modules(), scipy_modules()
 def test_scipy_never_loads():
     """``import socicnn``, exp1-exp3, all four solvers and a checked exp4
     run on NumPy alone: no ``scipy`` module is ever loaded.  Importing the
-    library and its experiments loads no ``json`` either; only the CLI,
-    which reads configs, does."""
+    library, its experiments and its CLI loads no ``json`` either."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_RUN],

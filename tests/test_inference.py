@@ -916,7 +916,7 @@ class TestLockstepBatch:
             with pytest.raises(ValidationError):
                 solve(small_model, np.zeros(shape), InferenceConfig(), "fd-gd")
         for shape in ((d,), (2, d)):
-            with pytest.raises(ValueError, match="unknown method"):
+            with pytest.raises(ValidationError, match="^method must be one of"):
                 solve(small_model, np.zeros(shape), InferenceConfig(), "newton")
 
 

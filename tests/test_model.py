@@ -412,8 +412,8 @@ class TestValidate:
         ({"c": np.ones(4, bool)}, ValidationError, "c is not numeric: a boolean"),
         ({"lam": (True,)}, ValidationError, "lam[0] is not numeric: a boolean"),
         ({"b": [[0.1, True, 0.3, 0.4]]}, ValidationError, "b[0] is not numeric: a boolean"),
-        ({"seed": "x"}, ValidationError, "seed must be a nonnegative int or None"),
-        ({"seed": -1}, ValidationError, "seed must be a nonnegative int or None"),
+        ({"seed": "x"}, ValidationError, "seed must be a number, got 'x'"),
+        ({"seed": -1}, ValidationError, "seed must be nonnegative, got -1"),
     ], ids=["string", "ragged", "none", "array-b0", "no-list", "huge-b0", "huge-entry", "complex",
             "bool-array", "bool-lam", "bool-in-list", "string-seed", "negative-seed"])
     def test_constructor_refuses_what_is_not_a_real_number(self, change, error, message):
@@ -476,18 +476,34 @@ class TestBuildRandom:
         assert p.seed == 1
 
     def test_rejects_bad_arch(self):
-        with pytest.raises(ValidationError):
-            build_random(0, ArchSpec(0, (4,)))
-        with pytest.raises(ValidationError):
-            build_random(0, ArchSpec(3, ()))
-        with pytest.raises(ValidationError):
-            build_random(0, ArchSpec(3, (4, -1)))
-        with pytest.raises(ValidationError):
-            build_random(0, ArchSpec(3, (4,), quad_dims=(0,)))
-        for arch in (ArchSpec(2, (2.5,)), ArchSpec(True, (3,)), ArchSpec(2, (3,), (2.0,))):
-            with pytest.raises(ValidationError) as info:
-                build_random(0, arch)
+        """An architecture is refused as it is built; ``ArchSpec(-2, (3,))``
+        and ``ArchSpec(2, 3)`` used to construct, and only ``build_random``
+        checked the dimensions."""
+        for args, message in [
+            ((0, (4,)), "input_dim must be positive"),
+            ((3, ()), "widths must be nonempty"),
+            ((3, (4, -1)), "widths must be positive"),
+            ((3, (4,), (0,)), "quad_dims must be positive"),
+            ((2, (2.5,)), "widths must be an int"),
+            ((True, (3,)), "input_dim must be an int"),
+            ((2, (3,), (2.0,)), "quad_dims must be an int"),
+            ((-2, (3,)), "input_dim must be positive"),
+            ((2, 3), "widths must be a tuple"),
+            ((2, (3,), (), (None,)), "cone_dims must be a number"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{message}") as info:
+                ArchSpec(*args)
             assert info.value.code == "invalid-descriptor"
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative"), (1.5, "seed must be an int"),
+        (None, "seed must be a number"), (True, "seed must be an int")])
+    def test_rejects_bad_seed(self, seed, message):
+        """``build_random(-1, ...)`` ended in NumPy's unnamed ``ValueError:
+        expected non-negative integer``, and ``build_random(1.5, ...)`` in
+        ``SeedSequence``'s ``TypeError``."""
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            build_random(seed, ArchSpec(3, (4,)))
 
     def test_arrays_are_read_only(self):
         p = build_random(0, ArchSpec(3, (4,)))

@@ -5,6 +5,7 @@ import pytest
 
 from socicnn import (
     NonFiniteError,
+    ValidationError,
     fd_directional,
     fd_gradient,
     fd_hessian,
@@ -144,10 +145,29 @@ class TestBatchedStencils:
                        np.array([np.zeros(4), np.full(4, 0.5)]))
 
     def test_callable_must_return_one_value_per_row(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^f must return shape \(6,\)"):
             fd_gradient(lambda X: X, np.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^grad must return shape \(6, 3\)"):
             fd_hessian(sq, np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["complex", "bool"])
+    @pytest.mark.parametrize("oracle", ["fd_gradient", "fd_hessian", "fd_directional"])
+    def test_values_must_be_real_numbers(self, oracle, kind):
+        """The callable's values are read by the package's one number rule
+        (``model._real``).  A complex field was cast to its real part with
+        only a ``ComplexWarning``, and a boolean one read as 0 and 1:
+        ``fd_gradient`` of ``Z[:, 0] > 0.3`` at ``[0.3, 0.2]`` was ``[5e5, 0]``."""
+        field = {"complex": lambda Z: Z[:, 0] + 5j * Z[:, 1], "bool": lambda Z: Z[:, 0] > 0.3}[kind]
+        x = np.array([0.3, 0.2])
+        calls = {
+            "fd_gradient": lambda: fd_gradient(field, x),
+            "fd_hessian": lambda: fd_hessian(lambda Z: np.stack([field(Z)] * 2, axis=1), x),
+            "fd_directional": lambda: fd_directional(field, x, np.array([1.0, 0.0])),
+        }
+        name = "grad" if oracle == "fd_hessian" else "f"
+        with pytest.raises(ValidationError, match=f"^{name} is not numeric") as info:
+            calls[oracle]()
+        assert info.value.code == "invalid-descriptor"
 
 
 class TestFdGradient:
@@ -196,7 +216,7 @@ class TestFdDirectional:
         assert val == pytest.approx(float(2 * x @ d), abs=1e-6)
 
     def test_requires_unit_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^direction must be unit length"):
             fd_directional(sq, np.zeros(2), np.array([1.0, 1.0]))
 
     def test_step_must_be_positive(self):
