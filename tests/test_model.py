@@ -497,11 +497,16 @@ class TestBuildRandom:
 
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be nonnegative"), (1.5, "seed must be an int"),
-        (None, "seed must be a number"), (True, "seed must be an int")])
+        (None, "seed must be a number"), (True, "seed must be an int"),
+        (10 ** 5000, "seed must be at most the largest float, got an int of 16610 bits "),
+        (-10 ** 5000, "seed must be nonnegative, got a negative int of 16610 bits ")],
+        ids=["-1", "1.5", "None", "True", "10**5000", "-10**5000"])
     def test_rejects_bad_seed(self, seed, message):
         """``build_random(-1, ...)`` ended in NumPy's unnamed ``ValueError:
         expected non-negative integer``, and ``build_random(1.5, ...)`` in
-        ``SeedSequence``'s ``TypeError``."""
+        ``SeedSequence``'s ``TypeError``.  An int past the 4300 digits that
+        ``repr`` converts ended in its bare ``ValueError``, and one above the
+        largest float was called negative."""
         with pytest.raises(ValidationError, match=f"^{message}"):
             build_random(seed, ArchSpec(3, (4,)))
 
